@@ -98,9 +98,9 @@ fn cargo() -> Command {
 ///
 /// `parallelism = 1` serialises the engine's client fan-out, but the
 /// *tensor* kernels size themselves from the global pool
-/// (`AERGIA_THREADS`/`available_parallelism`), and every parallel tile
-/// spawn heap-allocates a job — which would make the count scale with
-/// the machine's core count. The caller therefore pins
+/// (`AERGIA_THREADS`/`available_parallelism`), and every parallel GEMM
+/// heap-allocates one helper job per extra pool thread — which would make
+/// the count scale with the machine's core count. The caller therefore pins
 /// `AERGIA_THREADS=1` around this measurement (before the pool's first
 /// use) so the figure is machine-independent.
 fn measure_allocs_per_round() -> f64 {

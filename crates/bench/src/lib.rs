@@ -85,8 +85,8 @@ impl Scale {
 
 /// Engine-level parallelism for benchmark configurations, read from
 /// `AERGIA_THREADS` (the same variable that sizes the global
-/// [`aergia_runtime`] pool): unset or unparsable means `0` — one
-/// work-stealing task per client — except on a single-core host, where the
+/// [`aergia_runtime`] pool): unset or unparsable means `0` — every
+/// pool thread claims clients — except on a single-core host, where the
 /// fan-out is pure scheduling overhead and the default drops to `1` (fully
 /// serial rounds, the same mode the determinism suite uses for its
 /// reference run). Rounds are bit-identical across parallelism settings,

@@ -88,9 +88,9 @@ pub struct ExperimentConfig {
     /// Real training vs timing-only simulation.
     pub mode: Mode,
     /// Maximum clients whose local training executes concurrently on the
-    /// [`aergia_runtime`] pool in [`Mode::Real`] rounds: `0` = one task
-    /// per participant (fully work-stealing), `1` = serial execution on
-    /// the calling thread, `n` = at most `n` concurrent clients.
+    /// [`aergia_runtime`] pool in [`Mode::Real`] rounds: `0` = every
+    /// pool thread claims participants, `1` = serial execution on the
+    /// calling thread, `n` = at most `n` concurrent clients.
     ///
     /// The knob trades wall-clock for nothing else: parallel runs are
     /// **bit-identical** to serial runs (every client trains on private

@@ -435,6 +435,7 @@ impl Engine {
             return Err(CheckpointError::Mismatch("global snapshot structure"));
         }
         self.global = global;
+        self.last_accuracy = None;
 
         let mut srng = Reader::new(chunks.get(SRNG).ok_or(CheckpointError::Mismatch("no rng"))?);
         self.select_rng = rand::rngs::StdRng::from_state(read_rng(&mut srng)?);

@@ -15,7 +15,7 @@
 //! clock advances (for the timing-shape figures).
 //!
 //! Real-mode rounds execute the participating clients' local training
-//! concurrently on the [`aergia_runtime`] work-stealing pool (see the
+//! concurrently on the [`aergia_runtime`] thread pool (see the
 //! `round` module for the plan/execute split and the
 //! [`crate::config::ExperimentConfig::parallelism`] knob); aggregation
 //! folds the results in fixed client order, so parallel runs are
@@ -200,12 +200,33 @@ pub struct Engine {
     pub(crate) tifl: Option<tifl::TiflState>,
     /// Seeded churn trace; `None` unless the scenario configures churn.
     pub(crate) churn: Option<churn::ChurnState>,
-    /// Lazily-built model + workspace reused by [`Engine::evaluate_global`]:
+    /// Lazily-built per-shard state reused by [`Engine::evaluate_global`]:
     /// evaluation runs every round, and rebuilding the model from the
     /// template each time pays the full activation/im2col allocation cost
     /// again. The weights are overwritten from the global snapshot before
     /// every use, so reuse cannot change results.
-    eval_state: Option<(Cnn, aergia_tensor::Workspace)>,
+    eval_state: Vec<EvalShard>,
+    /// Test accuracy of the current `global`, when the last round already
+    /// measured it; cleared wherever `global` is written.
+    last_accuracy: Option<f64>,
+}
+
+/// Samples per forward pass of the evaluation walk, over all shards.
+const EVAL_BATCH: usize = 32;
+
+/// Smallest per-shard batch the walk is split down to: bounds the shard
+/// count (each shard keeps a model copy) however wide the pool is.
+const MIN_SHARD_BATCH: usize = 8;
+
+/// One contiguous sample range of [`Engine::evaluate_global`]'s walk over
+/// the eval set, with the model, workspace and batch buffers it reuses.
+struct EvalShard {
+    model: Cnn,
+    ws: aergia_tensor::Workspace,
+    indices: Vec<usize>,
+    x: Tensor,
+    y: Vec<usize>,
+    correct: usize,
 }
 
 impl fmt::Debug for Engine {
@@ -387,7 +408,8 @@ impl Engine {
             strategy,
             tifl,
             churn,
-            eval_state: None,
+            eval_state: Vec::new(),
+            last_accuracy: None,
         })
     }
 
@@ -637,12 +659,15 @@ impl Engine {
         Ok(progress.next_round < self.config.rounds)
     }
 
-    /// Wraps up a finished (or resumed-to-completion) run: evaluates the
-    /// final global model and assembles the [`RunResult`].
+    /// Wraps up a finished (or resumed-to-completion) run: takes the final
+    /// global model's test accuracy (evaluating it unless the last round
+    /// just did) and assembles the [`RunResult`].
     pub fn finish_run(&mut self, progress: RunProgress) -> RunResult {
-        let final_accuracy = match self.config.mode {
-            Mode::Real => self.evaluate_global(),
-            Mode::Timing => f64::NAN,
+        let final_accuracy = match (self.config.mode, self.last_accuracy) {
+            (Mode::Timing, _) => f64::NAN,
+            // The last round already evaluated exactly these weights.
+            (Mode::Real, Some(accuracy)) => accuracy,
+            (Mode::Real, None) => self.evaluate_global(),
         };
         RunResult {
             rounds: progress.rounds,
@@ -714,6 +739,7 @@ impl Engine {
             Mode::Real => (self.evaluate_global(), outcome.mean_loss()),
             Mode::Timing => (f64::NAN, f64::NAN),
         };
+        self.last_accuracy = Some(test_accuracy);
         drop(eval_span);
         if let Some(tifl) = &mut self.tifl {
             tifl.observe_accuracy(test_accuracy);
@@ -773,6 +799,7 @@ impl Engine {
         if self.config.mode == Mode::Timing {
             return Ok(duration);
         }
+        self.last_accuracy = None;
 
         // Deadline strategies drop updates that arrived too late.
         let cutoff = outcome.start + duration;
@@ -843,7 +870,7 @@ impl Engine {
                 let edges: Vec<usize> =
                     contributions.iter().map(|c| self.cohorts.edge_of(c.client)).collect();
                 let num_edges = self.cohorts.num_edges();
-                // Per-edge folds fan out on the work-stealing pool unless
+                // Per-edge folds fan out on the thread pool unless
                 // the run is pinned fully serial (each edge's chain is one
                 // task, so scheduling cannot change bits).
                 let parallel = self.config.parallelism != 1;
@@ -937,27 +964,53 @@ impl Engine {
         self.wire.broadcast(&self.global)
     }
 
-    /// Test accuracy of the current global model.
+    /// Test accuracy of the current global model, computed afresh on
+    /// every call. Unless the run is pinned serial (`parallelism == 1`),
+    /// the eval set is walked in one contiguous shard per pool thread.
     pub fn evaluate_global(&mut self) -> f64 {
-        if self.eval_state.is_none() {
-            self.eval_state = Some((self.template.clone(), aergia_tensor::Workspace::new()));
-        }
-        let (model, ws) = self.eval_state.as_mut().expect("eval state just initialised");
-        model.set_weights(&self.global).expect("global snapshot matches template");
+        let shards = if self.config.parallelism == 1 { 1 } else { aergia_runtime::parallelism() };
+        self.evaluate_sharded(shards)
+    }
+
+    /// [`Engine::evaluate_global`] over `shards` contiguous sample ranges.
+    /// Accuracy is `correct / seen` with the per-shard `correct` counts
+    /// summed as integers, and a sample's prediction does not depend on
+    /// which batch it rides in, so every split gives the same bits. The
+    /// shards (at most `EVAL_BATCH / MIN_SHARD_BATCH`) share the serial
+    /// walk's [`EVAL_BATCH`] between them, so the resident activation
+    /// scratch does not grow with the shard count.
+    fn evaluate_sharded(&mut self, shards: usize) -> f64 {
         let n = self.test.len().min(self.config.eval_samples).max(1);
-        let mut correct = 0usize;
-        let mut seen = 0usize;
-        let mut i = 0usize;
-        while seen < n {
-            let hi = (i + 32).min(n);
-            let idx: Vec<usize> = (i..hi).collect();
-            let (x, y) = self.test.batch(&idx);
-            let (_, c) = model.evaluate_with(&x, &y, ws);
-            correct += c;
-            seen += y.len();
-            i = hi;
+        let shards = shards.clamp(1, n.min(EVAL_BATCH / MIN_SHARD_BATCH));
+        let batch = EVAL_BATCH / shards;
+        while self.eval_state.len() < shards {
+            self.eval_state.push(EvalShard {
+                model: self.template.clone(),
+                ws: aergia_tensor::Workspace::new(),
+                indices: Vec::new(),
+                x: Tensor::default(),
+                y: Vec::new(),
+                correct: 0,
+            });
         }
-        correct as f64 / seen as f64
+        let per_shard = n.div_ceil(shards);
+        let active = &mut self.eval_state[..shards];
+        let (test, global) = (&self.test, &self.global);
+        // One shard per chunk, for the shard index the chunk index gives.
+        aergia_runtime::par_chunks_mut(active, 1, |i, shard| {
+            let EvalShard { model, ws, indices, x, y, correct } = &mut shard[0];
+            model.set_weights(global).expect("global snapshot matches template");
+            *correct = 0;
+            let end = ((i + 1) * per_shard).min(n);
+            for lo in (i * per_shard..end).step_by(batch) {
+                indices.clear();
+                indices.extend(lo..(lo + batch).min(end));
+                test.batch_into(indices, x, y);
+                *correct += model.evaluate_with(x, y, ws).1;
+            }
+        });
+        let correct: usize = active.iter().map(|shard| shard.correct).sum();
+        correct as f64 / n as f64
     }
 
     /// The per-round deadline, if the strategy imposes one.
@@ -1014,6 +1067,49 @@ mod tests {
             };
             let engine = Engine::new(config, strategy);
             assert!(engine.is_ok(), "engine failed to build for {}", strategy.name());
+        }
+    }
+
+    /// Every split of the eval walk gives the bits of the serial walk,
+    /// ragged last batches and more shards than samples included, and
+    /// `finish_run` reuses the last round's figure only while the global
+    /// model is the one that round evaluated.
+    #[test]
+    fn sharded_eval_equals_the_serial_walk() {
+        for eval_samples in [1, 31, 33, 128] {
+            let config = ExperimentConfig {
+                dataset: aergia_data::DataConfig {
+                    spec: aergia_data::DatasetSpec::MnistLike,
+                    train_size: 64,
+                    test_size: 128,
+                    seed: 5,
+                },
+                arch: ModelArch::MnistCnn,
+                rounds: 1,
+                local_updates: 1,
+                eval_samples,
+                ..ExperimentConfig::default()
+            };
+            let mut engine = Engine::new(config, Strategy::FedAvg).unwrap();
+            let serial = engine.evaluate_sharded(1);
+            for shards in [2, 3, 64] {
+                let sharded = engine.evaluate_sharded(shards);
+                assert_eq!(sharded.to_bits(), serial.to_bits(), "{eval_samples} / {shards}");
+            }
+            assert_eq!(engine.evaluate_global().to_bits(), serial.to_bits());
+
+            let mut progress = engine.start_progress();
+            engine.step_round(&mut progress).unwrap();
+            let cached = engine.last_accuracy.expect("the round evaluated its result");
+            assert_eq!(cached.to_bits(), engine.evaluate_global().to_bits());
+            assert_eq!(
+                engine.finish_run(progress.clone()).final_accuracy.to_bits(),
+                cached.to_bits()
+            );
+            let checkpoint = engine.save_checkpoint(&progress);
+            let restored = engine.restore_checkpoint(&checkpoint).unwrap();
+            assert!(engine.last_accuracy.is_none(), "restore rewrote the global model");
+            assert_eq!(engine.finish_run(restored).final_accuracy.to_bits(), cached.to_bits());
         }
     }
 

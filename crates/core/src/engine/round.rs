@@ -23,7 +23,7 @@
 //! receiver-side offloaded batches
 //! ([`crate::transport::OffloadOrder`]). The default
 //! [`InProcess`](crate::transport::InProcess) transport executes orders
-//! concurrently on the [`aergia_runtime`] work-stealing pool, bounded by
+//! concurrently on the [`aergia_runtime`] thread pool, bounded by
 //! [`crate::config::ExperimentConfig::parallelism`]; `aergia-net`'s TCP
 //! transport ships them to remote worker processes instead.
 //!

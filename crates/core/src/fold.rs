@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Everything else — whether the per-edge folds run serially or on the
-//! work-stealing pool, whether a partial travels through a
+//! thread pool, whether a partial travels through a
 //! [`aergia_codec::partial`] frame before the root merge, whether the
 //! whole tree is evaluated at one federator — is *transparent*: it
 //! cannot move a bracket, so two-tier equals flat bit for bit **by
@@ -172,7 +172,7 @@ fn merge_masses(masses: &[(usize, f32)]) -> f32 {
 /// Computes every non-empty edge's pre-folded partial for a weighted
 /// mean: `pᵉ = Σ (wᵢ/Σw)·sᵢ` over the cohort in contribution order,
 /// with the *global* weight total evaluated over the same tree. With
-/// `parallel` the per-edge folds run concurrently on the work-stealing
+/// `parallel` the per-edge folds run concurrently on the thread
 /// pool — each edge's chain is a single task, so scheduling cannot move
 /// a bracket and the output is bit-identical either way.
 ///

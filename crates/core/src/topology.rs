@@ -92,7 +92,7 @@ impl TopologyBuilder {
     /// Each edge pre-folds its cohort's updates in fixed client order and
     /// the root merges the partials in fixed edge order, so the layout
     /// *defines* the fold tree: results are bit-reproducible across
-    /// serial, work-stealing and TCP evaluation (see [`crate::fold`]),
+    /// serial, pooled and TCP evaluation (see [`crate::fold`]),
     /// and with `num_edges == 1` the tree reduces exactly to the legacy
     /// flat single-federator chain.
     ///

@@ -29,7 +29,7 @@
 //! remaining replies.
 //!
 //! [`InProcess`] is the default implementation — it executes orders on
-//! the calling thread or the [`aergia_runtime`] work-stealing pool,
+//! the calling thread or the [`aergia_runtime`] thread pool,
 //! exactly as the engine did before this boundary existed. The
 //! determinism suite pins that a run through [`InProcess`] is
 //! bit-identical across `parallelism` settings; the networked e2e suite
@@ -398,7 +398,7 @@ pub fn round_optimizer(config: &ExperimentConfig, strategy: &Strategy, anchor: &
 
 /// The default [`Transport`]: orders execute in this process, on the
 /// calling thread (`parallelism == 1`) or the [`aergia_runtime`]
-/// work-stealing pool, with workspaces materialised lazily in the
+/// thread pool, with workspaces materialised lazily in the
 /// engine's per-client slots. This is exactly the execution path the
 /// engine used before the transport boundary existed — the determinism
 /// suite pins its results bit-for-bit.
@@ -417,7 +417,7 @@ fn fusion_disabled() -> bool {
 /// The cross-client fused batch-0 pre-pass: every order in a round
 /// resets to the *same* decoded broadcast, so the cohort's first forward
 /// passes can share one weight pack per GEMM layer and batch their GEMMs
-/// into multi-RHS calls over the work-stealing pool (tentpole (c) of the
+/// into multi-RHS calls over the thread pool (tentpole (c) of the
 /// SIMD GEMM issue). Per member this stages exactly what the serial loop
 /// would do — materialise the workspace, reset to the round base, draw
 /// batch 0 — then runs `aergia_nn::fused::fused_forward` and parks each
@@ -459,20 +459,6 @@ fn fuse_batch_zero(ctx: &RoundContext<'_>, orders: &mut [TrainOrder<'_>]) -> Res
     Ok(())
 }
 
-/// Runs `f` over the slots honouring the `parallelism` knob: `1` stays
-/// on the calling thread (and never touches the pool), anything else
-/// fans out on the global pool with at most `parallelism` concurrent
-/// tasks (`0` = one task per order).
-fn run_slots<T: Send>(slots: &mut [T], parallelism: usize, f: impl Fn(&mut T) + Sync) {
-    if parallelism == 1 {
-        for slot in slots {
-            f(slot);
-        }
-    } else {
-        aergia_runtime::par_for_each_mut(slots, parallelism, f);
-    }
-}
-
 impl Transport for InProcess {
     fn train_participants(
         &mut self,
@@ -488,7 +474,10 @@ impl Transport for InProcess {
         }
         let mut slots: Vec<Slot<'_>> =
             orders.into_iter().map(|order| Slot { order, outcome: None }).collect();
-        run_slots(&mut slots, ctx.parallelism, |slot| {
+        // The `parallelism` knob is the pool helper's task cap: `1` is a
+        // plain loop on this thread, `0` lets every pool thread claim
+        // orders.
+        aergia_runtime::par_for_each_mut(&mut slots, ctx.parallelism, |slot| {
             let order = &mut slot.order;
             let cw = order.workspace.get_or_insert_with(|| ClientWorkspace::new(ctx.template));
             slot.outcome = Some(cw.run_own_batches(
@@ -526,7 +515,7 @@ impl Transport for InProcess {
         }
         let mut slots: Vec<Slot<'_>> =
             orders.into_iter().map(|order| Slot { order, outcome: None }).collect();
-        run_slots(&mut slots, ctx.parallelism, |slot| {
+        aergia_runtime::par_for_each_mut(&mut slots, ctx.parallelism, |slot| {
             let order = &mut slot.order;
             let Some(opt) = order.opt.as_mut() else {
                 slot.outcome = Some(Err(TransportError::Protocol(format!(

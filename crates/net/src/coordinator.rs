@@ -9,10 +9,11 @@
 //! engine, not the network, is the source of truth for all state.
 //!
 //! [`TcpTransport`] keeps the in-process execution semantics exactly:
-//! orders fan out to per-connection workers on the
-//! [`aergia_runtime`] pool (each worker writes its order and blocks on
-//! the reply with a read timeout), and replies fold back in order-index
-//! order. A client that fails mid-round — connection lost, timeout,
+//! orders fan out to one OS thread per connection (each writes its order
+//! and blocks on the reply with a read timeout — socket waits stay off
+//! the compute pool, so every client is in flight at once whatever the
+//! pool size), and replies fold back in order-index order. A client that
+//! fails mid-round — connection lost, timeout,
 //! malformed or mismatched reply — is logged, disconnected and simply
 //! *omitted* from the replies, which the engine turns into a dropped
 //! participant; the round completes with everyone else.
@@ -107,6 +108,19 @@ fn exchange(
     Ok(body)
 }
 
+/// Runs `f` on every slot at once, one OS thread per slot (the caller
+/// takes the last). The slots' socket exchanges block for up to the reply
+/// timeout, so they must not queue behind one another on the compute pool.
+fn for_each_connection<T: Send>(slots: &mut [T], f: impl Fn(&mut T) + Sync) {
+    let Some((last, rest)) = slots.split_last_mut() else { return };
+    std::thread::scope(|threads| {
+        for slot in rest {
+            threads.spawn(|| f(slot));
+        }
+        f(last);
+    });
+}
+
 /// A wire batcher state is only restorable if it matches the engine-side
 /// shard (restore panics otherwise — a remote peer must not be able to
 /// panic the coordinator).
@@ -159,7 +173,7 @@ impl Transport for TcpTransport<'_> {
             })
             .collect();
         let timeout = self.reply_timeout;
-        aergia_runtime::par_for_each_mut(&mut slots, 0, |slot| {
+        for_each_connection(&mut slots, |slot| {
             let Some(stream) = slot.stream.as_mut() else { return };
             match exchange(stream, &slot.wire, MsgKind::TrainReply, timeout)
                 .and_then(|body| Ok(TrainReplyMsg::decode(&body)?))
@@ -235,7 +249,7 @@ impl Transport for TcpTransport<'_> {
             })
             .collect();
         let timeout = self.reply_timeout;
-        aergia_runtime::par_for_each_mut(&mut slots, 0, |slot| {
+        for_each_connection(&mut slots, |slot| {
             let Some(stream) = slot.stream.as_mut() else { return };
             match exchange(stream, &slot.wire, MsgKind::OffloadReply, timeout)
                 .and_then(|body| Ok(OffloadReplyMsg::decode(&body)?))

@@ -1,0 +1,118 @@
+//! Socket exchanges must not queue behind one another: with a one-thread
+//! compute pool and two connected clients, both clients hold their
+//! `TrainOrder` before either has replied. Its own test binary, so the
+//! `AERGIA_THREADS` it sets is what sizes the process-global pool.
+
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use aergia::transport::{RoundContext, TrainOrder, Transport};
+use aergia_codec::envelope::{self, MsgKind};
+use aergia_data::batcher::Batcher;
+use aergia_data::{DataConfig, DatasetSpec};
+use aergia_net::coordinator::TcpTransport;
+use aergia_net::proto::{TrainOrderMsg, TrainReplyMsg};
+use aergia_nn::models::ModelArch;
+use aergia_nn::optim::{Sgd, SgdConfig};
+
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// A client that reads its order, reports it, and answers only once told
+/// to — echoing the broadcast back as its "trained" weights.
+fn scripted_client(mut stream: TcpStream, got: mpsc::Sender<usize>, go: mpsc::Receiver<()>) {
+    let (kind, body) = envelope::read_from(&mut stream).expect("client reads its order");
+    assert_eq!(kind, MsgKind::TrainOrder);
+    let order = TrainOrderMsg::decode(&body).expect("order decodes");
+    got.send(order.client).expect("director listens");
+    if go.recv_timeout(PATIENCE).is_err() {
+        return; // the other client never got its order; hang up unanswered
+    }
+    let reply = TrainReplyMsg {
+        round: order.round,
+        client: order.client,
+        losses: vec![0.5; order.own_batches as usize],
+        weights: order.round_base,
+        snapshot: None,
+        batcher: order.batcher,
+    };
+    stream
+        .write_all(&envelope::encode(MsgKind::TrainReply, &reply.encode()))
+        .expect("client writes its reply");
+}
+
+#[test]
+fn every_client_holds_its_order_before_any_reply() {
+    std::env::set_var("AERGIA_THREADS", "1");
+    assert_eq!(aergia_runtime::parallelism(), 1, "the pool was sized before this test ran");
+
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (got_tx, got_rx) = mpsc::channel();
+    let mut go_txs = Vec::new();
+    let mut conns = Vec::new();
+    let mut clients = Vec::new();
+    for _ in 0..2 {
+        let (go_tx, go_rx) = mpsc::channel();
+        go_txs.push(go_tx);
+        let stream = TcpStream::connect(addr).expect("connect");
+        let got = got_tx.clone();
+        clients.push(std::thread::spawn(move || scripted_client(stream, got, go_rx)));
+        conns.push(Some(listener.accept().expect("accept").0));
+    }
+    // The director releases the replies only once both orders are out.
+    let director = std::thread::spawn(move || {
+        let first = got_rx.recv_timeout(PATIENCE).ok();
+        let second = got_rx.recv_timeout(PATIENCE).ok();
+        if first.is_some() && second.is_some() {
+            for go in &go_txs {
+                go.send(()).expect("client waits for go");
+            }
+        }
+        (first, second)
+    });
+
+    let data = DataConfig { spec: DatasetSpec::MnistLike, train_size: 16, test_size: 1, seed: 9 };
+    let (train, _) = data.generate_pair();
+    let template = ModelArch::MnistCnn.build(9);
+    let round_base = template.weights();
+    let ctx = RoundContext {
+        round: 0,
+        round_base: &round_base,
+        parallelism: 0,
+        train: &train,
+        template: &template,
+    };
+    let mut batchers: Vec<Batcher> =
+        (0..2).map(|id| Batcher::new((id * 8..id * 8 + 8).collect(), 4, id as u64)).collect();
+    let mut workspaces = [None, None];
+    let orders: Vec<TrainOrder<'_>> = batchers
+        .iter_mut()
+        .zip(workspaces.iter_mut())
+        .enumerate()
+        .map(|(client, (batcher, workspace))| TrainOrder {
+            client,
+            own_batches: 2,
+            freeze_after: None,
+            snapshot_wanted: false,
+            opt: Sgd::new(SgdConfig::default()),
+            batcher,
+            workspace,
+        })
+        .collect();
+
+    let replies = TcpTransport::new(&mut conns, PATIENCE * 2)
+        .train_participants(&ctx, orders)
+        .expect("transport survives");
+
+    let (first, second) = director.join().expect("director");
+    let mut ordered = [first, second];
+    ordered.sort_unstable();
+    assert_eq!(ordered, [Some(0), Some(1)], "a client's order waited for the other's reply");
+    for client in clients {
+        client.join().expect("scripted client");
+    }
+    assert_eq!(replies.iter().map(|r| r.client).collect::<Vec<_>>(), [0, 1]);
+    assert!(conns.iter().all(Option::is_some), "both connections survive the round");
+}

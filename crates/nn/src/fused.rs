@@ -9,9 +9,10 @@
 //! layer ([`Conv2d`], [`Linear`]) issues one multi-RHS packed GEMM
 //! ([`ops::matmul_nt_packed_multi_into`]) over *all* members against a
 //! single shared weight pack — cutting per-member pack traffic and
-//! letting the work-stealing pool schedule the whole cohort's row tiles
-//! as one batch. Everything per-member stays per-member: im2col scratch,
-//! bias adds, activation caches, and (later) loss and backward.
+//! letting the pool's threads claim the whole cohort's row tiles from one
+//! list. Everything per-member stays per-member — im2col scratch, bias
+//! adds, activation caches, and (later) loss and backward — and runs as
+//! one pool task per member, since members share no state.
 //!
 //! # Bit-identity
 //!
@@ -21,8 +22,8 @@
 //! * all members hold identical weights, so member 0's weight pack is
 //!   byte-identical to the pack each member would build itself;
 //! * the multi-RHS GEMM runs the same per-tile kernel over each member's
-//!   rows as the single-RHS call (only the spawn scope differs — pinned
-//!   by the tensor crate's multi-slab bitwise test);
+//!   rows as the single-RHS call (only the list the tiles are claimed
+//!   from differs — pinned by the tensor crate's multi-slab bitwise test);
 //! * the non-GEMM layers simply run their ordinary
 //!   [`crate::layer::Layer::forward_into`] per member.
 //!
@@ -74,82 +75,95 @@ fn linear_at(model: &mut Cnn, li: usize) -> &mut Linear {
         .expect("fused_forward: linear layer expected")
 }
 
+/// One member's private state while the cohort moves through the layers
+/// in lockstep: the ping-pong activation buffers and, around a conv GEMM,
+/// its staged im2col matrix and GEMM output. Lanes are disjoint, so the
+/// per-member stages run as one pool task per lane.
+struct Lane<'a, 'm> {
+    member: &'a mut FusedMember<'m>,
+    a: Tensor,
+    b: Tensor,
+    cols: Tensor,
+    batch: usize,
+    y: Tensor,
+}
+
+impl Lane<'_, '_> {
+    /// The member's model and workspace plus layer `li`'s input and output
+    /// buffers: the mini-batch into `a` for layer 0, `a` into `b` after.
+    fn parts(&mut self, li: usize) -> (&mut Cnn, &mut Workspace, &Tensor, &mut Tensor) {
+        let FusedMember { model, ws, x } = &mut *self.member;
+        if li == 0 {
+            (model, ws, x, &mut self.a)
+        } else {
+            (model, ws, &self.a, &mut self.b)
+        }
+    }
+
+    /// Makes the buffer [`Lane::parts`] handed out for layer `li`'s output
+    /// the current activation (`a`).
+    fn commit(&mut self, li: usize) {
+        if li > 0 {
+            std::mem::swap(&mut self.a, &mut self.b);
+        }
+    }
+}
+
 /// A conv layer for the whole cohort: per-member im2col, one multi-RHS
 /// GEMM against member 0's weight pack, per-member bias/reshape/cache.
-fn fuse_conv(
-    members: &mut [FusedMember<'_>],
-    bufs: &mut [(Tensor, Tensor)],
-    li: usize,
-) -> Result<(), NnError> {
-    let mut staged: Vec<(Tensor, usize)> = Vec::with_capacity(members.len());
-    for (m, (a, _)) in members.iter_mut().zip(bufs.iter()) {
-        let input: &Tensor = if li == 0 { m.x } else { a };
-        staged.push(conv_at(m.model, li).im2col_step(input, m.ws));
-    }
-    let conv0 = conv_at(members[0].model, li);
-    let oc = conv0.out_channels();
-    conv0.ensure_fwd_pack(staged[0].0.dims()[0]);
+fn fuse_conv(lanes: &mut [Lane<'_, '_>], li: usize) -> Result<(), NnError> {
+    let oc = conv_at(lanes[0].member.model, li).out_channels();
+    aergia_runtime::par_for_each_mut(lanes, 0, |lane| {
+        let (model, ws, input, _) = lane.parts(li);
+        let (cols, batch) = conv_at(model, li).im2col_step(input, ws);
+        let y = ws.take(&[cols.dims()[0], oc]);
+        (lane.cols, lane.batch, lane.y) = (cols, batch, y);
+    });
+    let rows0 = lanes[0].cols.dims()[0];
+    let conv0 = conv_at(lanes[0].member.model, li);
+    conv0.ensure_fwd_pack(rows0);
     let pack = conv0.take_fwd_pack();
-    let mut ys: Vec<Tensor> = members
-        .iter_mut()
-        .zip(staged.iter())
-        .map(|(m, (cols, _))| m.ws.take(&[cols.dims()[0], oc]))
-        .collect();
     let mut slabs: Vec<(&Tensor, &mut Tensor)> =
-        staged.iter().map(|(cols, _)| cols).zip(ys.iter_mut()).collect();
+        lanes.iter_mut().map(|lane| (&lane.cols, &mut lane.y)).collect();
     let gemm = ops::matmul_nt_packed_multi_into(&mut slabs, &pack);
     drop(slabs);
     // The pack goes home before any error bubbles, so member 0 is never
     // left without its cached weight pack.
-    conv_at(members[0].model, li).put_fwd_pack(pack);
+    conv_at(lanes[0].member.model, li).put_fwd_pack(pack);
     gemm?;
-    for (((m, (a, b)), (cols, batch)), y) in
-        members.iter_mut().zip(bufs.iter_mut()).zip(staged).zip(ys)
-    {
-        let conv = conv_at(m.model, li);
-        if li == 0 {
-            conv.finish_forward(cols, y, batch, m.ws, a);
-        } else {
-            conv.finish_forward(cols, y, batch, m.ws, b);
-            std::mem::swap(a, b);
-        }
-    }
+    aergia_runtime::par_for_each_mut(lanes, 0, |lane| {
+        let (cols, y, batch) =
+            (std::mem::take(&mut lane.cols), std::mem::take(&mut lane.y), lane.batch);
+        let (model, ws, _, out) = lane.parts(li);
+        conv_at(model, li).finish_forward(cols, y, batch, ws, out);
+        lane.commit(li);
+    });
     Ok(())
 }
 
 /// A linear layer for the whole cohort: one multi-RHS GEMM straight into
 /// each member's activation buffer, then per-member bias + input cache.
-fn fuse_linear(
-    members: &mut [FusedMember<'_>],
-    bufs: &mut [(Tensor, Tensor)],
-    li: usize,
-) -> Result<(), NnError> {
-    let rows0 = if li == 0 {
-        members[0].x.dims().first().copied().unwrap_or(0)
-    } else {
-        bufs[0].0.dims().first().copied().unwrap_or(0)
-    };
-    let fc0 = linear_at(members[0].model, li);
+fn fuse_linear(lanes: &mut [Lane<'_, '_>], li: usize) -> Result<(), NnError> {
+    let rows0 = lanes[0].parts(li).2.dims().first().copied().unwrap_or(0);
+    let fc0 = linear_at(lanes[0].member.model, li);
     fc0.ensure_fwd_pack(rows0);
     let pack = fc0.take_fwd_pack();
-    let mut slabs: Vec<(&Tensor, &mut Tensor)> = members
-        .iter()
-        .zip(bufs.iter_mut())
-        .map(|(m, (a, b))| if li == 0 { (m.x, a) } else { (&*a, b) })
+    let mut slabs: Vec<(&Tensor, &mut Tensor)> = lanes
+        .iter_mut()
+        .map(|lane| {
+            let (_, _, input, out) = lane.parts(li);
+            (input, out)
+        })
         .collect();
     let gemm = ops::matmul_nt_packed_multi_into(&mut slabs, &pack);
     drop(slabs);
-    linear_at(members[0].model, li).put_fwd_pack(pack);
+    linear_at(lanes[0].member.model, li).put_fwd_pack(pack);
     gemm?;
-    for (m, (a, b)) in members.iter_mut().zip(bufs.iter_mut()) {
-        let fc = linear_at(m.model, li);
-        if li == 0 {
-            fc.finish_forward(m.x, m.ws, a);
-        } else {
-            fc.finish_forward(&*a, m.ws, b);
-            std::mem::swap(a, b);
-        }
-    }
+    aergia_runtime::par_for_each_mut(lanes, 0, |lane| {
+        let (model, ws, input, out) = lane.parts(li);
+        linear_at(model, li).finish_forward(input, ws, out);
+        lane.commit(li);
+    });
     Ok(())
 }
 
@@ -186,26 +200,27 @@ pub fn fused_forward(members: &mut [FusedMember<'_>]) -> Result<Vec<ForwardPhase
         assert_eq!(m.model.split(), split, "fused_forward: members must share a split");
     }
     let cohort = members.len();
-    let mut bufs: Vec<(Tensor, Tensor)> =
-        members.iter_mut().map(|m| (m.ws.take_scratch(), m.ws.take_scratch())).collect();
+    let mut lanes: Vec<Lane<'_, '_>> = members
+        .iter_mut()
+        .map(|member| {
+            let (a, b) = (member.ws.take_scratch(), member.ws.take_scratch());
+            Lane { member, a, b, cols: Tensor::default(), batch: 0, y: Tensor::default() }
+        })
+        .collect();
     let (mut ff, mut fc) = (0.0f64, 0.0f64);
     for li in 0..layer_count {
         let t = Instant::now();
-        match members[0].model.layers()[li].name() {
-            "conv2d" => fuse_conv(members, &mut bufs, li)?,
-            "linear" => fuse_linear(members, &mut bufs, li)?,
+        match lanes[0].member.model.layers()[li].name() {
+            "conv2d" => fuse_conv(&mut lanes, li)?,
+            "linear" => fuse_linear(&mut lanes, li)?,
             _ => {
                 // Element-wise / shape layers have no cross-member work
                 // to share: plain per-member forward.
-                for (m, (a, b)) in members.iter_mut().zip(bufs.iter_mut()) {
-                    let layer = &mut m.model.layers_mut()[li];
-                    if li == 0 {
-                        layer.forward_into(m.x, m.ws, a);
-                    } else {
-                        layer.forward_into(&*a, m.ws, b);
-                        std::mem::swap(a, b);
-                    }
-                }
+                aergia_runtime::par_for_each_mut(&mut lanes, 0, |lane| {
+                    let (model, ws, input, out) = lane.parts(li);
+                    model.layers_mut()[li].forward_into(input, ws, out);
+                    lane.commit(li);
+                });
             }
         }
         let dt = t.elapsed().as_secs_f64() / cohort as f64;
@@ -215,13 +230,12 @@ pub fn fused_forward(members: &mut [FusedMember<'_>]) -> Result<Vec<ForwardPhase
             fc += dt;
         }
     }
-    Ok(members
-        .iter()
-        .zip(bufs)
-        .map(|(m, (a, b))| ForwardPhase {
-            a,
-            b,
-            batch: m.x.dims().first().copied().unwrap_or(0),
+    Ok(lanes
+        .into_iter()
+        .map(|lane| ForwardPhase {
+            batch: lane.member.x.dims().first().copied().unwrap_or(0),
+            a: lane.a,
+            b: lane.b,
             ff,
             fc,
         })

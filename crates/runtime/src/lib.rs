@@ -1,4 +1,4 @@
-//! Work-stealing scoped thread pool for the Aergia workspace.
+//! Scoped thread pool for the Aergia workspace.
 //!
 //! The build containers are offline, so this crate is the vendored stand-in
 //! for [rayon](https://docs.rs/rayon): it implements the small API subset the
@@ -9,22 +9,47 @@
 //!
 //! # Design
 //!
-//! Each worker owns a deque: it pushes and pops its own work LIFO (hot
-//! caches for nested spawns) and steals FIFO from the shared injector or
-//! from other workers when its deque runs dry. Threads that *wait* on a
-//! scope — including pool workers executing a task that opened a nested
-//! scope, e.g. a parallel matmul inside a parallel client round — do not
-//! block: they keep executing queued jobs until their own latch opens, so
-//! nested parallelism cannot deadlock the pool.
+//! *Work is claimed, never nested.*
+//!
+//! **Who participates.** A pool of `n` threads spawns `n - 1` workers; the
+//! thread that opens a scope is the `n`-th participant for as long as it is
+//! inside that scope, so `n` threads compute on `n` cores.
+//!
+//! **Slice helpers claim indices.** [`ThreadPool::par_chunks_mut`] and
+//! [`ThreadPool::par_for_each_mut`] publish one cursor over the chunk
+//! indices, queue at most `min(threads, chunks) - 1` helper jobs and run the
+//! same claim loop on the caller: every participant takes the next index
+//! with one `fetch_add` until none is left. A call therefore costs a
+//! handful of queue operations however many chunks it has, and a helper
+//! that nobody picked up finds the cursor exhausted and returns at once.
+//!
+//! **What a waiter may run.** Every scope has a *depth*: 0 when opened
+//! outside any scope, `d + 1` when opened from the body or a job of a
+//! depth-`d` scope. Jobs queue by the depth of their scope. A thread that
+//! waits for a depth-`d` scope runs only jobs of depth `d` or deeper — its
+//! own scope's jobs and finer-grained work such as the tile helpers of
+//! other tasks' GEMMs — and never a job of a shallower scope. A client task
+//! blocked in a parallel GEMM thus cannot start a second client task
+//! underneath itself: the depths of the jobs on any thread's stack strictly
+//! increase, which bounds the stack and means a lock held by an outer task
+//! is never re-entered by a same-level task on the same thread. Workers and
+//! the outermost waiter (depth 0) take anything, coarsest first, so the
+//! tail of a stage is still balanced by tile-level helping. A waiter can
+//! always run its own scope's queued jobs, so nested scopes cannot deadlock.
+//!
+//! **Sleeping.** Threads with nothing eligible to run sleep on one condition
+//! variable; a push or a finished scope wakes them only when the sleeper
+//! count is non-zero, so a busy pool makes no system calls. Nothing spins.
 //!
 //! # Determinism
 //!
-//! The pool schedules *where* and *when* independent jobs run, never *what*
-//! they compute: every helper hands each job a disjoint slice of the data
-//! with an index derived from the input order. Callers that keep jobs free
-//! of shared mutable state (all workspace callers do) therefore get results
-//! that are bit-identical across pool sizes, including the single-threaded
-//! inline pool.
+//! The pool schedules *where* and *when* independent pieces run, never
+//! *what* they compute: chunk boundaries and indices depend only on the
+//! input (`chunk_len`, item order), and each index is claimed exactly once.
+//! Which thread claims which index, and in what order, varies from run to
+//! run; callers that keep pieces free of shared mutable state (all workspace
+//! callers do) therefore get results that are bit-identical across pool
+//! sizes, including the single-threaded inline pool.
 //!
 //! # Sizing
 //!
@@ -65,140 +90,95 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued job; the thread that runs it passes its own handle on the pool.
+type Job = Box<dyn FnOnce(&Shared) + Send + 'static>;
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
 thread_local! {
-    /// `(pool identity, worker index)` when this thread is a pool worker.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// The depth a scope opened on this thread right now would get: 0
+    /// outside any scope, `d + 1` inside the body or a job of a depth-`d`
+    /// scope.
+    static LEVEL: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Queues shared between the workers, the spawners and the helpers.
+/// Runs `f` (which must not unwind) with [`LEVEL`] set to `level`.
+fn at_level<R>(level: usize, f: impl FnOnce() -> R) -> R {
+    let outer = LEVEL.replace(level);
+    let result = f();
+    LEVEL.set(outer);
+    result
+}
+
+/// State shared between the workers, the spawners and the waiters.
 struct Shared {
-    /// Jobs pushed from threads outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// One deque per worker: owner pops LIFO, thieves steal FIFO.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Guards the sleep/wake protocol (never held while running a job).
-    sleep: Mutex<()>,
+    /// Queued jobs, one FIFO per scope depth.
+    queues: Mutex<Vec<VecDeque<Job>>>,
+    /// Waited on with the `queues` lock; signalled after a push, a finished
+    /// scope or shutdown, but only while `sleepers` is non-zero.
     wake: Condvar,
+    /// Threads inside, or committed to entering, `wake.wait`.
+    sleepers: AtomicUsize,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn id(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
+    fn lock_queues(&self) -> std::sync::MutexGuard<'_, Vec<VecDeque<Job>>> {
+        self.queues.lock().expect("a pool thread panicked while holding the job queues")
     }
 
-    /// The current thread's worker index *in this pool*, if any.
-    fn own_index(self: &Arc<Self>) -> Option<usize> {
-        WORKER.with(Cell::get).filter(|&(pool, _)| pool == self.id()).map(|(_, i)| i)
+    fn push(&self, depth: usize, job: Job) {
+        let mut queues = self.lock_queues();
+        if queues.len() <= depth {
+            queues.resize_with(depth + 1, VecDeque::new);
+        }
+        queues[depth].push_back(job);
+        drop(queues);
+        // A thread about to sleep raised `sleepers` under the queue lock
+        // before releasing it in `wait`, so it is either counted here or it
+        // locked after this push and saw the job.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // All of them: a sleeper may be barred from this job's depth.
+            self.wake.notify_all();
+        }
     }
 
-    fn push(self: &Arc<Self>, job: Job) {
-        match self.own_index() {
-            Some(i) => self.locals[i].lock().expect("local deque").push_back(job),
-            None => self.injector.lock().expect("injector").push_back(job),
+    /// Wakes the sleepers after `done` flipped outside the queue lock.
+    /// Pairs with [`Shared::run_until`]: the sleeper raises `sleepers`
+    /// and then reads `done`, the caller sets `done` and then reads
+    /// `sleepers` (all `SeqCst`), so at least one sees the other.
+    fn wake_sleepers(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // Taking the lock orders this after a sleeper's check-then-wait.
+            drop(self.lock_queues());
+            self.wake.notify_all();
         }
-        // Serialise with a sleeper's "scan, then wait" sequence: acquiring
-        // the sleep lock here means any worker that scanned before this
-        // push is either already waiting (the notify lands) or will re-scan
-        // under the lock and see the job.
-        drop(self.sleep.lock().expect("sleep lock"));
-        self.wake.notify_one();
     }
 
-    /// Pops the next job: own deque first (LIFO), then the injector, then a
-    /// steal sweep over the other workers (FIFO).
-    fn find_job(&self, own: Option<usize>) -> Option<Job> {
-        if let Some(i) = own {
-            if let Some(job) = self.locals[i].lock().expect("local deque").pop_back() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().expect("injector").pop_front() {
-            return Some(job);
-        }
-        let n = self.locals.len();
-        let start = own.map_or(0, |i| i + 1);
-        for offset in 0..n {
-            let victim = (start + offset) % n;
-            if Some(victim) == own {
+    /// Runs queued jobs of depth `min_depth` or deeper, shallowest first,
+    /// until `done()`; sleeps while there is nothing eligible.
+    fn run_until(&self, min_depth: usize, done: impl Fn() -> bool) {
+        let mut queues = self.lock_queues();
+        while !done() {
+            let job = queues.iter_mut().skip(min_depth).find_map(VecDeque::pop_front);
+            if let Some(job) = job {
+                drop(queues);
+                job(self);
+                queues = self.lock_queues();
                 continue;
             }
-            if let Some(job) = self.locals[victim].lock().expect("victim deque").pop_front() {
-                return Some(job);
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            if !done() {
+                queues = self.wake.wait(queues).expect("job queues poisoned while sleeping");
             }
-        }
-        None
-    }
-
-    fn has_work(&self) -> bool {
-        !self.injector.lock().expect("injector").is_empty()
-            || self.locals.iter().any(|q| !q.lock().expect("local deque").is_empty())
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.id(), index))));
-    loop {
-        if let Some(job) = shared.find_job(Some(index)) {
-            job();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let guard = shared.sleep.lock().expect("sleep lock");
-        if shared.has_work() || shared.shutdown.load(Ordering::Acquire) {
-            continue;
-        }
-        // The timeout is a belt-and-braces liveness backstop; the paired
-        // lock in `push` already prevents the classic missed wake-up.
-        let _ = shared.wake.wait_timeout(guard, Duration::from_millis(50));
-    }
-}
-
-/// Counts outstanding jobs of one scope and wakes its waiter.
-struct Latch {
-    count: Mutex<usize>,
-    open: Condvar,
-}
-
-impl Latch {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch { count: Mutex::new(0), open: Condvar::new() })
-    }
-
-    fn add_one(&self) {
-        *self.count.lock().expect("latch") += 1;
-    }
-
-    fn done_one(&self) {
-        let mut count = self.count.lock().expect("latch");
-        *count -= 1;
-        if *count == 0 {
-            self.open.notify_all();
-        }
-    }
-
-    fn is_open(&self) -> bool {
-        *self.count.lock().expect("latch") == 0
-    }
-
-    fn wait_briefly(&self) {
-        let count = self.count.lock().expect("latch");
-        if *count > 0 {
-            let _ = self.open.wait_timeout(count, Duration::from_millis(1));
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
-/// A work-stealing thread pool.
+/// A scoped thread pool (see the crate docs for the scheduling rules).
 ///
 /// Construct explicitly with [`ThreadPool::new`] (tests, custom sizing) or
 /// use the process-wide [`ThreadPool::global`].
@@ -215,25 +195,26 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool of `threads` workers. `threads <= 1` creates an
-    /// *inline* pool: no threads are spawned and every spawn runs
+    /// Creates a pool with a parallelism of `threads`: `threads - 1`
+    /// workers plus the thread that opens a scope. `threads <= 1` creates
+    /// an *inline* pool: no threads are spawned and every spawn runs
     /// immediately on the caller.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let worker_count = if threads <= 1 { 0 } else { threads };
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..worker_count).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(()),
+            queues: Mutex::new(Vec::new()),
             wake: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..worker_count)
+        let workers = (1..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("aergia-rt-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
+                    .spawn(move || {
+                        shared.run_until(0, || shared.shutdown.load(Ordering::SeqCst));
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
@@ -260,23 +241,28 @@ impl ThreadPool {
 
     /// Runs `op` with a [`Scope`] on which tasks borrowing local state can
     /// be spawned; returns only after every spawned task has completed.
+    /// While it waits, the caller runs queued jobs of this scope's depth or
+    /// deeper (see the crate docs).
     ///
     /// # Panics
     ///
     /// If `op` or any spawned task panics, the panic is resumed on the
     /// caller after all tasks have finished (the first task payload wins).
     pub fn scope<'scope, R>(&'scope self, op: impl FnOnce(&Scope<'scope>) -> R) -> R {
+        let depth = LEVEL.get();
         let scope = Scope {
             pool: self,
-            latch: Latch::new(),
-            panic: Arc::new(Mutex::new(None)),
+            depth,
+            state: ScopeState { pending: AtomicUsize::new(0), panic: Mutex::new(None) },
             _marker: PhantomData,
         };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| op(&scope)));
-        // Wait (helping with queued work) even when `op` panicked: spawned
-        // jobs hold borrows into the caller's stack and must finish first.
-        self.wait_help(&scope.latch);
-        if let Some(payload) = scope.panic.lock().expect("panic slot").take() {
+        let result = at_level(depth + 1, || panic::catch_unwind(AssertUnwindSafe(|| op(&scope))));
+        // Wait even when `op` panicked: spawned jobs hold borrows into the
+        // caller's stack (and into `scope.state`) and must finish first.
+        let pending = &scope.state.pending;
+        self.shared.run_until(depth, || pending.load(Ordering::SeqCst) == 0);
+        let payload = scope.state.panic.into_inner().expect("panic slot is never poisoned");
+        if let Some(payload) = payload {
             panic::resume_unwind(payload);
         }
         match result {
@@ -285,52 +271,26 @@ impl ThreadPool {
         }
     }
 
-    /// Executes queued jobs until `latch` opens: waiters are extra workers,
-    /// which is what makes nested scopes deadlock-free.
-    fn wait_help(&self, latch: &Arc<Latch>) {
-        if self.is_inline() {
-            return;
-        }
-        let own = self.shared.own_index();
-        while !latch.is_open() {
-            match self.shared.find_job(own) {
-                Some(job) => job(),
-                None => latch.wait_briefly(),
-            }
-        }
-    }
-
     /// Splits `data` into chunks of `chunk_len` elements and runs
-    /// `f(chunk_index, chunk)` for each, in parallel. Chunk boundaries
-    /// depend only on `chunk_len`, never on the pool size.
+    /// `f(chunk_index, chunk)` exactly once for each, in parallel. Chunk
+    /// boundaries depend only on `chunk_len`, never on the pool size.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_len` is zero, or propagates the first panic raised
-    /// inside `f`.
+    /// inside `f` after the remaining chunks have run.
     pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
         assert!(chunk_len > 0, "par_chunks_mut: chunk_len must be positive");
-        if self.is_inline() || data.len() <= chunk_len {
-            for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(index, chunk);
-            }
-            return;
-        }
-        let f = &f;
-        self.scope(|s| {
-            for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                s.spawn(move || f(index, chunk));
-            }
-        });
+        self.claim_chunks(data, chunk_len, self.threads, &f);
     }
 
-    /// Runs `f` on every item, in parallel, using at most `max_tasks`
-    /// concurrent tasks (`0` = one task per item). Items are grouped into
-    /// contiguous runs, so outputs are independent of the pool size.
+    /// Runs `f` on every item, in parallel, on at most `max_tasks` threads
+    /// at a time (`0` = no cap beyond the pool size). Threads claim items
+    /// one at a time in slice order.
     ///
     /// # Panics
     ///
@@ -340,41 +300,98 @@ impl ThreadPool {
         T: Send,
         F: Fn(&mut T) + Sync,
     {
-        let tasks = if max_tasks == 0 { items.len() } else { max_tasks.min(items.len()) };
-        if tasks <= 1 || self.is_inline() {
-            for item in items {
-                f(item);
+        let tasks = if max_tasks == 0 { self.threads } else { max_tasks.min(self.threads) };
+        self.claim_chunks(items, 1, tasks, &|_, item: &mut [T]| f(&mut item[0]));
+    }
+
+    /// The claim loop behind both slice helpers: `tasks` participants (the
+    /// caller and `tasks - 1` queued helpers, never more than there are
+    /// chunks) take chunk indices off one shared cursor.
+    fn claim_chunks<T, F>(&self, data: &mut [T], chunk_len: usize, tasks: usize, f: &F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let len = data.len();
+        let chunks = len.div_ceil(chunk_len);
+        let tasks = tasks.min(chunks);
+        if tasks <= 1 {
+            for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
+                f(index, chunk);
             }
             return;
         }
-        let group = items.len().div_ceil(tasks);
-        let f = &f;
-        self.scope(|s| {
-            for chunk in items.chunks_mut(group) {
-                s.spawn(move || {
-                    for item in chunk {
-                        f(item);
-                    }
-                });
+        let base = SendPtr(data.as_mut_ptr());
+        let cursor = AtomicUsize::new(0);
+        let claim = || loop {
+            // Relaxed: the cursor only hands out indices; the scope's
+            // completion count publishes what the chunks wrote.
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= chunks {
+                break;
             }
+            let start = index * chunk_len;
+            // SAFETY: `fetch_add` hands every index below `chunks` to
+            // exactly one participant, so the ranges `start .. start +
+            // chunk_len` (the last one cut at `len`) are disjoint parts of
+            // `data`, which stays mutably borrowed until the scope below
+            // has seen every participant finish.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(start), chunk_len.min(len - start))
+            };
+            f(index, chunk);
+        };
+        // A participant whose chunk panics stops claiming; the others —
+        // at the latest the caller's own wait, which runs any helper still
+        // queued — take the remaining chunks before the panic is resumed.
+        self.scope(|s| {
+            for _ in 1..tasks {
+                s.spawn(claim);
+            }
+            claim();
         });
     }
 }
 
+/// A raw pointer that may cross threads. It is only an address: each site
+/// that dereferences it argues its own safety.
+struct SendPtr<T>(*mut T);
+
+impl<T> SendPtr<T> {
+    /// By-value accessor, so closures capture the wrapper, not the field.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
+// SAFETY: holding the wrapper gives no access to a `T`. The dereference
+// sites hand other threads either disjoint `&mut [T]` chunks, which is
+// sending `T`s, or a shared `ScopeState`, which is `Sync`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as above.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        drop(self.shared.sleep.lock().expect("sleep lock"));
-        self.wake_all();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_sleepers();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-impl ThreadPool {
-    fn wake_all(&self) {
-        self.shared.wake.notify_all();
+/// What the jobs of one scope share with its waiter.
+struct ScopeState {
+    /// Spawned jobs that have not finished yet.
+    pending: AtomicUsize,
+    /// The first panic payload raised by a job.
+    panic: Mutex<Option<PanicPayload>>,
+}
+
+impl ScopeState {
+    fn record_panic(&self, payload: PanicPayload) {
+        self.panic.lock().expect("panic slot is never poisoned").get_or_insert(payload);
     }
 }
 
@@ -384,8 +401,9 @@ impl ThreadPool {
 /// `scope` call.
 pub struct Scope<'scope> {
     pool: &'scope ThreadPool,
-    latch: Arc<Latch>,
-    panic: Arc<Mutex<Option<PanicPayload>>>,
+    /// Nesting depth: the queue this scope's jobs wait in.
+    depth: usize,
+    state: ScopeState,
     /// Invariant over `'scope` and `!Sync`, like `std::thread::Scope`.
     _marker: PhantomData<Cell<&'scope mut &'scope ()>>,
 }
@@ -398,29 +416,33 @@ impl<'scope> Scope<'scope> {
     {
         if self.pool.is_inline() {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                self.panic.lock().expect("panic slot").get_or_insert(payload);
+                self.state.record_panic(payload);
             }
             return;
         }
-        self.latch.add_one();
-        let latch = Arc::clone(&self.latch);
-        let panic_slot = Arc::clone(&self.panic);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = panic_slot.lock().expect("panic slot");
-                slot.get_or_insert(payload);
+        self.state.pending.fetch_add(1, Ordering::SeqCst);
+        let state = SendPtr(std::ptr::from_ref(&self.state).cast_mut());
+        let level = self.depth + 1;
+        let job: Box<dyn FnOnce(&Shared) + Send + 'scope> = Box::new(move |shared| {
+            // SAFETY: `ThreadPool::scope` keeps `self.state` alive until
+            // `pending` reaches zero, which the decrement below — this
+            // job's last access to it — is what allows; `ScopeState` is
+            // `Sync` (an atomic and a mutex), so sharing it is sound.
+            let state = unsafe { &*state.get() };
+            if let Err(payload) = at_level(level, || panic::catch_unwind(AssertUnwindSafe(f))) {
+                state.record_panic(payload);
             }
-            latch.done_one();
+            if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+                shared.wake_sleepers();
+            }
         });
-        // SAFETY: `ThreadPool::scope` blocks on the latch until this job has
-        // run to completion, so every `'scope` borrow captured by the job
-        // strictly outlives its execution; erasing the lifetime is sound.
-        let job: Job = unsafe {
-            mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send + 'static>>(
-                job,
-            )
-        };
-        self.pool.shared.push(job);
+        // SAFETY: `ThreadPool::scope` does not return before this job has
+        // run to completion (it waits for `pending` to reach zero), so
+        // every `'scope` borrow captured by the job strictly outlives its
+        // execution; erasing the lifetime is sound.
+        let job: Job =
+            unsafe { mem::transmute::<Box<dyn FnOnce(&Shared) + Send + 'scope>, Job>(job) };
+        self.pool.shared.push(self.depth, job);
     }
 }
 
@@ -462,7 +484,7 @@ where
 }
 
 /// Runs both closures, potentially in parallel, and returns both results
-/// (`a` runs on the caller, `b` may be stolen) — rayon's `join`.
+/// (`a` runs on the caller, `b` may run on another thread) — rayon's `join`.
 pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
 where
     RA: Send,
@@ -482,7 +504,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn scoped_tasks_borrow_and_mutate_local_state() {
@@ -497,17 +519,40 @@ mod tests {
     }
 
     #[test]
-    fn inline_pool_produces_identical_results() {
-        let compute = |pool: &ThreadPool| {
-            let mut out = vec![0.0f32; 257];
-            pool.par_chunks_mut(&mut out, 16, |ci, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x = ((ci * 16 + j) as f32).sqrt();
+    fn a_pool_of_n_spawns_n_minus_one_workers() {
+        for (threads, workers) in [(0, 0), (1, 0), (2, 1), (5, 4)] {
+            let pool = ThreadPool::new(threads);
+            assert_eq!(pool.workers.len(), workers);
+            assert_eq!(pool.threads(), threads.max(1));
+        }
+    }
+
+    /// `f(index, chunk)` runs exactly once per chunk, with the index and
+    /// range `chunks_mut` would give, whatever the pool size.
+    #[test]
+    fn par_chunks_mut_visits_every_chunk_once_at_fixed_boundaries() {
+        const LEN: usize = 1003;
+        const CHUNK: usize = 64;
+        let expected: Vec<(usize, usize, usize)> =
+            (0..LEN.div_ceil(CHUNK)).map(|i| (i, i * CHUNK, CHUNK.min(LEN - i * CHUNK))).collect();
+        assert_eq!(expected.last(), Some(&(15, 960, 43)), "ragged tail");
+        for threads in [1, 2, 3, 8] {
+            let pool = ThreadPool::new(threads);
+            let mut data = vec![0u32; LEN];
+            let base = data.as_ptr() as usize;
+            let seen = Mutex::new(Vec::new());
+            pool.par_chunks_mut(&mut data, CHUNK, |index, chunk| {
+                let offset = (chunk.as_ptr() as usize - base) / mem::size_of::<u32>();
+                seen.lock().unwrap().push((index, offset, chunk.len()));
+                for x in chunk {
+                    *x += index as u32 + 1;
                 }
             });
-            out
-        };
-        assert_eq!(compute(&ThreadPool::new(1)), compute(&ThreadPool::new(4)));
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, expected, "{threads} threads");
+            assert!(data.iter().enumerate().all(|(i, &x)| x == (i / CHUNK) as u32 + 1));
+        }
     }
 
     #[test]
@@ -528,7 +573,7 @@ mod tests {
     #[test]
     fn nested_scopes_do_not_deadlock() {
         // The engine's shape: parallel clients, each running parallel
-        // matmul tiles. More outer tasks than workers forces helping.
+        // matmul tiles, with more outer tasks than threads.
         let pool = ThreadPool::new(2);
         let mut totals = vec![0usize; 8];
         pool.par_for_each_mut(&mut totals, 0, |slot| {
@@ -544,6 +589,47 @@ mod tests {
         assert!(totals.iter().all(|&t| t == expected));
     }
 
+    thread_local! {
+        /// Outer tasks currently on this thread's stack.
+        static LIVE_OUTER: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// One outer task: counts itself live on this thread for as long as it
+    /// runs an inner parallel loop, and reports the most it ever saw.
+    fn outer_task(pool: &ThreadPool, most_live: &AtomicUsize) {
+        let live = LIVE_OUTER.get() + 1;
+        LIVE_OUTER.set(live);
+        most_live.fetch_max(live, Ordering::SeqCst);
+        let mut inner = vec![0u64; 4096];
+        pool.par_chunks_mut(&mut inner, 64, |ci, chunk| {
+            for (j, x) in chunk.iter_mut().enumerate() {
+                *x = (ci * 64 + j) as u64;
+            }
+        });
+        assert!(inner.iter().enumerate().all(|(i, &x)| x == i as u64));
+        LIVE_OUTER.set(live - 1);
+    }
+
+    /// A thread waiting in an outer task's inner loop must not start
+    /// another outer task underneath it — whether the outer tasks are
+    /// queued jobs (31 of them are eligible-looking work every time the
+    /// caller waits for its own inner helper) or claimed items.
+    #[test]
+    fn no_thread_ever_stacks_two_outer_tasks() {
+        for threads in [2, 3] {
+            let pool = ThreadPool::new(threads);
+            let most_live = AtomicUsize::new(0);
+            pool.scope(|s| {
+                for _ in 0..32 {
+                    s.spawn(|| outer_task(&pool, &most_live));
+                }
+            });
+            let mut items = [(); 32];
+            pool.par_for_each_mut(&mut items, 0, |()| outer_task(&pool, &most_live));
+            assert_eq!(most_live.load(Ordering::SeqCst), 1, "{threads} threads");
+        }
+    }
+
     #[test]
     fn panics_propagate_to_the_scope_caller() {
         let pool = ThreadPool::new(2);
@@ -556,6 +642,24 @@ mod tests {
         let payload = caught.expect_err("scope must re-raise the task panic");
         let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(message, "boom in task");
+    }
+
+    #[test]
+    fn a_panicking_chunk_reaches_the_caller_after_the_others_ran() {
+        for threads in [2, 3] {
+            let pool = ThreadPool::new(threads);
+            let ran = AtomicUsize::new(0);
+            let mut data = vec![0u8; 16 * 4];
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.par_chunks_mut(&mut data, 4, |index, _| {
+                    assert!(index != 5, "boom in chunk");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            let payload = caught.expect_err("par_chunks_mut must re-raise the chunk panic");
+            assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom in chunk"));
+            assert_eq!(ran.load(Ordering::SeqCst), 15, "{threads} threads");
+        }
     }
 
     #[test]

@@ -1099,18 +1099,6 @@ pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, 
     });
 }
 
-/// [`gemm_packed`] minus the telemetry counters — the autotuner's trial
-/// calls run through this so synthetic tuning work (which happens only
-/// on the *first* same-shape call per process) never perturbs the
-/// deterministic call/subtile counts two same-seed runs must share.
-fn gemm_packed_untracked<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, od: &mut [f32]) {
-    let n = pb.n;
-    let m = od.len() / n.max(1);
-    run_row_tiles(od, n, m * n * k, |first_row, rows| {
-        gemm_rows_tile_impl::<SKIP, false>(ad, k, pb, first_row, rows);
-    });
-}
-
 /// One row tile of [`gemm_packed`]: computes output rows
 /// `first_row .. first_row + rows.len()/n` of `A · packed(B)`. Public to
 /// the crate so the multi-slab driver
@@ -1127,8 +1115,11 @@ pub(crate) fn gemm_rows_tile<const SKIP: bool>(
     gemm_rows_tile_impl::<SKIP, true>(ad, k, pb, first_row, rows);
 }
 
-/// [`gemm_rows_tile`] with subtile accounting compile-time selectable
-/// (`TRACK = false` for the autotuner's untracked trial calls).
+/// [`gemm_rows_tile`] with subtile accounting compile-time selectable.
+/// `TRACK = false` is the autotuner's trial path: trials are synthetic
+/// work that happens only on the *first* same-shape call per process, so
+/// they must never perturb the deterministic call/subtile counts two
+/// same-seed runs share.
 fn gemm_rows_tile_impl<const SKIP: bool, const TRACK: bool>(
     ad: &[f32],
     k: usize,
@@ -1193,55 +1184,60 @@ fn gemm_rows_tile_impl<const SKIP: bool, const TRACK: bool>(
 /// pair has no kernel to run on.
 pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
     count_gemm_call(GemmOp::Tn, pa.variant);
-    gemm_packed_tn_impl::<true>(pa, pb, od);
+    run_row_tiles(od, pb.n, pa.m * pb.n * pa.k, |first_row, rows| {
+        gemm_tn_rows_tile::<true>(pa, pb, first_row, rows);
+    });
 }
 
-/// Body of [`gemm_packed_tn`] with telemetry accounting compile-time
-/// selectable; `TRACK = false` is the autotuner's trial path (see
-/// [`gemm_packed_untracked`] for why trials must not count).
-fn gemm_packed_tn_impl<const TRACK: bool>(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
+/// One row tile of [`gemm_packed_tn`], with telemetry accounting
+/// compile-time selectable (`TRACK = false` for the autotuner's trials,
+/// as in [`gemm_rows_tile_impl`]).
+fn gemm_tn_rows_tile<const TRACK: bool>(
+    pa: &PackedA,
+    pb: &PackedB,
+    first_row: usize,
+    rows: &mut [f32],
+) {
     assert_eq!(
         pa.variant, pb.variant,
         "gemm_packed_tn: operand packs were laid out for different kernel variants"
     );
     let variant = pa.variant;
     let (mr, nr) = (variant.mr, variant.nr);
-    let (m, k, n) = (pa.m, pa.k, pb.n);
-    run_row_tiles(od, n, m * n * k, |first_row, rows| {
-        let nrows = rows.len() / n;
-        let mut acc = [0.0f32; MR_MAX * NR_MAX];
-        let (mut dense_subtiles, mut guarded_subtiles) = (0u64, 0u64);
-        let mut r0 = 0;
-        while r0 < nrows {
-            let mrows = (nrows - r0).min(mr);
-            let tile = pa.tile((first_row + r0) / mr);
-            // Zero-scan dispatch as in [`gemm_packed`]; the padded tail
-            // tile contains zeros and so always takes the guarded path,
-            // which skips (and thereby discards) the padding rows.
-            let dense = tile.iter().all(|&v| v != 0.0);
+    let (k, n) = (pa.k, pb.n);
+    let nrows = rows.len() / n;
+    let mut acc = [0.0f32; MR_MAX * NR_MAX];
+    let (mut dense_subtiles, mut guarded_subtiles) = (0u64, 0u64);
+    let mut r0 = 0;
+    while r0 < nrows {
+        let mrows = (nrows - r0).min(mr);
+        let tile = pa.tile((first_row + r0) / mr);
+        // Zero-scan dispatch as in [`gemm_packed`]; the padded tail
+        // tile contains zeros and so always takes the guarded path,
+        // which skips (and thereby discards) the padding rows.
+        let dense = tile.iter().all(|&v| v != 0.0);
+        if dense {
+            dense_subtiles += 1;
+        } else {
+            guarded_subtiles += 1;
+        }
+        for jp in 0..n.div_ceil(nr) {
+            let panel = pb.panel(jp);
+            let col0 = jp * nr;
+            let ncols = (n - col0).min(nr);
             if dense {
-                dense_subtiles += 1;
+                run_tile_kernel::<false>(variant, tile, k, panel, &mut acc);
             } else {
-                guarded_subtiles += 1;
+                run_tile_kernel::<true>(variant, tile, k, panel, &mut acc);
             }
-            for jp in 0..n.div_ceil(nr) {
-                let panel = pb.panel(jp);
-                let col0 = jp * nr;
-                let ncols = (n - col0).min(nr);
-                if dense {
-                    run_tile_kernel::<false>(variant, tile, k, panel, &mut acc);
-                } else {
-                    run_tile_kernel::<true>(variant, tile, k, panel, &mut acc);
-                }
-                write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
-            }
-            r0 += mrows;
+            write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
         }
-        if TRACK {
-            GEMM_SUBTILES_DENSE.add(dense_subtiles);
-            GEMM_SUBTILES_GUARDED.add(guarded_subtiles);
-        }
-    });
+        r0 += mrows;
+    }
+    if TRACK {
+        GEMM_SUBTILES_DENSE.add(dense_subtiles);
+        GEMM_SUBTILES_GUARDED.add(guarded_subtiles);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1303,14 +1299,13 @@ fn time_candidate(op: GemmOp, m: usize, k: usize, n: usize, variant: KernelVaria
     let mut best = f64::INFINITY;
     for pass in 0..3 {
         let t0 = std::time::Instant::now();
-        // Untracked entry points: trials are synthetic work that fires
-        // only on the first same-shape call per process, so letting them
-        // bump the GEMM telemetry counters would make two same-seed runs
-        // (one cold, one cache-warm) disagree.
+        // The whole output as one untracked row tile on this thread: no
+        // telemetry (see `gemm_rows_tile_impl`) and no pool, where other
+        // tasks' work would be pure noise in the measurement.
         match op {
-            GemmOp::Nn => gemm_packed_untracked::<true>(a.data(), k, &pb, &mut out),
-            GemmOp::Nt => gemm_packed_untracked::<false>(a.data(), k, &pb, &mut out),
-            GemmOp::Tn => gemm_packed_tn_impl::<false>(&pa, &pb, &mut out),
+            GemmOp::Nn => gemm_rows_tile_impl::<true, false>(a.data(), k, &pb, 0, &mut out),
+            GemmOp::Nt => gemm_rows_tile_impl::<false, false>(a.data(), k, &pb, 0, &mut out),
+            GemmOp::Tn => gemm_tn_rows_tile::<false>(&pa, &pb, 0, &mut out),
         }
         if pass > 0 {
             best = best.min(t0.elapsed().as_secs_f64());
@@ -1332,38 +1327,50 @@ pub fn tuned_variant(op: GemmOp, m: usize, k: usize, n: usize) -> KernelVariant 
     if candidates.len() == 1 || m * k * n < TUNE_MIN_MACS {
         return KernelVariant::default_for(isa);
     }
-    let mut map = tune_key_map().lock().expect("gemm tuner mutex");
-    *map.entry((op, m, k, n, isa)).or_insert_with(|| {
-        let mt = m.min(TUNE_M_CAP);
-        let mut best = (f64::INFINITY, KernelVariant::default_for(isa));
-        for &v in candidates {
-            let t = time_candidate(op, mt, k, n, v);
-            if t < best.0 {
-                best = (t, v);
-            }
+    let key = (op, m, k, n, isa);
+    if let Some(&pick) = tune_key_map().lock().expect("gemm tuner mutex").get(&key) {
+        return pick;
+    }
+    // Measured with the map unlocked (a pool wait under this lock is how
+    // cold parallel starts used to deadlock). Two threads that miss on the
+    // same shape both measure and the first to finish decides; picks never
+    // change bits, so the duplicate is harmless.
+    let mt = m.min(TUNE_M_CAP);
+    let mut best = (f64::INFINITY, KernelVariant::default_for(isa));
+    for &v in candidates {
+        let t = time_candidate(op, mt, k, n, v);
+        if t < best.0 {
+            best = (t, v);
         }
-        // Record the pick and its measured throughput. The value is a
-        // wall-clock measurement, so the gauge is snapshot-only — it
-        // must never enter the (byte-identity-bound) JSONL stream. The
-        // cold tuning path is the only place a label string is built.
-        if aergia_telemetry::enabled() && best.0.is_finite() {
-            let op_label = match op {
-                GemmOp::Nn => "nn",
-                GemmOp::Nt => "nt",
-                GemmOp::Tn => "tn",
-            };
-            let gflops = 2.0 * (mt * k * n) as f64 / best.0 / 1e9;
-            let name = format!(
-                "aergia_gemm_tuned_gflops{{op=\"{op_label}\",m=\"{m}\",k=\"{k}\",n=\"{n}\",\
-                 variant=\"{}_{}x{}\"}}",
-                best.1.isa.label(),
-                best.1.mr,
-                best.1.nr
-            );
-            aergia_telemetry::gauge_snapshot_only(&name).set(gflops);
+    }
+    {
+        let mut map = tune_key_map().lock().expect("gemm tuner mutex");
+        if let Some(&decided) = map.get(&key) {
+            return decided;
         }
-        best.1
-    })
+        map.insert(key, best.1);
+    }
+    // Record the pick and its measured throughput. The value is a
+    // wall-clock measurement, so the gauge is snapshot-only — it must
+    // never enter the (byte-identity-bound) JSONL stream. The cold tuning
+    // path is the only place a label string is built.
+    if aergia_telemetry::enabled() && best.0.is_finite() {
+        let op_label = match op {
+            GemmOp::Nn => "nn",
+            GemmOp::Nt => "nt",
+            GemmOp::Tn => "tn",
+        };
+        let gflops = 2.0 * (mt * k * n) as f64 / best.0 / 1e9;
+        let name = format!(
+            "aergia_gemm_tuned_gflops{{op=\"{op_label}\",m=\"{m}\",k=\"{k}\",n=\"{n}\",\
+             variant=\"{}_{}x{}\"}}",
+            best.1.isa.label(),
+            best.1.mr,
+            best.1.nr
+        );
+        aergia_telemetry::gauge_snapshot_only(&name).set(gflops);
+    }
+    best.1
 }
 
 /// A one-shape memo of [`tuned_variant`], stored by layers next to their

@@ -7,8 +7,8 @@
 //! packed into `NR`-wide column panels ([`crate::gemm::PackedB`]),
 //! transposed `A` operands into `MR`-row tiles ([`crate::gemm::PackedA`]),
 //! and an `MR × NR` register tile accumulates each output block in one
-//! pass over the shared dimension. Output row tiles execute in parallel on
-//! the [`aergia_runtime`] work-stealing pool once a product is worth
+//! pass over the shared dimension. Output row tiles are claimed by the
+//! threads of the [`aergia_runtime`] pool once a product is worth
 //! threading (`PAR_FLOPS`).
 //!
 //! Three tiers of the same contract coexist here:
@@ -45,8 +45,8 @@ use crate::gemm::{
 };
 use crate::{Tensor, TensorError};
 
-/// Output rows per parallel task: big enough to amortise a pool spawn,
-/// small enough that the paper's im2col matrices (thousands of patch rows)
+/// Output rows per parallel tile: big enough to amortise a claim, small
+/// enough that the paper's im2col matrices (thousands of patch rows)
 /// split into many tiles. A multiple of [`crate::gemm::MR`], so parallel
 /// tile boundaries coincide with microkernel sub-tile boundaries.
 pub(crate) const TILE_ROWS: usize = 64;
@@ -496,9 +496,9 @@ pub fn matmul_nt_packed_into(
 /// **Bit-identity by construction:** each slab is tiled at its own
 /// fixed row-tile boundaries starting from its own row 0 and computed by
 /// the same per-tile kernel as [`matmul_nt_packed_into`] — the fusion only
-/// changes which scope the tiles are spawned into (one shared scope
-/// instead of one per slab), never any element's accumulation chain, so
-/// fused output is byte-identical to per-slab calls at any pool size.
+/// changes which list the tiles are claimed from (one flat `(slab, tile)`
+/// list instead of one per slab), never any element's accumulation chain,
+/// so fused output is byte-identical to per-slab calls at any pool size.
 /// The parallel/serial cutover considers the *combined* flops, which again
 /// only moves work between threads, never changes results.
 ///
@@ -533,13 +533,15 @@ pub fn matmul_nt_packed_multi_into(
         out.reset(&[a.dims()[0], n]);
     }
     if total_flops >= PAR_FLOPS && aergia_runtime::parallelism() > 1 && n > 0 {
-        aergia_runtime::scope(|s| {
-            for (a, out) in slabs.iter_mut() {
-                let ad: &[f32] = a.data();
-                for (tile, rows) in out.data_mut().chunks_mut(TILE_ROWS * n).enumerate() {
-                    s.spawn(move || gemm_rows_tile::<false>(ad, k, pb, tile * TILE_ROWS, rows));
-                }
-            }
+        // One flat list of every slab's row tiles, claimed by index.
+        let mut tiles: Vec<(&[f32], usize, &mut [f32])> = Vec::new();
+        for (a, out) in slabs.iter_mut() {
+            let ad: &[f32] = a.data();
+            let row_tiles = out.data_mut().chunks_mut(TILE_ROWS * n).enumerate();
+            tiles.extend(row_tiles.map(|(tile, rows)| (ad, tile * TILE_ROWS, rows)));
+        }
+        aergia_runtime::par_for_each_mut(&mut tiles, 0, |(ad, first_row, rows)| {
+            gemm_rows_tile::<false>(ad, k, pb, *first_row, rows);
         });
     } else {
         for (a, out) in slabs.iter_mut() {
