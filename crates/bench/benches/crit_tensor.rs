@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the tensor/NN kernels the whole evaluation rests
 //! on: matmul, a GEMM size sweep in GFLOP/s (packed microkernel vs the
-//! previous blocked generation), convolution forward/backward, and a full
+//! naive reference loops), convolution forward/backward, and a full
 //! 4-phase batch.
 
 use aergia_nn::models::ModelArch;
@@ -28,14 +28,13 @@ fn bench_matmul(c: &mut Criterion) {
 /// GFLOP/s (the `Gelem/s` column, with elements = 2·m·k·n FLOPs).
 ///
 /// Per shape and form:
-/// * `blocked` — the previous loop-tiled scalar generation
-///   (`ops::matmul_blocked_into`), the sweep's baseline;
+/// * `reference` — the naive oracle loop (`ops::matmul_reference`), the
+///   sweep's baseline (it allocates its output, as the oracle always has);
 /// * `packed` — the register-blocked microkernel over a *cached* operand
-///   pack laid out for the autotuner's pick at that shape, i.e. the
+///   pack laid out for `tuned_variant`'s answer at that shape, i.e. the
 ///   steady-state hot path of a cached weight matrix;
-/// * `packed_<isa>_<mr>x<nr>` — the same multiply pinned to each kernel
-///   variant this machine can dispatch to (the scalar 4×8 entry is the
-///   portable baseline every SIMD tile is bit-compared against);
+/// * `packed_<isa>_<mr>x<nr>` — the same multiply pinned to each register
+///   tile the rule can return on this machine's tier;
 /// * `packed_cold` (matmul only) — pack + multiply per iteration, the
 ///   worst case a per-batch operand pays.
 fn bench_gemm_sweep(c: &mut Criterion) {
@@ -58,16 +57,16 @@ fn bench_gemm_sweep(c: &mut Criterion) {
         let flops = 2 * m * k * n;
         group.throughput(Throughput::Elements(flops as u64));
 
-        group.bench_function(format!("m{m}_k{k}_n{n}/blocked"), |bench| {
-            bench.iter(|| ops::matmul_blocked_into(black_box(&a), black_box(&b), &mut out));
+        group.bench_function(format!("m{m}_k{k}_n{n}/reference"), |bench| {
+            bench.iter(|| ops::matmul_reference(black_box(&a), black_box(&b)));
         });
         let mut pb = PackedB::new();
         pb.pack_with(&b, tuned_variant(GemmOp::Nn, m, k, n)).expect("pack");
         group.bench_function(format!("m{m}_k{k}_n{n}/packed"), |bench| {
             bench.iter(|| ops::matmul_packed_into(black_box(&a), black_box(&pb), &mut out));
         });
-        // Every dispatchable variant at this shape, so a per-tile
-        // regression (or a wrong autotuner pick) shows up by name.
+        // Every tile the rule can return on this tier, so a per-tile
+        // regression — or a shape the rule gets wrong — shows up by name.
         for &variant in KernelVariant::candidates(active_isa()) {
             let label = format!("{}_{}x{}", variant.isa.label(), variant.mr, variant.nr);
             let mut pbv = PackedB::new();
@@ -79,7 +78,7 @@ fn bench_gemm_sweep(c: &mut Criterion) {
         group.bench_function(format!("m{m}_k{k}_n{n}/packed_cold"), |bench| {
             let mut cold = PackedB::new();
             bench.iter(|| {
-                cold.pack(black_box(&b)).expect("pack");
+                cold.pack_with(black_box(&b), tuned_variant(GemmOp::Nn, m, k, n)).expect("pack");
                 ops::matmul_packed_into(black_box(&a), black_box(&cold), &mut out)
             });
         });
@@ -89,16 +88,16 @@ fn bench_gemm_sweep(c: &mut Criterion) {
         // both operands per-batch, cold packs).
         let mut pbt = PackedB::new();
         pbt.pack_transposed_with(&bt, tuned_variant(GemmOp::Nt, m, k, n)).expect("pack");
-        group.bench_function(format!("m{m}_k{k}_n{n}/nt_blocked"), |bench| {
-            bench.iter(|| ops::matmul_nt_blocked_into(black_box(&a), black_box(&bt), &mut out));
+        group.bench_function(format!("m{m}_k{k}_n{n}/nt_reference"), |bench| {
+            bench.iter(|| ops::matmul_nt_reference(black_box(&a), black_box(&bt)));
         });
         group.bench_function(format!("m{m}_k{k}_n{n}/nt_packed"), |bench| {
             bench.iter(|| ops::matmul_nt_packed_into(black_box(&a), black_box(&pbt), &mut out));
         });
 
         let mut out_tn = Tensor::zeros(&[m, n]);
-        group.bench_function(format!("m{m}_k{k}_n{n}/tn_blocked"), |bench| {
-            bench.iter(|| ops::matmul_tn_blocked_into(black_box(&at), black_box(&b), &mut out_tn));
+        group.bench_function(format!("m{m}_k{k}_n{n}/tn_reference"), |bench| {
+            bench.iter(|| ops::matmul_tn_reference(black_box(&at), black_box(&b)));
         });
         group.bench_function(format!("m{m}_k{k}_n{n}/tn_packed_cold"), |bench| {
             let tn = tuned_variant(GemmOp::Tn, m, k, n);

@@ -120,8 +120,8 @@ fn measure_allocs_per_round() -> f64 {
 
 /// Steady-state GEMM throughput (GFLOP/s) of the packed microkernel at a
 /// CNN-typical im2col shape, against a cached weight pack laid out for
-/// `variant` — the figure behind the `matmul_gflops` (autotuned dispatch
-/// on this machine's ISA tier) and `matmul_scalar_gflops` (portable 4×8
+/// `variant` — the figure behind the `matmul_gflops` (the rule's tile on
+/// this machine's ISA tier) and `matmul_scalar_gflops` (portable 4×8
 /// baseline) gate entries. Measured serially (the caller pins
 /// `AERGIA_THREADS=1`) so the number reflects per-core kernel quality,
 /// not the host's core count.
@@ -195,9 +195,9 @@ fn main() {
     std::env::set_var("AERGIA_THREADS", "1");
     let allocs_per_round = measure_allocs_per_round();
     eprintln!("bench_smoke: allocs_per_round = {allocs_per_round:.0}");
-    // Both dispatch paths get a gate entry: the autotuned pick for this
-    // machine's active ISA tier, and the portable scalar 4×8 everything is
-    // bit-compared against. On a scalar-only host (or AERGIA_FORCE_SCALAR)
+    // Both dispatch paths get a gate entry: the tile `tuned_variant`
+    // answers on this machine's active ISA tier, and the portable scalar
+    // 4×8 everything is bit-compared against. On a scalar-only host (or AERGIA_FORCE_SCALAR)
     // the two coincide.
     let isa = active_isa();
     let tuned = tuned_variant(GemmOp::Nn, 2048, 576, 64);

@@ -268,8 +268,8 @@ aergia_codec_encoded_bytes_total{codec=\"dense_f32\",kind=\"features\"} 4096
 aergia_profile_t123_seconds_bucket{le=\"0.1\"} 3
 aergia_profile_t123_seconds_sum 0.25
 aergia_profile_t123_seconds_count 3
-# TYPE aergia_gemm_tuned_gflops gauge
-aergia_gemm_tuned_gflops{op=\"nn\"} 42.5
+# TYPE aergia_gemm_calls_total counter
+aergia_gemm_calls_total{op=\"nn\"} 42
 # TYPE aergia_net_order_rtt_seconds histogram
 aergia_net_order_rtt_seconds_sum 1.5
 ";

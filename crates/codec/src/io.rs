@@ -72,6 +72,43 @@ impl<'a> Reader<'a> {
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
+
+    /// Reads a [`put_bool`] flag byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Corrupt`] for any byte other than 0 or 1 — a
+    /// flipped flag must not quietly read as `false`.
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Corrupt("bool flag")),
+        }
+    }
+
+    /// Reads a [`put_opt_u32`] field (flag byte, then the value slot).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Corrupt`] for a flag byte other than 0 or 1.
+    pub fn opt_u32(&mut self) -> Result<Option<u32>, CodecError> {
+        let present = self.bool()?;
+        let v = self.u32()?;
+        Ok(present.then_some(v))
+    }
+
+    /// Reads a [`put_indices`] list. The count is checked against the
+    /// bytes present only as elements are read, so the up-front
+    /// allocation is capped instead of trusted.
+    pub fn indices(&mut self) -> Result<Vec<usize>, CodecError> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            out.push(self.u32()? as usize);
+        }
+        Ok(out)
+    }
 }
 
 /// Appends a little-endian `u16` (the writers never fail).
@@ -100,6 +137,27 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Appends a flag byte: 1 for `true`, 0 for `false`.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
+}
+
+/// Appends a list of indices (client ids, sample indices): a `u32` count,
+/// then each index as a `u32`.
+pub fn put_indices(out: &mut Vec<u8>, indices: &[usize]) {
+    put_u32(out, indices.len() as u32);
+    for &i in indices {
+        put_u32(out, i as u32);
+    }
+}
+
+/// Appends an optional `u32` at fixed width: a [`put_bool`] presence flag,
+/// then the value (0 when absent).
+pub fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
+    put_bool(out, v.is_some());
+    put_u32(out, v.unwrap_or(0));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,5 +182,25 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u8(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn flags_round_trip_and_reject_other_bytes() {
+        let mut buf = Vec::new();
+        put_bool(&mut buf, true);
+        put_bool(&mut buf, false);
+        put_opt_u32(&mut buf, Some(9));
+        put_opt_u32(&mut buf, None);
+        put_indices(&mut buf, &[7, 258]);
+        assert_eq!(buf, [1, 0, 1, 9, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 2, 1, 0, 0]);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.bool(), Ok(false));
+        assert_eq!(r.opt_u32(), Ok(Some(9)));
+        assert_eq!(r.opt_u32(), Ok(None));
+        assert_eq!(r.indices(), Ok(vec![7, 258]));
+        assert_eq!(Reader::new(&[9, 0, 0, 0, 1, 0, 0, 0]).indices(), Err(CodecError::Truncated));
+        assert_eq!(Reader::new(&[2]).bool(), Err(CodecError::Corrupt("bool flag")));
+        assert_eq!(Reader::new(&[2, 0, 0, 0, 0]).opt_u32(), Err(CodecError::Corrupt("bool flag")));
     }
 }

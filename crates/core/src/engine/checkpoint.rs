@@ -24,15 +24,17 @@
 //! [`Engine::with_topology`] with the same
 //! [`TopologyBuilder`](crate::topology::TopologyBuilder) before
 //! restoring, exactly as the original run was constructed. The same goes
-//! for mid-run transient-load changes applied through the deprecated
-//! [`Engine::set_client_speed`] shim.
+//! for mid-run transient-load changes made with
+//! [`Engine::set_client_speed`].
 
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
 
 use aergia_codec::checkpoint::{ChunkReader, ChunkWriter};
-use aergia_codec::io::{put_f64, put_u16, put_u32, put_u64, Reader};
+use aergia_codec::io::{
+    put_bool, put_f64, put_indices, put_opt_u32, put_u16, put_u32, put_u64, Reader,
+};
 use aergia_codec::{dense, CodecError, CodecId, Frame, FrameBuilder, SectionKind};
 use aergia_data::batcher::BatcherState;
 use aergia_simnet::{SimDuration, SimTime};
@@ -40,7 +42,6 @@ use aergia_tensor::Tensor;
 
 use crate::config::ClientStateMode;
 use crate::metrics::{RoundRecord, RunResult};
-use crate::profiler::WorkspacePoolStats;
 
 use super::{make_batcher, tifl::TiflSnapshot, Engine};
 
@@ -182,75 +183,31 @@ fn read_rng(r: &mut Reader<'_>) -> Result<[u64; 4], CodecError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-fn encode_record(out: &mut Vec<u8>, record: &RoundRecord) {
-    put_u32(out, record.round);
-    put_u64(out, record.duration.as_micros());
-    put_f64(out, record.test_accuracy);
-    put_f64(out, record.train_loss);
-    put_u64(out, record.bytes_on_wire);
-    put_u32(out, record.participants.len() as u32);
-    for &p in &record.participants {
-        put_u32(out, p as u32);
-    }
-    put_u32(out, record.offloads.len() as u32);
-    for &(s, r) in &record.offloads {
-        put_u32(out, s as u32);
-        put_u32(out, r as u32);
-    }
-    put_u32(out, record.dropped.len() as u32);
-    for &d in &record.dropped {
-        put_u32(out, d as u32);
-    }
-    put_u32(out, record.pool.hits);
-    put_u32(out, record.pool.misses);
-    put_u32(out, record.pool.rebuilds);
-    put_u32(out, record.pool.evictions);
-    put_u32(out, record.pool.resident_clients);
-    put_u64(out, record.pool.resident_bytes);
+/// Appends a batcher snapshot: cursor, RNG state, then the shard's index
+/// list. This is the body of the checkpoint's `BTCH` chunk (after the
+/// client id and LRU stamp) *and* how `aergia-net` ships batcher state in
+/// its orders and replies, so a state that round-trips the network is
+/// byte-for-byte the state a checkpoint would have persisted.
+pub fn put_batcher(out: &mut Vec<u8>, state: &BatcherState) {
+    put_u64(out, state.cursor as u64);
+    put_rng(out, state.rng);
+    put_indices(out, &state.indices);
 }
 
-fn decode_record(r: &mut Reader<'_>) -> Result<RoundRecord, CodecError> {
-    let round = r.u32()?;
-    let duration = SimDuration::from_micros(r.u64()?);
-    let test_accuracy = r.f64()?;
-    let train_loss = r.f64()?;
-    let bytes_on_wire = r.u64()?;
-    let read_ids = |r: &mut Reader<'_>| -> Result<Vec<usize>, CodecError> {
-        let n = r.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(r.u32()? as usize);
-        }
-        Ok(out)
-    };
-    let participants = read_ids(r)?;
-    let n = r.u32()? as usize;
-    let mut offloads = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let s = r.u32()? as usize;
-        let rr = r.u32()? as usize;
-        offloads.push((s, rr));
+/// Reads a snapshot written by [`put_batcher`].
+///
+/// # Errors
+///
+/// Returns [`CodecError::Truncated`] if the buffer ends early and
+/// [`CodecError::Corrupt`] for a cursor beyond the index list.
+pub fn read_batcher(r: &mut Reader<'_>) -> Result<BatcherState, CodecError> {
+    let cursor = r.u64()? as usize;
+    let rng = read_rng(r)?;
+    let indices = r.indices()?;
+    if cursor > indices.len() {
+        return Err(CodecError::Corrupt("batcher cursor out of range"));
     }
-    let dropped = read_ids(r)?;
-    let pool = WorkspacePoolStats {
-        hits: r.u32()?,
-        misses: r.u32()?,
-        rebuilds: r.u32()?,
-        evictions: r.u32()?,
-        resident_clients: r.u32()?,
-        resident_bytes: r.u64()?,
-    };
-    Ok(RoundRecord {
-        round,
-        duration,
-        test_accuracy,
-        train_loss,
-        participants,
-        offloads,
-        dropped,
-        bytes_on_wire,
-        pool,
-    })
+    Ok(BatcherState { indices, cursor, rng })
 }
 
 impl Engine {
@@ -290,26 +247,17 @@ impl Engine {
         // live draw stream are persisted, so checkpoint size follows the
         // pool cap, not the simulated population.
         for (client, stamp, batcher) in self.pool.snapshot_entries() {
-            let state = batcher.state();
             let mut body = Vec::new();
             put_u32(&mut body, client as u32);
             put_u64(&mut body, stamp);
-            put_u64(&mut body, state.cursor as u64);
-            put_rng(&mut body, state.rng);
-            put_u32(&mut body, state.indices.len() as u32);
-            for &i in &state.indices {
-                put_u32(&mut body, i as u32);
-            }
+            put_batcher(&mut body, &batcher.state());
             w.chunk(BTCH, body);
         }
 
         let (clock, evicted) = self.pool.snapshot_meta();
         let mut pool = Vec::new();
         put_u64(&mut pool, clock);
-        put_u32(&mut pool, evicted.len() as u32);
-        for e in evicted {
-            put_u32(&mut pool, e as u32);
-        }
+        put_indices(&mut pool, &evicted);
         w.chunk(POOL, pool);
 
         let mut coht = Vec::new();
@@ -327,16 +275,7 @@ impl Engine {
             for &a in &snap.accuracy {
                 put_f64(&mut body, a);
             }
-            match snap.last_selected {
-                Some(t) => {
-                    body.push(1);
-                    put_u32(&mut body, t as u32);
-                }
-                None => {
-                    body.push(0);
-                    put_u32(&mut body, 0);
-                }
-            }
+            put_opt_u32(&mut body, snap.last_selected.map(|t| t as u32));
             put_rng(&mut body, snap.rng);
             w.chunk(TIFL, body);
         }
@@ -358,7 +297,7 @@ impl Engine {
             let mut body = Vec::new();
             put_u32(&mut body, available.len() as u32);
             for &a in &available {
-                body.push(u8::from(a));
+                put_bool(&mut body, a);
             }
             put_rng(&mut body, rng);
             w.chunk(CHRN, body);
@@ -367,7 +306,7 @@ impl Engine {
         let mut rnds = Vec::new();
         put_u32(&mut rnds, progress.rounds.len() as u32);
         for record in &progress.rounds {
-            encode_record(&mut rnds, record);
+            record.encode_into(&mut rnds);
         }
         w.chunk(RNDS, rnds);
 
@@ -456,11 +395,7 @@ impl Engine {
         let mut pool_r =
             Reader::new(chunks.get(POOL).ok_or(CheckpointError::Mismatch("no pool state"))?);
         let clock = pool_r.u64()?;
-        let n_evicted = pool_r.u32()? as usize;
-        let mut evicted = Vec::with_capacity(n_evicted.min(1 << 16));
-        for _ in 0..n_evicted {
-            evicted.push(pool_r.u32()? as usize);
-        }
+        let evicted = pool_r.indices()?;
 
         let mut coht =
             Reader::new(chunks.get(COHT).ok_or(CheckpointError::Mismatch("no cohort layout"))?);
@@ -489,9 +424,7 @@ impl Engine {
             let mut r = Reader::new(body);
             let client = r.u32()? as usize;
             let stamp = r.u64()?;
-            let cursor = r.u64()? as usize;
-            let rng = read_rng(&mut r)?;
-            let n = r.u32()? as usize;
+            let state = read_batcher(&mut r)?;
             if client >= self.config.num_clients {
                 return Err(CheckpointError::Mismatch("resident client id"));
             }
@@ -502,18 +435,11 @@ impl Engine {
             if stamp > clock {
                 return Err(CheckpointError::Mismatch("pool stamp beyond clock"));
             }
-            if n != self.clients[client].shard_len {
+            if state.indices.len() != self.clients[client].shard_len {
                 return Err(CheckpointError::Mismatch("batcher shard size"));
             }
-            if cursor > n {
-                return Err(CheckpointError::Mismatch("batcher cursor out of range"));
-            }
-            let mut indices = Vec::with_capacity(n);
-            for _ in 0..n {
-                indices.push(r.u32()? as usize);
-            }
             let mut batcher = make_batcher(&self.partition, &self.config, client);
-            batcher.restore_state(BatcherState { indices, cursor, rng });
+            batcher.restore_state(state);
             entries.push((client, stamp, batcher));
         }
         self.pool.restore(entries, clock, evicted);
@@ -533,18 +459,12 @@ impl Engine {
                 for _ in 0..n {
                     accuracy.push(r.f64()?);
                 }
-                let has_last = r.u8()? == 1;
-                let last = r.u32()? as usize;
-                if has_last && last >= n {
+                let last_selected = r.opt_u32()?.map(|t| t as usize);
+                if last_selected.is_some_and(|t| t >= n) {
                     return Err(CheckpointError::Mismatch("tifl last-selected tier"));
                 }
                 let rng = read_rng(&mut r)?;
-                tifl.restore(TiflSnapshot {
-                    credits,
-                    accuracy,
-                    last_selected: has_last.then_some(last),
-                    rng,
-                });
+                tifl.restore(TiflSnapshot { credits, accuracy, last_selected, rng });
             }
             (None, None) => {}
             _ => return Err(CheckpointError::Mismatch("tifl state presence")),
@@ -559,7 +479,7 @@ impl Engine {
                 }
                 let mut available = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    available.push(r.u8()? == 1);
+                    available.push(r.bool()?);
                 }
                 let rng = read_rng(&mut r)?;
                 churn.restore(available, rng);
@@ -594,7 +514,7 @@ impl Engine {
         }
         let mut rounds = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            rounds.push(decode_record(&mut rnds)?);
+            rounds.push(RoundRecord::decode(&mut rnds)?);
         }
 
         Ok(RunProgress { next_round, now, pretraining, rounds })
@@ -637,5 +557,123 @@ impl Engine {
             }
         }
         Ok(self.finish_run(progress))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ExperimentConfig, Mode};
+    use crate::scenario::{ChurnConfig, OffloadPolicy};
+    use crate::strategy::Strategy;
+
+    /// A timing-mode engine one round in, with its checkpoint.
+    fn one_round_in(config: ExperimentConfig, strategy: Strategy) -> (Engine, Vec<u8>) {
+        let mut engine = Engine::new(config, strategy).expect("valid config");
+        let mut progress = engine.start_progress();
+        engine.step_round(&mut progress).expect("round 0");
+        let bytes = engine.save_checkpoint(&progress);
+        (engine, bytes)
+    }
+
+    fn timing() -> ExperimentConfig {
+        ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() }
+    }
+
+    fn churning() -> ExperimentConfig {
+        let mut config = timing();
+        config.scenario.churn = Some(ChurnConfig {
+            leave_prob: 0.3,
+            rejoin_prob: 0.5,
+            crash_prob: 0.0,
+            offload_policy: OffloadPolicy::Drop,
+        });
+        config
+    }
+
+    /// Where `chunk` (a slice [`ChunkReader`] handed out) starts in `bytes`.
+    fn offset_in(bytes: &[u8], chunk: &[u8]) -> usize {
+        chunk.as_ptr() as usize - bytes.as_ptr() as usize
+    }
+
+    /// Layout v3 of the chunks whose bodies go through shared codecs
+    /// (`BTCH` → [`put_batcher`], `TIFL`/`CHRN` → the `io` flag writers),
+    /// re-assembled here field by field from the live engine state. The
+    /// `RNDS` record layout is pinned by `metrics::record_bytes_are_pinned`.
+    #[test]
+    fn shared_codec_chunks_follow_layout_v3() {
+        let u32le = |v: usize| (v as u32).to_le_bytes();
+        let rng_le = |rng: [u64; 4]| rng.into_iter().flat_map(u64::to_le_bytes);
+
+        let (engine, bytes) = one_round_in(timing(), Strategy::tifl_default());
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        let entries = engine.pool.snapshot_entries();
+        let bodies = chunks.get_all(BTCH);
+        assert_eq!(bodies.len(), entries.len());
+        assert!(!bodies.is_empty());
+        for ((client, stamp, batcher), body) in entries.into_iter().zip(bodies) {
+            let state = batcher.state();
+            let mut want = Vec::new();
+            want.extend(u32le(client));
+            want.extend(stamp.to_le_bytes());
+            want.extend((state.cursor as u64).to_le_bytes());
+            want.extend(rng_le(state.rng));
+            want.extend(u32le(state.indices.len()));
+            want.extend(state.indices.iter().flat_map(|&i| u32le(i)));
+            assert_eq!(body, want, "BTCH of client {client}");
+        }
+
+        let snap = engine.tifl.as_ref().expect("tifl state").snapshot();
+        let mut want = Vec::new();
+        want.extend(u32le(snap.credits.len()));
+        want.extend(snap.credits.iter().flat_map(|c| c.to_le_bytes()));
+        want.extend(snap.accuracy.iter().flat_map(|a| a.to_bits().to_le_bytes()));
+        want.push(u8::from(snap.last_selected.is_some()));
+        want.extend(u32le(snap.last_selected.unwrap_or(0)));
+        want.extend(rng_le(snap.rng));
+        assert_eq!(chunks.get(TIFL).expect("TIFL chunk"), want);
+        assert!(snap.last_selected.is_some(), "round 0 must have selected a tier");
+
+        let (engine, bytes) = one_round_in(churning(), Strategy::FedAvg);
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        let (available, rng) = engine.churn.as_ref().expect("churn state").snapshot();
+        let mut want = Vec::new();
+        want.extend(u32le(available.len()));
+        want.extend(available.iter().map(|&a| u8::from(a)));
+        want.extend(rng_le(rng));
+        assert_eq!(chunks.get(CHRN).expect("CHRN chunk"), want);
+    }
+
+    /// A flag byte that is neither 0 nor 1 is corruption, not `false`.
+    #[test]
+    fn corrupt_flag_bytes_are_rejected() {
+        let rejected = |config: ExperimentConfig, strategy: Strategy, bytes: &[u8]| {
+            let mut fresh = Engine::new(config, strategy).expect("valid config");
+            matches!(
+                fresh.restore_checkpoint(bytes),
+                Err(CheckpointError::Codec(CodecError::Corrupt(_)))
+            )
+        };
+
+        let tifl = Strategy::tifl_default();
+        let (engine, mut bytes) = one_round_in(timing(), tifl);
+        let tiers = engine.tifl.as_ref().expect("tifl state").tier_count();
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        // TIFL body: count, credits, accuracies, then the last-selected flag.
+        let flag = offset_in(&bytes, chunks.get(TIFL).unwrap()) + 4 + tiers * (4 + 8);
+        assert_eq!(bytes[flag], 1);
+        bytes[flag] = 2;
+        assert!(rejected(timing(), tifl, &bytes), "last-selected flag");
+        bytes[flag] = 1;
+        assert!(!rejected(timing(), tifl, &bytes), "the untouched checkpoint restores");
+
+        let (_, mut bytes) = one_round_in(churning(), Strategy::FedAvg);
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        let first = offset_in(&bytes, chunks.get(CHRN).unwrap()) + 4;
+        for flag in first..first + churning().num_clients {
+            let original = std::mem::replace(&mut bytes[flag], 2);
+            assert!(rejected(churning(), Strategy::FedAvg, &bytes), "availability byte {flag}");
+            bytes[flag] = original;
+        }
     }
 }

@@ -41,7 +41,7 @@ use aergia_nn::profile::PhaseCost;
 use aergia_nn::weights as w;
 use aergia_nn::{Cnn, NnError};
 use aergia_simnet::node::BASE_FLOPS;
-use aergia_simnet::{CpuModel, LinkModel, Network, SimDuration, SimTime};
+use aergia_simnet::{CpuModel, Network, SimDuration, SimTime};
 use aergia_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +52,7 @@ use crate::scenario::{self, AggregationMode, RobustAggregation};
 use crate::strategy::Strategy;
 use crate::transport::{self, InProcess, Transport, TransportError};
 
-pub use checkpoint::{CheckpointError, RunProgress};
+pub use checkpoint::{put_batcher, read_batcher, CheckpointError, RunProgress};
 pub(crate) use round::RoundOutcome;
 
 /// Errors surfaced while constructing or running an experiment.
@@ -444,37 +444,6 @@ impl Engine {
         &self.test
     }
 
-    /// Overrides the federator→client downlink (e.g. to model a slow
-    /// control path in robustness tests).
-    ///
-    /// # Migration
-    ///
-    /// Declare the link on a [`TopologyBuilder`](crate::topology::TopologyBuilder) instead, so it is
-    /// validated against the configuration before the engine exists:
-    ///
-    /// ```
-    /// use aergia::prelude::*;
-    /// use aergia_simnet::{LinkModel, SimDuration};
-    ///
-    /// let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
-    /// let slow = LinkModel { latency: SimDuration::from_secs_f64(0.2), bandwidth_bps: 1e6 };
-    /// let engine = Engine::with_topology(
-    ///     config,
-    ///     Strategy::FedAvg,
-    ///     TopologyBuilder::new().federator_link(0, slow),
-    /// )
-    /// .unwrap();
-    /// # let _ = engine;
-    /// ```
-    #[deprecated(since = "0.1.0", note = "pass a TopologyBuilder to Engine::with_topology instead")]
-    pub fn set_federator_link(&mut self, to: usize, link: LinkModel) {
-        self.network.set_link(
-            aergia_simnet::NodeId::FEDERATOR,
-            aergia_simnet::NodeId(to as u32),
-            link,
-        );
-    }
-
     /// The configured speed fraction of `client`.
     ///
     /// # Panics
@@ -485,88 +454,33 @@ impl Engine {
     }
 
     /// Changes `client`'s speed mid-run — the paper's transient-load
-    /// scenario (§3.1). Takes effect from the next round.
-    ///
-    /// # Migration
-    ///
-    /// For *initial* topology, declare the speed on a
-    /// [`TopologyBuilder`](crate::topology::TopologyBuilder); only mid-run transient-load changes still go
-    /// through this shim:
+    /// scenario (§3.1). Takes effect from the next round. The *initial*
+    /// topology belongs on a
+    /// [`TopologyBuilder`](crate::topology::TopologyBuilder); this is the
+    /// one way to change it between rounds.
     ///
     /// ```
     /// use aergia::prelude::*;
     ///
     /// let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
-    /// let engine = Engine::with_topology(
-    ///     config,
-    ///     Strategy::FedAvg,
-    ///     TopologyBuilder::new().client_speed(2, 0.1),
-    /// )
-    /// .unwrap();
+    /// let mut engine = Engine::new(config, Strategy::FedAvg).unwrap();
+    /// let mut progress = engine.start_progress();
+    /// engine.step_round(&mut progress).unwrap();
+    /// // A background job lands on client 2 after round 0.
+    /// engine.set_client_speed(2, 0.1);
     /// assert_eq!(engine.client_speed(2), 0.1);
+    /// engine.step_round(&mut progress).unwrap();
+    /// assert!(progress.rounds[1].duration > progress.rounds[0].duration);
     /// ```
     ///
     /// # Panics
     ///
     /// Panics if `client` is out of range or `speed` is outside `(0, 1]`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "for initial topology use TopologyBuilder::client_speed via Engine::with_topology; \
-                mid-run transient-load changes remain available through this shim"
-    )]
     pub fn set_client_speed(&mut self, client: usize, speed: f64) {
         let node = &mut self.clients[client];
         node.cpu.set_speed(speed);
         let secs_per_flop = 1.0 / (node.cpu.speed() * BASE_FLOPS);
         node.phase_secs = self.template.phase_flops(self.config.batch_size).scaled(secs_per_flop);
-    }
-
-    /// Injects network faults for robustness experiments (drops break the
-    /// synchronous protocol's liveness, so only jitter is recommended for
-    /// full runs).
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// use aergia::prelude::*;
-    /// use aergia_simnet::SimDuration;
-    ///
-    /// let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
-    /// let jittery = TopologyBuilder::new()
-    ///     .network_faults(0.0, SimDuration::from_secs_f64(0.05), 9);
-    /// let engine = Engine::with_topology(config, Strategy::FedAvg, jittery).unwrap();
-    /// # let _ = engine;
-    /// ```
-    #[deprecated(since = "0.1.0", note = "pass a TopologyBuilder to Engine::with_topology instead")]
-    pub fn inject_network_faults(&mut self, drop_prob: f64, jitter: SimDuration, seed: u64) {
-        self.network.enable_faults(drop_prob, jitter, seed);
-    }
-
-    /// Overrides the link model of a specific client pair.
-    ///
-    /// # Migration
-    ///
-    /// ```
-    /// use aergia::prelude::*;
-    /// use aergia_simnet::{LinkModel, SimDuration};
-    ///
-    /// let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
-    /// let degraded = LinkModel { latency: SimDuration::from_secs_f64(0.1), bandwidth_bps: 5e5 };
-    /// let engine = Engine::with_topology(
-    ///     config,
-    ///     Strategy::FedAvg,
-    ///     TopologyBuilder::new().client_link(1, 3, degraded),
-    /// )
-    /// .unwrap();
-    /// # let _ = engine;
-    /// ```
-    #[deprecated(since = "0.1.0", note = "pass a TopologyBuilder to Engine::with_topology instead")]
-    pub fn set_client_link(&mut self, from: usize, to: usize, link: LinkModel) {
-        self.network.set_link(
-            aergia_simnet::NodeId(from as u32),
-            aergia_simnet::NodeId(to as u32),
-            link,
-        );
     }
 
     /// Pre-training cost charged before round 0.

@@ -1,5 +1,7 @@
 //! Per-round records and whole-run results.
 
+use aergia_codec::io::{put_f64, put_indices, put_u32, put_u64, Reader};
+use aergia_codec::CodecError;
 use aergia_simnet::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -31,6 +33,73 @@ pub struct RoundRecord {
     /// and the resident-client byte estimate after this round's
     /// admissions.
     pub pool: WorkspacePoolStats,
+}
+
+impl RoundRecord {
+    /// Appends the record's little-endian byte form — the one layout both
+    /// the engine checkpoint's `RNDS` chunk (layout v3) and the
+    /// coordinator's `RunOutcome` file (v2) store, pinned by a
+    /// golden-bytes test below.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.round);
+        put_u64(out, self.duration.as_micros());
+        put_f64(out, self.test_accuracy);
+        put_f64(out, self.train_loss);
+        put_u64(out, self.bytes_on_wire);
+        put_indices(out, &self.participants);
+        put_u32(out, self.offloads.len() as u32);
+        for &(s, r) in &self.offloads {
+            put_u32(out, s as u32);
+            put_u32(out, r as u32);
+        }
+        put_indices(out, &self.dropped);
+        put_u32(out, self.pool.hits);
+        put_u32(out, self.pool.misses);
+        put_u32(out, self.pool.rebuilds);
+        put_u32(out, self.pool.evictions);
+        put_u32(out, self.pool.resident_clients);
+        put_u64(out, self.pool.resident_bytes);
+    }
+
+    /// Reads one record written by [`RoundRecord::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Truncated`] if the buffer ends early; counts
+    /// are bounded by the bytes present before anything is allocated.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let round = r.u32()?;
+        let duration = SimDuration::from_micros(r.u64()?);
+        let test_accuracy = r.f64()?;
+        let train_loss = r.f64()?;
+        let bytes_on_wire = r.u64()?;
+        let participants = r.indices()?;
+        let n = r.u32()? as usize;
+        let mut offloads = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            offloads.push((r.u32()? as usize, r.u32()? as usize));
+        }
+        let dropped = r.indices()?;
+        let pool = WorkspacePoolStats {
+            hits: r.u32()?,
+            misses: r.u32()?,
+            rebuilds: r.u32()?,
+            evictions: r.u32()?,
+            resident_clients: r.u32()?,
+            resident_bytes: r.u64()?,
+        };
+        Ok(RoundRecord {
+            round,
+            duration,
+            test_accuracy,
+            train_loss,
+            participants,
+            offloads,
+            dropped,
+            bytes_on_wire,
+            pool,
+        })
+    }
 }
 
 /// The result of a whole FL run.
@@ -173,6 +242,54 @@ mod tests {
             pretraining: SimDuration::from_secs_f64(5.0),
             finished_at: SimTime::from_micros(65_000_000),
             final_accuracy: 0.7,
+        }
+    }
+
+    /// The record's byte layout is shared by checkpoints (layout v3) and
+    /// outcome files (v2): changing it means bumping both versions, not
+    /// editing this array.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let record = RoundRecord {
+            round: 2,
+            duration: SimDuration::from_micros(0x0102_0304),
+            test_accuracy: 0.5,
+            train_loss: -2.0,
+            participants: vec![7, 1],
+            offloads: vec![(7, 1)],
+            dropped: vec![3],
+            bytes_on_wire: 0x0a0b,
+            pool: WorkspacePoolStats {
+                hits: 1,
+                misses: 2,
+                rebuilds: 3,
+                evictions: 4,
+                resident_clients: 5,
+                resident_bytes: 6,
+            },
+        };
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            2, 0, 0, 0,                               // round
+            4, 3, 2, 1, 0, 0, 0, 0,                   // duration µs
+            0, 0, 0, 0, 0, 0, 0xe0, 0x3f,             // accuracy 0.5
+            0, 0, 0, 0, 0, 0, 0, 0xc0,                // loss -2.0
+            0x0b, 0x0a, 0, 0, 0, 0, 0, 0,             // bytes on wire
+            2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0,       // participants
+            1, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0,       // offloads
+            1, 0, 0, 0, 3, 0, 0, 0,                   // dropped
+            1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0,       // pool hits/misses/rebuilds
+            4, 0, 0, 0, 5, 0, 0, 0,                   // evictions, resident clients
+            6, 0, 0, 0, 0, 0, 0, 0,                   // resident bytes
+        ];
+        let mut bytes = Vec::new();
+        record.encode_into(&mut bytes);
+        assert_eq!(bytes, golden);
+        let mut r = Reader::new(golden);
+        assert_eq!(RoundRecord::decode(&mut r).unwrap(), record);
+        assert_eq!(r.remaining(), 0);
+        for cut in 0..golden.len() {
+            assert!(RoundRecord::decode(&mut Reader::new(&golden[..cut])).is_err(), "cut {cut}");
         }
     }
 

@@ -4,11 +4,12 @@
 //! *uniform* cluster (one link model for every edge, per-client speed
 //! fractions). Experiments that need a non-uniform topology — a slow
 //! federator control path, a degraded client pair, injected faults —
-//! used to poke the built [`Engine`] through ad-hoc mutators; those are
-//! now deprecated in favour of a [`TopologyBuilder`] handed to
+//! declare it on a [`TopologyBuilder`] handed to
 //! [`Engine::with_topology`](crate::engine::Engine::with_topology),
 //! which validates every override against the configuration before the
-//! engine exists.
+//! engine exists. (The one thing a builder cannot express, a speed
+//! change *between* rounds, is
+//! [`Engine::set_client_speed`](crate::engine::Engine::set_client_speed).)
 //!
 //! ```
 //! use aergia::config::{ExperimentConfig, Mode};
@@ -175,41 +176,6 @@ impl TopologyBuilder {
     }
 }
 
-/// Assigns clients to edge cohorts round-robin over a seeded
-/// permutation, returning `edge_of[client]`.
-///
-/// # Migration
-///
-/// Declare the cohorts on a [`TopologyBuilder`] instead, so the
-/// assignment is validated against the configuration and installed
-/// atomically with the rest of the topology:
-///
-/// ```
-/// use aergia::prelude::*;
-///
-/// let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
-/// let engine = Engine::with_topology(
-///     config,
-///     Strategy::FedAvg,
-///     TopologyBuilder::new().edge_cohorts(2, 7),
-/// )
-/// .unwrap();
-/// assert_eq!(engine.cohort_layout().num_edges(), 2);
-/// ```
-///
-/// # Panics
-///
-/// Panics unless `1 ≤ num_edges ≤ num_clients`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use TopologyBuilder::edge_cohorts via Engine::with_topology instead"
-)]
-#[must_use]
-pub fn assign_edge_cohorts(num_clients: usize, num_edges: usize, seed: u64) -> Vec<u32> {
-    let layout = CohortLayout::seeded(num_clients, num_edges, seed);
-    (0..num_clients).map(|c| layout.edge_of(c) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,16 +212,5 @@ mod tests {
             .edge_cohorts(2, 11);
         assert!(!builder.is_empty());
         builder.validate(4).unwrap();
-    }
-
-    #[test]
-    fn deprecated_cohort_assignment_matches_the_builder_layout() {
-        #[allow(deprecated)]
-        let free = assign_edge_cohorts(6, 2, 3);
-        let layout = CohortLayout::seeded(6, 2, 3);
-        assert_eq!(free, (0..6).map(|c| layout.edge_of(c) as u32).collect::<Vec<_>>());
-        // Every client in exactly one cohort, both edges populated.
-        assert!(free.iter().all(|&e| e < 2));
-        assert!(free.contains(&0) && free.contains(&1));
     }
 }

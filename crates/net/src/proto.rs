@@ -5,9 +5,10 @@
 //! little-endian encoding (the vendored serde shim has no byte format).
 //! Tensor lists ride as [`aergia_codec::dense`] payloads — the same
 //! bit-exact encoding the simulator's wire codec and checkpoints use —
-//! and batcher snapshots mirror the layout of the engine checkpoint's
-//! `BTCH` chunk, so a state that round-trips the network is byte-for-byte
-//! the state a checkpoint would have persisted.
+//! and batcher snapshots and round records go through the engine's own
+//! codecs ([`aergia::engine::put_batcher`],
+//! [`RoundRecord::encode_into`]), so a state that round-trips the network
+//! is byte-for-byte the state a checkpoint would have persisted.
 //!
 //! The protocol keeps remote clients *stateless between orders*: a
 //! [`TrainOrderMsg`] carries everything the numeric work needs (round
@@ -21,11 +22,11 @@
 //! Decoders validate counts against [`Reader`] bounds before allocating
 //! and reject trailing garbage, matching the rigor of the envelope layer.
 
+use aergia::engine::{put_batcher, read_batcher};
 use aergia::metrics::{RoundRecord, RunResult};
 use aergia::prelude::*;
-use aergia::profiler::WorkspacePoolStats;
 use aergia_codec::dense;
-use aergia_codec::io::{put_f32, put_f64, put_u32, put_u64, Reader};
+use aergia_codec::io::{put_bool, put_f32, put_f64, put_opt_u32, put_u32, put_u64, Reader};
 use aergia_codec::CodecError;
 use aergia_data::batcher::BatcherState;
 use aergia_data::{DataConfig, DatasetSpec};
@@ -45,67 +46,6 @@ fn read_tensors(r: &mut Reader<'_>) -> Result<Vec<Tensor>, CodecError> {
     let len = r.u32()? as usize;
     let payload = r.take(len)?;
     dense::decode_payload(payload, count)
-}
-
-/// Mirrors the engine checkpoint's `BTCH` chunk layout exactly.
-fn put_batcher(out: &mut Vec<u8>, state: &BatcherState) {
-    put_u64(out, state.cursor as u64);
-    for s in state.rng {
-        put_u64(out, s);
-    }
-    put_u32(out, state.indices.len() as u32);
-    for &i in &state.indices {
-        put_u32(out, i as u32);
-    }
-}
-
-fn read_batcher(r: &mut Reader<'_>) -> Result<BatcherState, CodecError> {
-    let cursor = r.u64()? as usize;
-    let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    let n = r.u32()? as usize;
-    if cursor > n {
-        return Err(CodecError::Corrupt("batcher cursor out of range"));
-    }
-    let mut indices = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        indices.push(r.u32()? as usize);
-    }
-    Ok(BatcherState { indices, cursor, rng })
-}
-
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u32(out, v);
-        }
-        None => {
-            out.push(0);
-            put_u32(out, 0);
-        }
-    }
-}
-
-fn read_opt_u32(r: &mut Reader<'_>) -> Result<Option<u32>, CodecError> {
-    let flag = r.u8()?;
-    let v = r.u32()?;
-    match flag {
-        0 => Ok(None),
-        1 => Ok(Some(v)),
-        _ => Err(CodecError::Corrupt("option flag")),
-    }
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-fn read_bool(r: &mut Reader<'_>) -> Result<bool, CodecError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CodecError::Corrupt("bool flag")),
-    }
 }
 
 /// Rejects messages with bytes past their declared content.
@@ -364,8 +304,8 @@ impl TrainOrderMsg {
         let round = r.u32()?;
         let client = r.u32()? as usize;
         let own_batches = r.u32()?;
-        let freeze_after = read_opt_u32(&mut r)?;
-        let snapshot_wanted = read_bool(&mut r)?;
+        let freeze_after = r.opt_u32()?;
+        let snapshot_wanted = r.bool()?;
         let batcher = read_batcher(&mut r)?;
         let round_base = read_tensors(&mut r)?;
         finish(&r)?;
@@ -555,77 +495,6 @@ pub struct RunOutcome {
     pub weights: Vec<Tensor>,
 }
 
-fn put_record(out: &mut Vec<u8>, record: &RoundRecord) {
-    put_u32(out, record.round);
-    put_u64(out, record.duration.as_micros());
-    put_f64(out, record.test_accuracy);
-    put_f64(out, record.train_loss);
-    put_u64(out, record.bytes_on_wire);
-    let put_ids = |out: &mut Vec<u8>, ids: &[usize]| {
-        put_u32(out, ids.len() as u32);
-        for &i in ids {
-            put_u32(out, i as u32);
-        }
-    };
-    put_ids(out, &record.participants);
-    put_u32(out, record.offloads.len() as u32);
-    for &(s, r) in &record.offloads {
-        put_u32(out, s as u32);
-        put_u32(out, r as u32);
-    }
-    put_ids(out, &record.dropped);
-    put_u32(out, record.pool.hits);
-    put_u32(out, record.pool.misses);
-    put_u32(out, record.pool.rebuilds);
-    put_u32(out, record.pool.evictions);
-    put_u32(out, record.pool.resident_clients);
-    put_u64(out, record.pool.resident_bytes);
-}
-
-fn read_record(r: &mut Reader<'_>) -> Result<RoundRecord, CodecError> {
-    let round = r.u32()?;
-    let duration = SimDuration::from_micros(r.u64()?);
-    let test_accuracy = r.f64()?;
-    let train_loss = r.f64()?;
-    let bytes_on_wire = r.u64()?;
-    let read_ids = |r: &mut Reader<'_>| -> Result<Vec<usize>, CodecError> {
-        let n = r.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(r.u32()? as usize);
-        }
-        Ok(out)
-    };
-    let participants = read_ids(r)?;
-    let n = r.u32()? as usize;
-    let mut offloads = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let s = r.u32()? as usize;
-        let rr = r.u32()? as usize;
-        offloads.push((s, rr));
-    }
-    let dropped = read_ids(r)?;
-    let pool = WorkspacePoolStats {
-        hits: r.u32()?,
-        misses: r.u32()?,
-        rebuilds: r.u32()?,
-        evictions: r.u32()?,
-        resident_clients: r.u32()?,
-        resident_bytes: r.u64()?,
-    };
-    Ok(RoundRecord {
-        round,
-        duration,
-        test_accuracy,
-        train_loss,
-        participants,
-        offloads,
-        dropped,
-        bytes_on_wire,
-        pool,
-    })
-}
-
 impl RunOutcome {
     /// Encodes the outcome file.
     pub fn encode(&self) -> Vec<u8> {
@@ -637,7 +506,7 @@ impl RunOutcome {
         put_f64(&mut out, self.result.final_accuracy);
         put_u32(&mut out, self.result.rounds.len() as u32);
         for record in &self.result.rounds {
-            put_record(&mut out, record);
+            record.encode_into(&mut out);
         }
         put_tensors(&mut out, &self.weights);
         out
@@ -663,7 +532,7 @@ impl RunOutcome {
         let n = r.u32()? as usize;
         let mut rounds = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            rounds.push(read_record(&mut r)?);
+            rounds.push(RoundRecord::decode(&mut r)?);
         }
         let weights = read_tensors(&mut r)?;
         finish(&r)?;
@@ -677,6 +546,7 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aergia::profiler::WorkspacePoolStats;
 
     fn tensors() -> Vec<Tensor> {
         vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[4])]
@@ -685,6 +555,20 @@ mod tests {
     fn batcher_state() -> BatcherState {
         BatcherState { indices: vec![5, 2, 9, 0], cursor: 2, rng: [1, 2, 3, 4] }
     }
+
+    /// Golden bytes below were captured before the record, batcher and
+    /// flag codecs moved next to their types in `aergia` core; a layout
+    /// change is a version bump, not an edit of these strings.
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// `tensors()` as a tensor list on the wire.
+    const TENSORS_HEX: &str = concat!(
+        "020000003c000000",
+        "0200000002000000030000000000803f0000803f0000803f0000803f0000803f0000803f",
+        "010000000400000000000000000000000000000000000000",
+    );
 
     #[test]
     fn hello_and_setup_round_trip() {
@@ -725,6 +609,14 @@ mod tests {
             batcher: batcher_state(),
             round_base: tensors(),
         };
+        // Round, client, batches, option, flag, then the batcher snapshot.
+        let golden = [
+            "02000000010000000a000000010400000001",
+            "02000000000000000100000000000000020000000000000003000000000000000400000000000000",
+            "0400000005000000020000000900000000000000",
+            TENSORS_HEX,
+        ];
+        assert_eq!(order.encode(), unhex(&golden.concat()));
         let decoded = TrainOrderMsg::decode(&order.encode()).unwrap();
         assert_eq!(decoded.round, 2);
         assert_eq!(decoded.freeze_after, Some(4));
@@ -812,6 +704,17 @@ mod tests {
             },
             weights: tensors(),
         };
+        // Outcome file v2: header, one round record, the weights.
+        let golden = [
+            "4152455302000a000000000000006ae3160000000000000000000000e83f01000000",
+            "0000000060e3160000000000000000000000e83f000000000000f43f3930000000000000",
+            "03000000000000000100000002000000010000000000000002000000",
+            "0100000001000000",
+            "0200000001000000000000000100000003000000",
+            "0010000000000000",
+            TENSORS_HEX,
+        ];
+        assert_eq!(outcome.encode(), unhex(&golden.concat()));
         let decoded = RunOutcome::decode(&outcome.encode()).unwrap();
         assert_eq!(decoded.weights, tensors());
         let (a, b) = (&decoded.result.rounds[0], &outcome.result.rounds[0]);

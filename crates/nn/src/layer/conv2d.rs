@@ -3,7 +3,7 @@
 use aergia_tensor::conv::{
     col2im_into, im2col_into, nchw_to_rows_into, rows_to_nchw_into, ConvGeometry,
 };
-use aergia_tensor::gemm::{GemmOp, PackedB, VariantCache};
+use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 use aergia_tensor::{init, ops, Tensor, Workspace};
 use rand::Rng;
 
@@ -43,12 +43,6 @@ pub struct Conv2d {
     /// `W` packed for the backward `dy_rows·W`; valid until the weights
     /// change.
     packed_w: PackedB,
-    /// Autotuned kernel variants, memoized per GEMM shape next to the
-    /// packs they describe — steady-state batches (fixed shapes) never
-    /// touch the global tuner map. One memo per distinct GEMM.
-    tuned_fwd: VariantCache,
-    tuned_dw: VariantCache,
-    tuned_dx: VariantCache,
 }
 
 impl Conv2d {
@@ -89,9 +83,6 @@ impl Conv2d {
             cached_batch: 0,
             packed_wt: PackedB::new(),
             packed_w: PackedB::new(),
-            tuned_fwd: VariantCache::new(),
-            tuned_dw: VariantCache::new(),
-            tuned_dx: VariantCache::new(),
         }
     }
 
@@ -131,10 +122,10 @@ impl Conv2d {
         (cols, batch)
     }
 
-    /// Ensures the forward weight pack (`Wᵀ`, autotuned for `rows` im2col
+    /// Ensures the forward weight pack (`Wᵀ`, laid out for `rows` im2col
     /// rows) is current.
     pub(crate) fn ensure_fwd_pack(&mut self, rows: usize) {
-        let v = self.tuned_fwd.get(GemmOp::Nt, rows, self.ckk(), self.out_channels);
+        let v = tuned_variant(GemmOp::Nt, rows, self.ckk(), self.out_channels);
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
     }
 
@@ -183,9 +174,9 @@ impl Conv2d {
         // directly into `grad_weight` would reorder the summation and
         // break bit-identity with the allocating path.
         // Both dW operands are per-batch; their packs cycle through the
-        // workspace pack pools and share one autotuned variant
-        // (`gemm_packed_tn` insists its operands agree on layout).
-        let vdw = self.tuned_dw.get(GemmOp::Tn, self.out_channels, rows, self.ckk());
+        // workspace pack pools and share one variant (`gemm_packed_tn`
+        // insists its operands agree on layout).
+        let vdw = tuned_variant(GemmOp::Tn, self.out_channels, rows, self.ckk());
         let mut pa = ws.take_packed_a();
         pa.pack_transposed_with(&dy_rows, vdw).expect("conv dy pack");
         let mut pbc = ws.take_packed_b();
@@ -240,7 +231,7 @@ impl Layer for Conv2d {
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
         let (cols, dy_rows, rows) = self.backward_grads(dy, ws);
-        let vdx = self.tuned_dx.get(GemmOp::Nn, rows, self.out_channels, self.ckk());
+        let vdx = tuned_variant(GemmOp::Nn, rows, self.out_channels, self.ckk());
         self.packed_w.ensure_with(&self.weight, vdx).expect("conv weight pack");
         let mut dcols = ws.take(cols.dims());
         ops::matmul_packed_into(&dy_rows, &self.packed_w, &mut dcols).expect("conv dcols");

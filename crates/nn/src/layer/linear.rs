@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use aergia_tensor::gemm::{GemmOp, PackedB, VariantCache};
+use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 use aergia_tensor::{init, ops, Tensor, Workspace};
 use rand::Rng;
 
@@ -33,12 +33,6 @@ pub struct Linear {
     packed_wt: PackedB,
     /// `W` packed for the backward `dy·W`; valid until the weights change.
     packed_w: PackedB,
-    /// Autotuned kernel variants, memoized per GEMM shape next to the
-    /// packs they describe — steady-state batches (fixed shapes) never
-    /// touch the global tuner map. One memo per distinct GEMM.
-    tuned_fwd: VariantCache,
-    tuned_dw: VariantCache,
-    tuned_dx: VariantCache,
 }
 
 impl Linear {
@@ -61,9 +55,6 @@ impl Linear {
             cached_input: None,
             packed_wt: PackedB::new(),
             packed_w: PackedB::new(),
-            tuned_fwd: VariantCache::new(),
-            tuned_dw: VariantCache::new(),
-            tuned_dx: VariantCache::new(),
         }
     }
 
@@ -77,12 +68,12 @@ impl Linear {
         self.out_features
     }
 
-    /// Ensures the forward weight pack (`Wᵀ`, autotuned for `m` input
-    /// rows) is current. Split out of [`Layer::forward_into`] so the
+    /// Ensures the forward weight pack (`Wᵀ`, laid out for an `m`-row
+    /// input) is current. Split out of [`Layer::forward_into`] so the
     /// fused cross-client forward can prepare one member's pack and share
     /// it across the whole cohort.
     pub(crate) fn ensure_fwd_pack(&mut self, m: usize) {
-        let v = self.tuned_fwd.get(GemmOp::Nt, m, self.in_features, self.out_features);
+        let v = tuned_variant(GemmOp::Nt, m, self.in_features, self.out_features);
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("linear weight pack");
     }
 
@@ -139,10 +130,10 @@ impl Layer for Linear {
         // gradient — same summation order as the allocating path.
         // dW[out, in] = dyᵀ · x; both operands are per-batch, so their
         // packs are rebuilt each call into workspace-pooled buffers. The
-        // two packs share one autotuned variant (`gemm_packed_tn` insists
-        // its operands agree on layout).
+        // two packs share one variant (`gemm_packed_tn` insists its
+        // operands agree on layout).
         let batch = dy.dims().first().copied().unwrap_or(0);
-        let vdw = self.tuned_dw.get(GemmOp::Tn, self.out_features, batch, self.in_features);
+        let vdw = tuned_variant(GemmOp::Tn, self.out_features, batch, self.in_features);
         let mut pa = ws.take_packed_a();
         pa.pack_transposed_with(dy, vdw).expect("linear dy pack");
         let mut pbx = ws.take_packed_b();
@@ -158,7 +149,7 @@ impl Layer for Linear {
         self.grad_bias.add_assign(&db);
         ws.give(db);
         // dx = dy · W (cached weight pack, like the forward).
-        let vdx = self.tuned_dx.get(GemmOp::Nn, batch, self.out_features, self.in_features);
+        let vdx = tuned_variant(GemmOp::Nn, batch, self.out_features, self.in_features);
         self.packed_w.ensure_with(&self.weight, vdx).expect("linear weight pack");
         ops::matmul_packed_into(dy, &self.packed_w, out).expect("linear dx");
         ws.give(x);

@@ -155,3 +155,60 @@ fn frozen_layers_may_keep_packs_but_stay_correct_after_unfreeze() {
 
     assert_eq!(cached.weights(), uncached.weights());
 }
+
+/// The variant a layer lays its packs out for is a pure function of the
+/// active ISA and the GEMM's output width — no measurement, no cache —
+/// so every process of one build answers alike. For every conv/linear
+/// GEMM of the three paper CNNs at batch 8, in all three forms: the answer
+/// is one of the tier's candidates, follows the `n > 16` rule on AVX-512
+/// (and is the portable tile on a scalar process, i.e. the
+/// `AERGIA_FORCE_SCALAR=1` CI leg), and four threads asking concurrently
+/// get what the main thread got.
+#[test]
+fn tuned_variant_is_a_pure_function_of_isa_and_output_width() {
+    use aergia_nn::models::ModelArch;
+    use aergia_tensor::gemm::{active_isa, tuned_variant, GemmOp, Isa, KernelVariant};
+
+    const BATCH: usize = 8;
+    let mut queries = Vec::new();
+    for arch in [ModelArch::MnistCnn, ModelArch::FmnistCnn, ModelArch::Cifar10Cnn] {
+        let model = arch.build(1);
+        for layer in model.layers().iter().filter(|l| matches!(l.name(), "conv2d" | "linear")) {
+            // The weight is `[out, k]`; a forward pass is `rows × k × out`.
+            let (out, k) = (layer.params()[0].dims()[0], layer.params()[0].dims()[1]);
+            let rows = (layer.forward_flops(BATCH) / (2 * out * k) as u64) as usize;
+            queries.push((GemmOp::Nt, rows, k, out));
+            queries.push((GemmOp::Nn, rows, out, k));
+            queries.push((GemmOp::Tn, out, rows, k));
+        }
+    }
+    assert!(queries.len() >= 3 * 3 * 3, "every model has conv and linear layers");
+    assert!(queries.iter().any(|q| q.3 <= 16) && queries.iter().any(|q| q.3 > 16));
+
+    let isa = active_isa();
+    let answers: Vec<KernelVariant> = queries
+        .iter()
+        .map(|&(op, m, k, n)| {
+            let v = tuned_variant(op, m, k, n);
+            assert!(KernelVariant::candidates(isa).contains(&v), "{op:?} {m}x{k}x{n}: {v:?}");
+            match isa {
+                Isa::Scalar => assert_eq!(v, KernelVariant::PORTABLE),
+                Isa::Avx2 => assert_eq!((v.mr, v.nr), (4, 16)),
+                Isa::Avx512 => {
+                    assert_eq!((v.mr, v.nr), (8, if n > 16 { 32 } else { 16 }), "n = {n}")
+                }
+            }
+            v
+        })
+        .collect();
+
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for (&(op, m, k, n), &want) in queries.iter().zip(&answers) {
+                    assert_eq!(tuned_variant(op, m, k, n), want);
+                }
+            });
+        }
+    });
+}

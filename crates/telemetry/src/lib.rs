@@ -43,8 +43,8 @@
 //! Worker threads (GEMM kernels, TCP connection handlers) touch only
 //! commutative counters/histograms, whose totals at a flush boundary
 //! are order-independent. Metrics whose *values* are wall-clock
-//! measurements (autotuner GFLOP/s, network round-trips) are registered
-//! snapshot-only so they never leak into the JSONL stream.
+//! measurements (network round-trips) are registered snapshot-only so
+//! they never leak into the JSONL stream.
 //!
 //! The whole layer is gated on one relaxed atomic flag and is **off by
 //! default**: when disabled, every macro and handle is a load-and-branch

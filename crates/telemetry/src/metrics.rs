@@ -153,8 +153,8 @@ pub(crate) struct Registry {
     pub(crate) gauges: BTreeMap<String, Arc<AtomicU64>>,
     pub(crate) hists: BTreeMap<String, Arc<HistCell>>,
     /// Metrics excluded from the JSONL stream because their values are
-    /// wall-clock measurements (autotuner throughput, network RTT) —
-    /// they would break same-seed byte-identity. Snapshot-only.
+    /// wall-clock measurements (network RTT) — they would break
+    /// same-seed byte-identity. Snapshot-only.
     pub(crate) snapshot_only: BTreeSet<String>,
     /// Value (counter value / gauge bits / histogram count) at the last
     /// [`flush_metrics`] — only changed metrics emit a JSONL record.

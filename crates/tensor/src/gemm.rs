@@ -43,24 +43,31 @@
 //!   [`active_isa`]). A generic scalar kernel additionally executes *any*
 //!   variant's layout, so a SIMD-tagged pack still computes correct (and
 //!   bit-identical) results on a scalar-only process.
-//! * **AVX2** (`4×8`, `4×16`, `8×8`): explicit `std::arch` intrinsics, one
-//!   or two 256-bit accumulator vectors per row.
-//! * **AVX-512F** (`8×16`, `8×32`, `4×16`): 512-bit accumulators; `8×32`
-//!   holds 16 independent accumulator chains, enough to hide the FP-add
-//!   latency of the mul+add (non-FMA) inner step on both port-bound and
+//! * **AVX2** (`4×16`): explicit `std::arch` intrinsics, two 256-bit
+//!   accumulator vectors per row.
+//! * **AVX-512F** (`8×32`, `8×16`): 512-bit accumulators; `8×32` holds 16
+//!   independent accumulator chains, enough to hide the FP-add latency of
+//!   the mul+add (non-FMA) inner step on both port-bound and
 //!   latency-bound cores.
 //!
-//! Variants are picked per GEMM shape by a small per-process autotuner
-//! ([`tuned_variant`]): the first time a `(op, m, k, n)` shape is seen,
-//! the eligible variants are timed on synthetic operands and the winner is
-//! cached in a global map. Layers memoize the choice next to their cached
-//! weight packs (via [`VariantCache`]), so steady-state training pays
-//! neither the tuning cost nor the map lookup — and no allocations.
-//! Shapes too small to matter skip the timing and take the ISA's default
-//! variant. `K_BLOCK` survives as the panelling constant of the retained
-//! blocked oracle kernels; the packed layout keeps each panel as one
-//! full-`k` slab (the shapes this crate serves never exceed the L2 a
-//! panel streams from, so `k`-blocking bought nothing in measurement).
+//! Which variant a GEMM uses is a **pure function of the active ISA and
+//! the output width `n`** ([`tuned_variant`]): scalar `4×8`, AVX2 `4×16`,
+//! AVX-512 `8×32` — except that a product at most 16 columns wide takes
+//! `8×16`, because a 32-wide panel would be at least half zero padding. A
+//! min-of-many sweep over every GEMM shape of the paper's CNNs put that
+//! rule within 3 % of the best tile on every shape; the per-process
+//! autotuner it replaces landed up to 24 % behind on timing noise and
+//! made the telemetry counters (which see `mr`) differ between processes
+//! of one seed. No measurement, no cache, no lock: every process of a
+//! build lays out the same packs and runs the same kernels.
+//!
+//! Every microkernel and driver is written once: the `A` operand reaches
+//! the kernels as a `SubtileA` view whose storage — row-major rows
+//! (`matmul`, `matmul_nt`) or a [`PackedA`] tile (`matmul_tn`) — is a
+//! const parameter, so both run the same source at constant strides. The
+//! packed layout keeps each panel as one full-`k` slab (the shapes this
+//! crate serves never exceed the L2 a panel streams from, so `k`-blocking
+//! bought nothing in measurement).
 //!
 //! # Determinism contract
 //!
@@ -100,9 +107,8 @@
 //! and only subtiles containing zeros take the guarded per-`(row, k)` skip
 //! — where the skip recoups its branch cost by eliding work, e.g. on
 //! ReLU-masked gradients. The packed kernels are therefore bit-identical
-//! to the references, to the retained blocked kernels, and to themselves
-//! at any thread count (parallel row tiles write disjoint rows at fixed
-//! boundaries).
+//! to the references and to themselves at any thread count (parallel row
+//! tiles write disjoint rows at fixed boundaries).
 //!
 //! # Reuse and caching
 //!
@@ -110,10 +116,10 @@
 //! (including the zero padding), so dirty reused buffers are safe — the
 //! property suite packs through deliberately dirty buffers. Both carry a
 //! validity flag: a *cached* pack of a weight matrix is reused across
-//! calls and invalidated when the weights change (`ensure_*` repacks only
-//! when needed), and the [`crate::Workspace`] pack pools invalidate every
-//! pack on the way in, so a pool hit can never hand stale contents — or a
-//! stale *layout* — to a kernel.
+//! calls and invalidated when the weights change (`ensure_*_with` repacks
+//! only when needed), and the [`crate::Workspace`] pack pools invalidate
+//! every pack on the way in, so a pool hit can never hand stale contents —
+//! or a stale *layout* — to a kernel.
 
 // The only module in the crate allowed to use `unsafe`: the `std::arch`
 // SIMD intrinsics below are dispatched strictly behind
@@ -122,8 +128,7 @@
 // established by the drivers in this file.
 #![allow(unsafe_code)]
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use aergia_telemetry::LazyCounter;
 
@@ -137,9 +142,9 @@ use crate::{Tensor, TensorError};
 // GEMM runs on pool worker threads, so only commutative counters are
 // touched here (one relaxed atomic add per driver call or row tile —
 // nothing per multiply). Span events would race the federator thread's
-// deterministic stream and are deliberately absent. The autotuner
-// additionally records its (wall-clock-measured) winner per shape as a
-// snapshot-only gauge in [`tuned_variant`].
+// deterministic stream and are deliberately absent. Every count is a
+// function of the operands and the variant rule alone, so same-seed runs
+// agree on them across processes, not just within one.
 
 /// Driver entries by GEMM form (`matmul` / `matmul_nt` / `matmul_tn`).
 static GEMM_CALLS: [LazyCounter; 3] = [
@@ -195,11 +200,6 @@ pub const MR_MAX: usize = 8;
 /// Largest `nr` any [`KernelVariant`] uses.
 pub const NR_MAX: usize = 32;
 
-/// Panelling granularity (along `k`) of the retained *blocked* oracle
-/// kernels ([`crate::ops::matmul_blocked_into`] & friends). The packed
-/// layout stores each column panel as one full-`k` slab.
-pub const K_BLOCK: usize = 128;
-
 /// Scratch accumulator sized for the largest register tile; kernels write
 /// `acc[r·nr + c]` for their own `mr × nr` live region.
 type Acc = [f32; MR_MAX * NR_MAX];
@@ -234,8 +234,8 @@ impl Isa {
 /// The best instruction-set tier this process will dispatch to, detected
 /// once: the `AERGIA_FORCE_SCALAR` escape hatch (any value but `0`) pins
 /// it to [`Isa::Scalar`], otherwise runtime feature detection picks the
-/// widest tier the CPU offers. Forcing scalar also steers the autotuner
-/// to the portable variant, so every pack in the process gets the
+/// widest tier the CPU offers. Forcing scalar also makes [`tuned_variant`]
+/// answer the portable variant, so every pack in the process gets the
 /// baseline `4×8` layout and the exact pre-SIMD code path runs.
 pub fn active_isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
@@ -276,38 +276,22 @@ pub struct KernelVariant {
 }
 
 impl KernelVariant {
-    /// The portable scalar `4×8` variant — the layout `pack`/`ensure`
-    /// produce by default and the only variant a scalar-forced process
-    /// tunes to.
+    /// The portable scalar `4×8` variant — the only one a scalar-forced
+    /// process uses, and the layout every other variant is bit-compared
+    /// against.
     pub const PORTABLE: KernelVariant = KernelVariant { mr: MR, nr: NR, isa: Isa::Scalar };
+    const AVX2_4X16: KernelVariant = KernelVariant { mr: 4, nr: 16, isa: Isa::Avx2 };
+    const AVX512_8X16: KernelVariant = KernelVariant { mr: 8, nr: 16, isa: Isa::Avx512 };
+    const AVX512_8X32: KernelVariant = KernelVariant { mr: 8, nr: 32, isa: Isa::Avx512 };
 
-    /// The variant used without measurement: for shapes too small to be
-    /// worth timing, and as the autotuner's starting point.
-    pub fn default_for(isa: Isa) -> KernelVariant {
-        match isa {
-            Isa::Scalar => KernelVariant::PORTABLE,
-            Isa::Avx2 => KernelVariant { mr: 4, nr: 16, isa: Isa::Avx2 },
-            Isa::Avx512 => KernelVariant { mr: 8, nr: 16, isa: Isa::Avx512 },
-        }
-    }
-
-    /// The variants the autotuner may pick from on a given tier, fastest
-    /// guess first. Every candidate's `mr` divides the parallel row-tile
-    /// size and its `nr` is a supported panel width.
+    /// Exactly the variants [`tuned_variant`] can answer on a given tier —
+    /// every register tile a microkernel exists for. Every candidate's
+    /// `mr` divides the parallel row-tile size and its `nr` is a
+    /// supported panel width.
     pub fn candidates(isa: Isa) -> &'static [KernelVariant] {
         const SCALAR: &[KernelVariant] = &[KernelVariant::PORTABLE];
-        const AVX2: &[KernelVariant] = &[
-            KernelVariant { mr: 4, nr: 16, isa: Isa::Avx2 },
-            KernelVariant { mr: 8, nr: 8, isa: Isa::Avx2 },
-            KernelVariant { mr: 4, nr: 8, isa: Isa::Avx2 },
-            KernelVariant::PORTABLE,
-        ];
-        const AVX512: &[KernelVariant] = &[
-            KernelVariant { mr: 8, nr: 32, isa: Isa::Avx512 },
-            KernelVariant { mr: 8, nr: 16, isa: Isa::Avx512 },
-            KernelVariant { mr: 4, nr: 16, isa: Isa::Avx512 },
-            KernelVariant::PORTABLE,
-        ];
+        const AVX2: &[KernelVariant] = &[KernelVariant::AVX2_4X16];
+        const AVX512: &[KernelVariant] = &[KernelVariant::AVX512_8X32, KernelVariant::AVX512_8X16];
         match isa {
             Isa::Scalar => SCALAR,
             Isa::Avx2 => AVX2,
@@ -332,12 +316,13 @@ impl Default for KernelVariant {
 /// # Examples
 ///
 /// ```
-/// use aergia_tensor::{gemm::PackedB, ops, Tensor};
+/// use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
+/// use aergia_tensor::{ops, Tensor};
 /// # fn main() -> Result<(), aergia_tensor::TensorError> {
 /// let a = Tensor::ones(&[3, 4]);
 /// let b = Tensor::ones(&[4, 5]);
 /// let mut pb = PackedB::new();
-/// pb.pack(&b)?;
+/// pb.pack_with(&b, tuned_variant(GemmOp::Nn, 3, 4, 5))?;
 /// let mut out = Tensor::default();
 /// ops::matmul_packed_into(&a, &pb, &mut out)?;
 /// assert_eq!(out, ops::matmul(&a, &b)?);
@@ -383,7 +368,7 @@ impl PackedB {
     }
 
     /// Marks the pack stale (e.g. after the source matrix changed) while
-    /// keeping the buffer for the next `pack_*`/`ensure_*` call.
+    /// keeping the buffer for the next `pack_*_with`/`ensure_*_with` call.
     pub fn invalidate(&mut self) {
         self.valid = false;
     }
@@ -396,16 +381,6 @@ impl PackedB {
         // Contents are fully rewritten by the caller (padding included),
         // so the resize fill value is never observed.
         self.buf.resize(n.div_ceil(variant.nr) * variant.nr * k, 0.0);
-    }
-
-    /// Packs a row-major `k×n` matrix into the portable
-    /// ([`KernelVariant::PORTABLE`]) layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-    pub fn pack(&mut self, b: &Tensor) -> Result<(), TensorError> {
-        self.pack_with(b, KernelVariant::PORTABLE)
     }
 
     /// Packs a row-major `k×n` matrix into `variant`'s panel layout.
@@ -440,18 +415,9 @@ impl PackedB {
     }
 
     /// Packs the *transpose* of a row-major `n×k` matrix, i.e. the packed
-    /// logical operand is `bᵀ` (`k×n`), into the portable layout. This is
-    /// how a `matmul_nt` `B` operand (a `[rows, k]` weight matrix) becomes
-    /// column panels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-    pub fn pack_transposed(&mut self, b: &Tensor) -> Result<(), TensorError> {
-        self.pack_transposed_with(b, KernelVariant::PORTABLE)
-    }
-
-    /// [`PackedB::pack_transposed`] into `variant`'s panel layout.
+    /// logical operand is `bᵀ` (`k×n`), into `variant`'s panel layout. This
+    /// is how a `matmul_nt` `B` operand (a `[rows, k]` weight matrix)
+    /// becomes column panels.
     ///
     /// # Errors
     ///
@@ -485,26 +451,9 @@ impl PackedB {
         Ok(())
     }
 
-    /// Repacks only if the pack is stale or shaped for a different
-    /// operand — the cache-friendly entry point for weight matrices that
-    /// rarely change. A valid pack is kept *whatever its variant* (every
-    /// variant computes identical bits); a repack uses the active ISA's
-    /// default variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-    pub fn ensure(&mut self, b: &Tensor) -> Result<(), TensorError> {
-        let (k, n) = require_rank2("pack_b", b)?;
-        if self.valid && !self.transposed && self.k == k && self.n == n {
-            return Ok(());
-        }
-        self.pack_with(b, KernelVariant::default_for(active_isa()))
-    }
-
-    /// [`PackedB::ensure`] for a specific variant: repacks when stale,
-    /// shaped for a different operand, *or laid out for a different
-    /// variant* — the entry point for autotuned layer caches.
+    /// Repacks only when the pack is stale, shaped for a different
+    /// operand, *or laid out for a different variant* — the
+    /// cache-friendly entry point for weight matrices that rarely change.
     ///
     /// # Errors
     ///
@@ -517,22 +466,8 @@ impl PackedB {
         self.pack_with(b, variant)
     }
 
-    /// [`PackedB::pack_transposed`] only if the pack is stale or shaped
-    /// for a different operand (variant-agnostic, like [`PackedB::ensure`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-    pub fn ensure_transposed(&mut self, b: &Tensor) -> Result<(), TensorError> {
-        let (n, k) = require_rank2("pack_bt", b)?;
-        if self.valid && self.transposed && self.k == k && self.n == n {
-            return Ok(());
-        }
-        self.pack_transposed_with(b, KernelVariant::default_for(active_isa()))
-    }
-
-    /// [`PackedB::ensure_transposed`] for a specific variant (see
-    /// [`PackedB::ensure_with`]).
+    /// [`PackedB::pack_transposed_with`] under the reuse rule of
+    /// [`PackedB::ensure_with`].
     ///
     /// # Errors
     ///
@@ -605,19 +540,9 @@ impl PackedA {
         self.valid = false;
     }
 
-    /// Packs the *transpose* of a row-major `k×m` matrix into portable
-    /// ([`MR`]-row) tiles: logical row `i = t·mr + r` of `aᵀ` lands in
-    /// tile `t` at `tile[kk·mr + r]`, with the ragged tail tile
-    /// zero-padded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-    pub fn pack_transposed(&mut self, a: &Tensor) -> Result<(), TensorError> {
-        self.pack_transposed_with(a, KernelVariant::PORTABLE)
-    }
-
-    /// [`PackedA::pack_transposed`] into `variant`'s tile layout.
+    /// Packs the *transpose* of a row-major `k×m` matrix into `variant`'s
+    /// `mr`-row tiles: logical row `i = t·mr + r` of `aᵀ` lands in tile
+    /// `t` at `tile[kk·mr + r]`, with the ragged tail tile zero-padded.
     ///
     /// # Errors
     ///
@@ -648,10 +573,80 @@ impl PackedA {
         self.valid = true;
         Ok(())
     }
+}
 
-    fn tile(&self, t: usize) -> &[f32] {
-        let mr = self.variant.mr;
-        &self.buf[t * mr * self.k..(t + 1) * mr * self.k]
+// ---------------------------------------------------------------------------
+// The `A` operand as the microkernels see it
+// ---------------------------------------------------------------------------
+
+/// One `mr`-row subtile of the `A` operand. `PACKED` names the storage,
+/// and with it where element `(r, kk)` lives:
+///
+/// * `PACKED = false` — row-major `A` (`matmul`, `matmul_nt`), read in
+///   place: `data` is the subtile's `rows` consecutive source rows and
+///   `(r, kk)` is `data[min(r, rows − 1)·k + kk]`. A ragged tail subtile
+///   has `rows < mr`; the clamp makes the kernels re-read its last row,
+///   and the duplicate accumulator rows are dropped at write-back.
+/// * `PACKED = true` — a [`PackedA`] tile (`matmul_tn`): `data` is the
+///   `k`-major tile, `(r, kk)` is `data[kk·mr + r]`, and `rows = mr`
+///   because the pack zero-padded the tail.
+///
+/// The layout being a const parameter, every kernel below is written once
+/// and compiled per layout with constant strides. Either way `data` is
+/// exactly the subtile's elements, so one scan of it answers the
+/// skip-zero question for both.
+///
+/// Invariant (established by [`SubtileA::cut`], relied on by the unchecked
+/// reads of the register-tile kernels): `data.len() == rows·k`, so for
+/// `kk < k` — and, when `PACKED`, `r < rows = mr` — index
+/// `kk · k_stride(mr)` of [`SubtileA::row`]`(r)` exists.
+#[derive(Clone, Copy)]
+struct SubtileA<'a, const PACKED: bool> {
+    data: &'a [f32],
+    rows: usize,
+    k: usize,
+}
+
+impl<'a, const PACKED: bool> SubtileA<'a, PACKED> {
+    /// Cuts the subtile holding output rows `row0 .. row0 + mrows` (`row0`
+    /// a multiple of `mr`, `1 ≤ mrows ≤ mr`) out of the whole operand `a`:
+    /// row-major `m×k` data, or a [`PackedA`] buffer of `mr`-row tiles.
+    /// Both keep `k` elements per row up to `row0`, so both start at
+    /// `row0·k`.
+    #[inline(always)]
+    fn cut(a: &'a [f32], k: usize, row0: usize, mrows: usize, mr: usize) -> Self {
+        let rows = if PACKED { mr } else { mrows };
+        SubtileA { data: &a[row0 * k..(row0 + rows) * k], rows, k }
+    }
+
+    /// The elements from `(r, 0)` on: `(r, kk)` is at index
+    /// `kk · k_stride(mr)` of the result. In row-major storage an `r`
+    /// beyond the live rows re-reads the last one.
+    #[inline(always)]
+    fn row(self, r: usize) -> &'a [f32] {
+        let start = if PACKED { r } else { r.min(self.rows - 1) * self.k };
+        &self.data[start..]
+    }
+
+    /// Distance from `(r, kk)` to `(r, kk + 1)` in an `mr`-row subtile.
+    #[inline(always)]
+    fn k_stride(mr: usize) -> usize {
+        if PACKED {
+            mr
+        } else {
+            1
+        }
+    }
+
+    /// Whether the subtile is zero-free, i.e. the skip-zero guard can
+    /// never fire and the unguarded microkernel instantiation is
+    /// bit-exact. One scan per subtile buys guard-free inner loops across
+    /// every `B` panel. A padded [`PackedA`] tail tile contains zeros and
+    /// so always reports `false`; the guarded kernel then skips (and
+    /// thereby discards) the padding rows.
+    #[inline(always)]
+    fn zero_free(self) -> bool {
+        self.data.iter().all(|&v| v != 0.0)
     }
 }
 
@@ -665,8 +660,8 @@ impl PackedA {
 ///
 /// With `SKIP`, the whole row update is skipped for an exact-zero `av`,
 /// replicating the reference kernels' skip-zero fast path per `(row, k)`.
-/// The drivers only instantiate `SKIP = true` for subtiles that actually
-/// contain zeros (see [`gemm_packed`]), so dense operands never pay for
+/// The driver only instantiates `SKIP = true` for subtiles that actually
+/// contain zeros (see [`gemm_row_tile`]), so dense operands never pay for
 /// the guard.
 #[inline(always)]
 fn fma_row<const SKIP: bool>(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
@@ -678,61 +673,39 @@ fn fma_row<const SKIP: bool>(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
     }
 }
 
-/// Whether the first `mr` rows of a subtile are zero-free, i.e. the
-/// skip-zero guard can never fire and the unguarded microkernel
-/// instantiation is bit-exact. One scan per subtile buys guard-free inner
-/// loops across every `B` panel.
-#[inline(always)]
-fn rows_zero_free(rows: &[&[f32]; MR_MAX], mr: usize) -> bool {
-    rows[..mr].iter().all(|row| row.iter().all(|&v| v != 0.0))
-}
-
-/// The portable `4×8` register-tile microkernel over row-major `A` rows.
+/// The portable `4×8` register-tile microkernel.
 ///
-/// `rows` are the source rows (a shorter tail tile passes its last row
-/// repeatedly; the duplicate accumulators are dropped at write-back),
-/// each exactly `k` long. The four rows advance through `k` together:
-/// their accumulator chains are independent, so one row's FP-add latency
-/// hides behind the others', while each individual output element still
-/// accumulates strictly ascending-`k`. The accumulators live in plain
-/// local arrays so scalar replacement keeps them in registers for the
-/// whole `k` walk; the kernel fully overwrites its `4×8` region of `acc`.
+/// The four rows advance through `k` together: their accumulator chains
+/// are independent, so one row's FP-add latency hides behind the others',
+/// while each individual output element still accumulates strictly
+/// ascending-`k`. The accumulators live in plain local arrays so scalar
+/// replacement keeps them in registers for the whole `k` walk; the kernel
+/// fully overwrites its `4×8` region of `acc`.
 #[inline(always)]
-fn scalar_rows_4x8<const SKIP: bool>(rows: &[&[f32]; MR_MAX], panel: &[f32], acc: &mut Acc) {
-    let (a0, a1, a2, a3) = (rows[0], rows[1], rows[2], rows[3]);
+fn scalar_4x8<const SKIP: bool, const PACKED: bool>(
+    a: SubtileA<'_, PACKED>,
+    panel: &[f32],
+    acc: &mut Acc,
+) {
     let mut x0 = [0.0f32; NR];
     let mut x1 = [0.0f32; NR];
     let mut x2 = [0.0f32; NR];
     let mut x3 = [0.0f32; NR];
-    let iter = a0.iter().zip(a1).zip(a2).zip(a3).zip(panel.chunks_exact(NR));
-    for ((((&v0, &v1), &v2), &v3), b) in iter {
+    assert!(!PACKED || a.rows == MR, "scalar_4x8: A tile is not 4 rows high");
+    let (a0, a1, a2, a3) = (a.row(0), a.row(1), a.row(2), a.row(3));
+    let k_stride = SubtileA::<PACKED>::k_stride(MR);
+    for (kk, b) in panel.chunks_exact(NR).take(a.k).enumerate() {
         let b: &[f32; NR] = b.try_into().expect("chunks_exact yields NR-sized chunks");
-        fma_row::<SKIP>(&mut x0, v0, b);
-        fma_row::<SKIP>(&mut x1, v1, b);
-        fma_row::<SKIP>(&mut x2, v2, b);
-        fma_row::<SKIP>(&mut x3, v3, b);
-    }
-    acc[..NR].copy_from_slice(&x0);
-    acc[NR..2 * NR].copy_from_slice(&x1);
-    acc[2 * NR..3 * NR].copy_from_slice(&x2);
-    acc[3 * NR..4 * NR].copy_from_slice(&x3);
-}
-
-/// [`scalar_rows_4x8`] over a [`PackedA`] tile (`k`-major, 4-wide): the
-/// per-`k` `A` values come from one contiguous 4-vector of the tile
-/// instead of four row pointers.
-#[inline(always)]
-fn scalar_tile_4x8<const SKIP: bool>(tile: &[f32], panel: &[f32], acc: &mut Acc) {
-    let mut x0 = [0.0f32; NR];
-    let mut x1 = [0.0f32; NR];
-    let mut x2 = [0.0f32; NR];
-    let mut x3 = [0.0f32; NR];
-    for (avals, b) in tile.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-        let b: &[f32; NR] = b.try_into().expect("chunks_exact yields NR-sized chunks");
-        fma_row::<SKIP>(&mut x0, avals[0], b);
-        fma_row::<SKIP>(&mut x1, avals[1], b);
-        fma_row::<SKIP>(&mut x2, avals[2], b);
-        fma_row::<SKIP>(&mut x3, avals[3], b);
+        // SAFETY: `take(a.k)` keeps `kk < a.k` and a packed tile was just
+        // asserted to be MR rows high — the `SubtileA` invariant's
+        // conditions for these reads. (Checked indexing measured ~40 %
+        // slower on this tier: four compares against a 13-instruction
+        // step.)
+        let at = |row: &[f32]| unsafe { *row.get_unchecked(kk * k_stride) };
+        fma_row::<SKIP>(&mut x0, at(a0), b);
+        fma_row::<SKIP>(&mut x1, at(a1), b);
+        fma_row::<SKIP>(&mut x2, at(a2), b);
+        fma_row::<SKIP>(&mut x3, at(a3), b);
     }
     acc[..NR].copy_from_slice(&x0);
     acc[NR..2 * NR].copy_from_slice(&x1);
@@ -744,47 +717,23 @@ fn scalar_tile_4x8<const SKIP: bool>(tile: &[f32], panel: &[f32], acc: &mut Acc)
 /// that lets a scalar-only process (or a `AERGIA_FORCE_SCALAR` run)
 /// execute packs laid out for SIMD variants. Same ascending-`k` mul/add
 /// chain per element, so same bits.
-fn scalar_rows_any<const SKIP: bool>(
+fn scalar_any<const SKIP: bool, const PACKED: bool>(
     mr: usize,
     nr: usize,
-    rows: &[&[f32]; MR_MAX],
-    k: usize,
+    a: SubtileA<'_, PACKED>,
     panel: &[f32],
     acc: &mut Acc,
 ) {
-    acc[..mr * nr].fill(0.0);
-    for kk in 0..k {
-        let b = &panel[kk * nr..(kk + 1) * nr];
-        for (r, row) in rows[..mr].iter().enumerate() {
-            let av = row[kk];
+    let k_stride = SubtileA::<PACKED>::k_stride(mr);
+    for (r, out) in acc[..mr * nr].chunks_exact_mut(nr).enumerate() {
+        let row = a.row(r);
+        out.fill(0.0);
+        for (kk, b) in panel.chunks_exact(nr).take(a.k).enumerate() {
+            let av = row[kk * k_stride];
             if SKIP && av == 0.0 {
                 continue;
             }
-            for (o, &bv) in acc[r * nr..r * nr + nr].iter_mut().zip(b) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// [`scalar_rows_any`] over a [`PackedA`] tile.
-fn scalar_tile_any<const SKIP: bool>(
-    mr: usize,
-    nr: usize,
-    tile: &[f32],
-    k: usize,
-    panel: &[f32],
-    acc: &mut Acc,
-) {
-    acc[..mr * nr].fill(0.0);
-    for kk in 0..k {
-        let avals = &tile[kk * mr..(kk + 1) * mr];
-        let b = &panel[kk * nr..(kk + 1) * nr];
-        for (r, &av) in avals.iter().enumerate() {
-            if SKIP && av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc[r * nr..r * nr + nr].iter_mut().zip(b) {
+            for (o, &bv) in out.iter_mut().zip(b) {
                 *o += av * bv;
             }
         }
@@ -876,11 +825,11 @@ mod v512 {
     }
 }
 
-/// Generates one explicit-SIMD microkernel pair (rows-sourced and
-/// packed-`A`-tile-sourced) for an `mr × (nv·LANES)` register tile.
+/// Generates one explicit-SIMD microkernel for an `mr × (nv·LANES)`
+/// register tile.
 ///
-/// The generated kernels follow the exact scalar recipe: per `k` step,
-/// load the panel's `nv` vectors once, broadcast each live `A` value, and
+/// The generated kernel follows the exact scalar recipe: per `k` step,
+/// load the panel's `nv` vectors once, broadcast each row's `A` value, and
 /// do a separate `mul` then `add` into that row's accumulators — `vmulps`
 /// and `vaddps` round per lane exactly like scalar `*` and `+`, so the
 /// result is bit-identical to the scalar kernels for every input
@@ -889,32 +838,38 @@ mod v512 {
 /// constant-bounded loops, which LLVM fully unrolls and SROAs into
 /// registers.
 #[cfg(target_arch = "x86_64")]
-macro_rules! simd_kernel_pair {
-    ($rows_name:ident, $tile_name:ident, $feat:literal, $v:ident, $mr:literal, $nv:literal) => {
+macro_rules! simd_kernel {
+    ($name:ident, $feat:literal, $v:ident, $mr:literal, $nv:literal) => {
         /// # Safety
         ///
         /// The CPU must support the `target_feature` this kernel is
-        /// compiled with; `rows[..mr]` must each hold at least `k`
-        /// elements and `panel` at least `k·nr`.
+        /// compiled with, `panel` must hold at least `a.k·nr` elements,
+        /// and a packed `a` must be a tile of this kernel's `mr` rows.
+        /// (`a`'s own reads are then covered by the [`SubtileA`]
+        /// invariant.)
         #[target_feature(enable = $feat)]
-        unsafe fn $rows_name<const SKIP: bool>(
-            rows: &[&[f32]; MR_MAX],
-            k: usize,
+        unsafe fn $name<const SKIP: bool, const PACKED: bool>(
+            a: SubtileA<'_, PACKED>,
             panel: &[f32],
             acc: &mut Acc,
         ) {
             const MRK: usize = $mr;
             const NV: usize = $nv;
             let nr = NV * $v::LANES;
+            let k_stride = SubtileA::<PACKED>::k_stride(MRK);
             let pp = panel.as_ptr();
+            let mut ap = [a.data; MRK];
+            for (r, row) in ap.iter_mut().enumerate() {
+                *row = a.row(r);
+            }
             let mut c = [[$v::zero(); NV]; MRK];
-            for kk in 0..k {
+            for kk in 0..a.k {
                 let mut b = [$v::zero(); NV];
                 for (v, bv) in b.iter_mut().enumerate() {
                     *bv = $v::load(pp.add(kk * nr + v * $v::LANES));
                 }
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let av = *rows.get_unchecked(r).get_unchecked(kk);
+                for (cr, row) in c.iter_mut().zip(&ap) {
+                    let av = *row.get_unchecked(kk * k_stride);
                     if SKIP && av == 0.0 {
                         continue;
                     }
@@ -924,54 +879,10 @@ macro_rules! simd_kernel_pair {
                     }
                 }
             }
-            let ap = acc.as_mut_ptr();
+            let op = acc.as_mut_ptr();
             for (r, cr) in c.iter().enumerate() {
                 for (v, &cv) in cr.iter().enumerate() {
-                    $v::store(ap.add(r * nr + v * $v::LANES), cv);
-                }
-            }
-        }
-
-        /// Packed-`A` twin: per-`k` values come from one contiguous
-        /// `mr`-vector of the tile.
-        ///
-        /// # Safety
-        ///
-        /// As the rows-sourced kernel; `tile` must hold at least `k·mr`
-        /// elements.
-        #[target_feature(enable = $feat)]
-        unsafe fn $tile_name<const SKIP: bool>(
-            tile: &[f32],
-            k: usize,
-            panel: &[f32],
-            acc: &mut Acc,
-        ) {
-            const MRK: usize = $mr;
-            const NV: usize = $nv;
-            let nr = NV * $v::LANES;
-            let tp = tile.as_ptr();
-            let pp = panel.as_ptr();
-            let mut c = [[$v::zero(); NV]; MRK];
-            for kk in 0..k {
-                let mut b = [$v::zero(); NV];
-                for (v, bv) in b.iter_mut().enumerate() {
-                    *bv = $v::load(pp.add(kk * nr + v * $v::LANES));
-                }
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let av = *tp.add(kk * MRK + r);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    let avv = $v::set1(av);
-                    for (cv, &bv) in cr.iter_mut().zip(&b) {
-                        *cv = $v::add(*cv, $v::mul(avv, bv));
-                    }
-                }
-            }
-            let ap = acc.as_mut_ptr();
-            for (r, cr) in c.iter().enumerate() {
-                for (v, &cv) in cr.iter().enumerate() {
-                    $v::store(ap.add(r * nr + v * $v::LANES), cv);
+                    $v::store(op.add(r * nr + v * $v::LANES), cv);
                 }
             }
         }
@@ -979,86 +890,46 @@ macro_rules! simd_kernel_pair {
 }
 
 #[cfg(target_arch = "x86_64")]
-simd_kernel_pair!(avx2_rows_4x8, avx2_tile_4x8, "avx2", v256, 4, 1);
+simd_kernel!(avx2_4x16, "avx2", v256, 4, 2);
 #[cfg(target_arch = "x86_64")]
-simd_kernel_pair!(avx2_rows_4x16, avx2_tile_4x16, "avx2", v256, 4, 2);
+simd_kernel!(avx512_8x16, "avx512f", v512, 8, 1);
 #[cfg(target_arch = "x86_64")]
-simd_kernel_pair!(avx2_rows_8x8, avx2_tile_8x8, "avx2", v256, 8, 1);
-#[cfg(target_arch = "x86_64")]
-simd_kernel_pair!(avx512_rows_8x16, avx512_tile_8x16, "avx512f", v512, 8, 1);
-#[cfg(target_arch = "x86_64")]
-simd_kernel_pair!(avx512_rows_8x32, avx512_tile_8x32, "avx512f", v512, 8, 2);
-#[cfg(target_arch = "x86_64")]
-simd_kernel_pair!(avx512_rows_4x16, avx512_tile_4x16, "avx512f", v512, 4, 1);
+simd_kernel!(avx512_8x32, "avx512f", v512, 8, 2);
 
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Runs the rows-sourced microkernel for `variant` on one subtile/panel
-/// pair, falling back to the generic scalar kernel when the variant's ISA
-/// is not active in this process (wrong CPU or `AERGIA_FORCE_SCALAR`) —
-/// the fallback computes identical bits, just slower.
+/// Runs the microkernel for `variant` on one subtile/panel pair, falling
+/// back to the generic scalar kernel when the variant's ISA is not active
+/// in this process (wrong CPU or `AERGIA_FORCE_SCALAR`) — the fallback
+/// computes identical bits, just slower.
 #[inline(always)]
-fn run_rows_kernel<const SKIP: bool>(
+fn run_kernel<const SKIP: bool, const PACKED: bool>(
     variant: KernelVariant,
-    rows: &[&[f32]; MR_MAX],
-    k: usize,
+    a: SubtileA<'_, PACKED>,
     panel: &[f32],
     acc: &mut Acc,
 ) {
+    assert!(panel.len() >= a.k * variant.nr, "gemm: B panel shorter than k·nr");
+    assert!(!PACKED || a.rows == variant.mr, "gemm: A tile height differs from the variant's mr");
     #[cfg(target_arch = "x86_64")]
     if variant.isa <= active_isa() {
-        // SAFETY: `active_isa()` confirmed the feature at runtime; slice
-        // lengths are guaranteed by the drivers (rows of length k, panel
-        // of length k·nr).
+        // SAFETY: `active_isa()` confirmed the feature at runtime, and the
+        // two assertions above are the kernels' remaining preconditions.
         unsafe {
             match (variant.isa, variant.mr, variant.nr) {
-                (Isa::Avx2, 4, 8) => return avx2_rows_4x8::<SKIP>(rows, k, panel, acc),
-                (Isa::Avx2, 4, 16) => return avx2_rows_4x16::<SKIP>(rows, k, panel, acc),
-                (Isa::Avx2, 8, 8) => return avx2_rows_8x8::<SKIP>(rows, k, panel, acc),
-                (Isa::Avx512, 8, 16) => return avx512_rows_8x16::<SKIP>(rows, k, panel, acc),
-                (Isa::Avx512, 8, 32) => return avx512_rows_8x32::<SKIP>(rows, k, panel, acc),
-                (Isa::Avx512, 4, 16) => return avx512_rows_4x16::<SKIP>(rows, k, panel, acc),
+                (Isa::Avx2, 4, 16) => return avx2_4x16::<SKIP, PACKED>(a, panel, acc),
+                (Isa::Avx512, 8, 16) => return avx512_8x16::<SKIP, PACKED>(a, panel, acc),
+                (Isa::Avx512, 8, 32) => return avx512_8x32::<SKIP, PACKED>(a, panel, acc),
                 _ => {}
             }
         }
     }
     if (variant.mr, variant.nr) == (MR, NR) {
-        scalar_rows_4x8::<SKIP>(rows, panel, acc);
+        scalar_4x8::<SKIP, PACKED>(a, panel, acc);
     } else {
-        scalar_rows_any::<SKIP>(variant.mr, variant.nr, rows, k, panel, acc);
-    }
-}
-
-/// Packed-`A`-tile twin of [`run_rows_kernel`].
-#[inline(always)]
-fn run_tile_kernel<const SKIP: bool>(
-    variant: KernelVariant,
-    tile: &[f32],
-    k: usize,
-    panel: &[f32],
-    acc: &mut Acc,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if variant.isa <= active_isa() {
-        // SAFETY: as in `run_rows_kernel`.
-        unsafe {
-            match (variant.isa, variant.mr, variant.nr) {
-                (Isa::Avx2, 4, 8) => return avx2_tile_4x8::<SKIP>(tile, k, panel, acc),
-                (Isa::Avx2, 4, 16) => return avx2_tile_4x16::<SKIP>(tile, k, panel, acc),
-                (Isa::Avx2, 8, 8) => return avx2_tile_8x8::<SKIP>(tile, k, panel, acc),
-                (Isa::Avx512, 8, 16) => return avx512_tile_8x16::<SKIP>(tile, k, panel, acc),
-                (Isa::Avx512, 8, 32) => return avx512_tile_8x32::<SKIP>(tile, k, panel, acc),
-                (Isa::Avx512, 4, 16) => return avx512_tile_4x16::<SKIP>(tile, k, panel, acc),
-                _ => {}
-            }
-        }
-    }
-    if (variant.mr, variant.nr) == (MR, NR) {
-        scalar_tile_4x8::<SKIP>(tile, panel, acc);
-    } else {
-        scalar_tile_any::<SKIP>(variant.mr, variant.nr, tile, k, panel, acc);
+        scalar_any::<SKIP, PACKED>(variant.mr, variant.nr, a, panel, acc);
     }
 }
 
@@ -1081,47 +952,57 @@ fn write_back(
     }
 }
 
-/// Shared driver for the row-major-`A` packed kernels (`matmul` /
-/// `matmul_nt`): parallel [`run_row_tiles`] over the output, then per tile
-/// an `mr`-subtile-outer, `B`-panel-inner walk, dispatching on the pack's
-/// [`KernelVariant`] tag. Subtile-outer order lets a `SKIP` kernel scan
-/// each subtile's rows for zeros *once*: zero-free subtiles (the common
-/// case on dense operands) run the unguarded microkernel — bit-exact
-/// because a guard that never fires contributes nothing — and only
-/// subtiles that actually contain zeros pay for the guarded instantiation
-/// (where the skip then saves real work, e.g. on ReLU-masked gradients).
+/// Driver for the row-major-`A` packed kernels (`matmul` with
+/// `SKIP = true`, `matmul_nt` with `SKIP = false`): parallel
+/// [`run_row_tiles`] over the output, one [`gemm_row_tile`] per tile.
 pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, od: &mut [f32]) {
     let n = pb.n;
     let m = od.len() / n.max(1);
     count_gemm_call(if SKIP { GemmOp::Nn } else { GemmOp::Nt }, pb.variant);
     run_row_tiles(od, n, m * n * k, |first_row, rows| {
-        gemm_rows_tile::<SKIP>(ad, k, pb, first_row, rows);
+        gemm_row_tile::<SKIP, false>(ad, k, pb, first_row, rows);
     });
 }
 
-/// One row tile of [`gemm_packed`]: computes output rows
-/// `first_row .. first_row + rows.len()/n` of `A · packed(B)`. Public to
-/// the crate so the multi-slab driver
-/// ([`crate::ops::matmul_nt_packed_multi_into`]) can spawn every slab's
-/// tiles into a single pool scope while computing bits identical to
-/// per-slab [`gemm_packed`] calls.
-pub(crate) fn gemm_rows_tile<const SKIP: bool>(
-    ad: &[f32],
-    k: usize,
-    pb: &PackedB,
-    first_row: usize,
-    rows: &mut [f32],
-) {
-    gemm_rows_tile_impl::<SKIP, true>(ad, k, pb, first_row, rows);
+/// Driver for the packed-`A` kernel (`matmul_tn`). Row-tile boundaries are
+/// multiples of every variant's `mr` (the parallel tile size is a multiple
+/// of [`MR_MAX`]), so output sub-tiles map 1:1 onto [`PackedA`] tiles.
+///
+/// # Panics
+///
+/// Panics if the packs were laid out for different kernel variants — the
+/// tile height comes from `pa` and the panel width from `pb`, so a mixed
+/// pair has no kernel to run on.
+pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
+    assert_eq!(
+        pa.variant, pb.variant,
+        "gemm_packed_tn: operand packs were laid out for different kernel variants"
+    );
+    count_gemm_call(GemmOp::Tn, pa.variant);
+    run_row_tiles(od, pb.n, pa.m * pb.n * pa.k, |first_row, rows| {
+        gemm_row_tile::<true, true>(&pa.buf, pa.k, pb, first_row, rows);
+    });
 }
 
-/// [`gemm_rows_tile`] with subtile accounting compile-time selectable.
-/// `TRACK = false` is the autotuner's trial path: trials are synthetic
-/// work that happens only on the *first* same-shape call per process, so
-/// they must never perturb the deterministic call/subtile counts two
-/// same-seed runs share.
-fn gemm_rows_tile_impl<const SKIP: bool, const TRACK: bool>(
-    ad: &[f32],
+/// One row tile of any packed GEMM: computes output rows
+/// `first_row .. first_row + rows.len()/n` of `A · packed(B)` as an
+/// `mr`-subtile-outer, `B`-panel-inner walk, dispatching on the pack's
+/// [`KernelVariant`] tag. `a` is the whole `A` operand with `k` elements
+/// per row: row-major data, or with `PACKED` a [`PackedA`] buffer laid out
+/// for `pb`'s variant. Public to the crate so the multi-slab driver
+/// ([`crate::ops::matmul_nt_packed_multi_into`]) can hand every slab's
+/// tiles to a single pool scope while computing bits identical to
+/// per-slab [`gemm_packed`] calls.
+///
+/// `SKIP` says whether the GEMM form has skip-zero semantics. If so, the
+/// subtile-outer order lets each subtile be scanned for zeros *once*:
+/// zero-free subtiles (the common case on dense operands) run the
+/// unguarded microkernel — bit-exact because a guard that never fires
+/// contributes nothing — and only subtiles that actually contain zeros pay
+/// for the guarded instantiation (where the skip then saves real work,
+/// e.g. on ReLU-masked gradients).
+pub(crate) fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
+    a: &[f32],
     k: usize,
     pb: &PackedB,
     first_row: usize,
@@ -1138,17 +1019,8 @@ fn gemm_rows_tile_impl<const SKIP: bool, const TRACK: bool>(
     let mut r0 = 0;
     while r0 < nrows {
         let mrows = (nrows - r0).min(mr);
-        // A shorter tail subtile repeats its last row; the duplicate
-        // accumulator rows are dropped at write-back.
-        let row = |r: usize| {
-            let i = first_row + r0 + r.min(mrows - 1);
-            &ad[i * k..(i + 1) * k]
-        };
-        let mut tile_rows: [&[f32]; MR_MAX] = [row(0); MR_MAX];
-        for (r, slot) in tile_rows.iter_mut().enumerate().take(mr).skip(1) {
-            *slot = row(r);
-        }
-        let dense = !SKIP || rows_zero_free(&tile_rows, mr);
+        let sub = SubtileA::<PACKED>::cut(a, k, first_row + r0, mrows, mr);
+        let dense = !SKIP || sub.zero_free();
         if dense {
             dense_subtiles += 1;
         } else {
@@ -1159,94 +1031,25 @@ fn gemm_rows_tile_impl<const SKIP: bool, const TRACK: bool>(
             let col0 = jp * nr;
             let ncols = (n - col0).min(nr);
             if dense {
-                run_rows_kernel::<false>(variant, &tile_rows, k, panel, &mut acc);
+                run_kernel::<false, PACKED>(variant, sub, panel, &mut acc);
             } else {
-                run_rows_kernel::<true>(variant, &tile_rows, k, panel, &mut acc);
+                run_kernel::<true, PACKED>(variant, sub, panel, &mut acc);
             }
             write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
         }
         r0 += mrows;
     }
-    if TRACK {
-        GEMM_SUBTILES_DENSE.add(dense_subtiles);
-        GEMM_SUBTILES_GUARDED.add(guarded_subtiles);
-    }
-}
-
-/// Driver for the packed-`A` kernel (`matmul_tn`). Row-tile boundaries are
-/// multiples of every variant's `mr` (the parallel tile size is a multiple
-/// of [`MR_MAX`]), so output sub-tiles map 1:1 onto [`PackedA`] tiles.
-///
-/// # Panics
-///
-/// Panics if the packs were laid out for different kernel variants — the
-/// tile height comes from `pa` and the panel width from `pb`, so a mixed
-/// pair has no kernel to run on.
-pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
-    count_gemm_call(GemmOp::Tn, pa.variant);
-    run_row_tiles(od, pb.n, pa.m * pb.n * pa.k, |first_row, rows| {
-        gemm_tn_rows_tile::<true>(pa, pb, first_row, rows);
-    });
-}
-
-/// One row tile of [`gemm_packed_tn`], with telemetry accounting
-/// compile-time selectable (`TRACK = false` for the autotuner's trials,
-/// as in [`gemm_rows_tile_impl`]).
-fn gemm_tn_rows_tile<const TRACK: bool>(
-    pa: &PackedA,
-    pb: &PackedB,
-    first_row: usize,
-    rows: &mut [f32],
-) {
-    assert_eq!(
-        pa.variant, pb.variant,
-        "gemm_packed_tn: operand packs were laid out for different kernel variants"
-    );
-    let variant = pa.variant;
-    let (mr, nr) = (variant.mr, variant.nr);
-    let (k, n) = (pa.k, pb.n);
-    let nrows = rows.len() / n;
-    let mut acc = [0.0f32; MR_MAX * NR_MAX];
-    let (mut dense_subtiles, mut guarded_subtiles) = (0u64, 0u64);
-    let mut r0 = 0;
-    while r0 < nrows {
-        let mrows = (nrows - r0).min(mr);
-        let tile = pa.tile((first_row + r0) / mr);
-        // Zero-scan dispatch as in [`gemm_packed`]; the padded tail
-        // tile contains zeros and so always takes the guarded path,
-        // which skips (and thereby discards) the padding rows.
-        let dense = tile.iter().all(|&v| v != 0.0);
-        if dense {
-            dense_subtiles += 1;
-        } else {
-            guarded_subtiles += 1;
-        }
-        for jp in 0..n.div_ceil(nr) {
-            let panel = pb.panel(jp);
-            let col0 = jp * nr;
-            let ncols = (n - col0).min(nr);
-            if dense {
-                run_tile_kernel::<false>(variant, tile, k, panel, &mut acc);
-            } else {
-                run_tile_kernel::<true>(variant, tile, k, panel, &mut acc);
-            }
-            write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
-        }
-        r0 += mrows;
-    }
-    if TRACK {
-        GEMM_SUBTILES_DENSE.add(dense_subtiles);
-        GEMM_SUBTILES_GUARDED.add(guarded_subtiles);
-    }
+    GEMM_SUBTILES_DENSE.add(dense_subtiles);
+    GEMM_SUBTILES_GUARDED.add(guarded_subtiles);
 }
 
 // ---------------------------------------------------------------------------
-// Shape autotuning
+// The shape → variant rule
 // ---------------------------------------------------------------------------
 
-/// Which GEMM entry point a tuning key describes — the three differ in
-/// how `A` is consumed (in-place rows, packed tiles) and whether the
-/// skip-zero guard is in play, so the best variant can differ too.
+/// Which GEMM entry point a [`tuned_variant`] query describes — the three
+/// differ in how `A` is consumed (in-place rows, packed tiles) and whether
+/// the skip-zero guard is in play.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmOp {
     /// `matmul`: row-major `A`, skip-zero semantics.
@@ -1257,146 +1060,20 @@ pub enum GemmOp {
     Tn,
 }
 
-/// Multiply-accumulate count below which a shape takes the ISA default
-/// variant without timing: tuning costs more than such a product will
-/// ever repay, and keeping tiny shapes out of the map bounds its size.
-const TUNE_MIN_MACS: usize = 1 << 20;
-
-/// Row cap for the synthetic operands the tuner times: tiles along `m`
-/// are homogeneous, so measuring a few hundred rows predicts thousands.
-const TUNE_M_CAP: usize = 512;
-
-/// A tuned shape: the GEMM form, its dimensions, and the ISA tier the
-/// measurement ran under (so a forced-scalar process never reads a pick
-/// made with SIMD available).
-type TuneKey = (GemmOp, usize, usize, usize, Isa);
-
-fn tune_key_map() -> &'static Mutex<HashMap<TuneKey, KernelVariant>> {
-    static MAP: OnceLock<Mutex<HashMap<TuneKey, KernelVariant>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Deterministic zero-free synthetic data for tuning runs (zeros would
-/// drag the timing into the guarded path, which dense training operands
-/// rarely take).
-fn tune_fill(len: usize) -> Vec<f32> {
-    (0..len).map(|i| ((i * 2_654_435_761 % 1000) + 1) as f32 * 1e-3).collect()
-}
-
-fn time_candidate(op: GemmOp, m: usize, k: usize, n: usize, variant: KernelVariant) -> f64 {
-    let a = Tensor::from_vec(tune_fill(m * k), &[m, k]).expect("tuner operand");
-    let b = Tensor::from_vec(tune_fill(k * n), &[k, n]).expect("tuner operand");
-    let mut out = vec![0.0f32; m * n];
-    let mut pb = PackedB::new();
-    pb.pack_with(&b, variant).expect("tuner pack");
-    let mut pa = PackedA::new();
-    if op == GemmOp::Tn {
-        let at = Tensor::from_vec(tune_fill(k * m), &[k, m]).expect("tuner operand");
-        pa.pack_transposed_with(&at, variant).expect("tuner pack");
-    }
-    // Two timed passes (after one warm-up), keeping the minimum: the
-    // choice only affects speed, never bits, so timing noise is benign.
-    let mut best = f64::INFINITY;
-    for pass in 0..3 {
-        let t0 = std::time::Instant::now();
-        // The whole output as one untracked row tile on this thread: no
-        // telemetry (see `gemm_rows_tile_impl`) and no pool, where other
-        // tasks' work would be pure noise in the measurement.
-        match op {
-            GemmOp::Nn => gemm_rows_tile_impl::<true, false>(a.data(), k, &pb, 0, &mut out),
-            GemmOp::Nt => gemm_rows_tile_impl::<false, false>(a.data(), k, &pb, 0, &mut out),
-            GemmOp::Tn => gemm_tn_rows_tile::<false>(&pa, &pb, 0, &mut out),
-        }
-        if pass > 0 {
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    best
-}
-
-/// The autotuned [`KernelVariant`] for a GEMM shape: cached per process,
-/// keyed on the operation, `m/k/n` and the active ISA. The first call for
-/// a large-enough shape times the ISA's candidate variants on synthetic
-/// operands (the winner changes speed, never bits) and caches the choice;
-/// later calls are a map lookup. Small shapes skip straight to the ISA
-/// default. Layers avoid even the lookup in steady state by memoizing
-/// through a [`VariantCache`] stored next to their weight packs.
-pub fn tuned_variant(op: GemmOp, m: usize, k: usize, n: usize) -> KernelVariant {
-    let isa = active_isa();
-    let candidates = KernelVariant::candidates(isa);
-    if candidates.len() == 1 || m * k * n < TUNE_MIN_MACS {
-        return KernelVariant::default_for(isa);
-    }
-    let key = (op, m, k, n, isa);
-    if let Some(&pick) = tune_key_map().lock().expect("gemm tuner mutex").get(&key) {
-        return pick;
-    }
-    // Measured with the map unlocked (a pool wait under this lock is how
-    // cold parallel starts used to deadlock). Two threads that miss on the
-    // same shape both measure and the first to finish decides; picks never
-    // change bits, so the duplicate is harmless.
-    let mt = m.min(TUNE_M_CAP);
-    let mut best = (f64::INFINITY, KernelVariant::default_for(isa));
-    for &v in candidates {
-        let t = time_candidate(op, mt, k, n, v);
-        if t < best.0 {
-            best = (t, v);
-        }
-    }
-    {
-        let mut map = tune_key_map().lock().expect("gemm tuner mutex");
-        if let Some(&decided) = map.get(&key) {
-            return decided;
-        }
-        map.insert(key, best.1);
-    }
-    // Record the pick and its measured throughput. The value is a
-    // wall-clock measurement, so the gauge is snapshot-only — it must
-    // never enter the (byte-identity-bound) JSONL stream. The cold tuning
-    // path is the only place a label string is built.
-    if aergia_telemetry::enabled() && best.0.is_finite() {
-        let op_label = match op {
-            GemmOp::Nn => "nn",
-            GemmOp::Nt => "nt",
-            GemmOp::Tn => "tn",
-        };
-        let gflops = 2.0 * (mt * k * n) as f64 / best.0 / 1e9;
-        let name = format!(
-            "aergia_gemm_tuned_gflops{{op=\"{op_label}\",m=\"{m}\",k=\"{k}\",n=\"{n}\",\
-             variant=\"{}_{}x{}\"}}",
-            best.1.isa.label(),
-            best.1.mr,
-            best.1.nr
-        );
-        aergia_telemetry::gauge_snapshot_only(&name).set(gflops);
-    }
-    best.1
-}
-
-/// A one-shape memo of [`tuned_variant`], stored by layers next to their
-/// cached weight packs: steady-state forward/backward passes re-use the
-/// recorded choice without touching the global map (no lock, no hash, no
-/// allocation), and a batch-size change falls through to the tuner once.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VariantCache(Option<(usize, usize, usize, KernelVariant)>);
-
-impl VariantCache {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        VariantCache(None)
-    }
-
-    /// The variant for `(op, m, k, n)`, from the memo when it matches.
-    #[inline]
-    pub fn get(&mut self, op: GemmOp, m: usize, k: usize, n: usize) -> KernelVariant {
-        match self.0 {
-            Some((cm, ck, cn, v)) if (cm, ck, cn) == (m, k, n) => v,
-            _ => {
-                let v = tuned_variant(op, m, k, n);
-                self.0 = Some((m, k, n, v));
-                v
-            }
-        }
+/// The [`KernelVariant`] an `m×k · k×n` GEMM runs on in this process: a
+/// pure function of [`active_isa`] and `n` — scalar `4×8`, AVX2 `4×16`,
+/// AVX-512 `8×32` when the output is more than 16 columns wide and `8×16`
+/// otherwise (a 32-wide panel over ≤ 16 live columns would multiply
+/// mostly padding). See the [module docs](self) for the sweep behind the
+/// rule. `op`, `m` and `k` describe the GEMM for the caller's benefit and
+/// do not move the answer: no tile the sweep tried was ever ahead of the
+/// rule's by more than noise on them.
+pub fn tuned_variant(_op: GemmOp, _m: usize, _k: usize, n: usize) -> KernelVariant {
+    match active_isa() {
+        Isa::Scalar => KernelVariant::PORTABLE,
+        Isa::Avx2 => KernelVariant::AVX2_4X16,
+        Isa::Avx512 if n > 16 => KernelVariant::AVX512_8X32,
+        Isa::Avx512 => KernelVariant::AVX512_8X16,
     }
 }
 
@@ -1421,17 +1098,15 @@ mod tests {
         Tensor::from_vec(data, dims).unwrap()
     }
 
-    /// Every variant that could ever dispatch on this machine, plus the
-    /// portable baseline.
+    /// Every tier's register tiles, whatever this process can dispatch
+    /// to: a variant whose ISA is not active (wrong CPU, or the
+    /// `AERGIA_FORCE_SCALAR` CI leg) runs on the generic scalar fallback,
+    /// which these tests are then the result check of.
     fn all_variants() -> Vec<KernelVariant> {
-        let mut vs = vec![KernelVariant::PORTABLE];
-        for isa in [Isa::Avx2, Isa::Avx512] {
-            if isa <= active_isa() {
-                vs.extend_from_slice(KernelVariant::candidates(isa));
-            }
-        }
-        vs.dedup();
-        vs
+        [Isa::Scalar, Isa::Avx2, Isa::Avx512]
+            .into_iter()
+            .flat_map(|isa| KernelVariant::candidates(isa).iter().copied())
+            .collect()
     }
 
     #[test]
@@ -1439,7 +1114,7 @@ mod tests {
         // 2×3 matrix, NR=8: one panel, columns 3..8 zero-padded.
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         let mut pb = PackedB::new();
-        pb.pack(&b).unwrap();
+        pb.pack_with(&b, KernelVariant::PORTABLE).unwrap();
         assert!(pb.is_valid());
         assert_eq!(pb.variant(), KernelVariant::PORTABLE);
         assert_eq!((pb.k(), pb.n()), (2, 3));
@@ -1466,20 +1141,21 @@ mod tests {
 
     #[test]
     fn dirty_buffer_reuse_fully_overwrites_padding() {
+        let portable = KernelVariant::PORTABLE;
         let mut pb = PackedB::new();
-        pb.pack(&Tensor::full(&[9, 11], 7.0)).unwrap();
+        pb.pack_with(&Tensor::full(&[9, 11], 7.0), portable).unwrap();
         // Shrink into the same buffer: every byte of the smaller layout,
         // padding included, must be rewritten.
-        pb.pack(&Tensor::ones(&[2, 3])).unwrap();
+        pb.pack_with(&Tensor::ones(&[2, 3]), portable).unwrap();
         let panel = pb.panel(0);
         assert_eq!(&panel[3..NR], &[0.0; 5][..], "stale 7.0s must not survive in the padding");
 
         let mut pa = PackedA::new();
-        pa.pack_transposed(&Tensor::full(&[6, 10], 3.0)).unwrap();
-        pa.pack_transposed(&Tensor::ones(&[2, 5])).unwrap();
-        // 5 rows → tile 1 holds row 4 plus MR-1 padded rows.
-        let tile = pa.tile(1);
-        assert_eq!(&tile[..MR], &[1.0, 0.0, 0.0, 0.0]);
+        pa.pack_transposed_with(&Tensor::full(&[6, 10], 3.0), portable).unwrap();
+        pa.pack_transposed_with(&Tensor::ones(&[2, 5]), portable).unwrap();
+        // 5 rows → tile 1 (after tile 0's MR·k elements) holds row 4 plus
+        // MR-1 padded rows.
+        assert_eq!(&pa.buf[MR * 2..MR * 3], &[1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -1502,19 +1178,20 @@ mod tests {
 
     #[test]
     fn ensure_skips_while_valid_and_repacks_after_invalidate() {
+        let v = KernelVariant::PORTABLE;
         let b = Tensor::ones(&[4, 4]);
         let mut pb = PackedB::new();
-        pb.ensure(&b).unwrap();
+        pb.ensure_with(&b, v).unwrap();
         let packed_one = pb.panel(0)[0];
         assert_eq!(packed_one, 1.0);
-        // Mutating the source without invalidating: ensure() must keep the
-        // cached pack (that is the caching contract the layers rely on).
+        // Mutating the source without invalidating: ensure_with() must
+        // keep the cached pack (the caching contract the layers rely on).
         let b2 = Tensor::full(&[4, 4], 2.0);
-        pb.ensure(&b2).unwrap();
+        pb.ensure_with(&b2, v).unwrap();
         assert_eq!(pb.panel(0)[0], 1.0, "valid pack must not be repacked");
         pb.invalidate();
         assert!(!pb.is_valid());
-        pb.ensure(&b2).unwrap();
+        pb.ensure_with(&b2, v).unwrap();
         assert_eq!(pb.panel(0)[0], 2.0, "invalidated pack must repack");
     }
 
@@ -1528,7 +1205,7 @@ mod tests {
         assert_eq!(pb.panel(0)[0], 1.0);
         // Different variant: same shape must still repack (the layout is
         // variant-dependent).
-        let other = KernelVariant::default_for(Isa::Avx512);
+        let other = KernelVariant::AVX512_8X16;
         pb.ensure_with(&Tensor::full(&[4, 4], 2.0), other).unwrap();
         assert_eq!(pb.variant(), other);
         assert_eq!(pb.panel(0)[0], 2.0);
@@ -1536,14 +1213,15 @@ mod tests {
 
     #[test]
     fn ensure_repacks_when_orientation_or_shape_changes() {
+        let v = KernelVariant::PORTABLE;
         let mut pb = PackedB::new();
-        pb.ensure(&Tensor::ones(&[4, 6])).unwrap();
+        pb.ensure_with(&Tensor::ones(&[4, 6]), v).unwrap();
         // Same tensor, other orientation: must repack, not reuse.
-        pb.ensure_transposed(&Tensor::full(&[4, 6], 2.0)).unwrap();
+        pb.ensure_transposed_with(&Tensor::full(&[4, 6], 2.0), v).unwrap();
         assert_eq!((pb.k(), pb.n()), (6, 4));
         assert_eq!(pb.panel(0)[0], 2.0);
         // Shape change with a stale-but-valid flag: must repack.
-        pb.ensure(&Tensor::full(&[3, 5], 4.0)).unwrap();
+        pb.ensure_with(&Tensor::full(&[3, 5], 4.0), v).unwrap();
         assert_eq!((pb.k(), pb.n()), (3, 5));
         assert_eq!(pb.panel(0)[0], 4.0);
     }
@@ -1599,26 +1277,12 @@ mod tests {
         let mut pa = PackedA::new();
         pa.pack_transposed_with(&at, KernelVariant::PORTABLE).unwrap();
         let mut pb = PackedB::new();
-        pb.pack_with(&b, KernelVariant::default_for(Isa::Avx512)).unwrap();
+        pb.pack_with(&b, KernelVariant::AVX512_8X16).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut out = Tensor::default();
             let _ = ops::matmul_tn_packed_into(&pa, &pb, &mut out);
         }));
         assert!(r.is_err(), "mixed-variant packs must be rejected");
-    }
-
-    #[test]
-    fn tuned_variant_is_cached_and_small_shapes_take_the_default() {
-        let small = tuned_variant(GemmOp::Nt, 4, 16, 10);
-        assert_eq!(small, KernelVariant::default_for(active_isa()));
-        let v1 = tuned_variant(GemmOp::Nt, 256, 128, 64);
-        let v2 = tuned_variant(GemmOp::Nt, 256, 128, 64);
-        assert_eq!(v1, v2, "second lookup must hit the cache");
-        assert!(KernelVariant::candidates(active_isa()).contains(&v1));
-
-        let mut memo = VariantCache::new();
-        assert_eq!(memo.get(GemmOp::Nt, 256, 128, 64), v1);
-        assert_eq!(memo.get(GemmOp::Nt, 256, 128, 64), v1);
     }
 
     #[test]

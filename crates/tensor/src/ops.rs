@@ -11,7 +11,7 @@
 //! threads of the [`aergia_runtime`] pool once a product is worth
 //! threading (`PAR_FLOPS`).
 //!
-//! Three tiers of the same contract coexist here:
+//! Two spellings of one production path coexist here, plus its oracle:
 //!
 //! * **packed** ([`matmul_packed_into`], [`matmul_nt_packed_into`],
 //!   [`matmul_tn_packed_into`]) — the hot path: the caller owns the packs,
@@ -21,27 +21,25 @@
 //! * **plain** ([`matmul_into`] & friends) — same kernels behind the
 //!   classic two-operand signatures, packing into a transient buffer per
 //!   call (they allocate; hot loops should hold packs instead);
-//! * **blocked** ([`matmul_blocked_into`] & friends) — the previous
-//!   generation of loop-tiled scalar kernels, retained as a second oracle
-//!   and as the baseline the `crit_tensor` GFLOP/s sweep measures the
-//!   microkernel against.
+//! * **references** ([`matmul_reference`], [`matmul_nt_reference`],
+//!   [`matmul_tn_reference`]) — the naive loops that *define* the result:
+//!   tests and the `crit_tensor` GFLOP/s sweep compare the packed path
+//!   against them, nothing in production calls them.
 //!
 //! # Determinism
 //!
-//! No tier ever reorders floating-point accumulation: for every output
-//! element the contributions along the shared dimension are added in
-//! ascending-`k` order from `+0.0`, exactly as the reference kernels
-//! ([`matmul_reference`], [`matmul_nt_reference`], [`matmul_tn_reference`])
+//! The packed path never reorders floating-point accumulation: for every
+//! output element the contributions along the shared dimension are added
+//! in ascending-`k` order from `+0.0`, exactly as the reference kernels
 //! do, and parallel tiles write disjoint output rows at fixed boundaries.
-//! All tiers are therefore **bit-identical** to the references and to
-//! themselves at any thread count — the property the engine's
+//! It is therefore **bit-identical** to the references and to itself at
+//! any thread count — the property the engine's
 //! serial-vs-parallel equivalence suite relies on (enforced by unit tests
 //! here and the property suite in `tests/proptests.rs`; see
 //! [`crate::gemm`] for why the register tile preserves the contract).
 
 use crate::gemm::{
-    active_isa, gemm_packed, gemm_packed_tn, gemm_rows_tile, KernelVariant, PackedA, PackedB,
-    K_BLOCK,
+    gemm_packed, gemm_packed_tn, gemm_row_tile, tuned_variant, GemmOp, PackedA, PackedB,
 };
 use crate::{Tensor, TensorError};
 
@@ -139,8 +137,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// # }
 /// ```
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (_, ka) = require_rank2("matmul", a)?;
-    let (kb, _) = require_rank2("matmul", b)?;
+    let (m, ka) = require_rank2("matmul", a)?;
+    let (kb, n) = require_rank2("matmul", b)?;
     if ka != kb {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
@@ -149,7 +147,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Tenso
         });
     }
     let mut pb = PackedB::new();
-    pb.pack_with(b, KernelVariant::default_for(active_isa()))?;
+    pb.pack_with(b, tuned_variant(GemmOp::Nn, m, ka, n))?;
     matmul_packed_into(a, &pb, out)
 }
 
@@ -182,11 +180,11 @@ pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<
     Ok(())
 }
 
-/// The naive `i-k-j` matmul kept as the oracle for the packed and blocked
-/// kernels (property tests assert exact equality on random shapes). Skips
+/// The naive `i-k-j` matmul kept as the oracle for the packed kernels
+/// (property tests assert exact equality on random shapes). Skips
 /// exact-zero `A` elements — the historical sparsity fast path whose
-/// semantics every faster tier replicates bit for bit (the packed SIMD
-/// kernels as a guarded skip, see [`crate::gemm`]).
+/// semantics the packed kernels replicate bit for bit (as a guarded skip,
+/// see [`crate::gemm`]).
 ///
 /// # Errors
 ///
@@ -221,50 +219,6 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-/// The previous-generation loop-tiled `matmul` kernel (`K_BLOCK`-panelled
-/// scalar row streams over an unpacked `B`), retained as a second
-/// bit-identical oracle and as the baseline the GFLOP/s sweep compares the
-/// packed microkernel against.
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul`]; `out` is untouched on error.
-pub fn matmul_blocked_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, ka) = require_rank2("matmul", a)?;
-    let (kb, n) = require_rank2("matmul", b)?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    out.reset(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    run_row_tiles(out.data_mut(), n, m * n * ka, |first_row, rows| {
-        // Panels of B (`K_BLOCK × n`) stream over the whole row tile; for a
-        // fixed output element the `k` order is still strictly ascending,
-        // so the accumulation matches `matmul_reference` bit for bit.
-        for k0 in (0..ka).step_by(K_BLOCK) {
-            let k1 = (k0 + K_BLOCK).min(ka);
-            for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
-                let arow = &ad[(first_row + r) * ka..(first_row + r + 1) * ka];
-                for (k, &aik) in arow[k0..k1].iter().enumerate().map(|(k, v)| (k0 + k, v)) {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bd[k * n..(k + 1) * n];
-                    for (o, &bkj) in orow.iter_mut().zip(brow) {
-                        *o += aik * bkj;
-                    }
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
 /// `Aᵀ (k×m) · B (k×n) → C (m×n)` without materialising the transpose.
 ///
 /// Used for weight gradients (`xᵀ · dy`).
@@ -290,8 +244,8 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 ///
 /// Same error conditions as [`matmul_tn`]; `out` is untouched on error.
 pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (ka, _) = require_rank2("matmul_tn", a)?;
-    let (kb, _) = require_rank2("matmul_tn", b)?;
+    let (ka, m) = require_rank2("matmul_tn", a)?;
+    let (kb, n) = require_rank2("matmul_tn", b)?;
     if ka != kb {
         return Err(TensorError::ShapeMismatch {
             op: "matmul_tn",
@@ -299,7 +253,7 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Te
             rhs: b.dims().to_vec(),
         });
     }
-    let variant = KernelVariant::default_for(active_isa());
+    let variant = tuned_variant(GemmOp::Tn, m, ka, n);
     let mut pa = PackedA::new();
     pa.pack_transposed_with(a, variant)?;
     let mut pb = PackedB::new();
@@ -342,7 +296,7 @@ pub fn matmul_tn_packed_into(
 }
 
 /// The naive `k-i-j` transposed-A matmul kept as the oracle for the packed
-/// and blocked kernels.
+/// kernel.
 ///
 /// # Errors
 ///
@@ -377,44 +331,6 @@ pub fn matmul_tn_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
     Ok(out)
 }
 
-/// The previous-generation tiled `matmul_tn` kernel (unpacked operands,
-/// scalar saxpy rows), retained as a second bit-identical oracle and as
-/// the GFLOP/s sweep baseline.
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul_tn`]; `out` is untouched on error.
-pub fn matmul_tn_blocked_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (ka, m) = require_rank2("matmul_tn", a)?;
-    let (kb, n) = require_rank2("matmul_tn", b)?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_tn",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    out.reset(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    run_row_tiles(out.data_mut(), n, m * n * ka, |first_row, rows| {
-        for k in 0..ka {
-            let arow = &ad[k * m..(k + 1) * m];
-            let brow = &bd[k * n..(k + 1) * n];
-            for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
-                let aki = arow[first_row + r];
-                if aki == 0.0 {
-                    continue;
-                }
-                for (o, &bkj) in orow.iter_mut().zip(brow) {
-                    *o += aki * bkj;
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
 /// `A (m×k) · Bᵀ (n×k) → C (m×n)` without materialising the transpose.
 ///
 /// Used for linear/conv forwards (`x · Wᵀ`) and input gradients.
@@ -433,15 +349,15 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// [`matmul_into`] for the reuse contract).
 ///
 /// Transpose-packs `B` into a transient buffer per call; steady-state
-/// loops should cache a [`PackedB::pack_transposed`] pack and call
+/// loops should cache a [`PackedB::pack_transposed_with`] pack and call
 /// [`matmul_nt_packed_into`].
 ///
 /// # Errors
 ///
 /// Same error conditions as [`matmul_nt`]; `out` is untouched on error.
 pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (_, ka) = require_rank2("matmul_nt", a)?;
-    let (_, kb) = require_rank2("matmul_nt", b)?;
+    let (m, ka) = require_rank2("matmul_nt", a)?;
+    let (n, kb) = require_rank2("matmul_nt", b)?;
     if ka != kb {
         return Err(TensorError::ShapeMismatch {
             op: "matmul_nt",
@@ -450,12 +366,12 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Te
         });
     }
     let mut pb = PackedB::new();
-    pb.pack_transposed_with(b, KernelVariant::default_for(active_isa()))?;
+    pb.pack_transposed_with(b, tuned_variant(GemmOp::Nt, m, ka, n))?;
     matmul_nt_packed_into(a, &pb, out)
 }
 
 /// `C = A · Bᵀ` with `Bᵀ` already packed (via
-/// [`PackedB::pack_transposed`]): the zero-allocation hot-path spelling of
+/// [`PackedB::pack_transposed_with`]): the zero-allocation hot-path spelling of
 /// [`matmul_nt_into`], bit-identical to it and to [`matmul_nt_reference`].
 ///
 /// # Errors
@@ -541,18 +457,18 @@ pub fn matmul_nt_packed_multi_into(
             tiles.extend(row_tiles.map(|(tile, rows)| (ad, tile * TILE_ROWS, rows)));
         }
         aergia_runtime::par_for_each_mut(&mut tiles, 0, |(ad, first_row, rows)| {
-            gemm_rows_tile::<false>(ad, k, pb, *first_row, rows);
+            gemm_row_tile::<false, false>(ad, k, pb, *first_row, rows);
         });
     } else {
         for (a, out) in slabs.iter_mut() {
-            gemm_rows_tile::<false>(a.data(), k, pb, 0, out.data_mut());
+            gemm_row_tile::<false, false>(a.data(), k, pb, 0, out.data_mut());
         }
     }
     Ok(())
 }
 
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the
-/// packed and blocked kernels.
+/// packed kernel.
 ///
 /// # Errors
 ///
@@ -584,44 +500,6 @@ pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
         }
     }
     Ok(out)
-}
-
-/// The previous-generation tiled `matmul_nt` kernel (scalar dot products
-/// over unpacked rows), retained as a second bit-identical oracle and as
-/// the GFLOP/s sweep baseline.
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul_nt`]; `out` is untouched on error.
-pub fn matmul_nt_blocked_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, ka) = require_rank2("matmul_nt", a)?;
-    let (n, kb) = require_rank2("matmul_nt", b)?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_nt",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    out.reset(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    run_row_tiles(out.data_mut(), n, m * n * ka, |first_row, rows| {
-        // Each output element is one dot product accumulated in a single
-        // register over ascending `k`.
-        for (r, orow) in rows.chunks_exact_mut(n).enumerate() {
-            let arow = &ad[(first_row + r) * ka..(first_row + r + 1) * ka];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &bd[j * ka..(j + 1) * ka];
-                let mut acc = 0.0;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                *o += acc;
-            }
-        }
-    });
-    Ok(())
 }
 
 /// Transpose of a 2-D tensor.
@@ -719,6 +597,7 @@ pub fn sum_rows_into(a: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::KernelVariant;
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
@@ -813,35 +692,27 @@ mod tests {
         Tensor::from_vec(data, dims).unwrap()
     }
 
-    /// The packed and blocked kernels must match the naive references *bit
-    /// for bit* on shapes that straddle the tile, panel and microkernel
-    /// boundaries — this is the contract the engine's serial-vs-parallel
-    /// determinism rests on.
+    /// The plain entry points (rule-picked variant, transient packs) must
+    /// match the naive references *bit for bit* on shapes that straddle
+    /// the tile, panel and microkernel boundaries — this is the contract
+    /// the engine's serial-vs-parallel determinism rests on.
     #[test]
     fn packed_and_blocked_kernels_are_bit_identical_to_references() {
         for (case, (m, k, n)) in
             [(1, 1, 1), (3, 200, 5), (70, 130, 65), (129, 64, 33), (64, 128, 64)].iter().enumerate()
         {
-            let mut blocked = Tensor::default();
-
             let a = random(&[*m, *k], 11 + case as u64);
             let b = random(&[*k, *n], 23 + case as u64);
             let reference = matmul_reference(&a, &b).unwrap();
             assert_eq!(matmul(&a, &b).unwrap().data(), reference.data(), "matmul {m}x{k}x{n}");
-            matmul_blocked_into(&a, &b, &mut blocked).unwrap();
-            assert_eq!(blocked.data(), reference.data(), "matmul blocked {m}x{k}x{n}");
 
             let at = random(&[*k, *m], 31 + case as u64);
             let reference = matmul_tn_reference(&at, &b).unwrap();
             assert_eq!(matmul_tn(&at, &b).unwrap().data(), reference.data(), "tn {m}x{k}x{n}");
-            matmul_tn_blocked_into(&at, &b, &mut blocked).unwrap();
-            assert_eq!(blocked.data(), reference.data(), "tn blocked {m}x{k}x{n}");
 
             let bt = random(&[*n, *k], 47 + case as u64);
             let reference = matmul_nt_reference(&a, &bt).unwrap();
             assert_eq!(matmul_nt(&a, &bt).unwrap().data(), reference.data(), "nt {m}x{k}x{n}");
-            matmul_nt_blocked_into(&a, &bt, &mut blocked).unwrap();
-            assert_eq!(blocked.data(), reference.data(), "nt blocked {m}x{k}x{n}");
         }
     }
 
@@ -852,7 +723,7 @@ mod tests {
     fn multi_slab_nt_matches_per_slab_calls_bitwise() {
         let bt = random(&[24, 40], 90); // pack of a [n=24, k=40] weight
         let mut pb = PackedB::new();
-        pb.pack_transposed(&bt).unwrap();
+        pb.pack_transposed_with(&bt, KernelVariant::PORTABLE).unwrap();
         let sizes = [1usize, 63, 64, 130, 7];
         let slabs_a: Vec<Tensor> =
             sizes.iter().enumerate().map(|(i, &m)| random(&[m, 40], 300 + i as u64)).collect();
@@ -876,7 +747,7 @@ mod tests {
     fn multi_slab_nt_validates_every_slab_before_writing() {
         let bt = random(&[4, 6], 91);
         let mut pb = PackedB::new();
-        pb.pack_transposed(&bt).unwrap();
+        pb.pack_transposed_with(&bt, KernelVariant::PORTABLE).unwrap();
         let good = random(&[3, 6], 92);
         let bad = random(&[3, 5], 93); // k mismatch
         let mut out_a = Tensor::default();
@@ -894,7 +765,7 @@ mod tests {
         let a = t(vec![0.0; 6], &[2, 3]);
         let b = t(vec![0.0; 8], &[4, 2]);
         let mut pb = PackedB::new();
-        pb.pack(&b).unwrap();
+        pb.pack_with(&b, KernelVariant::PORTABLE).unwrap();
         let mut out = Tensor::default();
         // k mismatch: a has 3 columns, the pack has k = 4.
         assert!(matches!(

@@ -123,7 +123,7 @@ impl Workspace {
     }
 
     /// Returns a [`PackedA`] to the pack stack. Invalidated on the way in
-    /// like [`Workspace::give_packed_b`]: autotuned packs carry their
+    /// like [`Workspace::give_packed_b`]: packs carry their
     /// kernel-variant layout with them, so a pool hit must never be
     /// usable until its next `pack_*` call re-describes both contents and
     /// layout.
@@ -142,9 +142,8 @@ impl Workspace {
     /// Returns a [`PackedB`] to the pack stack. The pack is invalidated
     /// on the way in, so a later taker that forgets to repack trips the
     /// kernels' stale-pack assertion instead of silently multiplying
-    /// against a previous owner's operand — or, now that packs are laid
-    /// out per autotuned kernel variant, against a previous owner's
-    /// *layout*.
+    /// against a previous owner's operand — or, since packs are laid out
+    /// per kernel variant, against a previous owner's *layout*.
     pub fn give_packed_b(&mut self, mut pack: PackedB) {
         pack.invalidate();
         self.packed_b.push(pack);
@@ -159,6 +158,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::KernelVariant;
 
     #[test]
     fn take_reuses_exact_shape_buffers() {
@@ -207,10 +207,10 @@ mod tests {
     fn pack_pools_cycle_buffers() {
         let mut ws = Workspace::new();
         let mut pb = ws.take_packed_b();
-        pb.pack(&Tensor::ones(&[4, 4])).unwrap();
+        pb.pack_with(&Tensor::ones(&[4, 4]), KernelVariant::PORTABLE).unwrap();
         ws.give_packed_b(pb);
         let mut pa = ws.take_packed_a();
-        pa.pack_transposed(&Tensor::ones(&[4, 4])).unwrap();
+        pa.pack_transposed_with(&Tensor::ones(&[4, 4]), KernelVariant::PORTABLE).unwrap();
         ws.give_packed_a(pa);
         assert_eq!(ws.pooled(), 2);
         // The pooled pack comes back with its (stale) capacity intact.
@@ -220,20 +220,20 @@ mod tests {
     }
 
     /// A pooled pack may be laid out for any kernel variant its previous
-    /// owner tuned to — both pools must hand it back *invalid*, so the
+    /// owner's GEMM shape called for — both pools must hand it back *invalid*, so the
     /// next owner is forced through a `pack_*` call (which rewrites
     /// contents *and* layout tag) before any kernel can consume it.
     #[test]
     fn pack_pools_invalidate_on_give() {
         let mut ws = Workspace::new();
         let mut pb = ws.take_packed_b();
-        pb.pack(&Tensor::ones(&[4, 4])).unwrap();
+        pb.pack_with(&Tensor::ones(&[4, 4]), KernelVariant::PORTABLE).unwrap();
         assert!(pb.is_valid());
         ws.give_packed_b(pb);
         assert!(!ws.take_packed_b().is_valid(), "pooled PackedB must come back stale");
 
         let mut pa = ws.take_packed_a();
-        pa.pack_transposed(&Tensor::ones(&[4, 4])).unwrap();
+        pa.pack_transposed_with(&Tensor::ones(&[4, 4]), KernelVariant::PORTABLE).unwrap();
         assert!(pa.is_valid());
         ws.give_packed_a(pa);
         assert!(!ws.take_packed_a().is_valid(), "pooled PackedA must come back stale");

@@ -256,8 +256,9 @@ proptest! {
         shapes in proptest::collection::vec((1usize..48, 1usize..48, 1usize..24), 2..5),
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{PackedA, PackedB};
+        use aergia_tensor::gemm::{KernelVariant, PackedA, PackedB};
         use rand::{RngExt as _, SeedableRng};
+        let portable = KernelVariant::PORTABLE;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
             (0..len)
@@ -275,40 +276,37 @@ proptest! {
         for &(m, k, n) in &shapes {
             let a = Tensor::from_vec(fill(m * k), &[m, k]).unwrap();
             let b = Tensor::from_vec(fill(k * n), &[k, n]).unwrap();
-            pb.pack(&b).unwrap();
+            pb.pack_with(&b, portable).unwrap();
             ops::matmul_packed_into(&a, &pb, &mut out).unwrap();
             prop_assert_eq!(out.data(), ops::matmul_reference(&a, &b).unwrap().data());
 
             let bt = Tensor::from_vec(fill(n * k), &[n, k]).unwrap();
-            pbt.pack_transposed(&bt).unwrap();
+            pbt.pack_transposed_with(&bt, portable).unwrap();
             ops::matmul_nt_packed_into(&a, &pbt, &mut out).unwrap();
             prop_assert_eq!(out.data(), ops::matmul_nt_reference(&a, &bt).unwrap().data());
 
             let at = Tensor::from_vec(fill(k * m), &[k, m]).unwrap();
-            pa.pack_transposed(&at).unwrap();
+            pa.pack_transposed_with(&at, portable).unwrap();
             ops::matmul_tn_packed_into(&pa, &pb, &mut out).unwrap();
             prop_assert_eq!(out.data(), ops::matmul_tn_reference(&at, &b).unwrap().data());
-
-            // The retained blocked tier agrees bit-for-bit as well.
-            let mut blocked = Tensor::default();
-            ops::matmul_blocked_into(&a, &b, &mut blocked).unwrap();
-            ops::matmul_packed_into(&a, &pb, &mut out).unwrap();
-            prop_assert_eq!(out.data(), blocked.data());
         }
     }
 
-    /// Every kernel variant the autotuner may pick on this machine —
-    /// scalar 4×8 and each SIMD register tile — must produce *the same
-    /// bits* as the naive references for all three GEMM orientations, on
-    /// ragged shapes that straddle the `mr` row-tile and `nr` panel
-    /// boundaries. This is the contract that makes autotuning invisible:
-    /// the tuner may pick any candidate on timing grounds alone.
+    /// Every kernel variant of every tier — scalar 4×8 and each SIMD
+    /// register tile, whether or not this process can dispatch to it —
+    /// must produce *the same bits* as the naive references for all three
+    /// GEMM orientations, on ragged shapes that straddle the `mr`
+    /// row-tile and `nr` panel boundaries. This is the contract that lets
+    /// the shape → variant rule choose on speed alone; on a process
+    /// without a variant's ISA (the `AERGIA_FORCE_SCALAR` CI leg) the
+    /// same loop is the result check of the generic scalar fallback that
+    /// executes SIMD-tagged packs there.
     #[test]
     fn every_kernel_variant_matches_references_bitwise(
         m in 1usize..70, k in 1usize..70, n in 1usize..70,
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{active_isa, KernelVariant, PackedA, PackedB};
+        use aergia_tensor::gemm::{PackedA, PackedB};
         use rand::{RngExt as _, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
@@ -331,7 +329,7 @@ proptest! {
         let mut pbt = PackedB::new();
         let mut pa = PackedA::new();
         let mut out = Tensor::default();
-        for &variant in KernelVariant::candidates(active_isa()) {
+        for variant in every_variant() {
             pb.pack_with(&b, variant).unwrap();
             ops::matmul_packed_into(&a, &pb, &mut out).unwrap();
             prop_assert_eq!(out.data(), nn_ref.data(), "NN {:?}", variant);
@@ -349,17 +347,17 @@ proptest! {
     /// Re-packing the *same* buffers for a different variant (a different
     /// panel width, so a completely different pad layout) must be exact no
     /// matter which variant wrote the buffer last — the situation the
-    /// workspace pack pools create when consecutive layers tune to
-    /// different register tiles.
+    /// workspace pack pools create when consecutive layers' shapes call
+    /// for different register tiles.
     #[test]
     fn switching_variants_over_dirty_packs_is_exact(
         shapes in proptest::collection::vec(
             (1usize..48, 1usize..48, 1usize..40, 0usize..8), 2..5),
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{active_isa, KernelVariant, PackedA, PackedB};
+        use aergia_tensor::gemm::{PackedA, PackedB};
         use rand::{RngExt as _, SeedableRng};
-        let candidates = KernelVariant::candidates(active_isa());
+        let candidates = every_variant();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
             (0..len)
@@ -398,7 +396,7 @@ proptest! {
         m in 1usize..24, k in 1usize..24, n in 1usize..24,
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{active_isa, KernelVariant, PackedB};
+        use aergia_tensor::gemm::PackedB;
         use rand::{RngExt as _, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
@@ -417,7 +415,7 @@ proptest! {
         let reference = ops::matmul_reference(&a, &b).unwrap();
         let mut pb = PackedB::new();
         let mut out = Tensor::default();
-        for &variant in KernelVariant::candidates(active_isa()) {
+        for variant in every_variant() {
             pb.pack_with(&b, variant).unwrap();
             ops::matmul_packed_into(&a, &pb, &mut out).unwrap();
             for (i, (&got, &want)) in out.data().iter().zip(reference.data()).enumerate() {
@@ -444,7 +442,7 @@ proptest! {
         k in 1usize..32, n in 1usize..32,
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{active_isa, KernelVariant, PackedB};
+        use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
         use rand::{RngExt as _, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
@@ -456,7 +454,7 @@ proptest! {
         };
         let bt = Tensor::from_vec(fill(n * k), &[n, k]).unwrap();
         let mut pb = PackedB::new();
-        pb.pack_transposed_with(&bt, KernelVariant::default_for(active_isa())).unwrap();
+        pb.pack_transposed_with(&bt, tuned_variant(GemmOp::Nt, rows[0], k, n)).unwrap();
         let slabs: Vec<Tensor> = rows
             .iter()
             .map(|&m| Tensor::from_vec(fill(m * k), &[m, k]).unwrap())
@@ -474,6 +472,16 @@ proptest! {
             prop_assert_eq!(single.data(), ops::matmul_nt_reference(a, &bt).unwrap().data());
         }
     }
+}
+
+/// Every tier's register tiles, unfiltered by what this process can
+/// dispatch to (an inactive ISA's packs run on the scalar fallback).
+fn every_variant() -> Vec<aergia_tensor::gemm::KernelVariant> {
+    use aergia_tensor::gemm::{Isa, KernelVariant};
+    [Isa::Scalar, Isa::Avx2, Isa::Avx512]
+        .into_iter()
+        .flat_map(|isa| KernelVariant::candidates(isa).iter().copied())
+        .collect()
 }
 
 fn matrix_from(t: &Tensor) -> Tensor {

@@ -10,8 +10,7 @@
 //! and how well does each robust aggregator blunt an adversary the plain
 //! mean cannot survive.
 //!
-//! The cluster itself is declared through [`TopologyBuilder`] — the
-//! replacement for the deprecated post-build engine mutators — so this
+//! The cluster itself is declared through [`TopologyBuilder`], so this
 //! example doubles as the builder's end-to-end demo: one client is
 //! slowed to a crawl and mild network jitter is injected, both validated
 //! against the configuration before the engine exists.

@@ -1,11 +1,15 @@
-//! A parallel engine opened in a process whose GEMM tuner is still cold
-//! must finish its round, not hang. The tuner used to hold its map lock
-//! across a pool wait, and a waiting thread could start a second client
-//! task that re-locked it.
+//! Liveness of a cold parallel start: the first thing a fresh process
+//! does is a fully parallel Real round — pool, workspaces and weight packs
+//! all built for the first time from inside concurrent client tasks — and
+//! it must finish, not hang. (This once deadlocked on a GEMM autotuner
+//! lock held across a pool wait; that tuner is gone — the kernel variant
+//! is a pure function now — so there is no lock left here to deadlock on.
+//! The test stays as the watchdog for anything that reintroduces
+//! first-use state on this path.)
 //!
-//! The test lives in its own integration binary so nothing warms the
-//! tuner first; the round runs under a watchdog so a regression fails
-//! instead of hanging the suite.
+//! The test lives in its own integration binary so nothing in the process
+//! is warm; the round runs under a watchdog so a regression fails instead
+//! of hanging the suite.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -23,8 +27,8 @@ fn cold_parallel_start_completes() {
     std::env::set_var("AERGIA_THREADS", "2");
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
-        // Four clients on the CIFAR CNN: every layer shape is large enough
-        // to be tuned, and tuned first from inside concurrent client tasks.
+        // Four clients on the CIFAR CNN: every GEMM is large enough to be
+        // tiled across the pool from inside concurrent client tasks.
         let config = ExperimentConfig {
             dataset: DataConfig {
                 spec: DatasetSpec::Cifar10Like,

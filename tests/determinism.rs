@@ -180,18 +180,49 @@ fn scenario_async_churn_byzantine_is_bit_identical_across_parallelism() {
     assert!(crashed > 0, "seed 36 must fire at least one mid-round crash to cover churn");
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Re-runs `test` alone in a fresh process of this test binary with
+/// `envs` set, and returns the `AERGIA_FINGERPRINT=<hex>` it prints.
+/// Process-latched state (the ISA `OnceLock`, the pool, the telemetry
+/// registry) is thereby really cold in the child.
+fn child_fingerprint(test: &str, label: &str, envs: &[(&str, &str)]) -> u64 {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["--exact", test, "--nocapture", "--test-threads", "1"])
+        .envs(envs.iter().copied())
+        .output()
+        .expect("spawn fingerprint child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{label} child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // libtest may glue its own "test <name> ... " prefix onto the
+    // child's line, so find the marker anywhere.
+    stdout
+        .lines()
+        .find_map(|l| l.split("AERGIA_FINGERPRINT=").nth(1))
+        .and_then(|hex| u64::from_str_radix(hex.trim(), 16).ok())
+        .unwrap_or_else(|| panic!("{label} child printed no fingerprint:\n{stdout}"))
+}
+
 /// FNV-1a over every observable bit of a run: per-round metrics (losses
 /// and accuracies as raw float bits), schedule outcomes, and the final
 /// global weights. Two runs fingerprint equal iff they are byte-identical
 /// in everything the determinism suite pins.
 fn fingerprint(result: &RunResult, weights: &[aergia_tensor::Tensor]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     for r in &result.rounds {
         eat(&r.round.to_le_bytes());
         eat(&r.duration.as_micros().to_le_bytes());
@@ -244,37 +275,51 @@ fn forced_scalar_and_unfused_runs_match_simd_bit_for_bit() {
     for (label, var) in
         [("forced-scalar", "AERGIA_FORCE_SCALAR"), ("fusion-disabled", "AERGIA_NO_FUSE")]
     {
-        let exe = std::env::current_exe().expect("test binary path");
-        let out = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "forced_scalar_and_unfused_runs_match_simd_bit_for_bit",
-                "--nocapture",
-                "--test-threads",
-                "1",
-            ])
-            .env("AERGIA_DET_FINGERPRINT", "1")
-            .env(var, "1")
-            .output()
-            .expect("spawn fingerprint child");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "{label} child failed:\n{stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
+        let got = child_fingerprint(
+            "forced_scalar_and_unfused_runs_match_simd_bit_for_bit",
+            label,
+            &[("AERGIA_DET_FINGERPRINT", "1"), (var, "1")],
         );
-        // libtest may glue its own "test <name> ... " prefix onto the
-        // child's line, so find the marker anywhere.
-        let got = stdout
-            .lines()
-            .find_map(|l| l.split("AERGIA_FINGERPRINT=").nth(1))
-            .and_then(|hex| u64::from_str_radix(hex.trim(), 16).ok())
-            .unwrap_or_else(|| panic!("{label} child printed no fingerprint:\n{stdout}"));
         assert_eq!(
             got, expected,
             "{label} run diverged from the default SIMD run (fingerprint {got:016x} vs {expected:016x})"
         );
     }
+}
+
+/// Cross-process stream identity: the telemetry JSONL of one seeded Real
+/// round must be byte-identical between two *fresh processes*, not just
+/// between two runs inside one (which `tests/telemetry.rs` pins). The
+/// stream carries the GEMM call and subtile counters, and a subtile is
+/// `mr` rows — so this holds only because the kernel variant is a pure
+/// function of the ISA and the shape. (With the per-process autotuner it
+/// replaced, about one cold process in four timed its way to a different
+/// `mr` and a different stream.)
+#[test]
+fn telemetry_stream_is_identical_across_fresh_processes() {
+    force_pool_workers();
+    const TEST: &str = "telemetry_stream_is_identical_across_fresh_processes";
+    if std::env::var_os("AERGIA_DET_STREAM").is_some() {
+        // Child mode: the only test in this process, so the
+        // process-global telemetry state is ours alone.
+        // The CIFAR CNN at batch 8: its GEMMs are the ones large enough
+        // that the old tuner timed them instead of taking a default.
+        aergia_telemetry::enable();
+        let mut config =
+            base_config(Scale::Smoke, DatasetSpec::Cifar10Like, ModelArch::Cifar10Cnn, 35);
+        config.rounds = 1;
+        config.local_updates = 2;
+        config.parallelism = 0;
+        let mut engine = Engine::new(config, Strategy::aergia_default()).expect("valid config");
+        engine.run().expect("run succeeds");
+        let jsonl = aergia_telemetry::drain_jsonl();
+        assert!(jsonl.contains("aergia_gemm_subtiles_dense_total"), "stream lacks GEMM counters");
+        println!("AERGIA_FINGERPRINT={:016x}", fnv1a(FNV_OFFSET, jsonl.as_bytes()));
+        return;
+    }
+    let first = child_fingerprint(TEST, "first", &[("AERGIA_DET_STREAM", "1")]);
+    let second = child_fingerprint(TEST, "second", &[("AERGIA_DET_STREAM", "1")]);
+    assert_eq!(first, second, "two cold processes of one seed emitted different JSONL streams");
 }
 
 fn run_with_topology(

@@ -7,8 +7,9 @@
 //!    stream is stamped from the simnet virtual clock and flushed from
 //!    the federator thread at round boundaries, so two runs of the same
 //!    seed — even in one process, where the second run reuses the warm
-//!    GEMM autotune cache and workspace pools the first one built — must
-//!    produce byte-for-byte identical streams.
+//!    workspace pools the first one built — must produce byte-for-byte
+//!    identical streams. (Two *processes* of one seed agree as well; that
+//!    half lives in `determinism.rs`, which owns the child-process rig.)
 //! 2. **Observer effect is zero.** Enabling telemetry may not perturb
 //!    training: an instrumented run's final weights must be bit-identical
 //!    to a disabled run of the same seed.
