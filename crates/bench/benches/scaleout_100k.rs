@@ -10,8 +10,8 @@
 //! `simulated`.
 //!
 //! At `AERGIA_SCALE=smoke` the harness runs the 100k-simulated /
-//! 1k-trained point (this is the wall-time the bench-regression gate
-//! tracks); at default and paper scale it adds the 1M / 10k point. The
+//! 1k-trained point; at default and paper scale it adds the 1M / 10k
+//! point. The
 //! `scale-smoke` CI job runs both under an RSS ceiling: set
 //! `AERGIA_RSS_LIMIT_MB` and the harness exits non-zero if the process
 //! peak resident set exceeds it.

@@ -1,7 +1,7 @@
-//! Times every figure harness at `AERGIA_SCALE=smoke` and gates wall-time
-//! regressions (plus the in-process `allocs_per_round`, `matmul_gflops`,
-//! per-codec `bytes_per_round_*` and `resident_client_bytes` figures) —
-//! the driver behind the `bench-regression` CI job.
+//! Runs every figure harness at `AERGIA_SCALE=smoke` and gates the
+//! deterministic in-process figures (`allocs_per_round`, per-codec
+//! `bytes_per_round_*`, `resident_client_bytes`) — the driver behind the
+//! `bench-regression` CI job.
 //!
 //! ```sh
 //! cargo run --release -p aergia-bench --bin bench_smoke -- \
@@ -9,40 +9,34 @@
 //!     --baseline crates/bench/baselines/BENCH_smoke.json
 //! ```
 //!
-//! The binary shells out to `cargo bench --bench <figure>` per harness
-//! (after one untimed `cargo bench --no-run` so compilation never pollutes
-//! a measurement), writes the wall-times as flat JSON, and exits non-zero
-//! if any harness runs more than `--max-regression` (default 2.0) times
-//! slower than its entry in the checked-in baseline. Refresh the baseline
-//! by copying a green run's artifact over
+//! The binary shells out to `cargo bench --bench <figure>` per harness —
+//! a harness whose shape assertions fail exits non-zero and fails the
+//! job — writes the figures as flat JSON, and exits non-zero if any
+//! figure is more than `--max-regression` (default 2.0) times its entry
+//! in the checked-in baseline. Wall-clock is neither recorded nor gated:
+//! timing claims live in the repo benchmark (`benchmark/`). Refresh the
+//! baseline by copying a green run's artifact over
 //! `crates/bench/baselines/BENCH_smoke.json`.
 
 use std::process::Command;
-use std::time::Instant;
 
 use aergia::engine::Engine;
 use aergia::strategy::Strategy;
-use aergia_bench::regression::{
-    embed_telemetry, from_json, is_throughput, regressions, to_json, BenchReport,
-};
+use aergia_bench::regression::{embed_telemetry, from_json, regressions, to_json, BenchReport};
 use aergia_bench::{base_config, Scale};
 use aergia_codec::CodecConfig;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 use aergia_runtime::alloc_count::CountingAllocator;
-use aergia_tensor::gemm::{active_isa, tuned_variant, GemmOp, KernelVariant, PackedB};
-use aergia_tensor::{init, ops, Tensor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Counts every heap allocation in this process so the report can carry
-/// `allocs_per_round` next to the wall-times (the allocation measurement
-/// runs in-process, before any harness is shelled out).
+/// `allocs_per_round` (the allocation measurement runs in-process,
+/// before any harness is shelled out).
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// The figure/table harnesses the gate tracks (criterion micro-benches are
-/// excluded: their wall-time is dominated by criterion's sampling loop).
+/// The figure/table harnesses the job runs (criterion micro-benches have
+/// their own `--test` steps).
 const HARNESSES: &[&str] = &[
     "fig1a_cpu_variance",
     "fig1bc_deadlines",
@@ -118,39 +112,10 @@ fn measure_allocs_per_round() -> f64 {
     (ALLOC.allocations() - before) as f64 / f64::from(rounds - 1)
 }
 
-/// Steady-state GEMM throughput (GFLOP/s) of the packed microkernel at a
-/// CNN-typical im2col shape, against a cached weight pack laid out for
-/// `variant` — the figure behind the `matmul_gflops` (the rule's tile on
-/// this machine's ISA tier) and `matmul_scalar_gflops` (portable 4×8
-/// baseline) gate entries. Measured serially (the caller pins
-/// `AERGIA_THREADS=1`) so the number reflects per-core kernel quality,
-/// not the host's core count.
-fn measure_matmul_gflops(variant: KernelVariant) -> f64 {
-    let (m, k, n) = (2048, 576, 64);
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut a = Tensor::zeros(&[m, k]);
-    let mut b = Tensor::zeros(&[k, n]);
-    init::normal(&mut a, &mut rng, 0.0, 1.0);
-    init::normal(&mut b, &mut rng, 0.0, 1.0);
-    let mut pb = PackedB::new();
-    pb.pack_with(&b, variant).expect("pack");
-    let mut out = Tensor::default();
-    // Warm the output buffer and caches, then time a fixed window.
-    ops::matmul_packed_into(&a, &pb, &mut out).expect("matmul");
-    let flops = 2.0 * (m * k * n) as f64;
-    let started = Instant::now();
-    let mut reps = 0u32;
-    while started.elapsed().as_secs_f64() < 0.5 {
-        ops::matmul_packed_into(&a, &pb, &mut out).expect("matmul");
-        reps += 1;
-    }
-    flops * f64::from(reps) / started.elapsed().as_secs_f64() / 1e9
-}
-
 /// Simulated bytes-on-wire per round of the smoke Aergia experiment under
 /// `codec`. Runs in timing mode — wire sizes are shape-deterministic, so
-/// the figure is exact, fast and identical to a real-mode run — and gates
-/// like a wall-time: growing the protocol's byte footprint 2x fails CI.
+/// the figure is exact, fast and identical to a real-mode run; growing
+/// the protocol's byte footprint 2x fails CI.
 fn measure_bytes_per_round(codec: CodecConfig) -> f64 {
     let mut config = base_config(Scale::Smoke, DatasetSpec::MnistLike, ModelArch::MnistCnn, 77);
     config.mode = aergia::config::Mode::Timing;
@@ -163,9 +128,8 @@ fn measure_bytes_per_round(codec: CodecConfig) -> f64 {
 /// Peak resident client-state bytes at the scale-out smoke point (100k
 /// simulated clients, 1k trained per round, cohort-sampled pool). The
 /// figure is deterministic — shard sizes and the pool's byte model are
-/// pure functions of the configuration — and gates like a wall-time:
-/// resident client state growing 2x (e.g. the pool silently holding the
-/// population again) fails CI.
+/// pure functions of the configuration; resident client state growing
+/// 2x (e.g. the pool silently holding the population again) fails CI.
 fn measure_resident_client_bytes() -> f64 {
     use aergia::topology::TopologyBuilder;
     use aergia_bench::scaleout_config;
@@ -195,37 +159,13 @@ fn main() {
     std::env::set_var("AERGIA_THREADS", "1");
     let allocs_per_round = measure_allocs_per_round();
     eprintln!("bench_smoke: allocs_per_round = {allocs_per_round:.0}");
-    // Both dispatch paths get a gate entry: the tile `tuned_variant`
-    // answers on this machine's active ISA tier, and the portable scalar
-    // 4×8 everything is bit-compared against. On a scalar-only host (or AERGIA_FORCE_SCALAR)
-    // the two coincide.
-    let isa = active_isa();
-    let tuned = tuned_variant(GemmOp::Nn, 2048, 576, 64);
-    eprintln!("bench_smoke: measuring packed GEMM throughput (isa {})", isa.label());
-    let matmul_gflops = measure_matmul_gflops(tuned);
-    eprintln!(
-        "bench_smoke: matmul_gflops = {matmul_gflops:.1} ({} {}x{})",
-        tuned.isa.label(),
-        tuned.mr,
-        tuned.nr
-    );
-    let matmul_scalar_gflops = measure_matmul_gflops(KernelVariant::PORTABLE);
-    eprintln!("bench_smoke: matmul_scalar_gflops = {matmul_scalar_gflops:.1}");
     match orig_threads {
         Some(value) => std::env::set_var("AERGIA_THREADS", value),
         None => std::env::remove_var("AERGIA_THREADS"),
     }
 
-    // Build every bench target untimed so the measurements below are pure
-    // harness wall-time.
-    eprintln!("bench_smoke: pre-building bench targets");
-    let status = cargo().args(["bench", "--no-run"]).status().expect("spawn cargo bench --no-run");
-    assert!(status.success(), "cargo bench --no-run failed");
-
     let mut report = BenchReport::new();
     report.insert("allocs_per_round".to_string(), allocs_per_round);
-    report.insert("matmul_gflops".to_string(), matmul_gflops);
-    report.insert("matmul_scalar_gflops".to_string(), matmul_scalar_gflops);
     // The deterministic in-process measurements below run with the
     // telemetry layer on, so the artifact also carries the engine's own
     // counters (rounds, participants, pool traffic) next to the figures
@@ -233,8 +173,8 @@ fn main() {
     // must see the layer's true disabled-mode (allocation-free) cost.
     aergia_telemetry::enable();
     // Bytes-on-wire per round, per codec: deterministic figures (timing
-    // mode, virtual network) gated exactly like the wall-times so protocol
-    // bloat — or a codec silently falling back to dense — fails the build.
+    // mode, virtual network), so protocol bloat — or a codec silently
+    // falling back to dense — fails the build.
     for (name, codec) in [
         ("bytes_per_round_dense_f32", CodecConfig::DenseF32),
         ("bytes_per_round_quant_i8", CodecConfig::QuantI8),
@@ -256,15 +196,11 @@ fn main() {
     aergia_telemetry::disable();
     for &name in HARNESSES {
         eprintln!("bench_smoke: running {name}");
-        let started = Instant::now();
         let status = cargo()
             .args(["bench", "--bench", name])
             .status()
             .unwrap_or_else(|e| panic!("spawn cargo bench --bench {name}: {e}"));
-        let secs = started.elapsed().as_secs_f64();
         assert!(status.success(), "bench --bench {name} exited with {status}");
-        report.insert(name.to_string(), secs);
-        eprintln!("bench_smoke: {name} took {secs:.3}s");
     }
 
     let json = to_json(&report);
@@ -282,22 +218,19 @@ fn main() {
     let found = regressions(&baseline, &report, options.max_regression);
     if found.is_empty() {
         eprintln!(
-            "bench_smoke: no harness regressed more than {:.1}x against {baseline_path}",
+            "bench_smoke: no figure grew more than {:.1}x against {baseline_path}",
             options.max_regression
         );
         return;
     }
     for r in &found {
-        // Report the regression factor so it always reads ">= limit":
-        // wall-times regress by getting bigger, throughputs by shrinking.
-        let (unit, factor) = if is_throughput(&r.name) {
-            (" GFLOP/s", r.baseline_secs / r.current_secs)
-        } else {
-            ("s", r.current_secs / r.baseline_secs)
-        };
         eprintln!(
-            "bench_smoke: REGRESSION {}: {:.3}{unit} vs baseline {:.3}{unit} ({factor:.1}x, limit {:.1}x)",
-            r.name, r.current_secs, r.baseline_secs, options.max_regression
+            "bench_smoke: REGRESSION {}: {:.3} vs baseline {:.3} ({:.1}x, limit {:.1}x)",
+            r.name,
+            r.current,
+            r.baseline,
+            r.current / r.baseline,
+            options.max_regression
         );
     }
     std::process::exit(1);

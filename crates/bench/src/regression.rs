@@ -1,33 +1,31 @@
-//! Wall-time bookkeeping for the `bench-regression` CI gate.
+//! Report bookkeeping for the `bench-regression` CI gate.
 //!
-//! The `bench_smoke` binary times every figure harness at
-//! `AERGIA_SCALE=smoke`, records the wall-times in a flat JSON object
-//! (`BENCH_smoke.json`, figure name → seconds) and compares them against
-//! the checked-in baseline: any entry slower than `baseline ×
-//! max_regression` fails the job. Counted figures ride the same gate with
-//! wall-time semantics (lower is better): `allocs_per_round` (steady-state
-//! heap allocations) and the `bytes_per_round_*` family (simulated
-//! bytes-on-wire per round, one entry per wire codec — deterministic, so a
-//! breach means the protocol's byte footprint actually grew). Entries
-//! named `*_gflops` are *throughputs* (GFLOP/s — e.g. the `matmul_gflops`
-//! GEMM figure), where higher is better: they regress when the current
-//! value falls below `baseline ÷ max_regression`. The format is
-//! deliberately trivial — the workspace is offline, so both the writer and
-//! the parser live here instead of pulling in `serde_json`.
+//! The `bench_smoke` binary records the deterministic figures of the
+//! smoke experiment in a flat JSON object (`BENCH_smoke.json`, name →
+//! value) and compares them against the checked-in baseline: any entry
+//! above `baseline × max_regression` fails the job. Every gated entry is
+//! a count where lower is better: `allocs_per_round` (steady-state heap
+//! allocations), the `bytes_per_round_*` family (simulated bytes-on-wire
+//! per round, one entry per wire codec) and `resident_client_bytes` — a
+//! breach means the footprint actually grew. Wall-clock is not gated
+//! here: timing claims live in the repo benchmark (`benchmark/`), which
+//! measures them as medians of repeated runs. The format is deliberately
+//! trivial — the workspace is offline, so both the writer and the parser
+//! live here instead of pulling in `serde_json`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Figure-name → wall-time-seconds map, ordered for stable output.
+/// Entry-name → value map, ordered for stable output.
 pub type BenchReport = BTreeMap<String, f64>;
 
 /// Renders a report as the flat JSON object the CI artifact carries.
 #[must_use]
 pub fn to_json(report: &BenchReport) -> String {
     let mut out = String::from("{\n");
-    for (i, (name, secs)) in report.iter().enumerate() {
+    for (i, (name, value)) in report.iter().enumerate() {
         let comma = if i + 1 == report.len() { "" } else { "," };
-        let _ = writeln!(out, "  \"{name}\": {secs:.3}{comma}");
+        let _ = writeln!(out, "  \"{name}\": {value:.3}{comma}");
     }
     out.push_str("}\n");
     out
@@ -73,8 +71,8 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
 
 /// Folds a telemetry snapshot (the Prometheus-style text
 /// [`aergia_telemetry::snapshot`] renders) into a report so bench
-/// artifacts carry the run's deterministic counters next to the
-/// wall-times. Only metrics under the listed deterministic prefixes are
+/// artifacts carry the run's deterministic counters next to the gated
+/// figures. Only metrics under the listed deterministic prefixes are
 /// kept — engine, pool, profile and codec figures, all pure functions
 /// of the configuration — never wall-clock metrics like GEMM GFLOP/s
 /// gauges or network round-trips. Per-bucket histogram entries are
@@ -87,8 +85,8 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
 pub fn embed_telemetry(report: &mut BenchReport, snapshot_text: &str) {
     const DETERMINISTIC_PREFIXES: &[&str] =
         &["aergia_engine_", "aergia_pool_", "aergia_profile_", "aergia_codec_"];
-    // A malformed snapshot embeds nothing — the wall-time gate must not
-    // fail on a telemetry formatting problem.
+    // A malformed snapshot embeds nothing — the gate must not fail on a
+    // telemetry formatting problem.
     let Ok(metrics) = aergia_telemetry::parse_snapshot(snapshot_text) else { return };
     for (name, value) in metrics {
         if !DETERMINISTIC_PREFIXES.iter().any(|p| name.starts_with(p)) {
@@ -116,56 +114,32 @@ pub fn embed_telemetry(report: &mut BenchReport, snapshot_text: &str) {
     }
 }
 
-/// One benchmark whose current value breaches the regression gate.
+/// One entry whose current value breaches the regression gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
-    /// Figure harness name.
+    /// Entry name.
     pub name: String,
-    /// Baseline value (seconds for wall-time entries, GFLOP/s for
-    /// `*_gflops` throughput entries).
-    pub baseline_secs: f64,
+    /// Baseline value.
+    pub baseline: f64,
     /// Current value, same unit as the baseline.
-    pub current_secs: f64,
+    pub current: f64,
 }
 
-/// Name suffix marking a throughput entry (higher is better) rather than
-/// a wall-time (lower is better).
-pub const THROUGHPUT_SUFFIX: &str = "_gflops";
-
-/// Whether an entry name denotes a throughput (see [`THROUGHPUT_SUFFIX`]).
-#[must_use]
-pub fn is_throughput(name: &str) -> bool {
-    name.ends_with(THROUGHPUT_SUFFIX)
-}
-
-/// Compares a fresh report against the baseline: a wall-time entry
-/// regresses when it is more than `max_ratio` times slower than its
-/// baseline; a throughput entry (`*_gflops`) regresses when it drops
-/// below `baseline ÷ max_ratio`. Entries only present on one side are
-/// ignored (new figures don't need a lockstep baseline update; retired
-/// figures don't block).
-///
-/// A small absolute floor (0.5, in the entry's own unit) keeps noisy
-/// low-magnitude entries from tripping the gate: sub-half-second
-/// harnesses never gate, and neither do throughput entries whose
-/// baseline is at or below 0.5 GFLOP/s.
+/// Compares a fresh report against the baseline: an entry regresses when
+/// it is more than `max_ratio` times its baseline. Entries only present
+/// on one side are ignored (new figures don't need a lockstep baseline
+/// update; retired figures don't block).
 #[must_use]
 pub fn regressions(
     baseline: &BenchReport,
     current: &BenchReport,
     max_ratio: f64,
 ) -> Vec<Regression> {
-    const NOISE_FLOOR: f64 = 0.5;
     let mut out = Vec::new();
-    for (name, &current_secs) in current {
-        let Some(&baseline_secs) = baseline.get(name) else { continue };
-        let regressed = if is_throughput(name) {
-            baseline_secs > NOISE_FLOOR && current_secs * max_ratio < baseline_secs
-        } else {
-            current_secs > (baseline_secs * max_ratio).max(NOISE_FLOOR)
-        };
-        if regressed {
-            out.push(Regression { name: name.clone(), baseline_secs, current_secs });
+    for (name, &current) in current {
+        let Some(&baseline) = baseline.get(name) else { continue };
+        if current > baseline * max_ratio {
+            out.push(Regression { name: name.clone(), baseline, current });
         }
     }
     out
@@ -224,7 +198,7 @@ mod tests {
     fn bytes_entries_gate_like_wall_times() {
         // The bytes-per-round figures are deterministic counts; doubling
         // one (protocol bloat, or a codec quietly shipping dense frames)
-        // must trip the gate exactly like a slow harness.
+        // must trip the gate.
         let baseline = report(&[("bytes_per_round_topk_delta", 90_000.0)]);
         let ok = report(&[("bytes_per_round_topk_delta", 179_000.0)]);
         assert!(regressions(&baseline, &ok, 2.0).is_empty());
@@ -233,28 +207,6 @@ mod tests {
         // Shrinking is never a regression.
         let slim = report(&[("bytes_per_round_topk_delta", 9_000.0)]);
         assert!(regressions(&baseline, &slim, 2.0).is_empty());
-    }
-
-    #[test]
-    fn throughput_entries_gate_on_drops_not_gains() {
-        let baseline = report(&[("matmul_gflops", 20.0)]);
-        // Faster is never a regression.
-        let faster = report(&[("matmul_gflops", 80.0)]);
-        assert!(regressions(&baseline, &faster, 2.0).is_empty());
-        // A drop within the ratio passes; beyond it fails.
-        let ok = report(&[("matmul_gflops", 10.1)]);
-        assert!(regressions(&baseline, &ok, 2.0).is_empty());
-        let bad = report(&[("matmul_gflops", 9.9)]);
-        let found = regressions(&baseline, &bad, 2.0);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "matmul_gflops");
-    }
-
-    #[test]
-    fn throughput_noise_floor_shields_tiny_baselines() {
-        let baseline = report(&[("tiny_gflops", 0.4)]);
-        let current = report(&[("tiny_gflops", 0.01)]);
-        assert!(regressions(&baseline, &current, 2.0).is_empty());
     }
 
     #[test]
@@ -292,14 +244,5 @@ aergia_net_order_rtt_seconds_sum 1.5
         let mut r = report(&[("fig6_iid", 1.0)]);
         embed_telemetry(&mut r, "aergia_engine_rounds_total not-a-number");
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn noise_floor_shields_subsecond_harnesses() {
-        let baseline = report(&[("ablation", 0.01)]);
-        let current = report(&[("ablation", 0.4)]);
-        assert!(regressions(&baseline, &current, 2.0).is_empty(), "0.4s is under the 0.5s floor");
-        let current = report(&[("ablation", 0.6)]);
-        assert_eq!(regressions(&baseline, &current, 2.0).len(), 1);
     }
 }

@@ -47,6 +47,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{ClientStateMode, ConfigError, ExperimentConfig, Mode};
+use crate::fold;
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scenario::{self, AggregationMode, RobustAggregation};
 use crate::strategy::Strategy;
@@ -788,33 +789,23 @@ impl Engine {
                 // the run is pinned fully serial (each edge's chain is one
                 // task, so scheduling cannot change bits).
                 let parallel = self.config.parallelism != 1;
-                match self.strategy {
-                    Strategy::FedNova => {
-                        let triples: Vec<(f32, Vec<Tensor>, u32)> =
-                            contributions.into_iter().map(|c| (c.n, c.weights, c.tau)).collect();
-                        let mut partials = crate::fold::fednova_edge_partials(
-                            &self.global,
-                            &triples,
-                            &edges,
-                            num_edges,
-                            parallel,
-                        );
-                        if num_edges > 1 {
-                            partials = crate::fold::through_wire(partials);
-                        }
-                        crate::fold::merge_fednova_partials(&self.global, partials)
-                    }
-                    _ => {
-                        let weighted: Vec<(f32, Vec<Tensor>)> =
-                            contributions.into_iter().map(|c| (c.n, c.weights)).collect();
-                        let mut partials = crate::fold::weighted_edge_partials(
-                            &weighted, &edges, num_edges, parallel,
-                        );
-                        if num_edges > 1 {
-                            partials = crate::fold::through_wire(partials);
-                        }
-                        crate::fold::merge_weighted_partials(partials)
-                    }
+                let nova = matches!(self.strategy, Strategy::FedNova);
+                let mut partials = if nova {
+                    let triples: Vec<(f32, Vec<Tensor>, u32)> =
+                        contributions.into_iter().map(|c| (c.n, c.weights, c.tau)).collect();
+                    fold::fednova_edge_partials(&self.global, &triples, &edges, num_edges, parallel)
+                } else {
+                    let weighted: Vec<(f32, Vec<Tensor>)> =
+                        contributions.into_iter().map(|c| (c.n, c.weights)).collect();
+                    fold::weighted_edge_partials(&weighted, &edges, num_edges, parallel)
+                };
+                if num_edges > 1 {
+                    partials = fold::through_wire(partials);
+                }
+                if nova {
+                    fold::merge_fednova_partials(&self.global, partials)
+                } else {
+                    fold::merge_weighted_partials(partials)
                 }
             }
             RobustAggregation::CoordinateMedian => {

@@ -159,12 +159,7 @@ impl CohortPool {
             let entry = self.entries.remove(&client).expect("victim is resident");
             self.stats.evictions += 1;
             self.evicted_ever.insert(client);
-            if let Some(mut ws) = entry.ws {
-                // A recycled workspace must not leak a previous client's
-                // staged fused batch-0 forward.
-                ws.fused0 = None;
-                self.free_ws.push(ws);
-            }
+            self.free_ws.extend(entry.ws);
         }
     }
 

@@ -155,26 +155,76 @@ fn cohort_indices(edges: &[usize], num_edges: usize) -> Vec<Vec<usize>> {
     cohorts
 }
 
-/// The scalar total over the tree: per-edge masses merged in edge order,
-/// the first non-empty edge's mass taken as-is (no spurious `0 + x`
-/// term, mirroring [`StreamingFold::merge`] on an empty receiver).
-fn merge_masses(masses: &[(usize, f32)]) -> f32 {
+/// The edge tier both mean-family rules share: groups the contributions
+/// by cohort, evaluates the scalar mass total over the tree (`mass_of`
+/// summed per edge in a 0-started chain — exactly the flat `iter().sum()`
+/// when one cohort holds everything) and folds every non-empty cohort in
+/// contribution order, calling `step(acc, aux, contribution, total)` on
+/// a zero accumulator shaped like `shape`. With `parallel` the per-edge
+/// folds run concurrently on the thread pool — each edge's chain is a
+/// single task, so scheduling cannot move a bracket and the output is
+/// bit-identical either way.
+fn edge_partials<C: Sync>(
+    contributions: &[C],
+    edges: &[usize],
+    num_edges: usize,
+    parallel: bool,
+    shape: &[Tensor],
+    mass_of: impl Fn(&C) -> f32,
+    step: impl Fn(&mut [Tensor], &mut f32, &C, f32) + Sync,
+) -> Vec<EdgePartial> {
+    assert_eq!(contributions.len(), edges.len(), "one edge per contribution");
+    let cohorts = cohort_indices(edges, num_edges);
+    // Scalar pass: each non-empty edge's mass, merged in edge order with
+    // the first taken as-is (no spurious `0 + x` term, mirroring
+    // [`StreamingFold::merge`] on an empty receiver).
     let mut total: Option<f32> = None;
-    for &(_, m) in masses {
-        total = Some(match total {
-            None => m,
-            Some(t) => t + m,
-        });
+    let mut partials = Vec::new();
+    for (edge, cohort) in cohorts.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        let mut weight = 0.0f32;
+        for &i in cohort {
+            weight += mass_of(&contributions[i]);
+        }
+        total = Some(total.map_or(weight, |t| t + weight));
+        let count = cohort.len();
+        partials.push(EdgePartial { edge, count, weight, aux: 0.0, tensors: Vec::new() });
     }
-    total.expect("hierarchical fold: no contributions")
+    let total = total.expect("hierarchical fold: no contributions");
+    assert!(total > 0.0, "hierarchical fold: weights sum to {total}");
+
+    let fold_one = |p: &mut EdgePartial| {
+        p.tensors = shape.iter().map(|t| Tensor::zeros(t.dims())).collect();
+        for &i in &cohorts[p.edge] {
+            step(&mut p.tensors, &mut p.aux, &contributions[i], total);
+        }
+    };
+    if parallel && partials.len() > 1 {
+        aergia_runtime::par_for_each_mut(&mut partials, 0, fold_one);
+    } else {
+        partials.iter_mut().for_each(fold_one);
+    }
+    partials
+}
+
+/// The root merge both rules share: partials combine in fixed edge order
+/// (the inputs are produced in that order), the first taken as-is, the
+/// rest added — element-wise for the accumulators
+/// ([`StreamingFold::merge`]'s chain), by the same rule for the `aux`
+/// scalars. Returns `(tensors, aux)`.
+fn merge_partials(partials: Vec<EdgePartial>) -> (Vec<Tensor>, f32) {
+    let mut aux: Option<f32> = None;
+    let mut root = StreamingFold::new();
+    for p in partials {
+        aux = Some(aux.map_or(p.aux, |t| t + p.aux));
+        root.merge(StreamingFold::resume(p.tensors, p.count));
+    }
+    (root.finish().expect("root merge: no partials"), aux.expect("root merge: no partials"))
 }
 
 /// Computes every non-empty edge's pre-folded partial for a weighted
 /// mean: `pᵉ = Σ (wᵢ/Σw)·sᵢ` over the cohort in contribution order,
-/// with the *global* weight total evaluated over the same tree. With
-/// `parallel` the per-edge folds run concurrently on the thread
-/// pool — each edge's chain is a single task, so scheduling cannot move
-/// a bracket and the output is bit-identical either way.
+/// with the *global* weight total evaluated over the same tree (see
+/// `edge_partials` for the `parallel` contract).
 ///
 /// # Panics
 ///
@@ -187,74 +237,32 @@ pub fn weighted_edge_partials(
     num_edges: usize,
     parallel: bool,
 ) -> Vec<EdgePartial> {
-    assert_eq!(contributions.len(), edges.len(), "one edge per contribution");
-    let cohorts = cohort_indices(edges, num_edges);
-    // Scalar pass: per-edge weight mass (0-started chain, exactly the
-    // flat `iter().sum()` when one cohort holds everything), then the
-    // edge-order total.
-    let masses: Vec<(usize, f32)> = cohorts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.is_empty())
-        .map(|(e, c)| {
-            let mut s = 0.0f32;
-            for &i in c {
-                s += contributions[i].0;
+    // Empty input: the scaffold panics with "no contributions".
+    let shape = contributions.first().map_or(&[][..], |(_, snap)| snap);
+    edge_partials(
+        contributions,
+        edges,
+        num_edges,
+        parallel,
+        shape,
+        |(w, _)| *w,
+        |acc, _, (w, snap), total| {
+            assert_eq!(snap.len(), acc.len(), "weighted fold: snapshot structure mismatch");
+            for (a, s) in acc.iter_mut().zip(snap) {
+                a.axpy(w / total, s);
             }
-            (e, s)
-        })
-        .collect();
-    let total = merge_masses(&masses);
-    assert!(total > 0.0, "hierarchical fold: weights sum to {total}");
-
-    struct Slot<'a> {
-        edge: usize,
-        cohort: &'a [usize],
-        mass: f32,
-        out: Option<EdgePartial>,
-    }
-    let mut slots: Vec<Slot<'_>> = masses
-        .iter()
-        .map(|&(e, mass)| Slot { edge: e, cohort: &cohorts[e], mass, out: None })
-        .collect();
-    let fold_one = |slot: &mut Slot<'_>| {
-        let mut fold = StreamingFold::new();
-        for &i in slot.cohort {
-            let (w, snap) = &contributions[i];
-            fold.fold(w / total, snap);
-        }
-        slot.out = Some(EdgePartial {
-            edge: slot.edge,
-            count: slot.cohort.len(),
-            weight: slot.mass,
-            aux: 0.0,
-            tensors: fold.finish().expect("non-empty cohort"),
-        });
-    };
-    if parallel && slots.len() > 1 {
-        aergia_runtime::par_for_each_mut(&mut slots, 0, fold_one);
-    } else {
-        for slot in &mut slots {
-            fold_one(slot);
-        }
-    }
-    slots.into_iter().map(|s| s.out.expect("every slot folded")).collect()
+        },
+    )
 }
 
-/// The root merge: partials combine in fixed edge order (the inputs are
-/// produced in that order), the first taken as-is, the rest added
-/// element-wise — [`StreamingFold::merge`]'s chain.
+/// The weighted-mean root merge (see `merge_partials`).
 ///
 /// # Panics
 ///
 /// Panics if `partials` is empty.
 #[must_use]
 pub fn merge_weighted_partials(partials: Vec<EdgePartial>) -> Vec<Tensor> {
-    let mut root = StreamingFold::new();
-    for p in partials {
-        root.merge(StreamingFold::resume(p.tensors, p.count));
-    }
-    root.finish().expect("root merge: no partials")
+    merge_partials(partials).0
 }
 
 /// The full hierarchical weighted mean: per-edge partials (optionally
@@ -384,7 +392,8 @@ fn apply_fednova(global: &[Tensor], tau_eff: f32, combined_delta: &[Tensor]) -> 
 ///
 /// # Panics
 ///
-/// Panics if `contributions` is empty or `edges` disagrees in length.
+/// Panics if `contributions` is empty, the sample counts sum to zero or
+/// negative, or `edges` disagrees in length.
 #[must_use]
 pub fn fednova_edge_partials(
     global: &[Tensor],
@@ -393,38 +402,15 @@ pub fn fednova_edge_partials(
     num_edges: usize,
     parallel: bool,
 ) -> Vec<EdgePartial> {
-    assert_eq!(contributions.len(), edges.len(), "one edge per contribution");
-    let cohorts = cohort_indices(edges, num_edges);
-    let masses: Vec<(usize, f32)> = cohorts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.is_empty())
-        .map(|(e, c)| {
-            let mut s = 0.0f32;
-            for &i in c {
-                s += contributions[i].0;
-            }
-            (e, s)
-        })
-        .collect();
-    let total_n = merge_masses(&masses);
-
-    struct Slot<'a> {
-        edge: usize,
-        cohort: &'a [usize],
-        mass: f32,
-        out: Option<EdgePartial>,
-    }
-    let mut slots: Vec<Slot<'_>> = masses
-        .iter()
-        .map(|&(e, mass)| Slot { edge: e, cohort: &cohorts[e], mass, out: None })
-        .collect();
-    let fold_one = |slot: &mut Slot<'_>| {
-        let mut tau_part = 0.0f32;
-        let mut acc: Vec<Tensor> = global.iter().map(|t| Tensor::zeros(t.dims())).collect();
-        for &i in slot.cohort {
-            let (n, weights_i, tau) = &contributions[i];
-            tau_part += (n / total_n) * (*tau as f32);
+    edge_partials(
+        contributions,
+        edges,
+        num_edges,
+        parallel,
+        global,
+        |(n, _, _)| *n,
+        |acc, tau_part, (n, weights_i, tau), total_n| {
+            *tau_part += (n / total_n) * (*tau as f32);
             let p = n / total_n;
             let tau = (*tau).max(1) as f32;
             for ((a, g), wi) in acc.iter_mut().zip(global).zip(weights_i) {
@@ -432,27 +418,12 @@ pub fn fednova_edge_partials(
                 d.scale(p / tau);
                 a.add_assign(&d);
             }
-        }
-        slot.out = Some(EdgePartial {
-            edge: slot.edge,
-            count: slot.cohort.len(),
-            weight: slot.mass,
-            aux: tau_part,
-            tensors: acc,
-        });
-    };
-    if parallel && slots.len() > 1 {
-        aergia_runtime::par_for_each_mut(&mut slots, 0, fold_one);
-    } else {
-        for slot in &mut slots {
-            fold_one(slot);
-        }
-    }
-    slots.into_iter().map(|s| s.out.expect("every slot folded")).collect()
+        },
+    )
 }
 
 /// The FedNova root merge: τ-effective and the combined delta both
-/// merge in edge order (first partial taken as-is), then the final
+/// merge in edge order (see `merge_partials`), then the final
 /// `w_g − τ_eff·d` step runs once at the root.
 ///
 /// # Panics
@@ -460,18 +431,8 @@ pub fn fednova_edge_partials(
 /// Panics if `partials` is empty.
 #[must_use]
 pub fn merge_fednova_partials(global: &[Tensor], partials: Vec<EdgePartial>) -> Vec<Tensor> {
-    assert!(!partials.is_empty(), "fednova root merge: no partials");
-    let mut tau_eff: Option<f32> = None;
-    let mut delta = StreamingFold::new();
-    for p in partials {
-        tau_eff = Some(match tau_eff {
-            None => p.aux,
-            Some(t) => t + p.aux,
-        });
-        delta.merge(StreamingFold::resume(p.tensors, p.count));
-    }
-    let combined = delta.finish().expect("non-empty partial set");
-    apply_fednova(global, tau_eff.expect("non-empty partial set"), &combined)
+    let (combined, tau_eff) = merge_partials(partials);
+    apply_fednova(global, tau_eff, &combined)
 }
 
 /// The full hierarchical FedNova aggregation.

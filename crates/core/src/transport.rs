@@ -29,21 +29,21 @@
 //! remaining replies.
 //!
 //! [`InProcess`] is the default implementation — it executes orders on
-//! the calling thread or the [`aergia_runtime`] thread pool,
-//! exactly as the engine did before this boundary existed. The
-//! determinism suite pins that a run through [`InProcess`] is
-//! bit-identical across `parallelism` settings; the networked e2e suite
-//! pins that a run through `aergia-net`'s TCP transport is bit-identical
-//! to [`InProcess`] on the same seeds.
+//! the calling thread or the [`aergia_runtime`] thread pool. Each call
+//! fans out exactly once, capped by `parallelism`, so at
+//! `parallelism = 1` the calling thread runs every order. The determinism
+//! suite pins that a run through [`InProcess`] is bit-identical across
+//! `parallelism` settings; the networked e2e suite pins that a run
+//! through `aergia-net`'s TCP transport is bit-identical to [`InProcess`]
+//! on the same seeds.
 
 use std::error::Error;
 use std::fmt;
 
 use aergia_data::batcher::Batcher;
 use aergia_data::synth::Dataset;
-use aergia_nn::fused::{fused_forward, fusion_supported, FusedMember};
 use aergia_nn::optim::Sgd;
-use aergia_nn::{Cnn, ForwardPhase, NnError};
+use aergia_nn::{Cnn, NnError};
 use aergia_tensor::{Tensor, Workspace};
 
 use crate::config::ExperimentConfig;
@@ -244,13 +244,6 @@ pub struct ClientWorkspace {
     pub(crate) ws: Workspace,
     pub(crate) batch_x: Tensor,
     pub(crate) batch_y: Vec<usize>,
-    /// Batch-0 forward state left by the round's cross-client fused
-    /// pre-pass (see [`InProcess::train_participants`]): the pre-pass
-    /// resets the model, draws batch 0 and runs the cohort's forward
-    /// passes as one batched GEMM per layer; `run_own_batches` then
-    /// consumes this instead of re-drawing and re-running the forward.
-    /// Results are bit-identical either way, so the field is pure reuse.
-    pub(crate) fused0: Option<ForwardPhase>,
 }
 
 /// What [`ClientWorkspace::run_own_batches`] produced.
@@ -271,7 +264,6 @@ impl ClientWorkspace {
             ws: Workspace::new(),
             batch_x: Tensor::default(),
             batch_y: Vec::new(),
-            fused0: None,
         }
     }
 
@@ -313,37 +305,18 @@ impl ClientWorkspace {
         opt: &mut Sgd,
     ) -> Result<OwnTraining, NnError> {
         self.reset_model(round_base)?;
-        let ClientWorkspace { model, ws, batch_x, batch_y, fused0 } = self;
-        // Claim (or discard, if this order trains no batches) any batch-0
-        // forward state the fused pre-pass staged. The weights the
-        // pre-pass forward ran under are bit-identical to the reset just
-        // performed — both copy `round_base` — so the cached activations
-        // remain exactly what a serial forward would have produced.
-        let mut fused0 = fused0.take();
+        let ClientWorkspace { model, ws, batch_x, batch_y } = self;
         let mut snapshot = None;
         let mut losses = Vec::new();
         for batch in 0..own_batches {
             if freeze_after == Some(batch) {
-                // Freezing only affects the backward pass and optimizer,
-                // so doing it after a fused batch-0 *forward* matches the
-                // serial freeze-then-train order bit-for-bit.
                 model.freeze_features();
                 if snapshot_wanted {
                     snapshot = Some(model.weights());
                 }
             }
-            let stats = match (batch, fused0.take()) {
-                (0, Some(fwd)) => {
-                    // The pre-pass already advanced the batcher and ran
-                    // the forward; only the backward half remains.
-                    model.backward_phase(fwd, batch_y, opt, ws)?
-                }
-                _ => {
-                    batcher.next_batch_into(train, batch_x, batch_y);
-                    model.train_batch_with(batch_x, batch_y, opt, ws)?
-                }
-            };
-            losses.push(stats.loss);
+            batcher.next_batch_into(train, batch_x, batch_y);
+            losses.push(model.train_batch_with(batch_x, batch_y, opt, ws)?.loss);
         }
         Ok(OwnTraining { weights: model.weights(), snapshot, losses })
     }
@@ -365,7 +338,7 @@ impl ClientWorkspace {
         opt: &mut Sgd,
     ) -> Result<Vec<Tensor>, NnError> {
         self.reset_model(snapshot)?;
-        let ClientWorkspace { model, ws, batch_x, batch_y, .. } = self;
+        let ClientWorkspace { model, ws, batch_x, batch_y } = self;
         model.freeze_classifier();
         for _ in 0..batches {
             batcher.next_batch_into(train, batch_x, batch_y);
@@ -405,69 +378,12 @@ pub fn round_optimizer(config: &ExperimentConfig, strategy: &Strategy, anchor: &
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InProcess;
 
-/// Whether the cross-client fused batch-0 forward is disabled by the
-/// `AERGIA_NO_FUSE` escape hatch (any value but `0` disables, matching
-/// `AERGIA_FORCE_SCALAR`). Fusion never changes results — this exists
-/// for A/B timing and for pinning fused ≡ unfused in the determinism
-/// suite.
-fn fusion_disabled() -> bool {
-    std::env::var("AERGIA_NO_FUSE").map(|v| v != "0").unwrap_or(false)
-}
-
-/// The cross-client fused batch-0 pre-pass: every order in a round
-/// resets to the *same* decoded broadcast, so the cohort's first forward
-/// passes can share one weight pack per GEMM layer and batch their GEMMs
-/// into multi-RHS calls over the thread pool (tentpole (c) of the
-/// SIMD GEMM issue). Per member this stages exactly what the serial loop
-/// would do — materialise the workspace, reset to the round base, draw
-/// batch 0 — then runs `aergia_nn::fused::fused_forward` and parks each
-/// member's forward state in its [`ClientWorkspace::fused0`] slot for
-/// [`ClientWorkspace::run_own_batches`] to consume. Bit-identity with
-/// the unfused path holds by construction (identical weights, identical
-/// per-tile kernels; see the fused module's docs), so this is purely a
-/// throughput optimisation.
-fn fuse_batch_zero(ctx: &RoundContext<'_>, orders: &mut [TrainOrder<'_>]) -> Result<(), NnError> {
-    if fusion_disabled() || !fusion_supported(ctx.template) {
-        return Ok(());
-    }
-    let mut cohort: Vec<&mut TrainOrder<'_>> =
-        orders.iter_mut().filter(|o| o.own_batches >= 1).collect();
-    if cohort.len() < 2 {
-        return Ok(());
-    }
-    for order in cohort.iter_mut() {
-        let cw = order.workspace.get_or_insert_with(|| ClientWorkspace::new(ctx.template));
-        cw.fused0 = None;
-        cw.reset_model(ctx.round_base)?;
-        let ClientWorkspace { batch_x, batch_y, .. } = cw;
-        // Advances the engine's batcher exactly as the serial loop would.
-        order.batcher.next_batch_into(ctx.train, batch_x, batch_y);
-    }
-    let mut members: Vec<FusedMember<'_>> = cohort
-        .iter_mut()
-        .map(|order| {
-            let cw = order.workspace.as_mut().expect("staged above");
-            let ClientWorkspace { model, ws, batch_x, .. } = cw;
-            FusedMember { model, ws, x: batch_x }
-        })
-        .collect();
-    let phases = fused_forward(&mut members)?;
-    drop(members);
-    for (order, fwd) in cohort.iter_mut().zip(phases) {
-        order.workspace.as_mut().expect("staged above").fused0 = Some(fwd);
-    }
-    Ok(())
-}
-
 impl Transport for InProcess {
     fn train_participants(
         &mut self,
         ctx: &RoundContext<'_>,
-        mut orders: Vec<TrainOrder<'_>>,
+        orders: Vec<TrainOrder<'_>>,
     ) -> Result<Vec<TrainReply>, TransportError> {
-        // Batch 0 of every order trains from the same broadcast: run the
-        // cohort's first forward passes fused before fanning out.
-        fuse_batch_zero(ctx, &mut orders)?;
         struct Slot<'a> {
             order: TrainOrder<'a>,
             outcome: Option<Result<OwnTraining, NnError>>,

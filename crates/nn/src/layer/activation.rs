@@ -35,18 +35,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut Workspace::new(), &mut y);
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = Tensor::default();
-        self.backward_into(dy, &mut Workspace::new(), &mut dx);
-        dx
-    }
-
     fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
         let mut mask = self.mask.take().unwrap_or_else(|| std::mem::take(&mut self.spare_mask));
         let xd = x.data();

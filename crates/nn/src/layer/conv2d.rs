@@ -101,64 +101,6 @@ impl Conv2d {
         self.in_channels * self.geom.k_h * self.geom.k_w
     }
 
-    /// The im2col stage of the forward pass: lowers `x` into the patch
-    /// matrix (reusing the cached buffer when available) and returns it
-    /// with the batch size. Split out of [`Layer::forward_into`] so the
-    /// fused cross-client forward can run the same stage per member.
-    pub(crate) fn im2col_step(&mut self, x: &Tensor, ws: &mut Workspace) -> (Tensor, usize) {
-        let batch = x.dims()[0];
-        let rows = batch * self.geom.out_h * self.geom.out_w;
-        // The im2col scratch cycles between the workspace and
-        // `cached_cols`, so across batches the patch matrix is built in
-        // the same buffer instead of a fresh allocation. A still-cached
-        // buffer (backward skipped, e.g. frozen features) is reclaimed
-        // rather than dropped.
-        let mut cols = match self.cached_cols.take() {
-            Some(buf) => buf,
-            None => ws.take(&[rows, self.ckk()]),
-        };
-        im2col_into(x, self.in_channels, &self.geom, &mut cols)
-            .expect("Conv2d::forward: bad input");
-        (cols, batch)
-    }
-
-    /// Ensures the forward weight pack (`Wᵀ`, laid out for `rows` im2col
-    /// rows) is current.
-    pub(crate) fn ensure_fwd_pack(&mut self, rows: usize) {
-        let v = tuned_variant(GemmOp::Nt, rows, self.ckk(), self.out_channels);
-        self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
-    }
-
-    /// Moves the forward weight pack out of the layer (for the fused
-    /// multi-member GEMM). Pair with [`Conv2d::put_fwd_pack`].
-    pub(crate) fn take_fwd_pack(&mut self) -> PackedB {
-        std::mem::take(&mut self.packed_wt)
-    }
-
-    /// Returns the pack taken by [`Conv2d::take_fwd_pack`].
-    pub(crate) fn put_fwd_pack(&mut self, pack: PackedB) {
-        self.packed_wt = pack;
-    }
-
-    /// Everything after the forward GEMM: bias add, NCHW reshape, and the
-    /// cols cache `backward_into` will consume. Shared verbatim between
-    /// the serial and fused forward paths so they cannot diverge.
-    pub(crate) fn finish_forward(
-        &mut self,
-        cols: Tensor,
-        mut y_rows: Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-        out: &mut Tensor,
-    ) {
-        ops::add_bias_rows(&mut y_rows, &self.bias).expect("conv bias");
-        rows_to_nchw_into(&y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
-            .expect("conv reshape");
-        ws.give(y_rows);
-        self.cached_cols = Some(cols);
-        self.cached_batch = batch;
-    }
-
     /// The parameter-gradient half of the backward pass (dW/db), shared by
     /// [`Layer::backward_into`] and the dx-skipping
     /// [`Layer::backward_into_first`]. Returns the consumed im2col cache,
@@ -206,27 +148,32 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut Workspace::new(), &mut y);
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = Tensor::default();
-        self.backward_into(dy, &mut Workspace::new(), &mut dx);
-        dx
-    }
-
     fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let (cols, batch) = self.im2col_step(x, ws);
-        let rows = cols.dims()[0];
+        let batch = x.dims()[0];
+        let rows = batch * self.geom.out_h * self.geom.out_w;
+        // The im2col scratch cycles between the workspace and
+        // `cached_cols`, so across batches the patch matrix is built in
+        // the same buffer instead of a fresh allocation. A still-cached
+        // buffer (backward skipped, e.g. frozen features) is reclaimed
+        // rather than dropped.
+        let mut cols = match self.cached_cols.take() {
+            Some(buf) => buf,
+            None => ws.take(&[rows, self.ckk()]),
+        };
+        im2col_into(x, self.in_channels, &self.geom, &mut cols)
+            .expect("Conv2d::forward: bad input");
         // y_rows[(n,oh,ow), oc] = cols · Wᵀ — against the cached weight
         // pack, rebuilt only after the weights change.
-        self.ensure_fwd_pack(rows);
+        let v = tuned_variant(GemmOp::Nt, rows, self.ckk(), self.out_channels);
+        self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
         let mut y_rows = ws.take(&[rows, self.out_channels]);
         ops::matmul_nt_packed_into(&cols, &self.packed_wt, &mut y_rows).expect("conv matmul");
-        self.finish_forward(cols, y_rows, batch, ws, out);
+        ops::add_bias_rows(&mut y_rows, &self.bias).expect("conv bias");
+        rows_to_nchw_into(&y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
+            .expect("conv reshape");
+        ws.give(y_rows);
+        self.cached_cols = Some(cols);
+        self.cached_batch = batch;
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
@@ -290,10 +237,6 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "conv2d"
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

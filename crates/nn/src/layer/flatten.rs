@@ -29,18 +29,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut Workspace::new(), &mut y);
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = Tensor::default();
-        self.backward_into(dy, &mut Workspace::new(), &mut dx);
-        dx
-    }
-
     fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
         let dims = x.dims();
         assert!(dims.len() >= 2, "Flatten: input must be at least rank 2");

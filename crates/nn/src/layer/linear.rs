@@ -67,61 +67,23 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+}
 
-    /// Ensures the forward weight pack (`Wᵀ`, laid out for an `m`-row
-    /// input) is current. Split out of [`Layer::forward_into`] so the
-    /// fused cross-client forward can prepare one member's pack and share
-    /// it across the whole cohort.
-    pub(crate) fn ensure_fwd_pack(&mut self, m: usize) {
+impl Layer for Linear {
+    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        // The weight pack persists across calls until the optimizer or
+        // `set_params` invalidates it — frozen sections and evaluation
+        // loops reuse one pack across every batch.
+        let m = x.dims().first().copied().unwrap_or(0);
         let v = tuned_variant(GemmOp::Nt, m, self.in_features, self.out_features);
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("linear weight pack");
-    }
-
-    /// Moves the forward weight pack out of the layer (for the fused
-    /// multi-member GEMM, which must borrow it independently of the
-    /// member models). Pair with [`Linear::put_fwd_pack`].
-    pub(crate) fn take_fwd_pack(&mut self) -> PackedB {
-        std::mem::take(&mut self.packed_wt)
-    }
-
-    /// Returns the pack taken by [`Linear::take_fwd_pack`].
-    pub(crate) fn put_fwd_pack(&mut self, pack: PackedB) {
-        self.packed_wt = pack;
-    }
-
-    /// Everything after the forward GEMM: bias add plus the input cache
-    /// `backward_into` will consume. Shared verbatim between the serial
-    /// and fused forward paths so they cannot diverge.
-    pub(crate) fn finish_forward(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        ops::matmul_nt_packed_into(x, &self.packed_wt, out).expect("Linear::forward: bad input");
         ops::add_bias_rows(out, &self.bias).expect("linear bias");
         // Cache a copy of the input in a recycled buffer (the buffer
         // returns to the workspace in `backward_into`).
         let mut cache = self.cached_input.take().unwrap_or_else(|| ws.take(x.dims()));
         cache.copy_from(x);
         self.cached_input = Some(cache);
-    }
-}
-
-impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut Workspace::new(), &mut y);
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = Tensor::default();
-        self.backward_into(dy, &mut Workspace::new(), &mut dx);
-        dx
-    }
-
-    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        // The weight pack persists across calls until the optimizer or
-        // `set_params` invalidates it — frozen sections and evaluation
-        // loops reuse one pack across every batch.
-        self.ensure_fwd_pack(x.dims().first().copied().unwrap_or(0));
-        ops::matmul_nt_packed_into(x, &self.packed_wt, out).expect("Linear::forward: bad input");
-        self.finish_forward(x, ws, out);
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
@@ -195,10 +157,6 @@ impl Layer for Linear {
 
     fn name(&self) -> &'static str {
         "linear"
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -35,41 +35,40 @@ use aergia_tensor::{Tensor, Workspace};
 /// Sync`), so a model template can be shared immutably across the
 /// parallel-round worker threads and cloned per client.
 pub trait Layer: fmt::Debug + Send + Sync {
-    /// Computes the layer output, caching state needed by `backward`.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// Computes the layer output into `out` (which the layer
+    /// [`Tensor::reset`]s to the right shape, reusing its allocation),
+    /// caching state needed by the backward pass and drawing any internal
+    /// scratch from `ws`. In steady state (same input shape every call,
+    /// warm workspace) the call performs no heap allocation.
+    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor);
 
-    /// Back-propagates `dy`, accumulating parameter gradients, and returns
-    /// the gradient with respect to the forward input.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, dy: &Tensor) -> Tensor;
-
-    /// Buffer-reuse twin of [`Layer::forward`]: computes the layer output
-    /// into `out` (which the layer [`Tensor::reset`]s to the right shape,
-    /// reusing its allocation), drawing any internal scratch from `ws`.
-    ///
-    /// Results are **bit-identical** to [`Layer::forward`] — the property
-    /// suite asserts it per layer — and in steady state (same input shape
-    /// every call, warm workspace) the call performs no heap allocation.
-    /// The default implementation delegates to the allocating method so
-    /// layers can migrate one by one.
-    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let _ = ws;
-        *out = self.forward(x);
-    }
-
-    /// Buffer-reuse twin of [`Layer::backward`]: writes the input gradient
-    /// into `out`, drawing scratch from `ws`. Same bit-identity and
-    /// steady-state zero-allocation contract as [`Layer::forward_into`].
+    /// Back-propagates `dy`, accumulating parameter gradients, and writes
+    /// the gradient with respect to the forward input into `out`, drawing
+    /// scratch from `ws`. Same steady-state zero-allocation contract as
+    /// [`Layer::forward_into`].
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before a forward pass.
-    fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let _ = ws;
-        *out = self.backward(dy);
+    fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor);
+
+    /// Allocating form of [`Layer::forward_into`]: the same pass through a
+    /// throw-away workspace, so the results are bit-identical.
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut y = Tensor::default();
+        self.forward_into(x, &mut Workspace::new(), &mut y);
+        y
+    }
+
+    /// Allocating form of [`Layer::backward_into`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        let mut dx = Tensor::default();
+        self.backward_into(dy, &mut Workspace::new(), &mut dx);
+        dx
     }
 
     /// [`Layer::backward_into`] for the model's **first** layer, whose
@@ -132,16 +131,6 @@ pub trait Layer: fmt::Debug + Send + Sync {
 
     /// A short human-readable layer name (`conv2d`, `linear`, …).
     fn name(&self) -> &'static str;
-
-    /// Concrete-type access for the fused cross-client forward, which
-    /// must drive the GEMM-backed layers ([`Conv2d`], [`Linear`]) through
-    /// their split forward stages. Layers without a fused path keep the
-    /// default `None`; the fusion driver checks support up front (by
-    /// [`Layer::name`]) and falls back to the plain per-member
-    /// [`Layer::forward_into`] for everything else.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 
     /// Clones the layer behind a fresh box (parameters included, caches
     /// not guaranteed).

@@ -51,18 +51,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut Workspace::new(), &mut out);
-        out
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = Tensor::default();
-        self.backward_into(dy, &mut Workspace::new(), &mut dx);
-        dx
-    }
-
     fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "MaxPool2d: NCHW input required");

@@ -69,18 +69,6 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut Workspace::new(), &mut y);
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dx = Tensor::default();
-        self.backward_into(dy, &mut Workspace::new(), &mut dx);
-        dx
-    }
-
     fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
         // Internal buffers come off the scratch stack: every one is fully
         // reset by the sub-layer it is handed to, and the LIFO discipline

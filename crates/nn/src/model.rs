@@ -64,9 +64,8 @@ impl From<TensorError> for NnError {
 
 /// In-flight state between [`Cnn::forward_phase`] and
 /// [`Cnn::backward_phase`]: the two ping-pong activation buffers (logits
-/// in `a`), the batch size, and the measured forward wall-clock. Obtained
-/// from [`Cnn::forward_phase`] or `fused::fused_forward` and consumed by
-/// [`Cnn::backward_phase`]; the buffers return to the workspace there.
+/// in `a`), the batch size, and the measured forward wall-clock. Consumed
+/// by [`Cnn::backward_phase`], where the buffers return to the workspace.
 pub struct ForwardPhase {
     pub(crate) a: Tensor,
     pub(crate) b: Tensor,
@@ -201,12 +200,6 @@ impl Cnn {
         &self.layers
     }
 
-    /// Mutable layer access for the fused cross-client forward, which
-    /// drives layers of several member models in lockstep.
-    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Forward pass through the whole network (inference).
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
@@ -306,11 +299,10 @@ impl Cnn {
     }
 
     /// The forward half of [`Cnn::train_batch_with`] (phases ff and fc),
-    /// returning the in-flight [`ForwardPhase`]. Split out so the engine's
-    /// cross-client fused forward (`fused::fused_forward`) can substitute
-    /// a batched forward pass and hand its per-member results to
-    /// [`Cnn::backward_phase`] — the two halves together are bit-identical
-    /// to the unsplit loop.
+    /// returning the in-flight [`ForwardPhase`]. Split out for
+    /// [`Cnn::evaluate_with`], which stops here, and for the benchmark's
+    /// probes, which time the two halves apart; followed by
+    /// [`Cnn::backward_phase`] it is bit-identical to the unsplit loop.
     pub fn forward_phase(&mut self, x: &Tensor, ws: &mut Workspace) -> ForwardPhase {
         let batch = x.dims().first().copied().unwrap_or(0);
         let split = self.split;

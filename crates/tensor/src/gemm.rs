@@ -989,10 +989,8 @@ pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
 /// `mr`-subtile-outer, `B`-panel-inner walk, dispatching on the pack's
 /// [`KernelVariant`] tag. `a` is the whole `A` operand with `k` elements
 /// per row: row-major data, or with `PACKED` a [`PackedA`] buffer laid out
-/// for `pb`'s variant. Public to the crate so the multi-slab driver
-/// ([`crate::ops::matmul_nt_packed_multi_into`]) can hand every slab's
-/// tiles to a single pool scope while computing bits identical to
-/// per-slab [`gemm_packed`] calls.
+/// for `pb`'s variant. Called only by [`gemm_packed`] and
+/// [`gemm_packed_tn`], which count the call and fan the tiles out.
 ///
 /// `SKIP` says whether the GEMM form has skip-zero semantics. If so, the
 /// subtile-outer order lets each subtile be scanned for zeros *once*:
@@ -1001,7 +999,7 @@ pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
 /// contributes nothing — and only subtiles that actually contain zeros pay
 /// for the guarded instantiation (where the skip then saves real work,
 /// e.g. on ReLU-masked gradients).
-pub(crate) fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
+fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
     a: &[f32],
     k: usize,
     pb: &PackedB,

@@ -38,9 +38,7 @@
 //! here and the property suite in `tests/proptests.rs`; see
 //! [`crate::gemm`] for why the register tile preserves the contract).
 
-use crate::gemm::{
-    gemm_packed, gemm_packed_tn, gemm_row_tile, tuned_variant, GemmOp, PackedA, PackedB,
-};
+use crate::gemm::{gemm_packed, gemm_packed_tn, tuned_variant, GemmOp, PackedA, PackedB};
 use crate::{Tensor, TensorError};
 
 /// Output rows per parallel tile: big enough to amortise a claim, small
@@ -402,71 +400,6 @@ pub fn matmul_nt_packed_into(
     Ok(())
 }
 
-/// [`matmul_nt_packed_into`] over several independent `A`/`out` pairs
-/// sharing one weight pack: `out_i = A_i · Bᵀ` for every slab. This is the
-/// cross-client fused forward entry point — stage-1 clients training from
-/// the same frozen broadcast batch their forward GEMMs into one call, so
-/// the shared pack is read once while `C = Σ clients × batch` output rows
-/// stream through the pool.
-///
-/// **Bit-identity by construction:** each slab is tiled at its own
-/// fixed row-tile boundaries starting from its own row 0 and computed by
-/// the same per-tile kernel as [`matmul_nt_packed_into`] — the fusion only
-/// changes which list the tiles are claimed from (one flat `(slab, tile)`
-/// list instead of one per slab), never any element's accumulation chain,
-/// so fused output is byte-identical to per-slab calls at any pool size.
-/// The parallel/serial cutover considers the *combined* flops, which again
-/// only moves work between threads, never changes results.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if any `a` is not rank 2 and
-/// [`TensorError::ShapeMismatch`] if any `a`'s columns disagree with the
-/// pack's `k`; no output is written on error.
-///
-/// # Panics
-///
-/// Panics if `pb` is stale ([`PackedB::is_valid`] is false).
-pub fn matmul_nt_packed_multi_into(
-    slabs: &mut [(&Tensor, &mut Tensor)],
-    pb: &PackedB,
-) -> Result<(), TensorError> {
-    assert!(pb.is_valid(), "matmul_nt_packed_multi_into: stale PackedB (pack or ensure it first)");
-    let (k, n) = (pb.k(), pb.n());
-    let mut total_flops = 0usize;
-    for (a, _) in slabs.iter() {
-        let (m, ka) = require_rank2("matmul_nt", a)?;
-        if ka != k {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_nt",
-                lhs: a.dims().to_vec(),
-                rhs: vec![n, k],
-            });
-        }
-        total_flops += m * n * k;
-    }
-    for (a, out) in slabs.iter_mut() {
-        out.reset(&[a.dims()[0], n]);
-    }
-    if total_flops >= PAR_FLOPS && aergia_runtime::parallelism() > 1 && n > 0 {
-        // One flat list of every slab's row tiles, claimed by index.
-        let mut tiles: Vec<(&[f32], usize, &mut [f32])> = Vec::new();
-        for (a, out) in slabs.iter_mut() {
-            let ad: &[f32] = a.data();
-            let row_tiles = out.data_mut().chunks_mut(TILE_ROWS * n).enumerate();
-            tiles.extend(row_tiles.map(|(tile, rows)| (ad, tile * TILE_ROWS, rows)));
-        }
-        aergia_runtime::par_for_each_mut(&mut tiles, 0, |(ad, first_row, rows)| {
-            gemm_row_tile::<false, false>(ad, k, pb, *first_row, rows);
-        });
-    } else {
-        for (a, out) in slabs.iter_mut() {
-            gemm_row_tile::<false, false>(a.data(), k, pb, 0, out.data_mut());
-        }
-    }
-    Ok(())
-}
-
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the
 /// packed kernel.
 ///
@@ -714,50 +647,6 @@ mod tests {
             let reference = matmul_nt_reference(&a, &bt).unwrap();
             assert_eq!(matmul_nt(&a, &bt).unwrap().data(), reference.data(), "nt {m}x{k}x{n}");
         }
-    }
-
-    /// The fused multi-slab driver must be byte-identical to per-slab
-    /// packed calls — the property the cross-client fused forward rests
-    /// on — including ragged slab sizes straddling the parallel cutover.
-    #[test]
-    fn multi_slab_nt_matches_per_slab_calls_bitwise() {
-        let bt = random(&[24, 40], 90); // pack of a [n=24, k=40] weight
-        let mut pb = PackedB::new();
-        pb.pack_transposed_with(&bt, KernelVariant::PORTABLE).unwrap();
-        let sizes = [1usize, 63, 64, 130, 7];
-        let slabs_a: Vec<Tensor> =
-            sizes.iter().enumerate().map(|(i, &m)| random(&[m, 40], 300 + i as u64)).collect();
-        let mut fused: Vec<Tensor> = sizes.iter().map(|_| Tensor::default()).collect();
-        {
-            let mut slabs: Vec<(&Tensor, &mut Tensor)> =
-                slabs_a.iter().zip(fused.iter_mut()).collect();
-            matmul_nt_packed_multi_into(&mut slabs, &pb).unwrap();
-        }
-        for (i, a) in slabs_a.iter().enumerate() {
-            let mut single = Tensor::default();
-            matmul_nt_packed_into(a, &pb, &mut single).unwrap();
-            assert_eq!(fused[i].dims(), single.dims());
-            let f: Vec<u32> = fused[i].data().iter().map(|v| v.to_bits()).collect();
-            let s: Vec<u32> = single.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(f, s, "slab {i}");
-        }
-    }
-
-    #[test]
-    fn multi_slab_nt_validates_every_slab_before_writing() {
-        let bt = random(&[4, 6], 91);
-        let mut pb = PackedB::new();
-        pb.pack_transposed_with(&bt, KernelVariant::PORTABLE).unwrap();
-        let good = random(&[3, 6], 92);
-        let bad = random(&[3, 5], 93); // k mismatch
-        let mut out_a = Tensor::default();
-        let mut out_b = Tensor::default();
-        let mut slabs: Vec<(&Tensor, &mut Tensor)> = vec![(&good, &mut out_a), (&bad, &mut out_b)];
-        assert!(matches!(
-            matmul_nt_packed_multi_into(&mut slabs, &pb),
-            Err(TensorError::ShapeMismatch { .. })
-        ));
-        assert!(out_a.dims().is_empty(), "no slab may be written on error");
     }
 
     #[test]

@@ -430,48 +430,6 @@ proptest! {
             }
         }
     }
-
-    /// The cross-client fused forward (`matmul_nt_packed_multi_into`) must
-    /// be byte-identical to per-slab `matmul_nt` calls for any number of
-    /// slabs with ragged, mutually different row counts — fusing batches
-    /// work into one parallel scope but never changes an accumulation
-    /// chain.
-    #[test]
-    fn fused_multi_slab_forward_matches_per_slab_bitwise(
-        rows in proptest::collection::vec(1usize..20, 1..5),
-        k in 1usize..32, n in 1usize..32,
-        seed in any::<u64>(),
-    ) {
-        use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
-        use rand::{RngExt as _, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut fill = |len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|_| {
-                    if rng.random_range(0.0..1.0) < 0.15 { 0.0 } else { rng.random_range(-2.0f32..2.0) }
-                })
-                .collect()
-        };
-        let bt = Tensor::from_vec(fill(n * k), &[n, k]).unwrap();
-        let mut pb = PackedB::new();
-        pb.pack_transposed_with(&bt, tuned_variant(GemmOp::Nt, rows[0], k, n)).unwrap();
-        let slabs: Vec<Tensor> = rows
-            .iter()
-            .map(|&m| Tensor::from_vec(fill(m * k), &[m, k]).unwrap())
-            .collect();
-        let mut fused: Vec<Tensor> = slabs.iter().map(|_| Tensor::default()).collect();
-        {
-            let mut pairs: Vec<(&Tensor, &mut Tensor)> =
-                slabs.iter().zip(fused.iter_mut()).collect();
-            ops::matmul_nt_packed_multi_into(&mut pairs, &pb).unwrap();
-        }
-        for (a, got) in slabs.iter().zip(&fused) {
-            let mut single = Tensor::default();
-            ops::matmul_nt_packed_into(a, &pb, &mut single).unwrap();
-            prop_assert_eq!(got.data(), single.data());
-            prop_assert_eq!(single.data(), ops::matmul_nt_reference(a, &bt).unwrap().data());
-        }
-    }
 }
 
 /// Every tier's register tiles, unfiltered by what this process can

@@ -253,18 +253,17 @@ fn fingerprint(result: &RunResult, weights: &[aergia_tensor::Tensor]) -> u64 {
 }
 
 /// Cross-dispatch determinism: a run forced onto the scalar GEMM tier
-/// (`AERGIA_FORCE_SCALAR=1`) and a run with the cross-client fused
-/// forward disabled (`AERGIA_NO_FUSE=1`) must both be byte-identical to
-/// the default SIMD run — same losses, same schedules, same final weight
-/// bits. The ISA choice is latched per process (`OnceLock`), so the
-/// alternate configurations run in child processes of this same test
-/// binary that print their fingerprint for the parent to compare.
+/// (`AERGIA_FORCE_SCALAR=1`) must be byte-identical to the default SIMD
+/// run — same losses, same schedules, same final weight bits. The ISA
+/// choice is latched per process (`OnceLock`), so the forced-scalar run
+/// is a child process of this same test binary that prints its
+/// fingerprint for the parent to compare.
 #[test]
-fn forced_scalar_and_unfused_runs_match_simd_bit_for_bit() {
+fn forced_scalar_run_matches_simd_bit_for_bit() {
     force_pool_workers();
     let strategy = Strategy::aergia_default();
     if std::env::var_os("AERGIA_DET_FINGERPRINT").is_some() {
-        // Child mode: the dispatch-altering variables are already set in
+        // Child mode: the dispatch-altering variable is already set in
         // the environment; just run and report.
         let (result, weights) = run_with_parallelism(fig6_smoke(33), strategy, 1);
         println!("AERGIA_FINGERPRINT={:016x}", fingerprint(&result, &weights));
@@ -272,19 +271,15 @@ fn forced_scalar_and_unfused_runs_match_simd_bit_for_bit() {
     }
     let (result, weights) = run_with_parallelism(fig6_smoke(33), strategy, 1);
     let expected = fingerprint(&result, &weights);
-    for (label, var) in
-        [("forced-scalar", "AERGIA_FORCE_SCALAR"), ("fusion-disabled", "AERGIA_NO_FUSE")]
-    {
-        let got = child_fingerprint(
-            "forced_scalar_and_unfused_runs_match_simd_bit_for_bit",
-            label,
-            &[("AERGIA_DET_FINGERPRINT", "1"), (var, "1")],
-        );
-        assert_eq!(
-            got, expected,
-            "{label} run diverged from the default SIMD run (fingerprint {got:016x} vs {expected:016x})"
-        );
-    }
+    let got = child_fingerprint(
+        "forced_scalar_run_matches_simd_bit_for_bit",
+        "forced-scalar",
+        &[("AERGIA_DET_FINGERPRINT", "1"), ("AERGIA_FORCE_SCALAR", "1")],
+    );
+    assert_eq!(
+        got, expected,
+        "forced-scalar run diverged from the default SIMD run (fingerprint {got:016x} vs {expected:016x})"
+    );
 }
 
 /// Cross-process stream identity: the telemetry JSONL of one seeded Real
@@ -455,7 +450,7 @@ fn cohort_sampled_real_mode_is_bit_identical_across_parallelism_and_reruns() {
     use aergia::config::ClientStateMode;
     // Real training over a churning pool: evicted clients hand their
     // workspace buffers to the next admission (dirty tensors, stale
-    // fused slabs), and rebuilt batchers restart their draw streams.
+    // packs), and rebuilt batchers restart their draw streams.
     // None of that may leak into results: serial, work-stealing and a
     // cold rerun must agree bit-for-bit.
     let config = || ExperimentConfig {

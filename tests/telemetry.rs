@@ -1,7 +1,7 @@
 //! End-to-end determinism contract of the telemetry layer over real
 //! engine runs.
 //!
-//! Two pins:
+//! Three pins:
 //!
 //! 1. **Same-seed JSONL byte-identity.** Every record in the JSONL event
 //!    stream is stamped from the simnet virtual clock and flushed from
@@ -13,6 +13,9 @@
 //! 2. **Observer effect is zero.** Enabling telemetry may not perturb
 //!    training: an instrumented run's final weights must be bit-identical
 //!    to a disabled run of the same seed.
+//! 3. **The GEMM counter is whole.** `aergia_gemm_calls_total` grows
+//!    linearly in the number of participants, so no training path drives
+//!    a GEMM past it.
 //!
 //! The registry and event log are process-global, so the tests serialize
 //! on one lock and `reset()` between runs (which zeroes values but keeps
@@ -124,4 +127,38 @@ fn enabling_telemetry_does_not_perturb_training() {
         let identical = a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(identical, "tensor {i}: instrumented run diverged from disabled run");
     }
+}
+
+/// `aergia_gemm_calls_total` counts every packed GEMM a round runs: with
+/// everything else equal, each further FedAvg participant adds the same
+/// number of calls. A path that shares work across participants without
+/// counting it (or only when there are several) breaks the equality.
+#[test]
+fn gemm_call_counter_is_linear_in_participants() {
+    force_pool_workers();
+    let _g = telemetry_lock();
+    let calls = |clients_per_round: usize| -> u64 {
+        tel::reset();
+        tel::enable();
+        let mut config = fig6_smoke(36);
+        config.rounds = 1;
+        config.clients_per_round = clients_per_round;
+        config.parallelism = 0;
+        let mut engine = Engine::new(config, Strategy::FedAvg).expect("valid config");
+        engine.run().expect("run succeeds");
+        let total = ["nn", "nt", "tn"]
+            .iter()
+            .map(|op| tel::counter(&format!("aergia_gemm_calls_total{{op=\"{op}\"}}")).get())
+            .sum();
+        tel::disable();
+        tel::reset();
+        total
+    };
+    let (one, two, three) = (calls(1), calls(2), calls(3));
+    assert!(one > 0, "a training round must run packed GEMMs");
+    assert_eq!(
+        two - one,
+        three - two,
+        "GEMM calls must grow linearly in participants ({one}, {two}, {three})"
+    );
 }
