@@ -26,7 +26,7 @@ pub const MAGIC: [u8; 8] = *b"AERGCKPT";
 /// Checkpoint container version.
 pub const VERSION: u16 = 1;
 
-/// Serializes chunks into one checkpoint buffer.
+/// Writes chunks into one checkpoint buffer.
 #[derive(Debug, Default)]
 pub struct ChunkWriter {
     chunks: Vec<([u8; 4], Vec<u8>)>,

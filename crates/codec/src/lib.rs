@@ -58,8 +58,6 @@ pub mod topk;
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 pub use frame::{Frame, FrameBuilder, Section};
 pub use sizing::ShapeSpec;
 
@@ -94,7 +92,7 @@ impl fmt::Display for CodecError {
 impl Error for CodecError {}
 
 /// On-wire codec identifier (one byte per frame section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CodecId {
     /// Little-endian IEEE-754 `f32`, bit-exact round-trip.
@@ -119,7 +117,7 @@ impl CodecId {
 
 /// Which slice of the model a frame section carries — exactly the
 /// feature/classifier split of Aergia's offload protocol (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SectionKind {
     /// The feature section (`layers[..split]` parameters).
@@ -144,7 +142,7 @@ impl SectionKind {
 /// This is *policy*, not wire truth: frames are self-describing (each
 /// section carries its own [`CodecId`]), which is how a `TopKDelta` stream
 /// can open with a dense keyframe before any shared base exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecConfig {
     /// Ship raw `f32` weights — lossless, bit-exact.
     #[default]

@@ -9,12 +9,11 @@ use aergia_data::DataConfig;
 use aergia_nn::models::ModelArch;
 use aergia_nn::optim::SgdConfig;
 use aergia_simnet::LinkModel;
-use serde::{Deserialize, Serialize};
 
 use crate::scenario::ScenarioConfig;
 
 /// Whether clients really train models or only the timing is simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Clients run real SGD; accuracy numbers are meaningful.
     Real,
@@ -26,7 +25,7 @@ pub enum Mode {
 
 /// How per-client training state (batcher draw streams and model
 /// workspaces) is held across rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClientStateMode {
     /// Every client keeps its batcher resident for the whole run (the
     /// historical behaviour; workspaces still materialize lazily on
@@ -59,7 +58,7 @@ pub enum ClientStateMode {
 ///
 /// `..ExperimentConfig::default()` fills in sane small-scale values; every
 /// figure bench builds its exact configuration on top of this.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Synthetic dataset to generate.
     pub dataset: DataConfig,

@@ -211,7 +211,7 @@ pub fn read_batcher(r: &mut Reader<'_>) -> Result<BatcherState, CodecError> {
 }
 
 impl Engine {
-    /// Serializes the run's full mutable state between rounds.
+    /// Encodes the run's full mutable state between rounds.
     ///
     /// Pair with [`Engine::restore_checkpoint`] on a fresh engine built
     /// from the same configuration and strategy.

@@ -640,10 +640,10 @@ impl Engine {
             self.pool.begin_round(&participants, |id| make_batcher(partition, config, id));
         }
         let bytes_before = self.network.bytes_delivered();
-        let outcome =
+        let mut outcome =
             round::simulate_round(self, round, *now, &participants, &crash_plan, transport)?;
         let fold_span = aergia_telemetry::span!("round.fold", round = round);
-        let duration = self.finalize_round(round, &outcome)?;
+        let duration = self.finalize_round(round, &mut outcome)?;
         drop(fold_span);
         let bytes_on_wire = self.network.bytes_delivered() - bytes_before;
         *now += duration;
@@ -702,12 +702,13 @@ impl Engine {
         }
     }
 
-    /// Applies the strategy's aggregation rule to the round's arrivals and
-    /// returns the round duration.
+    /// Applies the strategy's aggregation rule to the round's arrivals
+    /// (moving their snapshots out of `outcome`) and returns the round
+    /// duration.
     fn finalize_round(
         &mut self,
         round: u32,
-        outcome: &RoundOutcome,
+        outcome: &mut RoundOutcome,
     ) -> Result<SimDuration, EngineError> {
         let duration = outcome.duration();
 
@@ -719,23 +720,28 @@ impl Engine {
         // Deadline strategies drop updates that arrived too late.
         let cutoff = outcome.start + duration;
         let mut contributions: Vec<Contribution> = Vec::new();
-        for update in &outcome.updates {
+        for update in std::mem::take(&mut outcome.updates) {
             if update.arrived > cutoff {
                 continue;
             }
             // `None` weights past the event stage mean the transport lost
             // this client mid-round: it is already in the dropped set, so
             // it simply does not contribute.
-            let Some(mut weights) = update.weights.clone() else { continue };
+            let Some(mut weights) = update.weights else { continue };
             // Aergia recombination: feature layers from the strong client,
             // classifier from the straggler (§3.3 "Model aggregation").
             if let Some(features) = outcome.offload_features_for(update.client) {
                 if let Some(arrival) = outcome.offload_arrival_for(update.client) {
                     if arrival <= cutoff {
-                        let mut model = self.template.clone();
-                        model.set_weights(&weights)?;
-                        model.set_feature_weights(features)?;
-                        weights = model.weights();
+                        let k = self.wire.feature_tensors;
+                        for (expected, got) in
+                            [(self.global.len(), weights.len()), (k, features.len())]
+                        {
+                            if got != expected {
+                                return Err(NnError::SnapshotLength { expected, got }.into());
+                            }
+                        }
+                        weights[..k].clone_from_slice(features);
                     }
                 }
             }

@@ -290,34 +290,23 @@ pub(crate) fn simulate_round(
     let round_base: Option<Vec<Tensor>> = if mode == Mode::Real {
         let (frame, view) = engine.broadcast_global();
         debug_assert_eq!(frame.wire_len(), sizes.start_round, "broadcast frame size drifted");
-        // Kick off: ship the encoded global model to every participant —
-        // one frame, Arc-shared across the fan-out.
-        let frame = std::sync::Arc::new(frame);
-        for &p in participants {
-            let msg = Message::StartRound { round, payload: Some(frame.clone()) };
-            let size = msg.wire_size(&sizes);
-            if let Delivery::After(d) = engine.network.send(NodeId::FEDERATOR, node(p), size) {
-                queue.push(start + d, Ev::Deliver(Dest::Client(p), msg));
-            }
-        }
         Some(view)
     } else {
         engine.wire.note_broadcast();
-        for &p in participants {
-            let msg = Message::StartRound { round, payload: None };
-            let size = msg.wire_size(&sizes);
-            if let Delivery::After(d) = engine.network.send(NodeId::FEDERATOR, node(p), size) {
-                queue.push(start + d, Ev::Deliver(Dest::Client(p), msg));
-            }
-        }
         None
     };
+    // Kick off: charge every participant one broadcast frame.
+    let start_size = Message::StartRound { round }.wire_size(&sizes);
+    for &p in participants {
+        if let Delivery::After(d) = engine.network.send(NodeId::FEDERATOR, node(p), start_size) {
+            queue.push(start + d, Ev::Deliver(Dest::Client(p), Message::StartRound { round }));
+        }
+    }
     drop(broadcast_span);
 
     // Helper: enqueue a message through the network (drops vanish).
-    // Client-originated weight payloads carry `None` in the event stage —
-    // the tensors they stand for are only produced by the execution stage
-    // afterwards — but are charged their exact frame size regardless.
+    // Weight-carrying messages are charged their exact frame size; the
+    // tensors they stand for are only produced by the execution stage.
     macro_rules! send {
         ($now:expr, $from:expr, $to:expr, $dest:expr, $msg:expr) => {{
             let msg = $msg;
@@ -442,7 +431,7 @@ pub(crate) fn simulate_round(
                             node(weak),
                             node(r2),
                             Dest::Client(r2),
-                            Message::OffloadModel { round, from: weak, payload: None }
+                            Message::OffloadModel { round, from: weak }
                         );
                     }
                 }
@@ -510,7 +499,6 @@ pub(crate) fn simulate_round(
                         Message::ClientUpdate {
                             round,
                             client: c,
-                            payload: None,
                             num_samples: engine.clients[c].shard_len,
                             tau: rc.batches_done,
                         }
@@ -558,7 +546,7 @@ pub(crate) fn simulate_round(
                     node(c),
                     node(signed.assignment.receiver),
                     Dest::Client(signed.assignment.receiver),
-                    Message::OffloadModel { round, from: c, payload: None }
+                    Message::OffloadModel { round, from: c }
                 );
             }
 
@@ -605,7 +593,7 @@ pub(crate) fn simulate_round(
                         node(c),
                         NodeId::FEDERATOR,
                         Dest::Federator,
-                        Message::OffloadedResult { round, weak, payload: None }
+                        Message::OffloadedResult { round, weak }
                     );
                 } else {
                     queue.push(now + engine.clients[c].feature_batch(), Ev::OffloadBatchDone(c));

@@ -7,11 +7,7 @@
 //! (paper §4.1). The signature here is a keyed FNV hash — a simulation of
 //! an HMAC, consistent with the honest-but-curious threat model.
 
-use std::sync::Arc;
-
-use aergia_codec::{frame, Frame};
-use aergia_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use aergia_codec::frame;
 
 use crate::profiler::ProfileReport;
 use crate::scheduler::Assignment;
@@ -26,14 +22,14 @@ fn keyed_hash(secret: u64, payload: &[u8]) -> u64 {
 }
 
 /// A federator signature over a schedule message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Signature(u64);
 
 /// A signed, sequence-numbered offloading instruction for one sender.
 ///
 /// `round` doubles as the monotonically increasing sequence number: a
 /// client executing round `r` discards any instruction with `round != r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignedAssignment {
     /// The instruction itself.
     pub assignment: Assignment,
@@ -70,22 +66,17 @@ impl SignedAssignment {
 
 /// Everything that travels over the simulated network.
 ///
-/// Weight payloads are encoded [`Frame`]s of the experiment's codec,
-/// shared by `Arc` so a broadcast frame fanning out to N participants is
-/// encoded once. Client-originated payloads carry `None` during the
-/// event stage that walks a round's virtual clock (its timing must never
-/// depend on gradient values, and the tensors they stand for are only
-/// produced by the execution stage afterwards); every message is charged
-/// the shape-deterministic frame size in [`RoundWireSizes`] either way,
-/// and the execution stage asserts the frames it produces match.
+/// Messages walk a round's virtual clock in the event stage, whose timing
+/// must never depend on gradient values: weight frames are sized by
+/// [`RoundWireSizes`] (shape-deterministic), never carried here. The
+/// execution stage produces the real frames afterwards and asserts they
+/// match the sizes charged.
 #[derive(Debug, Clone)]
 pub enum Message {
     /// Federator → client: begin round `round` from the given global model.
     StartRound {
         /// Round number.
         round: u32,
-        /// The encoded global-model broadcast.
-        payload: Option<Arc<Frame>>,
     },
     /// Client → federator: online profiling finished.
     Profile {
@@ -105,8 +96,6 @@ pub enum Message {
         round: u32,
         /// The straggler sending its model.
         from: usize,
-        /// Encoded full snapshot (elided in the event stage).
-        payload: Option<Arc<Frame>>,
     },
     /// Client → federator: the round's local update.
     ClientUpdate {
@@ -114,8 +103,6 @@ pub enum Message {
         round: u32,
         /// Reporting client.
         client: usize,
-        /// Encoded trained weights (elided in the event stage).
-        payload: Option<Arc<Frame>>,
         /// Local dataset size (FedAvg weighting).
         num_samples: usize,
         /// Local steps actually executed (FedNova's τ).
@@ -128,8 +115,6 @@ pub enum Message {
         round: u32,
         /// The straggler whose model was trained.
         weak: usize,
-        /// Encoded feature section (elided in the event stage).
-        payload: Option<Arc<Frame>>,
     },
 }
 
@@ -165,8 +150,8 @@ const WEIGHT_CONTROL: usize = CONTROL + 4 - frame::HEADER_LEN;
 
 impl Message {
     /// Size in bytes charged to the network for this message: the round's
-    /// frame size for weight-carrying messages (whether or not the frame
-    /// itself rides along) plus a small control envelope.
+    /// frame size for weight-carrying messages plus a small control
+    /// envelope.
     pub fn wire_size(&self, sizes: &RoundWireSizes) -> usize {
         match self {
             Message::StartRound { .. } => sizes.start_round + WEIGHT_CONTROL,
@@ -176,12 +161,6 @@ impl Message {
             Message::ClientUpdate { .. } => sizes.client_update + WEIGHT_CONTROL,
             Message::OffloadedResult { .. } => sizes.offload_result + WEIGHT_CONTROL,
         }
-    }
-
-    /// Exact encoded size of a standalone weight snapshot — routed through
-    /// the codec sizing API (see [`aergia_nn::weights::byte_size`]).
-    pub fn weights_bytes(weights: &[Tensor]) -> usize {
-        aergia_nn::weights::byte_size(weights)
     }
 }
 
@@ -227,7 +206,7 @@ mod tests {
             offload_model: 1_000_000,
             offload_result: 800_000,
         };
-        let start = Message::StartRound { round: 0, payload: None };
+        let start = Message::StartRound { round: 0 };
         let profile = Message::Profile {
             client: 0,
             report: crate::profiler::ProfileReport {
@@ -236,7 +215,7 @@ mod tests {
                 remaining_updates: 0,
             },
         };
-        let result = Message::OffloadedResult { round: 0, weak: 0, payload: None };
+        let result = Message::OffloadedResult { round: 0, weak: 0 };
         assert!(start.wire_size(&sizes) > 1_000_000);
         assert!(profile.wire_size(&sizes) < 200);
         let r = result.wire_size(&sizes);
@@ -245,11 +224,12 @@ mod tests {
 
     #[test]
     fn dense_accounting_matches_the_historical_formula() {
-        // One weight message used to be charged `weights::byte_size + 64`;
-        // the frame header absorbed the old 4-byte count plus 20 bytes of
-        // envelope, so `frame len + WEIGHT_CONTROL` must land on the same
-        // total for the dense codec.
-        use aergia_codec::{dense, CodecId, FrameBuilder, SectionKind};
+        // One weight message used to be charged `4-byte tensor count +
+        // dense tensors + 64`; the frame header absorbed that count plus 20
+        // bytes of envelope, so `frame len + WEIGHT_CONTROL` must land on
+        // the same total for the dense codec.
+        use aergia_codec::{dense, CodecId, FrameBuilder, SectionKind, ShapeSpec};
+        use aergia_tensor::Tensor;
         let weights = vec![Tensor::ones(&[3, 4]), Tensor::ones(&[4])];
         let mut b = FrameBuilder::new();
         b.push_section(SectionKind::Features, CodecId::DenseF32, 1, |out| {
@@ -259,6 +239,7 @@ mod tests {
             dense::encode_payload_into(&weights[1..], out);
         });
         let frame_len = b.finish().wire_len();
-        assert_eq!(frame_len + WEIGHT_CONTROL, Message::weights_bytes(&weights) + 64);
+        let historical = 4 + ShapeSpec::of(&weights).dense_payload_len() + 64;
+        assert_eq!(frame_len + WEIGHT_CONTROL, historical);
     }
 }

@@ -3,12 +3,11 @@
 use aergia_codec::io::{put_f64, put_indices, put_u32, put_u64, Reader};
 use aergia_codec::CodecError;
 use aergia_simnet::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::profiler::WorkspacePoolStats;
 
 /// What happened in one communication round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: u32,
@@ -103,7 +102,7 @@ impl RoundRecord {
 }
 
 /// The result of a whole FL run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Per-round records, in order.
     pub rounds: Vec<RoundRecord>,
@@ -173,7 +172,7 @@ impl RunResult {
 
 /// A fixed-width histogram over round durations, the discrete form of the
 /// paper's Figure 8 density plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DurationHistogram {
     /// Left edge of the first bin (seconds).
     pub start: f64,

@@ -7,7 +7,6 @@
 //! them to spot stragglers and compute the offloading schedule.
 
 use aergia_nn::profile::PhaseCost;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates per-phase costs over the profiling window of a round.
 #[derive(Debug, Clone, Default)]
@@ -67,7 +66,7 @@ impl OnlineProfiler {
 /// parameter count — computed from pool membership alone, so the figure
 /// is identical across parallelism settings, transports and
 /// checkpoint resume (actual allocator behaviour is not).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspacePoolStats {
     /// Participants whose client state was already resident.
     pub hits: u32,
@@ -87,7 +86,7 @@ pub struct WorkspacePoolStats {
 
 /// The numbers a client reports to the federator after profiling, plus the
 /// derived quantities Algorithm 1 consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileReport {
     /// Round this report belongs to (stale reports are discarded).
     pub round: u32,

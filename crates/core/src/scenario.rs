@@ -30,13 +30,12 @@
 //! ```
 
 use aergia_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::config::ConfigError;
 use crate::strategy::Strategy;
 
 /// How the federator folds client updates into the global model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum AggregationMode {
     /// Classic synchronous FL: wait for the round to finish, then fold
@@ -62,7 +61,7 @@ pub enum AggregationMode {
 }
 
 /// Byzantine-robust alternatives to the plain (weighted) mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RobustAggregation {
     /// Sample-count-weighted mean — the strategy's native rule
@@ -84,7 +83,7 @@ pub enum RobustAggregation {
 }
 
 /// What happens to a live offload when its receiver crashes mid-round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadPolicy {
     /// The offload lapses silently; the straggler's own frozen update
     /// stands alone (PR 6's omitted-reply contract).
@@ -103,7 +102,7 @@ pub enum OffloadPolicy {
 /// victim from its crash point onward — exactly the censoring the
 /// [`Transport`](crate::transport::Transport) contract already allows,
 /// which is why churn needs no protocol changes to work over TCP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Probability an available client leaves before the next round.
     pub leave_prob: f64,
@@ -116,7 +115,7 @@ pub struct ChurnConfig {
 }
 
 /// Marks one client as an adversary for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByzantineSpec {
     /// Index of the compromised client (`< num_clients`).
     pub client: usize,
@@ -130,7 +129,7 @@ pub struct ByzantineSpec {
 /// the wire, so poisoned weights still cross the codec and the shape-only
 /// wire sizing is untouched — the virtual clock cannot tell an honest
 /// client from an adversary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Attack {
     /// Reflects the honest update about the round's broadcast model:
@@ -146,7 +145,7 @@ pub enum Attack {
 }
 
 /// All scenario knobs for one experiment. Inert by default.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Synchronous vs buffered-asynchronous folding.
     pub aggregation: AggregationMode,

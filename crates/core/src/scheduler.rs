@@ -28,11 +28,9 @@
 //! implements the formula exactly as printed for the ablation bench
 //! (`ablation_calc_op`). See `DESIGN.md` §4.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-client inputs to Algorithm 1, derived from a
 /// [`crate::profiler::ProfileReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientPerf {
     /// Client identifier (indexes the similarity matrix).
     pub id: usize,
@@ -60,7 +58,7 @@ impl ClientPerf {
 }
 
 /// One sender→receiver offloading decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Assignment {
     /// The straggler that freezes and offloads.
     pub sender: usize,
@@ -73,7 +71,7 @@ pub struct Assignment {
 }
 
 /// The output of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OffloadSchedule {
     /// Mean completion time across participants (the target).
     pub mct: f64,
@@ -190,7 +188,7 @@ pub fn calc_op_printed(ta: f64, tb: f64, xb: f64, ra: u32, rb: u32) -> (f64, u32
 }
 
 /// Which `calc_op` variant [`schedule`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OpVariant {
     /// The unimodal corrected form (default).
     #[default]

@@ -2,10 +2,9 @@
 //! plus the deadline variant of its motivation study and Aergia itself.
 
 use aergia_simnet::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The federated-learning algorithm an [`crate::Engine`] executes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Strategy {
     /// Plain synchronous FedAvg (McMahan et al. 2017).
@@ -127,7 +126,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// Qualitative awareness level used in Table 1 (`-`, `+`, `++`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rating {
     /// Not addressed (`-`).
     None,
@@ -148,7 +147,7 @@ impl std::fmt::Display for Rating {
 }
 
 /// One row of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table1Row {
     /// Algorithm name.
     pub name: &'static str,

@@ -51,18 +51,17 @@ use crate::strategy::Strategy;
 
 /// Errors surfaced by a [`Transport`] while executing a round's orders.
 ///
-/// [`InProcess`] only ever produces [`TransportError::Nn`]; the variants
-/// beyond it exist for transports that cross a process boundary.
+/// A remote transport that loses a client omits that client's reply (the
+/// engine then treats it as dropped) rather than returning an error, so
+/// both variants come from executing an order: [`TransportError::Nn`]
+/// when the model rejects it, [`TransportError::Protocol`] when the order
+/// itself is malformed (an offload order without optimizer state).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum TransportError {
     /// A model operation failed while executing an order.
     Nn(NnError),
-    /// A socket or file operation failed.
-    Io(std::io::Error),
-    /// An encoded payload failed to decode.
-    Codec(aergia_codec::CodecError),
-    /// The remote end violated the protocol.
+    /// An order violated the engine ↔ transport protocol.
     Protocol(String),
 }
 
@@ -70,8 +69,6 @@ impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransportError::Nn(e) => write!(f, "model error: {e}"),
-            TransportError::Io(e) => write!(f, "transport i/o error: {e}"),
-            TransportError::Codec(e) => write!(f, "transport decode error: {e}"),
             TransportError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
     }
@@ -81,8 +78,6 @@ impl Error for TransportError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TransportError::Nn(e) => Some(e),
-            TransportError::Io(e) => Some(e),
-            TransportError::Codec(e) => Some(e),
             TransportError::Protocol(_) => None,
         }
     }
@@ -91,18 +86,6 @@ impl Error for TransportError {
 impl From<NnError> for TransportError {
     fn from(e: NnError) -> Self {
         TransportError::Nn(e)
-    }
-}
-
-impl From<std::io::Error> for TransportError {
-    fn from(e: std::io::Error) -> Self {
-        TransportError::Io(e)
-    }
-}
-
-impl From<aergia_codec::CodecError> for TransportError {
-    fn from(e: aergia_codec::CodecError) -> Self {
-        TransportError::Codec(e)
     }
 }
 

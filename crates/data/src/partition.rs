@@ -8,12 +8,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::synth::Dataset;
 
 /// How to split a dataset across clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Every client receives a uniformly random, equally sized shard.
     Iid,
@@ -39,7 +38,7 @@ impl Scheme {
 /// *shared shards*: `virtual_clients` many clients map onto them
 /// round-robin, so storage stays `O(dataset)` however many clients are
 /// simulated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partition {
     client_indices: Vec<Vec<usize>>,
     num_classes: usize,

@@ -1,13 +1,11 @@
 //! Dataset specifications mirroring the paper's benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 /// A synthetic stand-in for one of the paper's image benchmarks.
 ///
 /// Image shapes and class counts match the originals; the `noise_std` /
 /// `class_overlap` knobs order the classification difficulty the same way
 /// (MNIST easiest, CIFAR hardest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DatasetSpec {
     /// 28×28 grayscale, 10 well-separated classes (stands in for MNIST).

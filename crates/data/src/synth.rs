@@ -12,12 +12,11 @@ use aergia_tensor::init::standard_normal;
 use aergia_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::spec::DatasetSpec;
 
 /// Parameters for generating a train/test dataset pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataConfig {
     /// Which benchmark to imitate.
     pub spec: DatasetSpec,
@@ -103,7 +102,7 @@ fn random_blob_image(rng: &mut StdRng, c: usize, h: usize, w: usize, blobs: usiz
 ///
 /// Samples are stored contiguously (row-major C×H×W each); [`Dataset::batch`]
 /// materialises any index subset as an NCHW [`Tensor`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     images: Vec<f32>,
     labels: Vec<usize>,

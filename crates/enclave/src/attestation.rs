@@ -6,8 +6,6 @@
 //! enclave answers with its measurement and a nonce-bound response — while
 //! replacing the Intel quoting infrastructure with a deterministic hash.
 
-use serde::{Deserialize, Serialize};
-
 /// FNV-1a, the stand-in for the attestation hash. Deterministic and cheap;
 /// *not* collision resistant — acceptable for a simulation whose parties
 /// are honest (paper §3.1 assumes all parties honest).
@@ -21,7 +19,7 @@ pub fn measurement_hash(bytes: &[u8]) -> u64 {
 }
 
 /// The identity of the enclave code ("MRENCLAVE").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Measurement(pub u64);
 
 impl Measurement {
@@ -34,7 +32,7 @@ impl Measurement {
 }
 
 /// The enclave's answer to an attestation challenge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttestationReport {
     /// Claimed code measurement.
     pub measurement: Measurement,

@@ -7,12 +7,10 @@
 //! dataflow: the federator relays these blobs but cannot read them; only
 //! the enclave, which shares the session key, can.
 
-use serde::{Deserialize, Serialize};
-
 use crate::attestation::measurement_hash;
 
 /// A symmetric session key shared by one client and the enclave.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SessionKey(pub(crate) u64);
 
 impl std::fmt::Debug for SessionKey {
@@ -23,7 +21,7 @@ impl std::fmt::Debug for SessionKey {
 }
 
 /// An encrypted, integrity-tagged payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedBlob {
     nonce: u64,
     ciphertext: Vec<u8>,

@@ -121,11 +121,18 @@ fn for_each_connection<T: Send>(slots: &mut [T], f: impl Fn(&mut T) + Sync) {
     });
 }
 
-/// A wire batcher state is only restorable if it matches the engine-side
-/// shard (restore panics otherwise — a remote peer must not be able to
-/// panic the coordinator).
+/// A wire batcher state is only restorable if it is a reordering of the
+/// engine-side shard with an in-range cursor: restore panics on a length
+/// mismatch, and a foreign index would be checkpointed and panic the
+/// state's next holder in `Dataset::batch_into` — a remote peer must not
+/// be able to do either. Called from the fold-back loops, off the socket
+/// threads.
 fn restorable(engine_side: &Batcher, state: &BatcherState) -> bool {
-    state.indices.len() == engine_side.state().indices.len() && state.cursor <= state.indices.len()
+    let mut ours = engine_side.state().indices;
+    let mut theirs = state.indices.clone();
+    ours.sort_unstable();
+    theirs.sort_unstable();
+    ours == theirs && state.cursor <= state.indices.len()
 }
 
 /// The remote [`Transport`]: ships each order to its client's TCP

@@ -2,7 +2,7 @@
 //!
 //! Every message travels as an [`aergia_codec::envelope`] whose kind byte
 //! names one of the types here and whose body is the type's hand-rolled
-//! little-endian encoding (the vendored serde shim has no byte format).
+//! little-endian encoding.
 //! Tensor lists ride as [`aergia_codec::dense`] payloads — the same
 //! bit-exact encoding the simulator's wire codec and checkpoints use —
 //! and batcher snapshots and round records go through the engine's own

@@ -20,8 +20,7 @@
 //!   ([`optim::Sgd`]);
 //! * softmax cross-entropy ([`loss`]);
 //! * the model zoo of the paper's evaluation ([`models::ModelArch`]);
-//! * weight snapshots and a compact wire encoding for model transfer
-//!   ([`weights`]).
+//! * the aggregation math over weight snapshots ([`weights`]).
 //!
 //! # Examples
 //!

@@ -88,7 +88,7 @@ fn step_momentum(pd: &mut [f32], gd: &[f32], vd: &mut [f32], ad: &[f32], c: Step
 /// let cfg = SgdConfig { lr: 0.05, momentum: 0.9, ..SgdConfig::default() };
 /// assert_eq!(cfg.weight_decay, 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Learning rate.
     pub lr: f32,

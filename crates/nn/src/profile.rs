@@ -15,10 +15,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// One of the four phases of a local mini-batch update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Forward pass over the feature layers.
     ForwardFeatures,
@@ -72,7 +70,7 @@ impl fmt::Display for Phase {
 /// assert_eq!(a.first_three(), 2.0);
 /// assert_eq!(a.share(aergia_nn::Phase::BackwardFeatures), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseCost {
     /// Cost of the forward feature pass.
     pub ff: f64,

@@ -1,96 +1,13 @@
-//! Weight snapshots: aggregation math and a compact wire encoding.
+//! Weight snapshots: the aggregation math.
 //!
 //! FL strategies operate on `Vec<Tensor>` snapshots taken with
 //! [`crate::Cnn::weights`]; this module provides the arithmetic the
-//! aggregation rules need (weighted averaging for FedAvg, normalized
-//! deltas for FedNova, squared distances for FedProx analysis) plus a
-//! little-endian binary encoding of standalone snapshots. The tensor
-//! layout and all byte-size accounting are [`aergia_codec::dense`]'s —
-//! this module only prepends a tensor count, so there is exactly one
-//! sizing authority in the workspace ([`aergia_codec::sizing`]).
+//! aggregation rules need: weighted averaging (FedAvg), the robust
+//! coordinate-wise median / trimmed mean, and the streaming fold that
+//! edge aggregators chain. Putting snapshots on a wire is `aergia-codec`'s
+//! job; nothing here encodes bytes.
 
-use std::error::Error;
-use std::fmt;
-
-use aergia_codec::{dense, CodecError, ShapeSpec};
 use aergia_tensor::Tensor;
-use bytes::{Buf, Bytes};
-
-/// Errors produced when decoding a weight snapshot from bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum WireError {
-    /// The buffer ended before the declared contents.
-    Truncated,
-    /// A declared dimension or count was implausibly large.
-    Corrupt(&'static str),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "unexpected end of weight buffer"),
-            WireError::Corrupt(what) => write!(f, "corrupt weight buffer: {what}"),
-        }
-    }
-}
-
-impl Error for WireError {}
-
-impl From<CodecError> for WireError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Truncated => WireError::Truncated,
-            CodecError::Corrupt(what) | CodecError::BaseMismatch(what) => WireError::Corrupt(what),
-            CodecError::BadMagic => WireError::Corrupt("magic"),
-            CodecError::UnsupportedVersion(_) => WireError::Corrupt("version"),
-            _ => WireError::Corrupt("encoding"),
-        }
-    }
-}
-
-/// Serializes a weight snapshot into a compact little-endian buffer.
-///
-/// Layout: `u32 tensor_count`, then the [`aergia_codec::dense`] payload
-/// (per tensor `u32 rank`, `u32 dims[rank]`, `f32 data[numel]`).
-///
-/// # Examples
-///
-/// ```
-/// use aergia_nn::weights::{decode, encode};
-/// use aergia_tensor::Tensor;
-///
-/// let snapshot = vec![Tensor::ones(&[2, 3])];
-/// let bytes = encode(&snapshot);
-/// assert_eq!(decode(&bytes).unwrap(), snapshot);
-/// ```
-pub fn encode(weights: &[Tensor]) -> Bytes {
-    let mut buf = Vec::with_capacity(byte_size(weights));
-    buf.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-    dense::encode_payload_into(weights, &mut buf);
-    Bytes::from(buf)
-}
-
-/// Reconstructs a snapshot from [`encode`]'s format.
-///
-/// # Errors
-///
-/// Returns [`WireError::Truncated`] or [`WireError::Corrupt`] on malformed
-/// input.
-pub fn decode(mut buf: &[u8]) -> Result<Vec<Tensor>, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let count = buf.get_u32_le() as usize;
-    Ok(dense::decode_payload(buf, count)?)
-}
-
-/// Exact size in bytes of [`encode`]'s output for `weights` — the count
-/// prefix plus the dense payload as sized by the one workspace-wide
-/// authority, [`aergia_codec::sizing`].
-pub fn byte_size(weights: &[Tensor]) -> usize {
-    4 + ShapeSpec::of(weights).dense_payload_len()
-}
 
 /// Weighted average of snapshots: `Σ wᵢ·sᵢ / Σ wᵢ` — FedAvg's aggregation
 /// rule (§2.2).
@@ -287,74 +204,12 @@ impl StreamingFold {
     }
 }
 
-/// `a − b`, elementwise across the snapshot.
-///
-/// # Panics
-///
-/// Panics on structure mismatch.
-pub fn delta(a: &[Tensor], b: &[Tensor]) -> Vec<Tensor> {
-    assert_eq!(a.len(), b.len(), "delta: snapshot structure mismatch");
-    a.iter().zip(b).map(|(x, y)| x.sub(y)).collect()
-}
-
-/// `base + alpha·step`, elementwise across the snapshot.
-///
-/// # Panics
-///
-/// Panics on structure mismatch.
-pub fn add_scaled(base: &[Tensor], alpha: f32, step: &[Tensor]) -> Vec<Tensor> {
-    assert_eq!(base.len(), step.len(), "add_scaled: snapshot structure mismatch");
-    base.iter()
-        .zip(step)
-        .map(|(b, s)| {
-            let mut out = b.clone();
-            out.axpy(alpha, s);
-            out
-        })
-        .collect()
-}
-
-/// Squared L2 distance between two snapshots viewed as one flat vector.
-///
-/// # Panics
-///
-/// Panics on structure mismatch.
-pub fn sq_distance(a: &[Tensor], b: &[Tensor]) -> f32 {
-    assert_eq!(a.len(), b.len(), "sq_distance: snapshot structure mismatch");
-    a.iter().zip(b).map(|(x, y)| x.sub(y).sq_norm()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn snap(vals: &[f32]) -> Vec<Tensor> {
         vec![Tensor::from_vec(vals.to_vec(), &[vals.len()]).unwrap()]
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let w = vec![Tensor::ones(&[2, 3]), Tensor::from_vec(vec![-1.5], &[1]).unwrap()];
-        let bytes = encode(&w);
-        assert_eq!(bytes.len(), byte_size(&w));
-        assert_eq!(decode(&bytes).unwrap(), w);
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let w = vec![Tensor::ones(&[4])];
-        let bytes = encode(&w);
-        for cut in [0, 3, 7, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should fail");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_corrupt_rank() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&99u32.to_le_bytes()); // absurd rank
-        assert_eq!(decode(&buf).unwrap_err(), WireError::Corrupt("rank"));
     }
 
     #[test]
@@ -368,24 +223,6 @@ mod tests {
         // FedAvg weighting n_k / Σ n_k: 3:1 ratio.
         let avg = weighted_average(&[(3.0, snap(&[4.0])), (1.0, snap(&[0.0]))]);
         assert_eq!(avg[0].data(), &[3.0]);
-    }
-
-    #[test]
-    fn delta_and_add_scaled_invert() {
-        let a = snap(&[5.0, 1.0]);
-        let b = snap(&[2.0, -1.0]);
-        let d = delta(&a, &b);
-        let restored = add_scaled(&b, 1.0, &d);
-        assert_eq!(restored, a);
-    }
-
-    #[test]
-    fn sq_distance_is_symmetric_and_zero_on_self() {
-        let a = snap(&[1.0, 2.0]);
-        let b = snap(&[-1.0, 0.0]);
-        assert_eq!(sq_distance(&a, &a), 0.0);
-        assert_eq!(sq_distance(&a, &b), sq_distance(&b, &a));
-        assert_eq!(sq_distance(&a, &b), 8.0);
     }
 
     #[test]

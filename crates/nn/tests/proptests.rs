@@ -1,10 +1,10 @@
-//! Property-based tests for the network stack: wire-format round trips,
-//! aggregation algebra, freezing invariants and loss behaviour.
+//! Property-based tests for the network stack: aggregation algebra,
+//! freezing invariants and loss behaviour.
 
 use aergia_nn::layer::{Flatten, Layer, Linear};
 use aergia_nn::loss::cross_entropy;
 use aergia_nn::optim::{Sgd, SgdConfig};
-use aergia_nn::weights::{add_scaled, byte_size, decode, delta, encode, weighted_average};
+use aergia_nn::weights::weighted_average;
 use aergia_nn::Cnn;
 use aergia_tensor::Tensor;
 use proptest::prelude::*;
@@ -36,22 +36,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn wire_round_trip(snap in snapshot_strategy()) {
-        let bytes = encode(&snap);
-        prop_assert_eq!(bytes.len(), byte_size(&snap));
-        let back = decode(&bytes).unwrap();
-        prop_assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn truncated_buffers_never_decode(snap in snapshot_strategy(), frac in 0.0f64..0.99) {
-        let bytes = encode(&snap);
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        prop_assume!(cut < bytes.len());
-        prop_assert!(decode(&bytes[..cut]).is_err());
-    }
-
-    #[test]
     fn average_of_identical_snapshots_is_identity(snap in snapshot_strategy(), n in 1usize..5) {
         let group: Vec<(f32, Vec<Tensor>)> = (0..n).map(|i| ((i + 1) as f32, snap.clone())).collect();
         let avg = weighted_average(&group);
@@ -70,18 +54,6 @@ proptest! {
         for (av, (lo, hi)) in avg.iter().zip(a.iter().zip(&b)) {
             for ((x, l), h) in av.data().iter().zip(lo.data()).zip(hi.data()) {
                 prop_assert!(*x >= l - 1e-4 && *x <= h + 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn delta_add_scaled_round_trip(a in snapshot_strategy()) {
-        let b: Vec<Tensor> = a.iter().map(|t| t.map(|v| v * 0.5 - 1.0)).collect();
-        let d = delta(&a, &b);
-        let restored = add_scaled(&b, 1.0, &d);
-        for (r, orig) in restored.iter().zip(&a) {
-            for (x, y) in r.data().iter().zip(orig.data()) {
-                prop_assert!((x - y).abs() < 1e-5);
             }
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! The build containers are offline, so this crate is the vendored stand-in
 //! for [rayon](https://docs.rs/rayon): it implements the small API subset the
-//! workspace needs — [`scope`]/[`Scope::spawn`], [`join`] and the slice
-//! helpers [`ThreadPool::par_chunks_mut`] / [`ThreadPool::par_for_each_mut`]
-//! — with compatible semantics, so `[workspace.dependencies]` stays the swap
+//! workspace uses — [`scope`]/[`Scope::spawn`] and the slice helpers
+//! [`ThreadPool::par_chunks_mut`] / [`ThreadPool::par_for_each_mut`] —
+//! with compatible semantics, so `[workspace.dependencies]` stays the swap
 //! point for the real crate.
 //!
 //! # Design
@@ -75,9 +75,6 @@
 //! });
 //! assert_eq!(data[0], 1.0); // chunk 0
 //! assert_eq!(data[999], 4.0); // chunk 3
-//!
-//! let (a, b) = aergia_runtime::join(|| 2 + 2, || "concurrently");
-//! assert_eq!((a, b), (4, "concurrently"));
 //! ```
 
 #![warn(missing_docs)]
@@ -483,23 +480,6 @@ where
     ThreadPool::global().par_for_each_mut(items, max_tasks, f);
 }
 
-/// Runs both closures, potentially in parallel, and returns both results
-/// (`a` runs on the caller, `b` may run on another thread) — rayon's `join`.
-pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    let mut result_a = None;
-    let mut result_b = None;
-    ThreadPool::global().scope(|s| {
-        let slot_b = &mut result_b;
-        s.spawn(move || *slot_b = Some(b()));
-        result_a = Some(a());
-    });
-    (result_a.expect("join: a ran"), result_b.expect("join: b ran"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,12 +655,6 @@ mod tests {
             live.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(peak.load(Ordering::SeqCst) <= 2, "cap of 2 concurrent tasks exceeded");
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 6 * 7, || "right".len());
-        assert_eq!((a, b), (42, 5));
     }
 
     #[test]

@@ -11,13 +11,12 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 use crate::time::SimDuration;
 
 /// Latency + bandwidth of one directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// One-way propagation delay.
     pub latency: SimDuration,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Identifies a node in the simulated cluster.
 ///
 /// By convention the federator is [`NodeId::FEDERATOR`] and clients are
 /// numbered from 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -53,7 +51,7 @@ impl fmt::Display for NodeId {
 ///     fast.work_duration(work).as_micros() * 4
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     speed: f64,
     base_flops: f64,

@@ -12,7 +12,7 @@ use aergia_telemetry::{event, span};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Serializes tests and resets telemetry state on entry.
+/// Runs tests one at a time and resets telemetry state on entry.
 fn fresh() -> MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     tel::disable();

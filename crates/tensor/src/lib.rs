@@ -1,7 +1,7 @@
 //! Dense `f32` tensor kernels for the Aergia federated-learning reproduction.
 //!
 //! This crate is the lowest substrate of the workspace: a small, dependency-
-//! free (apart from [`rand`]/[`serde`]) tensor library providing exactly the
+//! free (apart from [`rand`]) tensor library providing exactly the
 //! operations a convolutional-network training stack needs:
 //!
 //! * an owned, row-major [`Tensor`] with shape validation,

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The dimensions of a [`crate::Tensor`], outermost dimension first.
 ///
 /// A `Shape` is a thin, validated wrapper around a `Vec<usize>`; every
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.numel(), 24);
 /// assert_eq!(s.rank(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::shape::{Shape, TensorError};
 
 /// An owned, row-major, dense `f32` tensor.
@@ -33,7 +31,7 @@ use crate::shape::{Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
@@ -463,8 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_via_display_debug() {
-        // Serialize/Deserialize derive compiles and Display is non-empty.
+    fn display_and_debug_are_non_empty() {
         let t = Tensor::ones(&[2, 2]);
         assert!(!format!("{t}").is_empty());
         assert!(!format!("{t:?}").is_empty());

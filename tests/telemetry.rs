@@ -34,7 +34,7 @@ use aergia_telemetry as tel;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Serializes tests on the process-global telemetry state.
+/// Runs tests one at a time on the process-global telemetry state.
 fn telemetry_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
