@@ -42,6 +42,8 @@ fn main() {
         seed: 3,
     }
     .generate_pair();
+    // The one-time pixel render is not instrumentation: keep it out of `wall`.
+    train.render();
     let mut model = ModelArch::FmnistCnn.build(4);
     let mut opt = Sgd::new(SgdConfig::default());
     let batches = scale.scaled(12, 4);

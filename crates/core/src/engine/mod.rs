@@ -291,6 +291,13 @@ impl Engine {
     fn build(config: ExperimentConfig, strategy: Strategy) -> Result<Self, EngineError> {
         let cohort_sampled = matches!(config.client_state, ClientStateMode::CohortSampled { .. });
         let (train, test) = config.dataset.generate_pair();
+        // Real rounds read pixels: render them now so the one-time cost
+        // lands in set-up, not in the first round. Timing mode reads
+        // labels only and never renders.
+        if config.mode == Mode::Real {
+            train.render();
+            test.render();
+        }
         // Cohort-sampled populations dwarf the dataset, so the partition
         // switches to shared strided shards (`O(dataset)` storage however
         // many clients are simulated) instead of materialising one index
@@ -1031,6 +1038,24 @@ mod tests {
         assert_eq!(engine.similarity_matrix().len(), 4);
         assert_eq!(engine.similarity_matrix()[0].len(), 4);
         assert_eq!(engine.similarity_matrix()[1][1], 0.0);
+    }
+
+    /// Pixels are rendered during set-up when rounds will read them and
+    /// never otherwise.
+    #[test]
+    fn only_real_mode_renders_the_datasets() {
+        let config = |mode| ExperimentConfig { mode, rounds: 3, ..ExperimentConfig::default() };
+        let mut timing = Engine::new(config(Mode::Timing), Strategy::aergia_default()).unwrap();
+        let mut progress = timing.start_progress();
+        for _ in 0..3 {
+            timing.step_round(&mut progress).unwrap();
+        }
+        assert!(!timing.train_dataset().is_rendered());
+        assert!(!timing.test_dataset().is_rendered());
+
+        let real = Engine::new(config(Mode::Real), Strategy::aergia_default()).unwrap();
+        assert!(real.train_dataset().is_rendered());
+        assert!(real.test_dataset().is_rendered());
     }
 
     #[test]

@@ -71,13 +71,14 @@ pub fn emd_counts(p: &[u64], q: &[u64]) -> f64 {
 /// the distance between clients `i` and `j` (0 on the diagonal).
 ///
 /// This is the matrix the paper's enclave emits (lower values = more
-/// similar datasets).
+/// similar datasets). Histograms may be owned (`Vec<u64>`) or borrowed
+/// (`&[u64]`, `&Vec<u64>`).
 ///
 /// # Panics
 ///
 /// Panics if the histograms differ in length.
-pub fn similarity_matrix(histograms: &[Vec<u64>]) -> Vec<Vec<f64>> {
-    let dists: Vec<Vec<f64>> = histograms.iter().map(|h| normalize(h)).collect();
+pub fn similarity_matrix(histograms: &[impl AsRef<[u64]>]) -> Vec<Vec<f64>> {
+    let dists: Vec<Vec<f64>> = histograms.iter().map(|h| normalize(h.as_ref())).collect();
     let m = dists.len();
     let mut matrix = vec![vec![0.0; m]; m];
     for i in 0..m {

@@ -7,8 +7,22 @@
 //! with per-pixel Gaussian noise added. The result is a dataset a small
 //! CNN genuinely has to learn spatial features for, while remaining fully
 //! deterministic given a seed.
+//!
+//! Generation is two passes over one RNG stream. The **label walk** is
+//! serial and runs in [`Dataset::from_prototypes`]: per sample it draws
+//! the label and the jitter, records the generator state in front of the
+//! sample's noise and skips the `c·h·w` normals the pixels will consume.
+//! The **render** turns each sample's recipe into pixels, one pool task
+//! per sample, each re-seeded from its recorded state — so every pixel is
+//! the same expression over the same bits whatever the pool size. It runs
+//! the first time a pixel is read ([`Dataset::batch_into`]) or when
+//! [`Dataset::render`] asks for it; a consumer that only reads labels
+//! (partitioning, histograms, the timing-mode engine) never pays for it.
 
-use aergia_tensor::init::standard_normal;
+use std::sync::{Arc, OnceLock};
+
+use aergia_runtime::ThreadPool;
+use aergia_tensor::init::{skip_standard_normals, standard_normal};
 use aergia_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -46,8 +60,9 @@ impl DataConfig {
 #[derive(Debug, Clone)]
 pub struct Prototypes {
     spec: DatasetSpec,
-    // One flattened C×H×W image per class.
-    images: Vec<Vec<f32>>,
+    // One flattened C×H×W image per class; shared with every dataset
+    // sampled from these prototypes, which render from them lazily.
+    images: Arc<[Vec<f32>]>,
 }
 
 impl Prototypes {
@@ -58,7 +73,7 @@ impl Prototypes {
         let background = random_blob_image(&mut rng, c, h, w, 4);
         let overlap = spec.class_overlap();
         let images = (0..spec.num_classes())
-            .map(|_| {
+            .map(|_| -> Vec<f32> {
                 let own = random_blob_image(&mut rng, c, h, w, 3);
                 own.iter()
                     .zip(&background)
@@ -98,13 +113,37 @@ fn random_blob_image(rng: &mut StdRng, c: usize, h: usize, w: usize, blobs: usiz
     img
 }
 
+/// What the render needs to know about one sample beyond its label.
+#[derive(Debug, Clone, Copy)]
+struct SampleRecipe {
+    /// Generator state at the sample's first noise draw.
+    noise_rng: [u64; 4],
+    /// Spatial jitter applied to the prototype.
+    dy: i8,
+    dx: i8,
+}
+
+/// Everything needed to render a synthetic dataset's pixels on demand.
+#[derive(Debug, Clone)]
+struct Recipe {
+    protos: Prototypes,
+    samples: Vec<SampleRecipe>,
+}
+
 /// An in-memory labelled image dataset.
 ///
-/// Samples are stored contiguously (row-major C×H×W each); [`Dataset::batch`]
-/// materialises any index subset as an NCHW [`Tensor`].
+/// Labels are always resident. Pixels are stored contiguously (row-major
+/// C×H×W per sample) once they exist: a dataset sampled from prototypes
+/// keeps a 40-byte recipe per sample instead and renders all pixels the
+/// first time one is read — [`Dataset::batch`] and friends, or an explicit
+/// [`Dataset::render`] — on the global thread pool. Reading labels or
+/// histograms never renders. `Clone` copies the pixels if they have been
+/// rendered; a clone taken earlier renders on its own.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    images: Vec<f32>,
+    images: OnceLock<Vec<f32>>,
+    /// `None` for [`Dataset::from_raw`], which is born rendered.
+    recipe: Option<Recipe>,
     labels: Vec<usize>,
     dims: (usize, usize, usize),
     num_classes: usize,
@@ -112,39 +151,78 @@ pub struct Dataset {
 
 impl Dataset {
     /// Samples `n` images (labels drawn uniformly) from prototypes.
+    ///
+    /// This is the serial label walk only; see the module docs for when
+    /// the pixels are rendered.
     pub fn from_prototypes(protos: &Prototypes, n: usize, sample_seed: u64) -> Self {
         let spec = protos.spec;
         let (c, h, w) = spec.dims();
         let mut rng = StdRng::seed_from_u64(sample_seed ^ 0x73616d_706c65); // "sample"
-        let noise = spec.noise_std();
         let jitter = spec.jitter() as i64;
-        let mut images = Vec::with_capacity(n * c * h * w);
+        let mut samples = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
 
         for _ in 0..n {
-            let label = rng.random_range(0..spec.num_classes());
-            let proto = &protos.images[label];
-            let dy = rng.random_range(-jitter..=jitter) as isize;
-            let dx = rng.random_range(-jitter..=jitter) as isize;
-            for chan in 0..c {
+            labels.push(rng.random_range(0..spec.num_classes()));
+            // The jitter is a few pixels, so `i8` holds it.
+            let dy = rng.random_range(-jitter..=jitter) as i8;
+            let dx = rng.random_range(-jitter..=jitter) as i8;
+            samples.push(SampleRecipe { noise_rng: rng.state(), dy, dx });
+            skip_standard_normals(&mut rng, c * h * w);
+        }
+
+        Dataset {
+            images: OnceLock::new(),
+            recipe: Some(Recipe { protos: protos.clone(), samples }),
+            labels,
+            dims: (c, h, w),
+            num_classes: spec.num_classes(),
+        }
+    }
+
+    /// Renders every sample's pixels on `pool`, one chunk per sample.
+    fn render_on(&self, pool: &ThreadPool) -> Vec<f32> {
+        let recipe = self.recipe.as_ref().expect("a dataset without a recipe is born rendered");
+        let (c, h, w) = self.dims;
+        let noise = recipe.protos.spec.noise_std();
+        let mut images = vec![0.0f32; self.labels.len() * c * h * w];
+        pool.par_chunks_mut(&mut images, c * h * w, |i, out| {
+            let SampleRecipe { noise_rng, dy, dx } = recipe.samples[i];
+            let proto = &recipe.protos.images[self.labels[i]];
+            let mut rng = StdRng::from_state(noise_rng);
+            for (chan, plane) in out.chunks_mut(h * w).enumerate() {
                 let base = chan * h * w;
-                for y in 0..h {
-                    for x in 0..w {
-                        let sy = y as isize + dy;
-                        let sx = x as isize + dx;
+                for (y, row) in plane.chunks_mut(w).enumerate() {
+                    for (x, px) in row.iter_mut().enumerate() {
+                        let sy = y as isize + dy as isize;
+                        let sx = x as isize + dx as isize;
                         let v = if sy >= 0 && sy < h as isize && sx >= 0 && sx < w as isize {
                             proto[base + sy as usize * w + sx as usize]
                         } else {
                             0.0
                         };
-                        images.push(v + noise * standard_normal(&mut rng));
+                        *px = v + noise * standard_normal(&mut rng);
                     }
                 }
             }
-            labels.push(label);
-        }
+        });
+        images
+    }
 
-        Dataset { images, labels, dims: (c, h, w), num_classes: spec.num_classes() }
+    /// All pixels, rendering them first if nobody has read one yet.
+    fn pixels(&self) -> &[f32] {
+        self.images.get_or_init(|| self.render_on(ThreadPool::global()))
+    }
+
+    /// Renders the pixels now (a no-op once rendered), so that a caller
+    /// about to time pixel reads pays the one-time cost up front.
+    pub fn render(&self) {
+        self.pixels();
+    }
+
+    /// Whether the pixels exist yet.
+    pub fn is_rendered(&self) -> bool {
+        self.images.get().is_some()
     }
 
     /// Builds a dataset directly from raw buffers (used in tests and by
@@ -163,7 +241,7 @@ impl Dataset {
         let (c, h, w) = dims;
         assert_eq!(images.len(), labels.len() * c * h * w, "Dataset::from_raw: size mismatch");
         assert!(labels.iter().all(|&l| l < num_classes), "Dataset::from_raw: label out of range");
-        Dataset { images, labels, dims, num_classes }
+        Dataset { images: OnceLock::from(images), recipe: None, labels, dims, num_classes }
     }
 
     /// Number of samples.
@@ -224,12 +302,13 @@ impl Dataset {
         assert!(!indices.is_empty(), "Dataset::batch: empty index list");
         let (c, h, w) = self.dims;
         let stride = c * h * w;
+        let images = self.pixels();
         x.reset_for_overwrite(&[indices.len(), c, h, w]);
         let data = x.data_mut();
         labels.clear();
         for (row, &i) in indices.iter().enumerate() {
             data[row * stride..(row + 1) * stride]
-                .copy_from_slice(&self.images[i * stride..(i + 1) * stride]);
+                .copy_from_slice(&images[i * stride..(i + 1) * stride]);
             labels.push(self.labels[i]);
         }
     }
@@ -275,13 +354,42 @@ mod tests {
         let (a, _) = small_pair();
         let (b, _) = small_pair();
         assert_eq!(a.labels(), b.labels());
-        assert_eq!(a.images, b.images);
+        assert_eq!(a.pixels(), b.pixels());
+    }
+
+    #[test]
+    fn render_is_bit_identical_at_any_pool_size() {
+        let (train, _) = small_pair();
+        let bits = |threads| -> Vec<u32> {
+            let pool = ThreadPool::new(threads);
+            train.render_on(&pool).iter().map(|v| v.to_bits()).collect()
+        };
+        let serial = bits(1);
+        assert_eq!(bits(2), serial);
+        assert_eq!(bits(4), serial);
+        let global: Vec<u32> = train.pixels().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(global, serial);
+    }
+
+    #[test]
+    fn pixels_render_on_first_read_only() {
+        let (train, test) = small_pair();
+        assert!(!train.is_rendered());
+        let _ = (train.labels(), train.class_histogram(None), train.class_histogram(Some(&[1])));
+        assert!(!train.is_rendered(), "labels and histograms must not render");
+        let _ = train.batch(&[0]);
+        assert!(train.is_rendered());
+        assert!(train.clone().is_rendered(), "Clone copies rendered pixels");
+        assert!(!test.is_rendered(), "the splits render independently");
+        test.render();
+        assert!(test.is_rendered());
+        assert!(Dataset::from_raw(vec![0.0; 4], vec![0], (1, 2, 2), 2).is_rendered());
     }
 
     #[test]
     fn train_and_test_differ_but_share_structure() {
         let (train, test) = small_pair();
-        assert_ne!(train.images[..100], test.images[..100]);
+        assert_ne!(train.pixels()[..100], test.pixels()[..100]);
         assert_eq!(train.dims(), test.dims());
         assert_eq!(train.num_classes(), test.num_classes());
     }

@@ -163,7 +163,7 @@ impl SimilarityEnclave {
             return Err(EnclaveError::NotEnoughClients { have: self.histograms.len() });
         }
         let order = self.client_order();
-        let hists: Vec<Vec<u64>> = order.iter().map(|id| self.histograms[id].clone()).collect();
+        let hists: Vec<&[u64]> = order.iter().map(|id| self.histograms[id].as_slice()).collect();
         Ok(emd::similarity_matrix(&hists))
     }
 

@@ -126,7 +126,11 @@ impl Worker {
         let config = setup.worker_config();
         let strategy = setup.worker_strategy();
         let template = build_template(&config);
+        // A client never evaluates: the test split stays an unrendered
+        // label walk, which costs next to nothing as long as nobody reads it.
         let (train, _test) = config.dataset.generate_pair();
+        // Render before the first order so no timed round pays for it.
+        train.render();
         Worker {
             setup_body,
             config,

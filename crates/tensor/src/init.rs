@@ -27,6 +27,15 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     (mag * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
+/// Advances `rng` exactly as drawing and discarding `n`
+/// [`standard_normal`]s would, without evaluating them: each normal
+/// consumes two 64-bit draws (`u1`, `u2`) and nothing else.
+pub fn skip_standard_normals<R: Rng + ?Sized>(rng: &mut R, n: usize) {
+    for _ in 0..2 * n {
+        rng.next_u64();
+    }
+}
+
 /// Fills `t` with `N(mean, std²)` samples.
 pub fn normal<R: Rng + ?Sized>(t: &mut Tensor, rng: &mut R, mean: f32, std: f32) {
     for x in t.data_mut() {
@@ -103,6 +112,19 @@ mod tests {
         normal(&mut a, &mut StdRng::seed_from_u64(9), 0.0, 1.0);
         normal(&mut b, &mut StdRng::seed_from_u64(9), 0.0, 1.0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn skipping_normals_leaves_the_state_of_drawing_them() {
+        for n in [0usize, 1, 785] {
+            let mut drawn = StdRng::seed_from_u64(17);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                standard_normal(&mut drawn);
+            }
+            skip_standard_normals(&mut skipped, n);
+            assert_eq!(skipped.state(), drawn.state(), "n = {n}");
+        }
     }
 
     #[test]

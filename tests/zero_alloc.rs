@@ -88,7 +88,8 @@ fn steady_state_training_loop_is_allocation_free() {
     let mut y = Vec::new();
 
     // Warm-up: populates the workspace pools, the batch buffers and the
-    // layer caches.
+    // layer caches, and performs the dataset's one-time pixel render (the
+    // first batch is the first pixel read).
     run_batches(&mut model, &mut batcher, &train, &mut opt, &mut ws, &mut x, &mut y, 2);
 
     let before = ALLOC.thread_allocations();
