@@ -1,22 +1,22 @@
-//! Ablation: the printed Algorithm 2 recurrence vs the unimodal form.
-//!
-//! `DESIGN.md` §4 documents that the recurrence as printed in the paper is
-//! monotone in `d` for realistic inputs (so the early-exit never fires and
-//! the offload point saturates), while the unimodal correction balances
-//! the sender's saved work against the receiver's added work. This bench
-//! compares the two on the same heterogeneous cluster.
+use super::row;
+use crate::{base_config, header, run_parallel, secs, Scale};
 
 use aergia::config::Mode;
 use aergia::scheduler::OpVariant;
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, header, run_parallel, secs, Scale};
 use aergia_data::partition::Scheme;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Ablation (calc_op)", "printed Algorithm 2 vs unimodal correction");
+/// Ablation: the printed Algorithm 2 recurrence vs the unimodal form.
+///
+/// `DESIGN.md` §4 documents that the recurrence as printed in the paper is
+/// monotone in `d` for realistic inputs (so the early-exit never fires and
+/// the offload point saturates), while the unimodal correction balances
+/// the sender's saved work against the receiver's added work. This bench
+/// compares the two on the same heterogeneous cluster.
+pub fn ablation_calc_op(scale: Scale) {
+    header(scale, "Ablation (calc_op)", "printed Algorithm 2 vs unimodal correction");
 
     let variants = [("unimodal", OpVariant::Unimodal), ("printed", OpVariant::Printed)];
     let jobs: Vec<_> = variants
@@ -36,14 +36,17 @@ fn main() {
         .collect();
     let results = run_parallel(jobs);
 
-    println!("{:<12}{:>16}{:>16}{:>12}", "variant", "total time", "mean round", "offloads");
+    const WIDTHS: &[usize] = &[12, 16, 16, 12];
+    row(WIDTHS, &[&"variant", &"total time", &"mean round", &"offloads"]);
     for ((name, _), result) in variants.iter().zip(&results) {
-        println!(
-            "{:<12}{:>16}{:>16}{:>12}",
-            name,
-            secs(result.total_time().as_secs_f64()),
-            secs(result.mean_round_secs()),
-            result.total_offloads()
+        row(
+            WIDTHS,
+            &[
+                name,
+                &secs(result.total_time().as_secs_f64()),
+                &secs(result.mean_round_secs()),
+                &result.total_offloads(),
+            ],
         );
     }
 

@@ -1,18 +1,18 @@
-//! Ablation: the profiling-window length (§4.2 / §5.4 "Profiler").
-//!
-//! A longer window yields better performance indicators but delays the
-//! scheduling decision (less of the round left to optimize). The paper
-//! settles on 100 of 1600 batches (a 1/16 ratio).
+use super::row;
+use crate::{base_config, header, run_parallel, secs, Scale};
 
 use aergia::config::Mode;
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, header, run_parallel, secs, Scale};
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Ablation (profiling window)", "offload benefit vs window length");
+/// Ablation: the profiling-window length (§4.2 / §5.4 "Profiler").
+///
+/// A longer window yields better performance indicators but delays the
+/// scheduling decision (less of the round left to optimize). The paper
+/// settles on 100 of 1600 batches (a 1/16 ratio).
+pub fn ablation_profile_window(scale: Scale) {
+    header(scale, "Ablation (profiling window)", "offload benefit vs window length");
 
     let updates = scale.local_updates().max(16);
     let windows: Vec<u32> = vec![1, updates / 16, updates / 8, updates / 4, updates / 2]
@@ -37,17 +37,17 @@ fn main() {
         .collect();
     let results = run_parallel(jobs);
 
-    println!(
-        "{:<16}{:>16}{:>16}{:>12}",
-        "window (batches)", "total time", "mean round", "offloads"
-    );
+    const WIDTHS: &[usize] = &[16, 16, 16, 12];
+    row(WIDTHS, &[&"window (batches)", &"total time", &"mean round", &"offloads"]);
     for (&w, result) in windows.iter().zip(&results) {
-        println!(
-            "{:<16}{:>16}{:>16}{:>12}",
-            format!("{w} / {updates}"),
-            secs(result.total_time().as_secs_f64()),
-            secs(result.mean_round_secs()),
-            result.total_offloads()
+        row(
+            WIDTHS,
+            &[
+                &format!("{w} / {updates}"),
+                &secs(result.total_time().as_secs_f64()),
+                &secs(result.mean_round_secs()),
+                &result.total_offloads(),
+            ],
         );
     }
 

@@ -1,18 +1,18 @@
-//! Figure 10: accuracy over time for different degrees of non-IIDness.
-//!
-//! Aergia trained for a fixed number of rounds with clients owning 10
-//! (IID-like), 5, 3 or 2 of the 10 classes. Completion times barely move;
-//! accuracy drops as the data gets more skewed.
+use super::row;
+use crate::{base_config, f3, header, run_parallel, secs, Scale};
 
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, f3, header, run_parallel, secs, Scale};
 use aergia_data::partition::Scheme;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Figure 10", "test accuracy over time per degree of non-IIDness (Aergia)");
+/// Figure 10: accuracy over time for different degrees of non-IIDness.
+///
+/// Aergia trained for a fixed number of rounds with clients owning 10
+/// (IID-like), 5, 3 or 2 of the 10 classes. Completion times barely move;
+/// accuracy drops as the data gets more skewed.
+pub fn fig10_noniid_degree(scale: Scale) {
+    header(scale, "Figure 10", "test accuracy over time per degree of non-IIDness (Aergia)");
 
     let degrees: [(&str, Scheme); 4] = [
         ("IID", Scheme::Iid),
@@ -46,14 +46,10 @@ fn main() {
     }
 
     println!();
-    println!("{:<14}{:>16}{:>14}", "degree", "final accuracy", "total time");
+    const WIDTHS: &[usize] = &[14, 16, 14];
+    row(WIDTHS, &[&"degree", &"final accuracy", &"total time"]);
     for ((name, _), result) in degrees.iter().zip(&results) {
-        println!(
-            "{:<14}{:>16}{:>14}",
-            name,
-            f3(result.final_accuracy),
-            secs(result.total_time().as_secs_f64())
-        );
+        row(WIDTHS, &[name, &f3(result.final_accuracy), &secs(result.total_time().as_secs_f64())]);
     }
 
     println!();

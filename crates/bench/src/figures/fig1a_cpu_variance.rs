@@ -1,21 +1,24 @@
-//! Figure 1(a): impact of CPU heterogeneity on round duration.
-//!
-//! Sweeps the variance of client speeds (mean fixed at 0.5 CPU, as in the
-//! paper) for cluster sizes 2–7 and reports the round-duration multiplier
-//! relative to the homogeneous cluster, averaged over several random
-//! speed draws. Timing-only mode: the shape comes purely from the
-//! synchronous protocol waiting for the slowest client.
+use crate::{base_config, f3, header, run, Scale};
 
 use aergia::config::Mode;
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, f3, header, run, Scale};
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 use aergia_simnet::cluster::random_speeds_with_variance;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Figure 1(a)", "round-duration multiplier vs variance of client CPU speeds (mean 0.5)");
+/// Figure 1(a): impact of CPU heterogeneity on round duration.
+///
+/// Sweeps the variance of client speeds (mean fixed at 0.5 CPU, as in the
+/// paper) for cluster sizes 2–7 and reports the round-duration multiplier
+/// relative to the homogeneous cluster, averaged over several random
+/// speed draws. Timing-only mode: the shape comes purely from the
+/// synchronous protocol waiting for the slowest client.
+pub fn fig1a_cpu_variance(scale: Scale) {
+    header(
+        scale,
+        "Figure 1(a)",
+        "round-duration multiplier vs variance of client CPU speeds (mean 0.5)",
+    );
 
     // Mean speed 0.5 bounds the feasible variance (speeds clip at 0.05),
     // so we sweep the feasible part of the paper's 0–0.5 axis.

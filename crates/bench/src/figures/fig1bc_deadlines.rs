@@ -1,22 +1,23 @@
-//! Figures 1(b) and 1(c): the deadline trade-off that motivates Aergia.
-//!
-//! Runs deadline-FedAvg on a heterogeneous non-IID cluster with
-//! progressively tighter per-round deadlines (∞ down to 10% of the
-//! untruncated round time). Figure 1(b) is the falling total training
-//! time; Figure 1(c) is the falling non-IID accuracy as stragglers'
-//! unique data gets dropped.
+use super::row;
+use crate::{base_config, f3, header, run, run_parallel, secs, Scale};
 
 use aergia::config::Mode;
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, f3, header, run, run_parallel, secs, Scale};
 use aergia_data::partition::Scheme;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 use aergia_simnet::SimDuration;
 
-fn main() {
-    let scale = Scale::from_env();
+/// Figures 1(b) and 1(c): the deadline trade-off that motivates Aergia.
+///
+/// Runs deadline-FedAvg on a heterogeneous non-IID cluster with
+/// progressively tighter per-round deadlines (∞ down to 10% of the
+/// untruncated round time). Figure 1(b) is the falling total training
+/// time; Figure 1(c) is the falling non-IID accuracy as stragglers'
+/// unique data gets dropped.
+pub fn fig1bc_deadlines(scale: Scale) {
     header(
+        scale,
         "Figures 1(b)/1(c)",
         "total training time and non-IID accuracy under per-round deadlines",
     );
@@ -50,19 +51,19 @@ fn main() {
         .collect();
     let results = run_parallel(jobs);
 
-    println!(
-        "{:<12}{:>16}{:>16}{:>14}{:>12}",
-        "deadline", "total time", "accuracy", "dropped", "rounds"
-    );
+    const WIDTHS: &[usize] = &[12, 16, 16, 14, 12];
+    row(WIDTHS, &[&"deadline", &"total time", &"accuracy", &"dropped", &"rounds"]);
     for (&frac, result) in fractions.iter().zip(&results) {
         let label = if frac.is_infinite() { "inf".to_string() } else { secs(round_secs * frac) };
-        println!(
-            "{:<12}{:>16}{:>16}{:>14}{:>12}",
-            label,
-            secs(result.total_time().as_secs_f64()),
-            f3(result.final_accuracy),
-            result.total_dropped(),
-            result.rounds.len()
+        row(
+            WIDTHS,
+            &[
+                &label,
+                &secs(result.total_time().as_secs_f64()),
+                &f3(result.final_accuracy),
+                &result.total_dropped(),
+                &result.rounds.len(),
+            ],
         );
     }
 

@@ -1,11 +1,5 @@
-//! Figure 4: share of a local update spent in each training phase.
-//!
-//! Profiles the four phases (ff, fc, bc, bf) on a single client for the
-//! paper's five dataset/network pairings, both with real wall-clock
-//! measurement and with the analytic FLOP model the simulator uses. The
-//! paper's headline: the backward feature pass dominates (52–75%).
+use crate::{header, Scale};
 
-use aergia_bench::{header, Scale};
 use aergia_data::{DataConfig, DatasetSpec};
 use aergia_nn::models::ModelArch;
 use aergia_nn::optim::{Sgd, SgdConfig};
@@ -29,9 +23,14 @@ fn shares(cost: PhaseCost) -> [f64; 4] {
     ]
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Figure 4", "percentage of a local update spent per phase (ff/fc/bc/bf)");
+/// Figure 4: share of a local update spent in each training phase.
+///
+/// Profiles the four phases (ff, fc, bc, bf) on a single client for the
+/// paper's five dataset/network pairings, both with real wall-clock
+/// measurement and with the analytic FLOP model the simulator uses. The
+/// paper's headline: the backward feature pass dominates (52–75%).
+pub fn fig4_phase_profile(scale: Scale) {
+    header(scale, "Figure 4", "percentage of a local update spent per phase (ff/fc/bc/bf)");
 
     let batches = scale.scaled(3, 1);
     println!(

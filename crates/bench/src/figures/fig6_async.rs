@@ -1,24 +1,23 @@
-//! Figure 6 (async variant): buffered-asynchronous aggregation vs the
-//! synchronous baseline.
-//!
-//! Same heterogeneous IID cluster as `fig6_iid`, MNIST-like only, under
-//! Aergia's scheduler. The asynchronous rows fold updates in
-//! virtual-clock arrival order with the FedLGA staleness discount
-//! (`docs/scenarios.md`), so slow clients contribute less instead of
-//! gating the round — accuracy degrades gracefully as the mixing rate
-//! drops while the round structure (and therefore the clock) stays
-//! identical.
+use super::row;
+use crate::{base_config, f3, header, run_parallel, secs, Scale};
 
-use aergia_bench::{base_config, f3, header, run_parallel, secs, Scale};
+use aergia::prelude::*;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 use aergia_simnet::SimDuration;
 
-use aergia::prelude::*;
-
-fn main() {
-    let scale = Scale::from_env();
-    header("Figure 6 (async)", "buffered-async aggregation vs the synchronous fold");
+/// Figure 6 (async variant): buffered-asynchronous aggregation vs the
+/// synchronous baseline.
+///
+/// Same heterogeneous IID cluster as `fig6_iid`, MNIST-like only, under
+/// Aergia's scheduler. The asynchronous rows fold updates in
+/// virtual-clock arrival order with the FedLGA staleness discount
+/// (`docs/scenarios.md`), so slow clients contribute less instead of
+/// gating the round — accuracy degrades gracefully as the mixing rate
+/// drops while the round structure (and therefore the clock) stays
+/// identical.
+pub fn fig6_async(scale: Scale) {
+    header(scale, "Figure 6 (async)", "buffered-async aggregation vs the synchronous fold");
 
     let rows: Vec<(&str, ScenarioConfig)> = vec![
         ("sync (baseline)", ScenarioConfig::default()),
@@ -56,18 +55,18 @@ fn main() {
     let results = run_parallel(jobs);
 
     println!();
-    println!(
-        "{:<18}{:>12}{:>14}{:>14}{:>12}",
-        "aggregation", "accuracy", "total time", "mean round", "offloads"
-    );
+    const WIDTHS: &[usize] = &[18, 12, 14, 14, 12];
+    row(WIDTHS, &[&"aggregation", &"accuracy", &"total time", &"mean round", &"offloads"]);
     for ((name, _), result) in rows.iter().zip(&results) {
-        println!(
-            "{:<18}{:>12}{:>14}{:>14}{:>12}",
-            name,
-            f3(result.final_accuracy),
-            secs(result.total_time().as_secs_f64()),
-            secs(result.mean_round_secs()),
-            result.total_offloads(),
+        row(
+            WIDTHS,
+            &[
+                name,
+                &f3(result.final_accuracy),
+                &secs(result.total_time().as_secs_f64()),
+                &secs(result.mean_round_secs()),
+                &result.total_offloads(),
+            ],
         );
     }
 

@@ -1,22 +1,21 @@
-//! Figure 6 (churn variant): client churn and mid-round crashes under
-//! both offload-recovery policies.
-//!
-//! Same heterogeneous IID cluster as `fig6_iid`, MNIST-like only, with
-//! the seeded churn model (`docs/scenarios.md`) injecting leaves,
-//! rejoins and mid-round crashes. `drop` abandons a crashed straggler's
-//! remaining offloaded batches; `reschedule` re-signs them to the
-//! fastest idle peer, trading an extra snapshot transfer for the
-//! recovered computation.
+use super::row;
+use crate::{base_config, f3, header, run_parallel, secs, Scale};
 
-use aergia_bench::{base_config, f3, header, run_parallel, secs, Scale};
+use aergia::prelude::*;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 
-use aergia::prelude::*;
-
-fn main() {
-    let scale = Scale::from_env();
-    header("Figure 6 (churn)", "join/leave/crash churn under both offload policies");
+/// Figure 6 (churn variant): client churn and mid-round crashes under
+/// both offload-recovery policies.
+///
+/// Same heterogeneous IID cluster as `fig6_iid`, MNIST-like only, with
+/// the seeded churn model (`docs/scenarios.md`) injecting leaves,
+/// rejoins and mid-round crashes. `drop` abandons a crashed straggler's
+/// remaining offloaded batches; `reschedule` re-signs them to the
+/// fastest idle peer, trading an extra snapshot transfer for the
+/// recovered computation.
+pub fn fig6_churn(scale: Scale) {
+    header(scale, "Figure 6 (churn)", "join/leave/crash churn under both offload policies");
 
     let churn = |policy| ChurnConfig {
         leave_prob: 0.15,
@@ -42,19 +41,18 @@ fn main() {
     let results = run_parallel(jobs);
 
     println!();
-    println!(
-        "{:<20}{:>12}{:>14}{:>12}{:>12}",
-        "cluster", "accuracy", "total time", "offloads", "crashed"
-    );
+    const WIDTHS: &[usize] = &[20, 12, 14, 12, 12];
+    row(WIDTHS, &[&"cluster", &"accuracy", &"total time", &"offloads", &"crashed"]);
     for ((name, _), result) in rows.iter().zip(&results) {
-        let crashed: usize = result.rounds.iter().map(|r| r.dropped.len()).sum();
-        println!(
-            "{:<20}{:>12}{:>14}{:>12}{:>12}",
-            name,
-            f3(result.final_accuracy),
-            secs(result.total_time().as_secs_f64()),
-            result.total_offloads(),
-            crashed,
+        row(
+            WIDTHS,
+            &[
+                name,
+                &f3(result.final_accuracy),
+                &secs(result.total_time().as_secs_f64()),
+                &result.total_offloads(),
+                &result.total_dropped(),
+            ],
         );
     }
 

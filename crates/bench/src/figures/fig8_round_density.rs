@@ -1,20 +1,19 @@
-//! Figure 8: density of per-round durations (FMNIST).
-//!
-//! Runs every algorithm for many rounds on the paper's 24-client FMNIST
-//! setting (3 selected per round) in timing mode and prints a shared-bin
-//! histogram of round durations. Aergia's mass should sit left of every
-//! baseline's.
+use crate::{algorithms, base_config, header, run_parallel, Scale};
 
 use aergia::config::Mode;
 use aergia::metrics::DurationHistogram;
-use aergia_bench::{algorithms, base_config, header, run_parallel, Scale};
 use aergia_data::partition::Scheme;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Figure 8", "density of round durations, FMNIST (timing mode)");
+/// Figure 8: density of per-round durations (FMNIST).
+///
+/// Runs every algorithm for many rounds on the paper's 24-client FMNIST
+/// setting (3 selected per round) in timing mode and prints a shared-bin
+/// histogram of round durations. Aergia's mass should sit left of every
+/// baseline's.
+pub fn fig8_round_density(scale: Scale) {
+    header(scale, "Figure 8", "density of round durations, FMNIST (timing mode)");
 
     let clients = scale.clients().max(8);
     let algos = algorithms(scale);
@@ -54,8 +53,6 @@ fn main() {
             }
             counts[idx] += 1;
         }
-        let total: usize = counts.len().max(1);
-        let _ = total;
         print!("{:<18}", strategy.name());
         for &c in &counts {
             let dens = c as f64 / (durations.len() as f64 * shared.width);

@@ -1,19 +1,19 @@
-//! Figures 9(a)/9(b): impact of the similarity factor `f`.
-//!
-//! Aergia on non-IID FMNIST with `f ∈ {1, 0.75, 0.5, 0.25, 0}`. With
-//! `f = 0` scheduling is purely speed-driven (shortest rounds, lower
-//! accuracy); raising `f` restricts offloading to data-compatible pairs
-//! (slightly longer rounds, better accuracy).
+use super::row;
+use crate::{base_config, f3, header, run_parallel, secs, Scale};
 
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, f3, header, run_parallel, secs, Scale};
 use aergia_data::partition::Scheme;
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Figures 9(a)/9(b)", "similarity factor f vs accuracy and mean round time");
+/// Figures 9(a)/9(b): impact of the similarity factor `f`.
+///
+/// Aergia on non-IID FMNIST with `f ∈ {1, 0.75, 0.5, 0.25, 0}`. With
+/// `f = 0` scheduling is purely speed-driven (shortest rounds, lower
+/// accuracy); raising `f` restricts offloading to data-compatible pairs
+/// (slightly longer rounds, better accuracy).
+pub fn fig9_similarity_factor(scale: Scale) {
+    header(scale, "Figures 9(a)/9(b)", "similarity factor f vs accuracy and mean round time");
 
     let factors = [1.0, 0.75, 0.5, 0.25, 0.0];
     let jobs: Vec<_> = factors
@@ -34,14 +34,17 @@ fn main() {
         .collect();
     let results = run_parallel(jobs);
 
-    println!("{:<12}{:>14}{:>16}{:>12}", "factor f", "accuracy", "mean round", "offloads");
-    for (&f, result) in factors.iter().zip(&results) {
-        println!(
-            "{:<12}{:>14}{:>16}{:>12}",
-            f,
-            f3(result.final_accuracy),
-            secs(result.mean_round_secs()),
-            result.total_offloads()
+    const WIDTHS: &[usize] = &[12, 14, 16, 12];
+    row(WIDTHS, &[&"factor f", &"accuracy", &"mean round", &"offloads"]);
+    for (f, result) in factors.iter().zip(&results) {
+        row(
+            WIDTHS,
+            &[
+                f,
+                &f3(result.final_accuracy),
+                &secs(result.mean_round_secs()),
+                &result.total_offloads(),
+            ],
         );
     }
 

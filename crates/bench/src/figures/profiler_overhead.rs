@@ -1,22 +1,21 @@
-//! §5.4 "Profiler": overhead of the online profiler.
-//!
-//! The paper reports a negligible overhead of 0.22% ± 0.09 of training
-//! time. We measure it two ways: (i) the extra virtual time an Aergia run
-//! spends on profile-report messages relative to the same run with a
-//! minimal window, and (ii) the real wall-clock cost of the profiling
-//! instrumentation in `train_batch` (timer reads per phase).
+use crate::{base_config, header, run, Scale};
 
 use aergia::config::Mode;
 use aergia::strategy::Strategy;
-use aergia_bench::{base_config, header, run, Scale};
 use aergia_data::DatasetSpec;
 use aergia_nn::models::ModelArch;
 use aergia_nn::optim::{Sgd, SgdConfig};
 use aergia_nn::profile::PhaseCost;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("§5.4 profiler overhead", "cost of online profiling (paper: 0.22% ± 0.09)");
+/// §5.4 "Profiler": overhead of the online profiler.
+///
+/// The paper reports a negligible overhead of 0.22% ± 0.09 of training
+/// time. We measure it two ways: (i) the extra virtual time an Aergia run
+/// spends on profile-report messages relative to the same run with a
+/// minimal window, and (ii) the real wall-clock cost of the profiling
+/// instrumentation in `train_batch` (timer reads per phase).
+pub fn profiler_overhead(scale: Scale) {
+    header(scale, "§5.4 profiler overhead", "cost of online profiling (paper: 0.22% ± 0.09)");
 
     // (i) Protocol-level overhead: report messages on the virtual clock.
     let mut total_with = 0.0;

@@ -1,27 +1,10 @@
-//! Million-client scale-out: cohort-sampled client state under two-tier
-//! aggregation at population scale.
-//!
-//! Simulates a large client population in timing mode with only the
-//! selected participants materialised: the unselected crowd exists as
-//! compact per-client timing state (speeds, shard sizes, cohort ids —
-//! tens of bytes each) while batcher/workspace state lives in the LRU
-//! pool capped at the participation count. The printout shows the knee
-//! the PR exists for: resident client bytes follow `trained`, not
-//! `simulated`.
-//!
-//! At `AERGIA_SCALE=smoke` the harness runs the 100k-simulated /
-//! 1k-trained point; at default and paper scale it adds the 1M / 10k
-//! point. The
-//! `scale-smoke` CI job runs both under an RSS ceiling: set
-//! `AERGIA_RSS_LIMIT_MB` and the harness exits non-zero if the process
-//! peak resident set exceeds it.
-
 use std::time::Instant;
+
+use crate::{header, scaleout_config, Scale};
 
 use aergia::engine::Engine;
 use aergia::prelude::TopologyBuilder;
 use aergia::strategy::Strategy;
-use aergia_bench::{header, scaleout_config, Scale};
 
 /// Peak resident set size of this process in MiB (Linux `VmHWM`).
 fn peak_rss_mib() -> Option<f64> {
@@ -34,9 +17,24 @@ fn peak_rss_mib() -> Option<f64> {
 /// Edge aggregators in the two-tier layout.
 const NUM_EDGES: usize = 8;
 
-fn main() {
-    let scale = Scale::from_env();
-    header("Scale-out", "cohort-sampled population, two-tier aggregation (timing mode)");
+/// Million-client scale-out: cohort-sampled client state under two-tier
+/// aggregation at population scale.
+///
+/// Simulates a large client population in timing mode with only the
+/// selected participants materialised: the unselected crowd exists as
+/// compact per-client timing state (speeds, shard sizes, cohort ids —
+/// tens of bytes each) while batcher/workspace state lives in the LRU
+/// pool capped at the participation count. The printout shows the knee
+/// the PR exists for: resident client bytes follow `trained`, not
+/// `simulated`.
+///
+/// At `AERGIA_SCALE=smoke` the figure runs the 100k-simulated /
+/// 1k-trained point; at default and paper scale it adds the 1M / 10k
+/// point. The `scale-smoke` CI job runs both under an RSS ceiling: set
+/// `AERGIA_RSS_LIMIT_MB` and the figure panics — the process exits
+/// non-zero — if its peak resident set exceeds it.
+pub fn scaleout_100k(scale: Scale) {
+    header(scale, "Scale-out", "cohort-sampled population, two-tier aggregation (timing mode)");
 
     let points: &[(usize, usize, u32)] = match scale {
         Scale::Smoke => &[(100_000, 1_000, 3)],
@@ -77,15 +75,17 @@ fn main() {
         Some(peak) => {
             println!();
             println!("peak RSS: {peak:.0} MiB");
+            // `VmHWM` is the whole process's peak, so the ceiling means
+            // "this figure's footprint" only when the figure runs alone:
+            // the `scale-smoke` CI job does exactly that
+            // (`cargo bench --bench figures -- scaleout_100k`).
             if let Some(limit) =
                 std::env::var("AERGIA_RSS_LIMIT_MB").ok().and_then(|v| v.parse::<f64>().ok())
             {
-                if peak > limit {
-                    eprintln!(
-                        "scaleout: peak RSS {peak:.0} MiB exceeds the {limit:.0} MiB ceiling"
-                    );
-                    std::process::exit(1);
-                }
+                assert!(
+                    peak <= limit,
+                    "scaleout: peak RSS {peak:.0} MiB exceeds the {limit:.0} MiB ceiling"
+                );
                 println!("within the {limit:.0} MiB ceiling ✓");
             }
         }

@@ -1,6 +1,6 @@
 //! Shared harness code for the figure/table benchmarks.
 //!
-//! Every `benches/fig*.rs` target regenerates one table or figure of the
+//! Every function in [`figures`] regenerates one table or figure of the
 //! paper's evaluation section: it builds the experiment configurations,
 //! runs them through the [`aergia::Engine`] and prints the same
 //! rows/series the paper plots. The [`Scale`] knob (environment variable
@@ -10,9 +10,7 @@
 //! * `default` — the documented default, minutes for the full suite;
 //! * `paper` — paper-sized clusters and round counts (hours).
 
-pub mod regression;
-
-use std::fmt::Display;
+pub mod figures;
 
 use aergia::prelude::*;
 use aergia_data::partition::Scheme;
@@ -170,8 +168,8 @@ pub fn base_config(
 /// The scale-out experiment point: `simulated` timing-mode clients of
 /// which `trained` are selected (and pooled) per round, under the
 /// cohort-sampled client-state mode. Shared by the `scaleout_100k`
-/// harness and `bench_smoke`'s in-process `resident_client_bytes`
-/// measurement so the gate tracks exactly what the harness runs.
+/// figure and `bench_smoke`'s `resident_client_bytes` pin so the pin
+/// tracks exactly what the figure runs.
 pub fn scaleout_config(
     simulated: usize,
     trained: usize,
@@ -242,26 +240,13 @@ pub fn run_parallel(jobs: Vec<(ExperimentConfig, Strategy)>) -> Vec<RunResult> {
     results.into_iter().map(|r| r.expect("every job ran")).collect()
 }
 
-/// Prints a figure header with the active scale.
-pub fn header(figure: &str, caption: &str) {
+/// Prints a figure header with the scale it runs at.
+pub fn header(scale: Scale, figure: &str, caption: &str) {
     println!();
     println!("================================================================");
     println!("{figure} — {caption}");
-    println!("scale: {:?} (set AERGIA_SCALE=smoke|default|paper)", Scale::from_env());
+    println!("scale: {scale:?} (set AERGIA_SCALE=smoke|default|paper)");
     println!("================================================================");
-}
-
-/// Prints one aligned table row.
-pub fn row(cells: &[&dyn Display]) {
-    let mut line = String::new();
-    for (i, c) in cells.iter().enumerate() {
-        if i == 0 {
-            line.push_str(&format!("{c:<18}"));
-        } else {
-            line.push_str(&format!("{c:>14}"));
-        }
-    }
-    println!("{line}");
 }
 
 /// Formats a float with 3 decimals (table cell helper).

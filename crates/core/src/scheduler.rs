@@ -81,18 +81,6 @@ pub struct OffloadSchedule {
     pub unmatched_senders: Vec<usize>,
 }
 
-impl OffloadSchedule {
-    /// The assignment whose sender is `client`, if any.
-    pub fn assignment_for_sender(&self, client: usize) -> Option<&Assignment> {
-        self.assignments.iter().find(|a| a.sender == client)
-    }
-
-    /// The assignment whose receiver is `client`, if any.
-    pub fn assignment_for_receiver(&self, client: usize) -> Option<&Assignment> {
-        self.assignments.iter().find(|a| a.receiver == client)
-    }
-}
-
 /// Algorithm 2, unimodal form: the optimal number of offloaded batches
 /// between straggler `a` and receiver `b`.
 ///
@@ -491,14 +479,5 @@ mod tests {
     fn empty_input_yields_empty_schedule() {
         let sched = schedule(&[], &no_similarity(0), 0.5, OpVariant::Unimodal);
         assert_eq!(sched, OffloadSchedule::default());
-    }
-
-    #[test]
-    fn lookup_helpers_find_assignments() {
-        let perfs = vec![perf(0, 4.0, 20), perf(1, 0.5, 20)];
-        let sched = schedule(&perfs, &no_similarity(2), 0.0, OpVariant::Unimodal);
-        assert!(sched.assignment_for_sender(0).is_some());
-        assert!(sched.assignment_for_receiver(1).is_some());
-        assert!(sched.assignment_for_sender(1).is_none());
     }
 }

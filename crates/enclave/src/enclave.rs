@@ -143,11 +143,6 @@ impl SimilarityEnclave {
         Ok(())
     }
 
-    /// Number of histograms received so far.
-    pub fn submissions(&self) -> usize {
-        self.histograms.len()
-    }
-
     /// Computes the pairwise EMD matrix over all submitted histograms.
     ///
     /// Entry `(i, j)` of the result is the distance between the datasets
@@ -173,11 +168,6 @@ impl SimilarityEnclave {
         let mut ids: Vec<u32> = self.histograms.keys().copied().collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Clears submissions (sessions survive), e.g. between experiments.
-    pub fn reset_submissions(&mut self) {
-        self.histograms.clear();
     }
 }
 
@@ -256,22 +246,6 @@ pub fn establish_session(
     nonce: u64,
 ) -> Result<ClientSession, EnclaveError> {
     Ok(ClientSession::establish(enclave, client, nonce)?.finish(enclave))
-}
-
-impl ClientSession {
-    /// Shorthand used in examples: [`establish_session`] as an associated
-    /// function returning the finished session.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EnclaveError::AttestationFailed`].
-    pub fn establish_and_register(
-        enclave: &mut SimilarityEnclave,
-        client: u32,
-        nonce: u64,
-    ) -> Result<ClientSession, EnclaveError> {
-        establish_session(enclave, client, nonce)
-    }
 }
 
 #[cfg(test)]
@@ -354,17 +328,6 @@ mod tests {
     fn client_order_is_sorted_ids() {
         let enclave = enclave_with(&[(5, vec![1, 0]), (2, vec![0, 1]), (9, vec![1, 1])]);
         assert_eq!(enclave.client_order(), vec![2, 5, 9]);
-    }
-
-    #[test]
-    fn reset_clears_submissions_but_keeps_sessions() {
-        let mut enclave = SimilarityEnclave::new(2, 9);
-        let mut session = establish_session(&mut enclave, 0, 1).unwrap();
-        enclave.submit(0, session.seal_histogram(&[1, 1])).unwrap();
-        enclave.reset_submissions();
-        assert_eq!(enclave.submissions(), 0);
-        // Session still valid: a fresh submit succeeds.
-        enclave.submit(0, session.seal_histogram(&[2, 2])).unwrap();
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl ResidualBlock {
             forward_ran: false,
         }
     }
-
-    /// Whether the skip path uses a 1×1 projection.
-    pub fn has_projection(&self) -> bool {
-        self.projection.is_some()
-    }
 }
 
 impl Layer for ResidualBlock {
@@ -204,14 +199,14 @@ mod tests {
     #[test]
     fn identity_skip_when_channels_match() {
         let block = ResidualBlock::new(4, 4, 6, 6, &mut rng());
-        assert!(!block.has_projection());
+        assert!(block.projection.is_none());
         assert_eq!(block.params().len(), 4);
     }
 
     #[test]
     fn projection_inserted_on_channel_change() {
         let block = ResidualBlock::new(4, 8, 6, 6, &mut rng());
-        assert!(block.has_projection());
+        assert!(block.projection.is_some());
         assert_eq!(block.params().len(), 6);
     }
 

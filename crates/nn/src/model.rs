@@ -161,11 +161,6 @@ impl Cnn {
         self.num_classes
     }
 
-    /// Whether the feature section is frozen.
-    pub fn features_frozen(&self) -> bool {
-        self.frozen_features
-    }
-
     /// Freezes the feature section: subsequent [`Cnn::train_batch`] calls
     /// skip the backward feature pass and leave feature weights untouched.
     pub fn freeze_features(&mut self) {
@@ -175,11 +170,6 @@ impl Cnn {
     /// Reverses [`Cnn::freeze_features`].
     pub fn unfreeze_features(&mut self) {
         self.frozen_features = false;
-    }
-
-    /// Whether the classifier section is frozen.
-    pub fn classifier_frozen(&self) -> bool {
-        self.frozen_classifier
     }
 
     /// Freezes the classifier section: its weights stop updating while
@@ -433,29 +423,6 @@ impl Cnn {
         self.layers[..self.split].iter().flat_map(|l| l.params().into_iter().cloned()).collect()
     }
 
-    /// Snapshot of the classifier-section parameters.
-    pub fn classifier_weights(&self) -> Vec<Tensor> {
-        self.layers[self.split..].iter().flat_map(|l| l.params().into_iter().cloned()).collect()
-    }
-
-    fn set_section(
-        &mut self,
-        range: std::ops::Range<usize>,
-        weights: &[Tensor],
-    ) -> Result<(), NnError> {
-        let expected: usize = self.layers[range.clone()].iter().map(|l| l.params().len()).sum();
-        if weights.len() != expected {
-            return Err(NnError::SnapshotLength { expected, got: weights.len() });
-        }
-        let mut offset = 0;
-        for layer in &mut self.layers[range] {
-            let n = layer.params().len();
-            layer.set_params(&weights[offset..offset + n]);
-            offset += n;
-        }
-        Ok(())
-    }
-
     /// Overwrites every parameter from a full snapshot.
     ///
     /// # Errors
@@ -466,25 +433,17 @@ impl Cnn {
     ///
     /// Panics if a tensor in the snapshot has the wrong shape.
     pub fn set_weights(&mut self, weights: &[Tensor]) -> Result<(), NnError> {
-        self.set_section(0..self.layers.len(), weights)
-    }
-
-    /// Overwrites the feature-section parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::SnapshotLength`] on count mismatch.
-    pub fn set_feature_weights(&mut self, weights: &[Tensor]) -> Result<(), NnError> {
-        self.set_section(0..self.split, weights)
-    }
-
-    /// Overwrites the classifier-section parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::SnapshotLength`] on count mismatch.
-    pub fn set_classifier_weights(&mut self, weights: &[Tensor]) -> Result<(), NnError> {
-        self.set_section(self.split..self.layers.len(), weights)
+        let expected: usize = self.layers.iter().map(|l| l.params().len()).sum();
+        if weights.len() != expected {
+            return Err(NnError::SnapshotLength { expected, got: weights.len() });
+        }
+        let mut offset = 0;
+        for layer in &mut self.layers {
+            let n = layer.params().len();
+            layer.set_params(&weights[offset..offset + n]);
+            offset += n;
+        }
+        Ok(())
     }
 
     /// Total number of scalar parameters.
@@ -559,6 +518,12 @@ mod tests {
         Cnn::new(layers, 3, 3).unwrap()
     }
 
+    /// Snapshot of the classifier-section parameters: what follows the
+    /// feature section in [`Cnn::weights`].
+    fn classifier_weights(model: &Cnn) -> Vec<Tensor> {
+        model.weights().split_off(model.feature_weights().len())
+    }
+
     fn batch(seed: u64) -> (Tensor, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut x = Tensor::zeros(&[6, 1, 8, 8]);
@@ -594,11 +559,11 @@ mod tests {
         let (x, y) = batch(4);
         model.freeze_features();
         let before = model.feature_weights();
-        let clf_before = model.classifier_weights();
+        let clf_before = classifier_weights(&model);
         let stats = model.train_batch(&x, &y, &mut opt).unwrap();
         assert_eq!(stats.flops.bf, 0.0);
         assert_eq!(model.feature_weights(), before, "frozen feature weights moved");
-        assert_ne!(model.classifier_weights(), clf_before, "classifier should update");
+        assert_ne!(classifier_weights(&model), clf_before, "classifier should update");
         model.unfreeze_features();
         let stats = model.train_batch(&x, &y, &mut opt).unwrap();
         assert!(stats.flops.bf > 0.0);
@@ -613,9 +578,10 @@ mod tests {
         model_b.set_weights(&model_a.weights()).unwrap();
         assert_eq!(model_a.weights(), model_b.weights());
 
+        // The two sections are a partition of the full snapshot.
         let mut model_c = tiny_model(12);
-        model_c.set_feature_weights(&model_a.feature_weights()).unwrap();
-        model_c.set_classifier_weights(&model_a.classifier_weights()).unwrap();
+        let spliced = [model_a.feature_weights(), classifier_weights(&model_a)].concat();
+        model_c.set_weights(&spliced).unwrap();
         assert_eq!(model_c.weights(), model_a.weights());
     }
 
@@ -634,10 +600,10 @@ mod tests {
         let strong = tiny_model(20);
         let weak = tiny_model(21);
         let mut combined = tiny_model(22);
-        combined.set_feature_weights(&strong.feature_weights()).unwrap();
-        combined.set_classifier_weights(&weak.classifier_weights()).unwrap();
+        let spliced = [strong.feature_weights(), classifier_weights(&weak)].concat();
+        combined.set_weights(&spliced).unwrap();
         assert_eq!(combined.feature_weights(), strong.feature_weights());
-        assert_eq!(combined.classifier_weights(), weak.classifier_weights());
+        assert_eq!(classifier_weights(&combined), classifier_weights(&weak));
     }
 
     #[test]
@@ -659,7 +625,7 @@ mod tests {
         assert_eq!(
             model.num_params(),
             model.num_feature_params()
-                + model.classifier_weights().iter().map(|t| t.numel()).sum::<usize>()
+                + classifier_weights(&model).iter().map(|t| t.numel()).sum::<usize>()
         );
     }
 
@@ -678,15 +644,14 @@ mod tests {
         let mut opt = Sgd::new(SgdConfig::default());
         let (x, y) = batch(61);
         model.freeze_classifier();
-        assert!(model.classifier_frozen());
-        let clf_before = model.classifier_weights();
+        let clf_before = classifier_weights(&model);
         let feat_before = model.feature_weights();
         model.train_batch(&x, &y, &mut opt).unwrap();
-        assert_eq!(model.classifier_weights(), clf_before, "frozen classifier moved");
+        assert_eq!(classifier_weights(&model), clf_before, "frozen classifier moved");
         assert_ne!(model.feature_weights(), feat_before, "features should update");
         model.unfreeze_classifier();
         model.train_batch(&x, &y, &mut opt).unwrap();
-        assert_ne!(model.classifier_weights(), clf_before);
+        assert_ne!(classifier_weights(&model), clf_before);
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl ModelArch {
         }
     }
 
-    /// Input dimensions `(channels, height, width)`.
-    pub fn input_dims(self) -> (usize, usize, usize) {
-        match self {
-            ModelArch::MnistCnn | ModelArch::FmnistCnn => (1, 28, 28),
-            _ => (3, 32, 32),
-        }
-    }
-
     /// Number of output classes.
     pub fn num_classes(self) -> usize {
         match self {
@@ -190,7 +182,10 @@ mod tests {
     fn all_architectures_forward_with_correct_shapes() {
         for arch in ModelArch::ALL {
             let mut model = arch.build(7);
-            let (c, h, w) = arch.input_dims();
+            let (c, h, w) = match arch {
+                ModelArch::MnistCnn | ModelArch::FmnistCnn => (1, 28, 28),
+                _ => (3, 32, 32),
+            };
             let x = Tensor::zeros(&[2, c, h, w]);
             let logits = model.forward(&x);
             assert_eq!(logits.dims(), &[2, arch.num_classes()], "wrong logits shape for {arch}");

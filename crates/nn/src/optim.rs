@@ -144,11 +144,6 @@ impl Sgd {
         self.prox = Some(ProxTerm { mu, anchor });
     }
 
-    /// Removes the proximal anchor.
-    pub fn clear_prox(&mut self) {
-        self.prox = None;
-    }
-
     /// Whether a proximal anchor is installed.
     pub fn has_prox(&self) -> bool {
         self.prox.is_some()
@@ -288,8 +283,6 @@ mod tests {
                 assert!((1.0 - y).abs() <= (1.0 - x).abs() + 1e-6);
             }
         }
-        opt.clear_prox();
-        assert!(!opt.has_prox());
     }
 
     #[test]

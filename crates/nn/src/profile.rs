@@ -132,12 +132,6 @@ impl PhaseCost {
     pub fn scaled(&self, k: f64) -> PhaseCost {
         PhaseCost { ff: self.ff * k, fc: self.fc * k, bc: self.bc * k, bf: self.bf * k }
     }
-
-    /// Cost of the *frozen* update the paper's weak clients run after
-    /// freezing: the backward feature pass is skipped.
-    pub fn frozen_total(&self) -> f64 {
-        self.first_three()
-    }
 }
 
 impl Add for PhaseCost {
@@ -174,7 +168,6 @@ mod tests {
         let c = PhaseCost { ff: 1.0, fc: 1.0, bc: 1.0, bf: 1.0 };
         assert_eq!(c.total(), 4.0);
         assert_eq!(c.first_three(), 3.0);
-        assert_eq!(c.frozen_total(), 3.0);
         for p in Phase::ALL {
             assert_eq!(c.share(p), 0.25);
             assert_eq!(c.get(p), 1.0);

@@ -5,8 +5,8 @@
 //! enforced empirically: a test binary installs [`CountingAllocator`] as its
 //! `#[global_allocator]`, warms the workspace up, then asserts that further
 //! steady-state batches leave the counter untouched. The `bench_smoke`
-//! regression gate uses the same hook to record `allocs_per_round` in
-//! `BENCH_smoke.json`.
+//! binary uses the same hook to pin `allocs_per_round` to an exact
+//! constant.
 //!
 //! The counter itself is a relaxed atomic bump in `alloc`/`realloc`, cheap
 //! enough to leave in measurement binaries; the hook is only ever *installed*

@@ -81,9 +81,8 @@ mod sink;
 mod span;
 
 pub use metrics::{
-    counter, flush_metrics, gauge, gauge_snapshot_only, histogram, histogram_snapshot_only,
-    Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, DURATION_SECS_BUCKETS,
-    SIZE_BYTES_BUCKETS,
+    counter, flush_metrics, gauge, histogram, histogram_snapshot_only, Counter, Gauge, Histogram,
+    LazyCounter, LazyGauge, LazyHistogram, DURATION_SECS_BUCKETS, SIZE_BYTES_BUCKETS,
 };
 pub use sink::{parse_snapshot, snapshot};
 pub use span::{drain_jsonl, flush_thread_events, point, SpanGuard, Value};

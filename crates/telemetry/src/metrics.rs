@@ -152,7 +152,7 @@ pub(crate) struct Registry {
     pub(crate) counters: BTreeMap<String, Arc<AtomicU64>>,
     pub(crate) gauges: BTreeMap<String, Arc<AtomicU64>>,
     pub(crate) hists: BTreeMap<String, Arc<HistCell>>,
-    /// Metrics excluded from the JSONL stream because their values are
+    /// Histograms excluded from the JSONL stream because their values are
     /// wall-clock measurements (network RTT) — they would break
     /// same-seed byte-identity. Snapshot-only.
     pub(crate) snapshot_only: BTreeSet<String>,
@@ -193,15 +193,6 @@ pub fn gauge(name: &str) -> Gauge {
     Gauge(cell)
 }
 
-/// Registers (or fetches) a gauge excluded from the JSONL stream — use
-/// for wall-clock-valued measurements that must not break same-seed
-/// byte-identity (they still appear in the snapshot).
-pub fn gauge_snapshot_only(name: &str) -> Gauge {
-    let g = gauge(name);
-    registry().lock().expect("telemetry registry poisoned").snapshot_only.insert(name.to_string());
-    g
-}
-
 /// Registers (or fetches) the histogram `name` with the given finite
 /// upper bucket edges (ascending; an overflow bucket is implicit).
 /// Bounds must match any earlier registration of the same name.
@@ -220,8 +211,9 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Histogram {
     Histogram(cell)
 }
 
-/// Registers (or fetches) a histogram excluded from the JSONL stream
-/// (see [`gauge_snapshot_only`]).
+/// Registers (or fetches) a histogram excluded from the JSONL stream —
+/// use for wall-clock-valued measurements that must not break same-seed
+/// byte-identity (they still appear in the snapshot).
 pub fn histogram_snapshot_only(name: &str, bounds: &[f64]) -> Histogram {
     let h = histogram(name, bounds);
     registry().lock().expect("telemetry registry poisoned").snapshot_only.insert(name.to_string());
@@ -252,40 +244,24 @@ impl LazyCounter {
     }
 }
 
-/// A `static`-friendly gauge (see [`LazyCounter`]). Registers
-/// snapshot-only when constructed with
-/// [`new_snapshot_only`](LazyGauge::new_snapshot_only).
+/// A `static`-friendly gauge (see [`LazyCounter`]).
 #[derive(Debug)]
 pub struct LazyGauge {
     name: &'static str,
-    snapshot_only: bool,
     cell: OnceLock<Gauge>,
 }
 
 impl LazyGauge {
     /// Creates the handle (const).
     pub const fn new(name: &'static str) -> Self {
-        LazyGauge { name, snapshot_only: false, cell: OnceLock::new() }
-    }
-
-    /// Creates a handle whose gauge never appears in the JSONL stream.
-    pub const fn new_snapshot_only(name: &'static str) -> Self {
-        LazyGauge { name, snapshot_only: true, cell: OnceLock::new() }
+        LazyGauge { name, cell: OnceLock::new() }
     }
 
     /// Sets the gauge when telemetry is enabled.
     #[inline]
     pub fn set(&self, value: f64) {
         if crate::enabled() {
-            self.cell
-                .get_or_init(|| {
-                    if self.snapshot_only {
-                        gauge_snapshot_only(self.name)
-                    } else {
-                        gauge(self.name)
-                    }
-                })
-                .set(value);
+            self.cell.get_or_init(|| gauge(self.name)).set(value);
         }
     }
 }
@@ -350,9 +326,6 @@ pub fn flush_metrics() {
         let mut reg = registry().lock().expect("telemetry registry poisoned");
         let mut updates: Vec<(String, u64)> = Vec::new();
         for (name, cell) in &reg.counters {
-            if reg.snapshot_only.contains(name) {
-                continue;
-            }
             let cur = cell.load(Ordering::Relaxed);
             if reg.flushed.get(name).copied().unwrap_or(0) != cur {
                 records.push(Record::MetricU64 { t, name: name.clone(), value: cur });
@@ -360,9 +333,6 @@ pub fn flush_metrics() {
             }
         }
         for (name, cell) in &reg.gauges {
-            if reg.snapshot_only.contains(name) {
-                continue;
-            }
             let bits = cell.load(Ordering::Relaxed);
             if reg.flushed.get(name).copied().unwrap_or(0) != bits {
                 records.push(Record::MetricF64 {

@@ -102,13 +102,13 @@ fn jsonl_has_stable_field_order_and_flushes_only_changes() {
 #[test]
 fn snapshot_only_metrics_stay_out_of_jsonl() {
     let _g = fresh();
-    tel::gauge_snapshot_only("unit_wallclock_gflops").set(123.456);
+    tel::histogram_snapshot_only("unit_wallclock_secs", &[1.0]).observe(0.25);
     tel::counter("unit_visible_total").add(1);
     tel::flush_metrics();
     let jsonl = tel::drain_jsonl();
-    assert!(!jsonl.contains("unit_wallclock_gflops"), "jsonl:\n{jsonl}");
+    assert!(!jsonl.contains("unit_wallclock_secs"), "jsonl:\n{jsonl}");
     assert!(jsonl.contains("unit_visible_total"));
-    assert!(tel::snapshot().contains("unit_wallclock_gflops 123.456"));
+    assert!(tel::snapshot().contains("unit_wallclock_secs_sum 0.25"));
     tel::disable();
 }
 

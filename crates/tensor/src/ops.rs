@@ -23,7 +23,7 @@
 //!   call (they allocate; hot loops should hold packs instead);
 //! * **references** ([`matmul_reference`], [`matmul_nt_reference`],
 //!   [`matmul_tn_reference`]) — the naive loops that *define* the result:
-//!   tests and the `crit_tensor` GFLOP/s sweep compare the packed path
+//!   tests and the `gemm_sweep` GFLOP/s figure compare the packed path
 //!   against them, nothing in production calls them.
 //!
 //! # Determinism

@@ -123,11 +123,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes the tensor in place to `dims` and zero-fills it, reusing
     /// the existing heap allocation whenever its capacity suffices.
     ///
