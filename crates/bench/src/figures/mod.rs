@@ -142,8 +142,8 @@ pub fn compare_algorithms(
 }
 
 /// The paper's headline claim, checked: on every dataset Aergia finishes
-/// its rounds in less total *virtual* time than FedAvg and than TiFL
-/// (pre-training included). Virtual time is a pure function of the
+/// its rounds in less total *virtual* time than every baseline — FedAvg,
+/// FedProx, FedNova and TiFL (pre-training included). Virtual time is a pure function of the
 /// configuration, so there is no noise to allow for.
 ///
 /// # Panics
@@ -159,7 +159,7 @@ pub fn assert_aergia_fastest(comparisons: &[Comparison]) {
             result.total_time()
         };
         let aergia = total("Aergia");
-        for baseline in ["FedAvg", "TiFL"] {
+        for baseline in ["FedAvg", "FedProx", "FedNova", "TiFL"] {
             let theirs = total(baseline);
             assert!(
                 aergia < theirs,

@@ -38,7 +38,6 @@ use aergia_data::synth::Dataset;
 use aergia_enclave::{establish_session, EnclaveError, SimilarityEnclave};
 use aergia_nn::optim::Sgd;
 use aergia_nn::profile::PhaseCost;
-use aergia_nn::weights as w;
 use aergia_nn::{Cnn, NnError};
 use aergia_simnet::node::BASE_FLOPS;
 use aergia_simnet::{CpuModel, Network, SimDuration, SimTime};
@@ -726,7 +725,7 @@ impl Engine {
 
         // Deadline strategies drop updates that arrived too late.
         let cutoff = outcome.start + duration;
-        let mut contributions: Vec<Contribution> = Vec::new();
+        let mut updates: Vec<fold::Update> = Vec::new();
         for update in std::mem::take(&mut outcome.updates) {
             if update.arrived > cutoff {
                 continue;
@@ -752,120 +751,45 @@ impl Engine {
                     }
                 }
             }
-            contributions.push(Contribution {
+            updates.push(fold::Update {
                 client: update.client,
+                edge: self.cohorts.edge_of(update.client),
                 n: update.num_samples as f32,
-                weights,
                 tau: update.tau,
                 arrived: update.arrived,
+                weights,
             });
         }
 
-        if contributions.is_empty() {
+        if updates.is_empty() {
             // Every update missed the deadline (or every participant was
             // lost): the global model stalls.
             return Ok(duration);
         }
 
-        match self.config.scenario.aggregation {
-            AggregationMode::Synchronous => self.aggregate_synchronous(round, contributions)?,
-            AggregationMode::BufferedAsync { max_staleness, mixing } => {
-                self.fold_async(contributions, outcome.start, max_staleness, mixing);
+        let rule = match (self.config.scenario.aggregation, self.config.scenario.robust) {
+            (AggregationMode::BufferedAsync { max_staleness, mixing }, _) => {
+                fold::Rule::BufferedAsync { start: outcome.start, max_staleness, mixing }
             }
-        }
-        Ok(duration)
-    }
-
-    /// One synchronous aggregation step over the round's full buffer: the
-    /// strategy's native mean, or a Byzantine-robust replacement.
-    ///
-    /// Mean-family rules fold hierarchically: each edge pre-folds its
-    /// cohort's contributions in fixed client order, the partials ride a
-    /// [`aergia_codec::partial`] frame upstream when more than one edge
-    /// exists, and the root merges them in fixed edge order — bit-equal
-    /// to [`crate::fold`]'s flat reference by construction, and to the
-    /// legacy single chain under the default single-edge layout. The
-    /// robust rules are order-invariant (pure functions of the update
-    /// multiset), so edges forward their cohorts' updates unfolded and
-    /// the rule runs once at the root, trivially matching the flat path.
-    fn aggregate_synchronous(
-        &mut self,
-        round: u32,
-        contributions: Vec<Contribution>,
-    ) -> Result<(), EngineError> {
-        self.global = match self.config.scenario.robust {
-            RobustAggregation::Mean => {
-                let edges: Vec<usize> =
-                    contributions.iter().map(|c| self.cohorts.edge_of(c.client)).collect();
-                let num_edges = self.cohorts.num_edges();
-                // Per-edge folds fan out on the thread pool unless
-                // the run is pinned fully serial (each edge's chain is one
-                // task, so scheduling cannot change bits).
-                let parallel = self.config.parallelism != 1;
-                let nova = matches!(self.strategy, Strategy::FedNova);
-                let mut partials = if nova {
-                    let triples: Vec<(f32, Vec<Tensor>, u32)> =
-                        contributions.into_iter().map(|c| (c.n, c.weights, c.tau)).collect();
-                    fold::fednova_edge_partials(&self.global, &triples, &edges, num_edges, parallel)
-                } else {
-                    let weighted: Vec<(f32, Vec<Tensor>)> =
-                        contributions.into_iter().map(|c| (c.n, c.weights)).collect();
-                    fold::weighted_edge_partials(&weighted, &edges, num_edges, parallel)
-                };
-                if num_edges > 1 {
-                    partials = fold::through_wire(partials);
-                }
-                if nova {
-                    fold::merge_fednova_partials(&self.global, partials)
-                } else {
-                    fold::merge_weighted_partials(partials)
-                }
+            (AggregationMode::Synchronous, RobustAggregation::Mean) => match self.strategy {
+                Strategy::FedNova => fold::Rule::Mean(fold::Mean::FedNova),
+                _ => fold::Rule::Mean(fold::Mean::Weighted),
+            },
+            (AggregationMode::Synchronous, RobustAggregation::CoordinateMedian) => {
+                telemetry::record_robust_fold(round, "coordinate_median", updates.len());
+                fold::Rule::CoordinateMedian
             }
-            RobustAggregation::CoordinateMedian => {
-                telemetry::record_robust_fold(round, "coordinate_median", contributions.len());
-                let snaps: Vec<Vec<Tensor>> =
-                    contributions.into_iter().map(|c| c.weights).collect();
-                w::coordinate_median(&snaps)
-            }
-            RobustAggregation::TrimmedMean { trim_ratio } => {
-                telemetry::record_robust_fold(round, "trimmed_mean", contributions.len());
-                let snaps: Vec<Vec<Tensor>> =
-                    contributions.into_iter().map(|c| c.weights).collect();
-                let trim = (trim_ratio * snaps.len() as f64).floor() as usize;
-                w::trimmed_mean(&snaps, trim)
+            (AggregationMode::Synchronous, RobustAggregation::TrimmedMean { trim_ratio }) => {
+                telemetry::record_robust_fold(round, "trimmed_mean", updates.len());
+                fold::Rule::TrimmedMean { trim_ratio }
             }
         };
-        Ok(())
-    }
-
-    /// Buffered asynchronous folding (FedBuff/FedLGA style): updates fold
-    /// into the global model one at a time, in virtual-clock arrival
-    /// order, each discounted by its staleness —
-    /// `global ← (1−α)·global + α·update` with
-    /// `α = mixing · staleness_weight(arrived − start)`. Arrival order is
-    /// fixed by the value-free event stage, so the fold — and with it the
-    /// whole run — stays bit-identical across parallelism settings and
-    /// transports. A fully stale buffer (every `α` exactly zero) leaves
-    /// the global model bitwise unchanged.
-    fn fold_async(
-        &mut self,
-        mut contributions: Vec<Contribution>,
-        start: SimTime,
-        max_staleness: SimDuration,
-        mixing: f64,
-    ) {
-        contributions.sort_by_key(|c| (c.arrived, c.client));
-        for c in contributions {
-            let alpha = mixing * scenario::staleness_weight(c.arrived - start, max_staleness);
-            if alpha <= 0.0 {
-                continue;
-            }
-            let alpha = alpha as f32;
-            for (g, wi) in self.global.iter_mut().zip(&c.weights) {
-                let d = wi.sub(g);
-                g.axpy(alpha, &d);
-            }
-        }
+        // Per-edge folds fan out on the thread pool unless the run is
+        // pinned fully serial (each edge's chain is one task, so
+        // scheduling cannot change bits).
+        let parallel = self.config.parallelism != 1;
+        fold::aggregate(rule, &mut self.global, updates, self.cohorts.num_edges(), parallel);
+        Ok(duration)
     }
 
     /// Builds a fresh optimizer for a client's local round. FedProx
@@ -943,17 +867,6 @@ impl Engine {
     pub fn global_weights(&self) -> &[Tensor] {
         &self.global
     }
-}
-
-/// One surviving client update, ready for aggregation: recombined
-/// (Aergia), cutoff-filtered, with the arrival metadata the async fold
-/// and FedNova need.
-struct Contribution {
-    client: usize,
-    n: f32,
-    weights: Vec<Tensor>,
-    tau: u32,
-    arrived: SimTime,
 }
 
 #[cfg(test)]

@@ -71,11 +71,6 @@ impl Strategy {
         }
     }
 
-    /// Whether this strategy needs the online profiling phase.
-    pub fn profiles_online(&self) -> bool {
-        matches!(self, Strategy::Aergia { .. })
-    }
-
     /// Whether this strategy needs offline (pre-training) speed profiling,
     /// charged to the run's pre-training time.
     pub fn profiles_offline(&self) -> bool {
@@ -170,13 +165,6 @@ mod tests {
         assert_eq!(Strategy::FedNova.name(), "FedNova");
         assert_eq!(Strategy::tifl_default().name(), "TiFL");
         assert_eq!(Strategy::aergia_default().name(), "Aergia");
-    }
-
-    #[test]
-    fn only_aergia_profiles_online() {
-        assert!(Strategy::aergia_default().profiles_online());
-        assert!(!Strategy::FedAvg.profiles_online());
-        assert!(!Strategy::tifl_default().profiles_online());
     }
 
     #[test]

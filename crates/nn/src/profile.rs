@@ -108,16 +108,6 @@ impl PhaseCost {
         }
     }
 
-    /// Adds `value` to a single phase.
-    pub fn add_to(&mut self, phase: Phase, value: f64) {
-        match phase {
-            Phase::ForwardFeatures => self.ff += value,
-            Phase::ForwardClassifier => self.fc += value,
-            Phase::BackwardClassifier => self.bc += value,
-            Phase::BackwardFeatures => self.bf += value,
-        }
-    }
-
     /// Fraction of the total spent in `phase` (0 when the total is 0).
     pub fn share(&self, phase: Phase) -> f64 {
         let total = self.total();
@@ -188,14 +178,6 @@ mod tests {
         b += a;
         assert_eq!(b.total(), 20.0);
         assert_eq!(a.scaled(2.0), b);
-    }
-
-    #[test]
-    fn add_to_targets_correct_phase() {
-        let mut c = PhaseCost::zero();
-        c.add_to(Phase::BackwardFeatures, 5.0);
-        assert_eq!(c.bf, 5.0);
-        assert_eq!(c.first_three(), 0.0);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! FL strategies operate on `Vec<Tensor>` snapshots taken with
 //! [`crate::Cnn::weights`]; this module provides the arithmetic the
-//! aggregation rules need: weighted averaging (FedAvg), the robust
-//! coordinate-wise median / trimmed mean, and the streaming fold that
-//! edge aggregators chain. Putting snapshots on a wire is `aergia-codec`'s
-//! job; nothing here encodes bytes.
+//! aggregation rules need: weighted averaging (FedAvg) and the robust
+//! coordinate-wise median / trimmed mean. A round's aggregation step,
+//! including the per-edge fold tree, is `aergia::fold`; putting
+//! snapshots on a wire is `aergia-codec`'s job. Nothing here encodes
+//! bytes.
 
 use aergia_tensor::Tensor;
 
@@ -90,118 +91,6 @@ pub fn trimmed_mean(snapshots: &[Vec<Tensor>], trim_per_side: usize) -> Vec<Tens
             Tensor::from_vec(data, proto.dims()).expect("trimmed_mean: shape preserved")
         })
         .collect()
-}
-
-/// A streaming in-place fold of scaled snapshots: the accumulator an
-/// edge aggregator keeps while its cohort's updates arrive one at a
-/// time — constant memory in the cohort size, one snapshot's worth of
-/// tensors regardless of how many contributions fold in.
-///
-/// The fold is a plain left-to-right `acc += αᵢ·sᵢ` chain, so the
-/// floating-point bracketing is *defined by the call order*: folding the
-/// same `(α, snapshot)` sequence always produces bit-identical output,
-/// and [`StreamingFold::merge`] extends the chain with another fold's
-/// accumulator (`first.merge(second)` ≡ folding `second`'s sequence
-/// after `first`'s, element-wise). Hierarchical aggregation leans on
-/// exactly this: per-edge partials in fixed client order, merged
-/// upstream in fixed edge order, reproduce the flat reference fold
-/// bit for bit by construction.
-///
-/// # Examples
-///
-/// ```
-/// use aergia_nn::weights::StreamingFold;
-/// use aergia_tensor::Tensor;
-///
-/// let snap = |v: f32| vec![Tensor::from_vec(vec![v], &[1]).unwrap()];
-/// let mut edge = StreamingFold::new();
-/// edge.fold(0.5, &snap(2.0));
-/// edge.fold(0.5, &snap(4.0));
-/// let mut root = StreamingFold::new();
-/// root.merge(edge);
-/// assert_eq!(root.finish().unwrap()[0].data(), &[3.0]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StreamingFold {
-    acc: Option<Vec<Tensor>>,
-    count: usize,
-}
-
-impl StreamingFold {
-    /// An empty fold: no snapshot has arrived yet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reconstructs a fold from an accumulator that already absorbed
-    /// `count` snapshots — the decode side of shipping a partial
-    /// aggregate over the wire. The accumulator is adopted bit-exactly.
-    #[must_use]
-    pub fn resume(acc: Vec<Tensor>, count: usize) -> Self {
-        StreamingFold { acc: Some(acc), count }
-    }
-
-    /// Number of snapshots folded in (merged folds included).
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Whether nothing has been folded in yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Folds `alpha·snapshot` into the accumulator. The first call
-    /// materializes a zero accumulator with the snapshot's structure, so
-    /// a chain of `fold` calls evaluates exactly the
-    /// `((0 + α₀·s₀) + α₁·s₁) + …` bracketing of
-    /// [`weighted_average`]'s loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` disagrees in structure with earlier folds.
-    pub fn fold(&mut self, alpha: f32, snapshot: &[Tensor]) {
-        let acc = self
-            .acc
-            .get_or_insert_with(|| snapshot.iter().map(|t| Tensor::zeros(t.dims())).collect());
-        assert_eq!(snapshot.len(), acc.len(), "StreamingFold: snapshot structure mismatch");
-        for (a, s) in acc.iter_mut().zip(snapshot) {
-            a.axpy(alpha, s);
-        }
-        self.count += 1;
-    }
-
-    /// Appends another fold's chain to this one: an empty receiver takes
-    /// `other`'s accumulator as-is (no spurious `0 + x` term — the merged
-    /// bits are exactly `other`'s), otherwise the accumulators add
-    /// element-wise. This is the upstream merge of per-edge partials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two accumulators disagree in structure.
-    pub fn merge(&mut self, other: StreamingFold) {
-        let Some(theirs) = other.acc else { return };
-        match &mut self.acc {
-            None => self.acc = Some(theirs),
-            Some(acc) => {
-                assert_eq!(theirs.len(), acc.len(), "StreamingFold: partial structure mismatch");
-                for (a, t) in acc.iter_mut().zip(&theirs) {
-                    a.add_assign(t);
-                }
-            }
-        }
-        self.count += other.count;
-    }
-
-    /// Consumes the fold, returning the accumulated snapshot (`None` if
-    /// nothing was ever folded in).
-    #[must_use]
-    pub fn finish(self) -> Option<Vec<Tensor>> {
-        self.acc
-    }
 }
 
 #[cfg(test)]
@@ -289,87 +178,53 @@ mod tests {
         trimmed_mean(&[], 1);
     }
 
-    #[test]
-    fn streaming_fold_chain_matches_weighted_average_bits() {
-        // One edge folding every contribution in order is exactly the
-        // flat weighted_average loop, down to the last bit.
-        let contributions =
-            [(3.0f32, snap(&[0.1, -2.5])), (1.0, snap(&[4.0, 0.3])), (2.0, snap(&[-0.7, 1.9]))];
-        let total: f32 = contributions.iter().map(|(w, _)| w).sum();
-        let mut fold = StreamingFold::new();
-        for (w, s) in &contributions {
-            fold.fold(w / total, s);
-        }
-        assert_eq!(fold.count(), 3);
-        let flat = weighted_average(&contributions);
-        assert_eq!(fold.finish().unwrap(), flat);
+    fn bits(t: &[Tensor]) -> Vec<u32> {
+        t.iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect()
     }
 
     #[test]
-    fn streaming_fold_merge_adds_partial_sums() {
-        // Merging brackets the chains: the result is exactly
-        // `left_sum + right_sum` (one addition of the two partial
-        // accumulators), NOT a replay of the flat element-wise chain —
-        // float addition is non-associative, so those differ in general.
-        // The engine's hierarchical fold therefore *defines* the
-        // aggregation tree by the cohort layout and compares against a
-        // reference that evaluates the same tree.
-        let seq: Vec<(f32, Vec<Tensor>)> = (0..5)
-            .map(|i| (0.1 + i as f32 * 0.3, snap(&[i as f32 * 1.7 - 2.0, -0.3 * i as f32])))
-            .collect();
-        for cut in 0..=seq.len() {
-            let fold_range = |range: &[(f32, Vec<Tensor>)]| {
-                let mut f = StreamingFold::new();
-                for (a, s) in range {
-                    f.fold(*a, s);
-                }
-                f
-            };
-            let mut left = fold_range(&seq[..cut]);
-            left.merge(fold_range(&seq[cut..]));
-            assert_eq!(left.count(), seq.len());
-            // Reference tree: the two partial sums combined by one add.
-            let expected =
-                match (fold_range(&seq[..cut]).finish(), fold_range(&seq[cut..]).finish()) {
-                    (Some(mut l), Some(r)) => {
-                        for (a, b) in l.iter_mut().zip(&r) {
-                            a.add_assign(b);
-                        }
-                        l
-                    }
-                    (l, r) => l.or(r).expect("five contributions"),
-                };
-            assert_eq!(left.finish().unwrap(), expected, "split at {cut}");
+    fn streaming_fold_chain_matches_weighted_average_bits() {
+        // One edge folding every contribution in order — a zero
+        // accumulator, then `acc += (w / total)·s` — is exactly the
+        // weighted_average loop, down to the last bit. `aergia::fold`'s
+        // single-edge tree relies on this to reproduce the flat rule.
+        let contributions =
+            [(3.0f32, snap(&[0.1, -2.5])), (1.0, snap(&[4.0, 0.3])), (2.0, snap(&[-0.7, 1.9]))];
+        let total: f32 = contributions.iter().map(|(w, _)| w).sum();
+        let mut chain = vec![Tensor::zeros(&[2])];
+        for (w, s) in &contributions {
+            chain[0].axpy(w / total, &s[0]);
         }
+        assert_eq!(bits(&chain), bits(&weighted_average(&contributions)));
     }
 
     #[test]
     fn streaming_fold_merge_into_empty_moves_the_chain() {
-        // The degenerate empty-prefix split is bit-identical to the whole
-        // chain: merge *moves* the other accumulator rather than adding
-        // it to zeros, so a single-edge layout reproduces the flat fold.
-        let seq: Vec<(f32, Vec<Tensor>)> =
-            (0..5).map(|i| (0.2 + i as f32 * 0.1, snap(&[i as f32 * 1.3 - 1.0]))).collect();
-        let mut whole = StreamingFold::new();
-        let mut tail = StreamingFold::new();
-        for (a, s) in &seq {
-            whole.fold(*a, s);
-            tail.fold(*a, s);
-        }
-        let mut empty = StreamingFold::new();
-        empty.merge(tail);
-        assert_eq!(empty.count(), seq.len());
-        assert_eq!(empty.finish().unwrap(), whole.finish().unwrap());
+        // The root takes its first partial as-is instead of adding it
+        // onto zeros. Both give the same bits because a zero-seeded
+        // chain never ends on -0.0, the one value `0 + x` rewrites —
+        // even when terms cancel exactly or a snapshot holds -0.0.
+        let contributions = [(1.0f32, snap(&[-1.0, -0.0, 2.5])), (1.0, snap(&[1.0, -0.0, -0.5]))];
+        let chain = weighted_average(&contributions);
+        assert!(chain[0].data().iter().all(|x| x.to_bits() != (-0.0f32).to_bits()));
+        let mut onto_zeros = vec![Tensor::zeros(&[3])];
+        onto_zeros[0].add_assign(&chain[0]);
+        assert_eq!(bits(&onto_zeros), bits(&chain));
     }
 
     #[test]
     fn streaming_fold_empty_merge_is_identity() {
-        let mut fold = StreamingFold::new();
-        fold.fold(1.0, &snap(&[2.0]));
-        let before = fold.clone().finish().unwrap();
-        fold.merge(StreamingFold::new());
-        assert_eq!(fold.count(), 1);
-        assert_eq!(fold.finish().unwrap(), before);
-        assert!(StreamingFold::new().finish().is_none());
+        // An empty cohort contributes nothing: adding its zero partial
+        // to a chain, or appending a zero-mass contribution to the
+        // chain itself, leaves the bits unchanged — so the fold tree may
+        // skip empty edges.
+        let contributions = [(2.0f32, snap(&[0.3, -1.7])), (1.0, snap(&[-0.3, 0.0]))];
+        let chain = weighted_average(&contributions);
+        let mut plus_empty = chain.clone();
+        plus_empty[0].add_assign(&Tensor::zeros(&[2]));
+        assert_eq!(bits(&plus_empty), bits(&chain));
+        let mut with_zero_mass = contributions.to_vec();
+        with_zero_mass.push((0.0, snap(&[5.0, -5.0])));
+        assert_eq!(bits(&weighted_average(&with_zero_mass)), bits(&chain));
     }
 }

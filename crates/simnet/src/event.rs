@@ -72,11 +72,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
-    /// The time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -126,12 +121,10 @@ mod tests {
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(5), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

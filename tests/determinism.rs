@@ -336,16 +336,19 @@ fn two_tier_aggregation_is_bit_identical_across_parallelism_and_reruns() {
     // tree, so the contract is self-consistency — the per-edge partial
     // folds running concurrently on the work-stealing pool, a serial
     // run, and a fresh rerun of the same seed must all produce the same
-    // bits. (Hierarchical == single-site reference evaluation of the
+    // bits, for the weighted mean and for FedNova's τ-effective partials
+    // alike. (Hierarchical == single-site reference evaluation of the
     // same tree is property-tested in `proptests.rs`; the TCP leg lives
     // in the net crate's scenario-parity suite.)
     let cohorts = || aergia::topology::TopologyBuilder::new().edge_cohorts(3, 33);
-    let strategy = Strategy::FedAvg;
-    let serial = run_with_topology(fig6_smoke(33), strategy, 1, cohorts());
-    let rerun = run_with_topology(fig6_smoke(33), strategy, 1, cohorts());
-    assert_bit_identical(&serial, &rerun, "two-tier rerun");
-    let parallel = run_with_topology(fig6_smoke(33), strategy, 0, cohorts());
-    assert_bit_identical(&serial, &parallel, "two-tier parallel");
+    for strategy in [Strategy::FedAvg, Strategy::FedNova] {
+        let name = strategy.name();
+        let serial = run_with_topology(fig6_smoke(33), strategy, 1, cohorts());
+        let rerun = run_with_topology(fig6_smoke(33), strategy, 1, cohorts());
+        assert_bit_identical(&serial, &rerun, &format!("{name} two-tier rerun"));
+        let parallel = run_with_topology(fig6_smoke(33), strategy, 0, cohorts());
+        assert_bit_identical(&serial, &parallel, &format!("{name} two-tier parallel"));
+    }
 }
 
 #[test]

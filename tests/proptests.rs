@@ -3,11 +3,12 @@
 
 use aergia::config::{ExperimentConfig, Mode};
 use aergia::engine::Engine;
-use aergia::fold;
+use aergia::fold::{self, Mean, Rule, Update};
 use aergia::scheduler::{calc_op, schedule, ClientPerf, OpVariant};
 use aergia::strategy::Strategy as FlStrategy;
 use aergia_data::{partition::Scheme, DataConfig, DatasetSpec};
 use aergia_nn::models::ModelArch;
+use aergia_simnet::SimTime;
 use aergia_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -40,6 +41,35 @@ fn tensors_of(vals: &[f32]) -> Vec<Tensor> {
         Tensor::from_vec(vals[..4].to_vec(), &[2, 2]).unwrap(),
         Tensor::from_vec(vals[4..].to_vec(), &[2]).unwrap(),
     ]
+}
+
+/// The raw fold case as updates, the i-th from client i on `edges[i]`.
+fn updates_of(raw: &[(f32, Vec<f32>, u32)], edges: &[usize]) -> Vec<Update> {
+    raw.iter()
+        .zip(edges)
+        .enumerate()
+        .map(|(client, ((n, vals, tau), &edge))| Update {
+            client,
+            edge,
+            n: *n,
+            tau: *tau,
+            arrived: SimTime::ZERO,
+            weights: tensors_of(vals),
+        })
+        .collect()
+}
+
+/// [`fold::aggregate`] under `mean` over a copy of `global`.
+fn aggregated(
+    mean: Mean,
+    global: &[Tensor],
+    updates: &[Update],
+    num_edges: usize,
+    parallel: bool,
+) -> Vec<Tensor> {
+    let mut out = global.to_vec();
+    fold::aggregate(Rule::Mean(mean), &mut out, updates.to_vec(), num_edges, parallel);
+    out
 }
 
 fn bits(tensors: &[Tensor]) -> Vec<Vec<u32>> {
@@ -164,64 +194,54 @@ proptest! {
     /// The hierarchical weighted-mean contract: for any cohort split,
     /// any censored subset and any (staleness-discounted) weights, the
     /// per-edge partial fold — serial, on the work-stealing pool, and
-    /// routed through the codec's partial-aggregate wire frames — is
-    /// bit-identical to the serial single-site reference evaluation of
-    /// the same tree. With a single edge the tree *is* the legacy flat
-    /// chain, so the historical single-federator bits are pinned too.
+    /// (whenever there is more than one edge) routed through the codec's
+    /// partial-aggregate wire frames — is bit-identical to the serial
+    /// single-site reference evaluation of the same tree. With a single
+    /// edge the tree *is* the legacy flat chain, so the historical
+    /// single-federator bits are pinned too.
     #[test]
     fn hierarchical_weighted_fold_matches_reference((raw, edges, num_edges) in fold_case()) {
-        let contributions: Vec<(f32, Vec<Tensor>)> =
-            raw.iter().map(|(w, vals, _)| (*w, tensors_of(vals))).collect();
-        let expected = fold::weighted_reference(&contributions, &edges, num_edges);
+        let updates = updates_of(&raw, &edges);
+        let expected = fold::reference(Mean::Weighted, &[], &updates, num_edges);
+        let pairs: Vec<(f32, Vec<Tensor>)> =
+            updates.iter().map(|u| (u.n, u.weights.clone())).collect();
 
-        let serial = fold::weighted_hierarchical(&contributions, &edges, num_edges, false);
-        prop_assert_eq!(bits(&serial), bits(&expected), "serial hierarchical != reference");
-
-        let parallel = fold::weighted_hierarchical(&contributions, &edges, num_edges, true);
-        prop_assert_eq!(bits(&parallel), bits(&expected), "parallel hierarchical != reference");
-
-        let wired = fold::merge_weighted_partials(fold::through_wire(
-            fold::weighted_edge_partials(&contributions, &edges, num_edges, false),
-        ));
-        prop_assert_eq!(bits(&wired), bits(&expected), "codec-framed hierarchical != reference");
+        for parallel in [false, true] {
+            let folded = aggregated(Mean::Weighted, &[], &updates, num_edges, parallel);
+            prop_assert_eq!(bits(&folded), bits(&expected), "fold != reference, parallel={}", parallel);
+            let unwired = fold::weighted_hierarchical(&pairs, &edges, num_edges, parallel);
+            prop_assert_eq!(bits(&unwired), bits(&expected), "unwired tree != reference, parallel={}", parallel);
+        }
 
         if num_edges == 1 {
-            let flat = fold::weighted_flat(&contributions);
+            let flat = fold::weighted_flat(&pairs);
             prop_assert_eq!(bits(&flat), bits(&expected), "single-edge tree != legacy flat chain");
         }
     }
 
     /// The same contract for FedNova: normalized deltas and τ-effective
     /// partials fold per edge and merge at the root bit-identically to
-    /// the single-site reference, across serial/parallel/wire-framed
-    /// evaluation, with the single-edge tree matching the legacy flat
-    /// FedNova chain.
+    /// the single-site reference, serial and parallel, wire-framed when
+    /// there is more than one edge, with the single-edge tree matching
+    /// the legacy flat FedNova chain.
     #[test]
     fn hierarchical_fednova_fold_matches_reference(
         (raw, edges, num_edges) in fold_case(),
         global_vals in proptest::collection::vec(-2.0f32..2.0, 6..=6),
     ) {
         let global = tensors_of(&global_vals);
-        let contributions: Vec<(f32, Vec<Tensor>, u32)> =
-            raw.iter().map(|(n, vals, tau)| (*n, tensors_of(vals), *tau)).collect();
-        let expected = fold::fednova_reference(&global, &contributions, &edges, num_edges);
+        let updates = updates_of(&raw, &edges);
+        let expected = fold::reference(Mean::FedNova, &global, &updates, num_edges);
 
-        let serial = fold::fednova_hierarchical(&global, &contributions, &edges, num_edges, false);
-        prop_assert_eq!(bits(&serial), bits(&expected), "serial fednova != reference");
-
-        let parallel = fold::fednova_hierarchical(&global, &contributions, &edges, num_edges, true);
-        prop_assert_eq!(bits(&parallel), bits(&expected), "parallel fednova != reference");
-
-        let wired = fold::merge_fednova_partials(
-            &global,
-            fold::through_wire(fold::fednova_edge_partials(
-                &global, &contributions, &edges, num_edges, false,
-            )),
-        );
-        prop_assert_eq!(bits(&wired), bits(&expected), "codec-framed fednova != reference");
+        for parallel in [false, true] {
+            let folded = aggregated(Mean::FedNova, &global, &updates, num_edges, parallel);
+            prop_assert_eq!(bits(&folded), bits(&expected), "fednova fold != reference, parallel={}", parallel);
+        }
 
         if num_edges == 1 {
-            let flat = fold::fednova_flat(&global, &contributions);
+            let triples: Vec<(f32, Vec<Tensor>, u32)> =
+                raw.iter().map(|(n, vals, tau)| (*n, tensors_of(vals), *tau)).collect();
+            let flat = fold::fednova_flat(&global, &triples);
             prop_assert_eq!(bits(&flat), bits(&expected), "single-edge tree != legacy flat chain");
         }
     }
