@@ -181,6 +181,9 @@ pub enum ConfigError {
     /// A [`ScenarioConfig`] knob is out of range or the scenario is
     /// incompatible with the chosen strategy.
     BadScenario(&'static str),
+    /// A [`Strategy`](crate::strategy::Strategy) parameter is out of
+    /// range.
+    BadStrategy(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -200,6 +203,7 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadTopology(what) => write!(f, "topology override invalid: {what}"),
             ConfigError::BadScenario(what) => write!(f, "scenario misconfigured: {what}"),
+            ConfigError::BadStrategy(what) => write!(f, "strategy misconfigured: {what}"),
         }
     }
 }

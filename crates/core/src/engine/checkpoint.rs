@@ -8,10 +8,10 @@
 //! codec's delta bases and error-feedback residuals, the bytes odometer
 //! and the per-round records so far — inside the
 //! [`aergia_codec::checkpoint`] chunk container. Everything *immutable*
-//! (datasets, partition, similarity matrix, model template, phase costs)
-//! is regenerated deterministically by [`Engine::new`] from the same
-//! configuration, so a checkpoint stays small: roughly one model plus
-//! bookkeeping.
+//! (datasets, partition, the enclave's on-demand similarity view of
+//! normalised histograms, model template, phase costs) is regenerated
+//! deterministically by [`Engine::new`] from the same configuration, so
+//! a checkpoint stays small: roughly one model plus bookkeeping.
 //!
 //! The contract, pinned by `tests/checkpoint.rs`: kill a run anywhere
 //! between rounds, rebuild a fresh engine from the same

@@ -2,7 +2,8 @@
 //!
 //! [`Engine`] executes a full FL run for one [`Strategy`] over the
 //! simulated cluster: it generates the synthetic dataset, partitions it,
-//! sets up the enclave similarity matrix (for Aergia), then simulates `T`
+//! runs the enclave protocol, keeping the enclave's on-demand distance
+//! view for Aergia's scheduler (no n × n matrix), then simulates `T`
 //! synchronous rounds on a virtual clock. Each round is an event-driven
 //! simulation (the `round` module): model downloads, per-batch training
 //! progress,
@@ -35,7 +36,7 @@ use std::fmt;
 use aergia_data::batcher::Batcher;
 use aergia_data::partition::Partition;
 use aergia_data::synth::Dataset;
-use aergia_enclave::{establish_session, EnclaveError, SimilarityEnclave};
+use aergia_enclave::{establish_session, EnclaveError, SimilarityEnclave, SimilarityView};
 use aergia_nn::optim::Sgd;
 use aergia_nn::profile::PhaseCost;
 use aergia_nn::{Cnn, NnError};
@@ -174,7 +175,9 @@ pub struct Engine {
     pub(crate) train: Dataset,
     pub(crate) test: Dataset,
     pub(crate) partition: Partition,
-    pub(crate) similarity: Vec<Vec<f64>>,
+    /// The enclave's dataset distances, answered on demand from each
+    /// client's normalised histogram (O(n · classes), not O(n²)).
+    pub(crate) similarity: SimilarityView,
     pub(crate) enclave_setup_bytes: usize,
     /// Client → edge-aggregator assignment; the single-edge layout by
     /// default, overridden by
@@ -259,7 +262,8 @@ impl Engine {
     /// # Errors
     ///
     /// [`ConfigError::BadTopology`] (wrapped in [`EngineError::Config`])
-    /// for out-of-range overrides, plus everything [`Engine::new`]
+    /// for out-of-range overrides, [`ConfigError::BadStrategy`] for an
+    /// out-of-range strategy parameter, plus everything [`Engine::new`]
     /// returns.
     pub fn with_topology(
         config: ExperimentConfig,
@@ -267,16 +271,17 @@ impl Engine {
         topology: crate::topology::TopologyBuilder,
     ) -> Result<Self, EngineError> {
         config.validate()?;
+        strategy.validate()?;
         scenario::validate_with_strategy(&config.scenario, &strategy)?;
-        // Aergia's scheduler consumes the full pairwise similarity
-        // matrix, which cohort sampling deliberately never computes
-        // (it is O(n²) in the population).
+        // Aergia's scheduler asks the enclave for distances between any
+        // two participants, and cohort sampling deliberately never runs
+        // the per-client histogram protocol behind them.
         if matches!(config.client_state, ClientStateMode::CohortSampled { .. })
             && matches!(strategy, Strategy::Aergia { .. })
         {
             return Err(ConfigError::BadScenario(
                 "cohort-sampled client state cannot run the Aergia strategy \
-                 (the full similarity matrix is never materialised)",
+                 (the enclave never collects the clients' histograms)",
             )
             .into());
         }
@@ -307,20 +312,21 @@ impl Engine {
             Partition::split(&train, config.num_clients, config.partition, config.seed)
         };
 
-        // Dataset similarity, computed privately in the enclave before
-        // training starts (§4.4). Every client participates once — except
-        // under cohort sampling, where a full per-client protocol (and the
-        // O(n²) similarity matrix behind it) is exactly the per-client
-        // cost the mode exists to avoid: one probe session prices the
-        // handshake and the total setup cost is charged analytically.
+        // Dataset similarity, held privately in the enclave before
+        // training starts (§4.4). Every client submits its sealed
+        // histogram once — except under cohort sampling, where the
+        // per-client protocol is exactly the per-client cost the mode
+        // exists to avoid: one probe session prices the handshake, the
+        // total setup cost is charged analytically and the view is empty.
+        // The engine keeps only the enclave's view, whose distances are
+        // computed when the scheduler asks for a pair.
         let mut enclave = SimilarityEnclave::new(train.num_classes(), config.seed ^ 0xe9c1);
         let mut enclave_setup_bytes = 0usize;
-        let similarity = if cohort_sampled {
+        if cohort_sampled {
             let mut session = establish_session(&mut enclave, 0, config.seed)?;
             let hist = partition.class_histogram(&train, 0);
             let blob = session.seal_histogram(&hist);
             enclave_setup_bytes = (blob.len() + 64) * config.num_clients;
-            vec![vec![0.0]]
         } else {
             for client in 0..config.num_clients {
                 let mut session =
@@ -330,12 +336,8 @@ impl Engine {
                 enclave_setup_bytes += blob.len() + 64;
                 enclave.submit(client as u32, blob)?;
             }
-            if config.num_clients >= 2 {
-                enclave.compute_similarity_matrix()?
-            } else {
-                vec![vec![0.0]]
-            }
-        };
+        }
+        let similarity = enclave.similarity_view();
 
         let template = transport::build_template(&config);
         let global = template.weights();
@@ -425,9 +427,13 @@ impl Engine {
         &self.config
     }
 
-    /// The enclave's dataset-similarity matrix (EMD distances).
-    pub fn similarity_matrix(&self) -> &[Vec<f64>] {
-        &self.similarity
+    /// The enclave's dataset-similarity matrix (EMD distances), built on
+    /// demand from the enclave's view: O(n²) time and memory per call.
+    /// The engine itself never calls it; its scheduler asks the view for
+    /// single pairs. Empty under cohort sampling, where the enclave never
+    /// collects histograms.
+    pub fn similarity_matrix(&self) -> Vec<Vec<f64>> {
+        self.similarity.matrix()
     }
 
     /// The client data partition in effect.
@@ -975,5 +981,25 @@ mod tests {
     fn invalid_config_is_rejected() {
         let config = ExperimentConfig { rounds: 0, ..ExperimentConfig::default() };
         assert!(matches!(Engine::new(config, Strategy::FedAvg), Err(EngineError::Config(_))));
+    }
+
+    /// A similarity factor the scheduler cannot use is a construction
+    /// error, not a panic (negative, NaN) or a silent no-offload run (∞)
+    /// once the first round schedules.
+    #[test]
+    fn unusable_similarity_factor_is_rejected_at_construction() {
+        let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
+        for similarity_factor in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let strategy = Strategy::Aergia {
+                similarity_factor,
+                profile_batches: 2,
+                op_variant: crate::scheduler::OpVariant::Unimodal,
+            };
+            let built = Engine::new(config.clone(), strategy);
+            assert!(
+                matches!(built, Err(EngineError::Config(_))),
+                "similarity factor {similarity_factor} accepted"
+            );
+        }
     }
 }

@@ -343,9 +343,9 @@ pub(crate) fn simulate_round(
                     })
                     .collect();
                 if !perfs.is_empty() {
-                    let schedule = scheduler::schedule(
+                    let schedule = scheduler::schedule_with(
                         &perfs,
-                        &engine.similarity,
+                        |i, j| engine.similarity.distance(i, j),
                         similarity_factor,
                         op_variant,
                     );

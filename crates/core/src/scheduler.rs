@@ -1,12 +1,23 @@
 //! The federator's offloading scheduler — Algorithms 1 and 2 of the paper.
 //!
 //! Given the profile reports of the round's participants and the enclave's
-//! dataset-similarity matrix, the scheduler computes the mean completion
+//! dataset distances, the scheduler computes the mean completion
 //! time (`mct`), classifies clients into *senders* (stragglers whose
 //! estimated completion exceeds `mct`) and *receivers*, and greedily
 //! matches each sender — weakest first, because the round ends with the
 //! weakest client — to the receiver minimising the similarity-weighted
 //! cost `ct · (1 + ln(S_{c,k} · f + 1))` (Algorithm 1, line 24).
+//!
+//! Distances come through an accessor ([`schedule_with`]), so the engine
+//! asks the enclave's on-demand view instead of holding an n × n matrix,
+//! and the matching loop reads only the pairs that can still win: since
+//! `S ≥ 0` and `f ≥ 0`, the factor `1 + ln(S·f + 1)` is at least 1, and
+//! with `ct ≥ 0` a pair's cost is at least its `ct`. A pair with
+//! `ct ≥ best_cost` can therefore never win the strict
+//! `cost < best_cost`, and is skipped before its distance lookup and its
+//! `ln`. The schedule is the unpruned one, bit for bit. The engine
+//! rejects a negative or non-finite `f` at construction
+//! ([`crate::strategy::Strategy::validate`]).
 //!
 //! ## A note on Algorithm 2 (`calc_op`)
 //!
@@ -32,7 +43,7 @@
 /// [`crate::profiler::ProfileReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientPerf {
-    /// Client identifier (indexes the similarity matrix).
+    /// Client identifier (the index passed to the distance accessor).
     pub id: usize,
     /// Per-batch cost of phases 1–3 (ff + fc + bc), seconds.
     pub t123: f64,
@@ -185,11 +196,8 @@ pub enum OpVariant {
     Printed,
 }
 
-/// Algorithm 1: computes the round's freezing/offloading schedule.
-///
-/// `similarity[i][j]` must hold the EMD distance between the datasets of
-/// clients `i` and `j` (0 = identical); `f` is the similarity factor of
-/// line 24 (`f = 0` ignores data similarity entirely).
+/// Algorithm 1 over a resident matrix: [`schedule_with`] reading
+/// `similarity[sender][receiver]`.
 ///
 /// # Panics
 ///
@@ -198,6 +206,32 @@ pub enum OpVariant {
 pub fn schedule(
     perfs: &[ClientPerf],
     similarity: &[Vec<f64>],
+    f: f64,
+    variant: OpVariant,
+) -> OffloadSchedule {
+    schedule_with(perfs, |i, j| similarity[i][j], f, variant)
+}
+
+/// Algorithm 1: computes the round's freezing/offloading schedule.
+///
+/// `distance(i, j)` must return the EMD distance between the datasets of
+/// clients `i` and `j` (0 = identical, never negative); `f` is the
+/// similarity factor of line 24 (`f = 0` ignores data similarity
+/// entirely). Per-batch costs in `perfs` are durations, never negative.
+///
+/// `distance` is called only for sender × receiver pairs whose `ct` is
+/// below the sender's best cost so far: a pair's cost
+/// `ct · (1 + ln(S·f + 1))` is at least `ct` when `S`, `f` and `ct` are
+/// non-negative, so any other pair cannot win the strict comparison. A
+/// NaN `ct` is never skipped and loses exactly as it would unpruned.
+///
+/// # Panics
+///
+/// Panics if `distance` panics on a pair it is asked for or if `f` is
+/// negative.
+pub fn schedule_with(
+    perfs: &[ClientPerf],
+    distance: impl Fn(usize, usize) -> f64,
     f: f64,
     variant: OpVariant,
 ) -> OffloadSchedule {
@@ -273,10 +307,12 @@ pub fn schedule(
                     receiver.remaining,
                 ),
             };
-            if d == 0 {
+            // The line-24 factor is ≥ 1, so `ct ≥ best_cost` cannot win:
+            // skip its distance lookup and `ln` (NaN `ct` falls through).
+            if d == 0 || ct >= best_cost {
                 continue;
             }
-            let s = similarity[sender.id][receiver.id];
+            let s = distance(sender.id, receiver.id);
             // Line 24: similarity-weighted cost.
             let cost = ct * (1.0 + (s * f + 1.0).ln());
             if cost < best_cost {

@@ -3,6 +3,8 @@
 
 use aergia_simnet::SimDuration;
 
+use crate::config::ConfigError;
+
 /// The federated-learning algorithm an [`crate::Engine`] executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -68,6 +70,25 @@ impl Strategy {
             Strategy::Tifl { .. } => "TiFL",
             Strategy::DeadlineFedAvg { .. } => "Deadline-FedAvg",
             Strategy::Aergia { .. } => "Aergia",
+        }
+    }
+
+    /// Rejects parameters a run could not honour: Aergia's similarity
+    /// factor must be finite and non-negative (a negative one would make
+    /// line 24 reward distant data, and an infinite one turns every cost
+    /// into NaN or ∞ so nothing is ever offloaded).
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadStrategy`] naming the bad parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match *self {
+            Strategy::Aergia { similarity_factor, .. }
+                if !(similarity_factor.is_finite() && similarity_factor >= 0.0) =>
+            {
+                Err(ConfigError::BadStrategy("similarity factor must be finite and non-negative"))
+            }
+            _ => Ok(()),
         }
     }
 

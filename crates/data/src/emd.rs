@@ -1,11 +1,11 @@
 //! Earth Mover's Distance between class distributions.
 //!
 //! The paper (§2.3, §4.4) measures dataset heterogeneity with the EMD
-//! between clients' label histograms and computes a pairwise similarity
-//! matrix inside the SGX enclave. For 1-D histograms over a line of
-//! equally spaced classes, the EMD has the classic closed form
-//! `Σ |prefix(p) − prefix(q)|`; we provide that plus the total-variation
-//! distance (EMD under a 0/1 ground metric) for comparison.
+//! between clients' label histograms, computed inside the SGX enclave.
+//! For 1-D histograms over a line of equally spaced classes, the EMD has
+//! the classic closed form `Σ |prefix(p) − prefix(q)|`; we provide that
+//! plus the total-variation distance (EMD under a 0/1 ground metric) for
+//! comparison.
 
 /// Normalizes a histogram of counts into a probability vector.
 ///
@@ -70,9 +70,10 @@ pub fn emd_counts(p: &[u64], q: &[u64]) -> f64 {
 /// Pairwise EMD matrix over a set of client histograms: entry `(i, j)` is
 /// the distance between clients `i` and `j` (0 on the diagonal).
 ///
-/// This is the matrix the paper's enclave emits (lower values = more
-/// similar datasets). Histograms may be owned (`Vec<u64>`) or borrowed
-/// (`&[u64]`, `&Vec<u64>`).
+/// Lower values = more similar datasets. The enclave answers the same
+/// entries one pair at a time, with the same `normalize` and `emd`, so
+/// this is the reference its distances are checked against. Histograms
+/// may be owned (`Vec<u64>`) or borrowed (`&[u64]`, `&Vec<u64>`).
 ///
 /// # Panics
 ///

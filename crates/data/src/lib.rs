@@ -15,7 +15,7 @@
 //!   (§5.1 “Heterogeneous Data Distribution”: clients sample 3 of 10
 //!   classes),
 //! * [`emd`] — the Earth Mover's Distance between client class
-//!   distributions used by the enclave's similarity matrix (§4.4).
+//!   distributions behind the enclave's dataset similarity (§4.4).
 //!
 //! # Examples
 //!

@@ -1,5 +1,5 @@
-//! The similarity enclave: collects sealed client histograms and emits
-//! only the pairwise EMD matrix.
+//! The similarity enclave: collects sealed client histograms and answers
+//! only pairwise EMD distances, on demand.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -69,8 +69,10 @@ impl Error for EnclaveError {}
 ///
 /// The plaintext histograms live only in the private `histograms` map —
 /// the untrusted host (the federator code in `aergia`) interacts purely
-/// through sealed blobs and receives only the final matrix, mirroring the
-/// SGX isolation boundary.
+/// through sealed blobs and receives only a [`SimilarityView`], whose one
+/// query is `distance(i, j)`, mirroring the SGX isolation boundary. The
+/// scheduler asks it only for the sender × receiver pairs that can still
+/// win a match, so no n × n matrix is ever resident.
 #[derive(Debug)]
 pub struct SimilarityEnclave {
     measurement: Measurement,
@@ -143,12 +145,24 @@ impl SimilarityEnclave {
         Ok(())
     }
 
-    /// Computes the pairwise EMD matrix over all submitted histograms.
-    ///
-    /// Entry `(i, j)` of the result is the distance between the datasets
-    /// of the `i`-th and `j`-th *submitting* clients in ascending client-id
-    /// order (use [`SimilarityEnclave::client_order`] to map back). Only
-    /// this matrix leaves the enclave; the histograms do not.
+    /// The read-only distance oracle over every histogram submitted so
+    /// far: index `i` is the `i`-th *submitting* client in ascending
+    /// client-id order (use [`SimilarityEnclave::client_order`] to map
+    /// back). It holds the normalised histograms privately and answers
+    /// only [`SimilarityView::distance`].
+    pub fn similarity_view(&self) -> SimilarityView {
+        let order = self.client_order();
+        let mut probs = Vec::with_capacity(order.len() * self.num_classes);
+        for id in &order {
+            probs.extend(emd::normalize(&self.histograms[id]));
+        }
+        SimilarityView { probs, classes: self.num_classes }
+    }
+
+    /// Computes the pairwise EMD matrix over all submitted histograms:
+    /// entry `(i, j)` is [`SimilarityView::distance`]`(i, j)` of
+    /// [`SimilarityEnclave::similarity_view`]. O(n²) in time and memory;
+    /// the engine asks the view instead.
     ///
     /// # Errors
     ///
@@ -157,17 +171,75 @@ impl SimilarityEnclave {
         if self.histograms.len() < 2 {
             return Err(EnclaveError::NotEnoughClients { have: self.histograms.len() });
         }
-        let order = self.client_order();
-        let hists: Vec<&[u64]> = order.iter().map(|id| self.histograms[id].as_slice()).collect();
-        Ok(emd::similarity_matrix(&hists))
+        Ok(self.similarity_view().matrix())
     }
 
-    /// Ascending ids of the clients whose histograms are present; row `i`
-    /// of the similarity matrix corresponds to `client_order()[i]`.
+    /// Ascending ids of the clients whose histograms are present; index
+    /// `i` of the similarity view corresponds to `client_order()[i]`.
     pub fn client_order(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self.histograms.keys().copied().collect();
         ids.sort_unstable();
         ids
+    }
+}
+
+/// Dataset similarity on demand: the enclave's answer to "how far apart
+/// are the datasets of clients `i` and `j`", without a resident n × n
+/// matrix.
+///
+/// Holds each client's normalised class histogram (n × classes × 8 B:
+/// 320 KiB for 4 096 ten-class clients, against 128 MiB for the full
+/// matrix) in private fields; its only query is
+/// [`SimilarityView::distance`], so the host learns distances and
+/// nothing else.
+#[derive(Debug)]
+pub struct SimilarityView {
+    /// Row-major normalised histograms, `classes` values per client.
+    probs: Vec<f64>,
+    classes: usize,
+}
+
+impl SimilarityView {
+    /// Number of clients the view answers for.
+    pub fn len(&self) -> usize {
+        self.probs.len().checked_div(self.classes).unwrap_or(0)
+    }
+
+    /// Whether the view holds no client.
+    pub fn is_empty(&self) -> bool {
+        self.probs.is_empty()
+    }
+
+    /// EMD between the datasets of clients `i` and `j` (0 = identical).
+    ///
+    /// Bit-identical to entry `(i, j)` of [`aergia_data::emd::similarity_matrix`]
+    /// for both `i < j` and `i > j`: `emd` negates exactly when its
+    /// arguments swap, so it is symmetric in IEEE arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is not below [`SimilarityView::len`].
+    pub fn distance(&self, i: usize, j: usize) -> f64 {
+        let c = self.classes;
+        emd::emd(&self.probs[i * c..(i + 1) * c], &self.probs[j * c..(j + 1) * c])
+    }
+
+    /// The full pairwise matrix, built on demand from
+    /// [`SimilarityView::distance`] — O(n²) time and memory.
+    pub fn matrix(&self) -> Vec<Vec<f64>> {
+        let n = self.len();
+        let mut matrix = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            // Each pair fills both triangles (`distance` is symmetric to
+            // the bit); the diagonal stays 0.
+            let (head, tail) = matrix.split_at_mut(i + 1);
+            for (j, row) in (i + 1..).zip(tail) {
+                let d = self.distance(i, j);
+                head[i][j] = d;
+                row[i] = d;
+            }
+        }
+        matrix
     }
 }
 

@@ -4,8 +4,8 @@
 //! In the paper (§3.1, §4.4), clients send their *encrypted* per-class
 //! label counts to an Intel SGX enclave hosted by the federator; the
 //! enclave — after clients authenticate it via remote attestation —
-//! decrypts the histograms and emits only the pairwise EMD similarity
-//! matrix, so the federator never sees any client's class distribution.
+//! decrypts the histograms and emits only pairwise EMD distances, so the
+//! federator never sees any client's class distribution.
 //!
 //! This crate reproduces that *code path* without real SGX hardware:
 //!
@@ -15,9 +15,11 @@
 //!   session's authenticated encryption (**not cryptographically secure**;
 //!   see the module docs);
 //! * [`SimilarityEnclave`] — the enclave itself. Plaintext histograms
-//!   exist only inside its private state; the public API exposes nothing
-//!   but the similarity matrix, mirroring the SGX isolation boundary at
-//!   the type level.
+//!   exist only inside its private state. After the last submission it
+//!   hands out a [`SimilarityView`] whose one query is `distance(i, j)`,
+//!   answered on demand, mirroring the SGX isolation boundary at the type
+//!   level. The scheduler asks only for the pairs that can still win a
+//!   match; the full matrix is built only when a caller asks for it.
 //!
 //! # Examples
 //!
@@ -32,8 +34,10 @@
 //!     let blob = session.seal_histogram(&hist);
 //!     enclave.submit(client, blob).unwrap();
 //! }
-//! let matrix = enclave.compute_similarity_matrix().unwrap();
-//! assert!(matrix[0][1] > 0.0); // disjoint class distributions are distant
+//! let view = enclave.similarity_view();
+//! assert!(view.distance(0, 1) > 0.0); // disjoint class distributions are distant
+//! assert_eq!(view.distance(0, 1).to_bits(), view.distance(1, 0).to_bits());
+//! assert_eq!(enclave.compute_similarity_matrix().unwrap()[0][1], view.distance(0, 1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,4 +48,6 @@ pub mod sealing;
 
 mod enclave;
 
-pub use enclave::{establish_session, ClientSession, EnclaveError, SimilarityEnclave};
+pub use enclave::{
+    establish_session, ClientSession, EnclaveError, SimilarityEnclave, SimilarityView,
+};

@@ -1,12 +1,17 @@
-//! Workspace-level property tests: scheduler invariants under arbitrary
-//! performance profiles and engine invariants in timing mode.
+//! Workspace-level property tests: scheduler invariants and exactness
+//! under arbitrary performance profiles, on-demand similarity against
+//! the resident matrix, and engine invariants in timing mode.
 
 use aergia::config::{ExperimentConfig, Mode};
 use aergia::engine::Engine;
 use aergia::fold::{self, Mean, Rule, Update};
-use aergia::scheduler::{calc_op, schedule, ClientPerf, OpVariant};
+use aergia::scheduler::{
+    calc_op, calc_op_printed, schedule, Assignment, ClientPerf, OffloadSchedule, OpVariant,
+};
 use aergia::strategy::Strategy as FlStrategy;
+use aergia_data::emd::{emd, normalize, similarity_matrix};
 use aergia_data::{partition::Scheme, DataConfig, DatasetSpec};
+use aergia_enclave::{establish_session, SimilarityEnclave};
 use aergia_nn::models::ModelArch;
 use aergia_simnet::SimTime;
 use aergia_tensor::Tensor;
@@ -91,6 +96,102 @@ fn perf_strategy(n: usize) -> impl Strategy<Value = Vec<ClientPerf>> {
     })
 }
 
+/// Clusters built to tie: 2–12 clients drawn from four per-batch costs
+/// (zero included), five remaining counts and three feature shares, so
+/// completion times and pair costs repeat; distances are an arbitrary
+/// (not necessarily symmetric) matrix over {0, 0, 0.5, 1, 3}.
+fn tied_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, Vec<Vec<f64>>)> {
+    (2usize..=12).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0usize..4, 1u32..6, 0usize..3), n..=n),
+            proptest::collection::vec(0usize..5, n * n..=n * n),
+        )
+            .prop_map(move |(raw, cells)| {
+                let perfs = raw
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, (cost, remaining, share))| {
+                        let full = [0.0, 0.5, 1.0, 2.0][cost];
+                        ClientPerf {
+                            id,
+                            t123: 0.4 * full,
+                            t4: 0.6 * full,
+                            feature_only: [0.5, 0.8, 1.0][share] * full,
+                            remaining,
+                        }
+                    })
+                    .collect();
+                let sim = cells
+                    .chunks(n)
+                    .map(|row| row.iter().map(|&c| [0.0, 0.0, 0.5, 1.0, 3.0][c]).collect())
+                    .collect();
+                (perfs, sim)
+            })
+    })
+}
+
+/// Algorithm 1 as printed, without the scheduler's prune: every unused
+/// receiver's distance is read and its line-24 cost computed.
+fn unpruned_schedule(
+    perfs: &[ClientPerf],
+    sim: &[Vec<f64>],
+    f: f64,
+    variant: OpVariant,
+) -> OffloadSchedule {
+    let mct = perfs.iter().map(ClientPerf::estimated_completion).sum::<f64>() / perfs.len() as f64;
+    let mut senders: Vec<&ClientPerf> =
+        perfs.iter().filter(|p| p.estimated_completion() > mct).collect();
+    let mut receivers: Vec<&ClientPerf> =
+        perfs.iter().filter(|p| p.estimated_completion() <= mct).collect();
+    senders.sort_by(|a, b| {
+        b.estimated_completion().total_cmp(&a.estimated_completion()).then(a.id.cmp(&b.id))
+    });
+    receivers.sort_by(|a, b| {
+        a.estimated_completion().total_cmp(&b.estimated_completion()).then(a.id.cmp(&b.id))
+    });
+    let mut used = vec![false; receivers.len()];
+    let mut out = OffloadSchedule { mct, ..OffloadSchedule::default() };
+    for sender in senders {
+        let mut best: Option<(usize, Assignment)> = None;
+        let mut best_cost = f64::INFINITY;
+        for (slot, receiver) in receivers.iter().enumerate() {
+            if used[slot] {
+                continue;
+            }
+            let op = match variant {
+                OpVariant::Unimodal => calc_op,
+                OpVariant::Printed => calc_op_printed,
+            };
+            let (ct, d) = op(
+                sender.full_batch(),
+                receiver.full_batch(),
+                receiver.feature_only,
+                sender.remaining,
+                receiver.remaining,
+            );
+            let cost = ct * (1.0 + (sim[sender.id][receiver.id] * f + 1.0).ln());
+            if d > 0 && cost < best_cost {
+                best_cost = cost;
+                let assignment = Assignment {
+                    sender: sender.id,
+                    receiver: receiver.id,
+                    offload_batches: d,
+                    estimated_ct: ct,
+                };
+                best = Some((slot, assignment));
+            }
+        }
+        match best {
+            Some((slot, assignment)) => {
+                used[slot] = true;
+                out.assignments.push(assignment);
+            }
+            None => out.unmatched_senders.push(sender.id),
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -139,6 +240,74 @@ proptest! {
             .collect();
         expected.sort_unstable();
         prop_assert_eq!(touched, expected);
+    }
+
+    /// The pruned matching loop is Algorithm 1 exactly: on clusters built
+    /// to tie (few distinct costs and remaining counts, zero-cost clients,
+    /// distances with zeros and repeats), every factor and both `calc_op`
+    /// variants give the schedule of the unpruned loop, bit for bit.
+    #[test]
+    fn pruned_schedule_equals_unpruned_algorithm_1(
+        (perfs, sim) in tied_cluster(),
+        f_index in 0usize..4,
+        printed in any::<bool>(),
+    ) {
+        let f = [0.0, 0.5, 1.0, 7.0][f_index];
+        let variant = if printed { OpVariant::Printed } else { OpVariant::Unimodal };
+        let pruned = schedule(&perfs, &sim, f, variant);
+        let unpruned = unpruned_schedule(&perfs, &sim, f, variant);
+        prop_assert_eq!(pruned.mct.to_bits(), unpruned.mct.to_bits());
+        prop_assert_eq!(&pruned.unmatched_senders, &unpruned.unmatched_senders);
+        prop_assert_eq!(pruned.assignments.len(), unpruned.assignments.len());
+        for (a, b) in pruned.assignments.iter().zip(&unpruned.assignments) {
+            prop_assert_eq!(
+                (a.sender, a.receiver, a.offload_batches, a.estimated_ct.to_bits()),
+                (b.sender, b.receiver, b.offload_batches, b.estimated_ct.to_bits())
+            );
+        }
+    }
+
+    /// EMD is exactly symmetric in IEEE arithmetic: swapping the arguments
+    /// negates every difference and prefix sum exactly, so `distance(i, j)`
+    /// and `distance(j, i)` share their bits.
+    #[test]
+    fn emd_is_bitwise_symmetric(
+        raw in proptest::collection::vec((0u64..5, 0u64..5, -10.0f64..10.0, -10.0f64..10.0), 1..=12),
+    ) {
+        let p = normalize(&raw.iter().map(|r| r.0).collect::<Vec<_>>());
+        let q = normalize(&raw.iter().map(|r| r.1).collect::<Vec<_>>());
+        prop_assert_eq!(emd(&p, &q).to_bits(), emd(&q, &p).to_bits());
+        let x: Vec<f64> = raw.iter().map(|r| r.2).collect();
+        let y: Vec<f64> = raw.iter().map(|r| r.3).collect();
+        prop_assert_eq!(emd(&x, &y).to_bits(), emd(&y, &x).to_bits());
+    }
+
+    /// The enclave's on-demand view answers every pair with the bits of
+    /// the resident matrix, both triangles and the diagonal, including an
+    /// all-zero histogram (uniform after normalisation), with clients
+    /// submitting out of id order.
+    #[test]
+    fn enclave_view_matches_the_emd_matrix(
+        mut hists in (1usize..=6, 1usize..=8).prop_flat_map(|(classes, n)| {
+            proptest::collection::vec(proptest::collection::vec(0u64..3, classes..=classes), n..=n)
+        }),
+    ) {
+        hists.push(vec![0; hists[0].len()]);
+        let mut enclave = SimilarityEnclave::new(hists[0].len(), 5);
+        for (i, hist) in hists.iter().enumerate().rev() {
+            let id = 3 * i as u32 + 1;
+            let mut session = establish_session(&mut enclave, id, 11).unwrap();
+            enclave.submit(id, session.seal_histogram(hist)).unwrap();
+        }
+        let view = enclave.similarity_view();
+        let expected = similarity_matrix(&hists);
+        prop_assert_eq!(view.len(), hists.len());
+        for (i, row) in expected.iter().enumerate() {
+            for (j, value) in row.iter().enumerate() {
+                prop_assert_eq!(view.distance(i, j).to_bits(), value.to_bits(), "({}, {})", i, j);
+            }
+        }
+        prop_assert_eq!(enclave.compute_similarity_matrix().unwrap(), expected);
     }
 
     /// The unimodal calc_op truly minimises its objective over all d.
