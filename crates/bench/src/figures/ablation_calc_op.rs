@@ -10,11 +10,12 @@ use aergia_nn::models::ModelArch;
 
 /// Ablation: the printed Algorithm 2 recurrence vs the unimodal form.
 ///
-/// `DESIGN.md` §4 documents that the recurrence as printed in the paper is
-/// monotone in `d` for realistic inputs (so the early-exit never fires and
-/// the offload point saturates), while the unimodal correction balances
-/// the sender's saved work against the receiver's added work. This bench
-/// compares the two on the same heterogeneous cluster.
+/// The scheduler's module doc ("A note on Algorithm 2") documents that
+/// the recurrence as printed in the paper is monotone in `d` for realistic
+/// inputs (so the early-exit never fires and the offload point
+/// saturates), while the unimodal correction balances the sender's saved
+/// work against the receiver's added work. This bench compares the two on
+/// the same heterogeneous cluster.
 pub fn ablation_calc_op(scale: Scale) {
     header(scale, "Ablation (calc_op)", "printed Algorithm 2 vs unimodal correction");
 

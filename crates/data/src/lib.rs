@@ -4,7 +4,7 @@
 //! The paper evaluates on MNIST, FMNIST, CIFAR-10 (and, for profiling,
 //! CIFAR-100). Real datasets cannot be downloaded in this environment, so
 //! this crate generates *seeded synthetic stand-ins* with the same shapes
-//! and class counts (see `DESIGN.md` §3): each class has a procedural
+//! and class counts: each class has a procedural
 //! prototype image and samples are noisy, jittered copies. The difficulty
 //! knobs are ordered so MNIST-like < FMNIST-like < CIFAR-like, preserving
 //! the relative behaviour the evaluation depends on.

@@ -3,9 +3,10 @@
 //!
 //! **Security disclaimer**: the cipher is a xorshift64* keystream and the
 //! tag is an FNV hash — a *simulation* of the attested channel's AEAD, not
-//! a real one (see `DESIGN.md` §3). The point reproduced here is the
-//! dataflow: the federator relays these blobs but cannot read them; only
-//! the enclave, which shares the session key, can.
+//! a real one, because the workspace takes no cryptography dependency. The
+//! point reproduced here is the dataflow: the federator relays these blobs
+//! but cannot read them; only the enclave, which shares the session key,
+//! can.
 
 use crate::attestation::measurement_hash;
 

@@ -1,7 +1,8 @@
 //! Convolutional-network training stack for the Aergia reproduction.
 //!
-//! This crate replaces PyTorch in the paper's implementation (see
-//! `DESIGN.md` §3). It provides:
+//! This crate replaces PyTorch in the paper's implementation, because the
+//! workspace builds offline with no dependency outside `vendor/`. It
+//! provides:
 //!
 //! * [`layer::Layer`] and concrete layers — [`layer::Conv2d`],
 //!   [`layer::Linear`], [`layer::Relu`], [`layer::MaxPool2d`],

@@ -110,8 +110,8 @@ impl Default for SgdConfig {
 ///
 /// The optional *proximal anchor* implements FedProx's local objective
 /// `f_k(w) + μ/2 ‖w − w_global‖²` by adding `μ(w − w_global)` to each
-/// gradient (see `DESIGN.md` §4); strategies set the anchor to the round's
-/// global weights.
+/// gradient (Li et al. 2020, the FedProx paper); strategies set the
+/// anchor to the round's global weights.
 #[derive(Debug)]
 pub struct Sgd {
     config: SgdConfig,

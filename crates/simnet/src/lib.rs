@@ -3,11 +3,12 @@
 //! The paper evaluates Aergia on a Kubernetes testbed where each client is
 //! a Docker container throttled to a fraction (0.1–1.0) of a CPU core and
 //! nodes exchange models over asynchronous, reliable RPC. This crate is
-//! the deterministic stand-in (see `DESIGN.md` §3): a virtual clock and
-//! event queue ([`event`]), per-node CPU speed models ([`node`]),
-//! latency/bandwidth link models with optional fault injection
-//! ([`network`]) and helpers for building heterogeneous speed assignments
-//! ([`cluster`]).
+//! the deterministic stand-in, so that a run is a pure function of its
+//! configuration ("The determinism contract" in `docs/architecture.md`):
+//! a virtual clock and event queue ([`event`]), per-node CPU speed models
+//! ([`node`]), latency/bandwidth link models with optional fault
+//! injection ([`network`]) and helpers for building heterogeneous speed
+//! assignments ([`cluster`]).
 //!
 //! Nothing here knows about federated learning; the `aergia` core crate
 //! builds its federator/client state machines on top.

@@ -3,7 +3,8 @@
 //! All randomness in the workspace flows through caller-supplied [`rand`]
 //! generators so that every experiment is reproducible from a single seed.
 //! Gaussian sampling uses the Box–Muller transform rather than an extra
-//! `rand_distr` dependency (see `DESIGN.md` §8).
+//! `rand_distr` dependency: the vendored `rand` subset is the workspace's
+//! only source of randomness.
 
 use rand::{Rng, RngExt as _};
 

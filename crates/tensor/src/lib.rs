@@ -13,8 +13,9 @@
 //!   sampling so the workspace does not need `rand_distr`.
 //!
 //! The paper's reference implementation runs on PyTorch; this crate (together
-//! with `aergia-nn`) is the from-scratch substitution documented in
-//! `DESIGN.md` §3.
+//! with `aergia-nn`) replaces it from scratch, because the workspace builds
+//! offline with no dependency outside `vendor/`. The GEMM section of
+//! `docs/architecture.md` describes its kernels.
 //!
 //! # Examples
 //!

@@ -6,7 +6,8 @@ use aergia::config::{ExperimentConfig, Mode};
 use aergia::engine::Engine;
 use aergia::fold::{self, Mean, Rule, Update};
 use aergia::scheduler::{
-    calc_op, calc_op_printed, schedule, Assignment, ClientPerf, OffloadSchedule, OpVariant,
+    calc_op, calc_op_printed, schedule, schedule_with, Assignment, ClientPerf, OffloadSchedule,
+    OpVariant,
 };
 use aergia::strategy::Strategy as FlStrategy;
 use aergia_data::emd::{emd, normalize, similarity_matrix};
@@ -130,11 +131,60 @@ fn tied_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, Vec<Vec<f64>>)> {
     })
 }
 
-/// Algorithm 1 as printed, without the scheduler's prune: every unused
-/// receiver's distance is read and its line-24 cost computed.
+/// Clusters large enough for the scheduler's suffix bound, checked every
+/// 16 receiver slots, to fire once a sender has a finite best cost:
+/// 40–300 clients over five per-batch costs (zero included) and seven
+/// remaining counts. Feature shares are drawn independently of both, so
+/// the suffix minimum of `x_b` is rarely the slot's own, and one share in
+/// five is NaN, whose receiver branch `calc_op`'s `max` then ignores.
+/// Distances are a salted hash of `(i, j)` onto {0, 0, 0.5, 1, 3}, so
+/// line-24 costs tie.
+fn large_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, u64)> {
+    let client = (0usize..5, 0usize..7, 0usize..5);
+    (proptest::collection::vec(client, 40..=300), any::<u64>()).prop_map(|(raw, salt)| {
+        let perfs = raw
+            .into_iter()
+            .enumerate()
+            .map(|(id, (cost, remaining, share))| {
+                let full = [0.0, 0.25, 0.5, 1.0, 2.0][cost];
+                ClientPerf {
+                    id,
+                    t123: 0.4 * full,
+                    t4: 0.6 * full,
+                    feature_only: [0.05, 0.5, 0.8, 1.0, f64::NAN][share] * full,
+                    remaining: [1, 2, 3, 5, 8, 14, 40][remaining],
+                }
+            })
+            .collect();
+        (perfs, salt)
+    })
+}
+
+/// The distance [`large_cluster`]'s `salt` stands for.
+fn hashed_distance(salt: u64, i: usize, j: usize) -> f64 {
+    let h = (salt ^ ((i as u64) << 32 | j as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    [0.0, 0.0, 0.5, 1.0, 3.0][(h >> 32) as usize % 5]
+}
+
+/// Asserts two schedules equal bit for bit, `estimated_ct` included.
+fn assert_same_schedule(pruned: &OffloadSchedule, unpruned: &OffloadSchedule) {
+    assert_eq!(pruned.mct.to_bits(), unpruned.mct.to_bits());
+    assert_eq!(pruned.unmatched_senders, unpruned.unmatched_senders);
+    assert_eq!(pruned.assignments.len(), unpruned.assignments.len());
+    for (a, b) in pruned.assignments.iter().zip(&unpruned.assignments) {
+        assert_eq!(
+            (a.sender, a.receiver, a.offload_batches, a.estimated_ct.to_bits()),
+            (b.sender, b.receiver, b.offload_batches, b.estimated_ct.to_bits())
+        );
+    }
+}
+
+/// Algorithm 1 as printed, without the scheduler's prune or scan bound:
+/// every unused receiver's distance is read and its line-24 cost
+/// computed.
 fn unpruned_schedule(
     perfs: &[ClientPerf],
-    sim: &[Vec<f64>],
+    distance: impl Fn(usize, usize) -> f64,
     f: f64,
     variant: OpVariant,
 ) -> OffloadSchedule {
@@ -169,7 +219,7 @@ fn unpruned_schedule(
                 sender.remaining,
                 receiver.remaining,
             );
-            let cost = ct * (1.0 + (sim[sender.id][receiver.id] * f + 1.0).ln());
+            let cost = ct * (1.0 + (distance(sender.id, receiver.id) * f + 1.0).ln());
             if d > 0 && cost < best_cost {
                 best_cost = cost;
                 let assignment = Assignment {
@@ -254,16 +304,28 @@ proptest! {
     ) {
         let f = [0.0, 0.5, 1.0, 7.0][f_index];
         let variant = if printed { OpVariant::Printed } else { OpVariant::Unimodal };
-        let pruned = schedule(&perfs, &sim, f, variant);
-        let unpruned = unpruned_schedule(&perfs, &sim, f, variant);
-        prop_assert_eq!(pruned.mct.to_bits(), unpruned.mct.to_bits());
-        prop_assert_eq!(&pruned.unmatched_senders, &unpruned.unmatched_senders);
-        prop_assert_eq!(pruned.assignments.len(), unpruned.assignments.len());
-        for (a, b) in pruned.assignments.iter().zip(&unpruned.assignments) {
-            prop_assert_eq!(
-                (a.sender, a.receiver, a.offload_batches, a.estimated_ct.to_bits()),
-                (b.sender, b.receiver, b.offload_batches, b.estimated_ct.to_bits())
-            );
+        assert_same_schedule(
+            &schedule(&perfs, &sim, f, variant),
+            &unpruned_schedule(&perfs, |i, j| sim[i][j], f, variant),
+        );
+    }
+
+    /// The same on clusters of 40–300 clients, where the receiver scan's
+    /// suffix bound fires: feature costs out of base-load order, mixed
+    /// remaining counts, zero-cost clients and tied distances, under
+    /// every factor and both `calc_op` variants.
+    #[test]
+    fn bounded_scan_equals_unpruned_algorithm_1_on_large_clusters(
+        (perfs, salt) in large_cluster(),
+    ) {
+        let distance = |i, j| hashed_distance(salt, i, j);
+        for variant in [OpVariant::Unimodal, OpVariant::Printed] {
+            for f in [0.0, 0.5, 1.0, 7.0] {
+                assert_same_schedule(
+                    &schedule_with(&perfs, distance, f, variant),
+                    &unpruned_schedule(&perfs, distance, f, variant),
+                );
+            }
         }
     }
 
@@ -451,6 +513,68 @@ proptest! {
             "Aergia {} vs FedAvg {}",
             aergia.total_time(),
             fedavg.total_time()
+        );
+    }
+}
+
+/// Algorithm 1 at population scale, shaped like the `plan_4k` benchmark
+/// workload: 4 096 clients dealt a shuffled [0.1, 1.0] speed ladder, the
+/// MNIST CNN's phase ratios, 14 remaining updates each, and 3-class
+/// non-IID histograms behind the enclave's on-demand view. The bounded
+/// scan must give the unpruned loop's schedule, both reading the view.
+#[test]
+fn bounded_scan_equals_unpruned_algorithm_1_at_4096_clients() {
+    use aergia::profiler::ProfileReport;
+    use aergia_data::partition::Partition;
+    use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+
+    const N: usize = 4096;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut speeds: Vec<f64> = (0..N).map(|i| 0.1 + 0.9 * i as f64 / (N - 1) as f64).collect();
+    for i in (1..N).rev() {
+        speeds.swap(i, rng.random_range(0..=i));
+    }
+    let flops = ModelArch::MnistCnn.build(0).phase_flops(8);
+    let perfs: Vec<ClientPerf> = speeds
+        .iter()
+        .enumerate()
+        .map(|(id, speed)| {
+            let report = ProfileReport {
+                round: 0,
+                per_batch: flops.scaled(1.0 / (speed * 1e9)),
+                remaining_updates: 14,
+            };
+            ClientPerf {
+                id,
+                t123: report.t123(),
+                t4: report.t4(),
+                feature_only: report.feature_only_batch(),
+                remaining: report.remaining_updates,
+            }
+        })
+        .collect();
+
+    let data =
+        DataConfig { spec: DatasetSpec::MnistLike, train_size: 16 * N, test_size: 64, seed: 7 };
+    let (train, _) = data.generate_pair();
+    let partition = Partition::split(&train, N, Scheme::NonIid { classes_per_client: 3 }, 7);
+    let mut enclave = SimilarityEnclave::new(train.num_classes(), 7);
+    for client in 0..N {
+        let id = client as u32;
+        let mut session = establish_session(&mut enclave, id, client as u64).unwrap();
+        let hist = partition.class_histogram(&train, client);
+        enclave.submit(id, session.seal_histogram(&hist)).unwrap();
+    }
+    let view = enclave.similarity_view();
+    let distance = |i: usize, j: usize| view.distance(i, j);
+
+    for f in [0.0, 1.0] {
+        let bounded = schedule_with(&perfs, distance, f, OpVariant::Unimodal);
+        // The ladder fixes who straggles up to the shuffle: 1 323 senders.
+        assert_eq!(bounded.assignments.len() + bounded.unmatched_senders.len(), 1323);
+        assert_same_schedule(
+            &bounded,
+            &unpruned_schedule(&perfs, distance, f, OpVariant::Unimodal),
         );
     }
 }
