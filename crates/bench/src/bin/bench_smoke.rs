@@ -44,11 +44,12 @@ fn smoke_config() -> aergia::ExperimentConfig {
 }
 
 /// Heap allocations over the smoke run's rounds after the first: round 0
-/// warms the per-client workspaces, the rest are steady state. Serial
-/// execution keeps the count free of thread-pool bookkeeping; what
-/// remains is per-round work (snapshots, aggregation, evaluation) — the
-/// batch loops themselves are allocation-free, so growth here means churn
-/// crept back into the hot path.
+/// builds the engine's one training workspace (a serial run shelves just
+/// one), the rest are steady state. Serial execution keeps the count free
+/// of thread-pool bookkeeping; what remains is per-round work (snapshots,
+/// aggregation, evaluation) — the batch loops themselves are
+/// allocation-free, so growth here means churn crept back into the hot
+/// path.
 ///
 /// `parallelism = 1` serialises the engine's client fan-out, but the
 /// *tensor* kernels size themselves from the global pool, and every

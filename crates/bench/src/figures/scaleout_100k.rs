@@ -23,8 +23,8 @@ const NUM_EDGES: usize = 8;
 /// Simulates a large client population in timing mode with only the
 /// selected participants materialised: the unselected crowd exists as
 /// compact per-client timing state (speeds, shard sizes, cohort ids —
-/// tens of bytes each) while batcher/workspace state lives in the LRU
-/// pool capped at the participation count. The printout shows the knee
+/// tens of bytes each) while batcher state lives in the LRU pool capped
+/// at the participation count. The printout shows the knee
 /// the PR exists for: resident client bytes follow `trained`, not
 /// `simulated`.
 ///

@@ -23,13 +23,13 @@ pub enum Mode {
     Timing,
 }
 
-/// How per-client training state (batcher draw streams and model
-/// workspaces) is held across rounds.
+/// How per-client training state (batcher draw streams) is held across
+/// rounds. Model workspaces are not per-client state in either mode: the
+/// engine keeps one per task in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClientStateMode {
     /// Every client keeps its batcher resident for the whole run (the
-    /// historical behaviour; workspaces still materialize lazily on
-    /// first training). Right up to a few thousand clients.
+    /// historical behaviour). Right up to a few thousand clients.
     Resident,
     /// Only ever-selected clients are materialized, in an LRU pool of at
     /// most `max_resident` entries; the unselected population exists as

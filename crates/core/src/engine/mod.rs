@@ -32,6 +32,7 @@ mod wire;
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Mutex;
 
 use aergia_data::batcher::Batcher;
 use aergia_data::partition::Partition;
@@ -51,7 +52,7 @@ use crate::fold;
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scenario::{self, AggregationMode, RobustAggregation};
 use crate::strategy::Strategy;
-use crate::transport::{self, InProcess, Transport, TransportError};
+use crate::transport::{self, ClientWorkspace, InProcess, Transport, TransportError};
 
 pub use checkpoint::{put_batcher, read_batcher, CheckpointError, RunProgress};
 pub(crate) use round::RoundOutcome;
@@ -130,8 +131,8 @@ impl From<TransportError> for EngineError {
 
 /// Compact persistent per-client state (survives across rounds). Tens
 /// of bytes per client, stored densely for the whole simulated
-/// population — heavy state (batcher, workspace) lives in the
-/// capacity-bounded [`pool::CohortPool`] instead.
+/// population — the heavy batcher lives in the capacity-bounded
+/// [`pool::CohortPool`] instead.
 pub(crate) struct ClientNode {
     pub(crate) cpu: CpuModel,
     pub(crate) shard_len: usize,
@@ -186,13 +187,16 @@ pub struct Engine {
     /// into checkpoints.
     pub(crate) cohorts: crate::fold::CohortLayout,
     pub(crate) clients: Vec<ClientNode>,
-    /// The heavy per-client state (batcher + lazily-built workspace),
+    /// The heavy per-client state (each client's batcher),
     /// capacity-bounded and LRU-evicted under
     /// [`ClientStateMode::CohortSampled`]; pre-populated and unbounded
-    /// under [`ClientStateMode::Resident`]. Workspaces materialise the
-    /// first time their client actually trains, so resident memory
-    /// follows participation, not cluster size.
+    /// under [`ClientStateMode::Resident`].
     pub(crate) pool: pool::CohortPool,
+    /// Idle training workspaces, shared by every client. In-process
+    /// orders take one each and put it back when done, so the shelf grows
+    /// to the number of tasks that ever ran at once (at most the pool's
+    /// width), not to the number of clients simulated.
+    pub(crate) workspaces: Mutex<Vec<ClientWorkspace>>,
     pub(crate) network: Network,
     pub(crate) global: Vec<Tensor>,
     pub(crate) template: Cnn,
@@ -377,21 +381,12 @@ impl Engine {
 
         // Resident mode pre-populates every client's heavy state (the
         // historical dense layout, bit-for-bit); cohort sampling starts
-        // empty and admits participants on demand. Timing mode never
-        // executes numeric plans, so its workspace charge estimate is
-        // zero and workspaces never materialise.
+        // empty and admits participants on demand.
         let cap = match config.client_state {
             ClientStateMode::Resident => usize::MAX,
             ClientStateMode::CohortSampled { max_resident } => max_resident,
         };
-        let ws_bytes_per_entry = if config.mode == Mode::Real {
-            // Live model weights, gradient/scratch buffers, mini-batch
-            // pair: roughly three dense copies of the parameters.
-            global.iter().map(Tensor::numel).sum::<usize>() as u64 * 4 * 3
-        } else {
-            0
-        };
-        let mut client_pool = pool::CohortPool::new(cap, ws_bytes_per_entry);
+        let mut client_pool = pool::CohortPool::new(cap);
         if !cohort_sampled {
             for id in 0..config.num_clients {
                 client_pool.prepopulate(id, make_batcher(&partition, &config, id));
@@ -407,6 +402,7 @@ impl Engine {
             cohorts: crate::fold::CohortLayout::single(config.num_clients),
             clients,
             pool: client_pool,
+            workspaces: Mutex::new(Vec::new()),
             global,
             template,
             wire,
@@ -873,6 +869,12 @@ impl Engine {
     pub fn global_weights(&self) -> &[Tensor] {
         &self.global
     }
+
+    /// Training workspaces on the shelf (all of them, between rounds).
+    #[cfg(test)]
+    fn shelved_workspaces(&self) -> usize {
+        self.workspaces.lock().expect("shelf lock").len()
+    }
 }
 
 #[cfg(test)]
@@ -947,6 +949,46 @@ mod tests {
             let restored = engine.restore_checkpoint(&checkpoint).unwrap();
             assert!(engine.last_accuracy.is_none(), "restore rewrote the global model");
             assert_eq!(engine.finish_run(restored).final_accuracy.to_bits(), cached.to_bits());
+        }
+    }
+
+    /// Ten clients all train every round, own batches and offloads, yet
+    /// the engine holds only as many workspaces as tasks ran at once:
+    /// one when serial, at most the pool's width when parallel.
+    #[test]
+    fn training_workspaces_follow_pool_width_not_participants() {
+        let clients = 10;
+        for parallelism in [0, 1] {
+            let config = ExperimentConfig {
+                dataset: aergia_data::DataConfig {
+                    spec: aergia_data::DatasetSpec::MnistLike,
+                    train_size: 80,
+                    test_size: 16,
+                    seed: 3,
+                },
+                arch: ModelArch::MnistCnn,
+                num_clients: clients,
+                clients_per_round: clients,
+                rounds: 3,
+                local_updates: 4,
+                speeds: aergia_simnet::cluster::uniform_speeds(clients, 0.1, 1.0, 3),
+                eval_samples: 16,
+                parallelism,
+                ..ExperimentConfig::default()
+            };
+            let mut engine = Engine::new(config, Strategy::aergia_default()).unwrap();
+            let width = match parallelism {
+                1 => 1,
+                _ => aergia_runtime::parallelism().min(clients),
+            };
+            let mut progress = engine.start_progress();
+            for round in 0..3 {
+                engine.step_round(&mut progress).unwrap();
+                assert_eq!(progress.rounds[round].participants.len(), clients);
+                let shelved = engine.shelved_workspaces();
+                assert!((1..=width).contains(&shelved), "{shelved} workspaces, width {width}");
+            }
+            assert!(progress.rounds.iter().any(|r| !r.offloads.is_empty()), "no offload ran");
         }
     }
 

@@ -7,10 +7,12 @@
 //!   phase costs (`ClientNode`, tens of bytes) — lives densely for every
 //!   simulated client.
 //! * **Heavy participant state** — the mini-batch draw stream
-//!   ([`Batcher`], which owns a copy of the shard's index permutation)
-//!   and the lazily materialised training workspace
-//!   ([`ClientWorkspace`], a live model plus scratch buffers) — lives in
-//!   this pool, keyed by client id.
+//!   ([`Batcher`], which owns a copy of the shard's index permutation) —
+//!   lives in this pool, keyed by client id.
+//!
+//! Training workspaces are not client state at all: they sit on the
+//! engine's shelf, one per task in flight (see the `Engine::workspaces`
+//! field).
 //!
 //! Under [`ClientStateMode::Resident`](crate::config::ClientStateMode)
 //! the pool is pre-populated with every client at build time and its
@@ -33,31 +35,28 @@
 //! resume (the pool's entries, clock and eviction memory are serialized
 //! in the `BTCH`/`POOL` checkpoint chunks).
 //!
-//! Evicting a workspace is *free* of numeric consequence: a workspace
-//! carries no round-to-round information — every round resets it from
-//! the decoded broadcast (the codec's keyframe stream) before training —
-//! so a rebuilt workspace produces bit-identical results, and evicted
-//! workspaces are recycled through a free list rather than dropped
-//! (dirty reuse is pinned bit-safe by the determinism suite). Evicting a
-//! *batcher* discards the client's draw-stream position; on
-//! re-admission the stream restarts from its seeded origin. That is the
-//! documented divergence of cohort-sampled runs from fully resident
-//! ones — and the reason `Resident` mode never evicts.
+//! That split is safe because a workspace carries no round-to-round
+//! information: every order resets its model from the order's own
+//! snapshot (the decoded broadcast, or a straggler's delivered frozen
+//! model) before training, so any workspace, however dirty, produces
+//! bit-identical results (dirty reuse is pinned by the determinism
+//! suite). A *batcher* is different: evicting one discards the client's
+//! draw-stream position; on re-admission the stream restarts from its
+//! seeded origin. That is the documented divergence of cohort-sampled
+//! runs from fully resident ones — and the reason `Resident` mode never
+//! evicts.
 
 use std::collections::{HashMap, HashSet};
 
 use aergia_data::batcher::Batcher;
 
 use crate::profiler::WorkspacePoolStats;
-use crate::transport::ClientWorkspace;
 
 /// One resident client's heavy state.
 pub(crate) struct PoolEntry {
     /// Last round-admission tick (LRU key; ties broken by client id).
     pub(crate) stamp: u64,
     pub(crate) batcher: Batcher,
-    /// Materialised lazily by the transport on first training.
-    pub(crate) ws: Option<ClientWorkspace>,
 }
 
 /// LRU pool of per-client heavy state (see the module docs).
@@ -70,25 +69,17 @@ pub(crate) struct CohortPool {
     /// Every client ever evicted — distinguishes a *rebuild* from a
     /// first-time admission in the stats.
     evicted_ever: HashSet<usize>,
-    /// Workspaces recycled from evicted entries, handed (dirty) to the
-    /// next admission; `reset_model` makes reuse bit-invisible.
-    free_ws: Vec<ClientWorkspace>,
-    /// Fixed per-entry workspace charge for the resident-bytes estimate
-    /// (0 in timing mode, which never materialises workspaces).
-    ws_bytes_per_entry: u64,
     /// Counters of the round in flight (reset by `begin_round`).
     stats: WorkspacePoolStats,
 }
 
 impl CohortPool {
-    pub(crate) fn new(cap: usize, ws_bytes_per_entry: u64) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         CohortPool {
             entries: HashMap::new(),
             clock: 0,
             cap: cap.max(1),
             evicted_ever: HashSet::new(),
-            free_ws: Vec::new(),
-            ws_bytes_per_entry,
             stats: WorkspacePoolStats::default(),
         }
     }
@@ -97,7 +88,7 @@ impl CohortPool {
     pub(crate) fn prepopulate(&mut self, client: usize, batcher: Batcher) {
         let stamp = self.clock;
         self.clock += 1;
-        let prev = self.entries.insert(client, PoolEntry { stamp, batcher, ws: None });
+        let prev = self.entries.insert(client, PoolEntry { stamp, batcher });
         debug_assert!(prev.is_none(), "client {client} prepopulated twice");
     }
 
@@ -122,18 +113,14 @@ impl CohortPool {
                 if self.evicted_ever.contains(&p) {
                     self.stats.rebuilds += 1;
                 }
-                let ws = self.free_ws.pop();
-                self.entries.insert(p, PoolEntry { stamp, batcher: make(p), ws });
+                self.entries.insert(p, PoolEntry { stamp, batcher: make(p) });
             }
         }
         let keep: HashSet<usize> = participants.iter().copied().collect();
         self.evict_over_cap(&keep);
         self.stats.resident_clients = self.entries.len() as u32;
-        self.stats.resident_bytes = self
-            .entries
-            .values()
-            .map(|e| (e.batcher.shard_len() * 8 + 64) as u64 + self.ws_bytes_per_entry)
-            .sum();
+        self.stats.resident_bytes =
+            self.entries.values().map(|e| (e.batcher.shard_len() * 8 + 64) as u64).sum();
     }
 
     /// Evicts down to the cap with no protected set — call once the
@@ -156,10 +143,9 @@ impl CohortPool {
             .collect();
         victims.sort_unstable();
         for &(_, client) in victims.iter().take(excess) {
-            let entry = self.entries.remove(&client).expect("victim is resident");
+            self.entries.remove(&client).expect("victim is resident");
             self.stats.evictions += 1;
             self.evicted_ever.insert(client);
-            self.free_ws.extend(entry.ws);
         }
     }
 
@@ -168,12 +154,10 @@ impl CohortPool {
         self.stats
     }
 
-    /// Disjoint `&mut` handles to every resident entry's batcher and
-    /// workspace slot, for the round's transport orders.
-    pub(crate) fn handles(
-        &mut self,
-    ) -> HashMap<usize, (&mut Batcher, &mut Option<ClientWorkspace>)> {
-        self.entries.iter_mut().map(|(&c, e)| (c, (&mut e.batcher, &mut e.ws))).collect()
+    /// Disjoint `&mut` handles to every resident entry's batcher, for the
+    /// round's transport orders.
+    pub(crate) fn handles(&mut self) -> HashMap<usize, &mut Batcher> {
+        self.entries.iter_mut().map(|(&c, e)| (c, &mut e.batcher)).collect()
     }
 
     /// Resident client count.
@@ -205,8 +189,6 @@ impl CohortPool {
     }
 
     /// Replaces the pool's contents with checkpoint-restored state.
-    /// Workspaces rematerialise on demand — they carry no information a
-    /// round does not rebuild from the broadcast.
     pub(crate) fn restore(
         &mut self,
         entries: Vec<(usize, u64, Batcher)>,
@@ -215,11 +197,10 @@ impl CohortPool {
     ) {
         self.entries = entries
             .into_iter()
-            .map(|(c, stamp, batcher)| (c, PoolEntry { stamp, batcher, ws: None }))
+            .map(|(c, stamp, batcher)| (c, PoolEntry { stamp, batcher }))
             .collect();
         self.clock = clock;
         self.evicted_ever = evicted_ever.into_iter().collect();
-        self.free_ws.clear();
         self.stats = WorkspacePoolStats::default();
     }
 }
@@ -232,13 +213,9 @@ mod tests {
         Batcher::new(vec![id, id + 1], 2, id as u64)
     }
 
-    fn pool(cap: usize) -> CohortPool {
-        CohortPool::new(cap, 100)
-    }
-
     #[test]
     fn resident_mode_never_evicts_and_always_hits() {
-        let mut p = pool(usize::MAX);
+        let mut p = CohortPool::new(usize::MAX);
         for c in 0..4 {
             p.prepopulate(c, batcher(c));
         }
@@ -252,7 +229,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_selected_first() {
-        let mut p = pool(2);
+        let mut p = CohortPool::new(2);
         p.begin_round(&[0, 1], batcher);
         p.end_round();
         p.begin_round(&[2], batcher); // evicts 0 or 1? same stamp → lowest id: 0
@@ -268,7 +245,7 @@ mod tests {
 
     #[test]
     fn participants_survive_admission_even_over_cap() {
-        let mut p = pool(2);
+        let mut p = CohortPool::new(2);
         p.begin_round(&[0, 1, 2, 3], batcher);
         assert_eq!(p.len(), 4, "the live round's participants are protected");
         assert_eq!(p.stats().resident_clients, 4);
@@ -278,7 +255,7 @@ mod tests {
 
     #[test]
     fn rebuilds_count_readmissions_only() {
-        let mut p = pool(1);
+        let mut p = CohortPool::new(1);
         p.begin_round(&[0], batcher);
         p.end_round();
         p.begin_round(&[1], batcher); // evicts 0, first admission of 1
@@ -290,15 +267,18 @@ mod tests {
 
     #[test]
     fn resident_bytes_track_membership() {
-        let mut p = pool(8);
+        let mut p = CohortPool::new(2);
         p.begin_round(&[0, 1, 2], batcher);
-        // 3 entries × (2 indices × 8 + 64 + 100).
-        assert_eq!(p.stats().resident_bytes, 3 * (16 + 64 + 100));
+        // 3 entries × (2 indices × 8 + 64): batchers only, no workspace.
+        assert_eq!(p.stats().resident_bytes, 3 * (16 + 64));
+        p.end_round();
+        p.begin_round(&[3], batcher);
+        assert_eq!(p.stats().resident_bytes, 2 * (16 + 64), "evicted entries stop counting");
     }
 
     #[test]
     fn snapshot_restore_round_trips_membership() {
-        let mut p = pool(2);
+        let mut p = CohortPool::new(2);
         p.begin_round(&[0, 1], batcher);
         p.end_round();
         p.begin_round(&[2], batcher);
@@ -314,7 +294,7 @@ mod tests {
             .collect();
         let (clock, evicted) = p.snapshot_meta();
         assert_eq!(evicted, vec![0]);
-        let mut q = pool(2);
+        let mut q = CohortPool::new(2);
         q.restore(entries, clock, evicted);
         assert_eq!(q.len(), 2);
         // Same continuation: admitting 0 again counts as a rebuild in both.

@@ -780,11 +780,11 @@ fn execute_plans(
             parallelism,
             train: &engine.train,
             template: &engine.template,
+            workspaces: &engine.workspaces,
         };
-        // Batchers and workspace slots live in the cohort pool, which
-        // `begin_round` stocked for every participant — memory follows
-        // actual participation, not population size. A workspace
-        // materialises the first time its slot trains.
+        // Batchers live in the cohort pool, which `begin_round` stocked
+        // for every participant; workspaces come off the engine's shelf,
+        // one per task in flight, whichever client the task serves.
         let mut handles = engine.pool.handles();
         let mut orders: Vec<TrainOrder<'_>> = Vec::new();
         for (&p, opt) in participants.iter().zip(opts) {
@@ -792,8 +792,7 @@ fn execute_plans(
             if plan.own_batches == 0 {
                 continue;
             }
-            let (batcher, workspace) =
-                handles.remove(&p).expect("begin_round admits every participant");
+            let batcher = handles.remove(&p).expect("begin_round admits every participant");
             orders.push(TrainOrder {
                 client: p,
                 own_batches: plan.own_batches,
@@ -801,7 +800,6 @@ fn execute_plans(
                 snapshot_wanted: plan.snapshot_wanted,
                 opt,
                 batcher,
-                workspace,
             });
         }
         // Fold replies in participant order (the transport preserves
@@ -840,6 +838,7 @@ fn execute_plans(
             parallelism,
             train: &engine.train,
             template: &engine.template,
+            workspaces: &engine.workspaces,
         };
         let mut handles = engine.pool.handles();
         let mut orders: Vec<OffloadOrder<'_>> = Vec::new();
@@ -852,8 +851,7 @@ fn execute_plans(
                 continue;
             }
             let Some(snapshot) = snapshots.remove(&offload.weak) else { continue };
-            let (batcher, workspace) =
-                handles.remove(&p).expect("begin_round admits every participant");
+            let batcher = handles.remove(&p).expect("begin_round admits every participant");
             orders.push(OffloadOrder {
                 receiver: p,
                 weak: offload.weak,
@@ -861,7 +859,6 @@ fn execute_plans(
                 snapshot,
                 opt: opts_back.remove(&p),
                 batcher,
-                workspace,
             });
         }
         for reply in transport.train_offloads(&ctx, orders)? {

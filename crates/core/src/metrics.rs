@@ -28,7 +28,7 @@ pub struct RoundRecord {
     /// actual encoded frame sizes under the experiment's wire codec, plus
     /// control envelopes.
     pub bytes_on_wire: u64,
-    /// Client-state pool observability: workspace hit/miss/rebuild counts
+    /// Client-state pool observability: batcher hit/miss/rebuild counts
     /// and the resident-client byte estimate after this round's
     /// admissions.
     pub pool: WorkspacePoolStats,
@@ -139,6 +139,17 @@ impl RunResult {
                 (t, r.test_accuracy)
             })
             .collect()
+    }
+
+    /// Virtual time from run start, pre-training included (the clock of
+    /// [`RunResult::accuracy_over_time`]), to the end of the first round
+    /// whose test accuracy reaches `target`; `None` if no round does.
+    pub fn time_to_accuracy(&self, target: f64) -> Option<SimDuration> {
+        let mut t = self.pretraining;
+        self.rounds.iter().find_map(|r| {
+            t += r.duration;
+            (r.test_accuracy >= target).then_some(t)
+        })
     }
 
     /// Round durations in seconds (the sample behind Figure 8's density).
@@ -309,6 +320,16 @@ mod tests {
         assert!((curve[0].0 - 15.0).abs() < 1e-9);
         assert!((curve[2].0 - 65.0).abs() < 1e-9);
         assert_eq!(curve[2].1, 0.7);
+    }
+
+    #[test]
+    fn time_to_accuracy_counts_from_run_start() {
+        let secs = |target| run().time_to_accuracy(target).map(SimDuration::as_secs_f64);
+        // Crossed in round 1: 5 s pre-training + 10 s + 20 s.
+        assert_eq!(secs(0.55), Some(35.0));
+        // Equality reaches the target: round 0's 0.5 exactly.
+        assert_eq!(secs(0.5), Some(15.0));
+        assert_eq!(secs(0.71), None);
     }
 
     #[test]

@@ -61,11 +61,13 @@ impl OnlineProfiler {
 /// holds after admission. Surfaced on every
 /// [`RoundRecord`](crate::metrics::RoundRecord).
 ///
-/// `resident_bytes` is a deterministic *estimate* — per-client shard
-/// index storage plus a fixed workspace charge derived from the model's
-/// parameter count — computed from pool membership alone, so the figure
+/// `resident_bytes` is a deterministic *estimate* of what the pool holds
+/// — each resident client's shard index storage plus a fixed 64-byte
+/// entry overhead — computed from pool membership alone, so the figure
 /// is identical across parallelism settings, transports and
-/// checkpoint resume (actual allocator behaviour is not).
+/// checkpoint resume (actual allocator behaviour is not). Training
+/// workspaces are not pool state (the engine shelves one per task in
+/// flight), so they are not charged here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspacePoolStats {
     /// Participants whose client state was already resident.

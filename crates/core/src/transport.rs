@@ -39,6 +39,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Mutex;
 
 use aergia_data::batcher::Batcher;
 use aergia_data::synth::Dataset;
@@ -102,6 +103,10 @@ pub struct RoundContext<'a> {
     pub train: &'a Dataset,
     /// The model template a fresh [`ClientWorkspace`] clones.
     pub template: &'a Cnn,
+    /// The engine's shelf of idle training workspaces. [`InProcess`]
+    /// takes one per order in flight and puts it back when the order is
+    /// done; transports whose clients train elsewhere leave it alone.
+    pub workspaces: &'a Mutex<Vec<ClientWorkspace>>,
 }
 
 /// One participant's own local training for the round.
@@ -126,10 +131,6 @@ pub struct TrainOrder<'a> {
     pub opt: Sgd,
     /// The client's persistent mini-batch stream.
     pub batcher: &'a mut Batcher,
-    /// The client's persistent training workspace slot (materialised on
-    /// first use by in-process execution; remote transports keep their
-    /// own workspace on the worker and leave this slot alone).
-    pub workspace: &'a mut Option<ClientWorkspace>,
 }
 
 /// What one participant's own training produced.
@@ -168,8 +169,6 @@ pub struct OffloadOrder<'a> {
     /// The receiver's persistent mini-batch stream (continues after its
     /// own batches, matching the virtual event order).
     pub batcher: &'a mut Batcher,
-    /// The receiver's persistent training workspace slot.
-    pub workspace: &'a mut Option<ClientWorkspace>,
 }
 
 /// What one receiver's offloaded training produced.
@@ -209,13 +208,15 @@ pub trait Transport {
     ) -> Result<Vec<OffloadReply>, TransportError>;
 }
 
-/// Persistent per-client training workspace: a live model whose weights
-/// are reset from the round's snapshot via [`Cnn::set_weights`] instead
-/// of cloning the template, a [`Workspace`] of reusable tensor buffers,
-/// and the mini-batch buffer pair. Together these make a client's
-/// steady-state batch loop allocation-free; because weight resets copy
-/// values bit-for-bit and the workspace never changes arithmetic order,
-/// reuse is invisible to results (pinned by the determinism suite).
+/// A reusable training workspace: a live model whose weights are reset
+/// from the order's snapshot via [`Cnn::set_weights`] instead of cloning
+/// the template, a [`Workspace`] of reusable tensor buffers, and the
+/// mini-batch buffer pair. It belongs to no client: [`InProcess`] hands
+/// shelved ones to whichever orders run next, a remote worker keeps one.
+/// Together these make the steady-state batch loop allocation-free;
+/// because weight resets copy values bit-for-bit and the workspace never
+/// changes arithmetic order, reuse by any client is invisible to results
+/// (pinned by the determinism suite).
 ///
 /// [`ClientWorkspace::run_own_batches`] and
 /// [`ClientWorkspace::run_offload_batches`] are the *only* training
@@ -353,13 +354,27 @@ pub fn round_optimizer(config: &ExperimentConfig, strategy: &Strategy, anchor: &
 }
 
 /// The default [`Transport`]: orders execute in this process, on the
-/// calling thread (`parallelism == 1`) or the [`aergia_runtime`]
-/// thread pool, with workspaces materialised lazily in the
-/// engine's per-client slots. This is exactly the execution path the
-/// engine used before the transport boundary existed — the determinism
-/// suite pins its results bit-for-bit.
+/// calling thread (`parallelism == 1`) or the [`aergia_runtime`] thread
+/// pool. Each order takes a workspace off [`RoundContext::workspaces`]
+/// (building one from the template when the shelf is empty) and shelves
+/// it again when done, so at most `min(parallelism, pool threads,
+/// orders)` workspaces ever exist, however many clients the engine
+/// simulates. The determinism suite pins its results bit-for-bit.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InProcess;
+
+impl InProcess {
+    /// Runs `f` on a workspace from the shelf and shelves it again.
+    fn with_workspace<R>(ctx: &RoundContext<'_>, f: impl FnOnce(&mut ClientWorkspace) -> R) -> R {
+        let shelf = || ctx.workspaces.lock().expect("no task panics holding the workspace shelf");
+        // Its own statement, so the lock is released before any clone.
+        let idle = shelf().pop();
+        let mut cw = idle.unwrap_or_else(|| ClientWorkspace::new(ctx.template));
+        let out = f(&mut cw);
+        shelf().push(cw);
+        out
+    }
+}
 
 impl Transport for InProcess {
     fn train_participants(
@@ -378,16 +393,17 @@ impl Transport for InProcess {
         // orders.
         aergia_runtime::par_for_each_mut(&mut slots, ctx.parallelism, |slot| {
             let order = &mut slot.order;
-            let cw = order.workspace.get_or_insert_with(|| ClientWorkspace::new(ctx.template));
-            slot.outcome = Some(cw.run_own_batches(
-                ctx.round_base,
-                order.own_batches,
-                order.freeze_after,
-                order.snapshot_wanted,
-                order.batcher,
-                ctx.train,
-                &mut order.opt,
-            ));
+            slot.outcome = Some(Self::with_workspace(ctx, |w| {
+                w.run_own_batches(
+                    ctx.round_base,
+                    order.own_batches,
+                    order.freeze_after,
+                    order.snapshot_wanted,
+                    order.batcher,
+                    ctx.train,
+                    &mut order.opt,
+                )
+            }));
         });
         let mut replies = Vec::with_capacity(slots.len());
         for slot in slots {
@@ -423,17 +439,10 @@ impl Transport for InProcess {
                 ))));
                 return;
             };
-            let cw = order.workspace.get_or_insert_with(|| ClientWorkspace::new(ctx.template));
-            slot.outcome = Some(
-                cw.run_offload_batches(
-                    &order.snapshot,
-                    order.batches,
-                    order.batcher,
-                    ctx.train,
-                    opt,
-                )
-                .map_err(TransportError::Nn),
-            );
+            let features = Self::with_workspace(ctx, |w| {
+                w.run_offload_batches(&order.snapshot, order.batches, order.batcher, ctx.train, opt)
+            });
+            slot.outcome = Some(features.map_err(TransportError::Nn));
         });
         let mut replies = Vec::with_capacity(slots.len());
         for slot in slots {

@@ -7,7 +7,7 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use aergia::transport::{RoundContext, TrainOrder, Transport};
@@ -91,28 +91,27 @@ fn scripted_round(tampers: [Tamper; 2]) -> ([Option<usize>; 2], Vec<usize>, Vec<
     let (train, _) = data.generate_pair();
     let template = ModelArch::MnistCnn.build(9);
     let round_base = template.weights();
+    let workspaces = Mutex::new(Vec::new());
     let ctx = RoundContext {
         round: 0,
         round_base: &round_base,
         parallelism: 0,
         train: &train,
         template: &template,
+        workspaces: &workspaces,
     };
     let mut batchers: Vec<Batcher> =
         (0..2).map(|id| Batcher::new((id * 8..id * 8 + 8).collect(), 4, id as u64)).collect();
-    let mut workspaces = [None, None];
     let orders: Vec<TrainOrder<'_>> = batchers
         .iter_mut()
-        .zip(workspaces.iter_mut())
         .enumerate()
-        .map(|(client, (batcher, workspace))| TrainOrder {
+        .map(|(client, batcher)| TrainOrder {
             client,
             own_batches: 2,
             freeze_after: None,
             snapshot_wanted: false,
             opt: Sgd::new(SgdConfig::default()),
             batcher,
-            workspace,
         })
         .collect();
 

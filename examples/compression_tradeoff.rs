@@ -51,14 +51,6 @@ fn config(codec: CodecConfig) -> ExperimentConfig {
     }
 }
 
-/// First virtual time at which the run's accuracy reaches `target`.
-fn time_to_accuracy(curve: &[(f64, f64)], target: f64) -> String {
-    curve
-        .iter()
-        .find(|(_, acc)| *acc >= target)
-        .map_or_else(|| "-".to_string(), |(t, _)| format!("{t:.1}s"))
-}
-
 fn mib(bytes: u64) -> String {
     format!("{:.2} MiB", bytes as f64 / (1024.0 * 1024.0))
 }
@@ -85,7 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 codec.to_string(),
                 strategy.name(),
                 result.final_accuracy,
-                time_to_accuracy(&result.accuracy_over_time(), target),
+                result
+                    .time_to_accuracy(target)
+                    .map_or_else(|| "-".to_string(), |t| format!("{:.1}s", t.as_secs_f64())),
                 result.total_time().as_secs_f64(),
                 mib(bytes),
                 dense as f64 / bytes as f64,

@@ -105,11 +105,13 @@ fn aergia_parallel_round_is_bit_identical_to_serial() {
 #[test]
 fn workspace_reuse_is_bit_identical_across_serial_parallel_and_reruns() {
     force_pool_workers();
-    // Per-client workspaces persist across rounds (models reset via
-    // `set_weights`, tensor buffers recycled). This must be invisible to
-    // results along every axis: a fresh engine re-run of the same seed
-    // (cold workspaces) must match bit-for-bit, and so must the parallel
-    // execution of the same plans over warm workspaces.
+    // Training workspaces persist across rounds on the engine's shelf and
+    // pass between clients: whichever order runs next takes whichever
+    // workspace is idle (models reset via `set_weights`, tensor buffers
+    // recycled dirty). This must be invisible to results along every
+    // axis: a fresh engine re-run of the same seed (cold workspaces) must
+    // match bit-for-bit, and so must the parallel execution of the same
+    // plans, where which client gets which workspace varies run to run.
     let strategy = Strategy::aergia_default();
     let serial = run_with_parallelism(fig6_smoke(35), strategy, 1);
     let rerun = run_with_parallelism(fig6_smoke(35), strategy, 1);
@@ -451,9 +453,9 @@ fn cohort_sampled_timing_matches_resident_and_survives_eviction() {
 fn cohort_sampled_real_mode_is_bit_identical_across_parallelism_and_reruns() {
     force_pool_workers();
     use aergia::config::ClientStateMode;
-    // Real training over a churning pool: evicted clients hand their
-    // workspace buffers to the next admission (dirty tensors, stale
-    // packs), and rebuilt batchers restart their draw streams.
+    // Real training over a churning pool: shelved workspaces pass from
+    // client to client (dirty tensors, stale packs), and rebuilt
+    // batchers restart their draw streams.
     // None of that may leak into results: serial, work-stealing and a
     // cold rerun must agree bit-for-bit.
     let config = || ExperimentConfig {
