@@ -211,7 +211,9 @@ pub struct Engine {
     /// evaluation runs every round, and rebuilding the model from the
     /// template each time pays the full activation/im2col allocation cost
     /// again. The weights are overwritten from the global snapshot before
-    /// every use, so reuse cannot change results.
+    /// every use, so reuse cannot change results. Each shard evaluates
+    /// through the cache-free inference forward, so its workspace holds
+    /// four scratch buffers however deep the model.
     eval_state: Vec<EvalShard>,
     /// Test accuracy of the current `global`, when the last round already
     /// measured it; cleared wherever `global` is written.
@@ -219,10 +221,23 @@ pub struct Engine {
 }
 
 /// Samples per forward pass of the evaluation walk, over all shards.
-const EVAL_BATCH: usize = 32;
+///
+/// A shard's resident scratch is linear in its batch: the inference
+/// forward keeps one im2col buffer (the CIFAR CNN's largest, 1.125 MiB per
+/// sample) plus the GEMM output and two activation buffers (0.125 MiB per
+/// sample each). Halving this from 32 to 16 took `train_cifar`'s peak RSS
+/// from ≈ 271 to ≈ 247 MiB on a 2-vCPU host, with the same bits. The conv
+/// GEMMs stay tall (batch × H × W rows), so time did not suffer: median
+/// `round_wall_s` was 1.93 vs 1.95 s over six alternating pairs and 1.90
+/// vs 1.94 s over five more, and `Engine::evaluate_global` took 207 vs
+/// 230 ms.
+const EVAL_BATCH: usize = 16;
 
 /// Smallest per-shard batch the walk is split down to: bounds the shard
-/// count (each shard keeps a model copy) however wide the pool is.
+/// count (each shard keeps a model copy and its scratch) however wide the
+/// pool is. With [`EVAL_BATCH`] at 16 that is two shards — all of a 2-vCPU
+/// host, but half of a 4-thread pool, whose eval walk trades the other two
+/// threads for two fewer model copies.
 const MIN_SHARD_BATCH: usize = 8;
 
 /// One contiguous sample range of [`Engine::evaluate_global`]'s walk over

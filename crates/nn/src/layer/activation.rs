@@ -34,37 +34,54 @@ impl Relu {
     }
 }
 
-impl Layer for Relu {
-    fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
-        let mut mask = self.mask.take().unwrap_or_else(|| std::mem::take(&mut self.spare_mask));
-        let xd = x.data();
+/// Writes `max(0, x)` into `out` and, when a `mask` sink is given, which
+/// elements were active (the sink is resized to the input) — the one
+/// clamp loop behind both the training forward and the cache-free
+/// inference forward.
+fn relu_into(x: &Tensor, out: &mut Tensor, mut mask: Option<&mut Vec<bool>>) {
+    let xd = x.data();
+    if let Some(m) = mask.as_deref_mut() {
         // Stale contents are fully overwritten below; resize only adjusts
         // the length (no churn once the buffer has reached its high-water
         // mark).
-        mask.resize(xd.len(), false);
-        out.reset_for_overwrite(x.dims());
-        let od = out.data_mut();
-        // The clamp-and-mask runs in LANES-wide chunks plus a scalar tail;
-        // elements are independent, so chunking cannot change results.
-        let split = xd.len() - xd.len() % LANES;
-        let body = od[..split]
-            .chunks_exact_mut(LANES)
-            .zip(xd[..split].chunks_exact(LANES))
-            .zip(mask[..split].chunks_exact_mut(LANES));
-        for ((oc, xc), mc) in body {
-            for ((o, &v), m) in oc.iter_mut().zip(xc).zip(mc.iter_mut()) {
-                let active = v > 0.0;
-                *m = active;
-                *o = if active { v } else { 0.0 };
-            }
+        m.resize(xd.len(), false);
+    }
+    out.reset_for_overwrite(x.dims());
+    let od = out.data_mut();
+    // The clamp runs in LANES-wide chunks plus a scalar tail; elements are
+    // independent, so chunking cannot change results. Each chunk's mask
+    // goes through a register-sized array, so inference skips only its
+    // store.
+    let split = xd.len() - xd.len() % LANES;
+    let body = od[..split].chunks_exact_mut(LANES).zip(xd[..split].chunks_exact(LANES));
+    for (c, (oc, xc)) in body.enumerate() {
+        let mut active = [false; LANES];
+        for ((o, &v), a) in oc.iter_mut().zip(xc).zip(&mut active) {
+            *a = v > 0.0;
+            *o = if *a { v } else { 0.0 };
         }
-        let tail = od[split..].iter_mut().zip(&xd[split..]).zip(mask[split..].iter_mut());
-        for ((o, &v), m) in tail {
-            let active = v > 0.0;
-            *m = active;
-            *o = if active { v } else { 0.0 };
+        if let Some(m) = mask.as_deref_mut() {
+            m[c * LANES..(c + 1) * LANES].copy_from_slice(&active);
         }
+    }
+    for (i, (o, &v)) in od[split..].iter_mut().zip(&xd[split..]).enumerate() {
+        let active = v > 0.0;
+        *o = if active { v } else { 0.0 };
+        if let Some(m) = mask.as_deref_mut() {
+            m[split + i] = active;
+        }
+    }
+}
+
+impl Layer for Relu {
+    fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
+        let mut mask = self.mask.take().unwrap_or_else(|| std::mem::take(&mut self.spare_mask));
+        relu_into(x, out, Some(&mut mask));
         self.mask = Some(mask);
+    }
+
+    fn infer_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
+        relu_into(x, out, None);
     }
 
     fn backward_into(&mut self, dy: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {

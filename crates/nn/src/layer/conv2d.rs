@@ -136,6 +136,30 @@ impl Conv2d {
         (cols, dy_rows, rows)
     }
 
+    /// The forward computation shared by [`Layer::forward_into`] and
+    /// [`Layer::infer_into`]: im2col into `cols`, `cols · Wᵀ + b` into
+    /// `y_rows`, reshaped into `out`. Both buffers are fully rewritten, so
+    /// their previous shape and contents never matter.
+    fn forward_through(
+        &mut self,
+        x: &Tensor,
+        cols: &mut Tensor,
+        y_rows: &mut Tensor,
+        out: &mut Tensor,
+    ) {
+        let batch = x.dims()[0];
+        let rows = batch * self.geom.out_h * self.geom.out_w;
+        im2col_into(x, self.in_channels, &self.geom, cols).expect("Conv2d::forward: bad input");
+        // y_rows[(n,oh,ow), oc] = cols · Wᵀ — against the cached weight
+        // pack, rebuilt only after the weights change.
+        let v = tuned_variant(GemmOp::Nt, rows, self.ckk(), self.out_channels);
+        self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
+        ops::matmul_nt_packed_into(cols, &self.packed_wt, y_rows).expect("conv matmul");
+        ops::add_bias_rows(y_rows, &self.bias).expect("conv bias");
+        rows_to_nchw_into(y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
+            .expect("conv reshape");
+    }
+
     fn macs(&self, batch: usize) -> u64 {
         (batch
             * self.out_channels
@@ -160,20 +184,22 @@ impl Layer for Conv2d {
             Some(buf) => buf,
             None => ws.take(&[rows, self.ckk()]),
         };
-        im2col_into(x, self.in_channels, &self.geom, &mut cols)
-            .expect("Conv2d::forward: bad input");
-        // y_rows[(n,oh,ow), oc] = cols · Wᵀ — against the cached weight
-        // pack, rebuilt only after the weights change.
-        let v = tuned_variant(GemmOp::Nt, rows, self.ckk(), self.out_channels);
-        self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
         let mut y_rows = ws.take(&[rows, self.out_channels]);
-        ops::matmul_nt_packed_into(&cols, &self.packed_wt, &mut y_rows).expect("conv matmul");
-        ops::add_bias_rows(&mut y_rows, &self.bias).expect("conv bias");
-        rows_to_nchw_into(&y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
-            .expect("conv reshape");
+        self.forward_through(x, &mut cols, &mut y_rows, out);
         ws.give(y_rows);
         self.cached_cols = Some(cols);
         self.cached_batch = batch;
+    }
+
+    fn infer_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        // Both buffers come off the scratch stack and go straight back, so
+        // a walk over many convolutions reuses one patch matrix (grown to
+        // the largest) instead of keeping one per layer shape.
+        let mut cols = ws.take_scratch();
+        let mut y_rows = ws.take_scratch();
+        self.forward_through(x, &mut cols, &mut y_rows, out);
+        ws.give_scratch(y_rows);
+        ws.give_scratch(cols);
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {

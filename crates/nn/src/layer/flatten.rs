@@ -29,13 +29,17 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
+    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        self.infer_into(x, ws, out);
+        self.cached_dims.clear();
+        self.cached_dims.extend_from_slice(x.dims());
+    }
+
+    fn infer_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
         let dims = x.dims();
         assert!(dims.len() >= 2, "Flatten: input must be at least rank 2");
         let batch = dims[0];
         let rest: usize = dims[1..].iter().product();
-        self.cached_dims.clear();
-        self.cached_dims.extend_from_slice(dims);
         out.reset_for_overwrite(&[batch, rest]);
         out.data_mut().copy_from_slice(x.data());
     }

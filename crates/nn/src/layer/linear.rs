@@ -71,6 +71,15 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        self.infer_into(x, ws, out);
+        // Cache a copy of the input in a recycled buffer (the buffer
+        // returns to the workspace in `backward_into`).
+        let mut cache = self.cached_input.take().unwrap_or_else(|| ws.take(x.dims()));
+        cache.copy_from(x);
+        self.cached_input = Some(cache);
+    }
+
+    fn infer_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
         // The weight pack persists across calls until the optimizer or
         // `set_params` invalidates it — frozen sections and evaluation
         // loops reuse one pack across every batch.
@@ -79,11 +88,6 @@ impl Layer for Linear {
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("linear weight pack");
         ops::matmul_nt_packed_into(x, &self.packed_wt, out).expect("Linear::forward: bad input");
         ops::add_bias_rows(out, &self.bias).expect("linear bias");
-        // Cache a copy of the input in a recycled buffer (the buffer
-        // returns to the workspace in `backward_into`).
-        let mut cache = self.cached_input.take().unwrap_or_else(|| ws.take(x.dims()));
-        cache.copy_from(x);
-        self.cached_input = Some(cache);
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {

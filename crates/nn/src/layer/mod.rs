@@ -1,10 +1,11 @@
 //! Network layers.
 //!
 //! Every layer implements the object-safe [`Layer`] trait: a stateful
-//! `forward` that caches whatever `backward` will need, a `backward` that
-//! accumulates parameter gradients and returns the input gradient, access
-//! to parameters/gradients for the optimizer and for weight snapshots, and
-//! an analytic FLOP cost used by the simulation's timing model.
+//! `forward` that caches whatever `backward` will need, a cache-free
+//! `infer` for evaluation, a `backward` that accumulates parameter
+//! gradients and returns the input gradient, access to parameters/gradients
+//! for the optimizer and for weight snapshots, and an analytic FLOP cost
+//! used by the simulation's timing model.
 
 mod activation;
 mod conv2d;
@@ -41,6 +42,24 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// scratch from `ws`. In steady state (same input shape every call,
     /// warm workspace) the call performs no heap allocation.
     fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor);
+
+    /// The inference forward: writes the same bits into `out` as
+    /// [`Layer::forward_into`] — the same kernels in the same order — but
+    /// caches nothing for a backward pass.
+    ///
+    /// Contract: the only layer state it may write is parameter-derived
+    /// (the weight packs [`Layer::invalidate_param_caches`] drops), so a
+    /// pending backward cache from an earlier `forward_into` survives it.
+    /// Internal scratch comes off the workspace's LIFO scratch stack
+    /// ([`Workspace::take_scratch`]) and is given back before returning,
+    /// so one buffer serves every layer of a walk whatever its shape, and
+    /// a warm walk performs no heap allocation.
+    ///
+    /// The default calls `forward_into`, which is correct only for layers
+    /// that keep no backward cache; every layer in this crate overrides it.
+    fn infer_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        self.forward_into(x, ws, out);
+    }
 
     /// Back-propagates `dy`, accumulating parameter gradients, and writes
     /// the gradient with respect to the forward input into `out`, drawing
@@ -140,6 +159,32 @@ pub trait Layer: fmt::Debug + Send + Sync {
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// Which forward a walk over several layers runs through each of them:
+/// the caching [`Layer::forward_into`] or the cache-free
+/// [`Layer::infer_into`]. Composite layers and the model take one, so the
+/// two walks share one body and differ only in the call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pass {
+    Train,
+    Infer,
+}
+
+impl Pass {
+    /// Runs `layer`'s forward of this kind.
+    pub(crate) fn run<L: Layer + ?Sized>(
+        self,
+        layer: &mut L,
+        x: &Tensor,
+        ws: &mut Workspace,
+        out: &mut Tensor,
+    ) {
+        match self {
+            Pass::Train => layer.forward_into(x, ws, out),
+            Pass::Infer => layer.infer_into(x, ws, out),
+        }
     }
 }
 

@@ -48,10 +48,12 @@ impl MaxPool2d {
     pub fn out_hw(&self) -> (usize, usize) {
         (self.geom.out_h, self.geom.out_w)
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
+    /// Writes the window maxima into `out` and, when an `argmax` sink is
+    /// given, each maximum's flat input index (the sink is resized to the
+    /// output) — the one pooling loop behind both the training forward
+    /// and the cache-free inference forward.
+    fn pool_into(&self, x: &Tensor, out: &mut Tensor, mut argmax: Option<&mut Vec<usize>>) {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "MaxPool2d: NCHW input required");
         assert_eq!(
@@ -62,10 +64,10 @@ impl Layer for MaxPool2d {
         let (n, c) = (dims[0], dims[1]);
         let (oh, ow) = (self.geom.out_h, self.geom.out_w);
         out.reset_for_overwrite(&[n, c, oh, ow]);
-        let mut argmax =
-            self.cached_argmax.take().unwrap_or_else(|| std::mem::take(&mut self.spare_argmax));
-        argmax.clear();
-        argmax.resize(n * c * oh * ow, 0);
+        if let Some(argmax) = argmax.as_deref_mut() {
+            argmax.clear();
+            argmax.resize(n * c * oh * ow, 0);
+        }
         let src = x.data();
         let dst = out.data_mut();
         let hw = self.geom.in_h * self.geom.in_w;
@@ -90,14 +92,28 @@ impl Layer for MaxPool2d {
                         }
                         let out_idx = ((img * c + ch) * oh + oy) * ow + ox;
                         dst[out_idx] = best;
-                        argmax[out_idx] = best_idx;
+                        if let Some(argmax) = argmax.as_deref_mut() {
+                            argmax[out_idx] = best_idx;
+                        }
                     }
                 }
             }
         }
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
+        let mut argmax =
+            self.cached_argmax.take().unwrap_or_else(|| std::mem::take(&mut self.spare_argmax));
+        self.pool_into(x, out, Some(&mut argmax));
         self.cached_argmax = Some(argmax);
         self.cached_in_dims.clear();
-        self.cached_in_dims.extend_from_slice(dims);
+        self.cached_in_dims.extend_from_slice(x.dims());
+    }
+
+    fn infer_into(&mut self, x: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {
+        self.pool_into(x, out, None);
     }
 
     fn backward_into(&mut self, dy: &Tensor, _ws: &mut Workspace, out: &mut Tensor) {

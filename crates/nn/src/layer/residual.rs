@@ -4,7 +4,7 @@
 use aergia_tensor::{Tensor, Workspace};
 use rand::Rng;
 
-use super::{check_snapshot, Conv2d, Layer, Relu};
+use super::{check_snapshot, Conv2d, Layer, Pass, Relu};
 
 /// `y = relu(conv2(relu(conv1(x))) + proj(x))`.
 ///
@@ -61,31 +61,40 @@ impl ResidualBlock {
             forward_ran: false,
         }
     }
-}
 
-impl Layer for ResidualBlock {
-    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+    /// The block's forward, running `pass` through every sub-layer.
+    fn forward_with(&mut self, pass: Pass, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
         // Internal buffers come off the scratch stack: every one is fully
         // reset by the sub-layer it is handed to, and the LIFO discipline
         // keeps the same physical buffers in the same roles every batch.
         let mut main = ws.take_scratch();
-        self.conv1.forward_into(x, ws, &mut main);
+        pass.run(&mut self.conv1, x, ws, &mut main);
         let mut h = ws.take_scratch();
-        self.relu_mid.forward_into(&main, ws, &mut h);
-        self.conv2.forward_into(&h, ws, &mut main);
+        pass.run(&mut self.relu_mid, &main, ws, &mut h);
+        pass.run(&mut self.conv2, &h, ws, &mut main);
         // Skip path: `main += skip` matches the allocating `main.add(&skip)`
         // element order exactly.
         match &mut self.projection {
             Some(proj) => {
-                proj.forward_into(x, ws, &mut h);
+                pass.run(proj, x, ws, &mut h);
                 main.add_assign(&h);
             }
             None => main.add_assign(x),
         }
         ws.give_scratch(h);
-        self.forward_ran = true;
-        self.relu_out.forward_into(&main, ws, out);
+        pass.run(&mut self.relu_out, &main, ws, out);
         ws.give_scratch(main);
+    }
+}
+
+impl Layer for ResidualBlock {
+    fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        self.forward_with(Pass::Train, x, ws, out);
+        self.forward_ran = true;
+    }
+
+    fn infer_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
+        self.forward_with(Pass::Infer, x, ws, out);
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {

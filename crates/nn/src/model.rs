@@ -6,8 +6,8 @@ use std::time::Instant;
 
 use aergia_tensor::{Tensor, TensorError, Workspace};
 
-use crate::layer::Layer;
-use crate::loss::{cross_entropy, cross_entropy_into};
+use crate::layer::{Layer, Pass};
+use crate::loss::cross_entropy_into;
 use crate::optim::Sgd;
 use crate::profile::PhaseCost;
 
@@ -190,37 +190,52 @@ impl Cnn {
         &self.layers
     }
 
-    /// Forward pass through the whole network (inference).
+    /// Forward pass through the whole network (inference): the logits of
+    /// [`Cnn::forward_phase`], bit for bit, without leaving any backward
+    /// cache behind.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
-        }
-        h
+        let (logits, _) = self.infer_with(x, &mut Workspace::new());
+        logits
     }
 
     /// Computes loss and the number of correct predictions without
-    /// touching gradients.
+    /// touching gradients or backward caches.
     pub fn evaluate(&mut self, x: &Tensor, targets: &[usize]) -> (f32, usize) {
         self.evaluate_with(x, targets, &mut Workspace::new())
     }
 
     /// [`Cnn::evaluate`] backed by a caller-provided [`Workspace`], so an
-    /// evaluation loop reuses its activation and im2col buffers across
-    /// batches instead of reallocating them per call. The computation is
-    /// the same layer-by-layer forward either way, so both entry points
-    /// produce identical bits.
+    /// evaluation loop reuses its buffers across batches: once warm it
+    /// performs no heap allocation. It runs every layer's
+    /// [`Layer::infer_into`], whose scratch goes straight back to the
+    /// workspace's scratch stack, so the workspace holds a handful of
+    /// buffers however deep the model, and any backward cache a pending
+    /// [`ForwardPhase`] relies on is left alone. The loss and count are
+    /// bit-identical to [`Cnn::forward_phase`] followed by
+    /// [`cross_entropy`](crate::loss::cross_entropy).
     pub fn evaluate_with(
         &mut self,
         x: &Tensor,
         targets: &[usize],
         ws: &mut Workspace,
     ) -> (f32, usize) {
-        let fwd = self.forward_phase(x, ws);
-        let out = cross_entropy(&fwd.a, targets);
-        ws.give_scratch(fwd.b);
-        ws.give_scratch(fwd.a);
-        (out.loss, out.correct)
+        let (logits, mut spare) = self.infer_with(x, ws);
+        // The logits gradient lands in the spare activation buffer and is
+        // discarded.
+        let stats = cross_entropy_into(&logits, targets, &mut spare);
+        ws.give_scratch(spare);
+        ws.give_scratch(logits);
+        (stats.loss, stats.correct)
+    }
+
+    /// The inference walk: every layer's [`Layer::infer_into`] over two
+    /// ping-pong scratch buffers, returned as `(logits, spare)`; the
+    /// caller gives both back to `ws`.
+    fn infer_with(&mut self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+        let mut a = ws.take_scratch();
+        let mut b = ws.take_scratch();
+        walk(&mut self.layers, Some(x), &mut a, &mut b, ws, Pass::Infer);
+        (a, b)
     }
 
     /// Runs one full training step (the four phases plus the optimizer
@@ -289,40 +304,24 @@ impl Cnn {
     }
 
     /// The forward half of [`Cnn::train_batch_with`] (phases ff and fc),
-    /// returning the in-flight [`ForwardPhase`]. Split out for
-    /// [`Cnn::evaluate_with`], which stops here, and for the benchmark's
-    /// probes, which time the two halves apart; followed by
+    /// returning the in-flight [`ForwardPhase`]. Split out for the
+    /// benchmark's probes, which time the two halves apart; followed by
     /// [`Cnn::backward_phase`] it is bit-identical to the unsplit loop.
     pub fn forward_phase(&mut self, x: &Tensor, ws: &mut Workspace) -> ForwardPhase {
         let batch = x.dims().first().copied().unwrap_or(0);
         let split = self.split;
-        // Activations ping-pong between two scratch buffers: each layer
-        // writes `b` from `a`, then the buffers swap, so the latest value
-        // is always in `a` and no layer output is ever reallocated.
         let mut a = ws.take_scratch();
         let mut b = ws.take_scratch();
 
         // Phase 1: ff.
         let t = Instant::now();
-        let mut first = true;
-        for layer in &mut self.layers[..split] {
-            if first {
-                layer.forward_into(x, ws, &mut a);
-                first = false;
-            } else {
-                layer.forward_into(&a, ws, &mut b);
-                std::mem::swap(&mut a, &mut b);
-            }
-        }
+        walk(&mut self.layers[..split], Some(x), &mut a, &mut b, ws, Pass::Train);
         let ff = t.elapsed().as_secs_f64();
 
         // Phase 2: fc (the split is validated to be ≥ 1, so `a` holds the
         // feature activations here).
         let t = Instant::now();
-        for layer in &mut self.layers[split..] {
-            layer.forward_into(&a, ws, &mut b);
-            std::mem::swap(&mut a, &mut b);
-        }
+        walk(&mut self.layers[split..], None, &mut a, &mut b, ws, Pass::Train);
         let fc = t.elapsed().as_secs_f64();
         ForwardPhase { a, b, batch, ff, fc }
     }
@@ -498,10 +497,35 @@ impl Cnn {
     }
 }
 
+/// Runs `pass` through `layers` over the ping-pong pair `a`/`b`, leaving
+/// the latest activation in `a`: each layer writes `b` from `a`, then the
+/// buffers swap, so no layer output is ever reallocated. The first layer
+/// reads `x` instead (and writes `a` directly) when one is given.
+fn walk(
+    layers: &mut [Box<dyn Layer>],
+    mut x: Option<&Tensor>,
+    a: &mut Tensor,
+    b: &mut Tensor,
+    ws: &mut Workspace,
+    pass: Pass,
+) {
+    for layer in layers {
+        match x.take() {
+            Some(x) => pass.run(layer.as_mut(), x, ws, a),
+            None => {
+                pass.run(layer.as_mut(), a, ws, b);
+                std::mem::swap(a, b);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layer::{Conv2d, Flatten, Linear, MaxPool2d, Relu};
+    use crate::loss::cross_entropy;
+    use crate::models::ModelArch;
     use crate::optim::{Sgd, SgdConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -661,5 +685,84 @@ mod tests {
         let (loss, correct) = model.evaluate(&x, &y);
         assert!(loss.is_finite());
         assert!(correct <= y.len());
+    }
+
+    /// A random input batch of `batch` samples shaped for `arch`, with
+    /// targets spread over its classes.
+    fn arch_batch(arch: ModelArch, batch: usize, seed: u64) -> (Tensor, Vec<usize>) {
+        let (c, h, w) = match arch {
+            ModelArch::MnistCnn | ModelArch::FmnistCnn => (1, 28, 28),
+            _ => (3, 32, 32),
+        };
+        let mut x = Tensor::zeros(&[batch, c, h, w]);
+        aergia_tensor::init::normal(&mut x, &mut StdRng::seed_from_u64(seed), 0.0, 1.0);
+        (x, (0..batch).map(|i| (3 * i + 1) % arch.num_classes()).collect())
+    }
+
+    fn bits<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> Vec<u32> {
+        tensors.into_iter().flat_map(|t| t.data().iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// The inference walk behind `evaluate_with` and `forward` carries the
+    /// training forward's bits — logits, loss and correct count — for
+    /// every architecture, at batch sizes with ragged GEMM tiles.
+    #[test]
+    fn inference_forward_equals_the_training_forward() {
+        for arch in ModelArch::ALL {
+            let mut model = arch.build(3);
+            let mut ws = Workspace::new();
+            for batch in [1, 3, 16] {
+                let (x, y) = arch_batch(arch, batch, batch as u64);
+                let fwd = model.forward_phase(&x, &mut ws);
+                let train = cross_entropy(&fwd.a, &y);
+                let logits = model.forward(&x);
+                assert_eq!(bits([&logits]), bits([&fwd.a]), "{arch} logits, batch {batch}");
+                ws.give_scratch(fwd.b);
+                ws.give_scratch(fwd.a);
+                let (loss, correct) = model.evaluate_with(&x, &y, &mut ws);
+                assert_eq!(
+                    (loss.to_bits(), correct),
+                    (train.loss.to_bits(), train.correct),
+                    "{arch} loss and count, batch {batch}"
+                );
+            }
+        }
+    }
+
+    /// Evaluating on the training workspace between steps — and between a
+    /// forward phase and its backward phase, or while a frozen feature
+    /// section leaves its im2col caches unconsumed — ends with the weights
+    /// of a run that never evaluated: the inference walk cannot disturb a
+    /// pending backward cache.
+    #[test]
+    fn evaluation_between_training_steps_moves_no_weight() {
+        for arch in ModelArch::ALL {
+            let (x, y) = arch_batch(arch, 4, 11);
+            // A different batch size, so any cache it overwrote would
+            // change shape and fail loudly rather than subtly.
+            let (xe, ye) = arch_batch(arch, 3, 12);
+            let run = |evaluate: bool| {
+                let mut model = arch.build(5);
+                let mut opt = Sgd::new(SgdConfig::default());
+                let mut ws = Workspace::new();
+                let eval = |model: &mut Cnn, ws: &mut Workspace| {
+                    if evaluate {
+                        model.evaluate_with(&xe, &ye, ws);
+                    }
+                };
+                model.train_batch_with(&x, &y, &mut opt, &mut ws).unwrap();
+                eval(&mut model, &mut ws);
+                let fwd = model.forward_phase(&x, &mut ws);
+                eval(&mut model, &mut ws);
+                model.backward_phase(fwd, &y, &mut opt, &mut ws).unwrap();
+                model.freeze_features();
+                model.train_batch_with(&x, &y, &mut opt, &mut ws).unwrap();
+                eval(&mut model, &mut ws);
+                model.unfreeze_features();
+                model.train_batch_with(&x, &y, &mut opt, &mut ws).unwrap();
+                model.weights()
+            };
+            assert_eq!(bits(&run(true)), bits(&run(false)), "{arch}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! This binary installs a counting global allocator and asserts exactly
 //! that: after a warm-up pass, whole batches — data loading, all four
 //! training phases across every layer type, the fused SGD update — run at
-//! **zero** allocations.
+//! **zero** allocations. The same holds for a warm `Cnn::evaluate_with`.
 //!
 //! Everything lives in one `#[test]` because the counter is process-global:
 //! concurrent tests would pollute each other's deltas.
@@ -22,6 +22,7 @@
 use aergia_data::batcher::Batcher;
 use aergia_data::{DataConfig, DatasetSpec};
 use aergia_nn::layer::{Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, ResidualBlock};
+use aergia_nn::models::ModelArch;
 use aergia_nn::optim::{Sgd, SgdConfig};
 use aergia_nn::Cnn;
 use aergia_runtime::alloc_count::CountingAllocator;
@@ -67,6 +68,10 @@ fn run_batches(
 
 #[test]
 fn steady_state_training_loop_is_allocation_free() {
+    // Before the global pool's first use: the CIFAR evaluation below runs
+    // GEMMs above the parallel threshold, and a parallel GEMM allocates
+    // one helper job per extra pool thread.
+    std::env::set_var("AERGIA_THREADS", "1");
     let (train, _) =
         DataConfig { spec: DatasetSpec::MnistLike, train_size: 24, test_size: 4, seed: 5 }
             .generate_pair();
@@ -133,4 +138,30 @@ fn steady_state_training_loop_is_allocation_free() {
         0,
         "all-layer model with momentum + weight decay + FedProx must not allocate"
     );
+
+    // Evaluation: a warm `evaluate_with` allocates nothing, and because
+    // the inference forward hands every scratch buffer straight back, the
+    // three-layer MNIST CNN and the eight-layer CIFAR CNN leave the same
+    // number of buffers pooled — eval scratch does not grow with depth.
+    let mut pooled = Vec::new();
+    for arch in [ModelArch::MnistCnn, ModelArch::Cifar10Cnn] {
+        let mut model = arch.build(31);
+        let (c, hw) = if arch == ModelArch::MnistCnn { (1, 28) } else { (3, 32) };
+        let mut ex = Tensor::zeros(&[4, c, hw, hw]);
+        aergia_tensor::init::normal(&mut ex, &mut StdRng::seed_from_u64(32), 0.0, 1.0);
+        let ey = vec![0usize, 3, 5, 9];
+        let mut ws = Workspace::new();
+        model.evaluate_with(&ex, &ey, &mut ws);
+        let before = ALLOC.thread_allocations();
+        for _ in 0..3 {
+            model.evaluate_with(&ex, &ey, &mut ws);
+        }
+        assert_eq!(
+            ALLOC.thread_allocations() - before,
+            0,
+            "{arch}: warm evaluation must not allocate"
+        );
+        pooled.push(ws.pooled());
+    }
+    assert_eq!(pooled[0], pooled[1], "eval scratch grew with depth (MNIST vs CIFAR CNN)");
 }
