@@ -15,12 +15,13 @@
 //! accuracy curves are meaningful; in [`Mode::Timing`] only the virtual
 //! clock advances (for the timing-shape figures).
 //!
-//! Real-mode rounds execute the participating clients' local training
+//! A round runs in three stages (the `round` module): a value-free plan
+//! on the virtual clock, then — real mode only — the numeric execution of
+//! that plan and the fold. Execution trains the participating clients
 //! concurrently on the [`aergia_runtime`] thread pool (see the
-//! `round` module for the plan/execute split and the
-//! [`crate::config::ExperimentConfig::parallelism`] knob); aggregation
-//! folds the results in fixed client order, so parallel runs are
-//! bit-identical to serial ones.
+//! [`crate::config::ExperimentConfig::parallelism`] knob); the fold takes
+//! the results in fixed client order, so parallel runs are bit-identical
+//! to serial ones.
 
 mod checkpoint;
 mod churn;
@@ -38,7 +39,6 @@ use aergia_data::batcher::Batcher;
 use aergia_data::partition::Partition;
 use aergia_data::synth::Dataset;
 use aergia_enclave::{establish_session, EnclaveError, SimilarityEnclave, SimilarityView};
-use aergia_nn::optim::Sgd;
 use aergia_nn::profile::PhaseCost;
 use aergia_nn::{Cnn, NnError};
 use aergia_simnet::node::BASE_FLOPS;
@@ -48,14 +48,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{ClientStateMode, ConfigError, ExperimentConfig, Mode};
-use crate::fold;
 use crate::metrics::{RoundRecord, RunResult};
-use crate::scenario::{self, AggregationMode, RobustAggregation};
+use crate::scenario;
 use crate::strategy::Strategy;
 use crate::transport::{self, ClientWorkspace, InProcess, Transport, TransportError};
 
 pub use checkpoint::{put_batcher, read_batcher, CheckpointError, RunProgress};
-pub(crate) use round::RoundOutcome;
 
 /// Errors surfaced while constructing or running an experiment.
 #[derive(Debug)]
@@ -626,9 +624,9 @@ impl Engine {
         Ok(self.finish_run(progress))
     }
 
-    /// Runs a single round: selects participants, simulates the event
-    /// trace, executes the numeric training through `transport` and
-    /// aggregates.
+    /// Runs a single round: selects participants, broadcasts the global
+    /// model, plans the round on the virtual clock and — in real mode —
+    /// executes the plan through `transport` and folds the result.
     fn run_round_with(
         &mut self,
         round: u32,
@@ -663,19 +661,51 @@ impl Engine {
             self.pool.begin_round(&participants, |id| make_batcher(partition, config, id));
         }
         let bytes_before = self.network.bytes_delivered();
-        let mut outcome =
-            round::simulate_round(self, round, *now, &participants, &crash_plan, transport)?;
-        let fold_span = aergia_telemetry::span!("round.fold", round = round);
-        let duration = self.finalize_round(round, &mut outcome)?;
-        drop(fold_span);
+
+        // Frame sizes for this round, from shapes and codec policy alone,
+        // so the plan can charge transfers before any value exists. Taken
+        // before the broadcast, which moves the stream past its keyframe.
+        let sizes = self.wire.round_sizes();
+        // The broadcast frame is real (its encoded length must match the
+        // size the clock is charged), and its reconstruction — identical
+        // for every receiver — becomes the round base all other streams
+        // diff against. Timing mode only advances the stream position.
+        let broadcast_span = aergia_telemetry::span!("round.broadcast", round = round);
+        let round_base = match self.config.mode {
+            Mode::Real => {
+                let (frame, base) = self.wire.broadcast(&self.global);
+                debug_assert_eq!(frame.wire_len(), sizes.start_round, "broadcast size drifted");
+                Some(base)
+            }
+            Mode::Timing => {
+                self.wire.note_broadcast();
+                None
+            }
+        };
+        drop(broadcast_span);
+        let mut plan = round::plan(self, round, *now, &participants, &crash_plan, sizes);
+        let train_loss = match round_base {
+            Some(base) => {
+                let trained = round::execute(self, &plan, &base, transport)?;
+                let train_loss = trained.mean_loss();
+                round::fold_round(self, &mut plan, trained)?;
+                train_loss
+            }
+            // Timing mode runs the plan only. Its fold is empty, but the
+            // span stays, so both modes emit the same span tree.
+            None => {
+                drop(aergia_telemetry::span!("round.fold", round = round));
+                f64::NAN
+            }
+        };
         let bytes_on_wire = self.network.bytes_delivered() - bytes_before;
-        *now += duration;
+        *now += plan.duration;
         aergia_telemetry::set_virtual_now(now.as_micros());
 
         let eval_span = aergia_telemetry::span!("round.eval", round = round);
-        let (test_accuracy, train_loss) = match self.config.mode {
-            Mode::Real => (self.evaluate_global(), outcome.mean_loss()),
-            Mode::Timing => (f64::NAN, f64::NAN),
+        let test_accuracy = match self.config.mode {
+            Mode::Real => self.evaluate_global(),
+            Mode::Timing => f64::NAN,
         };
         self.last_accuracy = Some(test_accuracy);
         drop(eval_span);
@@ -690,14 +720,17 @@ impl Engine {
         let pool = self.pool.stats();
         drop(round_span);
 
+        // The record outlives the round: it takes exact-size copies, not
+        // the walk's grown buffers (at 4 096 clients over 40 rounds those
+        // would add half a MiB of slack to the peak footprint).
         Ok(RoundRecord {
             round,
-            duration,
+            duration: plan.duration,
             test_accuracy,
             train_loss,
             participants,
-            offloads: outcome.offload_pairs(),
-            dropped: outcome.dropped.clone(),
+            offloads: plan.offloads.clone(),
+            dropped: plan.dropped.clone(),
             bytes_on_wire,
             pool,
         })
@@ -723,104 +756,6 @@ impl Engine {
                 ids
             }
         }
-    }
-
-    /// Applies the strategy's aggregation rule to the round's arrivals
-    /// (moving their snapshots out of `outcome`) and returns the round
-    /// duration.
-    fn finalize_round(
-        &mut self,
-        round: u32,
-        outcome: &mut RoundOutcome,
-    ) -> Result<SimDuration, EngineError> {
-        let duration = outcome.duration();
-
-        if self.config.mode == Mode::Timing {
-            return Ok(duration);
-        }
-        self.last_accuracy = None;
-
-        // Deadline strategies drop updates that arrived too late.
-        let cutoff = outcome.start + duration;
-        let mut updates: Vec<fold::Update> = Vec::new();
-        for update in std::mem::take(&mut outcome.updates) {
-            if update.arrived > cutoff {
-                continue;
-            }
-            // `None` weights past the event stage mean the transport lost
-            // this client mid-round: it is already in the dropped set, so
-            // it simply does not contribute.
-            let Some(mut weights) = update.weights else { continue };
-            // Aergia recombination: feature layers from the strong client,
-            // classifier from the straggler (§3.3 "Model aggregation").
-            if let Some(features) = outcome.offload_features_for(update.client) {
-                if let Some(arrival) = outcome.offload_arrival_for(update.client) {
-                    if arrival <= cutoff {
-                        let k = self.wire.feature_tensors;
-                        for (expected, got) in
-                            [(self.global.len(), weights.len()), (k, features.len())]
-                        {
-                            if got != expected {
-                                return Err(NnError::SnapshotLength { expected, got }.into());
-                            }
-                        }
-                        weights[..k].clone_from_slice(features);
-                    }
-                }
-            }
-            updates.push(fold::Update {
-                client: update.client,
-                edge: self.cohorts.edge_of(update.client),
-                n: update.num_samples as f32,
-                tau: update.tau,
-                arrived: update.arrived,
-                weights,
-            });
-        }
-
-        if updates.is_empty() {
-            // Every update missed the deadline (or every participant was
-            // lost): the global model stalls.
-            return Ok(duration);
-        }
-
-        let rule = match (self.config.scenario.aggregation, self.config.scenario.robust) {
-            (AggregationMode::BufferedAsync { max_staleness, mixing }, _) => {
-                fold::Rule::BufferedAsync { start: outcome.start, max_staleness, mixing }
-            }
-            (AggregationMode::Synchronous, RobustAggregation::Mean) => match self.strategy {
-                Strategy::FedNova => fold::Rule::Mean(fold::Mean::FedNova),
-                _ => fold::Rule::Mean(fold::Mean::Weighted),
-            },
-            (AggregationMode::Synchronous, RobustAggregation::CoordinateMedian) => {
-                telemetry::record_robust_fold(round, "coordinate_median", updates.len());
-                fold::Rule::CoordinateMedian
-            }
-            (AggregationMode::Synchronous, RobustAggregation::TrimmedMean { trim_ratio }) => {
-                telemetry::record_robust_fold(round, "trimmed_mean", updates.len());
-                fold::Rule::TrimmedMean { trim_ratio }
-            }
-        };
-        // Per-edge folds fan out on the thread pool unless the run is
-        // pinned fully serial (each edge's chain is one task, so
-        // scheduling cannot change bits).
-        let parallel = self.config.parallelism != 1;
-        fold::aggregate(rule, &mut self.global, updates, self.cohorts.num_edges(), parallel);
-        Ok(duration)
-    }
-
-    /// Builds a fresh optimizer for a client's local round. FedProx
-    /// installs `anchor` — the round's *received* (codec-decoded) global
-    /// weights, which is what a real client would anchor to — as the
-    /// proximal term's reference point.
-    pub(crate) fn make_optimizer(&self, anchor: &[Tensor]) -> Sgd {
-        transport::round_optimizer(&self.config, &self.strategy, anchor)
-    }
-
-    /// Encodes the round's global-model broadcast (split borrow helper:
-    /// the wire state and the global snapshot are disjoint fields).
-    pub(crate) fn broadcast_global(&mut self) -> (aergia_codec::Frame, Vec<Tensor>) {
-        self.wire.broadcast(&self.global)
     }
 
     /// Test accuracy of the current global model, computed afresh on
@@ -870,14 +805,6 @@ impl Engine {
         });
         let correct: usize = active.iter().map(|shard| shard.correct).sum();
         correct as f64 / n as f64
-    }
-
-    /// The per-round deadline, if the strategy imposes one.
-    pub(crate) fn deadline(&self) -> Option<SimDuration> {
-        match self.strategy {
-            Strategy::DeadlineFedAvg { deadline } => Some(deadline),
-            _ => None,
-        }
     }
 
     /// Current global weights (snapshot).

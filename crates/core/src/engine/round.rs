@@ -1,58 +1,131 @@
-//! Event-driven simulation of one communication round.
+//! One communication round in three stages: plan → execute → fold.
 //!
 //! This module encodes the client and federator state machines of §3.3:
 //! model download → early training with online profiling → centralized
-//! scheduling → freezing/offloading → aggregation-ready uploads. All
-//! message transfers go through the simulated network with explicit byte
-//! sizes; all compute advances the virtual clock through the per-client
-//! phase cost model.
+//! scheduling → freezing/offloading → aggregation-ready uploads.
 //!
-//! # Plan, then execute
+//! * [`plan`] walks the round on the virtual clock. Every message goes
+//!   through the simulated network with its exact frame size, and all
+//!   compute advances the clock through the per-client phase cost model.
+//!   It runs the profiler, Aergia's scheduler, churn crashes and the
+//!   deadline, and it reads no tensor: its timing depends only on phase
+//!   costs and the network, never on gradient values. It returns a
+//!   [`RoundPlan`]: each participant's [`ClientPlan`] (how many local
+//!   batches, after which batch the feature section froze, which offload
+//!   it serves), the activated offload pairs, the arrival stamp of every
+//!   reply, the capped duration and the dropped set. Timing mode runs
+//!   this stage only.
+//! * [`execute`] hands the numeric work the plan describes to the round's
+//!   [`Transport`]. The *own-training pass* trains every participant's
+//!   own batches ([`TrainOrder`]); after the engine pushes the straggler
+//!   snapshots through the wire codec, the *offload pass* trains the
+//!   receivers' offloaded batches ([`OffloadOrder`]). The default
+//!   [`InProcess`](crate::transport::InProcess) transport runs orders
+//!   concurrently on the [`aergia_runtime`] thread pool, bounded by
+//!   [`crate::config::ExperimentConfig::parallelism`]; `aergia-net`'s TCP
+//!   transport ships them to remote worker processes instead.
+//! * [`fold_round`] applies the plan's cutoff, drops the clients the
+//!   transport lost, recombines Aergia's offloaded feature sections and
+//!   aggregates through [`fold::aggregate`].
 //!
-//! The round runs in two stages. The *event stage* walks the virtual
-//! clock exactly as before but carries no tensors: its timing depends
-//! only on the per-client phase costs and the network model, never on
-//! the gradient values, so it can run first and record a [`ClientPlan`]
-//! per client — how many local batches ran, after which batch the
-//! feature section froze, and which offloaded model was trained for how
-//! many batches. The *execution stage* (real mode only) then hands the
-//! numeric work those plans describe to the round's
-//! [`Transport`](crate::transport::Transport): first every participant's
-//! own batches ([`crate::transport::TrainOrder`]), then — after the
-//! engine pushes the straggler snapshots through the wire codec — the
-//! receiver-side offloaded batches
-//! ([`crate::transport::OffloadOrder`]). The default
-//! [`InProcess`](crate::transport::InProcess) transport executes orders
-//! concurrently on the [`aergia_runtime`] thread pool, bounded by
-//! [`crate::config::ExperimentConfig::parallelism`]; `aergia-net`'s TCP
-//! transport ships them to remote worker processes instead.
-//!
-//! Results are folded back in fixed client order, which makes a parallel
-//! round **bit-identical** to a serial one: the workspace determinism
-//! suite asserts equality of per-round losses, accuracies and final
-//! weights across `parallelism` settings. A transport may *omit* a
-//! reply (a real client crashing mid-upload): the round then completes
-//! with the remaining participants and the silent client joins the
-//! dropped set.
+//! Replies are folded in fixed client order, which makes a parallel round
+//! **bit-identical** to a serial one: the workspace determinism suite
+//! asserts equality of per-round losses, accuracies and final weights
+//! across `parallelism` settings. A transport may *omit* a reply (a real
+//! client crashing mid-upload): the round then completes with the
+//! remaining participants and the silent client joins the dropped set.
 
 use std::collections::{HashMap, HashSet};
 
-use aergia_nn::optim::Sgd;
+use aergia_enclave::SimilarityView;
+use aergia_nn::NnError;
 use aergia_simnet::network::Delivery;
-use aergia_simnet::{EventQueue, NodeId, SimDuration, SimTime};
+use aergia_simnet::{EventQueue, Network, NodeId, SimDuration, SimTime};
 use aergia_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::Mode;
+use crate::fold;
 use crate::messages::{Message, RoundWireSizes, SignedAssignment};
 use crate::profiler::{OnlineProfiler, ProfileReport};
-use crate::scenario::{Attack, OffloadPolicy};
-use crate::scheduler::{self, ClientPerf};
+use crate::scenario::{AggregationMode, Attack, OffloadPolicy, RobustAggregation};
+use crate::scheduler::{self, ClientPerf, OpVariant};
 use crate::strategy::Strategy;
-use crate::transport::{OffloadOrder, RoundContext, TrainOrder, Transport};
+use crate::transport::{self, OffloadOrder, RoundContext, TrainOrder, Transport};
 
-use super::{telemetry, Engine, EngineError};
+use super::{telemetry, ClientNode, Engine, EngineError};
+
+/// A round as the virtual clock played it: everything the execute and
+/// fold stages need to know, and no value.
+#[derive(Debug)]
+pub(crate) struct RoundPlan {
+    round: u32,
+    start: SimTime,
+    /// From the round's start to the last message the federator waits
+    /// for (§2.4), capped by the strategy's deadline.
+    pub(crate) duration: SimDuration,
+    /// The frame sizes the walk charged, from shapes and codec policy
+    /// alone; the execute stage's real frames must match them.
+    sizes: RoundWireSizes,
+    /// Each participant's numeric work, in participant order.
+    clients: Vec<ClientPlan>,
+    /// Every update the federator received, in arrival order.
+    updates: Vec<UpdateArrival>,
+    /// When each straggler's trained feature section reached the
+    /// federator. A receiver that crashes sends none, so a straggler's
+    /// section comes from one receiver at most.
+    offload_results: HashMap<usize, SimTime>,
+    /// Sender → receiver pairs whose offload was activated, in order.
+    pub(crate) offloads: Vec<(usize, usize)>,
+    /// Participants whose update did not reach the federator by the
+    /// cutoff, in participant order. The fold stage adds the clients the
+    /// transport lost.
+    pub(crate) dropped: Vec<usize>,
+}
+
+impl RoundPlan {
+    /// Whether a message that reached the federator at `at` made the
+    /// round's cutoff.
+    fn on_time(&self, at: SimTime) -> bool {
+        at <= self.start + self.duration
+    }
+}
+
+/// The numeric work one participant performs in the round, as the event
+/// trace dictates.
+#[derive(Debug, Clone, Copy)]
+struct ClientPlan {
+    client: usize,
+    /// Local batches trained on the client's own shard.
+    own_batches: u32,
+    /// Freeze the feature section before this (0-based) batch index.
+    freeze_after: Option<u32>,
+    /// Whether another client trains this client's frozen snapshot (so the
+    /// snapshot must be captured at the freeze point).
+    snapshot_wanted: bool,
+    /// Offloaded training this client performs for a straggler.
+    offload: Option<OffloadPlan>,
+}
+
+/// Receiver-side offload work: train `weak`'s frozen model for `batches`.
+#[derive(Debug, Clone, Copy)]
+struct OffloadPlan {
+    weak: usize,
+    batches: u32,
+}
+
+/// One client update as received by the federator.
+#[derive(Debug, Clone, Copy)]
+struct UpdateArrival {
+    client: usize,
+    num_samples: usize,
+    tau: u32,
+    arrived: SimTime,
+}
+
+// ---------------------------------------------------------------------------
+// Plan
+// ---------------------------------------------------------------------------
 
 /// Where an event is delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,67 +142,6 @@ enum Ev {
     OffloadBatchDone(usize),
 }
 
-/// One client update as received by the federator.
-#[derive(Debug, Clone)]
-pub(crate) struct UpdateArrival {
-    pub(crate) client: usize,
-    pub(crate) weights: Option<Vec<Tensor>>,
-    pub(crate) num_samples: usize,
-    pub(crate) tau: u32,
-    pub(crate) arrived: SimTime,
-}
-
-/// A trained offloaded feature section as received by the federator.
-#[derive(Debug, Clone)]
-pub(crate) struct OffloadResultArrival {
-    pub(crate) weak: usize,
-    pub(crate) features: Option<Vec<Tensor>>,
-    pub(crate) arrived: SimTime,
-}
-
-/// Everything the federator observed during one round.
-#[derive(Debug, Clone)]
-pub struct RoundOutcome {
-    pub(crate) start: SimTime,
-    pub(crate) duration: SimDuration,
-    pub(crate) updates: Vec<UpdateArrival>,
-    pub(crate) offload_results: Vec<OffloadResultArrival>,
-    pub(crate) offloads_activated: Vec<(usize, usize)>,
-    pub(crate) dropped: Vec<usize>,
-    pub(crate) losses: Vec<f32>,
-}
-
-impl RoundOutcome {
-    /// Sender→receiver pairs whose offload actually took place.
-    pub fn offload_pairs(&self) -> Vec<(usize, usize)> {
-        self.offloads_activated.clone()
-    }
-
-    /// Mean local training loss over all batches of the round.
-    pub fn mean_loss(&self) -> f64 {
-        if self.losses.is_empty() {
-            return f64::NAN;
-        }
-        self.losses.iter().map(|&l| f64::from(l)).sum::<f64>() / self.losses.len() as f64
-    }
-
-    /// Trained feature weights for `client`'s model, if a strong client
-    /// returned them this round.
-    pub(crate) fn offload_features_for(&self, client: usize) -> Option<&Vec<Tensor>> {
-        self.offload_results.iter().find(|r| r.weak == client).and_then(|r| r.features.as_ref())
-    }
-
-    /// Arrival time of the offloaded features for `client`.
-    pub(crate) fn offload_arrival_for(&self, client: usize) -> Option<SimTime> {
-        self.offload_results.iter().find(|r| r.weak == client).map(|r| r.arrived)
-    }
-
-    /// The round duration (already deadline-capped).
-    pub fn duration(&self) -> SimDuration {
-        self.duration
-    }
-}
-
 /// Per-round, per-client state machine (virtual time only — the numeric
 /// training it implies is captured in the [`ClientPlan`]).
 struct RClient {
@@ -139,6 +151,7 @@ struct RClient {
     frozen: bool,
     /// Number of own batches completed when the freeze instruction landed.
     frozen_at: Option<u32>,
+    /// The client's update has left for the federator.
     own_done: bool,
     // Receiver-side offload state.
     notice: Option<SignedAssignment>,
@@ -173,6 +186,16 @@ impl RClient {
             batches_total: 0,
         }
     }
+
+    /// The offload this client completed for a straggler, if any. A
+    /// crashed receiver's partial feature training is censored with it —
+    /// and must not consume the straggler's snapshot, which a rescheduled
+    /// receiver may still need.
+    fn surviving_offload(&self) -> Option<OffloadPlan> {
+        self.offload_from
+            .filter(|_| self.offload_batches_run > 0 && !self.crashed)
+            .map(|weak| OffloadPlan { weak, batches: self.offload_batches_run })
+    }
 }
 
 /// Sparse per-round client table. Only clients the round's events touch
@@ -204,423 +227,296 @@ impl std::ops::IndexMut<usize> for RTable {
     }
 }
 
-/// Advances `rc`'s batch clock by one event; returns `true` (marking the
-/// client crashed) when the churn crash point is reached. The fatal
-/// batch's work is lost — counters are not advanced past the crash.
-fn crashes_now(threshold: Option<u32>, rc: &mut RClient) -> bool {
-    let next = rc.batches_total + 1;
-    if threshold.is_some_and(|n| next >= n) {
-        rc.crashed = true;
-        rc.active = false;
-        true
-    } else {
-        rc.batches_total = next;
-        false
-    }
-}
-
-/// The numeric work one client must perform for the round, as dictated by
-/// the event trace.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClientPlan {
-    /// Local batches trained on the client's own shard.
-    own_batches: u32,
-    /// Freeze the feature section before this (0-based) batch index.
-    freeze_after: Option<u32>,
-    /// Whether another client trains this client's frozen snapshot (so the
-    /// snapshot must be captured at the freeze point).
-    snapshot_wanted: bool,
-    /// Offloaded training this client performs for a straggler.
-    offload: Option<OffloadPlan>,
-}
-
-/// Receiver-side offload work: train `weak`'s frozen model for `batches`.
-#[derive(Debug, Clone, Copy)]
-struct OffloadPlan {
-    weak: usize,
-    batches: u32,
-}
-
 fn node(id: usize) -> NodeId {
     NodeId(id as u32)
 }
 
-/// Simulates one round and returns what the federator observed. The
-/// numeric training dictated by the event trace executes through
-/// `transport` (real mode only).
-pub(crate) fn simulate_round(
+/// The plan stage's state: the event queue, every touched client's state
+/// machine, and what the federator has seen so far. It borrows the
+/// engine's network and cluster model, never a weight.
+struct Walk<'a> {
+    round: u32,
+    participants: &'a [usize],
+    crash_after: &'a [Option<u32>],
+    sizes: RoundWireSizes,
+    nodes: &'a [ClientNode],
+    network: &'a mut Network,
+    similarity: &'a SimilarityView,
+    federator_secret: u64,
+    local_updates: u32,
+    /// Aergia's profile window in batches; 0 (never schedule) otherwise.
+    profile_window: u32,
+    similarity_factor: f64,
+    op_variant: OpVariant,
+    /// Whether the churn policy re-assigns a crashed receiver's offload.
+    reschedule: bool,
+    queue: EventQueue<Ev>,
+    clients: RTable,
+    reports: HashMap<usize, ProfileReport>,
+    schedule_sent: bool,
+    updates: Vec<UpdateArrival>,
+    offload_results: HashMap<usize, SimTime>,
+    offloads: Vec<(usize, usize)>,
+}
+
+/// The plan stage: walks round `round` on the virtual clock from `start`
+/// — `participants` with their churn crash points `crash_after` (one slot
+/// per cluster client), every transfer charged from `sizes` — and returns
+/// what the walk dictates.
+pub(crate) fn plan(
     engine: &mut Engine,
     round: u32,
     start: SimTime,
     participants: &[usize],
     crash_after: &[Option<u32>],
-    transport: &mut dyn Transport,
-) -> Result<RoundOutcome, EngineError> {
-    let mode = engine.config.mode;
+    sizes: RoundWireSizes,
+) -> RoundPlan {
     let local_updates = engine.config.local_updates;
-    let reschedule_policy = engine.config.scenario.churn.map(|c| c.offload_policy);
-    let profile_window = match engine.strategy {
-        Strategy::Aergia { profile_batches, .. } => profile_batches.min(local_updates),
-        _ => 0,
+    let (profile_window, similarity_factor, op_variant) = match engine.strategy {
+        Strategy::Aergia { profile_batches, similarity_factor, op_variant } => {
+            (profile_batches.min(local_updates), similarity_factor, op_variant)
+        }
+        _ => (0, 0.0, OpVariant::Unimodal),
     };
-    let (similarity_factor, op_variant) = match engine.strategy {
-        Strategy::Aergia { similarity_factor, op_variant, .. } => (similarity_factor, op_variant),
-        _ => (0.0, scheduler::OpVariant::Unimodal),
+    let deadline = match engine.strategy {
+        Strategy::DeadlineFedAvg { deadline } => Some(deadline),
+        _ => None,
     };
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut rclients = RTable::new();
-
-    // Federator round state.
-    let mut reports: HashMap<usize, ProfileReport> = HashMap::new();
-    let mut schedule_sent = false;
-    let mut updates: Vec<UpdateArrival> = Vec::new();
-    let mut offload_results: Vec<OffloadResultArrival> = Vec::new();
-    let mut offloads_activated: Vec<(usize, usize)> = Vec::new();
-
-    // Frame sizes for this round, derived from shapes and codec policy
-    // alone — the event stage charges transfers before any value exists.
-    let sizes = engine.wire.round_sizes();
-
-    // Encode the round's broadcast. The frame is real (its encoded length
-    // must match the size the clock is charged), and its reconstruction —
-    // identical for every receiver — becomes the round base all other
-    // streams diff against. Timing mode only advances the stream position.
-    let broadcast_span = aergia_telemetry::span!("round.broadcast", round = round);
-    let round_base: Option<Vec<Tensor>> = if mode == Mode::Real {
-        let (frame, view) = engine.broadcast_global();
-        debug_assert_eq!(frame.wire_len(), sizes.start_round, "broadcast frame size drifted");
-        Some(view)
-    } else {
-        engine.wire.note_broadcast();
-        None
+    let mut walk = Walk {
+        round,
+        participants,
+        crash_after,
+        sizes,
+        nodes: &engine.clients,
+        network: &mut engine.network,
+        similarity: &engine.similarity,
+        federator_secret: engine.federator_secret,
+        local_updates,
+        profile_window,
+        similarity_factor,
+        op_variant,
+        reschedule: engine
+            .config
+            .scenario
+            .churn
+            .is_some_and(|c| c.offload_policy == OffloadPolicy::Reschedule),
+        queue: EventQueue::new(),
+        clients: RTable::new(),
+        reports: HashMap::new(),
+        schedule_sent: false,
+        updates: Vec::new(),
+        offload_results: HashMap::new(),
+        offloads: Vec::new(),
     };
-    // Kick off: charge every participant one broadcast frame.
-    let start_size = Message::StartRound { round }.wire_size(&sizes);
-    for &p in participants {
-        if let Delivery::After(d) = engine.network.send(NodeId::FEDERATOR, node(p), start_size) {
-            queue.push(start + d, Ev::Deliver(Dest::Client(p), Message::StartRound { round }));
+    {
+        let _events_span = aergia_telemetry::span!("round.events", round = round);
+        // Kick off: charge every participant one broadcast frame.
+        for &p in participants {
+            walk.send(start, NodeId::FEDERATOR, Dest::Client(p), Message::StartRound { round });
+        }
+        while let Some((now, ev)) = walk.queue.pop() {
+            walk.handle(now, ev);
         }
     }
-    drop(broadcast_span);
+    let Walk { clients: rclients, updates, offload_results, offloads, .. } = walk;
 
-    // Helper: enqueue a message through the network (drops vanish).
-    // Weight-carrying messages are charged their exact frame size; the
-    // tensors they stand for are only produced by the execution stage.
-    macro_rules! send {
-        ($now:expr, $from:expr, $to:expr, $dest:expr, $msg:expr) => {{
-            let msg = $msg;
-            let size = msg.wire_size(&sizes);
-            if let Delivery::After(d) = engine.network.send($from, $to, size) {
-                queue.push($now + d, Ev::Deliver($dest, msg));
+    // Every participant's numeric workload, from the finished trace.
+    let wanted: HashSet<usize> = participants
+        .iter()
+        .filter_map(|&p| rclients[p].surviving_offload())
+        .map(|offload| offload.weak)
+        .collect();
+    let clients = participants
+        .iter()
+        .map(|&p| {
+            let rc = &rclients[p];
+            let snapshot_wanted = wanted.contains(&p);
+            // A client that crashed before its update left trains only to
+            // hand a surviving offload its frozen snapshot. One that crashed
+            // later, while serving an offload, delivered its update.
+            let trains = !rc.crashed || rc.own_done || snapshot_wanted;
+            ClientPlan {
+                client: p,
+                own_batches: if trains { rc.batches_done } else { 0 },
+                freeze_after: rc.frozen_at.filter(|_| trains),
+                snapshot_wanted,
+                offload: rc.surviving_offload(),
             }
-        }};
+        })
+        .collect();
+
+    let last_arrival =
+        updates.iter().map(|u| u.arrived).chain(offload_results.values().copied()).max();
+    let mut duration = last_arrival.unwrap_or(start) - start;
+    if let Some(deadline) = deadline {
+        duration = duration.min(deadline);
+    }
+    let mut plan = RoundPlan {
+        round,
+        start,
+        duration,
+        sizes,
+        clients,
+        updates,
+        offload_results,
+        offloads,
+        dropped: Vec::new(),
+    };
+    // A participant is dropped when its update missed the cutoff: it
+    // crashed before uploading, the network lost the upload, or the
+    // deadline passed first.
+    let arrived: HashSet<usize> =
+        plan.updates.iter().filter(|u| plan.on_time(u.arrived)).map(|u| u.client).collect();
+    plan.dropped = participants.iter().copied().filter(|p| !arrived.contains(p)).collect();
+    plan
+}
+
+impl Walk<'_> {
+    /// Sends `msg` to `dest` through the network, charged its exact frame
+    /// size; a message the network drops vanishes. The tensors a
+    /// weight-carrying message stands for exist only in the execute stage.
+    fn send(&mut self, now: SimTime, from: NodeId, dest: Dest, msg: Message) {
+        let to = match dest {
+            Dest::Client(c) => node(c),
+            Dest::Federator => NodeId::FEDERATOR,
+        };
+        if let Delivery::After(d) = self.network.send(from, to, msg.wire_size(&self.sizes)) {
+            self.queue.push(now + d, Ev::Deliver(dest, msg));
+        }
     }
 
-    // Helper: run Aergia's scheduler once every live participant has
-    // reported. Crashes close the client's connection, so the federator
-    // detects the loss promptly and removes it from the wait set — a
-    // participant crashing inside its profile window therefore delays the
-    // schedule only until the remaining reports land, instead of stalling
-    // it forever.
-    macro_rules! try_schedule {
-        ($now:expr) => {{
-            if !schedule_sent
-                && profile_window > 0
-                && participants.iter().all(|p| reports.contains_key(p) || rclients[*p].crashed)
-            {
-                schedule_sent = true;
-                let perfs: Vec<ClientPerf> = participants
-                    .iter()
-                    .filter_map(|&p| {
-                        reports.get(&p).map(|r| ClientPerf {
-                            id: p,
-                            t123: r.t123(),
-                            t4: r.t4(),
-                            feature_only: r.feature_only_batch(),
-                            remaining: r.remaining_updates,
-                        })
-                    })
-                    .collect();
-                if !perfs.is_empty() {
-                    let schedule = scheduler::schedule_with(
-                        &perfs,
-                        |i, j| engine.similarity.distance(i, j),
-                        similarity_factor,
-                        op_variant,
-                    );
-                    for assignment in schedule.assignments {
-                        let signed =
-                            SignedAssignment::sign(engine.federator_secret, round, assignment);
-                        send!(
-                            $now,
-                            NodeId::FEDERATOR,
-                            node(assignment.sender),
-                            Dest::Client(assignment.sender),
-                            Message::Schedule(signed)
-                        );
-                        send!(
-                            $now,
-                            NodeId::FEDERATOR,
-                            node(assignment.receiver),
-                            Dest::Client(assignment.receiver),
-                            Message::ScheduleNotice(signed)
-                        );
-                    }
-                }
-            }
-        }};
-    }
-
-    // Helper: federator-side crash fallout, run when a participant dies.
-    // Beyond unblocking the scheduler, a crashed *receiver* takes its
-    // straggler's offload down with it — unless the churn policy says to
-    // reschedule, in which case the federator reassigns the remaining
-    // batches to the fastest alive participant not already serving an
-    // offload (lower id on speed ties) and the straggler re-ships its
-    // frozen snapshot.
-    macro_rules! handle_crash {
-        ($c:expr, $now:expr) => {{
-            let c: usize = $c;
-            try_schedule!($now);
-            let pending = match &rclients[c].notice {
-                Some(signed) if rclients[c].offload_remaining > 0 => {
-                    Some((signed.assignment.sender, rclients[c].offload_remaining))
-                }
-                _ => None,
-            };
-            if let Some((weak, remaining)) = pending {
-                if reschedule_policy == Some(OffloadPolicy::Reschedule) && !rclients[weak].crashed {
-                    let candidate = participants
-                        .iter()
-                        .copied()
-                        .filter(|&p| {
-                            p != c
-                                && p != weak
-                                && rclients[p].active
-                                && !rclients[p].crashed
-                                && !rclients[p].frozen
-                                && rclients[p].notice.is_none()
-                        })
-                        .max_by(|&a, &b| {
-                            engine.clients[a]
-                                .cpu
-                                .speed()
-                                .total_cmp(&engine.clients[b].cpu.speed())
-                                .then(b.cmp(&a)) // lower id wins speed ties
-                        });
-                    if let Some(r2) = candidate {
-                        let assignment = scheduler::Assignment {
-                            sender: weak,
-                            receiver: r2,
-                            offload_batches: remaining,
-                            estimated_ct: 0.0,
-                        };
-                        let signed =
-                            SignedAssignment::sign(engine.federator_secret, round, assignment);
-                        offloads_activated.push((weak, r2));
-                        send!(
-                            $now,
-                            NodeId::FEDERATOR,
-                            node(r2),
-                            Dest::Client(r2),
-                            Message::ScheduleNotice(signed)
-                        );
-                        send!(
-                            $now,
-                            node(weak),
-                            node(r2),
-                            Dest::Client(r2),
-                            Message::OffloadModel { round, from: weak }
-                        );
-                    }
-                }
-            }
-        }};
-    }
-
-    let events_span = aergia_telemetry::span!("round.events", round = round);
-    while let Some((now, ev)) = queue.pop() {
+    fn handle(&mut self, now: SimTime, ev: Ev) {
+        let round = self.round;
         match ev {
-            Ev::Deliver(Dest::Client(c), Message::StartRound { round: r, .. }) => {
+            Ev::Deliver(Dest::Client(c), Message::StartRound { round: r }) => {
                 if r != round {
-                    continue; // stale start (cannot happen without faults)
+                    return; // stale start (cannot happen without faults)
                 }
-                let rc = &mut rclients[c];
+                let rc = &mut self.clients[c];
                 rc.active = true;
-                if profile_window > 0 {
-                    rc.profiler = Some(OnlineProfiler::new(profile_window));
+                if self.profile_window > 0 {
+                    rc.profiler = Some(OnlineProfiler::new(self.profile_window));
                 }
-                queue.push(now + engine.clients[c].full_batch(), Ev::BatchDone(c));
+                self.queue.push(now + self.nodes[c].full_batch(), Ev::BatchDone(c));
             }
 
             Ev::BatchDone(c) => {
-                if rclients[c].crashed {
-                    continue;
+                if self.clients[c].crashed || self.crashes(c, now) {
+                    return;
                 }
-                if crashes_now(crash_after.get(c).copied().flatten(), &mut rclients[c]) {
-                    telemetry::record_crash(round, c, now.as_micros());
-                    handle_crash!(c, now);
-                    continue;
-                }
-                let rc = &mut rclients[c];
+                let client = &self.nodes[c];
+                let rc = &mut self.clients[c];
                 rc.batches_done += 1;
-
                 // Online profiling (§4.2): record the virtual per-phase
                 // cost; report to the federator when the window fills.
-                let mut report_now = false;
-                if let Some(prof) = &mut rc.profiler {
-                    if prof.record(engine.clients[c].phase_secs) {
-                        report_now = true;
-                    }
-                }
-                if report_now {
-                    let report = ProfileReport {
+                let remaining_updates = self.local_updates - rc.batches_done;
+                let report = rc.profiler.as_mut().and_then(|prof| {
+                    prof.record(client.phase_secs).then(|| ProfileReport {
                         round,
-                        per_batch: rc.profiler.as_ref().expect("just recorded").per_batch(),
-                        remaining_updates: local_updates - rc.batches_done,
-                    };
-                    send!(
+                        per_batch: prof.per_batch(),
+                        remaining_updates,
+                    })
+                });
+                let tau = rc.batches_done;
+                rc.own_done = tau >= self.local_updates;
+                let own_done = rc.own_done;
+                let next = if rc.frozen { client.frozen_batch() } else { client.full_batch() };
+                let num_samples = client.shard_len;
+                if let Some(report) = report {
+                    self.send(
                         now,
                         node(c),
-                        NodeId::FEDERATOR,
                         Dest::Federator,
-                        Message::Profile { client: c, report }
+                        Message::Profile { client: c, report },
                     );
                 }
-
-                if rc.batches_done >= local_updates {
-                    rc.own_done = true;
-                    send!(
-                        now,
-                        node(c),
-                        NodeId::FEDERATOR,
-                        Dest::Federator,
-                        Message::ClientUpdate {
-                            round,
-                            client: c,
-                            num_samples: engine.clients[c].shard_len,
-                            tau: rc.batches_done,
-                        }
-                    );
-                    if can_start_offload(&rclients[c]) {
-                        start_offload(&mut rclients[c], &mut queue, engine, c, now);
-                    }
+                if own_done {
+                    let update = Message::ClientUpdate { round, client: c, num_samples, tau };
+                    self.send(now, node(c), Dest::Federator, update);
+                    self.try_start_offload(c, now);
                 } else {
-                    let dur = if rc.frozen {
-                        engine.clients[c].frozen_batch()
-                    } else {
-                        engine.clients[c].full_batch()
-                    };
-                    queue.push(now + dur, Ev::BatchDone(c));
+                    self.queue.push(now + next, Ev::BatchDone(c));
                 }
             }
 
             Ev::Deliver(Dest::Federator, Message::Profile { client, report }) => {
                 if report.round != round {
-                    continue;
+                    return;
                 }
                 // The federator's view of the cluster's phase costs
                 // (virtual seconds, so the histograms are seed-pure).
                 telemetry::PROFILE_T123.observe(report.t123());
                 telemetry::PROFILE_T4.observe(report.t4());
-                reports.insert(client, report);
-                try_schedule!(now);
+                self.reports.insert(client, report);
+                self.try_schedule(now);
             }
 
             Ev::Deliver(Dest::Client(c), Message::Schedule(signed)) => {
                 // §4.1: signatures + sequence numbers make late or forged
                 // scheduling messages harmless.
-                if !signed.verify(engine.federator_secret, round) {
-                    continue;
+                if !signed.verify(self.federator_secret, round) {
+                    return;
                 }
-                let rc = &mut rclients[c];
+                let rc = &mut self.clients[c];
                 if !rc.active || rc.own_done || rc.frozen {
-                    continue; // too late to benefit from freezing
+                    return; // too late to benefit from freezing
                 }
                 rc.frozen = true;
                 rc.frozen_at = Some(rc.batches_done);
-                offloads_activated.push((c, signed.assignment.receiver));
-                send!(
-                    now,
-                    node(c),
-                    node(signed.assignment.receiver),
-                    Dest::Client(signed.assignment.receiver),
-                    Message::OffloadModel { round, from: c }
-                );
+                let receiver = signed.assignment.receiver;
+                self.offloads.push((c, receiver));
+                let model = Message::OffloadModel { round, from: c };
+                self.send(now, node(c), Dest::Client(receiver), model);
             }
 
             Ev::Deliver(Dest::Client(c), Message::ScheduleNotice(signed)) => {
-                if !signed.verify(engine.federator_secret, round) || rclients[c].crashed {
-                    continue;
+                if !signed.verify(self.federator_secret, round) || self.clients[c].crashed {
+                    return;
                 }
-                let rc = &mut rclients[c];
+                let rc = &mut self.clients[c];
                 rc.notice = Some(signed);
                 rc.offload_remaining = signed.assignment.offload_batches;
-                if can_start_offload(&rclients[c]) {
-                    start_offload(&mut rclients[c], &mut queue, engine, c, now);
-                }
+                self.try_start_offload(c, now);
             }
 
-            Ev::Deliver(Dest::Client(c), Message::OffloadModel { round: r, from, .. }) => {
-                if r != round || rclients[c].crashed {
-                    continue;
+            Ev::Deliver(Dest::Client(c), Message::OffloadModel { round: r, from }) => {
+                if r != round || self.clients[c].crashed {
+                    return;
                 }
-                rclients[c].offload_from = Some(from);
-                if can_start_offload(&rclients[c]) {
-                    start_offload(&mut rclients[c], &mut queue, engine, c, now);
-                }
+                self.clients[c].offload_from = Some(from);
+                self.try_start_offload(c, now);
             }
 
             Ev::OffloadBatchDone(c) => {
-                if rclients[c].crashed {
-                    continue;
+                if self.clients[c].crashed || self.crashes(c, now) {
+                    return;
                 }
-                if crashes_now(crash_after.get(c).copied().flatten(), &mut rclients[c]) {
-                    telemetry::record_crash(round, c, now.as_micros());
-                    rclients[c].offload_running = false;
-                    handle_crash!(c, now);
-                    continue;
-                }
-                let rc = &mut rclients[c];
+                let rc = &mut self.clients[c];
                 rc.offload_batches_run += 1;
                 rc.offload_remaining -= 1;
-                if rc.offload_remaining == 0 {
+                if rc.offload_remaining > 0 {
+                    self.queue.push(now + self.nodes[c].feature_batch(), Ev::OffloadBatchDone(c));
+                } else {
                     rc.offload_running = false;
                     let weak = rc.offload_from.expect("offload in progress");
-                    send!(
-                        now,
-                        node(c),
-                        NodeId::FEDERATOR,
-                        Dest::Federator,
-                        Message::OffloadedResult { round, weak }
-                    );
-                } else {
-                    queue.push(now + engine.clients[c].feature_batch(), Ev::OffloadBatchDone(c));
+                    let result = Message::OffloadedResult { round, weak };
+                    self.send(now, node(c), Dest::Federator, result);
                 }
             }
 
             Ev::Deliver(
                 Dest::Federator,
-                Message::ClientUpdate { round: r, client, num_samples, tau, .. },
+                Message::ClientUpdate { round: r, client, num_samples, tau },
             ) => {
-                if r != round {
-                    continue;
+                if r == round {
+                    self.updates.push(UpdateArrival { client, num_samples, tau, arrived: now });
                 }
-                updates.push(UpdateArrival {
-                    client,
-                    weights: None,
-                    num_samples,
-                    tau,
-                    arrived: now,
-                });
             }
 
-            Ev::Deliver(Dest::Federator, Message::OffloadedResult { round: r, weak, .. }) => {
-                if r != round {
-                    continue;
+            Ev::Deliver(Dest::Federator, Message::OffloadedResult { round: r, weak }) => {
+                if r == round {
+                    self.offload_results.insert(weak, now);
                 }
-                offload_results.push(OffloadResultArrival { weak, features: None, arrived: now });
             }
 
             // Remaining combinations are protocol violations; in a
@@ -630,276 +526,307 @@ pub(crate) fn simulate_round(
             }
         }
     }
-    drop(events_span);
 
-    // The event trace is complete: derive every client's numeric workload
-    // and (real mode) execute it, possibly in parallel.
-    let losses = if mode == Mode::Real {
-        let mut plans: HashMap<usize, ClientPlan> = rclients
-            .map
+    /// Advances `c`'s batch clock by one event and returns `false` — or,
+    /// at `c`'s churn crash point, kills the client instead (the fatal
+    /// batch's work is lost), handles the fallout and returns `true`.
+    fn crashes(&mut self, c: usize, now: SimTime) -> bool {
+        let threshold = self.crash_after.get(c).copied().flatten();
+        let rc = &mut self.clients[c];
+        let next = rc.batches_total + 1;
+        if threshold.is_none_or(|n| next < n) {
+            rc.batches_total = next;
+            return false;
+        }
+        rc.crashed = true;
+        rc.active = false;
+        rc.offload_running = false;
+        telemetry::record_crash(self.round, c, now.as_micros());
+        self.handle_crash(c, now);
+        true
+    }
+
+    /// Federator-side crash fallout. Beyond unblocking the scheduler, a
+    /// crashed *receiver* takes its straggler's offload down with it —
+    /// unless the churn policy says to reschedule, in which case the
+    /// federator reassigns the remaining batches to the fastest alive
+    /// participant not already serving an offload (lower id on speed
+    /// ties) and the straggler re-ships its frozen snapshot.
+    fn handle_crash(&mut self, c: usize, now: SimTime) {
+        self.try_schedule(now);
+        let rc = &self.clients[c];
+        let Some(signed) = rc.notice.filter(|_| rc.offload_remaining > 0) else { return };
+        let (weak, remaining) = (signed.assignment.sender, rc.offload_remaining);
+        if !self.reschedule || self.clients[weak].crashed {
+            return;
+        }
+        let candidate = self
+            .participants
             .iter()
-            .map(|(&c, rc)| {
-                let plan = ClientPlan {
-                    own_batches: rc.batches_done,
-                    freeze_after: rc.frozen_at,
-                    snapshot_wanted: false,
-                    // A crashed receiver's partial feature training is
-                    // censored with it — and must not consume the
-                    // straggler's snapshot, which a rescheduled receiver
-                    // may still need.
-                    offload: rc
-                        .offload_from
-                        .filter(|_| rc.offload_batches_run > 0 && !rc.crashed)
-                        .map(|weak| OffloadPlan { weak, batches: rc.offload_batches_run }),
-                };
-                (c, plan)
+            .copied()
+            .filter(|&p| {
+                let rc = &self.clients[p];
+                p != c && p != weak && rc.active && !rc.crashed && !rc.frozen && rc.notice.is_none()
+            })
+            .max_by(|&a, &b| {
+                let speed = |p: usize| self.nodes[p].cpu.speed();
+                speed(a).total_cmp(&speed(b)).then(b.cmp(&a)) // lower id wins speed ties
+            });
+        let Some(r2) = candidate else { return };
+        let assignment = scheduler::Assignment {
+            sender: weak,
+            receiver: r2,
+            offload_batches: remaining,
+            estimated_ct: 0.0,
+        };
+        let signed = SignedAssignment::sign(self.federator_secret, self.round, assignment);
+        self.offloads.push((weak, r2));
+        self.send(now, NodeId::FEDERATOR, Dest::Client(r2), Message::ScheduleNotice(signed));
+        let model = Message::OffloadModel { round: self.round, from: weak };
+        self.send(now, node(weak), Dest::Client(r2), model);
+    }
+
+    /// Runs Aergia's scheduler once every live participant has reported. A
+    /// crash closes the client's connection, so the federator notices it
+    /// promptly and stops waiting for that report: a participant crashing
+    /// inside its profile window delays the schedule only until the
+    /// remaining reports land, instead of stalling it forever.
+    fn try_schedule(&mut self, now: SimTime) {
+        if self.schedule_sent
+            || self.profile_window == 0
+            || !self
+                .participants
+                .iter()
+                .all(|p| self.reports.contains_key(p) || self.clients[*p].crashed)
+        {
+            return;
+        }
+        self.schedule_sent = true;
+        let perfs: Vec<ClientPerf> = self
+            .participants
+            .iter()
+            .filter_map(|&p| {
+                self.reports.get(&p).map(|r| ClientPerf {
+                    id: p,
+                    t123: r.t123(),
+                    t4: r.t4(),
+                    feature_only: r.feature_only_batch(),
+                    remaining: r.remaining_updates,
+                })
             })
             .collect();
-        let wanted: Vec<usize> = plans.values().filter_map(|p| p.offload.map(|o| o.weak)).collect();
-        for weak in wanted {
-            plans.entry(weak).or_default().snapshot_wanted = true;
+        if perfs.is_empty() {
+            return;
         }
-        // A crashed client's update never reaches the federator, so its
-        // numeric training only executes when its frozen snapshot feeds a
-        // surviving offload.
-        for (&c, plan) in plans.iter_mut() {
-            if rclients[c].crashed && !plan.snapshot_wanted {
-                plan.own_batches = 0;
-                plan.freeze_after = None;
-            }
+        let similarity = self.similarity;
+        let schedule = scheduler::schedule_with(
+            &perfs,
+            |i, j| similarity.distance(i, j),
+            self.similarity_factor,
+            self.op_variant,
+        );
+        for assignment in schedule.assignments {
+            let signed = SignedAssignment::sign(self.federator_secret, self.round, assignment);
+            let (sender, receiver) = (assignment.sender, assignment.receiver);
+            self.send(now, NodeId::FEDERATOR, Dest::Client(sender), Message::Schedule(signed));
+            let notice = Message::ScheduleNotice(signed);
+            self.send(now, NodeId::FEDERATOR, Dest::Client(receiver), notice);
         }
-        let base = round_base.as_deref().expect("real mode always decodes a broadcast");
-        execute_plans(
-            engine,
-            round,
-            participants,
-            &plans,
-            &mut updates,
-            &mut offload_results,
-            base,
-            &sizes,
-            transport,
-        )?
-    } else {
-        Vec::new()
-    };
-
-    // Round duration: from the start of the round to the last message the
-    // federator waits for (§2.4), capped by the strategy's deadline.
-    let last_arrival = updates
-        .iter()
-        .map(|u| u.arrived)
-        .chain(offload_results.iter().map(|o| o.arrived))
-        .max()
-        .unwrap_or(start);
-    let mut duration = last_arrival - start;
-    if let Some(deadline) = engine.deadline() {
-        duration = duration.min(deadline);
     }
 
-    // A participant is dropped if its update missed the cutoff — or, in
-    // real mode, if the transport never delivered its trained weights (a
-    // remote client that died mid-round).
-    let cutoff = start + duration;
-    let arrived: HashSet<usize> = updates
-        .iter()
-        .filter(|u| u.arrived <= cutoff && (mode == Mode::Timing || u.weights.is_some()))
-        .map(|u| u.client)
-        .collect();
-    let dropped: Vec<usize> =
-        participants.iter().copied().filter(|p| !arrived.contains(p)).collect();
-
-    Ok(RoundOutcome {
-        start,
-        duration,
-        updates,
-        offload_results,
-        offloads_activated,
-        dropped,
-        losses,
-    })
+    /// Starts `c`'s offloaded training once it has everything: its own
+    /// update sent, the notice, and the straggler's model.
+    fn try_start_offload(&mut self, c: usize, now: SimTime) {
+        let rc = &mut self.clients[c];
+        if rc.own_done
+            && !rc.offload_running
+            && rc.offload_remaining > 0
+            && rc.notice.is_some()
+            && rc.offload_from.is_some()
+        {
+            rc.offload_running = true;
+            self.queue.push(now + self.nodes[c].feature_batch(), Ev::OffloadBatchDone(c));
+        }
+    }
 }
 
-/// Executes the round's numeric training per the recorded plans —
-/// through the round's [`Transport`] — and attaches the resulting
-/// tensors to the federator's arrivals.
+// ---------------------------------------------------------------------------
+// Execute
+// ---------------------------------------------------------------------------
+
+/// What the execute stage hands the fold stage.
+pub(crate) struct Trained {
+    /// Each update that reached the federator, as the uplink delivered
+    /// it, keyed by client.
+    uploads: HashMap<usize, Vec<Tensor>>,
+    /// Each trained feature section that reached the federator, as the
+    /// wire delivered it, keyed by the straggler it belongs to.
+    features: HashMap<usize, Vec<Tensor>>,
+    /// Per-batch training losses, in participant order.
+    losses: Vec<f32>,
+}
+
+impl Trained {
+    /// Mean local training loss over all batches of the round.
+    pub(crate) fn mean_loss(&self) -> f64 {
+        if self.losses.is_empty() {
+            return f64::NAN;
+        }
+        self.losses.iter().map(|&l| f64::from(l)).sum::<f64>() / self.losses.len() as f64
+    }
+}
+
+/// The execute stage: trains what `plan` dictates through `transport`,
+/// starting from `round_base` (the decoded broadcast).
 ///
-/// Stage 1 trains every participant's own batches (capturing the frozen
-/// snapshot where a receiver needs it); stage 2 — after a barrier,
-/// because receivers consume stage-1 snapshots — trains the offloaded
-/// feature sections. Within one client the batcher/optimizer order (own
-/// batches, then offloaded batches) matches the virtual event order
-/// exactly, so results are independent of where and how concurrently the
-/// orders execute.
+/// The own-training pass trains every participant's own batches,
+/// capturing the frozen snapshot where a receiver needs it. The offload
+/// pass — after a barrier, because receivers consume those snapshots —
+/// trains the offloaded feature sections. Within one client the
+/// batcher/optimizer order (own batches, then offloaded batches) matches
+/// the virtual event order exactly, so results are independent of where
+/// and how concurrently the orders execute.
 ///
 /// Every weight hand-off passes through the wire codec exactly as the
-/// protocol ships it: clients train from `round_base` (the decoded
-/// broadcast), offload snapshots are encoded/decoded between stages, and
-/// the fold phase encodes each upload so the federator aggregates what
-/// the wire delivered — bit-identical to the unencoded values under the
+/// protocol ships it: snapshots between the passes, then each upload in
+/// arrival order and each feature section, so the fold aggregates what
+/// the wire delivered — bit-identical to the trained values under the
 /// dense codec, lossy under the others. All codec calls happen here on
-/// the federator side — at round start, between the stages, and in the
-/// fixed-order fold — never inside the transport — so delta/residual
-/// state updates are ordered deterministically whatever the transport's
-/// thread pool (or remote cluster) did.
+/// the federator side, never inside the transport, so delta/residual
+/// state advances in a fixed order whatever the transport's thread pool
+/// (or remote cluster) did.
 ///
-/// A missing reply means the transport lost that participant: its
-/// arrival keeps `weights: None` / `features: None`, the client counts
-/// as dropped (or its offload recombination is skipped), and the round
-/// completes with everyone else. Its uplink residual does not advance —
-/// no upload crossed the wire.
-#[allow(clippy::too_many_arguments)] // round plumbing, called from one site
-fn execute_plans(
+/// A missing reply means the transport lost that participant: it uploads
+/// nothing, its offload lapses, and its uplink residual does not advance.
+pub(crate) fn execute(
     engine: &mut Engine,
-    round: u32,
-    participants: &[usize],
-    plans: &HashMap<usize, ClientPlan>,
-    updates: &mut [UpdateArrival],
-    offload_results: &mut [OffloadResultArrival],
+    plan: &RoundPlan,
     round_base: &[Tensor],
-    sizes: &RoundWireSizes,
     transport: &mut dyn Transport,
-) -> Result<Vec<f32>, EngineError> {
-    // Optimizers must be built before `engine.clients` is mutably split.
-    // FedProx anchors to the round base — the global model as received.
-    let opts: Vec<Sgd> = participants.iter().map(|_| engine.make_optimizer(round_base)).collect();
-    let parallelism = engine.config.parallelism;
+) -> Result<Trained, EngineError> {
+    let round = plan.round;
+    let ctx = RoundContext {
+        round,
+        round_base,
+        parallelism: engine.config.parallelism,
+        train: &engine.train,
+        template: &engine.template,
+        workspaces: &engine.workspaces,
+    };
 
-    // Stage 1: every client's own local training, from the weights the
-    // broadcast actually delivered.
+    // Own-training pass, from the weights the broadcast actually
+    // delivered. Batchers live in the cohort pool, which `begin_round`
+    // stocked for every participant; workspaces come off the engine's
+    // shelf, one per task in flight, whichever client the task serves.
     let mut losses = Vec::new();
-    let mut final_weights: HashMap<usize, Vec<Tensor>> = HashMap::new();
-    let mut opts_back: HashMap<usize, Sgd> = HashMap::new();
-    let mut replied: HashSet<usize> = HashSet::new();
-    let mut raw_snapshots: Vec<(usize, Vec<Tensor>)> = Vec::new();
+    let mut trained: HashMap<usize, Vec<Tensor>> = HashMap::new();
+    let mut opts = HashMap::new();
+    let mut snapshots: HashMap<usize, Vec<Tensor>> = HashMap::new();
     {
         let _train_span = aergia_telemetry::span!("round.train", round = round);
-        let ctx = RoundContext {
-            round,
-            round_base,
-            parallelism,
-            train: &engine.train,
-            template: &engine.template,
-            workspaces: &engine.workspaces,
-        };
-        // Batchers live in the cohort pool, which `begin_round` stocked
-        // for every participant; workspaces come off the engine's shelf,
-        // one per task in flight, whichever client the task serves.
         let mut handles = engine.pool.handles();
-        let mut orders: Vec<TrainOrder<'_>> = Vec::new();
-        for (&p, opt) in participants.iter().zip(opts) {
-            let plan = plans.get(&p).copied().unwrap_or_default();
-            if plan.own_batches == 0 {
-                continue;
-            }
-            let batcher = handles.remove(&p).expect("begin_round admits every participant");
-            orders.push(TrainOrder {
-                client: p,
-                own_batches: plan.own_batches,
-                freeze_after: plan.freeze_after,
-                snapshot_wanted: plan.snapshot_wanted,
-                opt,
-                batcher,
-            });
-        }
-        // Fold replies in participant order (the transport preserves
-        // relative order) — fixed, whatever its thread pool did.
+        let orders: Vec<TrainOrder<'_>> = plan
+            .clients
+            .iter()
+            .filter(|p| p.own_batches > 0)
+            .map(|p| TrainOrder {
+                client: p.client,
+                own_batches: p.own_batches,
+                freeze_after: p.freeze_after,
+                snapshot_wanted: p.snapshot_wanted,
+                // FedProx anchors to the round base: the global model as
+                // the client received it.
+                opt: transport::round_optimizer(&engine.config, &engine.strategy, round_base),
+                batcher: handles.remove(&p.client).expect("begin_round admits every participant"),
+            })
+            .collect();
+        // Replies come back in participant order (the transport preserves
+        // relative order), whatever its thread pool did.
         for reply in transport.train_participants(&ctx, orders)? {
             losses.extend(reply.losses);
-            replied.insert(reply.client);
-            final_weights.insert(reply.client, reply.weights);
             if let Some(opt) = reply.opt {
-                opts_back.insert(reply.client, opt);
+                opts.insert(reply.client, opt);
             }
+            // The snapshot crosses the client-to-client wire, so the
+            // receiver trains what the codec delivered, not the sender's
+            // exact weights.
             if let Some(snapshot) = reply.snapshot {
-                raw_snapshots.push((reply.client, snapshot));
+                let (frame, delivered) = engine.wire.encode_snapshot(&snapshot, round_base);
+                debug_assert_eq!(
+                    frame.wire_len(),
+                    plan.sizes.offload_model,
+                    "snapshot size drifted"
+                );
+                snapshots.insert(reply.client, delivered);
             }
+            trained.insert(reply.client, reply.weights);
         }
     }
 
-    // Stage 2: offloaded feature training on the receivers (barrier: the
-    // straggler snapshots come out of stage 1). Each snapshot crosses the
-    // client-to-client wire, so the receiver trains what the codec
-    // delivered, not the sender's exact weights.
-    let mut snapshots: HashMap<usize, Vec<Tensor>> = raw_snapshots
-        .into_iter()
-        .map(|(id, s)| {
-            let (frame, delivered) = engine.wire.encode_snapshot(&s, round_base);
-            debug_assert_eq!(frame.wire_len(), sizes.offload_model, "snapshot frame size drifted");
-            (id, delivered)
-        })
-        .collect();
-    let mut features: HashMap<usize, Vec<Tensor>> = HashMap::new();
-    {
+    // Offload pass: the receivers train the stragglers' delivered
+    // snapshots.
+    let offload_replies = {
         let _offload_span = aergia_telemetry::span!("round.offload_train", round = round);
-        let ctx = RoundContext {
-            round,
-            round_base,
-            parallelism,
-            train: &engine.train,
-            template: &engine.template,
-            workspaces: &engine.workspaces,
-        };
         let mut handles = engine.pool.handles();
-        let mut orders: Vec<OffloadOrder<'_>> = Vec::new();
-        for &p in participants {
-            let Some(offload) = plans.get(&p).and_then(|plan| plan.offload) else { continue };
-            // The receiver or the straggler may have been lost in stage 1
-            // (a remote client dying); the offload then silently lapses
-            // and the straggler's own (frozen) update stands alone.
-            if !replied.contains(&p) {
-                continue;
-            }
-            let Some(snapshot) = snapshots.remove(&offload.weak) else { continue };
-            let batcher = handles.remove(&p).expect("begin_round admits every participant");
-            orders.push(OffloadOrder {
-                receiver: p,
-                weak: offload.weak,
-                batches: offload.batches,
-                snapshot,
-                opt: opts_back.remove(&p),
-                batcher,
-            });
-        }
-        for reply in transport.train_offloads(&ctx, orders)? {
-            features.insert(reply.weak, reply.features);
-        }
-    }
+        let orders: Vec<OffloadOrder<'_>> = plan
+            .clients
+            .iter()
+            .filter_map(|p| {
+                let offload = p.offload?;
+                // The receiver or the straggler may have been lost in the
+                // own-training pass (a remote client dying); the offload
+                // then lapses and the straggler's own (frozen) update
+                // stands alone.
+                if !trained.contains_key(&p.client) {
+                    return None;
+                }
+                Some(OffloadOrder {
+                    receiver: p.client,
+                    weak: offload.weak,
+                    batches: offload.batches,
+                    snapshot: snapshots.remove(&offload.weak)?,
+                    opt: opts.remove(&p.client),
+                    batcher: handles
+                        .remove(&p.client)
+                        .expect("begin_round admits every participant"),
+                })
+            })
+            .collect();
+        transport.train_offloads(&ctx, orders)?
+    };
 
-    // Uplinks cross the wire here, in fixed arrival order: the federator
-    // aggregates the decoded reconstructions, and each client's
+    // Uplinks cross the wire here, updates in fixed arrival order: the
+    // fold aggregates the decoded reconstructions, and each client's
     // error-feedback residual advances exactly once per upload.
     let _upload_span = aergia_telemetry::span!("round.upload", round = round);
-    for update in updates.iter_mut() {
-        let Some(mut trained) = final_weights.remove(&update.client) else { continue };
+    let mut uploads = HashMap::with_capacity(plan.updates.len());
+    for update in &plan.updates {
+        let Some(mut weights) = trained.remove(&update.client) else { continue };
         // Byzantine clients poison the update they hand to the uplink —
         // after honest local training, before the wire. The codec and the
         // shape-only frame sizing are untouched, so the virtual clock
         // cannot tell an adversary from an honest client.
         if let Some(attack) = engine.config.scenario.attack_for(update.client) {
             telemetry::record_byzantine(round, update.client);
-            apply_attack(
-                &mut trained,
-                round_base,
-                attack,
-                engine.config.seed,
-                round,
-                update.client,
-            );
+            let seed = engine.config.seed;
+            apply_attack(&mut weights, round_base, attack, seed, round, update.client);
         }
-        let (frame, delivered) = engine.wire.encode_update(update.client, &trained, round_base);
-        debug_assert_eq!(frame.wire_len(), sizes.client_update, "update frame size drifted");
-        update.weights = Some(delivered);
+        let (frame, delivered) = engine.wire.encode_update(update.client, &weights, round_base);
+        debug_assert_eq!(frame.wire_len(), plan.sizes.client_update, "update frame size drifted");
+        uploads.insert(update.client, delivered);
     }
-    let feature_tensors = engine.wire.feature_tensors;
-    for result in offload_results.iter_mut() {
-        let Some(trained) = features.remove(&result.weak) else { continue };
-        let (frame, delivered) =
-            engine.wire.encode_features(&trained, &round_base[..feature_tensors]);
-        debug_assert_eq!(frame.wire_len(), sizes.offload_result, "feature frame size drifted");
-        result.features = Some(delivered);
+    let base_features = &round_base[..engine.wire.feature_tensors];
+    let mut features = HashMap::new();
+    for reply in offload_replies {
+        // A section whose message the network lost never crossed the wire.
+        if !plan.offload_results.contains_key(&reply.weak) {
+            continue;
+        }
+        let (frame, delivered) = engine.wire.encode_features(&reply.features, base_features);
+        debug_assert_eq!(frame.wire_len(), plan.sizes.offload_result, "feature size drifted");
+        features.insert(reply.weak, delivered);
     }
-    Ok(losses)
+    Ok(Trained { uploads, features, losses })
 }
 
 /// Applies a Byzantine perturbation to `weights` in place, relative to
@@ -939,21 +866,84 @@ fn apply_attack(
     }
 }
 
-fn can_start_offload(rc: &RClient) -> bool {
-    rc.own_done
-        && !rc.offload_running
-        && rc.offload_remaining > 0
-        && rc.notice.is_some()
-        && rc.offload_from.is_some()
-}
+// ---------------------------------------------------------------------------
+// Fold
+// ---------------------------------------------------------------------------
 
-fn start_offload(
-    rc: &mut RClient,
-    queue: &mut EventQueue<Ev>,
-    engine: &Engine,
-    c: usize,
-    now: SimTime,
-) {
-    rc.offload_running = true;
-    queue.push(now + engine.clients[c].feature_batch(), Ev::OffloadBatchDone(c));
+/// The fold stage: applies the plan's cutoff, adds the clients the
+/// transport lost to `plan.dropped`, recombines Aergia's offloaded
+/// feature sections and aggregates the rest into the global model.
+pub(crate) fn fold_round(
+    engine: &mut Engine,
+    plan: &mut RoundPlan,
+    mut trained: Trained,
+) -> Result<(), EngineError> {
+    let round = plan.round;
+    let _fold_span = aergia_telemetry::span!("round.fold", round = round);
+    engine.last_accuracy = None;
+    let k = engine.wire.feature_tensors;
+    let mut updates: Vec<fold::Update> = Vec::new();
+    for arrival in &plan.updates {
+        if !plan.on_time(arrival.arrived) {
+            continue;
+        }
+        // No delivered weights: the transport lost this client mid-round.
+        // It is dropped, and the round completes with everyone else.
+        let Some(mut weights) = trained.uploads.remove(&arrival.client) else {
+            plan.dropped.push(arrival.client);
+            continue;
+        };
+        // Aergia recombination: feature layers from the strong client,
+        // classifier from the straggler (§3.3 "Model aggregation").
+        if let Some(features) = trained.features.remove(&arrival.client) {
+            if plan.on_time(plan.offload_results[&arrival.client]) {
+                for (expected, got) in [(engine.global.len(), weights.len()), (k, features.len())] {
+                    if got != expected {
+                        return Err(NnError::SnapshotLength { expected, got }.into());
+                    }
+                }
+                for (w, f) in weights.iter_mut().zip(features) {
+                    *w = f;
+                }
+            }
+        }
+        updates.push(fold::Update {
+            client: arrival.client,
+            edge: engine.cohorts.edge_of(arrival.client),
+            n: arrival.num_samples as f32,
+            tau: arrival.tau,
+            arrived: arrival.arrived,
+            weights,
+        });
+    }
+    plan.dropped.sort_unstable();
+
+    if updates.is_empty() {
+        // Every update missed the deadline (or every participant was
+        // lost): the global model stalls.
+        return Ok(());
+    }
+    let rule = match (engine.config.scenario.aggregation, engine.config.scenario.robust) {
+        (AggregationMode::BufferedAsync { max_staleness, mixing }, _) => {
+            fold::Rule::BufferedAsync { start: plan.start, max_staleness, mixing }
+        }
+        (AggregationMode::Synchronous, RobustAggregation::Mean) => match engine.strategy {
+            Strategy::FedNova => fold::Rule::Mean(fold::Mean::FedNova),
+            _ => fold::Rule::Mean(fold::Mean::Weighted),
+        },
+        (AggregationMode::Synchronous, RobustAggregation::CoordinateMedian) => {
+            telemetry::record_robust_fold(round, "coordinate_median", updates.len());
+            fold::Rule::CoordinateMedian
+        }
+        (AggregationMode::Synchronous, RobustAggregation::TrimmedMean { trim_ratio }) => {
+            telemetry::record_robust_fold(round, "trimmed_mean", updates.len());
+            fold::Rule::TrimmedMean { trim_ratio }
+        }
+    };
+    // Per-edge folds fan out on the thread pool unless the run is pinned
+    // fully serial (each edge's chain is one task, so scheduling cannot
+    // change bits).
+    let parallel = engine.config.parallelism != 1;
+    fold::aggregate(rule, &mut engine.global, updates, engine.cohorts.num_edges(), parallel);
+    Ok(())
 }

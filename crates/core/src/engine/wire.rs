@@ -1,6 +1,6 @@
 //! The engine's wire protocol state: which codec every weight transfer
 //! uses, the shared bases and error-feedback residuals of delta streams,
-//! and the shape-derived frame sizes the event stage charges.
+//! and the shape-derived frame sizes the plan stage charges.
 //!
 //! Four weight streams exist per experiment (§3.3's message flow):
 //!
@@ -22,8 +22,8 @@
 //!   stream to feed it back into).
 //!
 //! Every encoded length here is a pure function of shapes and policy
-//! (never of values), so the virtual-clock event stage can charge
-//! transfers before the execution stage trains anything — and timing-only
+//! (never of values), so the virtual-clock plan stage can charge
+//! transfers before the execute stage trains anything — and timing-only
 //! runs share the exact timeline of real runs.
 
 use aergia_codec::{

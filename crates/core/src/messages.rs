@@ -66,10 +66,10 @@ impl SignedAssignment {
 
 /// Everything that travels over the simulated network.
 ///
-/// Messages walk a round's virtual clock in the event stage, whose timing
+/// Messages walk a round's virtual clock in the plan stage, whose timing
 /// must never depend on gradient values: weight frames are sized by
 /// [`RoundWireSizes`] (shape-deterministic), never carried here. The
-/// execution stage produces the real frames afterwards and asserts they
+/// execute stage produces the real frames afterwards and asserts they
 /// match the sizes charged.
 #[derive(Debug, Clone)]
 pub enum Message {

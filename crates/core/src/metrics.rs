@@ -20,9 +20,20 @@ pub struct RoundRecord {
     pub train_loss: f64,
     /// Clients selected this round.
     pub participants: Vec<usize>,
-    /// Sender→receiver pairs that offloaded.
+    /// Sender→receiver pairs whose offload was *activated*: the straggler
+    /// froze its feature section and shipped its model to the receiver.
+    /// A pair the federator rescheduled after a receiver crash is listed
+    /// too, after the original.
     pub offloads: Vec<(usize, usize)>,
-    /// Participants whose update was dropped (deadline strategies).
+    /// Participants whose update was not aggregated, in participant
+    /// order. There are three causes:
+    /// - the update arrived after the deadline (deadline strategies);
+    /// - the client crashed (churn) before its update left — a client
+    ///   that crashes later, while serving an offload, is not dropped;
+    /// - the transport lost the client's reply (real mode).
+    ///
+    /// An upload the simulated network loses (fault injection) never
+    /// arrives, and is dropped the same way as a late one.
     pub dropped: Vec<usize>,
     /// Payload bytes delivered over the simulated network this round —
     /// actual encoded frame sizes under the experiment's wire codec, plus

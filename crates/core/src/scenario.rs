@@ -4,7 +4,7 @@
 //! stable clients. This module adds the three scenario axes a production
 //! FL middleware must survive — staleness, churn, and adversaries — as
 //! *validated configuration*, not as separate code paths: every knob
-//! rides the existing value-free event stage of the round state machine,
+//! rides the existing value-free plan stage of the round state machine,
 //! so scenario runs keep the workspace determinism contract (serial and
 //! parallel execution are bit-identical, and TCP runs match the
 //! in-process simulator). The full knob × semantics × guarantee matrix
@@ -49,7 +49,7 @@ pub enum AggregationMode {
     /// model as `global ← (1−α)·global + α·update` with
     /// `α = mixing · max(0, 1 − s/max_staleness)` (see
     /// [`staleness_weight`]). Arrival order is decided by the value-free
-    /// event stage, so the fold order — and therefore the result — is
+    /// plan stage, so the fold order — and therefore the result — is
     /// bit-identical across serial/parallel execution and transports.
     BufferedAsync {
         /// Staleness at which an update's weight reaches exactly zero.

@@ -9,15 +9,16 @@
 //! this process's thread pool for the simulator, or on remote worker
 //! processes for the networked runtime (`aergia-net`).
 //!
-//! The [`Transport`] trait is that seam. Each round the engine hands the
-//! transport two batches of work derived from the event trace:
+//! The [`Transport`] trait is that seam. In the execute stage of each
+//! round the engine hands the transport two batches of work, derived from
+//! the round's value-free plan:
 //!
-//! 1. [`Transport::train_participants`] — every participant's own local
-//!    training, from the round's decoded broadcast ([`TrainOrder`] →
-//!    [`TrainReply`]);
-//! 2. [`Transport::train_offloads`] — after the engine has pushed each
-//!    straggler's frozen snapshot through the wire codec, the
-//!    receiver-side offloaded feature training ([`OffloadOrder`] →
+//! 1. the *own-training pass*, [`Transport::train_participants`] — every
+//!    participant's own local training, from the round's decoded broadcast
+//!    ([`TrainOrder`] → [`TrainReply`]);
+//! 2. the *offload pass*, [`Transport::train_offloads`] — after the engine
+//!    has pushed each straggler's frozen snapshot through the wire codec,
+//!    the receiver-side offloaded feature training ([`OffloadOrder`] →
 //!    [`OffloadReply`]).
 //!
 //! Everything *stateful* stays on the engine side: batchers advance

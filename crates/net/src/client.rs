@@ -19,7 +19,7 @@
 //! [`ClientWorkspace::run_offload_batches`] loops on a batcher restored
 //! from the order's snapshot, with the optimizer built by the same
 //! [`round_optimizer`] derivation. The only state retained between
-//! messages is the round's stage-1 optimizer, whose momentum an offload
+//! messages is the round's own-training optimizer, whose momentum an offload
 //! order in the same round continues — exactly the momentum-threading
 //! the engine performs for the in-process transport.
 //!
@@ -64,9 +64,9 @@ pub struct ClientOpts {
 /// An order the coordinator selected this client for.
 #[derive(Debug)]
 pub enum Order {
-    /// Stage 1: the client's own local training.
+    /// The own-training pass: the client's own local training.
     Train(TrainOrderMsg),
-    /// Stage 2: receiver-side offloaded training.
+    /// The offload pass: receiver-side offloaded training.
     Offload(OffloadOrderMsg),
 }
 
@@ -97,7 +97,7 @@ pub enum ClientState {
         conn: TcpStream,
         /// The round the reply answers.
         round: u32,
-        /// Whether this is a stage-1 train reply (the crash hook only
+        /// Whether this is an own-training reply (the crash hook only
         /// fires on those).
         train_reply: bool,
         /// The encoded reply envelope.
@@ -117,7 +117,7 @@ struct Worker {
     train: Dataset,
     workspace: ClientWorkspace,
     batcher: Option<Batcher>,
-    /// The stage-1 optimizer retained for this round's offload order.
+    /// The own-training optimizer retained for this round's offload order.
     round_opt: Option<(u32, Sgd)>,
 }
 
@@ -325,7 +325,7 @@ fn step_work(
                     msg.receiver, opts.id
                 )));
             }
-            // The receiver's stage-2 training continues its stage-1
+            // The receiver's offload training continues its own-training
             // momentum — the engine guarantees an offload order only ever
             // follows the same round's train order.
             let Some((opt_round, mut opt)) = worker.round_opt.take() else {

@@ -16,7 +16,7 @@
 //! batcher state for the engine to restore, because the engine — and its
 //! checkpoints — remain the single source of truth for resumption. The
 //! only state a worker retains across messages within a round is its
-//! stage-1 optimizer, which [`OffloadOrderMsg`] implicitly reuses (the
+//! own-training optimizer, which [`OffloadOrderMsg`] implicitly reuses (the
 //! same momentum-threading the in-process transport performs explicitly).
 //!
 //! Decoders validate counts against [`Reader`] bounds before allocating

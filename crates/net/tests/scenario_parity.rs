@@ -5,7 +5,7 @@
 //!
 //! This works *by construction* — availability and crash draws, the
 //! staleness-weighted fold and the adversarial perturbations all live in
-//! the engine's value-free event stage and fixed-order fold, never in
+//! the engine's value-free plan stage and fixed-order fold, never in
 //! the transport — and this suite is the proof. The broader transport
 //! matrix (codecs, kill/resume, mid-upload process crashes) lives in
 //! `e2e.rs`; here every run uses the dense codec so a failure points at

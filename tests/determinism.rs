@@ -1,9 +1,9 @@
 //! Serial vs parallel engine equivalence: the parallel execution runtime
 //! must change wall-clock only, never results.
 //!
-//! The engine executes each round as a virtual-time event plan followed by
-//! a numeric execution stage; the `parallelism` knob only decides how many
-//! clients' plans execute concurrently. These tests pin the contract: a
+//! The engine runs each round as a value-free plan on the virtual clock,
+//! then executes and folds it; the `parallelism` knob only decides how
+//! many clients' plans execute concurrently. These tests pin the contract: a
 //! fully parallel run (`parallelism = 0`, work-stealing pool) is
 //! **bit-identical** — losses, accuracies, durations, offload pairs and
 //! final weights — to a fully serial run (`parallelism = 1`) of the same
@@ -93,7 +93,7 @@ fn assert_bit_identical(
 fn aergia_parallel_round_is_bit_identical_to_serial() {
     force_pool_workers();
     // Aergia on heterogeneous smoke fig6: exercises freezing, the frozen
-    // snapshot handoff and receiver-side offload training (stage 2).
+    // snapshot handoff and receiver-side offload training (the offload pass).
     let strategy = Strategy::aergia_default();
     let serial = run_with_parallelism(fig6_smoke(33), strategy, 1);
     let parallel = run_with_parallelism(fig6_smoke(33), strategy, 0);
@@ -119,7 +119,7 @@ fn workspace_reuse_is_bit_identical_across_serial_parallel_and_reruns() {
     let parallel = run_with_parallelism(fig6_smoke(35), strategy, 0);
     assert_bit_identical(&serial, &parallel, "workspace parallel");
     let total: usize = serial.0.rounds.iter().map(|r| r.offloads.len()).sum();
-    assert!(total > 0, "seed 35 must exercise offloads so stage-2 workspace reuse is covered");
+    assert!(total > 0, "seed 35 must exercise offloads so offload-pass workspace reuse is covered");
 }
 
 #[test]
@@ -127,10 +127,10 @@ fn compressed_runs_are_bit_identical_across_parallelism() {
     force_pool_workers();
     // The lossy codecs thread extra state through a round (quantized
     // reconstructions; top-k bases and per-client error-feedback
-    // residuals). All codec work happens at round start, between the two
-    // execution stages and in the fixed-order fold — never inside the
-    // parallel tasks — so a compressed fig6-smoke must stay bit-identical
-    // between serial and work-stealing execution too.
+    // residuals). All codec work happens at round start, between the
+    // own-training and offload passes and in the fixed-order upload —
+    // never inside the parallel tasks — so a compressed fig6-smoke must
+    // stay bit-identical between serial and work-stealing execution too.
     let strategy = Strategy::aergia_default();
     for codec in [
         aergia_codec::CodecConfig::QuantI8,
@@ -150,7 +150,7 @@ fn compressed_runs_are_bit_identical_across_parallelism() {
 fn scenario_async_churn_byzantine_is_bit_identical_across_parallelism() {
     force_pool_workers();
     // The scenario engine's whole design rests on keeping every stochastic
-    // decision in the value-free event stage: availability and crash draws
+    // decision in the value-free plan stage: availability and crash draws
     // come from a dedicated churn stream before the round starts, the
     // async fold follows virtual-clock arrival order, and Byzantine
     // perturbations are seeded by (seed, round, client). Composing all

@@ -7,7 +7,7 @@
 //! suite pins the *semantics*: what each knob does to a run, and that
 //! every scenario run is a pure function of its configuration.
 
-use aergia::config::{ConfigError, ExperimentConfig};
+use aergia::config::{ConfigError, ExperimentConfig, Mode};
 use aergia::engine::Engine;
 use aergia::engine::EngineError;
 use aergia::metrics::RunResult;
@@ -17,7 +17,9 @@ use aergia::prelude::{
 };
 use aergia::strategy::Strategy;
 use aergia_bench::{base_config, Scale};
+use aergia_codec::CodecConfig;
 use aergia_data::DatasetSpec;
+use aergia_net::presets::{scenario_by_name, smoke_config};
 use aergia_nn::models::ModelArch;
 use aergia_simnet::SimDuration;
 use aergia_tensor::Tensor;
@@ -191,6 +193,59 @@ fn churn_checkpoint_resume_is_bit_identical() {
         weights_identical(straight.global_weights(), resumed.global_weights()),
         "resumed churn run must land on the same global model"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The plan reads no value
+// ---------------------------------------------------------------------------
+
+/// Timing mode runs only a round's plan; Real mode also trains and folds
+/// what the plan dictates. A plan that read a weight, or a Real round that
+/// contradicted its plan (say, dropping an update the plan delivered),
+/// would make the two disagree on some round's duration, offloads, drops,
+/// bytes or pool counts. Only the values differ: accuracies and losses
+/// are masked. TiFL is left out, because its selection reads accuracy.
+#[test]
+fn timing_and_real_runs_agree_on_everything_but_values() {
+    // Accuracies are masked, so a small eval set and the whole pool only
+    // save time.
+    let config = |mode, scenario: &str, codec| ExperimentConfig {
+        mode,
+        rounds: 5,
+        scenario: scenario_by_name(scenario).expect("known scenario"),
+        eval_samples: 8,
+        parallelism: 0,
+        ..smoke_config(33, codec)
+    };
+    let masked = |config: ExperimentConfig, strategy| {
+        let mut result = run(config, strategy).0;
+        result.final_accuracy = 0.0;
+        for record in &mut result.rounds {
+            record.test_accuracy = 0.0;
+            record.train_loss = 0.0;
+        }
+        result
+    };
+    // A deadline under FedAvg's first round, so that some updates miss it.
+    let fedavg = masked(config(Mode::Timing, "none", CodecConfig::DenseF32), Strategy::FedAvg);
+    let deadline = Strategy::DeadlineFedAvg { deadline: fedavg.rounds[0].duration.mul_f64(0.75) };
+
+    let aergia = Strategy::aergia_default();
+    let mut cases: Vec<(Strategy, &str, CodecConfig)> = Vec::new();
+    for strategy in [Strategy::FedAvg, aergia, deadline] {
+        for scenario in ["none", "churn"] {
+            cases.push((strategy, scenario, CodecConfig::DenseF32));
+        }
+    }
+    cases.push((aergia, "churn", CodecConfig::TopKDelta { keep_permille: 100 }));
+    let mut dropped = 0;
+    for (strategy, scenario, codec) in cases {
+        let timing = masked(config(Mode::Timing, scenario, codec), strategy);
+        let real = masked(config(Mode::Real, scenario, codec), strategy);
+        assert_eq!(timing, real, "{} / {scenario} / {codec:?}", strategy.name());
+        dropped += real.total_dropped();
+    }
+    assert!(dropped > 0, "no case dropped an update: the deadline and churn cases do not bite");
 }
 
 // ---------------------------------------------------------------------------
