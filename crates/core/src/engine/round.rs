@@ -16,14 +16,15 @@
 //!   reply, the capped duration and the dropped set. Timing mode runs
 //!   this stage only.
 //! * [`execute`] hands the numeric work the plan describes to the round's
-//!   [`Transport`]. The *own-training pass* trains every participant's
-//!   own batches ([`TrainOrder`]); after the engine pushes the straggler
-//!   snapshots through the wire codec, the *offload pass* trains the
-//!   receivers' offloaded batches ([`OffloadOrder`]). The default
+//!   [`Transport`] in one call: every participant's own batches
+//!   ([`TrainOrder`]) and every activated offload edge ([`OffloadOrder`]),
+//!   each offload after its receiver's own batches and its straggler's
+//!   snapshot has crossed the wire. The default
 //!   [`InProcess`](crate::transport::InProcess) transport runs orders
 //!   concurrently on the [`aergia_runtime`] thread pool, bounded by
-//!   [`crate::config::ExperimentConfig::parallelism`]; `aergia-net`'s TCP
-//!   transport ships them to remote worker processes instead.
+//!   [`crate::config::ExperimentConfig::parallelism`], each offload as
+//!   soon as both its parties are done; `aergia-net`'s TCP transport
+//!   ships them to remote worker processes instead.
 //! * [`fold_round`] applies the plan's cutoff, drops the clients the
 //!   transport lost, recombines Aergia's offloaded feature sections and
 //!   aggregates through [`fold::aggregate`].
@@ -662,42 +663,45 @@ pub(crate) struct Trained {
     /// Each trained feature section that reached the federator, as the
     /// wire delivered it, keyed by the straggler it belongs to.
     features: HashMap<usize, Vec<Tensor>>,
-    /// Per-batch training losses, in participant order.
-    losses: Vec<f32>,
+    /// The sum of every own batch's training loss, added in participant
+    /// then batch order, and the number of batches.
+    loss_sum: f64,
+    batches: usize,
 }
 
 impl Trained {
     /// Mean local training loss over all batches of the round.
     pub(crate) fn mean_loss(&self) -> f64 {
-        if self.losses.is_empty() {
+        if self.batches == 0 {
             return f64::NAN;
         }
-        self.losses.iter().map(|&l| f64::from(l)).sum::<f64>() / self.losses.len() as f64
+        self.loss_sum / self.batches as f64
     }
 }
 
 /// The execute stage: trains what `plan` dictates through `transport`,
 /// starting from `round_base` (the decoded broadcast).
 ///
-/// The own-training pass trains every participant's own batches,
-/// capturing the frozen snapshot where a receiver needs it. The offload
-/// pass — after a barrier, because receivers consume those snapshots —
-/// trains the offloaded feature sections. Within one client the
-/// batcher/optimizer order (own batches, then offloaded batches) matches
-/// the virtual event order exactly, so results are independent of where
-/// and how concurrently the orders execute.
+/// One transport call trains every participant's own batches and every
+/// activated offload. An offload runs after its receiver's own batches,
+/// on its straggler's frozen snapshot as it crossed the client-to-client
+/// wire ([`RoundContext::deliver_snapshot`]), so the receiver trains
+/// what the codec delivered, not the sender's exact weights. Within one
+/// client the batcher/optimizer order (own batches, then offloaded
+/// batches) matches the virtual event order exactly, so results are
+/// independent of where and how concurrently the orders execute.
 ///
-/// Every weight hand-off passes through the wire codec exactly as the
-/// protocol ships it: snapshots between the passes, then each upload in
-/// arrival order and each feature section, so the fold aggregates what
-/// the wire delivered — bit-identical to the trained values under the
-/// dense codec, lossy under the others. All codec calls happen here on
-/// the federator side, never inside the transport, so delta/residual
-/// state advances in a fixed order whatever the transport's thread pool
-/// (or remote cluster) did.
+/// Every other weight hand-off passes through the wire codec here, in a
+/// fixed order whatever the transport's thread pool (or remote cluster)
+/// did: each feature section, then each upload in arrival order, so the
+/// fold aggregates what the wire delivered — bit-identical to the
+/// trained values under the dense codec, lossy under the others. The
+/// stateful encodes (per-client uplink residuals) happen only here,
+/// never inside the transport.
 ///
-/// A missing reply means the transport lost that participant: it uploads
-/// nothing, its offload lapses, and its uplink residual does not advance.
+/// A missing own reply means the transport lost that participant: it
+/// uploads nothing, any offload it took part in lapses, and its uplink
+/// residual does not advance.
 pub(crate) fn execute(
     engine: &mut Engine,
     plan: &RoundPlan,
@@ -705,6 +709,12 @@ pub(crate) fn execute(
     transport: &mut dyn Transport,
 ) -> Result<Trained, EngineError> {
     let round = plan.round;
+    let wire = &engine.wire;
+    let deliver_snapshot = |snapshot: &[Tensor]| {
+        let (frame, delivered) = wire.encode_snapshot(snapshot, round_base);
+        debug_assert_eq!(frame.wire_len(), plan.sizes.offload_model, "snapshot size drifted");
+        delivered
+    };
     let ctx = RoundContext {
         round,
         round_base,
@@ -712,20 +722,17 @@ pub(crate) fn execute(
         train: &engine.train,
         template: &engine.template,
         workspaces: &engine.workspaces,
+        deliver_snapshot: &deliver_snapshot,
     };
 
-    // Own-training pass, from the weights the broadcast actually
-    // delivered. Batchers live in the cohort pool, which `begin_round`
-    // stocked for every participant; workspaces come off the engine's
-    // shelf, one per task in flight, whichever client the task serves.
-    let mut losses = Vec::new();
-    let mut trained: HashMap<usize, Vec<Tensor>> = HashMap::new();
-    let mut opts = HashMap::new();
-    let mut snapshots: HashMap<usize, Vec<Tensor>> = HashMap::new();
-    {
+    // From the weights the broadcast actually delivered. Batchers live in
+    // the cohort pool, which `begin_round` stocked for every participant;
+    // workspaces come off the engine's shelf, one per task in flight,
+    // whichever client the task serves.
+    let replies = {
         let _train_span = aergia_telemetry::span!("round.train", round = round);
         let mut handles = engine.pool.handles();
-        let orders: Vec<TrainOrder<'_>> = plan
+        let own: Vec<TrainOrder<'_>> = plan
             .clients
             .iter()
             .filter(|p| p.own_batches > 0)
@@ -740,65 +747,58 @@ pub(crate) fn execute(
                 batcher: handles.remove(&p.client).expect("begin_round admits every participant"),
             })
             .collect();
-        // Replies come back in participant order (the transport preserves
-        // relative order), whatever its thread pool did.
-        for reply in transport.train_participants(&ctx, orders)? {
-            losses.extend(reply.losses);
-            if let Some(opt) = reply.opt {
-                opts.insert(reply.client, opt);
-            }
-            // The snapshot crosses the client-to-client wire, so the
-            // receiver trains what the codec delivered, not the sender's
-            // exact weights.
-            if let Some(snapshot) = reply.snapshot {
-                let (frame, delivered) = engine.wire.encode_snapshot(&snapshot, round_base);
-                debug_assert_eq!(
-                    frame.wire_len(),
-                    plan.sizes.offload_model,
-                    "snapshot size drifted"
-                );
-                snapshots.insert(reply.client, delivered);
-            }
-            trained.insert(reply.client, reply.weights);
-        }
-    }
-
-    // Offload pass: the receivers train the stragglers' delivered
-    // snapshots.
-    let offload_replies = {
-        let _offload_span = aergia_telemetry::span!("round.offload_train", round = round);
-        let mut handles = engine.pool.handles();
-        let orders: Vec<OffloadOrder<'_>> = plan
+        let offloads: Vec<OffloadOrder> = plan
             .clients
             .iter()
             .filter_map(|p| {
-                let offload = p.offload?;
-                // The receiver or the straggler may have been lost in the
-                // own-training pass (a remote client dying); the offload
-                // then lapses and the straggler's own (frozen) update
-                // stands alone.
-                if !trained.contains_key(&p.client) {
-                    return None;
-                }
-                Some(OffloadOrder {
+                p.offload.map(|o| OffloadOrder {
                     receiver: p.client,
-                    weak: offload.weak,
-                    batches: offload.batches,
-                    snapshot: snapshots.remove(&offload.weak)?,
-                    opt: opts.remove(&p.client),
-                    batcher: handles
-                        .remove(&p.client)
-                        .expect("begin_round admits every participant"),
+                    weak: o.weak,
+                    batches: o.batches,
                 })
             })
             .collect();
-        transport.train_offloads(&ctx, orders)?
+        // A receiver serves one edge by construction (one `offload` per
+        // plan entry); only a surviving offload consumes a snapshot, so a
+        // straggler feeds at most one.
+        debug_assert!(
+            offloads
+                .iter()
+                .enumerate()
+                .all(|(i, a)| offloads[..i].iter().all(|b| a.weak != b.weak)),
+            "two offload orders train one straggler"
+        );
+        transport.train_round(&ctx, own, offloads)?
     };
 
+    // Replies come back in participant order (the transport preserves
+    // relative order), whatever its thread pool did.
+    let (mut loss_sum, mut batches) = (0.0, 0);
+    let mut trained = HashMap::with_capacity(replies.own.len());
+    for reply in replies.own {
+        loss_sum = reply.losses.iter().fold(loss_sum, |sum, &l| sum + f64::from(l));
+        batches += reply.losses.len();
+        trained.insert(reply.client, reply.weights);
+    }
+    let _upload_span = aergia_telemetry::span!("round.upload", round = round);
+    let base_features = &round_base[..engine.wire.feature_tensors];
+    let mut features = HashMap::new();
+    for reply in replies.offloads {
+        // An offload whose receiver or straggler the transport lost
+        // lapses (a lost receiver leaves the straggler's frozen update
+        // standing alone); a section whose message the network lost never
+        // crossed the wire.
+        let lapsed = !(trained.contains_key(&reply.receiver) && trained.contains_key(&reply.weak));
+        if lapsed || !plan.offload_results.contains_key(&reply.weak) {
+            continue;
+        }
+        let (frame, delivered) = engine.wire.encode_features(&reply.features, base_features);
+        debug_assert_eq!(frame.wire_len(), plan.sizes.offload_result, "feature size drifted");
+        features.insert(reply.weak, delivered);
+    }
     // Uplinks cross the wire here, updates in fixed arrival order: the
     // fold aggregates the decoded reconstructions, and each client's
     // error-feedback residual advances exactly once per upload.
-    let _upload_span = aergia_telemetry::span!("round.upload", round = round);
     let mut uploads = HashMap::with_capacity(plan.updates.len());
     for update in &plan.updates {
         let Some(mut weights) = trained.remove(&update.client) else { continue };
@@ -815,18 +815,7 @@ pub(crate) fn execute(
         debug_assert_eq!(frame.wire_len(), plan.sizes.client_update, "update frame size drifted");
         uploads.insert(update.client, delivered);
     }
-    let base_features = &round_base[..engine.wire.feature_tensors];
-    let mut features = HashMap::new();
-    for reply in offload_replies {
-        // A section whose message the network lost never crossed the wire.
-        if !plan.offload_results.contains_key(&reply.weak) {
-            continue;
-        }
-        let (frame, delivered) = engine.wire.encode_features(&reply.features, base_features);
-        debug_assert_eq!(frame.wire_len(), plan.sizes.offload_result, "feature size drifted");
-        features.insert(reply.weak, delivered);
-    }
-    Ok(Trained { uploads, features, losses })
+    Ok(Trained { uploads, features, loss_sum, batches })
 }
 
 /// Applies a Byzantine perturbation to `weights` in place, relative to

@@ -10,33 +10,39 @@
 //! processes for the networked runtime (`aergia-net`).
 //!
 //! The [`Transport`] trait is that seam. In the execute stage of each
-//! round the engine hands the transport two batches of work, derived from
-//! the round's value-free plan:
+//! round the engine hands the transport one call,
+//! [`Transport::train_round`], derived from the round's value-free plan:
 //!
-//! 1. the *own-training pass*, [`Transport::train_participants`] — every
-//!    participant's own local training, from the round's decoded broadcast
-//!    ([`TrainOrder`] → [`TrainReply`]);
-//! 2. the *offload pass*, [`Transport::train_offloads`] — after the engine
-//!    has pushed each straggler's frozen snapshot through the wire codec,
-//!    the receiver-side offloaded feature training ([`OffloadOrder`] →
-//!    [`OffloadReply`]).
+//! * every participant's own local training, from the round's decoded
+//!   broadcast ([`TrainOrder`] → [`TrainReply`]);
+//! * the plan's activated offload edges ([`OffloadOrder`] →
+//!   [`OffloadReply`]): a receiver trains a straggler's frozen feature
+//!   section on its own data, continuing its own optimizer and batcher.
 //!
-//! Everything *stateful* stays on the engine side: batchers advance
+//! An offload has two prerequisites: its receiver's own batches and its
+//! straggler's snapshot, pushed through the wire codec by
+//! [`RoundContext::deliver_snapshot`]. [`InProcess`] starts it as soon as
+//! both are done — the order the virtual clock already plays — rather
+//! than behind a barrier over every participant. Its inputs (the
+//! receiver's post-own batcher and optimizer, the delivered snapshot) do
+//! not depend on when or where it runs, so the results do not either.
+//!
+//! Everything else *stateful* stays on the engine side: batchers advance
 //! through the `&mut` handles carried by the orders, codec residuals and
-//! delta bases never leave the engine, and the global model is
-//! aggregated from whatever replies come back. A transport is therefore
-//! free to drop a participant (a real client crashing mid-upload): the
-//! engine counts the client as dropped and completes the round with the
-//! remaining replies.
+//! delta bases never leave the engine (the one-shot snapshot encode reads
+//! no stream state), and the global model is aggregated from whatever
+//! replies come back. A transport is therefore free to drop a participant
+//! (a real client crashing mid-upload): the engine counts the client as
+//! dropped, lapses any offload it took part in and completes the round
+//! with the remaining replies.
 //!
 //! [`InProcess`] is the default implementation — it executes orders on
-//! the calling thread or the [`aergia_runtime`] thread pool. Each call
-//! fans out exactly once, capped by `parallelism`, so at
-//! `parallelism = 1` the calling thread runs every order. The determinism
-//! suite pins that a run through [`InProcess`] is bit-identical across
-//! `parallelism` settings; the networked e2e suite pins that a run
-//! through `aergia-net`'s TCP transport is bit-identical to [`InProcess`]
-//! on the same seeds.
+//! the calling thread or the [`aergia_runtime`] thread pool in one
+//! fan-out, capped by `parallelism`, so at `parallelism = 1` the calling
+//! thread runs every order. The determinism suite pins that a run through
+//! [`InProcess`] is bit-identical across `parallelism` settings; the
+//! networked e2e suite pins that a run through `aergia-net`'s TCP
+//! transport is bit-identical to [`InProcess`] on the same seeds.
 
 use std::error::Error;
 use std::fmt;
@@ -55,23 +61,18 @@ use crate::strategy::Strategy;
 ///
 /// A remote transport that loses a client omits that client's reply (the
 /// engine then treats it as dropped) rather than returning an error, so
-/// both variants come from executing an order: [`TransportError::Nn`]
-/// when the model rejects it, [`TransportError::Protocol`] when the order
-/// itself is malformed (an offload order without optimizer state).
+/// the one failure left is the model rejecting an order.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum TransportError {
     /// A model operation failed while executing an order.
     Nn(NnError),
-    /// An order violated the engine ↔ transport protocol.
-    Protocol(String),
 }
 
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransportError::Nn(e) => write!(f, "model error: {e}"),
-            TransportError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
     }
 }
@@ -80,7 +81,6 @@ impl Error for TransportError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TransportError::Nn(e) => Some(e),
-            TransportError::Protocol(_) => None,
         }
     }
 }
@@ -105,9 +105,15 @@ pub struct RoundContext<'a> {
     /// The model template a fresh [`ClientWorkspace`] clones.
     pub template: &'a Cnn,
     /// The engine's shelf of idle training workspaces. [`InProcess`]
-    /// takes one per order in flight and puts it back when the order is
-    /// done; transports whose clients train elsewhere leave it alone.
+    /// takes one per training loop in flight (own or offloaded) and puts
+    /// it back when the loop is done; transports whose clients train
+    /// elsewhere leave it alone.
     pub workspaces: &'a Mutex<Vec<ClientWorkspace>>,
+    /// Pushes a straggler's frozen snapshot through the offload wire
+    /// codec and returns what its receiver decodes — the weights the
+    /// receiver must train. A one-shot encode that reads no stream
+    /// state, so any thread may call it, in any order.
+    pub deliver_snapshot: &'a (dyn Fn(&[Tensor]) -> Vec<Tensor> + Sync),
 }
 
 /// One participant's own local training for the round.
@@ -126,11 +132,12 @@ pub struct TrainOrder<'a> {
     /// Capture the frozen snapshot (a strong client will train it).
     pub snapshot_wanted: bool,
     /// The round's optimizer, freshly built by the engine (FedProx
-    /// carries its proximal anchor). Returned through
-    /// [`TrainReply::opt`] so offloaded training continues with the same
-    /// momentum state.
+    /// carries its proximal anchor). A receiver's offloaded training
+    /// continues it, momentum included.
     pub opt: Sgd,
-    /// The client's persistent mini-batch stream.
+    /// The client's persistent mini-batch stream (a receiver's offloaded
+    /// batches continue it after its own, matching the virtual event
+    /// order).
     pub batcher: &'a mut Batcher,
 }
 
@@ -141,35 +148,21 @@ pub struct TrainReply {
     /// The full trained snapshot (uploaded through the wire codec by the
     /// engine).
     pub weights: Vec<Tensor>,
-    /// The frozen snapshot captured at the freeze point, if the order
-    /// asked for one.
-    pub snapshot: Option<Vec<Tensor>>,
     /// Per-batch training losses, in batch order.
     pub losses: Vec<f32>,
-    /// The optimizer after the client's own batches — [`InProcess`]
-    /// returns it so the engine can thread it into the client's
-    /// [`OffloadOrder`]; transports whose workers keep their optimizer
-    /// remotely return `None`.
-    pub opt: Option<Sgd>,
 }
 
-/// Receiver-side offloaded training: train a straggler's frozen model.
-pub struct OffloadOrder<'a> {
-    /// The strong client doing the training.
+/// One activated offload edge: `receiver` trains `weak`'s frozen model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffloadOrder {
+    /// The strong client doing the training. Its own [`TrainOrder`]
+    /// carries the optimizer and batcher the offload continues.
     pub receiver: usize,
-    /// The straggler whose model is being trained.
+    /// The straggler whose model is being trained. Its own
+    /// [`TrainOrder`] captures the snapshot.
     pub weak: usize,
     /// Feature-only batches to run.
     pub batches: u32,
-    /// The straggler's frozen snapshot *as the wire delivered it* (the
-    /// engine already pushed it through the offload codec stream).
-    pub snapshot: Vec<Tensor>,
-    /// The receiver's optimizer as returned by its [`TrainReply`]
-    /// (`None` when the transport keeps optimizer state on the worker).
-    pub opt: Option<Sgd>,
-    /// The receiver's persistent mini-batch stream (continues after its
-    /// own batches, matching the virtual event order).
-    pub batcher: &'a mut Batcher,
 }
 
 /// What one receiver's offloaded training produced.
@@ -182,31 +175,44 @@ pub struct OffloadReply {
     pub features: Vec<Tensor>,
 }
 
+/// Everything a round's [`Transport::train_round`] call produced.
+pub struct RoundReplies {
+    /// Own-training replies, in the relative order of their orders.
+    pub own: Vec<TrainReply>,
+    /// Offload replies, in the relative order of their orders.
+    pub offloads: Vec<OffloadReply>,
+}
+
 /// Executes the participant half of a round (see the module docs).
 ///
 /// # Contract
 ///
+/// * Each receiver and each straggler takes part in at most one
+///   [`OffloadOrder`] (the planner activates one edge per straggler, and
+///   never makes a straggler a receiver); an order whose receiver or
+///   straggler has no [`TrainOrder`] lapses.
+/// * An offload runs only after its receiver's own batches and with the
+///   snapshot its straggler's own training captured, delivered through
+///   [`RoundContext::deliver_snapshot`]; if either party is lost (or
+///   captured no snapshot), the offload lapses without touching the
+///   receiver's batcher.
 /// * Replies must preserve order: reply `i` may be omitted, but the
 ///   replies present must appear in the same relative order as their
 ///   orders (the engine folds losses in that order).
-/// * An omitted reply means the participant is gone this round; the
-///   engine drops it and completes the round with the rest.
+/// * An omitted own reply means the participant is gone this round; the
+///   engine drops it, lapses any offload it took part in, and completes
+///   the round with the rest.
 /// * An `Err` aborts the whole run — reserve it for failures that leave
 ///   the transport unusable, not for one lost client.
 pub trait Transport {
-    /// Executes every participant's own local training.
-    fn train_participants(
+    /// Executes every participant's own local training and every
+    /// offload edge, each offload after both its parties' own training.
+    fn train_round(
         &mut self,
         ctx: &RoundContext<'_>,
-        orders: Vec<TrainOrder<'_>>,
-    ) -> Result<Vec<TrainReply>, TransportError>;
-
-    /// Executes the receiver-side offloaded feature training.
-    fn train_offloads(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        orders: Vec<OffloadOrder<'_>>,
-    ) -> Result<Vec<OffloadReply>, TransportError>;
+        own: Vec<TrainOrder<'_>>,
+        offloads: Vec<OffloadOrder>,
+    ) -> Result<RoundReplies, TransportError>;
 }
 
 /// A reusable training workspace: a live model whose weights are reset
@@ -356,13 +362,29 @@ pub fn round_optimizer(config: &ExperimentConfig, strategy: &Strategy, anchor: &
 
 /// The default [`Transport`]: orders execute in this process, on the
 /// calling thread (`parallelism == 1`) or the [`aergia_runtime`] thread
-/// pool. Each order takes a workspace off [`RoundContext::workspaces`]
-/// (building one from the template when the shelf is empty) and shelves
-/// it again when done, so at most `min(parallelism, pool threads,
-/// orders)` workspaces ever exist, however many clients the engine
-/// simulates. The determinism suite pins its results bit-for-bit.
+/// pool, in one fan-out over the own orders. The task that completes an
+/// offload's later prerequisite — its receiver's own batches or its
+/// straggler's delivered snapshot — runs the offload inline, with the
+/// receiver's optimizer and batcher. Each training loop takes a
+/// workspace off [`RoundContext::workspaces`] (building one from the
+/// template when the shelf is empty) and shelves it again when done, and
+/// a task holds one at a time, so at most `min(parallelism, pool
+/// threads, orders)` workspaces ever exist, however many clients the
+/// engine simulates. The determinism suite pins its results bit-for-bit.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InProcess;
+
+/// One offload edge's meeting point: the party that finishes first
+/// leaves its half here, the second takes both and trains.
+struct Edge<'a> {
+    order: OffloadOrder,
+    /// The receiver's own order after its own batches: the optimizer and
+    /// batcher the offload continues.
+    receiver: Option<TrainOrder<'a>>,
+    /// The straggler's snapshot as the receiver decodes it.
+    snapshot: Option<Vec<Tensor>>,
+    features: Option<Result<Vec<Tensor>, NnError>>,
+}
 
 impl InProcess {
     /// Runs `f` on a workspace from the shelf and shelves it again.
@@ -375,26 +397,81 @@ impl InProcess {
         shelf().push(cw);
         out
     }
+
+    /// Leaves one party's half at `edge`; if the other half is already
+    /// there, trains the offload on this thread.
+    fn arrive<'a>(
+        ctx: &RoundContext<'_>,
+        edge: &Mutex<Edge<'a>>,
+        leave: impl FnOnce(&mut Edge<'a>),
+    ) {
+        let lock = || edge.lock().expect("no task panics holding an offload edge");
+        let (mut order, snapshot, batches) = {
+            let mut e = lock();
+            leave(&mut e);
+            match (e.receiver.take(), e.snapshot.take()) {
+                (Some(order), Some(snapshot)) => (order, snapshot, e.order.batches),
+                // The other party is still training: it will find this half.
+                (receiver, snapshot) => {
+                    e.receiver = receiver;
+                    e.snapshot = snapshot;
+                    return;
+                }
+            }
+        };
+        let features = Self::with_workspace(ctx, |w| {
+            w.run_offload_batches(&snapshot, batches, order.batcher, ctx.train, &mut order.opt)
+        });
+        lock().features = Some(features);
+    }
 }
 
 impl Transport for InProcess {
-    fn train_participants(
+    fn train_round(
         &mut self,
         ctx: &RoundContext<'_>,
-        orders: Vec<TrainOrder<'_>>,
-    ) -> Result<Vec<TrainReply>, TransportError> {
+        own: Vec<TrainOrder<'_>>,
+        offloads: Vec<OffloadOrder>,
+    ) -> Result<RoundReplies, TransportError> {
         struct Slot<'a> {
-            order: TrainOrder<'a>,
+            client: usize,
+            order: Option<TrainOrder<'a>>,
+            /// The edge this client serves as receiver, and the one it
+            /// feeds as straggler.
+            serves: Option<usize>,
+            feeds: Option<usize>,
             outcome: Option<Result<OwnTraining, NnError>>,
         }
-        let mut slots: Vec<Slot<'_>> =
-            orders.into_iter().map(|order| Slot { order, outcome: None }).collect();
+        let mut slots: Vec<Slot<'_>> = own
+            .into_iter()
+            .map(|order| Slot {
+                client: order.client,
+                order: Some(order),
+                serves: None,
+                feeds: None,
+                outcome: None,
+            })
+            .collect();
+        for (e, edge) in offloads.iter().enumerate() {
+            for slot in &mut slots {
+                if slot.client == edge.receiver {
+                    slot.serves = Some(e);
+                }
+                if slot.client == edge.weak {
+                    slot.feeds = Some(e);
+                }
+            }
+        }
+        let edges: Vec<Mutex<Edge<'_>>> = offloads
+            .into_iter()
+            .map(|order| Mutex::new(Edge { order, receiver: None, snapshot: None, features: None }))
+            .collect();
         // The `parallelism` knob is the pool helper's task cap: `1` is a
         // plain loop on this thread, `0` lets every pool thread claim
         // orders.
         aergia_runtime::par_for_each_mut(&mut slots, ctx.parallelism, |slot| {
-            let order = &mut slot.order;
-            slot.outcome = Some(Self::with_workspace(ctx, |w| {
+            let mut order = slot.order.take().expect("every slot runs once");
+            let own = Self::with_workspace(ctx, |w| {
                 w.run_own_batches(
                     ctx.round_base,
                     order.own_batches,
@@ -404,55 +481,45 @@ impl Transport for InProcess {
                     ctx.train,
                     &mut order.opt,
                 )
-            }));
+            });
+            let mut own = match own {
+                Ok(own) => own,
+                Err(e) => {
+                    slot.outcome = Some(Err(e));
+                    return;
+                }
+            };
+            // A receiver's order carries on into its offload; a
+            // straggler's snapshot crosses the wire to its receiver.
+            if let Some(e) = slot.serves {
+                Self::arrive(ctx, &edges[e], |edge| edge.receiver = Some(order));
+            }
+            if let (Some(e), Some(snapshot)) = (slot.feeds, own.snapshot.take()) {
+                let delivered = (ctx.deliver_snapshot)(&snapshot);
+                Self::arrive(ctx, &edges[e], |edge| edge.snapshot = Some(delivered));
+            }
+            slot.outcome = Some(Ok(own));
         });
-        let mut replies = Vec::with_capacity(slots.len());
+        let mut replies =
+            RoundReplies { own: Vec::with_capacity(slots.len()), offloads: Vec::new() };
         for slot in slots {
             let own = slot.outcome.expect("every slot executed")?;
-            replies.push(TrainReply {
-                client: slot.order.client,
+            replies.own.push(TrainReply {
+                client: slot.client,
                 weights: own.weights,
-                snapshot: own.snapshot,
                 losses: own.losses,
-                opt: Some(slot.order.opt),
             });
         }
-        Ok(replies)
-    }
-
-    fn train_offloads(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        orders: Vec<OffloadOrder<'_>>,
-    ) -> Result<Vec<OffloadReply>, TransportError> {
-        struct Slot<'a> {
-            order: OffloadOrder<'a>,
-            outcome: Option<Result<Vec<Tensor>, TransportError>>,
-        }
-        let mut slots: Vec<Slot<'_>> =
-            orders.into_iter().map(|order| Slot { order, outcome: None }).collect();
-        aergia_runtime::par_for_each_mut(&mut slots, ctx.parallelism, |slot| {
-            let order = &mut slot.order;
-            let Some(opt) = order.opt.as_mut() else {
-                slot.outcome = Some(Err(TransportError::Protocol(format!(
-                    "offload order for client {} carries no optimizer state",
-                    order.receiver
-                ))));
-                return;
-            };
-            let features = Self::with_workspace(ctx, |w| {
-                w.run_offload_batches(&order.snapshot, order.batches, order.batcher, ctx.train, opt)
-            });
-            slot.outcome = Some(features.map_err(TransportError::Nn));
-        });
-        let mut replies = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let features = slot.outcome.expect("every slot executed")?;
-            replies.push(OffloadReply {
-                receiver: slot.order.receiver,
-                weak: slot.order.weak,
-                features,
-            });
+        for edge in edges {
+            let Edge { order, features, .. } =
+                edge.into_inner().expect("no task panics holding an offload edge");
+            if let Some(features) = features {
+                replies.offloads.push(OffloadReply {
+                    receiver: order.receiver,
+                    weak: order.weak,
+                    features: features?,
+                });
+            }
         }
         Ok(replies)
     }

@@ -20,8 +20,8 @@
 //! from the order's snapshot, with the optimizer built by the same
 //! [`round_optimizer`] derivation. The only state retained between
 //! messages is the round's own-training optimizer, whose momentum an offload
-//! order in the same round continues — exactly the momentum-threading
-//! the engine performs for the in-process transport.
+//! order in the same round continues — exactly what the in-process
+//! transport does when it hands a receiver's own order to its offload.
 //!
 //! Losing the coordinator (EOF, reset, timeout) is not an error: the
 //! machine falls back to `Connecting` and retries with capped
@@ -64,9 +64,10 @@ pub struct ClientOpts {
 /// An order the coordinator selected this client for.
 #[derive(Debug)]
 pub enum Order {
-    /// The own-training pass: the client's own local training.
+    /// The client's own local training for the round.
     Train(TrainOrderMsg),
-    /// The offload pass: receiver-side offloaded training.
+    /// Receiver-side offloaded training, sent after the round's own
+    /// replies are in, with the straggler's delivered snapshot.
     Offload(OffloadOrderMsg),
 }
 
@@ -326,8 +327,8 @@ fn step_work(
                 )));
             }
             // The receiver's offload training continues its own-training
-            // momentum — the engine guarantees an offload order only ever
-            // follows the same round's train order.
+            // momentum — the coordinator sends an offload order only after
+            // the same round's train reply.
             let Some((opt_round, mut opt)) = worker.round_opt.take() else {
                 return Err(NetError::Protocol(format!(
                     "offload order for round {} without a preceding train order",

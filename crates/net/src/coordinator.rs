@@ -12,12 +12,17 @@
 //! orders fan out to one OS thread per connection (each writes its order
 //! and blocks on the reply with a read timeout — socket waits stay off
 //! the compute pool, so every client is in flight at once whatever the
-//! pool size), and replies fold back in order-index order. A client that
-//! fails mid-round — connection lost, timeout,
-//! malformed or mismatched reply — is logged, disconnected and simply
-//! *omitted* from the replies, which the engine turns into a dropped
-//! participant; the round completes with everyone else.
+//! pool size), and replies fold back in order-index order. Once every
+//! own reply is in, the coordinator thread delivers each surviving
+//! straggler's snapshot and encodes its receiver's offload order, and
+//! the offload exchanges fan out the same way; an edge whose receiver or
+//! straggler was lost lapses. A client that fails mid-round — connection
+//! lost, timeout, malformed or mismatched reply — is logged,
+//! disconnected and simply *omitted* from the replies, which the engine
+//! turns into a dropped participant; the round completes with everyone
+//! else.
 
+use std::fmt;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -25,7 +30,8 @@ use std::time::Duration;
 
 use aergia::prelude::*;
 use aergia::transport::{
-    OffloadOrder, OffloadReply, RoundContext, TrainOrder, TrainReply, Transport, TransportError,
+    OffloadOrder, OffloadReply, RoundContext, RoundReplies, TrainOrder, TrainReply, Transport,
+    TransportError,
 };
 use aergia_codec::envelope::{self, MsgKind};
 use aergia_data::batcher::{Batcher, BatcherState};
@@ -149,20 +155,65 @@ impl<'a> TcpTransport<'a> {
     }
 }
 
+/// Logs a client lost mid-round and closes its connection.
+fn drop_client(stream: &mut Option<TcpStream>, round: u32, client: usize, why: &dyn fmt::Display) {
+    DROPS.add(1);
+    netlog!("net.client.drop", round = round, client = client;
+        "coordinator: client {client} lost during round {round}: {why}");
+    *stream = None;
+}
+
+/// Logs a client whose reply does not fit its order and closes its
+/// connection.
+fn drop_inconsistent(stream: &mut Option<TcpStream>, round: u32, client: usize) {
+    DROPS.add(1);
+    netlog!("net.client.inconsistent", round = round, client = client;
+        "coordinator: client {client} answered round {round} inconsistently; dropping it");
+    *stream = None;
+}
+
+/// One order in flight to one client's connection, and the reply it
+/// brought back.
+struct Sent<'o, M> {
+    client: usize,
+    /// The engine's batcher the order shipped, restored from the reply.
+    batcher: &'o mut Batcher,
+    wire: Vec<u8>,
+    stream: Option<TcpStream>,
+    reply: Option<M>,
+}
+
+/// Writes every slot's envelope at once and decodes each reply on its
+/// connection's thread; a client whose exchange fails is dropped.
+fn exchange_all<M: Send>(
+    slots: &mut [Sent<'_, M>],
+    expect: MsgKind,
+    decode: impl Fn(&[u8]) -> Result<M, NetError> + Sync,
+    round: u32,
+    timeout: Duration,
+) {
+    for_each_connection(slots, |slot| {
+        let Some(stream) = slot.stream.as_mut() else { return };
+        match exchange(stream, &slot.wire, expect, timeout).and_then(|body| decode(&body)) {
+            Ok(msg) => slot.reply = Some(msg),
+            Err(e) => drop_client(&mut slot.stream, round, slot.client, &e),
+        }
+    });
+}
+
 impl Transport for TcpTransport<'_> {
-    fn train_participants(
+    /// Two fan-outs: every own exchange, then — once all are back —
+    /// every offload exchange whose parties both replied. The snapshot
+    /// deliveries and the offload orders' encodes run on this thread in
+    /// between, in edge order.
+    fn train_round(
         &mut self,
         ctx: &RoundContext<'_>,
-        orders: Vec<TrainOrder<'_>>,
-    ) -> Result<Vec<TrainReply>, TransportError> {
-        struct Slot<'o> {
-            order: TrainOrder<'o>,
-            wire: Vec<u8>,
-            stream: Option<TcpStream>,
-            reply: Option<TrainReplyMsg>,
-        }
-        let round = ctx.round;
-        let mut slots: Vec<Slot<'_>> = orders
+        own: Vec<TrainOrder<'_>>,
+        offloads: Vec<OffloadOrder>,
+    ) -> Result<RoundReplies, TransportError> {
+        let (round, timeout) = (ctx.round, self.reply_timeout);
+        let mut sent: Vec<Sent<'_, TrainReplyMsg>> = own
             .into_iter()
             .map(|order| {
                 let msg = TrainOrderMsg {
@@ -174,129 +225,101 @@ impl Transport for TcpTransport<'_> {
                     batcher: order.batcher.state(),
                     round_base: ctx.round_base.to_vec(),
                 };
-                let wire = envelope::encode(MsgKind::TrainOrder, &msg.encode());
-                let stream = self.conns[order.client].take();
-                Slot { order, wire, stream, reply: None }
+                Sent {
+                    client: order.client,
+                    batcher: order.batcher,
+                    wire: envelope::encode(MsgKind::TrainOrder, &msg.encode()),
+                    stream: self.conns[order.client].take(),
+                    reply: None,
+                }
             })
             .collect();
-        let timeout = self.reply_timeout;
-        for_each_connection(&mut slots, |slot| {
-            let Some(stream) = slot.stream.as_mut() else { return };
-            match exchange(stream, &slot.wire, MsgKind::TrainReply, timeout)
-                .and_then(|body| Ok(TrainReplyMsg::decode(&body)?))
-            {
-                Ok(msg) => slot.reply = Some(msg),
-                Err(e) => {
-                    DROPS.add(1);
-                    netlog!("net.client.drop", round = round, client = slot.order.client;
-                        "coordinator: client {} lost during round {round}: {e}",
-                        slot.order.client);
-                    slot.stream = None;
-                }
-            }
-        });
-        let mut replies = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let Slot { order, stream, reply, .. } = slot;
-            let client = order.client;
-            let mut keep = stream;
+        exchange_all(
+            &mut sent,
+            MsgKind::TrainReply,
+            |b| Ok(TrainReplyMsg::decode(b)?),
+            round,
+            timeout,
+        );
+
+        let mut replies =
+            RoundReplies { own: Vec::with_capacity(sent.len()), offloads: Vec::new() };
+        // The clients whose replies fit their orders, and the snapshots
+        // they captured.
+        let mut live = Vec::with_capacity(sent.len());
+        let mut snapshots = Vec::new();
+        for Sent { client, batcher, mut stream, reply, .. } in sent {
             if let Some(msg) = reply {
                 let consistent = msg.round == round
                     && msg.client == client
                     && msg.weights.len() == ctx.round_base.len()
-                    && restorable(order.batcher, &msg.batcher);
+                    && restorable(batcher, &msg.batcher);
                 if consistent {
-                    order.batcher.restore_state(msg.batcher);
-                    replies.push(TrainReply {
+                    batcher.restore_state(msg.batcher);
+                    snapshots.extend(msg.snapshot.map(|s| (client, s)));
+                    replies.own.push(TrainReply {
                         client,
                         weights: msg.weights,
-                        snapshot: msg.snapshot,
                         losses: msg.losses,
-                        opt: None,
                     });
+                    live.push((client, batcher));
                 } else {
-                    DROPS.add(1);
-                    netlog!("net.client.inconsistent", round = round, client = client;
-                        "coordinator: client {client} answered round {round} inconsistently; \
-                         dropping it");
-                    keep = None;
+                    drop_inconsistent(&mut stream, round, client);
                 }
             }
-            self.conns[client] = keep;
+            self.conns[client] = stream;
         }
-        Ok(replies)
-    }
 
-    fn train_offloads(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        orders: Vec<OffloadOrder<'_>>,
-    ) -> Result<Vec<OffloadReply>, TransportError> {
-        struct Slot<'o> {
-            order: OffloadOrder<'o>,
-            wire: Vec<u8>,
-            stream: Option<TcpStream>,
-            reply: Option<OffloadReplyMsg>,
+        // An edge whose receiver or straggler was lost lapses.
+        let mut edges = Vec::with_capacity(offloads.len());
+        let mut sent: Vec<Sent<'_, OffloadReplyMsg>> = Vec::with_capacity(offloads.len());
+        for edge in offloads {
+            let Some(r) = live.iter().position(|&(c, _)| c == edge.receiver) else { continue };
+            let Some(w) = snapshots.iter().position(|&(c, _)| c == edge.weak) else { continue };
+            let (_, snapshot) = snapshots.swap_remove(w);
+            let (_, batcher) = live.swap_remove(r);
+            let msg = OffloadOrderMsg {
+                round,
+                receiver: edge.receiver,
+                weak: edge.weak,
+                batches: edge.batches,
+                snapshot: (ctx.deliver_snapshot)(&snapshot),
+                batcher: batcher.state(),
+            };
+            sent.push(Sent {
+                client: edge.receiver,
+                batcher,
+                wire: envelope::encode(MsgKind::OffloadOrder, &msg.encode()),
+                stream: self.conns[edge.receiver].take(),
+                reply: None,
+            });
+            edges.push(edge);
         }
-        let round = ctx.round;
-        let mut slots: Vec<Slot<'_>> = orders
-            .into_iter()
-            .map(|order| {
-                let msg = OffloadOrderMsg {
-                    round,
-                    receiver: order.receiver,
-                    weak: order.weak,
-                    batches: order.batches,
-                    snapshot: order.snapshot.clone(),
-                    batcher: order.batcher.state(),
-                };
-                let wire = envelope::encode(MsgKind::OffloadOrder, &msg.encode());
-                let stream = self.conns[order.receiver].take();
-                Slot { order, wire, stream, reply: None }
-            })
-            .collect();
-        let timeout = self.reply_timeout;
-        for_each_connection(&mut slots, |slot| {
-            let Some(stream) = slot.stream.as_mut() else { return };
-            match exchange(stream, &slot.wire, MsgKind::OffloadReply, timeout)
-                .and_then(|body| Ok(OffloadReplyMsg::decode(&body)?))
-            {
-                Ok(msg) => slot.reply = Some(msg),
-                Err(e) => {
-                    DROPS.add(1);
-                    netlog!("net.client.drop", round = round, client = slot.order.receiver;
-                        "coordinator: receiver {} lost during round {round} offload: {e}",
-                        slot.order.receiver);
-                    slot.stream = None;
-                }
-            }
-        });
-        let mut replies = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let Slot { order, stream, reply, .. } = slot;
-            let receiver = order.receiver;
-            let mut keep = stream;
+        exchange_all(
+            &mut sent,
+            MsgKind::OffloadReply,
+            |b| Ok(OffloadReplyMsg::decode(b)?),
+            round,
+            timeout,
+        );
+        for (Sent { client, batcher, mut stream, reply, .. }, edge) in sent.into_iter().zip(edges) {
             if let Some(msg) = reply {
                 let consistent = msg.round == round
-                    && msg.receiver == receiver
-                    && msg.weak == order.weak
-                    && restorable(order.batcher, &msg.batcher);
+                    && msg.receiver == edge.receiver
+                    && msg.weak == edge.weak
+                    && restorable(batcher, &msg.batcher);
                 if consistent {
-                    order.batcher.restore_state(msg.batcher);
-                    replies.push(OffloadReply {
-                        receiver,
-                        weak: order.weak,
+                    batcher.restore_state(msg.batcher);
+                    replies.offloads.push(OffloadReply {
+                        receiver: edge.receiver,
+                        weak: edge.weak,
                         features: msg.features,
                     });
                 } else {
-                    DROPS.add(1);
-                    netlog!("net.client.inconsistent", round = round, client = receiver;
-                        "coordinator: receiver {receiver} answered round {round} offload \
-                         inconsistently; dropping it");
-                    keep = None;
+                    drop_inconsistent(&mut stream, round, client);
                 }
             }
-            self.conns[receiver] = keep;
+            self.conns[client] = stream;
         }
         Ok(replies)
     }

@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 use aergia::prelude::*;
 use aergia::transport::{
-    InProcess, OffloadOrder, OffloadReply, RoundContext, TrainOrder, TrainReply, Transport,
-    TransportError,
+    InProcess, OffloadOrder, RoundContext, RoundReplies, TrainOrder, Transport, TransportError,
 };
 use aergia_codec::CodecConfig;
 use aergia_net::presets::{smoke_config, strategy_by_name};
@@ -228,26 +227,16 @@ struct DropFrom {
 }
 
 impl Transport for DropFrom {
-    fn train_participants(
+    fn train_round(
         &mut self,
         ctx: &RoundContext<'_>,
-        orders: Vec<TrainOrder<'_>>,
-    ) -> Result<Vec<TrainReply>, TransportError> {
-        let mut replies = InProcess.train_participants(ctx, orders)?;
+        own: Vec<TrainOrder<'_>>,
+        offloads: Vec<OffloadOrder>,
+    ) -> Result<RoundReplies, TransportError> {
+        let mut replies = InProcess.train_round(ctx, own, offloads)?;
         if ctx.round >= self.from_round {
-            replies.retain(|r| r.client != self.client);
-        }
-        Ok(replies)
-    }
-
-    fn train_offloads(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        orders: Vec<OffloadOrder<'_>>,
-    ) -> Result<Vec<OffloadReply>, TransportError> {
-        let mut replies = InProcess.train_offloads(ctx, orders)?;
-        if ctx.round >= self.from_round {
-            replies.retain(|r| r.receiver != self.client);
+            replies.own.retain(|r| r.client != self.client);
+            replies.offloads.retain(|r| r.receiver != self.client);
         }
         Ok(replies)
     }

@@ -93,7 +93,7 @@ fn assert_bit_identical(
 fn aergia_parallel_round_is_bit_identical_to_serial() {
     force_pool_workers();
     // Aergia on heterogeneous smoke fig6: exercises freezing, the frozen
-    // snapshot handoff and receiver-side offload training (the offload pass).
+    // snapshot handoff and receiver-side offload training.
     let strategy = Strategy::aergia_default();
     let serial = run_with_parallelism(fig6_smoke(33), strategy, 1);
     let parallel = run_with_parallelism(fig6_smoke(33), strategy, 0);
@@ -119,7 +119,7 @@ fn workspace_reuse_is_bit_identical_across_serial_parallel_and_reruns() {
     let parallel = run_with_parallelism(fig6_smoke(35), strategy, 0);
     assert_bit_identical(&serial, &parallel, "workspace parallel");
     let total: usize = serial.0.rounds.iter().map(|r| r.offloads.len()).sum();
-    assert!(total > 0, "seed 35 must exercise offloads so offload-pass workspace reuse is covered");
+    assert!(total > 0, "seed 35 must exercise offloads so offload workspace reuse is covered");
 }
 
 #[test]
@@ -127,10 +127,11 @@ fn compressed_runs_are_bit_identical_across_parallelism() {
     force_pool_workers();
     // The lossy codecs thread extra state through a round (quantized
     // reconstructions; top-k bases and per-client error-feedback
-    // residuals). All codec work happens at round start, between the
-    // own-training and offload passes and in the fixed-order upload —
-    // never inside the parallel tasks — so a compressed fig6-smoke must
-    // stay bit-identical between serial and work-stealing execution too.
+    // residuals). Every stateful encode happens at round start or in the
+    // fixed-order upload, never inside the parallel tasks; the one-shot
+    // snapshot encode a task runs reads no stream state. So a compressed
+    // fig6-smoke must stay bit-identical between serial and
+    // work-stealing execution too.
     let strategy = Strategy::aergia_default();
     for codec in [
         aergia_codec::CodecConfig::QuantI8,

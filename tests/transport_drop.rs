@@ -11,8 +11,7 @@
 
 use aergia::prelude::*;
 use aergia::transport::{
-    InProcess, OffloadOrder, OffloadReply, RoundContext, TrainOrder, TrainReply, Transport,
-    TransportError,
+    InProcess, OffloadOrder, RoundContext, RoundReplies, TrainOrder, Transport, TransportError,
 };
 use aergia_codec::CodecConfig;
 use aergia_net::presets::smoke_config;
@@ -28,26 +27,40 @@ struct DropFrom {
 }
 
 impl Transport for DropFrom {
-    fn train_participants(
+    fn train_round(
         &mut self,
         ctx: &RoundContext<'_>,
-        orders: Vec<TrainOrder<'_>>,
-    ) -> Result<Vec<TrainReply>, TransportError> {
-        let mut replies = InProcess.train_participants(ctx, orders)?;
+        own: Vec<TrainOrder<'_>>,
+        offloads: Vec<OffloadOrder>,
+    ) -> Result<RoundReplies, TransportError> {
+        let mut replies = InProcess.train_round(ctx, own, offloads)?;
         if ctx.round >= self.from_round {
-            replies.retain(|r| r.client != self.client);
+            replies.own.retain(|r| r.client != self.client);
+            replies.offloads.retain(|r| r.receiver != self.client);
         }
         Ok(replies)
     }
+}
 
-    fn train_offloads(
+/// [`DropFrom`], then also withholds every offloaded section trained for
+/// the censored client over the censored rounds, counting them.
+struct WithholdSections {
+    inner: DropFrom,
+    withheld: usize,
+}
+
+impl Transport for WithholdSections {
+    fn train_round(
         &mut self,
         ctx: &RoundContext<'_>,
-        orders: Vec<OffloadOrder<'_>>,
-    ) -> Result<Vec<OffloadReply>, TransportError> {
-        let mut replies = InProcess.train_offloads(ctx, orders)?;
-        if ctx.round >= self.from_round {
-            replies.retain(|r| r.receiver != self.client);
+        own: Vec<TrainOrder<'_>>,
+        offloads: Vec<OffloadOrder>,
+    ) -> Result<RoundReplies, TransportError> {
+        let mut replies = self.inner.train_round(ctx, own, offloads)?;
+        if ctx.round >= self.inner.from_round {
+            let before = replies.offloads.len();
+            replies.offloads.retain(|r| r.weak != self.inner.client);
+            self.withheld += before - replies.offloads.len();
         }
         Ok(replies)
     }
@@ -108,4 +121,37 @@ fn offload_receiver_loss_degrades_gracefully() {
         assert!(record.dropped.contains(&3));
     }
     assert!(result.final_accuracy.is_finite());
+}
+
+#[test]
+fn offload_straggler_loss_lapses_its_offload() {
+    // Client 0 is the smoke preset's slowest client, so under the Aergia
+    // strategy it is the straggler whose frozen model a receiver trains.
+    // Losing it must cost its update, not the run, and the section its
+    // receiver trained must not be folded anywhere.
+    let drop_straggler = || DropFrom { client: 0, from_round: 1 };
+    let (result, weights) = run_with(&mut drop_straggler(), Strategy::aergia_default());
+    assert_eq!(result.rounds.len(), 3);
+    for record in &result.rounds[1..] {
+        assert!(record.dropped.contains(&0), "round {}: the straggler is dropped", record.round);
+        assert!(
+            record.offloads.iter().any(|&(sender, _)| sender == 0),
+            "round {}: the plan offloads the straggler's model",
+            record.round
+        );
+        assert!(record.train_loss.is_finite());
+    }
+    assert!(result.final_accuracy.is_finite());
+
+    // The receiver still trained the section (the in-process transport
+    // cannot know the straggler's reply is censored), and folding it or
+    // not is indistinguishable: it lapsed.
+    let mut withhold = WithholdSections { inner: drop_straggler(), withheld: 0 };
+    let (withheld, withheld_weights) = run_with(&mut withhold, Strategy::aergia_default());
+    assert_eq!(withhold.withheld, 2, "each censored round trained a section for the straggler");
+    assert_eq!(result, withheld);
+    for (a, b) in weights.iter().zip(&withheld_weights) {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "a lapsed section moved the global model");
+    }
 }
