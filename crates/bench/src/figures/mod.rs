@@ -16,13 +16,13 @@ use crate::{algorithms, base_config, eval_pairs, f3, run_parallel, secs, Scale};
 // Written out (not macro-generated) so rustfmt finds the files.
 mod ablation_calc_op;
 mod ablation_profile_window;
+mod codec_tradeoff;
 mod fig10_noniid_degree;
 mod fig1a_cpu_variance;
 mod fig1bc_deadlines;
 mod fig4_phase_profile;
-mod fig6_async;
-mod fig6_churn;
 mod fig6_iid;
+mod fig6_scenarios;
 mod fig7_noniid;
 mod fig8_round_density;
 mod fig9_similarity_factor;
@@ -49,8 +49,7 @@ figures![
     fig1bc_deadlines,
     fig4_phase_profile,
     fig6_iid,
-    fig6_async,
-    fig6_churn,
+    fig6_scenarios,
     fig7_noniid,
     fig8_round_density,
     fig9_similarity_factor,
@@ -58,6 +57,7 @@ figures![
     table1_feature_matrix,
     ablation_calc_op,
     ablation_profile_window,
+    codec_tradeoff,
     profiler_overhead,
     scaleout_100k,
     gemm_sweep,
@@ -188,5 +188,23 @@ mod tests {
         let names: BTreeSet<&str> = FIGURES.iter().map(|&(name, _)| name).collect();
         assert_eq!(names.len(), FIGURES.len(), "duplicate figure name");
         assert_eq!(names, readme_figures(), "README figure list and FIGURES disagree");
+    }
+
+    #[test]
+    fn readme_example_commands_match_the_examples_directory() {
+        let readme = include_str!("../../../../README.md");
+        let listed: BTreeSet<String> = readme
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("cargo run --release --example "))
+            .map(|name| name.trim().to_string())
+            .collect();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        let on_disk: BTreeSet<String> = std::fs::read_dir(dir)
+            .expect("examples directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .map(|path| path.file_stem().expect("file name").to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(listed, on_disk, "README example commands and examples/*.rs disagree");
     }
 }

@@ -100,7 +100,7 @@ pub struct ExperimentConfig {
     /// offloaded snapshots, trained feature sections). The default
     /// [`CodecConfig::DenseF32`] is lossless and leaves runs bit-identical
     /// to never serializing at all; the lossy codecs trade accuracy for
-    /// bytes-on-wire (see the `compression_tradeoff` example).
+    /// bytes-on-wire (see the `codec_tradeoff` figure).
     pub codec: CodecConfig,
     /// Scenario knobs: buffered-async aggregation, churn injection, and
     /// Byzantine adversaries (see [`crate::scenario`]). The default is
