@@ -16,7 +16,7 @@ use aergia_nn::models::ModelArch;
 /// saturates), while the unimodal correction balances the sender's saved
 /// work against the receiver's added work. This bench compares the two on
 /// the same heterogeneous cluster.
-pub fn ablation_calc_op(scale: Scale) {
+pub(crate) fn ablation_calc_op(scale: Scale) {
     header(scale, "Ablation (calc_op)", "printed Algorithm 2 vs unimodal correction");
 
     let variants = [("unimodal", OpVariant::Unimodal), ("printed", OpVariant::Printed)];

@@ -11,7 +11,7 @@ use aergia_nn::models::ModelArch;
 /// A longer window yields better performance indicators but delays the
 /// scheduling decision (less of the round left to optimize). The paper
 /// settles on 100 of 1600 batches (a 1/16 ratio).
-pub fn ablation_profile_window(scale: Scale) {
+pub(crate) fn ablation_profile_window(scale: Scale) {
     header(scale, "Ablation (profiling window)", "offload benefit vs window length");
 
     let updates = scale.local_updates().max(16);

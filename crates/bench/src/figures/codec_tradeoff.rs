@@ -20,7 +20,7 @@ const TARGET: f64 = 0.60;
 /// `f32`; int8 quantization cuts transfers ≈ 4×; top-k deltas (50‰)
 /// cut steady-state frames ≈ 10×, the rest of each update waiting in
 /// the error-feedback residual.
-pub fn codec_tradeoff(scale: Scale) {
+pub(crate) fn codec_tradeoff(scale: Scale) {
     header(scale, "Codec trade-off", "time-to-accuracy vs bytes on an edge uplink");
 
     let codecs =

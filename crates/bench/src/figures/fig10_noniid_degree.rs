@@ -11,7 +11,7 @@ use aergia_nn::models::ModelArch;
 /// Aergia trained for a fixed number of rounds with clients owning 10
 /// (IID-like), 5, 3 or 2 of the 10 classes. Completion times barely move;
 /// accuracy drops as the data gets more skewed.
-pub fn fig10_noniid_degree(scale: Scale) {
+pub(crate) fn fig10_noniid_degree(scale: Scale) {
     header(scale, "Figure 10", "test accuracy over time per degree of non-IIDness (Aergia)");
 
     let degrees: [(&str, Scheme); 4] = [

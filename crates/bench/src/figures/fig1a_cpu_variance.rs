@@ -13,7 +13,7 @@ use aergia_simnet::cluster::random_speeds_with_variance;
 /// relative to the homogeneous cluster, averaged over several random
 /// speed draws. Timing-only mode: the shape comes purely from the
 /// synchronous protocol waiting for the slowest client.
-pub fn fig1a_cpu_variance(scale: Scale) {
+pub(crate) fn fig1a_cpu_variance(scale: Scale) {
     header(
         scale,
         "Figure 1(a)",

@@ -15,7 +15,7 @@ use aergia_simnet::SimDuration;
 /// untruncated round time). Figure 1(b) is the falling total training
 /// time; Figure 1(c) is the falling non-IID accuracy as stragglers'
 /// unique data gets dropped.
-pub fn fig1bc_deadlines(scale: Scale) {
+pub(crate) fn fig1bc_deadlines(scale: Scale) {
     header(
         scale,
         "Figures 1(b)/1(c)",

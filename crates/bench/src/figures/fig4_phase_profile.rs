@@ -29,7 +29,7 @@ fn shares(cost: PhaseCost) -> [f64; 4] {
 /// paper's five dataset/network pairings, both with real wall-clock
 /// measurement and with the analytic FLOP model the simulator uses. The
 /// paper's headline: the backward feature pass dominates (52–75%).
-pub fn fig4_phase_profile(scale: Scale) {
+pub(crate) fn fig4_phase_profile(scale: Scale) {
     header(scale, "Figure 4", "percentage of a local update spent per phase (ff/fc/bc/bf)");
 
     let batches = scale.scaled(3, 1);

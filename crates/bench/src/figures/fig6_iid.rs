@@ -9,7 +9,7 @@ use aergia_data::partition::Scheme;
 /// uniformly from [0.1, 1.0]), IID shards. Reports final accuracy
 /// (Fig. 6a–c) and the total time for the configured number of rounds
 /// (Fig. 6d–f).
-pub fn fig6_iid(scale: Scale) {
+pub(crate) fn fig6_iid(scale: Scale) {
     header(scale, "Figure 6", "IID: final accuracy (a–c) and total training time (d–f)");
     let comparisons = compare_algorithms(scale, Scheme::Iid, 33, "");
 

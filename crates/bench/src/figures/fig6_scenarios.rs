@@ -19,7 +19,7 @@ use aergia_simnet::SimDuration;
 /// `drop` abandons a crashed straggler's remaining offloaded batches,
 /// `reschedule` re-signs them to the fastest idle peer. The Byzantine
 /// rows run FedAvg with client 0 as the adversary.
-pub fn fig6_scenarios(scale: Scale) {
+pub(crate) fn fig6_scenarios(scale: Scale) {
     header(scale, "Figure 6 (scenarios)", "async folding, churn and Byzantine clients");
 
     let asynchronous = |mixing| ScenarioConfig {

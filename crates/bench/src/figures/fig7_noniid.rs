@@ -7,7 +7,7 @@ use aergia_data::partition::Scheme;
 ///
 /// Identical to the Figure 6 setup but every client samples only 3 of the
 /// 10 classes (the paper's non-IID scenario, §5.1).
-pub fn fig7_noniid(scale: Scale) {
+pub(crate) fn fig7_noniid(scale: Scale) {
     header(scale, "Figure 7", "non-IID(3): final accuracy (a–c) and total training time (d–f)");
     let comparisons =
         compare_algorithms(scale, Scheme::paper_non_iid(), 44, " (non-IID, 3 classes per client)");

@@ -12,7 +12,7 @@ use aergia_nn::models::ModelArch;
 /// setting (3 selected per round) in timing mode and prints a shared-bin
 /// histogram of round durations. Aergia's mass should sit left of every
 /// baseline's.
-pub fn fig8_round_density(scale: Scale) {
+pub(crate) fn fig8_round_density(scale: Scale) {
     header(scale, "Figure 8", "density of round durations, FMNIST (timing mode)");
 
     let clients = scale.clients().max(8);

@@ -12,7 +12,7 @@ use aergia_nn::models::ModelArch;
 /// `f = 0` scheduling is purely speed-driven (shortest rounds, lower
 /// accuracy); raising `f` restricts offloading to data-compatible pairs
 /// (slightly longer rounds, better accuracy).
-pub fn fig9_similarity_factor(scale: Scale) {
+pub(crate) fn fig9_similarity_factor(scale: Scale) {
     header(scale, "Figures 9(a)/9(b)", "similarity factor f vs accuracy and mean round time");
 
     let factors = [1.0, 0.75, 0.5, 0.25, 0.0];

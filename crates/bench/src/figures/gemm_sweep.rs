@@ -43,7 +43,7 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 /// * `nt_packed` — forward/input-gradient form (`B` = weight, cached
 ///   pack); `tn_packed_cold` — weight-gradient form (both operands
 ///   per-batch, cold packs).
-pub fn gemm_sweep(scale: Scale) {
+pub(crate) fn gemm_sweep(scale: Scale) {
     header(scale, "GEMM sweep", "packed microkernels vs the reference loops, GFLOP/s");
     println!("active ISA tier: {}", active_isa().label());
 

@@ -1,4 +1,4 @@
-//! The paper's evaluation as callable functions: one `pub fn(Scale)` per
+//! The paper's evaluation as callable functions: one `fn(Scale)` per
 //! figure, table or ablation, each printing the rows/series the paper
 //! plots. [`FIGURES`] maps every name to its function; the `figures`
 //! bench target (`cargo bench --bench figures -- <name>…`) is a thin
@@ -31,12 +31,12 @@ mod profiler_overhead;
 mod scaleout_100k;
 mod table1_feature_matrix;
 
-/// Re-exports each figure's function and builds the registry from the
+/// Imports each figure's function and builds the registry from the
 /// same list, so a figure's name and function cannot drift apart (and a
 /// module left off the list is a dead-code error).
 macro_rules! figures {
     ($($name:ident),* $(,)?) => {
-        $(pub use $name::$name;)*
+        $(use $name::$name;)*
 
         /// Every figure by name, in the order a bare `cargo bench --bench
         /// figures` runs them.
@@ -78,18 +78,18 @@ fn row(widths: &[usize], cells: &[&dyn Display]) {
 
 /// One dataset's runs of the Figure 6/7 comparison, in [`algorithms`]
 /// order.
-pub struct Comparison {
+pub(crate) struct Comparison {
     /// The dataset the five algorithms trained on.
-    pub spec: DatasetSpec,
+    pub(crate) spec: DatasetSpec,
     /// Each algorithm with the run it produced.
-    pub runs: Vec<(Strategy, RunResult)>,
+    pub(crate) runs: Vec<(Strategy, RunResult)>,
 }
 
 /// The comparison behind Figures 6 and 7: every [`eval_pairs`] dataset ×
 /// every [`algorithms`] strategy on the heterogeneous cluster of
 /// [`base_config`] under `partition`, one printed table per dataset
 /// (`note` is appended to its `dataset:` line).
-pub fn compare_algorithms(
+pub(crate) fn compare_algorithms(
     scale: Scale,
     partition: Scheme,
     seed: u64,
@@ -149,7 +149,7 @@ pub fn compare_algorithms(
 /// # Panics
 ///
 /// Panics — failing the `figures` binary — when the claim does not hold.
-pub fn assert_aergia_fastest(comparisons: &[Comparison]) {
+pub(crate) fn assert_aergia_fastest(comparisons: &[Comparison]) {
     for Comparison { spec, runs } in comparisons {
         let total = |wanted: &str| {
             let (_, result) = runs

@@ -14,7 +14,7 @@ use aergia_nn::profile::PhaseCost;
 /// spends on profile-report messages relative to the same run with a
 /// minimal window, and (ii) the real wall-clock cost of the profiling
 /// instrumentation in `train_batch` (timer reads per phase).
-pub fn profiler_overhead(scale: Scale) {
+pub(crate) fn profiler_overhead(scale: Scale) {
     header(scale, "§5.4 profiler overhead", "cost of online profiling (paper: 0.22% ± 0.09)");
 
     // (i) Protocol-level overhead: report messages on the virtual clock.

@@ -33,7 +33,7 @@ const NUM_EDGES: usize = 8;
 /// point. The `scale-smoke` CI job runs both under an RSS ceiling: set
 /// `AERGIA_RSS_LIMIT_MB` and the figure panics — the process exits
 /// non-zero — if its peak resident set exceeds it.
-pub fn scaleout_100k(scale: Scale) {
+pub(crate) fn scaleout_100k(scale: Scale) {
     header(scale, "Scale-out", "cohort-sampled population, two-tier aggregation (timing mode)");
 
     let points: &[(usize, usize, u32)] = match scale {

@@ -5,7 +5,7 @@ use aergia::strategy::Strategy;
 
 /// Table 1: qualitative comparison of FL solutions for heterogeneous
 /// settings, generated from the strategies' self-reported metadata.
-pub fn table1_feature_matrix(scale: Scale) {
+pub(crate) fn table1_feature_matrix(scale: Scale) {
     header(scale, "Table 1", "FL solutions for heterogeneous settings");
 
     const WIDTHS: &[usize] = &[14, 22, 26, 26];

@@ -103,7 +103,7 @@ fn single_core() -> bool {
 }
 
 /// The paper's dataset/architecture pairings for Figures 6 and 7.
-pub fn eval_pairs() -> Vec<(DatasetSpec, ModelArch)> {
+pub(crate) fn eval_pairs() -> Vec<(DatasetSpec, ModelArch)> {
     vec![
         (DatasetSpec::MnistLike, ModelArch::MnistCnn),
         (DatasetSpec::FmnistLike, ModelArch::FmnistCnn),
@@ -112,7 +112,7 @@ pub fn eval_pairs() -> Vec<(DatasetSpec, ModelArch)> {
 }
 
 /// The five algorithms of Figures 6–8.
-pub fn algorithms(scale: Scale) -> Vec<Strategy> {
+pub(crate) fn algorithms(scale: Scale) -> Vec<Strategy> {
     vec![
         Strategy::FedAvg,
         Strategy::FedProx { mu: 0.05 },
@@ -215,7 +215,7 @@ pub fn run(config: ExperimentConfig, strategy: Strategy) -> RunResult {
 /// the queue with one worker instead — two jobs time-slicing one core only
 /// thrash caches — which cannot change results: each job is a pure
 /// function of its configuration.
-pub fn run_parallel(jobs: Vec<(ExperimentConfig, Strategy)>) -> Vec<RunResult> {
+pub(crate) fn run_parallel(jobs: Vec<(ExperimentConfig, Strategy)>) -> Vec<RunResult> {
     let workers = if single_core() { 1 } else { 2 };
     let n = jobs.len();
     let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
@@ -250,7 +250,7 @@ pub fn header(scale: Scale, figure: &str, caption: &str) {
 }
 
 /// Formats a float with 3 decimals (table cell helper).
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     if x.is_nan() {
         "-".to_string()
     } else {

@@ -70,7 +70,7 @@ impl MsgKind {
     /// # Errors
     ///
     /// [`CodecError::Corrupt`] for unknown kinds.
-    pub fn from_wire(byte: u8) -> Result<Self, CodecError> {
+    pub(crate) fn from_wire(byte: u8) -> Result<Self, CodecError> {
         match byte {
             1 => Ok(MsgKind::Hello),
             2 => Ok(MsgKind::Welcome),

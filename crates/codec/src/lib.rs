@@ -105,7 +105,7 @@ pub enum CodecId {
 
 impl CodecId {
     /// Decodes the one-byte wire representation.
-    pub fn from_wire(byte: u8) -> Result<Self, CodecError> {
+    pub(crate) fn from_wire(byte: u8) -> Result<Self, CodecError> {
         match byte {
             0 => Ok(CodecId::DenseF32),
             1 => Ok(CodecId::QuantI8),
@@ -128,7 +128,7 @@ pub enum SectionKind {
 
 impl SectionKind {
     /// Decodes the one-byte wire representation.
-    pub fn from_wire(byte: u8) -> Result<Self, CodecError> {
+    pub(crate) fn from_wire(byte: u8) -> Result<Self, CodecError> {
         match byte {
             0 => Ok(SectionKind::Features),
             1 => Ok(SectionKind::Classifier),

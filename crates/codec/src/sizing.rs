@@ -25,11 +25,6 @@ impl ShapeSpec {
         ShapeSpec { dims: tensors.iter().map(|t| t.dims().to_vec()).collect() }
     }
 
-    /// Builds a spec from raw dimension lists.
-    pub fn from_dims(dims: Vec<Vec<usize>>) -> Self {
-        ShapeSpec { dims }
-    }
-
     /// Number of tensors described.
     pub fn tensor_count(&self) -> usize {
         self.dims.len()
@@ -46,11 +41,6 @@ impl ShapeSpec {
         (ShapeSpec { dims: a.to_vec() }, ShapeSpec { dims: b.to_vec() })
     }
 
-    /// Total scalar elements across all tensors.
-    pub fn total_elements(&self) -> usize {
-        self.dims.iter().map(|d| d.iter().product::<usize>()).sum()
-    }
-
     fn shape_prefix_len(dims: &[usize]) -> usize {
         4 + 4 * dims.len() // u32 rank + u32 per dim
     }
@@ -63,13 +53,13 @@ impl ShapeSpec {
 
     /// Length of the [`crate::quant`] payload: per tensor, the shape
     /// prefix, 8 bytes of scale/zero-point and 1 byte per element.
-    pub fn quant_payload_len(&self) -> usize {
+    pub(crate) fn quant_payload_len(&self) -> usize {
         self.dims.iter().map(|d| Self::shape_prefix_len(d) + 8 + d.iter().product::<usize>()).sum()
     }
 
     /// Length of the [`crate::topk`] payload: per tensor, the shape
     /// prefix, a count and 8 bytes per kept element.
-    pub fn topk_payload_len(&self, keep_permille: u16) -> usize {
+    pub(crate) fn topk_payload_len(&self, keep_permille: u16) -> usize {
         self.dims
             .iter()
             .map(|d| {
@@ -147,10 +137,5 @@ mod tests {
             frame_len(CodecId::DenseF32, 1000, &[&feat, &clf]),
             frame::HEADER_LEN + spec.dense_payload_len()
         );
-    }
-
-    #[test]
-    fn total_elements_counts_scalars() {
-        assert_eq!(ShapeSpec::of(&tensors()).total_elements(), 12 + 7 + 8);
     }
 }

@@ -51,7 +51,7 @@ proptest! {
     ) {
         let mut payload = Vec::new();
         quant::encode_payload_into(&tensors, &mut payload);
-        prop_assert_eq!(payload.len(), ShapeSpec::of(&tensors).quant_payload_len());
+        prop_assert_eq!(payload.len(), ShapeSpec::of(&tensors).payload_len(CodecId::QuantI8, 0));
         let decoded = quant::decode_payload(&payload, tensors.len()).unwrap();
         for (t, d) in tensors.iter().zip(&decoded) {
             let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -106,7 +106,7 @@ proptest! {
         topk::encode_payload_into(
             &current, &base, permille, Some(&mut residual[..]), &mut payload,
         );
-        prop_assert_eq!(payload.len(), ShapeSpec::of(&base).topk_payload_len(permille));
+        prop_assert_eq!(payload.len(), ShapeSpec::of(&base).payload_len(CodecId::TopKDelta, permille));
         let decoded = topk::decode_payload(&payload, current.len(), &base).unwrap();
         // Every element is either transmitted (residual 0, decoded moves by
         // exactly the delta) or held back (decoded stays at base, residual
@@ -173,7 +173,7 @@ proptest! {
             frame.wire_len(),
             aergia_codec::frame::HEADER_LEN
                 + feat_spec.dense_payload_len()
-                + clf_spec.quant_payload_len()
+                + clf_spec.payload_len(CodecId::QuantI8, 0)
         );
         // Mixed-codec frame lengths are NOT what frame_len (single codec)
         // predicts unless the codecs agree — sanity-check the dense case.

@@ -216,7 +216,7 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.num_clients == 0 {
             return Err(ConfigError::ZeroSized("num_clients"));
         }

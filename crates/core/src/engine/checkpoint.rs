@@ -19,6 +19,12 @@
 //! subsequent round record, the final accuracy and the final global
 //! weights match an uninterrupted run **bit for bit**, under every codec.
 //!
+//! [`Engine::save_checkpoint`] returns bytes; putting them on disk is the
+//! caller's job. The networked coordinator (`aergia-net`) writes them to a
+//! temporary file and renames it over the last checkpoint, so a kill
+//! mid-write never leaves a torn file; [`Engine::restore_checkpoint_from`]
+//! reads one back.
+//!
 //! Topology overrides (link models, speed overrides, fault injection)
 //! are not part of engine state proper: rebuild the engine through
 //! [`Engine::with_topology`] with the same
@@ -41,7 +47,7 @@ use aergia_simnet::{SimDuration, SimTime};
 use aergia_tensor::Tensor;
 
 use crate::config::ClientStateMode;
-use crate::metrics::{RoundRecord, RunResult};
+use crate::metrics::RoundRecord;
 
 use super::{make_batcher, tifl::TiflSnapshot, Engine};
 
@@ -320,19 +326,6 @@ impl Engine {
         w.finish()
     }
 
-    /// Writes [`Engine::save_checkpoint`] to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save_checkpoint_to(
-        &self,
-        path: impl AsRef<Path>,
-        progress: &RunProgress,
-    ) -> Result<(), CheckpointError> {
-        Ok(std::fs::write(path, self.save_checkpoint(progress))?)
-    }
-
     /// Restores the state captured by [`Engine::save_checkpoint`] into
     /// this engine (freshly built from the same config and strategy) and
     /// returns the progress to resume from.
@@ -532,31 +525,6 @@ impl Engine {
     ) -> Result<RunProgress, CheckpointError> {
         let bytes = std::fs::read(path)?;
         self.restore_checkpoint(&bytes)
-    }
-
-    /// Convenience driver: runs to completion, writing a checkpoint file
-    /// after every round (atomically enough for a simulation: the file is
-    /// replaced whole). The last checkpoint on disk always resumes to the
-    /// exact same result as the uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces engine errors and checkpoint i/o failures.
-    pub fn run_checkpointed(
-        &mut self,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult, crate::engine::EngineError> {
-        let path = path.as_ref();
-        let mut progress = self.start_progress();
-        loop {
-            let more = self.step_round(&mut progress)?;
-            self.save_checkpoint_to(path, &progress)
-                .map_err(|e| crate::engine::EngineError::Checkpoint(Box::new(e)))?;
-            if !more {
-                break;
-            }
-        }
-        Ok(self.finish_run(progress))
     }
 }
 

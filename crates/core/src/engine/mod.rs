@@ -65,8 +65,6 @@ pub enum EngineError {
     Nn(NnError),
     /// The enclave protocol failed.
     Enclave(EnclaveError),
-    /// Saving or restoring a checkpoint failed.
-    Checkpoint(Box<CheckpointError>),
 }
 
 impl fmt::Display for EngineError {
@@ -75,7 +73,6 @@ impl fmt::Display for EngineError {
             EngineError::Config(e) => write!(f, "configuration error: {e}"),
             EngineError::Nn(e) => write!(f, "model error: {e}"),
             EngineError::Enclave(e) => write!(f, "enclave error: {e}"),
-            EngineError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
         }
     }
 }
@@ -86,7 +83,6 @@ impl Error for EngineError {
             EngineError::Config(e) => Some(e),
             EngineError::Nn(e) => Some(e),
             EngineError::Enclave(e) => Some(e),
-            EngineError::Checkpoint(e) => Some(e.as_ref()),
         }
     }
 }
@@ -530,9 +526,7 @@ impl Engine {
     /// Returns [`EngineError::Nn`] if a snapshot operation fails
     /// mid-run (indicates an internal bug; snapshots are shape-checked).
     pub fn run(&mut self) -> Result<RunResult, EngineError> {
-        let mut progress = self.start_progress();
-        while self.step_round(&mut progress)? {}
-        Ok(self.finish_run(progress))
+        self.resume_run(self.start_progress())
     }
 
     /// The progress of a run that has not started yet (pre-training time

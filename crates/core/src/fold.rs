@@ -73,7 +73,7 @@ impl CohortLayout {
     /// Panics unless `1 ≤ num_edges ≤ num_clients` (validated earlier by
     /// [`TopologyBuilder::edge_cohorts`](crate::topology::TopologyBuilder::edge_cohorts)).
     #[must_use]
-    pub fn seeded(num_clients: usize, num_edges: usize, seed: u64) -> Self {
+    pub(crate) fn seeded(num_clients: usize, num_edges: usize, seed: u64) -> Self {
         assert!(
             (1..=num_clients).contains(&num_edges),
             "cohort layout needs 1 ≤ num_edges ≤ num_clients"

@@ -152,7 +152,7 @@ impl Message {
     /// Size in bytes charged to the network for this message: the round's
     /// frame size for weight-carrying messages plus a small control
     /// envelope.
-    pub fn wire_size(&self, sizes: &RoundWireSizes) -> usize {
+    pub(crate) fn wire_size(&self, sizes: &RoundWireSizes) -> usize {
         match self {
             Message::StartRound { .. } => sizes.start_round + WEIGHT_CONTROL,
             Message::Profile { .. } => CONTROL + 4 * 8,

@@ -44,7 +44,7 @@ impl OnlineProfiler {
     }
 
     /// Averaged per-batch profile (zeros when nothing was recorded).
-    pub fn per_batch(&self) -> PhaseCost {
+    pub(crate) fn per_batch(&self) -> PhaseCost {
         if self.batches == 0 {
             PhaseCost::zero()
         } else {

@@ -24,9 +24,11 @@
 //!         robust: RobustAggregation::CoordinateMedian,
 //!         ..ScenarioConfig::default()
 //!     },
+//!     mode: Mode::Timing,
 //!     ..ExperimentConfig::default()
 //! };
-//! config.validate().unwrap();
+//! // Construction validates the scenario against the configuration.
+//! Engine::new(config, Strategy::FedAvg).unwrap();
 //! ```
 
 use aergia_simnet::SimDuration;
@@ -176,7 +178,7 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::BadScenario`] naming the first bad knob.
-    pub fn validate(&self, num_clients: usize) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self, num_clients: usize) -> Result<(), ConfigError> {
         if let AggregationMode::BufferedAsync { max_staleness, mixing } = self.aggregation {
             if max_staleness.as_micros() == 0 {
                 return Err(ConfigError::BadScenario("max_staleness must be positive"));
@@ -225,7 +227,7 @@ impl ScenarioConfig {
     }
 
     /// Looks up the attack assigned to `client`, if any.
-    pub fn attack_for(&self, client: usize) -> Option<Attack> {
+    pub(crate) fn attack_for(&self, client: usize) -> Option<Attack> {
         self.byzantine.iter().find(|s| s.client == client).map(|s| s.attack)
     }
 
@@ -246,7 +248,7 @@ impl ScenarioConfig {
 /// (its normalized fold needs the whole round's buffer), robust
 /// aggregation with FedNova (same reason), and churn with TiFL (tier
 /// bookkeeping assumes a stable population).
-pub fn validate_with_strategy(
+pub(crate) fn validate_with_strategy(
     scenario: &ScenarioConfig,
     strategy: &Strategy,
 ) -> Result<(), ConfigError> {

@@ -17,7 +17,7 @@
 //! `cost < best_cost`, and is skipped before its distance lookup and its
 //! `ln`. The schedule is the unpruned one, bit for bit. The engine
 //! rejects a negative or non-finite `f` at construction
-//! ([`crate::strategy::Strategy::validate`]).
+//! (`Strategy::validate`).
 //!
 //! A second bound stops the receiver scan itself. Receivers are sorted by
 //! base load `r_b·t_b`, and each slot carries the minimum base load and

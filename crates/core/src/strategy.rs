@@ -81,7 +81,7 @@ impl Strategy {
     /// # Errors
     ///
     /// [`ConfigError::BadStrategy`] naming the bad parameter.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         match *self {
             Strategy::Aergia { similarity_factor, .. }
                 if !(similarity_factor.is_finite() && similarity_factor >= 0.0) =>
@@ -94,7 +94,7 @@ impl Strategy {
 
     /// Whether this strategy needs offline (pre-training) speed profiling,
     /// charged to the run's pre-training time.
-    pub fn profiles_offline(&self) -> bool {
+    pub(crate) fn profiles_offline(&self) -> bool {
         matches!(self, Strategy::Tifl { .. })
     }
 

@@ -3,7 +3,7 @@
 //! [`ExperimentConfig`](crate::config::ExperimentConfig) describes the
 //! *uniform* cluster (one link model for every edge, per-client speed
 //! fractions). Experiments that need a non-uniform topology — a slow
-//! federator control path, a degraded client pair, injected faults —
+//! federator control path, a slowed client, injected faults —
 //! declare it on a [`TopologyBuilder`] handed to
 //! [`Engine::with_topology`](crate::engine::Engine::with_topology),
 //! which validates every override against the configuration before the
@@ -44,7 +44,6 @@ use crate::fold::CohortLayout;
 #[must_use = "a TopologyBuilder does nothing until passed to Engine::with_topology"]
 pub struct TopologyBuilder {
     federator_links: Vec<(usize, LinkModel)>,
-    client_links: Vec<(usize, usize, LinkModel)>,
     client_speeds: Vec<(usize, f64)>,
     faults: Option<(f64, SimDuration, u64)>,
     edge_cohorts: Option<(usize, u64)>,
@@ -60,12 +59,6 @@ impl TopologyBuilder {
     /// slow control path in robustness experiments).
     pub fn federator_link(mut self, to: usize, link: LinkModel) -> Self {
         self.federator_links.push((to, link));
-        self
-    }
-
-    /// Overrides the link model of the `from`→`to` client pair.
-    pub fn client_link(mut self, from: usize, to: usize, link: LinkModel) -> Self {
-        self.client_links.push((from, to, link));
         self
     }
 
@@ -107,7 +100,6 @@ impl TopologyBuilder {
     /// Whether the builder carries no overrides at all.
     pub fn is_empty(&self) -> bool {
         self.federator_links.is_empty()
-            && self.client_links.is_empty()
             && self.client_speeds.is_empty()
             && self.faults.is_none()
             && self.edge_cohorts.is_none()
@@ -118,14 +110,6 @@ impl TopologyBuilder {
         for &(to, _) in &self.federator_links {
             if to >= num_clients {
                 return Err(ConfigError::BadTopology("federator_link client out of range"));
-            }
-        }
-        for &(from, to, _) in &self.client_links {
-            if from >= num_clients || to >= num_clients {
-                return Err(ConfigError::BadTopology("client_link endpoint out of range"));
-            }
-            if from == to {
-                return Err(ConfigError::BadTopology("client_link endpoints must differ"));
             }
         }
         for &(client, speed) in &self.client_speeds {
@@ -157,9 +141,6 @@ impl TopologyBuilder {
         for (to, link) in self.federator_links {
             engine.network.set_link(NodeId::FEDERATOR, NodeId(to as u32), link);
         }
-        for (from, to, link) in self.client_links {
-            engine.network.set_link(NodeId(from as u32), NodeId(to as u32), link);
-        }
         for (client, speed) in self.client_speeds {
             let node = &mut engine.clients[client];
             node.cpu.set_speed(speed);
@@ -184,8 +165,6 @@ mod tests {
     fn out_of_range_overrides_are_rejected() {
         let cases = [
             TopologyBuilder::new().federator_link(4, LinkModel::datacenter()),
-            TopologyBuilder::new().client_link(0, 4, LinkModel::datacenter()),
-            TopologyBuilder::new().client_link(1, 1, LinkModel::datacenter()),
             TopologyBuilder::new().client_speed(9, 0.5),
             TopologyBuilder::new().client_speed(0, 0.0),
             TopologyBuilder::new().client_speed(0, 1.5),
@@ -206,7 +185,6 @@ mod tests {
         assert!(TopologyBuilder::new().is_empty());
         let builder = TopologyBuilder::new()
             .federator_link(3, LinkModel::datacenter())
-            .client_link(0, 1, LinkModel::datacenter())
             .client_speed(2, 0.25)
             .network_faults(0.1, SimDuration::from_secs_f64(0.5), 7)
             .edge_cohorts(2, 11);

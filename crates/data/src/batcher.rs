@@ -37,7 +37,8 @@ pub struct BatcherState {
 /// }.generate_pair();
 /// let indices: Vec<usize> = (0..10).collect();
 /// let mut batcher = Batcher::new(indices, 4, 1);
-/// let (x, y) = batcher.next_batch(&train);
+/// let (mut x, mut y) = (Default::default(), Vec::new());
+/// batcher.next_batch_into(&train, &mut x, &mut y);
 /// assert_eq!(x.dims()[0], 4);
 /// assert_eq!(y.len(), 4);
 /// ```
@@ -77,18 +78,6 @@ impl Batcher {
         self.indices.len()
     }
 
-    /// Returns the next mini-batch, reshuffling at epoch boundaries.
-    ///
-    /// Thin wrapper over [`Batcher::next_batch_into`]; training loops
-    /// should reuse a batch buffer pair through `next_batch_into` instead
-    /// so steady-state iteration stays allocation-free.
-    pub fn next_batch(&mut self, dataset: &Dataset) -> (Tensor, Vec<usize>) {
-        let mut x = Tensor::default();
-        let mut y = Vec::new();
-        self.next_batch_into(dataset, &mut x, &mut y);
-        (x, y)
-    }
-
     /// Captures the full iteration state — the current shuffled index
     /// order, the epoch cursor and the RNG — for a resumable checkpoint.
     pub fn state(&self) -> BatcherState {
@@ -118,8 +107,8 @@ impl Batcher {
     /// Fills a caller-provided `(Tensor, Vec<usize>)` pair with the next
     /// mini-batch, reshuffling at epoch boundaries. `x` is reshaped in
     /// place to `[batch, C, H, W]` and `y` cleared and refilled, so both
-    /// buffers reuse their allocations across calls; the index draws are
-    /// identical to [`Batcher::next_batch`].
+    /// buffers reuse their allocations across calls and steady-state
+    /// iteration stays allocation-free.
     pub fn next_batch_into(&mut self, dataset: &Dataset, x: &mut Tensor, y: &mut Vec<usize>) {
         self.picked.clear();
         while self.picked.len() < self.batch_size {
@@ -146,12 +135,19 @@ mod tests {
             .0
     }
 
+    /// The next batch into fresh buffers.
+    fn next(b: &mut Batcher, ds: &Dataset) -> (Tensor, Vec<usize>) {
+        let (mut x, mut y) = (Tensor::default(), Vec::new());
+        b.next_batch_into(ds, &mut x, &mut y);
+        (x, y)
+    }
+
     #[test]
     fn one_epoch_visits_every_sample_once() {
         let ds = dataset();
         let mut b = Batcher::new((0..10).collect(), 5, 0);
-        let (_, y1) = b.next_batch(&ds);
-        let (_, y2) = b.next_batch(&ds);
+        let (_, y1) = next(&mut b, &ds);
+        let (_, y2) = next(&mut b, &ds);
         let mut seen = y1;
         seen.extend(y2);
         seen.sort_unstable();
@@ -165,7 +161,7 @@ mod tests {
         let ds = dataset();
         let mut b = Batcher::new((0..10).collect(), 7, 1);
         for _ in 0..5 {
-            let (x, y) = b.next_batch(&ds);
+            let (x, y) = next(&mut b, &ds);
             assert_eq!(x.dims()[0], 7);
             assert_eq!(y.len(), 7);
         }
@@ -177,7 +173,7 @@ mod tests {
         let mut a = Batcher::new((0..10).collect(), 3, 9);
         let mut b = Batcher::new((0..10).collect(), 3, 9);
         for _ in 0..4 {
-            assert_eq!(a.next_batch(&ds).1, b.next_batch(&ds).1);
+            assert_eq!(next(&mut a, &ds).1, next(&mut b, &ds).1);
         }
     }
 
@@ -186,13 +182,13 @@ mod tests {
         let ds = dataset();
         let mut a = Batcher::new((0..10).collect(), 3, 4);
         for _ in 0..4 {
-            a.next_batch(&ds);
+            next(&mut a, &ds);
         }
         let snap = a.state();
-        let tail: Vec<Vec<usize>> = (0..6).map(|_| a.next_batch(&ds).1).collect();
+        let tail: Vec<Vec<usize>> = (0..6).map(|_| next(&mut a, &ds).1).collect();
         let mut b = Batcher::new((0..10).collect(), 3, 999); // different seed
         b.restore_state(snap);
-        let replay: Vec<Vec<usize>> = (0..6).map(|_| b.next_batch(&ds).1).collect();
+        let replay: Vec<Vec<usize>> = (0..6).map(|_| next(&mut b, &ds).1).collect();
         assert_eq!(tail, replay);
     }
 
@@ -208,7 +204,7 @@ mod tests {
     fn batch_larger_than_shard_repeats() {
         let ds = dataset();
         let mut b = Batcher::new(vec![0, 1], 5, 3);
-        let (x, y) = b.next_batch(&ds);
+        let (x, y) = next(&mut b, &ds);
         assert_eq!(x.dims()[0], 5);
         assert_eq!(y.len(), 5);
     }

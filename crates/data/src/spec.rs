@@ -6,7 +6,6 @@
 /// `class_overlap` knobs order the classification difficulty the same way
 /// (MNIST easiest, CIFAR hardest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum DatasetSpec {
     /// 28×28 grayscale, 10 well-separated classes (stands in for MNIST).
     MnistLike,
@@ -44,7 +43,7 @@ impl DatasetSpec {
     }
 
     /// Per-pixel Gaussian noise added to every sample.
-    pub fn noise_std(self) -> f32 {
+    pub(crate) fn noise_std(self) -> f32 {
         match self {
             DatasetSpec::MnistLike => 0.15,
             DatasetSpec::FmnistLike => 0.25,
@@ -54,7 +53,7 @@ impl DatasetSpec {
 
     /// Fraction of a shared "background" prototype mixed into every class
     /// prototype; higher values make classes harder to tell apart.
-    pub fn class_overlap(self) -> f32 {
+    pub(crate) fn class_overlap(self) -> f32 {
         match self {
             DatasetSpec::MnistLike => 0.1,
             DatasetSpec::FmnistLike => 0.3,

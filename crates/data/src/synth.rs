@@ -2,14 +2,14 @@
 //!
 //! Every class gets a *prototype image* composed of a handful of smooth
 //! Gaussian blobs (per channel), plus a share of a background prototype
-//! common to all classes (the [`crate::DatasetSpec::class_overlap`] knob).
+//! common to all classes (the spec's class-overlap knob).
 //! A sample of class `c` is the prototype shifted by a small random jitter
 //! with per-pixel Gaussian noise added. The result is a dataset a small
 //! CNN genuinely has to learn spatial features for, while remaining fully
 //! deterministic given a seed.
 //!
 //! Generation is two passes over one RNG stream. The **label walk** is
-//! serial and runs in [`Dataset::from_prototypes`]: per sample it draws
+//! serial and runs in `Dataset::from_prototypes`: per sample it draws
 //! the label and the jitter, records the generator state in front of the
 //! sample's noise and skips the `c·h·w` normals the pixels will consume.
 //! The **render** turns each sample's recipe into pixels, one pool task
@@ -67,7 +67,7 @@ pub struct Prototypes {
 
 impl Prototypes {
     /// Generates prototypes for `spec` from a master seed.
-    pub fn generate(spec: DatasetSpec, seed: u64) -> Self {
+    pub(crate) fn generate(spec: DatasetSpec, seed: u64) -> Self {
         let (c, h, w) = spec.dims();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0070_726f_746f); // "proto" tag
         let background = random_blob_image(&mut rng, c, h, w, 4);
@@ -142,8 +142,7 @@ struct Recipe {
 #[derive(Debug, Clone)]
 pub struct Dataset {
     images: OnceLock<Vec<f32>>,
-    /// `None` for [`Dataset::from_raw`], which is born rendered.
-    recipe: Option<Recipe>,
+    recipe: Recipe,
     labels: Vec<usize>,
     dims: (usize, usize, usize),
     num_classes: usize,
@@ -154,7 +153,7 @@ impl Dataset {
     ///
     /// This is the serial label walk only; see the module docs for when
     /// the pixels are rendered.
-    pub fn from_prototypes(protos: &Prototypes, n: usize, sample_seed: u64) -> Self {
+    pub(crate) fn from_prototypes(protos: &Prototypes, n: usize, sample_seed: u64) -> Self {
         let spec = protos.spec;
         let (c, h, w) = spec.dims();
         let mut rng = StdRng::seed_from_u64(sample_seed ^ 0x73616d_706c65); // "sample"
@@ -173,7 +172,7 @@ impl Dataset {
 
         Dataset {
             images: OnceLock::new(),
-            recipe: Some(Recipe { protos: protos.clone(), samples }),
+            recipe: Recipe { protos: protos.clone(), samples },
             labels,
             dims: (c, h, w),
             num_classes: spec.num_classes(),
@@ -182,7 +181,7 @@ impl Dataset {
 
     /// Renders every sample's pixels on `pool`, one chunk per sample.
     fn render_on(&self, pool: &ThreadPool) -> Vec<f32> {
-        let recipe = self.recipe.as_ref().expect("a dataset without a recipe is born rendered");
+        let recipe = &self.recipe;
         let (c, h, w) = self.dims;
         let noise = recipe.protos.spec.noise_std();
         let mut images = vec![0.0f32; self.labels.len() * c * h * w];
@@ -223,25 +222,6 @@ impl Dataset {
     /// Whether the pixels exist yet.
     pub fn is_rendered(&self) -> bool {
         self.images.get().is_some()
-    }
-
-    /// Builds a dataset directly from raw buffers (used in tests and by
-    /// the partitioner).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length is not `labels.len() · c·h·w` or a label
-    /// is out of range.
-    pub fn from_raw(
-        images: Vec<f32>,
-        labels: Vec<usize>,
-        dims: (usize, usize, usize),
-        num_classes: usize,
-    ) -> Self {
-        let (c, h, w) = dims;
-        assert_eq!(images.len(), labels.len() * c * h * w, "Dataset::from_raw: size mismatch");
-        assert!(labels.iter().all(|&l| l < num_classes), "Dataset::from_raw: label out of range");
-        Dataset { images: OnceLock::from(images), recipe: None, labels, dims, num_classes }
     }
 
     /// Number of samples.
@@ -383,7 +363,6 @@ mod tests {
         assert!(!test.is_rendered(), "the splits render independently");
         test.render();
         assert!(test.is_rendered());
-        assert!(Dataset::from_raw(vec![0.0; 4], vec![0], (1, 2, 2), 2).is_rendered());
     }
 
     #[test]
@@ -427,20 +406,6 @@ mod tests {
             DataConfig { spec: DatasetSpec::Cifar10Like, train_size: 4, test_size: 2, seed: 1 }
                 .generate_pair();
         assert_eq!(train.dims(), (3, 32, 32));
-    }
-
-    #[test]
-    fn from_raw_validates() {
-        let ok = Dataset::from_raw(vec![0.0; 2 * 4], vec![0, 1], (1, 2, 2), 2);
-        assert_eq!(ok.len(), 2);
-        assert!(std::panic::catch_unwind(|| {
-            Dataset::from_raw(vec![0.0; 3], vec![0], (1, 2, 2), 2)
-        })
-        .is_err());
-        assert!(std::panic::catch_unwind(|| {
-            Dataset::from_raw(vec![0.0; 4], vec![5], (1, 2, 2), 2)
-        })
-        .is_err());
     }
 
     #[test]

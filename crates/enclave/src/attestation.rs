@@ -9,7 +9,7 @@
 /// FNV-1a, the stand-in for the attestation hash. Deterministic and cheap;
 /// *not* collision resistant — acceptable for a simulation whose parties
 /// are honest (paper §3.1 assumes all parties honest).
-pub fn measurement_hash(bytes: &[u8]) -> u64 {
+pub(crate) fn measurement_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -42,7 +42,7 @@ pub struct AttestationReport {
 
 impl AttestationReport {
     /// Produces a report for a challenge `nonce` (enclave side).
-    pub fn answer(measurement: Measurement, nonce: u64) -> Self {
+    pub(crate) fn answer(measurement: Measurement, nonce: u64) -> Self {
         AttestationReport {
             measurement,
             nonce_binding: measurement_hash(

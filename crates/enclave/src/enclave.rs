@@ -97,13 +97,8 @@ impl SimilarityEnclave {
         }
     }
 
-    /// The enclave's code measurement (public knowledge).
-    pub fn measurement(&self) -> Measurement {
-        self.measurement
-    }
-
     /// Answers an attestation challenge (run inside the enclave).
-    pub fn attest(&self, nonce: u64) -> AttestationReport {
+    pub(crate) fn attest(&self, nonce: u64) -> AttestationReport {
         AttestationReport::answer(self.measurement, nonce)
     }
 
@@ -147,9 +142,8 @@ impl SimilarityEnclave {
 
     /// The read-only distance oracle over every histogram submitted so
     /// far: index `i` is the `i`-th *submitting* client in ascending
-    /// client-id order (use [`SimilarityEnclave::client_order`] to map
-    /// back). It holds the normalised histograms privately and answers
-    /// only [`SimilarityView::distance`].
+    /// client-id order. It holds the normalised histograms privately and
+    /// answers only [`SimilarityView::distance`].
     pub fn similarity_view(&self) -> SimilarityView {
         let order = self.client_order();
         let mut probs = Vec::with_capacity(order.len() * self.num_classes);
@@ -176,7 +170,7 @@ impl SimilarityEnclave {
 
     /// Ascending ids of the clients whose histograms are present; index
     /// `i` of the similarity view corresponds to `client_order()[i]`.
-    pub fn client_order(&self) -> Vec<u32> {
+    pub(crate) fn client_order(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self.histograms.keys().copied().collect();
         ids.sort_unstable();
         ids
@@ -262,7 +256,7 @@ impl ClientSession {
     ///
     /// Returns [`EnclaveError::AttestationFailed`] if the enclave's report
     /// does not verify against [`Measurement::current`].
-    pub fn establish(
+    pub(crate) fn establish(
         enclave: &SimilarityEnclave,
         client: u32,
         nonce: u64,

@@ -59,7 +59,7 @@ fn tag_of(key: SessionKey, nonce: u64, ciphertext: &[u8]) -> u64 {
 
 impl SealedBlob {
     /// Encrypts `plaintext` under `key` with a caller-chosen unique nonce.
-    pub fn seal(key: SessionKey, nonce: u64, plaintext: &[u8]) -> Self {
+    pub(crate) fn seal(key: SessionKey, nonce: u64, plaintext: &[u8]) -> Self {
         let mut ciphertext = plaintext.to_vec();
         apply_stream(key, nonce, &mut ciphertext);
         let tag = tag_of(key, nonce, &ciphertext);
@@ -68,7 +68,7 @@ impl SealedBlob {
 
     /// Decrypts and checks integrity; `None` on tag mismatch (tampering or
     /// wrong key).
-    pub fn unseal(&self, key: SessionKey) -> Option<Vec<u8>> {
+    pub(crate) fn unseal(&self, key: SessionKey) -> Option<Vec<u8>> {
         if tag_of(key, self.nonce, &self.ciphertext) != self.tag {
             return None;
         }
@@ -90,7 +90,7 @@ impl SealedBlob {
 
 /// Encodes a class histogram as little-endian u64s (the plaintext the
 /// clients seal).
-pub fn encode_histogram(hist: &[u64]) -> Vec<u8> {
+pub(crate) fn encode_histogram(hist: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 * hist.len());
     for &c in hist {
         out.extend_from_slice(&c.to_le_bytes());
@@ -100,7 +100,7 @@ pub fn encode_histogram(hist: &[u64]) -> Vec<u8> {
 
 /// Inverse of [`encode_histogram`]; `None` if the length is not a multiple
 /// of 8.
-pub fn decode_histogram(bytes: &[u8]) -> Option<Vec<u64>> {
+pub(crate) fn decode_histogram(bytes: &[u8]) -> Option<Vec<u64>> {
     if !bytes.len().is_multiple_of(8) {
         return None;
     }

@@ -62,9 +62,6 @@ fn spec_to_wire(spec: DatasetSpec) -> u8 {
         DatasetSpec::FmnistLike => 1,
         DatasetSpec::Cifar10Like => 2,
         DatasetSpec::Cifar100Like => 3,
-        // `DatasetSpec` is #[non_exhaustive]; a future variant must get a
-        // wire code (and a version bump) before it can cross the network.
-        _ => unimplemented!("dataset spec has no wire encoding yet"),
     }
 }
 
@@ -86,8 +83,6 @@ fn arch_to_wire(arch: ModelArch) -> u8 {
         ModelArch::Cifar10ResNet => 3,
         ModelArch::Cifar100Vgg => 4,
         ModelArch::Cifar100ResNet => 5,
-        // `ModelArch` is #[non_exhaustive]; same rule as `spec_to_wire`.
-        _ => unimplemented!("model arch has no wire encoding yet"),
     }
 }
 
@@ -159,7 +154,7 @@ pub struct WorkerSetup {
 
 impl WorkerSetup {
     /// Extracts the worker-relevant slice of an experiment.
-    pub fn from_experiment(config: &ExperimentConfig, strategy: &Strategy) -> Self {
+    pub(crate) fn from_experiment(config: &ExperimentConfig, strategy: &Strategy) -> Self {
         WorkerSetup {
             dataset: config.dataset,
             arch: config.arch,
@@ -179,7 +174,7 @@ impl WorkerSetup {
     /// ([`aergia::transport::build_template`],
     /// [`aergia::transport::round_optimizer`]), which read exactly the
     /// fields this setup carries.
-    pub fn worker_config(&self) -> ExperimentConfig {
+    pub(crate) fn worker_config(&self) -> ExperimentConfig {
         ExperimentConfig {
             dataset: self.dataset,
             arch: self.arch,
@@ -193,7 +188,7 @@ impl WorkerSetup {
     /// The strategy as far as a worker's arithmetic is concerned: FedProx
     /// with the carried `μ`, or plain FedAvg otherwise (every other
     /// strategy differs only in federator-side scheduling/aggregation).
-    pub fn worker_strategy(&self) -> Strategy {
+    pub(crate) fn worker_strategy(&self) -> Strategy {
         match self.prox_mu {
             Some(mu) => Strategy::FedProx { mu },
             None => Strategy::FedAvg,

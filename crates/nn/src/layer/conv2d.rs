@@ -86,16 +86,6 @@ impl Conv2d {
         }
     }
 
-    /// Output spatial size `(out_h, out_w)`.
-    pub fn out_hw(&self) -> (usize, usize) {
-        (self.geom.out_h, self.geom.out_w)
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
     /// Columns of the im2col patch matrix (`in_channels · kh · kw`).
     fn ckk(&self) -> usize {
         self.in_channels * self.geom.k_h * self.geom.k_w

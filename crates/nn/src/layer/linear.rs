@@ -57,16 +57,6 @@ impl Linear {
             packed_w: PackedB::new(),
         }
     }
-
-    /// Number of input features.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Number of output features.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
 }
 
 impl Layer for Linear {

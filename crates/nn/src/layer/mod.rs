@@ -220,7 +220,7 @@ pub(crate) mod testutil {
     /// Central-difference gradient check: perturbs each input element and
     /// compares the numeric directional derivative of `sum(forward(x) * w)`
     /// against the analytic `backward(w)`.
-    pub fn finite_diff_input_check(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
+    pub(crate) fn finite_diff_input_check(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
         let y = layer.forward(x);
         // Random-ish but deterministic cotangent.
         let cot = Tensor::from_vec(

@@ -44,11 +44,6 @@ impl MaxPool2d {
         }
     }
 
-    /// Output spatial size `(out_h, out_w)`.
-    pub fn out_hw(&self) -> (usize, usize) {
-        (self.geom.out_h, self.geom.out_w)
-    }
-
     /// Writes the window maxima into `out` and, when an `argmax` sink is
     /// given, each maximum's flat input index (the sink is resized to the
     /// output) — the one pooling loop behind both the training forward
@@ -192,9 +187,9 @@ mod tests {
 
     #[test]
     fn strided_pooling_shapes() {
-        let pool = MaxPool2d::new(2, 2, 8, 8);
-        assert_eq!(pool.out_hw(), (4, 4));
-        let pool = MaxPool2d::new(3, 2, 7, 7);
-        assert_eq!(pool.out_hw(), (3, 3));
+        let mut pool = MaxPool2d::new(2, 2, 8, 8);
+        assert_eq!(pool.forward(&Tensor::zeros(&[1, 2, 8, 8])).dims(), &[1, 2, 4, 4]);
+        let mut pool = MaxPool2d::new(3, 2, 7, 7);
+        assert_eq!(pool.forward(&Tensor::zeros(&[1, 1, 7, 7])).dims(), &[1, 1, 3, 3]);
     }
 }

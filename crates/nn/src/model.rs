@@ -190,14 +190,6 @@ impl Cnn {
         &self.layers
     }
 
-    /// Forward pass through the whole network (inference): the logits of
-    /// [`Cnn::forward_phase`], bit for bit, without leaving any backward
-    /// cache behind.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (logits, _) = self.infer_with(x, &mut Workspace::new());
-        logits
-    }
-
     /// Computes loss and the number of correct predictions without
     /// touching gradients or backward caches.
     pub fn evaluate(&mut self, x: &Tensor, targets: &[usize]) -> (f32, usize) {
@@ -406,7 +398,7 @@ impl Cnn {
     }
 
     /// Clears accumulated gradients in every layer.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grads();
         }
@@ -443,16 +435,6 @@ impl Cnn {
             offset += n;
         }
         Ok(())
-    }
-
-    /// Total number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().flat_map(|l| l.params()).map(|p| p.numel()).sum()
-    }
-
-    /// Number of scalar parameters in the feature section.
-    pub fn num_feature_params(&self) -> usize {
-        self.layers[..self.split].iter().flat_map(|l| l.params()).map(|p| p.numel()).sum()
     }
 
     /// Invalidates the parameter-derived caches (packed GEMM panels) of
@@ -646,10 +628,10 @@ mod tests {
     #[test]
     fn param_counts_split_correctly() {
         let model = tiny_model(31);
+        let count = |ts: Vec<Tensor>| ts.iter().map(Tensor::numel).sum::<usize>();
         assert_eq!(
-            model.num_params(),
-            model.num_feature_params()
-                + classifier_weights(&model).iter().map(|t| t.numel()).sum::<usize>()
+            count(model.weights()),
+            count(model.feature_weights()) + count(classifier_weights(&model))
         );
     }
 
@@ -703,7 +685,7 @@ mod tests {
         tensors.into_iter().flat_map(|t| t.data().iter().map(|v| v.to_bits())).collect()
     }
 
-    /// The inference walk behind `evaluate_with` and `forward` carries the
+    /// The inference walk behind `evaluate_with` carries the
     /// training forward's bits — logits, loss and correct count — for
     /// every architecture, at batch sizes with ragged GEMM tiles.
     #[test]
@@ -715,7 +697,7 @@ mod tests {
                 let (x, y) = arch_batch(arch, batch, batch as u64);
                 let fwd = model.forward_phase(&x, &mut ws);
                 let train = cross_entropy(&fwd.a, &y);
-                let logits = model.forward(&x);
+                let logits = model.infer_with(&x, &mut Workspace::new()).0;
                 assert_eq!(bits([&logits]), bits([&fwd.a]), "{arch} logits, batch {batch}");
                 ws.give_scratch(fwd.b);
                 ws.give_scratch(fwd.a);

@@ -144,11 +144,6 @@ impl Sgd {
         self.prox = Some(ProxTerm { mu, anchor });
     }
 
-    /// Whether a proximal anchor is installed.
-    pub fn has_prox(&self) -> bool {
-        self.prox.is_some()
-    }
-
     /// Applies one SGD update to every trainable parameter of `model`
     /// using the gradients accumulated by its last backward pass.
     ///
@@ -275,7 +270,6 @@ mod tests {
         let before = model.weights();
         let mut opt = Sgd::new(SgdConfig { lr: 0.1, ..SgdConfig::default() });
         opt.set_prox(1.0, anchor.clone());
-        assert!(opt.has_prox());
         opt.apply(&mut model);
         // Every weight moved strictly towards 1.0.
         for (b, a) in before.iter().zip(model.weights()) {

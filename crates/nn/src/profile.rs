@@ -38,7 +38,7 @@ impl Phase {
     ];
 
     /// The paper's two-letter abbreviation (`ff`, `fc`, `bc`, `bf`).
-    pub fn abbrev(self) -> &'static str {
+    pub(crate) fn abbrev(self) -> &'static str {
         match self {
             Phase::ForwardFeatures => "ff",
             Phase::ForwardClassifier => "fc",

@@ -31,12 +31,13 @@ pub fn uniform_speeds(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
 /// Produces `n` speeds with mean exactly `mean` and variance exactly
 /// `variance` by placing half the clients at `mean − d` and half at
 /// `mean + d` with `d = √variance` (odd counts keep one client at the
-/// mean). This is the controlled sweep behind Figure 1(a).
+/// mean). Nothing outside this module's tests calls it.
 ///
 /// # Panics
 ///
 /// Panics if the implied speeds leave `(0, 1]`.
-pub fn speeds_with_variance(n: usize, mean: f64, variance: f64) -> Vec<f64> {
+#[cfg(test)]
+fn speeds_with_variance(n: usize, mean: f64, variance: f64) -> Vec<f64> {
     assert!(variance >= 0.0, "speeds_with_variance: negative variance");
     let d = variance.sqrt();
     let (lo, hi) = (mean - d, mean + d);
@@ -55,7 +56,7 @@ pub fn speeds_with_variance(n: usize, mean: f64, variance: f64) -> Vec<f64> {
 }
 
 /// Draws `n` speeds from a clipped Gaussian with the given mean and
-/// variance — the randomized counterpart of [`speeds_with_variance`].
+/// variance: the sweep behind Figure 1(a).
 ///
 /// Unlike the exact bimodal generator, random draws reproduce the paper's
 /// Figure 1(a) effect that *larger* clusters suffer more from the same

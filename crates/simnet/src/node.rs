@@ -14,7 +14,7 @@ impl NodeId {
     pub const FEDERATOR: NodeId = NodeId(u32::MAX);
 
     /// True for the federator id.
-    pub fn is_federator(self) -> bool {
+    pub(crate) fn is_federator(self) -> bool {
         self == NodeId::FEDERATOR
     }
 }

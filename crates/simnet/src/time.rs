@@ -34,7 +34,7 @@ impl SimTime {
     }
 
     /// Elapsed time since `earlier`, saturating at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 }

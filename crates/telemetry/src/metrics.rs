@@ -140,11 +140,6 @@ impl Histogram {
     pub fn sum(&self) -> f64 {
         self.0.sum()
     }
-
-    /// Per-bucket (non-cumulative) counts, overflow bucket last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
 }
 
 #[derive(Debug, Default)]

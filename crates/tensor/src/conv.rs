@@ -69,28 +69,17 @@ impl ConvGeometry {
 
 /// Lowers a batched NCHW tensor into its patch matrix.
 ///
-/// Returns a `[N·OH·OW, C·kh·kw]` matrix whose row `(n, oh, ow)` holds the
-/// receptive field feeding output pixel `(oh, ow)` of image `n` (zeros where
-/// the window overlaps the padding).
+/// `out` is [`Tensor::reset`] to `[N·OH·OW, C·kh·kw]` (reusing its
+/// allocation when the capacity suffices — the im2col scratch a
+/// convolution layer reuses across batches); row `(n, oh, ow)` holds the
+/// receptive field feeding output pixel `(oh, ow)` of image `n` (zeros
+/// where the window overlaps the padding).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] unless `input` is rank 4 and
-/// [`TensorError::ShapeMismatch`] if its spatial dims disagree with `geom`.
-pub fn im2col(input: &Tensor, channels: usize, geom: &ConvGeometry) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    im2col_into(input, channels, geom, &mut out)?;
-    Ok(out)
-}
-
-/// [`im2col`] writing into a caller-provided tensor: `out` is
-/// [`Tensor::reset`] to `[N·OH·OW, C·kh·kw]` (reusing its allocation when
-/// the capacity suffices) — the im2col scratch a convolution layer reuses
-/// across batches.
-///
-/// # Errors
-///
-/// Same error conditions as [`im2col`]; `out` is untouched on error.
+/// [`TensorError::ShapeMismatch`] if its spatial dims disagree with `geom`;
+/// `out` is untouched on error.
 pub fn im2col_into(
     input: &Tensor,
     channels: usize,
@@ -185,29 +174,14 @@ pub fn im2col_into(
 }
 
 /// Scatters a patch-matrix gradient back onto the padded input (the adjoint
-/// of [`im2col`]): overlapping windows accumulate.
+/// of [`im2col_into`]): overlapping windows accumulate. `out` is reset to
+/// `[batch, channels, H, W]` as in [`im2col_into`].
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `cols` is not the
-/// `[N·OH·OW, C·kh·kw]` matrix matching `batch`, `channels` and `geom`.
-pub fn col2im(
-    cols: &Tensor,
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    col2im_into(cols, batch, channels, geom, &mut out)?;
-    Ok(out)
-}
-
-/// [`col2im`] writing into a caller-provided tensor (see [`im2col_into`]
-/// for the reuse contract).
-///
-/// # Errors
-///
-/// Same error conditions as [`col2im`]; `out` is untouched on error.
+/// `[N·OH·OW, C·kh·kw]` matrix matching `batch`, `channels` and `geom`;
+/// `out` is untouched on error.
 pub fn col2im_into(
     cols: &Tensor,
     batch: usize,
@@ -297,28 +271,22 @@ pub fn col2im_into(
     Ok(())
 }
 
-/// Reorders `[N, C, H, W]` activations into the `[N·H·W, C]` row matrix used
-/// around the convolution matmul.
+/// Reorders `[N, C, H, W]` activations into the `[N·H·W, C]` row matrix
+/// used around the convolution matmul. `out` is reset as in
+/// [`im2col_into`].
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::RankMismatch`] for non-rank-4 inputs.
-pub fn nchw_to_rows(input: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    nchw_to_rows_into(input, &mut out)?;
-    Ok(out)
-}
-
-/// [`nchw_to_rows`] writing into a caller-provided tensor (see
-/// [`im2col_into`] for the reuse contract).
-///
-/// # Errors
-///
-/// Same error conditions as [`nchw_to_rows`]; `out` is untouched on error.
+/// Returns [`TensorError::RankMismatch`] for non-rank-4 inputs; `out` is
+/// untouched on error.
 pub fn nchw_to_rows_into(input: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let dims = input.dims();
     if dims.len() != 4 {
-        return Err(TensorError::RankMismatch { op: "nchw_to_rows", expected: 4, got: dims.len() });
+        return Err(TensorError::RankMismatch {
+            op: "nchw_to_rows_into",
+            expected: 4,
+            got: dims.len(),
+        });
     }
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     out.reset_for_overwrite(&[n * h * w, c]);
@@ -348,31 +316,13 @@ pub fn nchw_to_rows_into(input: &Tensor, out: &mut Tensor) -> Result<(), TensorE
     Ok(())
 }
 
-/// Inverse of [`nchw_to_rows`]: reorders a `[N·H·W, C]` row matrix into
-/// `[N, C, H, W]`.
+/// Inverse of [`nchw_to_rows_into`]: reorders a `[N·H·W, C]` row matrix
+/// into `[N, C, H, W]`. `out` is reset as in [`im2col_into`].
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `rows` does not have
-/// `n·h·w` rows of `c` columns.
-pub fn rows_to_nchw(
-    rows: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    rows_to_nchw_into(rows, n, c, h, w, &mut out)?;
-    Ok(out)
-}
-
-/// [`rows_to_nchw`] writing into a caller-provided tensor (see
-/// [`im2col_into`] for the reuse contract).
-///
-/// # Errors
-///
-/// Same error conditions as [`rows_to_nchw`]; `out` is untouched on error.
+/// `n·h·w` rows of `c` columns; `out` is untouched on error.
 pub fn rows_to_nchw_into(
     rows: &Tensor,
     n: usize,
@@ -383,7 +333,7 @@ pub fn rows_to_nchw_into(
 ) -> Result<(), TensorError> {
     if rows.dims() != [n * h * w, c] {
         return Err(TensorError::ShapeMismatch {
-            op: "rows_to_nchw",
+            op: "rows_to_nchw_into",
             lhs: rows.dims().to_vec(),
             rhs: vec![n * h * w, c],
         });
@@ -417,6 +367,14 @@ pub fn rows_to_nchw_into(
 mod tests {
     use super::*;
 
+    /// Runs an `*_into` lowering into a fresh tensor.
+    fn fresh(
+        f: impl FnOnce(&mut Tensor) -> Result<(), TensorError>,
+    ) -> Result<Tensor, TensorError> {
+        let mut out = Tensor::default();
+        f(&mut out).map(|()| out)
+    }
+
     #[test]
     fn geometry_matches_formula() {
         let g = ConvGeometry::new(32, 32, 3, 3, 1, 1);
@@ -438,7 +396,7 @@ mod tests {
         // 1x1 kernel: patch matrix is just the pixel values, row per pixel.
         let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[1, 2, 2, 2]).unwrap();
         let g = ConvGeometry::new(2, 2, 1, 1, 1, 0);
-        let cols = im2col(&x, 2, &g).unwrap();
+        let cols = fresh(|o| im2col_into(&x, 2, &g, o)).unwrap();
         assert_eq!(cols.dims(), &[4, 2]);
         // Row (oh,ow)=(0,0) holds channel values at pixel (0,0): 0 and 4.
         assert_eq!(&cols.data()[0..2], &[0.0, 4.0]);
@@ -449,7 +407,7 @@ mod tests {
     fn im2col_respects_zero_padding() {
         let x = Tensor::ones(&[1, 1, 2, 2]);
         let g = ConvGeometry::new(2, 2, 3, 3, 1, 1);
-        let cols = im2col(&x, 1, &g).unwrap();
+        let cols = fresh(|o| im2col_into(&x, 1, &g, o)).unwrap();
         assert_eq!(cols.dims(), &[4, 9]);
         // Top-left output pixel: kernel overlaps top and left padding.
         let row = &cols.data()[0..9];
@@ -461,7 +419,7 @@ mod tests {
         // For all-ones cols, col2im counts how many windows cover each pixel.
         let g = ConvGeometry::new(3, 3, 2, 2, 1, 0);
         let cols = Tensor::ones(&[4, 4]);
-        let im = col2im(&cols, 1, 1, &g).unwrap();
+        let im = fresh(|o| col2im_into(&cols, 1, 1, &g, o)).unwrap();
         // Corner pixels covered once, edges twice, center four times.
         assert_eq!(im.data(), &[1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0]);
     }
@@ -469,19 +427,20 @@ mod tests {
     #[test]
     fn nchw_rows_round_trip() {
         let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
-        let rows = nchw_to_rows(&x).unwrap();
+        let rows = fresh(|o| nchw_to_rows_into(&x, o)).unwrap();
         assert_eq!(rows.dims(), &[8, 3]);
-        let back = rows_to_nchw(&rows, 2, 3, 2, 2).unwrap();
+        let back = fresh(|o| rows_to_nchw_into(&rows, 2, 3, 2, 2, o)).unwrap();
         assert_eq!(back, x);
     }
 
     #[test]
     fn shape_validation_errors() {
         let x = Tensor::zeros(&[2, 2]);
-        assert!(im2col(&x, 1, &ConvGeometry::new(2, 2, 1, 1, 1, 0)).is_err());
-        assert!(nchw_to_rows(&x).is_err());
+        assert!(fresh(|o| im2col_into(&x, 1, &ConvGeometry::new(2, 2, 1, 1, 1, 0), o)).is_err());
+        assert!(fresh(|o| nchw_to_rows_into(&x, o)).is_err());
         let cols = Tensor::zeros(&[3, 3]);
-        assert!(col2im(&cols, 1, 1, &ConvGeometry::new(3, 3, 2, 2, 1, 0)).is_err());
-        assert!(rows_to_nchw(&cols, 1, 2, 2, 2).is_err());
+        let g = ConvGeometry::new(3, 3, 2, 2, 1, 0);
+        assert!(fresh(|o| col2im_into(&cols, 1, 1, &g, o)).is_err());
+        assert!(fresh(|o| rows_to_nchw_into(&cols, 1, 2, 2, 2, o)).is_err());
     }
 }

@@ -1,5 +1,5 @@
 //! Packed, register-blocked GEMM: the microkernel architecture behind the
-//! [`crate::ops`] matmul family.
+//! [`crate::ops`] `*_packed_into` GEMM forms.
 //!
 //! # Architecture
 //!
@@ -15,10 +15,10 @@
 //!    contiguous `nr`-vector per `k`. Ragged edge columns are zero-padded
 //!    to `nr`.
 //! 2. **Pack `A` row tiles** ([`PackedA`]): used when the `A` operand is
-//!    stored transposed (`matmul_tn`'s `k×m` layout), where direct access
+//!    stored transposed (the `tn` form's `k×m` layout), where direct access
 //!    would stride by `m` per `k` step. Rows are regrouped into `mr`-row
 //!    tiles laid `k`-major (`tile[kk·mr + r]`), zero-padding the ragged
-//!    tail tile. For row-major `A` operands (`matmul`/`matmul_nt`) the
+//!    tail tile. For row-major `A` operands (the `nn` and `nt` forms) the
 //!    rows are already contiguous along `k`, so the microkernel reads them
 //!    in place.
 //! 3. **Microkernel**: an `mr × nr` register tile of accumulators walks the
@@ -63,7 +63,7 @@
 //!
 //! Every microkernel and driver is written once: the `A` operand reaches
 //! the kernels as a `SubtileA` view whose storage — row-major rows
-//! (`matmul`, `matmul_nt`) or a [`PackedA`] tile (`matmul_tn`) — is a
+//! (`nn`, `nt`) or a [`PackedA`] tile (`tn`) — is a
 //! const parameter, so both run the same source at constant strides. The
 //! packed layout keeps each panel as one full-`k` slab (the shapes this
 //! crate serves never exceed the L2 a panel streams from, so `k`-blocking
@@ -146,7 +146,7 @@ use crate::{Tensor, TensorError};
 // function of the operands and the variant rule alone, so same-seed runs
 // agree on them across processes, not just within one.
 
-/// Driver entries by GEMM form (`matmul` / `matmul_nt` / `matmul_tn`).
+/// Driver entries by GEMM form (`nn` / `nt` / `tn`).
 static GEMM_CALLS: [LazyCounter; 3] = [
     LazyCounter::new("aergia_gemm_calls_total{op=\"nn\"}"),
     LazyCounter::new("aergia_gemm_calls_total{op=\"nt\"}"),
@@ -325,7 +325,7 @@ impl Default for KernelVariant {
 /// pb.pack_with(&b, tuned_variant(GemmOp::Nn, 3, 4, 5))?;
 /// let mut out = Tensor::default();
 /// ops::matmul_packed_into(&a, &pb, &mut out)?;
-/// assert_eq!(out, ops::matmul(&a, &b)?);
+/// assert_eq!(out, ops::matmul_reference(&a, &b)?);
 /// # Ok(())
 /// # }
 /// ```
@@ -347,7 +347,7 @@ impl PackedB {
 
     /// Whether the pack currently holds a packed operand (a fresh or
     /// [`PackedB::invalidate`]d pack is not valid).
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.valid
     }
 
@@ -416,7 +416,7 @@ impl PackedB {
 
     /// Packs the *transpose* of a row-major `n×k` matrix, i.e. the packed
     /// logical operand is `bᵀ` (`k×n`), into `variant`'s panel layout. This
-    /// is how a `matmul_nt` `B` operand (a `[rows, k]` weight matrix)
+    /// is how an `nt` `B` operand (a `[rows, k]` weight matrix)
     /// becomes column panels.
     ///
     /// # Errors
@@ -531,7 +531,7 @@ impl PackedA {
     }
 
     /// Whether the pack currently holds a packed operand.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.valid
     }
 
@@ -582,12 +582,12 @@ impl PackedA {
 /// One `mr`-row subtile of the `A` operand. `PACKED` names the storage,
 /// and with it where element `(r, kk)` lives:
 ///
-/// * `PACKED = false` — row-major `A` (`matmul`, `matmul_nt`), read in
+/// * `PACKED = false` — row-major `A` (`nn`, `nt`), read in
 ///   place: `data` is the subtile's `rows` consecutive source rows and
 ///   `(r, kk)` is `data[min(r, rows − 1)·k + kk]`. A ragged tail subtile
 ///   has `rows < mr`; the clamp makes the kernels re-read its last row,
 ///   and the duplicate accumulator rows are dropped at write-back.
-/// * `PACKED = true` — a [`PackedA`] tile (`matmul_tn`): `data` is the
+/// * `PACKED = true` — a [`PackedA`] tile (`tn`): `data` is the
 ///   `k`-major tile, `(r, kk)` is `data[kk·mr + r]`, and `rows = mr`
 ///   because the pack zero-padded the tail.
 ///
@@ -952,8 +952,8 @@ fn write_back(
     }
 }
 
-/// Driver for the row-major-`A` packed kernels (`matmul` with
-/// `SKIP = true`, `matmul_nt` with `SKIP = false`): parallel
+/// Driver for the row-major-`A` packed kernels (`nn` with
+/// `SKIP = true`, `nt` with `SKIP = false`): parallel
 /// [`run_row_tiles`] over the output, one [`gemm_row_tile`] per tile.
 pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, od: &mut [f32]) {
     let n = pb.n;
@@ -964,7 +964,7 @@ pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, 
     });
 }
 
-/// Driver for the packed-`A` kernel (`matmul_tn`). Row-tile boundaries are
+/// Driver for the packed-`A` kernel (`tn`). Row-tile boundaries are
 /// multiples of every variant's `mr` (the parallel tile size is a multiple
 /// of [`MR_MAX`]), so output sub-tiles map 1:1 onto [`PackedA`] tiles.
 ///
@@ -1050,11 +1050,11 @@ fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
 /// the skip-zero guard is in play.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmOp {
-    /// `matmul`: row-major `A`, skip-zero semantics.
+    /// [`crate::ops::matmul_packed_into`]: row-major `A`, skip-zero semantics.
     Nn,
-    /// `matmul_nt`: row-major `A`, no skipping.
+    /// [`crate::ops::matmul_nt_packed_into`]: row-major `A`, no skipping.
     Nt,
-    /// `matmul_tn`: packed-`A` tiles, skip-zero semantics.
+    /// [`crate::ops::matmul_tn_packed_into`]: packed-`A` tiles, skip-zero semantics.
     Tn,
 }
 
@@ -1126,7 +1126,7 @@ mod tests {
     #[test]
     fn pack_transposed_matches_packing_the_explicit_transpose() {
         let b = random(&[7, 13], 3);
-        let bt = ops::transpose(&b).unwrap();
+        let bt = ops::transpose(&b);
         for variant in all_variants() {
             let mut direct = PackedB::new();
             direct.pack_transposed_with(&b, variant).unwrap();
@@ -1336,7 +1336,7 @@ mod tests {
         let mut coverage = Vec::new();
         for (case, (a, b)) in [(1, (&dense_a, &dense_b)), (2, (&inf_a, &inf_b))].into_iter() {
             let nn_ref = ops::matmul_reference(a, b).unwrap();
-            let bt = ops::transpose(b).unwrap();
+            let bt = ops::transpose(b);
             let nt_ref = ops::matmul_nt_reference(a, &bt).unwrap();
             coverage.extend_from_slice(nn_ref.data());
             coverage.extend_from_slice(nt_ref.data());
@@ -1347,7 +1347,7 @@ mod tests {
                 ops::matmul_packed_into(a, &pb, &mut out).unwrap();
                 assert_same_modulo_nan_bits(&out, &nn_ref, &format!("case {case} nn {variant:?}"));
 
-                // The unguarded path (matmul_nt: no zero skipping)
+                // The unguarded path (nt: no zero skipping)
                 // creates NaNs from 0 · inf that the guarded path never
                 // sees.
                 let mut pbt = PackedB::new();

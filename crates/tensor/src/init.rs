@@ -49,7 +49,7 @@ pub fn normal<R: Rng + ?Sized>(t: &mut Tensor, rng: &mut R, mean: f32, std: f32)
 /// # Panics
 ///
 /// Panics if `low >= high`.
-pub fn uniform<R: Rng + ?Sized>(t: &mut Tensor, rng: &mut R, low: f32, high: f32) {
+pub(crate) fn uniform<R: Rng + ?Sized>(t: &mut Tensor, rng: &mut R, low: f32, high: f32) {
     assert!(low < high, "init::uniform: empty range [{low}, {high})");
     for x in t.data_mut() {
         *x = rng.random_range(low..high);

@@ -7,10 +7,16 @@
 //! * an owned, row-major [`Tensor`] with shape validation,
 //! * elementwise arithmetic and in-place BLAS-style helpers ([`Tensor::axpy`],
 //!   [`Tensor::scale`]),
-//! * 2-D matrix multiplication ([`ops::matmul`]) and transposition,
+//! * packed 2-D matrix multiplication in three forms ([`ops`], over the
+//!   [`gemm`] microkernels) with naive reference oracles,
 //! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
+//! * a buffer and pack pool for allocation-free steady-state loops
+//!   ([`Workspace`]),
 //! * seeded random initialisation ([`init`]), including Box–Muller Gaussian
 //!   sampling so the workspace does not need `rand_distr`.
+//!
+//! Every production kernel writes into a caller-provided `out` tensor (the
+//! `*_into` forms), so steady-state loops reuse their buffers.
 //!
 //! The paper's reference implementation runs on PyTorch; this crate (together
 //! with `aergia-nn`) replaces it from scratch, because the workspace builds
@@ -20,12 +26,16 @@
 //! # Examples
 //!
 //! ```
+//! use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 //! use aergia_tensor::{ops, Tensor};
 //!
 //! # fn main() -> Result<(), aergia_tensor::TensorError> {
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
-//! let c = ops::matmul(&a, &b)?;
+//! let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
+//! let mut pb = PackedB::new();
+//! pb.pack_with(&identity, tuned_variant(GemmOp::Nn, 2, 2, 2))?;
+//! let mut c = Tensor::default();
+//! ops::matmul_packed_into(&a, &pb, &mut c)?;
 //! assert_eq!(c.data(), a.data());
 //! # Ok(())
 //! # }

@@ -1,30 +1,24 @@
-//! Matrix operations: multiplication, transposition, bias broadcast.
+//! Matrix operations: multiplication and bias broadcast.
 //!
 //! These free functions implement the handful of dense linear-algebra
-//! primitives the network stack needs. The three matmul variants
-//! (`matmul`, `matmul_nt`, `matmul_tn`) all run the packed,
-//! register-blocked microkernel architecture of [`crate::gemm`]: `B` is
-//! packed into `NR`-wide column panels ([`crate::gemm::PackedB`]),
-//! transposed `A` operands into `MR`-row tiles ([`crate::gemm::PackedA`]),
-//! and an `MR × NR` register tile accumulates each output block in one
-//! pass over the shared dimension. Output row tiles are claimed by the
-//! threads of the [`aergia_runtime`] pool once a product is worth
-//! threading (`PAR_FLOPS`).
+//! primitives the network stack needs. The three GEMM forms — `A·B`
+//! ([`matmul_packed_into`]), `A·Bᵀ` ([`matmul_nt_packed_into`]) and `Aᵀ·B`
+//! ([`matmul_tn_packed_into`]) — run the packed, register-blocked
+//! microkernel architecture of [`crate::gemm`]: `B` is packed into
+//! `NR`-wide column panels ([`crate::gemm::PackedB`]), transposed `A`
+//! operands into `MR`-row tiles ([`crate::gemm::PackedA`]), and an
+//! `MR × NR` register tile accumulates each output block in one pass over
+//! the shared dimension. Output row tiles are claimed by the threads of
+//! the [`aergia_runtime`] pool once a product is worth threading
+//! (`PAR_FLOPS`).
 //!
-//! Two spellings of one production path coexist here, plus its oracle:
-//!
-//! * **packed** ([`matmul_packed_into`], [`matmul_nt_packed_into`],
-//!   [`matmul_tn_packed_into`]) — the hot path: the caller owns the packs,
-//!   so a cached weight pack is reused across calls and transient packs
-//!   recycle through [`crate::Workspace`] pools (zero steady-state
-//!   allocations);
-//! * **plain** ([`matmul_into`] & friends) — same kernels behind the
-//!   classic two-operand signatures, packing into a transient buffer per
-//!   call (they allocate; hot loops should hold packs instead);
-//! * **references** ([`matmul_reference`], [`matmul_nt_reference`],
-//!   [`matmul_tn_reference`]) — the naive loops that *define* the result:
-//!   tests and the `gemm_sweep` GFLOP/s figure compare the packed path
-//!   against them, nothing in production calls them.
+//! The caller owns the packs, so a cached weight pack is reused across
+//! calls and transient packs recycle through [`crate::Workspace`] pools
+//! (zero steady-state allocations). Each form has a naive oracle
+//! ([`matmul_reference`], [`matmul_nt_reference`],
+//! [`matmul_tn_reference`]) that *defines* the result: tests and the
+//! `gemm_sweep` GFLOP/s figure compare the packed path against them,
+//! nothing in production calls them.
 //!
 //! # Determinism
 //!
@@ -38,7 +32,7 @@
 //! here and the property suite in `tests/proptests.rs`; see
 //! [`crate::gemm`] for why the register tile preserves the contract).
 
-use crate::gemm::{gemm_packed, gemm_packed_tn, tuned_variant, GemmOp, PackedA, PackedB};
+use crate::gemm::{gemm_packed, gemm_packed_tn, PackedA, PackedB};
 use crate::{Tensor, TensorError};
 
 /// Output rows per parallel tile: big enough to amortise a claim, small
@@ -85,73 +79,10 @@ pub(crate) fn require_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usiz
     Ok((dims[0], dims[1]))
 }
 
-/// Dense matrix product `A (m×k) · B (k×n) → C (m×n)`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if either operand is not rank 2 and
-/// [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
-///
-/// # Examples
-///
-/// ```
-/// use aergia_tensor::{ops, Tensor};
-/// # fn main() -> Result<(), aergia_tensor::TensorError> {
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
-/// assert_eq!(ops::matmul(&a, &b)?.data(), a.data());
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    matmul_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul`] writing into a caller-provided tensor: `out` is
+/// Dense matrix product `A (m×k) · B (k×n) → C (m×n)` with `B` already
+/// packed, bit-identical to [`matmul_reference`]. `out` is
 /// [`Tensor::reset`] to `[m, n]` (reusing its allocation when the capacity
-/// suffices) and then overwritten with the product, bit-identically to the
-/// allocating kernel.
-///
-/// Packs `B` into a transient buffer per call; steady-state loops should
-/// hold a [`PackedB`] and call [`matmul_packed_into`] instead.
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul`]; `out` is untouched on error.
-///
-/// # Examples
-///
-/// ```
-/// use aergia_tensor::{ops, Tensor};
-/// # fn main() -> Result<(), aergia_tensor::TensorError> {
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// let b = Tensor::eye(2);
-/// let mut out = Tensor::default();
-/// ops::matmul_into(&a, &b, &mut out)?;
-/// assert_eq!(out.data(), a.data());
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, ka) = require_rank2("matmul", a)?;
-    let (kb, n) = require_rank2("matmul", b)?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut pb = PackedB::new();
-    pb.pack_with(b, tuned_variant(GemmOp::Nn, m, ka, n))?;
-    matmul_packed_into(a, &pb, out)
-}
-
-/// `C = A · B` with `B` already packed: the zero-allocation hot-path
-/// spelling of [`matmul_into`], bit-identical to it and to
-/// [`matmul_reference`].
+/// suffices) and then overwritten with the product.
 ///
 /// # Errors
 ///
@@ -161,8 +92,27 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Tenso
 ///
 /// # Panics
 ///
-/// Panics if `pb` is stale ([`PackedB::is_valid`] is false) — pack or
+/// Panics if `pb` is stale (never packed, or invalidated) — pack or
 /// `ensure` it first.
+///
+/// # Examples
+///
+/// ```
+/// use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
+/// use aergia_tensor::{ops, Tensor};
+/// # fn main() -> Result<(), aergia_tensor::TensorError> {
+/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
+/// let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2])?;
+/// let mut pb = PackedB::new();
+/// pb.pack_with(&b, tuned_variant(GemmOp::Nn, 2, 3, 2))?;
+/// // A garbage output of another shape is reset, then overwritten.
+/// let mut out = Tensor::full(&[5], f32::NAN);
+/// ops::matmul_packed_into(&a, &pb, &mut out)?;
+/// assert_eq!(out.data(), &[58.0, 64.0, 139.0, 154.0]);
+/// assert_eq!(out, ops::matmul_reference(&a, &b)?);
+/// # Ok(())
+/// # }
+/// ```
 pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<(), TensorError> {
     let (m, ka) = require_rank2("matmul", a)?;
     assert!(pb.is_valid(), "matmul_packed_into: stale PackedB (pack or ensure it first)");
@@ -186,7 +136,8 @@ pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<
 ///
 /// # Errors
 ///
-/// Same error conditions as [`matmul`].
+/// Returns [`TensorError::RankMismatch`] if either operand is not rank 2 and
+/// [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
 pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (m, ka) = require_rank2("matmul", a)?;
     let (kb, n) = require_rank2("matmul", b)?;
@@ -217,52 +168,11 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-/// `Aᵀ (k×m) · B (k×n) → C (m×n)` without materialising the transpose.
-///
-/// Used for weight gradients (`xᵀ · dy`).
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul`], with the shared dimension being the
-/// *rows* of both operands.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    matmul_tn_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_tn`] writing into a caller-provided tensor (see
-/// [`matmul_into`] for the reuse contract).
-///
-/// Packs both operands into transient buffers per call; steady-state loops
-/// should hold a [`PackedA`]/[`PackedB`] pair (e.g. from the
-/// [`crate::Workspace`] pack pools) and call [`matmul_tn_packed_into`].
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul_tn`]; `out` is untouched on error.
-pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (ka, m) = require_rank2("matmul_tn", a)?;
-    let (kb, n) = require_rank2("matmul_tn", b)?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_tn",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let variant = tuned_variant(GemmOp::Tn, m, ka, n);
-    let mut pa = PackedA::new();
-    pa.pack_transposed_with(a, variant)?;
-    let mut pb = PackedB::new();
-    pb.pack_with(b, variant)?;
-    matmul_tn_packed_into(&pa, &pb, out)
-}
-
-/// `C = Aᵀ · B` with both operands already packed ([`PackedA`] row tiles
-/// of `aᵀ`, [`PackedB`] column panels of `b`): the zero-allocation
-/// hot-path spelling of [`matmul_tn_into`], bit-identical to it and to
-/// [`matmul_tn_reference`].
+/// `Aᵀ (k×m) · B (k×n) → C (m×n)` with both operands already packed
+/// ([`PackedA`] row tiles of `aᵀ`, [`PackedB`] column panels of `b`), so
+/// the transpose is never materialised; bit-identical to
+/// [`matmul_tn_reference`]. Used for weight gradients (`xᵀ · dy`). `out`
+/// is reset as in [`matmul_packed_into`].
 ///
 /// # Errors
 ///
@@ -271,8 +181,7 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Te
 ///
 /// # Panics
 ///
-/// Panics if either pack is stale ([`PackedA::is_valid`] /
-/// [`PackedB::is_valid`] is false) or if the packs were laid out for
+/// Panics if either pack is stale or if the packs were laid out for
 /// different kernel variants.
 pub fn matmul_tn_packed_into(
     pa: &PackedA,
@@ -298,7 +207,8 @@ pub fn matmul_tn_packed_into(
 ///
 /// # Errors
 ///
-/// Same error conditions as [`matmul_tn`].
+/// Same error conditions as [`matmul_reference`], with the shared
+/// dimension being the *rows* of both operands.
 pub fn matmul_tn_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (ka, m) = require_rank2("matmul_tn", a)?;
     let (kb, n) = require_rank2("matmul_tn", b)?;
@@ -329,48 +239,11 @@ pub fn matmul_tn_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
     Ok(out)
 }
 
-/// `A (m×k) · Bᵀ (n×k) → C (m×n)` without materialising the transpose.
-///
-/// Used for linear/conv forwards (`x · Wᵀ`) and input gradients.
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul`], with the shared dimension being the
-/// *columns* of both operands.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    matmul_nt_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_nt`] writing into a caller-provided tensor (see
-/// [`matmul_into`] for the reuse contract).
-///
-/// Transpose-packs `B` into a transient buffer per call; steady-state
-/// loops should cache a [`PackedB::pack_transposed_with`] pack and call
-/// [`matmul_nt_packed_into`].
-///
-/// # Errors
-///
-/// Same error conditions as [`matmul_nt`]; `out` is untouched on error.
-pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, ka) = require_rank2("matmul_nt", a)?;
-    let (n, kb) = require_rank2("matmul_nt", b)?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_nt",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let mut pb = PackedB::new();
-    pb.pack_transposed_with(b, tuned_variant(GemmOp::Nt, m, ka, n))?;
-    matmul_nt_packed_into(a, &pb, out)
-}
-
-/// `C = A · Bᵀ` with `Bᵀ` already packed (via
-/// [`PackedB::pack_transposed_with`]): the zero-allocation hot-path spelling of
-/// [`matmul_nt_into`], bit-identical to it and to [`matmul_nt_reference`].
+/// `A (m×k) · Bᵀ (n×k) → C (m×n)` with `Bᵀ` already packed (via
+/// [`PackedB::pack_transposed_with`]), so the transpose is never
+/// materialised; bit-identical to [`matmul_nt_reference`]. Used for
+/// linear/conv forwards (`x · Wᵀ`) and input gradients. `out` is reset as
+/// in [`matmul_packed_into`].
 ///
 /// # Errors
 ///
@@ -380,7 +253,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Te
 ///
 /// # Panics
 ///
-/// Panics if `pb` is stale ([`PackedB::is_valid`] is false).
+/// Panics if `pb` is stale.
 pub fn matmul_nt_packed_into(
     a: &Tensor,
     pb: &PackedB,
@@ -405,7 +278,8 @@ pub fn matmul_nt_packed_into(
 ///
 /// # Errors
 ///
-/// Same error conditions as [`matmul_nt`].
+/// Same error conditions as [`matmul_reference`], with the shared
+/// dimension being the *columns* of both operands.
 pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (m, ka) = require_rank2("matmul_nt", a)?;
     let (n, kb) = require_rank2("matmul_nt", b)?;
@@ -430,24 +304,6 @@ pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
                 acc += x * y;
             }
             *o += acc;
-        }
-    }
-    Ok(out)
-}
-
-/// Transpose of a 2-D tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-pub fn transpose(a: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, n) = require_rank2("transpose", a)?;
-    let mut out = Tensor::zeros(&[n, m]);
-    let ad = a.data();
-    let od = out.data_mut();
-    for i in 0..m {
-        for j in 0..n {
-            od[j * m + i] = ad[i * n + j];
         }
     }
     Ok(out)
@@ -488,25 +344,14 @@ pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) -> Result<(), TensorError> {
     Ok(())
 }
 
-/// Sums an `m×n` matrix over its rows, producing a length-`n` vector.
-///
-/// This is the bias gradient for a batched linear layer.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
-pub fn sum_rows(a: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::default();
-    sum_rows_into(a, &mut out)?;
-    Ok(out)
-}
-
-/// [`sum_rows`] writing into a caller-provided tensor (see
-/// [`matmul_into`] for the reuse contract).
+/// Sums an `m×n` matrix over its rows into a length-`n` vector: the bias
+/// gradient for a batched linear layer. `out` is reset as in
+/// [`matmul_packed_into`].
 ///
 /// # Errors
 ///
-/// Same error conditions as [`sum_rows`]; `out` is untouched on error.
+/// Returns [`TensorError::RankMismatch`] for non-matrix inputs; `out` is
+/// untouched on error.
 pub fn sum_rows_into(a: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let (_, n) = require_rank2("sum_rows", a)?;
     out.reset(&[n]);
@@ -527,20 +372,61 @@ pub fn sum_rows_into(a: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     Ok(())
 }
 
+/// Transpose of a 2-D tensor: the explicit-transpose oracle for the
+/// `nt` / `tn` forms and their packs.
+#[cfg(test)]
+pub(crate) fn transpose(a: &Tensor) -> Tensor {
+    let (m, n) = require_rank2("transpose", a).expect("matrix");
+    let mut out = Tensor::zeros(&[n, m]);
+    let od = out.data_mut();
+    for (i, row) in a.data().chunks_exact(n).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            od[j * m + i] = x;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::KernelVariant;
+    use crate::gemm::{tuned_variant, GemmOp, KernelVariant};
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
+    }
+
+    /// `a · b` (`Nn`), `a · bᵀ` (`Nt`) or `aᵀ · b` (`Tn`) through the
+    /// packed entry points, on the variant the engine would pick.
+    fn product(op: GemmOp, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
+        let ((ar, ac), (br, bc)) = (require_rank2("product", a)?, require_rank2("product", b)?);
+        let mut pb = PackedB::new();
+        let mut out = Tensor::default();
+        match op {
+            GemmOp::Nn => {
+                pb.pack_with(b, tuned_variant(op, ar, ac, bc))?;
+                matmul_packed_into(a, &pb, &mut out)?;
+            }
+            GemmOp::Nt => {
+                pb.pack_transposed_with(b, tuned_variant(op, ar, ac, br))?;
+                matmul_nt_packed_into(a, &pb, &mut out)?;
+            }
+            GemmOp::Tn => {
+                let variant = tuned_variant(op, ac, ar, bc);
+                let mut pa = PackedA::new();
+                pa.pack_transposed_with(a, variant)?;
+                pb.pack_with(b, variant)?;
+                matmul_tn_packed_into(&pa, &pb, &mut out)?;
+            }
+        }
+        Ok(out)
     }
 
     #[test]
     fn matmul_small_known_product() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let b = t(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = matmul(&a, &b).unwrap();
+        let c = product(GemmOp::Nn, &a, &b).unwrap();
         assert_eq!(c.dims(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -549,17 +435,24 @@ mod tests {
     fn matmul_rejects_bad_shapes() {
         let a = t(vec![0.0; 6], &[2, 3]);
         let b = t(vec![0.0; 6], &[2, 3]);
-        assert!(matches!(matmul(&a, &b), Err(TensorError::ShapeMismatch { .. })));
+        assert!(matches!(product(GemmOp::Nn, &a, &b), Err(TensorError::ShapeMismatch { .. })));
         let v = t(vec![0.0; 3], &[3]);
-        assert!(matches!(matmul(&v, &b), Err(TensorError::RankMismatch { .. })));
+        let mut pb = PackedB::new();
+        pb.pack_with(&b, KernelVariant::PORTABLE).unwrap();
+        let mut out = Tensor::default();
+        assert!(matches!(
+            matmul_packed_into(&v, &pb, &mut out),
+            Err(TensorError::RankMismatch { .. })
+        ));
+        assert!(pb.pack_with(&v, KernelVariant::PORTABLE).is_err());
     }
 
     #[test]
     fn matmul_tn_equals_explicit_transpose() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
         let b = t(vec![1.0, -1.0, 0.5, 2.0, 0.0, 1.0], &[3, 2]);
-        let via_t = matmul(&transpose(&a).unwrap(), &b).unwrap();
-        let direct = matmul_tn(&a, &b).unwrap();
+        let via_t = product(GemmOp::Nn, &transpose(&a), &b).unwrap();
+        let direct = product(GemmOp::Tn, &a, &b).unwrap();
         assert_eq!(via_t, direct);
     }
 
@@ -567,16 +460,15 @@ mod tests {
     fn matmul_nt_equals_explicit_transpose() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = t(vec![0.5, -1.0, 2.0, 1.0, 0.0, 3.0], &[3, 2]);
-        let via_t = matmul(&a, &transpose(&b).unwrap()).unwrap();
-        let direct = matmul_nt(&a, &b).unwrap();
+        let via_t = product(GemmOp::Nn, &a, &transpose(&b)).unwrap();
+        let direct = product(GemmOp::Nt, &a, &b).unwrap();
         assert_eq!(via_t, direct);
     }
 
     #[test]
     fn transpose_involution() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let tt = transpose(&transpose(&a).unwrap()).unwrap();
-        assert_eq!(a, tt);
+        assert_eq!(a, transpose(&transpose(&a)));
     }
 
     #[test]
@@ -584,7 +476,8 @@ mod tests {
         let mut a = Tensor::zeros(&[3, 2]);
         let bias = t(vec![1.0, -2.0], &[2]);
         add_bias_rows(&mut a, &bias).unwrap();
-        let s = sum_rows(&a).unwrap();
+        let mut s = Tensor::default();
+        sum_rows_into(&a, &mut s).unwrap();
         assert_eq!(s.data(), &[3.0, -6.0]);
     }
 
@@ -595,7 +488,9 @@ mod tests {
         let mut a = Tensor::ones(&[3, n]);
         let bias = Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n]).unwrap();
         add_bias_rows(&mut a, &bias).unwrap();
-        let s = sum_rows(&a).unwrap();
+        // A dirty output of another shape is reset before the sum.
+        let mut s = Tensor::full(&[2, 2], f32::NAN);
+        sum_rows_into(&a, &mut s).unwrap();
         for (j, &v) in s.data().iter().enumerate() {
             assert_eq!(v, 3.0 * (1.0 + j as f32), "column {j}");
         }
@@ -625,27 +520,31 @@ mod tests {
         Tensor::from_vec(data, dims).unwrap()
     }
 
-    /// The plain entry points (rule-picked variant, transient packs) must
-    /// match the naive references *bit for bit* on shapes that straddle
-    /// the tile, panel and microkernel boundaries — this is the contract
-    /// the engine's serial-vs-parallel determinism rests on.
+    /// The packed entry points on the rule-picked variant must match the
+    /// naive references *bit for bit* on shapes that straddle the tile,
+    /// panel and microkernel boundaries — including `m > TILE_ROWS` above
+    /// `PAR_FLOPS`, where the row tiles run on the pool. This is the
+    /// contract the engine's serial-vs-parallel determinism rests on.
     #[test]
     fn packed_and_blocked_kernels_are_bit_identical_to_references() {
-        for (case, (m, k, n)) in
-            [(1, 1, 1), (3, 200, 5), (70, 130, 65), (129, 64, 33), (64, 128, 64)].iter().enumerate()
-        {
+        let shapes = [(1, 1, 1), (3, 200, 5), (70, 130, 65), (129, 64, 33), (64, 128, 64)];
+        assert!(shapes.iter().any(|&(m, k, n)| m > TILE_ROWS && m * k * n >= PAR_FLOPS));
+        for (case, (m, k, n)) in shapes.iter().enumerate() {
             let a = random(&[*m, *k], 11 + case as u64);
             let b = random(&[*k, *n], 23 + case as u64);
             let reference = matmul_reference(&a, &b).unwrap();
-            assert_eq!(matmul(&a, &b).unwrap().data(), reference.data(), "matmul {m}x{k}x{n}");
+            let nn = product(GemmOp::Nn, &a, &b).unwrap();
+            assert_eq!(nn.data(), reference.data(), "nn {m}x{k}x{n}");
 
             let at = random(&[*k, *m], 31 + case as u64);
             let reference = matmul_tn_reference(&at, &b).unwrap();
-            assert_eq!(matmul_tn(&at, &b).unwrap().data(), reference.data(), "tn {m}x{k}x{n}");
+            let tn = product(GemmOp::Tn, &at, &b).unwrap();
+            assert_eq!(tn.data(), reference.data(), "tn {m}x{k}x{n}");
 
             let bt = random(&[*n, *k], 47 + case as u64);
             let reference = matmul_nt_reference(&a, &bt).unwrap();
-            assert_eq!(matmul_nt(&a, &bt).unwrap().data(), reference.data(), "nt {m}x{k}x{n}");
+            let nt = product(GemmOp::Nt, &a, &bt).unwrap();
+            assert_eq!(nt.data(), reference.data(), "nt {m}x{k}x{n}");
         }
     }
 

@@ -65,21 +65,6 @@ impl Shape {
     pub fn numel(&self) -> usize {
         self.0.iter().product()
     }
-
-    /// Row-major strides for this shape.
-    ///
-    /// ```
-    /// use aergia_tensor::Shape;
-    /// let s = Shape::new(&[2, 3, 4]).unwrap();
-    /// assert_eq!(s.strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
 }
 
 impl fmt::Display for Shape {
@@ -176,13 +161,6 @@ mod tests {
         let s = Shape::new(&[]).unwrap();
         assert_eq!(s.numel(), 1);
         assert_eq!(s.rank(), 0);
-        assert!(s.strides().is_empty());
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        let s = Shape::new(&[4, 2, 3]).unwrap();
-        assert_eq!(s.strides(), vec![6, 3, 1]);
     }
 
     #[test]

@@ -70,19 +70,6 @@ impl Tensor {
         Tensor { data: vec![value; numel], shape }
     }
 
-    /// Creates the `n`-by-`n` identity matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Wraps an existing buffer in a tensor of the given shape.
     ///
     /// # Errors
@@ -248,30 +235,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise `self -= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "Tensor::sub_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
-    /// Elementwise `self *= other` (Hadamard product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mul_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "Tensor::mul_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-    }
-
     /// BLAS-style `self += alpha * other`; the workhorse of SGD updates.
     ///
     /// # Panics
@@ -306,44 +269,14 @@ impl Tensor {
     ///
     /// Panics if the shapes differ.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.sub_assign(other);
-        out
+        assert_eq!(self.shape, other.shape, "Tensor::sub: shape mismatch");
+        let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
+        Tensor { data, shape: self.shape.clone() }
     }
 
     /// Returns a new tensor with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { data: self.data.iter().map(|&x| f(x)).collect(), shape: self.shape.clone() }
-    }
-
-    /// Index of the maximum element in each row of a 2-D tensor.
-    ///
-    /// Used to turn `[batch, classes]` logits into predicted labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.shape.rank(), 2, "Tensor::argmax_rows: rank-2 tensor required");
-        let cols = self.dims()[1];
-        self.data
-            .chunks_exact(cols)
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .fold(
-                        (0usize, f32::NEG_INFINITY),
-                        |(bi, bv), (i, &v)| {
-                            if v > bv {
-                                (i, v)
-                            } else {
-                                (bi, bv)
-                            }
-                        },
-                    )
-                    .0
-            })
-            .collect()
     }
 
     /// True when every element is finite (no NaN/Inf); handy in tests and
@@ -394,14 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn eye_is_identity() {
-        let i = Tensor::eye(3);
-        assert_eq!(i.sum(), 3.0);
-        assert_eq!(i.data()[4], 1.0);
-        assert_eq!(i.data()[1], 0.0);
-    }
-
-    #[test]
     fn axpy_matches_manual() {
         let mut a = Tensor::ones(&[3]);
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
@@ -413,9 +338,6 @@ mod tests {
     fn hadamard_and_sub() {
         let a = Tensor::from_vec(vec![2.0, 3.0], &[2]).unwrap();
         let b = Tensor::from_vec(vec![4.0, 5.0], &[2]).unwrap();
-        let mut c = a.clone();
-        c.mul_assign(&b);
-        assert_eq!(c.data(), &[8.0, 15.0]);
         assert_eq!(b.sub(&a).data(), &[2.0, 2.0]);
     }
 
@@ -425,12 +347,6 @@ mod tests {
         let mut a = Tensor::zeros(&[2]);
         let b = Tensor::zeros(&[3]);
         a.add_assign(&b);
-    }
-
-    #[test]
-    fn argmax_rows_picks_first_max() {
-        let t = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.5, 7.0, -1.0], &[3, 2]).unwrap();
-        assert_eq!(t.argmax_rows(), vec![1, 0, 0]);
     }
 
     #[test]

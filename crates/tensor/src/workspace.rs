@@ -46,20 +46,24 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
+/// use aergia_tensor::gemm::{tuned_variant, GemmOp};
 /// use aergia_tensor::{ops, Tensor, Workspace};
 ///
 /// # fn main() -> Result<(), aergia_tensor::TensorError> {
 /// let mut ws = Workspace::new();
 /// let a = Tensor::ones(&[8, 4]);
 /// let b = Tensor::ones(&[4, 8]);
+/// let mut pb = ws.take_packed_b();
+/// pb.pack_with(&b, tuned_variant(GemmOp::Nn, 8, 4, 8))?;
 /// for _ in 0..10 {
 ///     // After the first iteration this loop never allocates: the buffer
 ///     // cycles between the pool and the matmul output.
 ///     let mut out = ws.take(&[8, 8]);
-///     ops::matmul_into(&a, &b, &mut out)?;
+///     ops::matmul_packed_into(&a, &pb, &mut out)?;
 ///     assert_eq!(out.sum(), 256.0);
 ///     ws.give(out);
 /// }
+/// ws.give_packed_b(pb);
 /// # Ok(())
 /// # }
 /// ```

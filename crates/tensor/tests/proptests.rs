@@ -1,7 +1,10 @@
-//! Property-based tests for tensor algebra: matmul laws against a naive
-//! reference, transpose involution, im2col/col2im adjointness.
+//! Property-based tests for tensor algebra: the packed GEMM forms against
+//! naive references, im2col/col2im adjointness.
 
-use aergia_tensor::conv::{col2im, im2col, nchw_to_rows, rows_to_nchw, ConvGeometry};
+use aergia_tensor::conv::{
+    col2im_into, im2col_into, nchw_to_rows_into, rows_to_nchw_into, ConvGeometry,
+};
+use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedA, PackedB};
 use aergia_tensor::{ops, Tensor};
 use proptest::prelude::*;
 
@@ -29,6 +32,51 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
+/// Explicit transpose, the oracle the `nt` / `tn` forms skip.
+fn transpose(t: &Tensor) -> Tensor {
+    let (m, n) = (t.dims()[0], t.dims()[1]);
+    let mut out = Tensor::zeros(&[n, m]);
+    for (i, row) in t.data().chunks_exact(n).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            out.data_mut()[j * m + i] = x;
+        }
+    }
+    out
+}
+
+/// `a · b` (`Nn`), `a · bᵀ` (`Nt`) or `aᵀ · b` (`Tn`) into `out` through
+/// the `*_packed_into` entry points, packed for the variant the engine
+/// picks for the shape: the production GEMM path every matmul property
+/// here runs.
+fn product_into(op: GemmOp, a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    let ((ar, ac), (br, bc)) = ((a.dims()[0], a.dims()[1]), (b.dims()[0], b.dims()[1]));
+    let mut pb = PackedB::new();
+    match op {
+        GemmOp::Nn => {
+            pb.pack_with(b, tuned_variant(op, ar, ac, bc)).unwrap();
+            ops::matmul_packed_into(a, &pb, out).unwrap();
+        }
+        GemmOp::Nt => {
+            pb.pack_transposed_with(b, tuned_variant(op, ar, ac, br)).unwrap();
+            ops::matmul_nt_packed_into(a, &pb, out).unwrap();
+        }
+        GemmOp::Tn => {
+            let variant = tuned_variant(op, ac, ar, bc);
+            let mut pa = PackedA::new();
+            pa.pack_transposed_with(a, variant).unwrap();
+            pb.pack_with(b, variant).unwrap();
+            ops::matmul_tn_packed_into(&pa, &pb, out).unwrap();
+        }
+    }
+}
+
+/// [`product_into`] into a fresh tensor.
+fn product(op: GemmOp, a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    product_into(op, a, b, &mut out);
+    out
+}
+
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-2.0f32..2.0, rows * cols)
         .prop_map(move |v| Tensor::from_vec(v, &[rows, cols]).expect("sized vec"))
@@ -46,38 +94,39 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = Tensor::from_vec((0..m * k).map(|_| rng.random_range(-1.0..1.0)).collect(), &[m, k]).unwrap();
         let b = Tensor::from_vec((0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect(), &[k, n]).unwrap();
-        let fast = ops::matmul(&a, &b).unwrap();
+        let fast = product(GemmOp::Nn, &a, &b);
         let slow = naive_matmul(&a, &b);
         prop_assert!(approx_eq(&fast, &slow, EPS));
     }
 
     #[test]
     fn matmul_distributes_over_addition(a in matrix(3, 4), b in matrix(3, 4), c in matrix(4, 2)) {
-        let lhs = ops::matmul(&a.add(&b), &c).unwrap();
-        let rhs = ops::matmul(&a, &c).unwrap().add(&ops::matmul(&b, &c).unwrap());
+        let lhs = product(GemmOp::Nn, &a.add(&b), &c);
+        let rhs = product(GemmOp::Nn, &a, &c).add(&product(GemmOp::Nn, &b, &c));
         prop_assert!(approx_eq(&lhs, &rhs, 1e-3));
     }
 
     #[test]
     fn matmul_tn_nt_agree_with_transposes(a in matrix(4, 3), b in matrix(4, 2), c in matrix(5, 3)) {
-        let tn = ops::matmul_tn(&a, &b).unwrap();
-        let tn_ref = ops::matmul(&ops::transpose(&a).unwrap(), &b).unwrap();
+        let tn = product(GemmOp::Tn, &a, &b);
+        let tn_ref = product(GemmOp::Nn, &transpose(&a), &b);
         prop_assert!(approx_eq(&tn, &tn_ref, EPS));
 
-        let d = matrix_from(&a); // (4,3)
-        let nt = ops::matmul_nt(&d, &c).unwrap();
-        let nt_ref = ops::matmul(&d, &ops::transpose(&c).unwrap()).unwrap();
+        let nt = product(GemmOp::Nt, &a, &c);
+        let nt_ref = product(GemmOp::Nn, &a, &transpose(&c));
         prop_assert!(approx_eq(&nt, &nt_ref, EPS));
     }
 
     /// The blocked/tiled kernels must be *bit-identical* to the naive
     /// references on arbitrary shapes, including ones that straddle the
-    /// row-tile and K-panel boundaries: tiling reorders the loops but
-    /// never the per-element accumulation order. The engine's
-    /// serial-vs-parallel determinism guarantee stands on this.
+    /// row-tile and K-panel boundaries and, with `m` past the 64-row
+    /// parallel tile and over 2¹⁸ multiply-adds, run their row tiles on
+    /// the pool: tiling reorders the loops but never the per-element
+    /// accumulation order. The engine's serial-vs-parallel determinism
+    /// guarantee stands on this.
     #[test]
     fn blocked_matmuls_match_references_exactly(
-        m in 1usize..96, k in 1usize..96, n in 1usize..48,
+        m in 1usize..200, k in 1usize..128, n in 1usize..64,
         seed in any::<u64>(),
     ) {
         use rand::{RngExt as _, SeedableRng};
@@ -92,25 +141,16 @@ proptest! {
         };
         let a = Tensor::from_vec(fill(m * k), &[m, k]).unwrap();
         let b = Tensor::from_vec(fill(k * n), &[k, n]).unwrap();
-        prop_assert_eq!(
-            ops::matmul(&a, &b).unwrap(),
-            ops::matmul_reference(&a, &b).unwrap()
-        );
+        prop_assert_eq!(product(GemmOp::Nn, &a, &b), ops::matmul_reference(&a, &b).unwrap());
 
         let at = Tensor::from_vec(fill(k * m), &[k, m]).unwrap();
-        prop_assert_eq!(
-            ops::matmul_tn(&at, &b).unwrap(),
-            ops::matmul_tn_reference(&at, &b).unwrap()
-        );
+        prop_assert_eq!(product(GemmOp::Tn, &at, &b), ops::matmul_tn_reference(&at, &b).unwrap());
 
         let bt = Tensor::from_vec(fill(n * k), &[n, k]).unwrap();
-        prop_assert_eq!(
-            ops::matmul_nt(&a, &bt).unwrap(),
-            ops::matmul_nt_reference(&a, &bt).unwrap()
-        );
+        prop_assert_eq!(product(GemmOp::Nt, &a, &bt), ops::matmul_nt_reference(&a, &bt).unwrap());
     }
 
-    /// The `_into` kernels must match the naive references *bit for bit*
+    /// The `*_into` kernels must match the naive references *bit for bit*
     /// regardless of the output buffer's prior shape or contents, and
     /// reusing the same buffer twice must reproduce the same bits — the
     /// contract the zero-allocation training hot path stands on.
@@ -134,24 +174,26 @@ proptest! {
         // A garbage-filled, wrongly-shaped output buffer: `_into` must
         // fully define the result anyway.
         let mut out = Tensor::full(&[gr, gc], f32::NAN);
-        ops::matmul_into(&a, &b, &mut out).unwrap();
+        product_into(GemmOp::Nn, &a, &b, &mut out);
         prop_assert_eq!(&out, &ops::matmul_reference(&a, &b).unwrap());
-        ops::matmul_into(&a, &b, &mut out).unwrap();
+        product_into(GemmOp::Nn, &a, &b, &mut out);
         prop_assert_eq!(&out, &ops::matmul_reference(&a, &b).unwrap());
 
         let at = Tensor::from_vec(fill(k * m), &[k, m]).unwrap();
-        ops::matmul_tn_into(&at, &b, &mut out).unwrap();
+        product_into(GemmOp::Tn, &at, &b, &mut out);
         prop_assert_eq!(&out, &ops::matmul_tn_reference(&at, &b).unwrap());
 
         let bt = Tensor::from_vec(fill(n * k), &[n, k]).unwrap();
-        ops::matmul_nt_into(&a, &bt, &mut out).unwrap();
+        product_into(GemmOp::Nt, &a, &bt, &mut out);
         prop_assert_eq!(&out, &ops::matmul_nt_reference(&a, &bt).unwrap());
 
+        let mut fresh = Tensor::default();
+        ops::sum_rows_into(&a, &mut fresh).unwrap();
         ops::sum_rows_into(&a, &mut out).unwrap();
-        prop_assert_eq!(&out, &ops::sum_rows(&a).unwrap());
+        prop_assert_eq!(&out, &fresh);
     }
 
-    /// Same dirty-buffer contract for the convolution lowering: `im2col`
+    /// Same dirty-buffer contract for the convolution lowering: `im2col_into`
     /// relies on zero padding, so a reused buffer must be re-zeroed
     /// correctly before the patch scatter.
     #[test]
@@ -167,23 +209,19 @@ proptest! {
             &[n, c, h, w],
         ).unwrap();
         let geom = ConvGeometry::new(h, w, 3, 3, 1, pad);
-        let fresh = im2col(&x, c, &geom).unwrap();
+        let mut fresh = Tensor::default();
+        im2col_into(&x, c, &geom, &mut fresh).unwrap();
         let mut cols = Tensor::full(&[3, 5], f32::NAN);
-        aergia_tensor::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
+        im2col_into(&x, c, &geom, &mut cols).unwrap();
         prop_assert_eq!(&cols, &fresh);
-        aergia_tensor::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
+        im2col_into(&x, c, &geom, &mut cols).unwrap();
         prop_assert_eq!(&cols, &fresh);
 
-        let back = col2im(&cols, n, c, &geom).unwrap();
+        let mut back = Tensor::default();
+        col2im_into(&cols, n, c, &geom, &mut back).unwrap();
         let mut im = Tensor::full(&[2], f32::NAN);
-        aergia_tensor::conv::col2im_into(&cols, n, c, &geom, &mut im).unwrap();
+        col2im_into(&cols, n, c, &geom, &mut im).unwrap();
         prop_assert_eq!(&im, &back);
-    }
-
-    #[test]
-    fn transpose_is_involutive(a in matrix(3, 5)) {
-        let tt = ops::transpose(&ops::transpose(&a).unwrap()).unwrap();
-        prop_assert!(approx_eq(&a, &tt, 0.0));
     }
 
     #[test]
@@ -205,7 +243,9 @@ proptest! {
             (0..n * c * h * w).map(|_| rng.random_range(-1.0..1.0)).collect(),
             &[n, c, h, w],
         ).unwrap();
-        let back = rows_to_nchw(&nchw_to_rows(&x).unwrap(), n, c, h, w).unwrap();
+        let (mut rows, mut back) = (Tensor::default(), Tensor::default());
+        nchw_to_rows_into(&x, &mut rows).unwrap();
+        rows_to_nchw_into(&rows, n, c, h, w, &mut back).unwrap();
         prop_assert_eq!(back, x);
     }
 
@@ -231,8 +271,9 @@ proptest! {
             &[rows, ckk],
         ).unwrap();
 
-        let ix = im2col(&x, c, &geom).unwrap();
-        let cy = col2im(&y, n, c, &geom).unwrap();
+        let (mut ix, mut cy) = (Tensor::default(), Tensor::default());
+        im2col_into(&x, c, &geom, &mut ix).unwrap();
+        col2im_into(&y, n, c, &geom, &mut cy).unwrap();
         let lhs: f32 = ix.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.data().iter().zip(cy.data()).map(|(a, b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() <= 1e-2 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
@@ -256,7 +297,7 @@ proptest! {
         shapes in proptest::collection::vec((1usize..48, 1usize..48, 1usize..24), 2..5),
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{KernelVariant, PackedA, PackedB};
+        use aergia_tensor::gemm::KernelVariant;
         use rand::{RngExt as _, SeedableRng};
         let portable = KernelVariant::PORTABLE;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -306,7 +347,6 @@ proptest! {
         m in 1usize..70, k in 1usize..70, n in 1usize..70,
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{PackedA, PackedB};
         use rand::{RngExt as _, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
@@ -355,7 +395,6 @@ proptest! {
             (1usize..48, 1usize..48, 1usize..40, 0usize..8), 2..5),
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::{PackedA, PackedB};
         use rand::{RngExt as _, SeedableRng};
         let candidates = every_variant();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -396,7 +435,6 @@ proptest! {
         m in 1usize..24, k in 1usize..24, n in 1usize..24,
         seed in any::<u64>(),
     ) {
-        use aergia_tensor::gemm::PackedB;
         use rand::{RngExt as _, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut fill = |len: usize| -> Vec<f32> {
@@ -440,8 +478,4 @@ fn every_variant() -> Vec<aergia_tensor::gemm::KernelVariant> {
         .into_iter()
         .flat_map(|isa| KernelVariant::candidates(isa).iter().copied())
         .collect()
-}
-
-fn matrix_from(t: &Tensor) -> Tensor {
-    t.clone()
 }

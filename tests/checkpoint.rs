@@ -179,7 +179,7 @@ fn checkpoint_file_on_disk_resumes_the_run() {
     let mut first = Engine::new(config.clone(), strategy).expect("valid config");
     let mut progress = first.start_progress();
     first.step_round(&mut progress).expect("round 0");
-    first.save_checkpoint_to(&path, &progress).expect("write checkpoint");
+    std::fs::write(&path, first.save_checkpoint(&progress)).expect("write checkpoint");
     drop(first);
 
     let mut resumed = Engine::new(config, strategy).expect("valid config");
@@ -194,27 +194,6 @@ fn checkpoint_file_on_disk_resumes_the_run() {
         resumed.global_weights(),
         "disk",
     );
-}
-
-#[test]
-fn run_checkpointed_leaves_a_resumable_file_after_every_round() {
-    let config = fig6_smoke(45);
-    let strategy = Strategy::aergia_default();
-    let path = std::env::temp_dir().join(format!("aergia_ckpt_auto_{}.bin", std::process::id()));
-
-    let mut engine = Engine::new(config.clone(), strategy).expect("valid config");
-    let result = engine.run_checkpointed(&path).expect("checkpointed run");
-
-    // The file left behind is the *final* checkpoint: restoring it yields
-    // a completed progress whose records match the returned result.
-    let mut reader = Engine::new(config, strategy).expect("valid config");
-    let restored = reader.restore_checkpoint_from(&path).expect("read final checkpoint");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(restored.next_round as usize, result.rounds.len());
-    assert_eq!(restored.rounds.len(), result.rounds.len());
-    for (a, b) in restored.rounds.iter().zip(&result.rounds) {
-        assert_eq!(a, b, "restored record differs from the live record");
-    }
 }
 
 #[test]
