@@ -196,7 +196,7 @@ pub struct Engine {
     pub(crate) churn: Option<churn::ChurnState>,
     /// Lazily-built per-shard state reused by [`Engine::evaluate_global`]:
     /// evaluation runs every round, and rebuilding the model from the
-    /// template each time pays the full activation/im2col allocation cost
+    /// template each time pays the full activation/scratch allocation cost
     /// again. The weights are overwritten from the global snapshot before
     /// every use, so reuse cannot change results. Each shard evaluates
     /// through the cache-free inference forward, so its workspace holds
@@ -210,14 +210,17 @@ pub struct Engine {
 /// Samples per forward pass of the evaluation walk, over all shards.
 ///
 /// A shard's resident scratch is linear in its batch: the inference
-/// forward keeps one im2col buffer (the CIFAR CNN's largest, 1.125 MiB per
-/// sample) plus the GEMM output and two activation buffers (0.125 MiB per
-/// sample each). Halving this from 32 to 16 took `train_cifar`'s peak RSS
-/// from ≈ 271 to ≈ 247 MiB on a 2-vCPU host, with the same bits. The conv
-/// GEMMs stay tall (batch × H × W rows), so time did not suffer: median
-/// `round_wall_s` was 1.93 vs 1.95 s over six alternating pairs and 1.90
-/// vs 1.94 s over five more, and `Engine::evaluate_global` took 207 vs
-/// 230 ms.
+/// forward keeps one zero-padded conv input (the CIFAR CNN's largest,
+/// 32×34×34, 0.141 MiB per sample) plus the GEMM output and two
+/// activation buffers (0.125 MiB per sample each), 0.52 MiB per sample in
+/// all. The convolutions read their patches straight from the padded
+/// input; when they still copied them into an im2col matrix first, that
+/// buffer alone took 1.125 MiB per sample, and halving this from 32 to 16
+/// took `train_cifar`'s peak RSS from ≈ 271 to ≈ 247 MiB on a 2-vCPU
+/// host, with the same bits. The conv GEMMs stay tall (batch × H × W
+/// rows), so time did not suffer: median `round_wall_s` was 1.93 vs
+/// 1.95 s over six alternating pairs and 1.90 vs 1.94 s over five more,
+/// and `Engine::evaluate_global` took 207 vs 230 ms.
 const EVAL_BATCH: usize = 16;
 
 /// Smallest per-shard batch the walk is split down to: bounds the shard

@@ -1,7 +1,16 @@
-//! 2-D convolution layer (im2col + matmul lowering).
+//! 2-D convolution layer: an implicit GEMM over the zero-padded input.
+//!
+//! The forward pads its input once ([`PatchTable::pad_into`]) and runs the
+//! conv GEMM `patches · Wᵀ` with the patch matrix read through the layer's
+//! [`PatchTable`] straight from that copy
+//! ([`ops::matmul_nt_patches_into`]); the patch matrix itself is never
+//! written. A training forward keeps the padded copy for the backward,
+//! whose weight gradient gathers its `B` panels from it through the same
+//! table ([`PackedB::pack_patches_with`]); the input gradient is
+//! `dy_rows · W` scattered back with `col2im`.
 
 use aergia_tensor::conv::{
-    col2im_into, im2col_into, nchw_to_rows_into, rows_to_nchw_into, ConvGeometry,
+    col2im_into, nchw_to_rows_into, rows_to_nchw_into, ConvGeometry, PatchTable,
 };
 use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 use aergia_tensor::{init, ops, Tensor, Workspace};
@@ -11,8 +20,9 @@ use super::{check_snapshot, Layer};
 
 /// A 2-D convolution over NCHW inputs with square stride and padding.
 ///
-/// Weights are stored as a `[out_channels, in_channels·kh·kw]` matrix (the
-/// im2col lowering), bias as `[out_channels]`.
+/// Weights are stored as a `[out_channels, in_channels·kh·kw]` matrix (one
+/// row per output channel over the patch columns `(c, i, j)`), bias as
+/// `[out_channels]`.
 ///
 /// # Examples
 ///
@@ -31,13 +41,16 @@ pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     geom: ConvGeometry,
+    /// Where each patch element lives in the padded input.
+    patches: PatchTable,
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Option<Tensor>,
-    cached_batch: usize,
-    /// `Wᵀ` packed for the forward `cols·Wᵀ`; valid until the weights
+    /// The zero-padded input of the last training forward, consumed by
+    /// the backward's weight gradient.
+    cached_xpad: Option<Tensor>,
+    /// `Wᵀ` packed for the forward `patches·Wᵀ`; valid until the weights
     /// change (frozen feature sections reuse it across whole rounds).
     packed_wt: PackedB,
     /// `W` packed for the backward `dy_rows·W`; valid until the weights
@@ -68,51 +81,49 @@ impl Conv2d {
     ) -> Self {
         assert!(in_channels > 0 && out_channels > 0 && kernel > 0, "Conv2d: zero size");
         let geom = ConvGeometry::new(in_h, in_w, kernel, kernel, stride, pad);
-        let ckk = in_channels * kernel * kernel;
+        let patches = PatchTable::new(in_channels, &geom);
+        let ckk = patches.k();
         let mut weight = Tensor::zeros(&[out_channels, ckk]);
         init::kaiming_uniform(&mut weight, rng, ckk);
         Conv2d {
             in_channels,
             out_channels,
             geom,
+            patches,
             weight,
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, ckk]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cached_cols: None,
-            cached_batch: 0,
+            cached_xpad: None,
             packed_wt: PackedB::new(),
             packed_w: PackedB::new(),
         }
     }
 
-    /// Columns of the im2col patch matrix (`in_channels · kh · kw`).
-    fn ckk(&self) -> usize {
-        self.in_channels * self.geom.k_h * self.geom.k_w
-    }
-
     /// The parameter-gradient half of the backward pass (dW/db), shared by
     /// [`Layer::backward_into`] and the dx-skipping
-    /// [`Layer::backward_into_first`]. Returns the consumed im2col cache,
-    /// the reshaped `dy` rows and the row count for the dx path.
-    fn backward_grads(&mut self, dy: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor, usize) {
-        let cols = self.cached_cols.take().expect("Conv2d::backward before forward");
-        let rows = self.cached_batch * self.geom.out_h * self.geom.out_w;
-        let mut dy_rows = ws.take(&[rows, self.out_channels]);
+    /// [`Layer::backward_into_first`]. Returns the consumed padded input
+    /// (its batch size is the dx path's) and the reshaped `dy` rows, a
+    /// scratch-stack buffer the caller gives back.
+    fn backward_grads(&mut self, dy: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+        let xpad = self.cached_xpad.take().expect("Conv2d::backward before forward");
+        let rows = self.patches.rows(xpad.dims()[0]);
+        let mut dy_rows = ws.take_scratch();
         nchw_to_rows_into(dy, &mut dy_rows).expect("conv dy reshape");
-        // dW[oc, ckk] = dyᵀ · cols
+        // dW[oc, ckk] = dyᵀ · patches
         // dW/db land in zeroed scratch first, then fold into the running
         // gradients with a single add each — accumulating the matmul
         // directly into `grad_weight` would reorder the summation and
         // break bit-identity with the allocating path.
         // Both dW operands are per-batch; their packs cycle through the
         // workspace pack pools and share one variant (`gemm_packed_tn`
-        // insists its operands agree on layout).
-        let vdw = tuned_variant(GemmOp::Tn, self.out_channels, rows, self.ckk());
+        // insists its operands agree on layout). The patch panels are
+        // gathered straight from the padded input.
+        let vdw = tuned_variant(GemmOp::Tn, self.out_channels, rows, self.patches.k());
         let mut pa = ws.take_packed_a();
         pa.pack_transposed_with(&dy_rows, vdw).expect("conv dy pack");
         let mut pbc = ws.take_packed_b();
-        pbc.pack_with(&cols, vdw).expect("conv cols pack");
+        pbc.pack_patches_with(&xpad, &self.patches, vdw).expect("conv patch pack");
         let mut dw = ws.take(self.grad_weight.dims());
         ops::matmul_tn_packed_into(&pa, &pbc, &mut dw).expect("conv dW");
         self.grad_weight.add_assign(&dw);
@@ -123,93 +134,99 @@ impl Conv2d {
         ops::sum_rows_into(&dy_rows, &mut db).expect("conv db");
         self.grad_bias.add_assign(&db);
         ws.give(db);
-        (cols, dy_rows, rows)
+        (xpad, dy_rows)
     }
 
     /// The forward computation shared by [`Layer::forward_into`] and
-    /// [`Layer::infer_into`]: im2col into `cols`, `cols · Wᵀ + b` into
-    /// `y_rows`, reshaped into `out`. Both buffers are fully rewritten, so
-    /// their previous shape and contents never matter.
+    /// [`Layer::infer_into`]: `x` zero-padded into `xpad`,
+    /// `patches(xpad) · Wᵀ + b` into a scratch-stack buffer, reshaped into
+    /// `out`. `xpad` is fully rewritten, so its previous shape and
+    /// contents never matter; the GEMM output goes straight back to the
+    /// stack, so both passes leave it as they found it.
     fn forward_through(
         &mut self,
         x: &Tensor,
-        cols: &mut Tensor,
-        y_rows: &mut Tensor,
+        xpad: &mut Tensor,
+        ws: &mut Workspace,
         out: &mut Tensor,
     ) {
         let batch = x.dims()[0];
-        let rows = batch * self.geom.out_h * self.geom.out_w;
-        im2col_into(x, self.in_channels, &self.geom, cols).expect("Conv2d::forward: bad input");
-        // y_rows[(n,oh,ow), oc] = cols · Wᵀ — against the cached weight
+        let rows = self.patches.rows(batch);
+        self.patches.pad_into(x, xpad).expect("Conv2d::forward: bad input");
+        // y_rows[(n,oh,ow), oc] = patches · Wᵀ — against the cached weight
         // pack, rebuilt only after the weights change.
-        let v = tuned_variant(GemmOp::Nt, rows, self.ckk(), self.out_channels);
+        let v = tuned_variant(GemmOp::Nt, rows, self.patches.k(), self.out_channels);
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
-        ops::matmul_nt_packed_into(cols, &self.packed_wt, y_rows).expect("conv matmul");
-        ops::add_bias_rows(y_rows, &self.bias).expect("conv bias");
-        rows_to_nchw_into(y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
+        let mut y_rows = ws.take_scratch();
+        ops::matmul_nt_patches_into(xpad, &self.patches, &self.packed_wt, &mut y_rows)
+            .expect("conv matmul");
+        ops::add_bias_rows(&mut y_rows, &self.bias).expect("conv bias");
+        rows_to_nchw_into(&y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
             .expect("conv reshape");
+        ws.give_scratch(y_rows);
     }
 
     fn macs(&self, batch: usize) -> u64 {
-        (batch
-            * self.out_channels
-            * self.geom.out_h
-            * self.geom.out_w
-            * self.in_channels
-            * self.geom.k_h
-            * self.geom.k_w) as u64
+        (self.patches.rows(batch) * self.out_channels * self.patches.k()) as u64
     }
 }
 
 impl Layer for Conv2d {
     fn forward_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let batch = x.dims()[0];
-        let rows = batch * self.geom.out_h * self.geom.out_w;
-        // The im2col scratch cycles between the workspace and
-        // `cached_cols`, so across batches the patch matrix is built in
-        // the same buffer instead of a fresh allocation. A still-cached
-        // buffer (backward skipped, e.g. frozen features) is reclaimed
-        // rather than dropped.
-        let mut cols = match self.cached_cols.take() {
+        // The padded copy cycles between the shape-keyed pool and
+        // `cached_xpad`, so across batches it is written into the same
+        // buffer instead of a fresh allocation. A still-cached buffer
+        // (backward skipped) is reclaimed rather than dropped.
+        let mut xpad = match self.cached_xpad.take() {
             Some(buf) => buf,
-            None => ws.take(&[rows, self.ckk()]),
+            None => ws.take(&self.patches.padded_dims(x.dims()[0])),
         };
-        let mut y_rows = ws.take(&[rows, self.out_channels]);
-        self.forward_through(x, &mut cols, &mut y_rows, out);
-        ws.give(y_rows);
-        self.cached_cols = Some(cols);
-        self.cached_batch = batch;
+        self.forward_through(x, &mut xpad, ws, out);
+        self.cached_xpad = Some(xpad);
     }
 
     fn infer_into(&mut self, x: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        // Both buffers come off the scratch stack and go straight back, so
-        // a walk over many convolutions reuses one patch matrix (grown to
-        // the largest) instead of keeping one per layer shape.
-        let mut cols = ws.take_scratch();
-        let mut y_rows = ws.take_scratch();
-        self.forward_through(x, &mut cols, &mut y_rows, out);
-        ws.give_scratch(y_rows);
-        ws.give_scratch(cols);
+        // A training workspace holds this layer's padded copy in its
+        // shape-keyed pool between batches (the training forward parks it
+        // there), so a frozen feature section borrows that one and
+        // allocates nothing. A workspace that only evaluates has none and
+        // pads into the scratch stack, whose one buffer serves every layer
+        // of the walk whatever its shape. Either way it goes straight back.
+        match ws.take_pooled(&self.patches.padded_dims(x.dims()[0])) {
+            Some(mut xpad) => {
+                self.forward_through(x, &mut xpad, ws, out);
+                ws.give(xpad);
+            }
+            None => {
+                let mut xpad = ws.take_scratch();
+                self.forward_through(x, &mut xpad, ws, out);
+                ws.give_scratch(xpad);
+            }
+        }
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let (cols, dy_rows, rows) = self.backward_grads(dy, ws);
-        let vdx = tuned_variant(GemmOp::Nn, rows, self.out_channels, self.ckk());
+        let (xpad, dy_rows) = self.backward_grads(dy, ws);
+        let (batch, rows, ckk) = (xpad.dims()[0], dy_rows.dims()[0], self.patches.k());
+        let vdx = tuned_variant(GemmOp::Nn, rows, self.out_channels, ckk);
         self.packed_w.ensure_with(&self.weight, vdx).expect("conv weight pack");
-        let mut dcols = ws.take(cols.dims());
+        // Both transients come off the scratch stack and go back in
+        // reverse order, leaving it as they found it: one buffer per role
+        // serves every layer shape.
+        let mut dcols = ws.take_scratch();
         ops::matmul_packed_into(&dy_rows, &self.packed_w, &mut dcols).expect("conv dcols");
-        ws.give(dy_rows);
-        col2im_into(&dcols, self.cached_batch, self.in_channels, &self.geom, out).expect("conv dx");
-        ws.give(dcols);
-        ws.give(cols);
+        col2im_into(&dcols, batch, self.in_channels, &self.geom, out).expect("conv dx");
+        ws.give_scratch(dcols);
+        ws.give_scratch(dy_rows);
+        ws.give(xpad);
     }
 
     fn backward_into_first(&mut self, dy: &Tensor, ws: &mut Workspace, _out: &mut Tensor) {
         // First layer: dx would be the gradient of the input images, which
         // the training loop throws away — skip the dx GEMM and col2im.
-        let (cols, dy_rows, _) = self.backward_grads(dy, ws);
-        ws.give(dy_rows);
-        ws.give(cols);
+        let (xpad, dy_rows) = self.backward_grads(dy, ws);
+        ws.give_scratch(dy_rows);
+        ws.give(xpad);
     }
 
     fn params(&self) -> Vec<&Tensor> {

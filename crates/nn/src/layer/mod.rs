@@ -50,10 +50,13 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// Contract: the only layer state it may write is parameter-derived
     /// (the weight packs [`Layer::invalidate_param_caches`] drops), so a
     /// pending backward cache from an earlier `forward_into` survives it.
-    /// Internal scratch comes off the workspace's LIFO scratch stack
-    /// ([`Workspace::take_scratch`]) and is given back before returning,
-    /// so one buffer serves every layer of a walk whatever its shape, and
-    /// a warm walk performs no heap allocation.
+    /// Internal scratch is given back to the workspace before returning.
+    /// It comes off the LIFO scratch stack ([`Workspace::take_scratch`]),
+    /// so one buffer serves every layer of a walk whatever its shape —
+    /// unless the workspace already pools a buffer of the exact shape the
+    /// training forward would park there ([`Workspace::take_pooled`]), as
+    /// a training workspace running a frozen section does. Either way a
+    /// warm walk performs no heap allocation.
     ///
     /// The default calls `forward_into`, which is correct only for layers
     /// that keep no backward cache; every layer in this crate overrides it.

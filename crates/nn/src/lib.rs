@@ -15,8 +15,9 @@
 //!   both as wall-clock measurements and as an analytic FLOP cost model
 //!   ([`profile`]);
 //! * **parameter freezing** ([`Cnn::freeze_features`]): a frozen feature
-//!   section skips the backward feature pass (`bf`) and its weights stop
-//!   updating, the mechanism Aergia's weak clients use before offloading;
+//!   section runs the cache-free inference forward, skips the backward
+//!   feature pass (`bf`) and its weights stop updating, the mechanism
+//!   Aergia's weak clients use before offloading;
 //! * SGD with momentum, weight decay and a FedProx proximal term
 //!   ([`optim::Sgd`]);
 //! * softmax cross-entropy ([`loss`]);

@@ -162,7 +162,10 @@ impl Cnn {
     }
 
     /// Freezes the feature section: subsequent [`Cnn::train_batch`] calls
-    /// skip the backward feature pass and leave feature weights untouched.
+    /// run the feature section's inference forward, skip the backward
+    /// feature pass and leave feature weights untouched. Freeze and
+    /// unfreeze between steps, not between a [`Cnn::forward_phase`] and
+    /// its [`Cnn::backward_phase`].
     pub fn freeze_features(&mut self) {
         self.frozen_features = true;
     }
@@ -305,9 +308,12 @@ impl Cnn {
         let mut a = ws.take_scratch();
         let mut b = ws.take_scratch();
 
-        // Phase 1: ff.
+        // Phase 1: ff. A frozen feature section never runs its backward,
+        // so it takes the inference forward: the same bits, and no input
+        // copies, ReLU masks or pool argmaxes written for nothing.
         let t = Instant::now();
-        walk(&mut self.layers[..split], Some(x), &mut a, &mut b, ws, Pass::Train);
+        let ff_pass = if self.frozen_features { Pass::Infer } else { Pass::Train };
+        walk(&mut self.layers[..split], Some(x), &mut a, &mut b, ws, ff_pass);
         let ff = t.elapsed().as_secs_f64();
 
         // Phase 2: fc (the split is validated to be ≥ 1, so `a` holds the
@@ -713,7 +719,7 @@ mod tests {
 
     /// Evaluating on the training workspace between steps — and between a
     /// forward phase and its backward phase, or while a frozen feature
-    /// section leaves its im2col caches unconsumed — ends with the weights
+    /// section runs the inference forward — ends with the weights
     /// of a run that never evaluated: the inference walk cannot disturb a
     /// pending backward cache.
     #[test]

@@ -1,12 +1,25 @@
-//! Convolution lowering: `im2col`, `col2im` and NCHW layout shuffles.
+//! Convolution lowering: the implicit patch matrix, `col2im` and NCHW
+//! layout shuffles.
 //!
-//! Convolutions are computed as matrix products over patch matrices, the
-//! same lowering PyTorch's CPU path uses. For a batch of `N` images of
-//! shape `C×H×W`, a `kh×kw` kernel with stride `s` and zero padding `p`
-//! produces an output of `OH×OW` with
+//! Convolutions are computed as matrix products over patch matrices. For
+//! a batch of `N` images of shape `C×H×W`, a `kh×kw` kernel with stride
+//! `s` and zero padding `p` produces an output of `OH×OW` with
 //! `OH = (H + 2p − kh)/s + 1` (likewise `OW`), and the patch matrix has one
 //! row per output pixel `(n, oh, ow)` and one column per kernel input
 //! `(c, i, j)`.
+//!
+//! The patch matrix is never materialised on the training or inference
+//! path (*implicit GEMM*). The input is copied once into a zero-padded
+//! `[N, C, H + 2p, W + 2p]` tensor ([`PatchTable::pad_into`]); every
+//! patch element is then one read of that copy through a [`PatchTable`],
+//! `A(r, kk) = xpad[row_base(r) + k_off[kk]]`. The forward GEMM reads its
+//! `A` operand that way ([`crate::ops::matmul_nt_patches_into`]) and the
+//! weight gradient gathers its `B` panels that way
+//! ([`crate::gemm::PackedB::pack_patches_with`]). A `3×3` patch matrix is
+//! 9× its input and a `5×5` one 25×; the padded copy is
+//! `(1 + 2p/H)(1 + 2p/W)`× (1.13× for a 32×32 input at `p = 1`).
+//! [`im2col_into`] writes the explicit matrix and stays as the oracle both
+//! are tested against, bit for bit.
 
 use crate::{Tensor, TensorError};
 
@@ -65,13 +78,243 @@ impl ConvGeometry {
         let out_w = (in_w + 2 * pad - k_w) / stride + 1;
         ConvGeometry { in_h, in_w, k_h, k_w, stride, pad, out_h, out_w }
     }
+
+    /// Height of the zero-padded input, `H + 2p`.
+    fn padded_h(&self) -> usize {
+        self.in_h + 2 * self.pad
+    }
+
+    /// Width of the zero-padded input, `W + 2p`.
+    fn padded_w(&self) -> usize {
+        self.in_w + 2 * self.pad
+    }
 }
 
-/// Lowers a batched NCHW tensor into its patch matrix.
+/// Where each element of a convolution's patch matrix lives in the
+/// zero-padded input: the per-layer offset table behind the implicit-GEMM
+/// convolution (see the [module docs](self)).
+///
+/// With the input padded into `xpad` of shape `[N, C, Hp, Wp]`
+/// (`Hp = H + 2p`, `Wp = W + 2p`), element `(r, kk)` of the
+/// `[N·OH·OW, C·kh·kw]` patch matrix — row `r = (n, oy, ox)`, column
+/// `kk = (c, i, j)` — is `xpad[row_base(r) + k_off[kk]]` with
+///
+/// * `row_base(r) = n·C·Hp·Wp + oy·s·Wp + ox·s`, and
+/// * `k_off[kk] = c·Hp·Wp + i·Wp + j`.
+///
+/// The column offsets are the table; the row bases are stepped from the
+/// geometry, so the table does not depend on the batch size. Both are
+/// increasing, so the largest index an `m`-row read touches is
+/// `row_base(m − 1) + k_off[k − 1]`, which the geometry keeps below
+/// `xpad.len()`; the readers check that once per call.
+///
+/// # Examples
+///
+/// ```
+/// use aergia_tensor::conv::{im2col_into, ConvGeometry, PatchTable};
+/// use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
+/// use aergia_tensor::{ops, Tensor};
+/// # fn main() -> Result<(), aergia_tensor::TensorError> {
+/// let geom = ConvGeometry::new(4, 4, 3, 3, 1, 1);
+/// let x = Tensor::from_vec((0..32).map(|v| v as f32).collect(), &[2, 1, 4, 4])?;
+/// let w = Tensor::ones(&[2, 9]);
+/// let patches = PatchTable::new(1, &geom);
+/// let mut xpad = Tensor::default();
+/// patches.pad_into(&x, &mut xpad)?;
+/// assert_eq!(xpad.dims(), &[2, 1, 6, 6]);
+/// let mut pw = PackedB::new();
+/// pw.pack_transposed_with(&w, tuned_variant(GemmOp::Nt, 32, 9, 2))?;
+/// let mut y = Tensor::default();
+/// ops::matmul_nt_patches_into(&xpad, &patches, &pw, &mut y)?;
+/// // The same bits as the explicit patch matrix times `Wᵀ`.
+/// let mut cols = Tensor::default();
+/// im2col_into(&x, 1, &geom, &mut cols)?;
+/// assert_eq!(y, ops::matmul_nt_reference(&cols, &w)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct PatchTable {
+    channels: usize,
+    geom: ConvGeometry,
+    k_off: Vec<usize>,
+}
+
+impl PatchTable {
+    /// The table of a convolution over `channels` input channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels` is zero.
+    pub fn new(channels: usize, geom: &ConvGeometry) -> Self {
+        assert!(channels > 0, "PatchTable: zero channels");
+        let (hp, wp) = (geom.padded_h(), geom.padded_w());
+        let mut k_off = Vec::with_capacity(channels * geom.k_h * geom.k_w);
+        for c in 0..channels {
+            for i in 0..geom.k_h {
+                k_off.extend((0..geom.k_w).map(|j| c * hp * wp + i * wp + j));
+            }
+        }
+        PatchTable { channels, geom: *geom, k_off }
+    }
+
+    /// Columns of the patch matrix, `C·kh·kw`.
+    pub fn k(&self) -> usize {
+        self.k_off.len()
+    }
+
+    /// Rows of the patch matrix of a `batch`-image input, `batch·OH·OW`.
+    pub fn rows(&self, batch: usize) -> usize {
+        batch * self.geom.out_h * self.geom.out_w
+    }
+
+    /// Shape of the zero-padded input of a `batch`-image input,
+    /// `[batch, C, H + 2p, W + 2p]`.
+    pub fn padded_dims(&self, batch: usize) -> [usize; 4] {
+        [batch, self.channels, self.geom.padded_h(), self.geom.padded_w()]
+    }
+
+    /// The column offsets `k_off` (see the type docs).
+    pub(crate) fn k_off(&self) -> &[usize] {
+        &self.k_off
+    }
+
+    /// Copies the `[N, C, H, W]` `input` into `xpad`, zero-padded on every
+    /// side to `[N, C, H + 2p, W + 2p]`. Every element of `xpad` is
+    /// written, so its previous shape and contents never matter; its
+    /// allocation is reused when the capacity suffices.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `input` is rank 4 and
+    /// [`TensorError::ShapeMismatch`] if its channel or spatial dims
+    /// disagree with the table; `xpad` is untouched on error.
+    pub fn pad_into(&self, input: &Tensor, xpad: &mut Tensor) -> Result<(), TensorError> {
+        let dims = input.dims();
+        if dims.len() != 4 {
+            return Err(TensorError::RankMismatch { op: "pad", expected: 4, got: dims.len() });
+        }
+        let g = &self.geom;
+        if dims[1..] != [self.channels, g.in_h, g.in_w] {
+            return Err(TensorError::ShapeMismatch {
+                op: "pad",
+                lhs: dims.to_vec(),
+                rhs: vec![dims[0], self.channels, g.in_h, g.in_w],
+            });
+        }
+        let padded = self.padded_dims(dims[0]);
+        let [_, _, hp, wp] = padded;
+        let p = g.pad;
+        xpad.reset_for_overwrite(&padded);
+        if p == 0 {
+            xpad.data_mut().copy_from_slice(input.data());
+            return Ok(());
+        }
+        let plane = g.in_h * g.in_w;
+        for (src, dst) in
+            input.data().chunks_exact(plane).zip(xpad.data_mut().chunks_exact_mut(hp * wp))
+        {
+            // Top rows and the left pad of the first interior row; then per
+            // interior row its values, its right pad and the next row's
+            // left pad; then the last right pad and the bottom rows.
+            dst[..p * wp + p].fill(0.0);
+            for (y, row) in src.chunks_exact(g.in_w).enumerate() {
+                let at = (p + y) * wp + p;
+                dst[at..at + g.in_w].copy_from_slice(row);
+                dst[at + g.in_w..at + g.in_w + 2 * p].fill(0.0);
+            }
+            dst[(p + g.in_h) * wp + p..].fill(0.0);
+        }
+        Ok(())
+    }
+
+    /// Checks that `xpad` is the padded input of this table and returns
+    /// its patch-matrix row count `m`, having checked once that every
+    /// element read `xpad[row_base(r) + k_off[kk]]` with `r < m`,
+    /// `kk < k` is in bounds — the bound the unchecked readers of the GEMM
+    /// kernels rely on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `xpad` is not
+    /// `[N, C, H + 2p, W + 2p]` for this table.
+    pub(crate) fn check_bound(
+        &self,
+        op: &'static str,
+        xpad: &Tensor,
+    ) -> Result<usize, TensorError> {
+        let dims = xpad.dims();
+        let want = self.padded_dims(dims.first().copied().unwrap_or(0));
+        if dims != want {
+            return Err(TensorError::ShapeMismatch { op, lhs: dims.to_vec(), rhs: want.to_vec() });
+        }
+        let m = self.rows(dims[0]);
+        // Both offsets increase, so these are the largest ones.
+        let last_row = self.row_bases(m - 1).next().expect("row bases never end");
+        let last_col = *self.k_off.last().expect("a patch has at least one column");
+        assert!(last_row + last_col < xpad.numel(), "{op}: patch reads overrun the padded input");
+        Ok(m)
+    }
+
+    /// `row_base(r)` for `r = row0, row0 + 1, …` (see the type docs),
+    /// stepped without a division per row.
+    pub(crate) fn row_bases(&self, row0: usize) -> RowBases {
+        let g = &self.geom;
+        let (hp, wp) = (g.padded_h(), g.padded_w());
+        let pixels = g.out_h * g.out_w;
+        let (img, pix) = (row0 / pixels, row0 % pixels);
+        let (oy, ox) = (pix / g.out_w, pix % g.out_w);
+        let img_base = img * self.channels * hp * wp;
+        RowBases {
+            img_base,
+            line_base: img_base + oy * g.stride * wp,
+            oy,
+            ox,
+            geom: *g,
+            img_len: self.channels * hp * wp,
+            line_step: g.stride * wp,
+        }
+    }
+}
+
+/// The row bases of a [`PatchTable`] from some row on: an endless
+/// iterator that walks output pixels `ox`, then rows `oy`, then images.
+pub(crate) struct RowBases {
+    img_base: usize,
+    line_base: usize,
+    oy: usize,
+    ox: usize,
+    geom: ConvGeometry,
+    img_len: usize,
+    line_step: usize,
+}
+
+impl Iterator for RowBases {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let base = self.line_base + self.ox * self.geom.stride;
+        self.ox += 1;
+        if self.ox == self.geom.out_w {
+            self.ox = 0;
+            self.oy += 1;
+            self.line_base += self.line_step;
+            if self.oy == self.geom.out_h {
+                self.oy = 0;
+                self.img_base += self.img_len;
+                self.line_base = self.img_base;
+            }
+        }
+        Some(base)
+    }
+}
+
+/// Lowers a batched NCHW tensor into its explicit patch matrix: the
+/// oracle the implicit [`PatchTable`] readers are tested against.
 ///
 /// `out` is [`Tensor::reset`] to `[N·OH·OW, C·kh·kw]` (reusing its
-/// allocation when the capacity suffices — the im2col scratch a
-/// convolution layer reuses across batches); row `(n, oh, ow)` holds the
+/// allocation when the capacity suffices); row `(n, oh, ow)` holds the
 /// receptive field feeding output pixel `(oh, ow)` of image `n` (zeros
 /// where the window overlaps the padding).
 ///

@@ -20,7 +20,9 @@
 //!    tiles laid `k`-major (`tile[kk·mr + r]`), zero-padding the ragged
 //!    tail tile. For row-major `A` operands (the `nn` and `nt` forms) the
 //!    rows are already contiguous along `k`, so the microkernel reads them
-//!    in place.
+//!    in place; a convolution's patch matrix is read in place too, one
+//!    table lookup per `k` step, from the input it was never copied out
+//!    of.
 //! 3. **Microkernel**: an `mr × nr` register tile of accumulators walks the
 //!    shared dimension once. Per `k` step it broadcasts `mr` values of `A`
 //!    and multiplies them into `nr` columns of the `B` panel — vectorized
@@ -62,12 +64,14 @@
 //! build lays out the same packs and runs the same kernels.
 //!
 //! Every microkernel and driver is written once: the `A` operand reaches
-//! the kernels as a `SubtileA` view whose storage — row-major rows
-//! (`nn`, `nt`) or a [`PackedA`] tile (`tn`) — is a
-//! const parameter, so both run the same source at constant strides. The
-//! packed layout keeps each panel as one full-`k` slab (the shapes this
-//! crate serves never exceed the L2 a panel streams from, so `k`-blocking
-//! bought nothing in measurement).
+//! the kernels as a `SubtileA` view generic over its storage — row-major
+//! rows (`nn`, `nt`), a [`PackedA`] tile (`tn`), or a convolution's
+//! implicit patch matrix read through a [`PatchTable`] from the
+//! zero-padded input (the conv `nt` forward, see [`crate::conv`]) — so
+//! all three run the same source, the stored layouts at constant strides.
+//! The packed layout keeps each panel as one full-`k` slab (the shapes
+//! this crate serves never exceed the L2 a panel streams from, so
+//! `k`-blocking bought nothing in measurement).
 //!
 //! # Determinism contract
 //!
@@ -132,6 +136,7 @@ use std::sync::OnceLock;
 
 use aergia_telemetry::LazyCounter;
 
+use crate::conv::{PatchTable, RowBases};
 use crate::ops::{require_rank2, run_row_tiles};
 use crate::{Tensor, TensorError};
 
@@ -396,7 +401,7 @@ impl PackedB {
         // Row-outer, panel-inner: `B` is read once, sequentially, and the
         // writes fan out over one stream per panel — the panel-outer order
         // would re-stream the whole matrix once per panel, which dominates
-        // the pack cost for the wide per-batch operands (im2col matrices)
+        // the pack cost for wide per-batch operands
         // this path packs every training step.
         let panels = n.div_ceil(nr);
         let stride = k * nr;
@@ -445,6 +450,49 @@ impl PackedB {
                         panel[kk * nr + c] = 0.0;
                     }
                 }
+            }
+        }
+        self.valid = true;
+        Ok(())
+    }
+
+    /// Packs the patch matrix of the zero-padded input `xpad` (see
+    /// [`PatchTable`]) into `variant`'s panel layout, gathering each
+    /// element straight from `xpad` — the same pack as
+    /// [`PackedB::pack_with`] on the explicit `im2col` matrix, without
+    /// writing that matrix first. This is the `B` operand of a
+    /// convolution's weight gradient `dW = dy_rowsᵀ · patches`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
+    /// input shape of `table`.
+    pub fn pack_patches_with(
+        &mut self,
+        xpad: &Tensor,
+        table: &PatchTable,
+        variant: KernelVariant,
+    ) -> Result<(), TensorError> {
+        let m = table.check_bound("pack_patches", xpad)?;
+        let k_off = table.k_off();
+        let n = k_off.len();
+        self.reset_layout(m, n, variant, false);
+        let nr = variant.nr;
+        let xd = xpad.data();
+        // Row-outer, panel-inner like `pack_with`: one patch row is
+        // gathered per step, fanned out over one write stream per panel.
+        let stride = m * nr;
+        for (r, base) in table.row_bases(0).take(m).enumerate() {
+            let src = &xd[base..];
+            for (jp, offs) in k_off.chunks(nr).enumerate() {
+                let dst = &mut self.buf[jp * stride + r * nr..jp * stride + (r + 1) * nr];
+                for (d, &o) in dst.iter_mut().zip(offs) {
+                    // SAFETY: `check_bound` above checked once that
+                    // `row_base(r) + k_off[kk] < xpad.len()` for every
+                    // `r < m` and every `kk`, i.e. `o < src.len()`.
+                    *d = unsafe { *src.get_unchecked(o) };
+                }
+                dst[offs.len()..].fill(0.0);
             }
         }
         self.valid = true;
@@ -579,74 +627,180 @@ impl PackedA {
 // The `A` operand as the microkernels see it
 // ---------------------------------------------------------------------------
 
-/// One `mr`-row subtile of the `A` operand. `PACKED` names the storage,
-/// and with it where element `(r, kk)` lives:
+/// One `mr`-row subtile of the `A` operand. The storage type says where
+/// element `(r, kk)` lives: at index [`SubtileA::at`]`(kk, mr)` of
+/// [`SubtileA::row`]`(r)`. Three storages exist:
 ///
-/// * `PACKED = false` — row-major `A` (`nn`, `nt`), read in
-///   place: `data` is the subtile's `rows` consecutive source rows and
-///   `(r, kk)` is `data[min(r, rows − 1)·k + kk]`. A ragged tail subtile
-///   has `rows < mr`; the clamp makes the kernels re-read its last row,
-///   and the duplicate accumulator rows are dropped at write-back.
-/// * `PACKED = true` — a [`PackedA`] tile (`tn`): `data` is the
-///   `k`-major tile, `(r, kk)` is `data[kk·mr + r]`, and `rows = mr`
-///   because the pack zero-padded the tail.
+/// * [`RowMajor`] — row-major `A` (`nn`, `nt`), read in place;
+/// * [`PackedTile`] — a [`PackedA`] tile (`tn`);
+/// * [`Patches`] — the implicit patch matrix of a convolution, read
+///   through a [`PatchTable`] from the zero-padded input (the conv `nt`
+///   forward).
 ///
-/// The layout being a const parameter, every kernel below is written once
-/// and compiled per layout with constant strides. Either way `data` is
-/// exactly the subtile's elements, so one scan of it answers the
-/// skip-zero question for both.
+/// Every kernel below is written once and compiled per storage, so the
+/// two stored layouts keep constant strides and the implicit one costs
+/// one offset load per `k` step, shared by the subtile's rows.
 ///
-/// Invariant (established by [`SubtileA::cut`], relied on by the unchecked
-/// reads of the register-tile kernels): `data.len() == rows·k`, so for
-/// `kk < k` — and, when `PACKED`, `r < rows = mr` — index
-/// `kk · k_stride(mr)` of [`SubtileA::row`]`(r)` exists.
+/// Invariant (established by each storage's `cut`, relied on by the
+/// unchecked reads of the register-tile kernels): for `kk < k()` and
+/// `r < mr` with `fits(mr)`, index `at(kk, mr)` of `row(r)` exists.
+trait SubtileA<'a>: Copy {
+    /// The shared dimension `k`.
+    fn k(self) -> usize;
+
+    /// Whether a kernel of `mr` rows may read this subtile.
+    fn fits(self, mr: usize) -> bool;
+
+    /// The elements of row `r` from its base on. A row beyond the live
+    /// rows re-reads the last one, and the duplicate accumulator rows are
+    /// dropped at write-back.
+    fn row(self, r: usize) -> &'a [f32];
+
+    /// Index of `(r, kk)` in [`SubtileA::row`]`(r)` for a kernel of `mr`
+    /// rows, `kk < k()`.
+    fn at(self, kk: usize, mr: usize) -> usize;
+
+    /// Whether the subtile is zero-free, i.e. the skip-zero guard can
+    /// never fire and the unguarded microkernel instantiation is
+    /// bit-exact. One scan per subtile buys guard-free inner loops across
+    /// every `B` panel.
+    fn zero_free(self) -> bool;
+}
+
+/// Row-major `A` read in place: `data` is the subtile's `rows`
+/// consecutive source rows and `(r, kk)` is
+/// `data[min(r, rows − 1)·k + kk]`. A ragged tail subtile has `rows < mr`.
 #[derive(Clone, Copy)]
-struct SubtileA<'a, const PACKED: bool> {
+struct RowMajor<'a> {
     data: &'a [f32],
     rows: usize,
     k: usize,
 }
 
-impl<'a, const PACKED: bool> SubtileA<'a, PACKED> {
-    /// Cuts the subtile holding output rows `row0 .. row0 + mrows` (`row0`
-    /// a multiple of `mr`, `1 ≤ mrows ≤ mr`) out of the whole operand `a`:
-    /// row-major `m×k` data, or a [`PackedA`] buffer of `mr`-row tiles.
-    /// Both keep `k` elements per row up to `row0`, so both start at
-    /// `row0·k`.
+impl<'a> RowMajor<'a> {
+    /// The subtile holding output rows `row0 .. row0 + mrows` of the
+    /// row-major `m×k` operand `a` (`1 ≤ mrows`).
     #[inline(always)]
-    fn cut(a: &'a [f32], k: usize, row0: usize, mrows: usize, mr: usize) -> Self {
-        let rows = if PACKED { mr } else { mrows };
-        SubtileA { data: &a[row0 * k..(row0 + rows) * k], rows, k }
+    fn cut(a: &'a [f32], k: usize, row0: usize, mrows: usize) -> Self {
+        RowMajor { data: &a[row0 * k..(row0 + mrows) * k], rows: mrows, k }
     }
+}
 
-    /// The elements from `(r, 0)` on: `(r, kk)` is at index
-    /// `kk · k_stride(mr)` of the result. In row-major storage an `r`
-    /// beyond the live rows re-reads the last one.
+impl<'a> SubtileA<'a> for RowMajor<'a> {
+    #[inline(always)]
+    fn k(self) -> usize {
+        self.k
+    }
+    #[inline(always)]
+    fn fits(self, _mr: usize) -> bool {
+        true
+    }
     #[inline(always)]
     fn row(self, r: usize) -> &'a [f32] {
-        let start = if PACKED { r } else { r.min(self.rows - 1) * self.k };
-        &self.data[start..]
+        &self.data[r.min(self.rows - 1) * self.k..]
     }
-
-    /// Distance from `(r, kk)` to `(r, kk + 1)` in an `mr`-row subtile.
     #[inline(always)]
-    fn k_stride(mr: usize) -> usize {
-        if PACKED {
-            mr
-        } else {
-            1
-        }
+    fn at(self, kk: usize, _mr: usize) -> usize {
+        kk
     }
-
-    /// Whether the subtile is zero-free, i.e. the skip-zero guard can
-    /// never fire and the unguarded microkernel instantiation is
-    /// bit-exact. One scan per subtile buys guard-free inner loops across
-    /// every `B` panel. A padded [`PackedA`] tail tile contains zeros and
-    /// so always reports `false`; the guarded kernel then skips (and
-    /// thereby discards) the padding rows.
     #[inline(always)]
     fn zero_free(self) -> bool {
         self.data.iter().all(|&v| v != 0.0)
+    }
+}
+
+/// A [`PackedA`] tile: `data` is the `k`-major tile of `mr` rows and
+/// `(r, kk)` is `data[kk·mr + r]`. The pack zero-padded a ragged tail, so
+/// its padding rows contain zeros, report `zero_free() == false`, and the
+/// guarded kernel skips (and thereby discards) them.
+#[derive(Clone, Copy)]
+struct PackedTile<'a> {
+    data: &'a [f32],
+    mr: usize,
+    k: usize,
+}
+
+impl<'a> PackedTile<'a> {
+    /// The tile holding output rows `row0 ..` (`row0` a multiple of `mr`)
+    /// of a [`PackedA`] buffer of `mr`-row tiles.
+    #[inline(always)]
+    fn cut(a: &'a [f32], k: usize, row0: usize, mr: usize) -> Self {
+        PackedTile { data: &a[row0 * k..(row0 + mr) * k], mr, k }
+    }
+}
+
+impl<'a> SubtileA<'a> for PackedTile<'a> {
+    #[inline(always)]
+    fn k(self) -> usize {
+        self.k
+    }
+    #[inline(always)]
+    fn fits(self, mr: usize) -> bool {
+        mr == self.mr
+    }
+    #[inline(always)]
+    fn row(self, r: usize) -> &'a [f32] {
+        &self.data[r..]
+    }
+    #[inline(always)]
+    fn at(self, kk: usize, mr: usize) -> usize {
+        kk * mr
+    }
+    #[inline(always)]
+    fn zero_free(self) -> bool {
+        self.data.iter().all(|&v| v != 0.0)
+    }
+}
+
+/// The implicit patch matrix of a convolution: `(r, kk)` is
+/// `xpad[base[r] + k_off[kk]]`, with `base` the subtile's row bases (the
+/// last live one repeated past a ragged tail) and `k_off` the
+/// [`PatchTable`]'s column offsets. The driver checks once per call that
+/// every such index is in bounds ([`PatchTable::check_bound`]).
+#[derive(Clone, Copy)]
+struct Patches<'a> {
+    xpad: &'a [f32],
+    base: [usize; MR_MAX],
+    rows: usize,
+    k_off: &'a [usize],
+}
+
+impl<'a> Patches<'a> {
+    /// The subtile holding the next `mrows` patch rows
+    /// (`1 ≤ mrows ≤ MR_MAX`), whose bases `bases` yields.
+    #[inline(always)]
+    fn cut(xpad: &'a [f32], k_off: &'a [usize], bases: &mut RowBases, mrows: usize) -> Self {
+        let mut base = [0; MR_MAX];
+        for b in &mut base[..mrows] {
+            *b = bases.next().expect("row bases never end");
+        }
+        let last = base[mrows - 1];
+        base[mrows..].fill(last);
+        Patches { xpad, base, rows: mrows, k_off }
+    }
+}
+
+impl<'a> SubtileA<'a> for Patches<'a> {
+    #[inline(always)]
+    fn k(self) -> usize {
+        self.k_off.len()
+    }
+    #[inline(always)]
+    fn fits(self, mr: usize) -> bool {
+        mr <= MR_MAX
+    }
+    #[inline(always)]
+    fn row(self, r: usize) -> &'a [f32] {
+        &self.xpad[self.base[r]..]
+    }
+    #[inline(always)]
+    fn at(self, kk: usize, _mr: usize) -> usize {
+        // Checked: an unchecked table read measured no faster.
+        self.k_off[kk]
+    }
+    #[inline(always)]
+    fn zero_free(self) -> bool {
+        self.base[..self.rows].iter().all(|&b| self.k_off.iter().all(|&o| self.xpad[b + o] != 0.0))
     }
 }
 
@@ -682,26 +836,22 @@ fn fma_row<const SKIP: bool>(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
 /// replacement keeps them in registers for the whole `k` walk; the kernel
 /// fully overwrites its `4×8` region of `acc`.
 #[inline(always)]
-fn scalar_4x8<const SKIP: bool, const PACKED: bool>(
-    a: SubtileA<'_, PACKED>,
-    panel: &[f32],
-    acc: &mut Acc,
-) {
+fn scalar_4x8<'a, const SKIP: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
     let mut x0 = [0.0f32; NR];
     let mut x1 = [0.0f32; NR];
     let mut x2 = [0.0f32; NR];
     let mut x3 = [0.0f32; NR];
-    assert!(!PACKED || a.rows == MR, "scalar_4x8: A tile is not 4 rows high");
+    assert!(a.fits(MR), "scalar_4x8: A subtile does not fit a 4-row kernel");
     let (a0, a1, a2, a3) = (a.row(0), a.row(1), a.row(2), a.row(3));
-    let k_stride = SubtileA::<PACKED>::k_stride(MR);
-    for (kk, b) in panel.chunks_exact(NR).take(a.k).enumerate() {
+    for (kk, b) in panel.chunks_exact(NR).take(a.k()).enumerate() {
         let b: &[f32; NR] = b.try_into().expect("chunks_exact yields NR-sized chunks");
-        // SAFETY: `take(a.k)` keeps `kk < a.k` and a packed tile was just
-        // asserted to be MR rows high — the `SubtileA` invariant's
+        // SAFETY: `take(a.k())` keeps `kk < a.k()` and the subtile was
+        // just asserted to fit MR rows — the `SubtileA` invariant's
         // conditions for these reads. (Checked indexing measured ~40 %
         // slower on this tier: four compares against a 13-instruction
         // step.)
-        let at = |row: &[f32]| unsafe { *row.get_unchecked(kk * k_stride) };
+        let i = a.at(kk, MR);
+        let at = |row: &[f32]| unsafe { *row.get_unchecked(i) };
         fma_row::<SKIP>(&mut x0, at(a0), b);
         fma_row::<SKIP>(&mut x1, at(a1), b);
         fma_row::<SKIP>(&mut x2, at(a2), b);
@@ -717,19 +867,19 @@ fn scalar_4x8<const SKIP: bool, const PACKED: bool>(
 /// that lets a scalar-only process (or a `AERGIA_FORCE_SCALAR` run)
 /// execute packs laid out for SIMD variants. Same ascending-`k` mul/add
 /// chain per element, so same bits.
-fn scalar_any<const SKIP: bool, const PACKED: bool>(
+fn scalar_any<'a, const SKIP: bool, A: SubtileA<'a>>(
     mr: usize,
     nr: usize,
-    a: SubtileA<'_, PACKED>,
+    a: A,
     panel: &[f32],
     acc: &mut Acc,
 ) {
-    let k_stride = SubtileA::<PACKED>::k_stride(mr);
+    assert!(a.fits(mr), "scalar_any: A subtile does not fit the variant's mr");
     for (r, out) in acc[..mr * nr].chunks_exact_mut(nr).enumerate() {
         let row = a.row(r);
         out.fill(0.0);
-        for (kk, b) in panel.chunks_exact(nr).take(a.k).enumerate() {
-            let av = row[kk * k_stride];
+        for (kk, b) in panel.chunks_exact(nr).take(a.k()).enumerate() {
+            let av = row[a.at(kk, mr)];
             if SKIP && av == 0.0 {
                 continue;
             }
@@ -843,33 +993,28 @@ macro_rules! simd_kernel {
         /// # Safety
         ///
         /// The CPU must support the `target_feature` this kernel is
-        /// compiled with, `panel` must hold at least `a.k·nr` elements,
-        /// and a packed `a` must be a tile of this kernel's `mr` rows.
-        /// (`a`'s own reads are then covered by the [`SubtileA`]
-        /// invariant.)
+        /// compiled with, `panel` must hold at least `a.k()·nr` elements,
+        /// and `a` must fit this kernel's `mr`. (`a`'s own reads are then
+        /// covered by the [`SubtileA`] invariant.)
         #[target_feature(enable = $feat)]
-        unsafe fn $name<const SKIP: bool, const PACKED: bool>(
-            a: SubtileA<'_, PACKED>,
-            panel: &[f32],
-            acc: &mut Acc,
-        ) {
+        unsafe fn $name<'a, const SKIP: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
             const MRK: usize = $mr;
             const NV: usize = $nv;
             let nr = NV * $v::LANES;
-            let k_stride = SubtileA::<PACKED>::k_stride(MRK);
             let pp = panel.as_ptr();
-            let mut ap = [a.data; MRK];
+            let mut ap = [a.row(0); MRK];
             for (r, row) in ap.iter_mut().enumerate() {
                 *row = a.row(r);
             }
             let mut c = [[$v::zero(); NV]; MRK];
-            for kk in 0..a.k {
+            for kk in 0..a.k() {
                 let mut b = [$v::zero(); NV];
                 for (v, bv) in b.iter_mut().enumerate() {
                     *bv = $v::load(pp.add(kk * nr + v * $v::LANES));
                 }
+                let i = a.at(kk, MRK);
                 for (cr, row) in c.iter_mut().zip(&ap) {
-                    let av = *row.get_unchecked(kk * k_stride);
+                    let av = *row.get_unchecked(i);
                     if SKIP && av == 0.0 {
                         continue;
                     }
@@ -905,31 +1050,31 @@ simd_kernel!(avx512_8x32, "avx512f", v512, 8, 2);
 /// in this process (wrong CPU or `AERGIA_FORCE_SCALAR`) — the fallback
 /// computes identical bits, just slower.
 #[inline(always)]
-fn run_kernel<const SKIP: bool, const PACKED: bool>(
+fn run_kernel<'a, const SKIP: bool, A: SubtileA<'a>>(
     variant: KernelVariant,
-    a: SubtileA<'_, PACKED>,
+    a: A,
     panel: &[f32],
     acc: &mut Acc,
 ) {
-    assert!(panel.len() >= a.k * variant.nr, "gemm: B panel shorter than k·nr");
-    assert!(!PACKED || a.rows == variant.mr, "gemm: A tile height differs from the variant's mr");
+    assert!(panel.len() >= a.k() * variant.nr, "gemm: B panel shorter than k·nr");
+    assert!(a.fits(variant.mr), "gemm: A subtile does not fit the variant's mr");
     #[cfg(target_arch = "x86_64")]
     if variant.isa <= active_isa() {
         // SAFETY: `active_isa()` confirmed the feature at runtime, and the
         // two assertions above are the kernels' remaining preconditions.
         unsafe {
             match (variant.isa, variant.mr, variant.nr) {
-                (Isa::Avx2, 4, 16) => return avx2_4x16::<SKIP, PACKED>(a, panel, acc),
-                (Isa::Avx512, 8, 16) => return avx512_8x16::<SKIP, PACKED>(a, panel, acc),
-                (Isa::Avx512, 8, 32) => return avx512_8x32::<SKIP, PACKED>(a, panel, acc),
+                (Isa::Avx2, 4, 16) => return avx2_4x16::<SKIP, A>(a, panel, acc),
+                (Isa::Avx512, 8, 16) => return avx512_8x16::<SKIP, A>(a, panel, acc),
+                (Isa::Avx512, 8, 32) => return avx512_8x32::<SKIP, A>(a, panel, acc),
                 _ => {}
             }
         }
     }
     if (variant.mr, variant.nr) == (MR, NR) {
-        scalar_4x8::<SKIP, PACKED>(a, panel, acc);
+        scalar_4x8::<SKIP, A>(a, panel, acc);
     } else {
-        scalar_any::<SKIP, PACKED>(variant.mr, variant.nr, a, panel, acc);
+        scalar_any::<SKIP, A>(variant.mr, variant.nr, a, panel, acc);
     }
 }
 
@@ -960,7 +1105,12 @@ pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, 
     let m = od.len() / n.max(1);
     count_gemm_call(if SKIP { GemmOp::Nn } else { GemmOp::Nt }, pb.variant);
     run_row_tiles(od, n, m * n * k, |first_row, rows| {
-        gemm_row_tile::<SKIP, false>(ad, k, pb, first_row, rows);
+        gemm_row_tile::<SKIP, _>(
+            |row0, mrows| RowMajor::cut(ad, k, row0, mrows),
+            pb,
+            first_row,
+            rows,
+        );
     });
 }
 
@@ -979,18 +1129,63 @@ pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
         "gemm_packed_tn: operand packs were laid out for different kernel variants"
     );
     count_gemm_call(GemmOp::Tn, pa.variant);
-    run_row_tiles(od, pb.n, pa.m * pb.n * pa.k, |first_row, rows| {
-        gemm_row_tile::<true, true>(&pa.buf, pa.k, pb, first_row, rows);
+    let (a, k, mr) = (&pa.buf[..], pa.k, pa.variant.mr);
+    run_row_tiles(od, pb.n, pa.m * pb.n * k, |first_row, rows| {
+        gemm_row_tile::<true, _>(|row0, _| PackedTile::cut(a, k, row0, mr), pb, first_row, rows);
     });
+}
+
+/// Driver for the implicit-`A` kernel (the convolution `nt` forward):
+/// `A` is the patch matrix of the zero-padded input `xpad`, read through
+/// `table` (see [`PatchTable`]), and `out` is reset to `[m, n]` and
+/// overwritten. No skip-zero semantics and the `nt` counter, exactly as
+/// [`gemm_packed`]`::<false>` on the explicit matrix, so every product and
+/// count is the same.
+///
+/// The kernels read the patch matrix unchecked. Their bound —
+/// `row_base(r) + k_off[kk] < xpad.len()` for every row `r < m` — is
+/// checked here once, by [`PatchTable::check_bound`], and `out` has
+/// exactly `m` rows, so no row tile walks past row `m − 1`.
+pub(crate) fn gemm_patches_nt(
+    xpad: &Tensor,
+    table: &PatchTable,
+    pb: &PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    let m = table.check_bound("matmul_nt_patches", xpad)?;
+    let (n, k) = (pb.n, table.k());
+    if k != pb.k {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_nt_patches",
+            lhs: vec![m, k],
+            rhs: vec![n, pb.k],
+        });
+    }
+    out.reset_for_overwrite(&[m, n]);
+    count_gemm_call(GemmOp::Nt, pb.variant);
+    let (xd, k_off) = (xpad.data(), table.k_off());
+    run_row_tiles(out.data_mut(), n, m * n * k, |first_row, rows| {
+        // Subtiles are cut in row order, so one stepped walk of the row
+        // bases serves the whole tile.
+        let mut bases = table.row_bases(first_row);
+        gemm_row_tile::<false, _>(
+            |_, mrows| Patches::cut(xd, k_off, &mut bases, mrows),
+            pb,
+            first_row,
+            rows,
+        );
+    });
+    Ok(())
 }
 
 /// One row tile of any packed GEMM: computes output rows
 /// `first_row .. first_row + rows.len()/n` of `A · packed(B)` as an
 /// `mr`-subtile-outer, `B`-panel-inner walk, dispatching on the pack's
-/// [`KernelVariant`] tag. `a` is the whole `A` operand with `k` elements
-/// per row: row-major data, or with `PACKED` a [`PackedA`] buffer laid out
-/// for `pb`'s variant. Called only by [`gemm_packed`] and
-/// [`gemm_packed_tn`], which count the call and fan the tiles out.
+/// [`KernelVariant`] tag. `cut(row0, mrows)` returns the subtile of the
+/// whole `A` operand holding rows `row0 .. row0 + mrows` in its storage;
+/// it is called once per subtile, in ascending row order.
+/// Called only by the drivers above, which count the call and fan the
+/// tiles out.
 ///
 /// `SKIP` says whether the GEMM form has skip-zero semantics. If so, the
 /// subtile-outer order lets each subtile be scanned for zeros *once*:
@@ -999,9 +1194,8 @@ pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
 /// contributes nothing — and only subtiles that actually contain zeros pay
 /// for the guarded instantiation (where the skip then saves real work,
 /// e.g. on ReLU-masked gradients).
-fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
-    a: &[f32],
-    k: usize,
+fn gemm_row_tile<'a, const SKIP: bool, A: SubtileA<'a>>(
+    mut cut: impl FnMut(usize, usize) -> A,
     pb: &PackedB,
     first_row: usize,
     rows: &mut [f32],
@@ -1017,7 +1211,7 @@ fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
     let mut r0 = 0;
     while r0 < nrows {
         let mrows = (nrows - r0).min(mr);
-        let sub = SubtileA::<PACKED>::cut(a, k, first_row + r0, mrows, mr);
+        let sub = cut(first_row + r0, mrows);
         let dense = !SKIP || sub.zero_free();
         if dense {
             dense_subtiles += 1;
@@ -1029,9 +1223,9 @@ fn gemm_row_tile<const SKIP: bool, const PACKED: bool>(
             let col0 = jp * nr;
             let ncols = (n - col0).min(nr);
             if dense {
-                run_kernel::<false, PACKED>(variant, sub, panel, &mut acc);
+                run_kernel::<false, A>(variant, sub, panel, &mut acc);
             } else {
-                run_kernel::<true, PACKED>(variant, sub, panel, &mut acc);
+                run_kernel::<true, A>(variant, sub, panel, &mut acc);
             }
             write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
         }
@@ -1105,6 +1299,128 @@ mod tests {
             .into_iter()
             .flat_map(|isa| KernelVariant::candidates(isa).iter().copied())
             .collect()
+    }
+
+    /// Same shape, NaN in the same elements, and the exact bits of every
+    /// other element (see the module docs on NaN payloads).
+    fn assert_same_modulo_nan_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.dims(), want.dims(), "{what}: shape");
+        for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what}: element {i} must be NaN, got {g:?}");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i} ({g:?} vs {w:?})");
+            }
+        }
+    }
+
+    /// A `dims` tensor of values in `[-1, 1)`; with `specials`, about one
+    /// element in twelve is NaN, ±inf or a zero of either sign.
+    fn conv_input(dims: &[usize], seed: u64, specials: bool) -> Tensor {
+        use rand::{RngExt as _, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = (0..dims.iter().product())
+            .map(|_| match rng.random_range(0u32..if specials { 100 } else { 1 }) {
+                1 => f32::NAN,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4..=6 => -0.0,
+                7 | 8 => 0.0,
+                _ => rng.random_range(-1.0f32..1.0),
+            })
+            .collect();
+        Tensor::from_vec(data, dims).unwrap()
+    }
+
+    /// One convolution case against the explicit oracle, on every
+    /// variant, through dirty buffers of other shapes (a NaN-filled padded
+    /// copy, output and pack): the implicit forward must give
+    /// `matmul_nt_reference(im2col(x), W)` — NaN positions plus the exact
+    /// bits of every other element — and the gathered dW panels must be
+    /// `pack_with(im2col(x))` bit for bit.
+    fn check_patches_against_im2col(
+        (n, c, h, w): (usize, usize, usize, usize),
+        (kernel, stride, pad): (usize, usize, usize),
+        oc: usize,
+        specials: bool,
+        (gr, gc): (usize, usize),
+        seed: u64,
+    ) {
+        let geom = crate::conv::ConvGeometry::new(h, w, kernel, kernel, stride, pad);
+        let x = conv_input(&[n, c, h, w], seed, specials);
+        let weight = random(&[oc, c * kernel * kernel], seed ^ 0x5eed);
+        let mut cols = Tensor::default();
+        crate::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
+        let want = ops::matmul_nt_reference(&cols, &weight).unwrap();
+
+        let table = PatchTable::new(c, &geom);
+        let mut xpad = Tensor::full(&[gr, gc], f32::NAN);
+        table.pad_into(&x, &mut xpad).unwrap();
+        let mut out = Tensor::full(&[gc, gr], f32::NAN);
+        let mut patches = PackedB::new();
+        patches
+            .pack_with(&Tensor::full(&[gr + 3, gc + 5], f32::NAN), KernelVariant::PORTABLE)
+            .unwrap();
+        let mut pwt = PackedB::new();
+        let case = format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} oc{oc}");
+        for variant in all_variants() {
+            pwt.pack_transposed_with(&weight, variant).unwrap();
+            ops::matmul_nt_patches_into(&xpad, &table, &pwt, &mut out).unwrap();
+            assert_same_modulo_nan_bits(&out, &want, &format!("forward {case} {variant:?}"));
+
+            let mut oracle = PackedB::new();
+            oracle.pack_with(&cols, variant).unwrap();
+            patches.pack_patches_with(&xpad, &table, variant).unwrap();
+            assert_eq!(
+                (patches.k(), patches.n(), patches.variant()),
+                (oracle.k(), oracle.n(), variant)
+            );
+            let bits = |pb: &PackedB| pb.buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&patches), bits(&oracle), "dW panels {case} {variant:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The implicit conv GEMM and the gathered dW panels equal the
+        /// explicit `im2col` oracle bit for bit: kernels 1, 3 and 5,
+        /// stride 1 and 2, padding 0–2, output widths that are no multiple
+        /// of any `mr` (so subtiles straddle output rows and images),
+        /// non-finite and signed-zero inputs, dirty buffers.
+        #[test]
+        fn implicit_patches_match_the_im2col_oracle_bitwise(
+            (n, c, oc) in (1usize..4, 1usize..4, 1usize..40),
+            (h, w, pad) in (1usize..12, 1usize..12, 0usize..3),
+            (kernel, stride) in (0usize..3, 1usize..3),
+            (specials, gr, gc) in (proptest::prelude::any::<bool>(), 1usize..9, 1usize..9),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let kernel: usize = [1, 3, 5][kernel];
+            // The window must fit the padded input at least once.
+            let fit = |d: usize| d.max(kernel.saturating_sub(2 * pad));
+            check_patches_against_im2col(
+                (n, c, fit(h), fit(w)),
+                (kernel, stride, pad),
+                oc,
+                specials,
+                (gr, gc),
+                seed,
+            );
+        }
+    }
+
+    /// Fixed cases the property must never miss: subtiles straddling
+    /// output rows and images at every `mr`, and a product above the
+    /// threading threshold with more rows than one parallel tile, whose
+    /// tile boundaries fall mid-image.
+    #[test]
+    fn implicit_patches_cover_straddling_subtiles_and_threaded_tiles() {
+        check_patches_against_im2col((3, 2, 5, 7), (3, 1, 1), 9, false, (2, 3), 1);
+        check_patches_against_im2col((2, 3, 9, 9), (5, 2, 2), 17, true, (4, 4), 2);
+        let (m, k, n) = (2 * 11 * 11, 3 * 5 * 5, 40);
+        assert!(m > crate::ops::TILE_ROWS && m * k * n >= 1 << 18);
+        check_patches_against_im2col((2, 3, 11, 11), (5, 1, 2), 40, false, (1, 1), 3);
     }
 
     #[test]
@@ -1293,16 +1609,6 @@ mod tests {
         // observe). The skip guard is semantically load-bearing here
         // (0 · inf = NaN when *not* skipped), so NaN placement also pins
         // the skip semantics across variants.
-        let assert_same_modulo_nan_bits = |got: &Tensor, want: &Tensor, what: &str| {
-            for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-                if w.is_nan() {
-                    assert!(g.is_nan(), "{what}: element {i} must be NaN, got {g:?}");
-                } else {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i} ({g:?} vs {w:?})");
-                }
-            }
-        };
-
         // Case 1: a dense grid of specials — every accumulation chain hits
         // NaNs, pinning NaN placement and the skip semantics (a -0.0 in A
         // is skipped like +0.0; an unskipped 0 · inf is NaN).

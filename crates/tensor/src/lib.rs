@@ -9,7 +9,8 @@
 //!   [`Tensor::scale`]),
 //! * packed 2-D matrix multiplication in three forms ([`ops`], over the
 //!   [`gemm`] microkernels) with naive reference oracles,
-//! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
+//! * implicit-GEMM convolution lowering over a zero-padded input, plus
+//!   `col2im` ([`conv`]),
 //! * a buffer and pack pool for allocation-free steady-state loops
 //!   ([`Workspace`]),
 //! * seeded random initialisation ([`init`]), including Box–Muller Gaussian

@@ -8,7 +8,10 @@
 //! `NR`-wide column panels ([`crate::gemm::PackedB`]), transposed `A`
 //! operands into `MR`-row tiles ([`crate::gemm::PackedA`]), and an
 //! `MR × NR` register tile accumulates each output block in one pass over
-//! the shared dimension. Output row tiles are claimed by the threads of
+//! the shared dimension. A convolution's forward runs the `A·Bᵀ` form
+//! with an implicit `A` ([`matmul_nt_patches_into`]): the patch matrix is
+//! read through a [`PatchTable`] from the zero-padded input, never
+//! written. Output row tiles are claimed by the threads of
 //! the [`aergia_runtime`] pool once a product is worth threading
 //! (`PAR_FLOPS`).
 //!
@@ -32,11 +35,12 @@
 //! here and the property suite in `tests/proptests.rs`; see
 //! [`crate::gemm`] for why the register tile preserves the contract).
 
-use crate::gemm::{gemm_packed, gemm_packed_tn, PackedA, PackedB};
+use crate::conv::PatchTable;
+use crate::gemm::{gemm_packed, gemm_packed_tn, gemm_patches_nt, PackedA, PackedB};
 use crate::{Tensor, TensorError};
 
 /// Output rows per parallel tile: big enough to amortise a claim, small
-/// enough that the paper's im2col matrices (thousands of patch rows)
+/// enough that the paper's patch matrices (thousands of patch rows)
 /// split into many tiles. A multiple of [`crate::gemm::MR`], so parallel
 /// tile boundaries coincide with microkernel sub-tile boundaries.
 pub(crate) const TILE_ROWS: usize = 64;
@@ -81,8 +85,9 @@ pub(crate) fn require_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usiz
 
 /// Dense matrix product `A (m×k) · B (k×n) → C (m×n)` with `B` already
 /// packed, bit-identical to [`matmul_reference`]. `out` is
-/// [`Tensor::reset`] to `[m, n]` (reusing its allocation when the capacity
-/// suffices) and then overwritten with the product.
+/// [`Tensor::reset_for_overwrite`] to `[m, n]` (reusing its allocation
+/// when the capacity suffices) and then every element is overwritten with
+/// the product, so its previous shape and contents never matter.
 ///
 /// # Errors
 ///
@@ -123,7 +128,7 @@ pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<
             rhs: vec![pb.k(), pb.n()],
         });
     }
-    out.reset(&[m, pb.n()]);
+    out.reset_for_overwrite(&[m, pb.n()]);
     gemm_packed::<true>(a.data(), ka, pb, out.data_mut());
     Ok(())
 }
@@ -197,7 +202,7 @@ pub fn matmul_tn_packed_into(
             rhs: vec![pb.k(), pb.n()],
         });
     }
-    out.reset(&[pa.m(), pb.n()]);
+    out.reset_for_overwrite(&[pa.m(), pb.n()]);
     gemm_packed_tn(pa, pb, out.data_mut());
     Ok(())
 }
@@ -268,9 +273,36 @@ pub fn matmul_nt_packed_into(
             rhs: vec![pb.n(), pb.k()],
         });
     }
-    out.reset(&[m, pb.n()]);
+    out.reset_for_overwrite(&[m, pb.n()]);
     gemm_packed::<false>(a.data(), ka, pb, out.data_mut());
     Ok(())
+}
+
+/// [`matmul_nt_packed_into`] with the implicit patch matrix of a
+/// convolution as `A`: `patches(xpad) (m×k) · Bᵀ (n×k) → C (m×n)`, where
+/// `xpad` is the zero-padded input [`PatchTable::pad_into`] wrote and
+/// `table` says where each patch element lives in it. Bit-identical to
+/// [`matmul_nt_reference`] on the explicit [`crate::conv::im2col_into`]
+/// matrix, with the same `nt` GEMM count, but the matrix is never
+/// written. `out` is reset as in [`matmul_packed_into`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
+/// input shape of `table` or the table's `k` disagrees with the pack's;
+/// `out` is untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pb` is stale.
+pub fn matmul_nt_patches_into(
+    xpad: &Tensor,
+    table: &PatchTable,
+    pb: &PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    assert!(pb.is_valid(), "matmul_nt_patches_into: stale PackedB (pack or ensure it first)");
+    gemm_patches_nt(xpad, table, pb, out)
 }
 
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the
@@ -345,8 +377,8 @@ pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) -> Result<(), TensorError> {
 }
 
 /// Sums an `m×n` matrix over its rows into a length-`n` vector: the bias
-/// gradient for a batched linear layer. `out` is reset as in
-/// [`matmul_packed_into`].
+/// gradient for a batched linear layer. `out` is [`Tensor::reset`] to
+/// `[n]` (zero-filled, since the rows accumulate into it).
 ///
 /// # Errors
 ///

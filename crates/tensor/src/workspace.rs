@@ -1,7 +1,7 @@
 //! A bump pool of reusable tensor buffers for the allocation-free hot path.
 //!
 //! Training a CNN batch touches the same tensor shapes over and over:
-//! activations, im2col patch matrices, gradient scratch. Allocating each of
+//! activations, padded conv inputs, gradient scratch. Allocating each of
 //! them per batch puts the allocator — not the matmul kernels — on the
 //! critical path once many simulated clients train concurrently. A
 //! [`Workspace`] keeps those buffers alive between batches so a steady-state
@@ -92,10 +92,15 @@ impl Workspace {
     ///
     /// Panics if `dims` contains a zero dimension.
     pub fn take(&mut self, dims: &[usize]) -> Tensor {
-        match self.shaped.iter().position(|t| t.dims() == dims) {
-            Some(i) => self.shaped.swap_remove(i),
-            None => Tensor::zeros(dims),
-        }
+        self.take_pooled(dims).unwrap_or_else(|| Tensor::zeros(dims))
+    }
+
+    /// Pops a buffer of exactly `dims` from the shape-keyed pool if one is
+    /// pooled; unlike [`Workspace::take`] it never allocates. Contents are
+    /// unspecified.
+    pub fn take_pooled(&mut self, dims: &[usize]) -> Option<Tensor> {
+        let i = self.shaped.iter().position(|t| t.dims() == dims)?;
+        Some(self.shaped.swap_remove(i))
     }
 
     /// Returns a buffer to the shape-keyed pool for a later
@@ -185,6 +190,19 @@ mod tests {
         assert_eq!(other.dims(), &[2, 3]);
         // The 2x2 buffer is still pooled.
         assert_eq!(ws.pooled(), 1);
+    }
+
+    #[test]
+    fn take_pooled_hits_exact_shapes_only_and_never_allocates() {
+        let mut ws = Workspace::new();
+        assert!(ws.take_pooled(&[2, 2]).is_none(), "an empty pool has nothing to lend");
+        let t = ws.take(&[2, 2]);
+        let ptr = t.data().as_ptr();
+        ws.give(t);
+        assert!(ws.take_pooled(&[2, 3]).is_none());
+        assert_eq!(ws.pooled(), 1, "a miss leaves the pool as it was");
+        assert_eq!(ws.take_pooled(&[2, 2]).expect("pooled").data().as_ptr(), ptr);
+        assert_eq!(ws.pooled(), 0);
     }
 
     #[test]

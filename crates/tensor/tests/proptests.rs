@@ -193,6 +193,52 @@ proptest! {
         prop_assert_eq!(&out, &fresh);
     }
 
+    /// The three packed forms overwrite every element of their output
+    /// without zeroing it first, so a NaN-filled buffer of another shape
+    /// — larger, whose stale head survives the shrink, or smaller — must
+    /// come back holding exactly the reference product, on every variant.
+    #[test]
+    fn packed_forms_overwrite_a_dirty_output_on_every_variant(
+        (m, k, n) in (1usize..40, 1usize..40, 1usize..40),
+        (gr, gc) in (1usize..48, 1usize..48),
+        seed in any::<u64>(),
+    ) {
+        use rand::{RngExt as _, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut fill = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    if rng.random_range(0.0..1.0) < 0.1 { 0.0 } else { rng.random_range(-2.0f32..2.0) }
+                })
+                .collect()
+        };
+        let a = Tensor::from_vec(fill(m * k), &[m, k]).unwrap();
+        let b = Tensor::from_vec(fill(k * n), &[k, n]).unwrap();
+        let at = Tensor::from_vec(fill(k * m), &[k, m]).unwrap();
+        let bt = Tensor::from_vec(fill(n * k), &[n, k]).unwrap();
+        let nn_ref = ops::matmul_reference(&a, &b).unwrap();
+        let nt_ref = ops::matmul_nt_reference(&a, &bt).unwrap();
+        let tn_ref = ops::matmul_tn_reference(&at, &b).unwrap();
+        let dirty = || Tensor::full(&[gr, gc], f32::NAN);
+        let (mut pb, mut pbt, mut pa) = (PackedB::new(), PackedB::new(), PackedA::new());
+        for variant in every_variant() {
+            pb.pack_with(&b, variant).unwrap();
+            let mut out = dirty();
+            ops::matmul_packed_into(&a, &pb, &mut out).unwrap();
+            prop_assert_eq!(&out, &nn_ref, "nn {:?}", variant);
+
+            pbt.pack_transposed_with(&bt, variant).unwrap();
+            let mut out = dirty();
+            ops::matmul_nt_packed_into(&a, &pbt, &mut out).unwrap();
+            prop_assert_eq!(&out, &nt_ref, "nt {:?}", variant);
+
+            pa.pack_transposed_with(&at, variant).unwrap();
+            let mut out = dirty();
+            ops::matmul_tn_packed_into(&pa, &pb, &mut out).unwrap();
+            prop_assert_eq!(&out, &tn_ref, "tn {:?}", variant);
+        }
+    }
+
     /// Same dirty-buffer contract for the convolution lowering: `im2col_into`
     /// relies on zero padding, so a reused buffer must be re-zeroed
     /// correctly before the patch scatter.
