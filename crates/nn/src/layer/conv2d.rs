@@ -5,13 +5,22 @@
 //! [`PatchTable`] straight from that copy
 //! ([`ops::matmul_nt_patches_into`]); the patch matrix itself is never
 //! written. A training forward keeps the padded copy for the backward,
-//! whose weight gradient gathers its `B` panels from it through the same
-//! table ([`PackedB::pack_patches_with`]); the input gradient is
-//! `dy_rows · W` scattered back with `col2im`.
+//! and neither half of the backward writes a buffer the size of the patch
+//! matrix either:
+//!
+//! * the weight gradient `dy_rowsᵀ · patches` gathers its `B` panels from
+//!   the padded copy through the same table, a few hundred patch rows at
+//!   a time into one small pack ([`ops::matmul_tn_patches_into`]);
+//! * the input gradient computes `dy_rows · W` one tile of patch rows at
+//!   a time and scatter-adds each tile through the table into a zeroed
+//!   padded gradient — the padded copy's buffer, consumed by then — which
+//!   is cropped into `dx` ([`ops::matmul_scatter_patches_into`]).
+//!
+//! Both give the bits of the explicit lowering (`im2col`, one full pack,
+//! `dy_rows · W` as one matrix, `col2im`), which stays in
+//! [`aergia_tensor::conv`] as the tests' oracle.
 
-use aergia_tensor::conv::{
-    col2im_into, nchw_to_rows_into, rows_to_nchw_into, ConvGeometry, PatchTable,
-};
+use aergia_tensor::conv::{nchw_to_rows_into, rows_to_nchw_into, ConvGeometry, PatchTable};
 use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 use aergia_tensor::{init, ops, Tensor, Workspace};
 use rand::Rng;
@@ -38,7 +47,6 @@ use super::{check_snapshot, Layer};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
-    in_channels: usize,
     out_channels: usize,
     geom: ConvGeometry,
     /// Where each patch element lives in the padded input.
@@ -48,7 +56,8 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     /// The zero-padded input of the last training forward, consumed by
-    /// the backward's weight gradient.
+    /// the backward: the weight gradient reads it, and the input gradient
+    /// then reuses its buffer for the padded `dx`.
     cached_xpad: Option<Tensor>,
     /// `Wᵀ` packed for the forward `patches·Wᵀ`; valid until the weights
     /// change (frozen feature sections reuse it across whole rounds).
@@ -86,7 +95,6 @@ impl Conv2d {
         let mut weight = Tensor::zeros(&[out_channels, ckk]);
         init::kaiming_uniform(&mut weight, rng, ckk);
         Conv2d {
-            in_channels,
             out_channels,
             geom,
             patches,
@@ -115,20 +123,19 @@ impl Conv2d {
         // gradients with a single add each — accumulating the matmul
         // directly into `grad_weight` would reorder the summation and
         // break bit-identity with the allocating path.
-        // Both dW operands are per-batch; their packs cycle through the
-        // workspace pack pools and share one variant (`gemm_packed_tn`
-        // insists its operands agree on layout). The patch panels are
-        // gathered straight from the padded input.
+        // Both dW operands are per-batch; the `dy` pack and the block pack
+        // the patch panels are gathered into cycle through the workspace
+        // pack pools.
         let vdw = tuned_variant(GemmOp::Tn, self.out_channels, rows, self.patches.k());
         let mut pa = ws.take_packed_a();
         pa.pack_transposed_with(&dy_rows, vdw).expect("conv dy pack");
-        let mut pbc = ws.take_packed_b();
-        pbc.pack_patches_with(&xpad, &self.patches, vdw).expect("conv patch pack");
+        let mut block = ws.take_packed_b();
         let mut dw = ws.take(self.grad_weight.dims());
-        ops::matmul_tn_packed_into(&pa, &pbc, &mut dw).expect("conv dW");
+        ops::matmul_tn_patches_into(&pa, &xpad, &self.patches, &mut block, &mut dw)
+            .expect("conv dW");
         self.grad_weight.add_assign(&dw);
         ws.give(dw);
-        ws.give_packed_b(pbc);
+        ws.give_packed_b(block);
         ws.give_packed_a(pa);
         let mut db = ws.take(self.grad_bias.dims());
         ops::sum_rows_into(&dy_rows, &mut db).expect("conv db");
@@ -206,24 +213,32 @@ impl Layer for Conv2d {
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let (xpad, dy_rows) = self.backward_grads(dy, ws);
-        let (batch, rows, ckk) = (xpad.dims()[0], dy_rows.dims()[0], self.patches.k());
-        let vdx = tuned_variant(GemmOp::Nn, rows, self.out_channels, ckk);
+        let (mut xpad, dy_rows) = self.backward_grads(dy, ws);
+        let vdx = tuned_variant(GemmOp::Nn, dy_rows.dims()[0], self.out_channels, self.patches.k());
         self.packed_w.ensure_with(&self.weight, vdx).expect("conv weight pack");
-        // Both transients come off the scratch stack and go back in
-        // reverse order, leaving it as they found it: one buffer per role
-        // serves every layer shape.
-        let mut dcols = ws.take_scratch();
-        ops::matmul_packed_into(&dy_rows, &self.packed_w, &mut dcols).expect("conv dcols");
-        col2im_into(&dcols, batch, self.in_channels, &self.geom, out).expect("conv dx");
-        ws.give_scratch(dcols);
+        // dx = col2im(dy_rows · W), a tile of patch rows at a time,
+        // scattered into the padded copy's buffer (the weight gradient is
+        // done with it). Both transients come off the scratch stack and
+        // go back in reverse order, leaving it as they found it: one
+        // buffer per role serves every layer shape.
+        let mut tiles = ws.take_scratch();
+        ops::matmul_scatter_patches_into(
+            &dy_rows,
+            &self.packed_w,
+            &self.patches,
+            &mut tiles,
+            &mut xpad,
+            out,
+        )
+        .expect("conv dx");
+        ws.give_scratch(tiles);
         ws.give_scratch(dy_rows);
         ws.give(xpad);
     }
 
     fn backward_into_first(&mut self, dy: &Tensor, ws: &mut Workspace, _out: &mut Tensor) {
         // First layer: dx would be the gradient of the input images, which
-        // the training loop throws away — skip the dx GEMM and col2im.
+        // the training loop throws away — skip the dx GEMM and its scatter.
         let (xpad, dy_rows) = self.backward_grads(dy, ws);
         ws.give_scratch(dy_rows);
         ws.give(xpad);

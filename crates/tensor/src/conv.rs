@@ -1,5 +1,5 @@
-//! Convolution lowering: the implicit patch matrix, `col2im` and NCHW
-//! layout shuffles.
+//! Convolution lowering: the implicit patch matrix, its explicit oracles
+//! (`im2col`, `col2im`) and NCHW layout shuffles.
 //!
 //! Convolutions are computed as matrix products over patch matrices. For
 //! a batch of `N` images of shape `C×H×W`, a `kh×kw` kernel with stride
@@ -12,14 +12,24 @@
 //! path (*implicit GEMM*). The input is copied once into a zero-padded
 //! `[N, C, H + 2p, W + 2p]` tensor ([`PatchTable::pad_into`]); every
 //! patch element is then one read of that copy through a [`PatchTable`],
-//! `A(r, kk) = xpad[row_base(r) + k_off[kk]]`. The forward GEMM reads its
-//! `A` operand that way ([`crate::ops::matmul_nt_patches_into`]) and the
-//! weight gradient gathers its `B` panels that way
-//! ([`crate::gemm::PackedB::pack_patches_with`]). A `3×3` patch matrix is
+//! `A(r, kk) = xpad[row_base(r) + k_off[kk]]`. A `3×3` patch matrix is
 //! 9× its input and a `5×5` one 25×; the padded copy is
-//! `(1 + 2p/H)(1 + 2p/W)`× (1.13× for a 32×32 input at `p = 1`).
-//! [`im2col_into`] writes the explicit matrix and stays as the oracle both
-//! are tested against, bit for bit.
+//! `(1 + 2p/H)(1 + 2p/W)`× (1.13× for a 32×32 input at `p = 1`). All
+//! three GEMMs of a convolution go through the table:
+//!
+//! * the forward reads its `A` operand that way
+//!   ([`crate::ops::matmul_nt_patches_into`]);
+//! * the weight gradient gathers its `B` panels that way, a block of
+//!   patch rows at a time ([`crate::ops::matmul_tn_patches_into`]);
+//! * the input gradient computes the patch-matrix gradient a tile of rows
+//!   at a time and scatter-adds each tile through the table into a
+//!   zero-padded gradient, which is then cropped
+//!   ([`crate::ops::matmul_scatter_patches_into`]).
+//!
+//! [`im2col_into`] writes the explicit matrix and [`col2im_into`]
+//! scatters an explicit patch-matrix gradient back; neither runs in
+//! training or inference. They stay as the oracles the implicit paths are
+//! tested against, bit for bit.
 
 use crate::{Tensor, TensorError};
 
@@ -174,9 +184,28 @@ impl PatchTable {
         [batch, self.channels, self.geom.padded_h(), self.geom.padded_w()]
     }
 
+    /// Shape of a `batch`-image input, `[batch, C, H, W]`.
+    pub(crate) fn input_dims(&self, batch: usize) -> [usize; 4] {
+        [batch, self.channels, self.geom.in_h, self.geom.in_w]
+    }
+
     /// The column offsets `k_off` (see the type docs).
     pub(crate) fn k_off(&self) -> &[usize] {
         &self.k_off
+    }
+
+    /// Copies the interior of one zero-padded image `padded`
+    /// (`C × (H + 2p) × (W + 2p)`) into `out` (`C × H × W`): the inverse of
+    /// [`PatchTable::pad_into`] on one image.
+    pub(crate) fn crop_image(&self, padded: &[f32], out: &mut [f32]) {
+        let g = &self.geom;
+        let (hp, wp, p) = (g.padded_h(), g.padded_w(), g.pad);
+        for (src, dst) in padded.chunks_exact(hp * wp).zip(out.chunks_exact_mut(g.in_h * g.in_w)) {
+            for (y, row) in dst.chunks_exact_mut(g.in_w).enumerate() {
+                let at = (p + y) * wp + p;
+                row.copy_from_slice(&src[at..at + g.in_w]);
+            }
+        }
     }
 
     /// Copies the `[N, C, H, W]` `input` into `xpad`, zero-padded on every
@@ -416,8 +445,11 @@ pub fn im2col_into(
     Ok(())
 }
 
-/// Scatters a patch-matrix gradient back onto the padded input (the adjoint
-/// of [`im2col_into`]): overlapping windows accumulate. `out` is reset to
+/// Scatters an explicit patch-matrix gradient back onto the input (the
+/// adjoint of [`im2col_into`]): overlapping windows accumulate, each pixel
+/// in ascending patch-row order. The oracle that
+/// [`crate::ops::matmul_scatter_patches_into`], which never writes the
+/// patch-matrix gradient, is tested against. `out` is reset to
 /// `[batch, channels, H, W]` as in [`im2col_into`].
 ///
 /// # Errors

@@ -69,9 +69,19 @@
 //! implicit patch matrix read through a [`PatchTable`] from the
 //! zero-padded input (the conv `nt` forward, see [`crate::conv`]) — so
 //! all three run the same source, the stored layouts at constant strides.
-//! The packed layout keeps each panel as one full-`k` slab (the shapes
-//! this crate serves never exceed the L2 a panel streams from, so
-//! `k`-blocking bought nothing in measurement).
+//!
+//! A stored pack keeps each panel as one full-`k` slab. The one product
+//! whose `k` is a whole batch of patch rows — a convolution's weight
+//! gradient `dW = dyᵀ · patches`, `k = N·OH·OW` — is `k`-blocked instead
+//! ([`crate::ops::matmul_tn_patches_into`]): its panels are gathered
+//! `KC` = 256 patch rows at a time into one small pack, and every block
+//! after the first enters the microkernel with the output's running sums
+//! loaded into the register tile. Gathering the full-`k` panels first
+//! wrote and re-read a pack the size of the patch matrix (9.4 MB on the
+//! CIFAR CNN's second convolution); the blocked walk keeps each block in
+//! L2 and cut the dW gather plus GEMM of a CIFAR CNN training batch
+//! (batch 8, one thread of a 2-vCPU AVX-512 Xeon, median of 3 runs of 80
+//! batches) from 5.9 + 12.8 to 3.8 + 10.8 ms.
 //!
 //! # Determinism contract
 //!
@@ -87,6 +97,13 @@
 //! elements share the register tile, not any element's own ascending-`k`
 //! mul/add chain, so every variant is bit-identical to every other and to
 //! the references.
+//!
+//! The `k`-blocked entry keeps that chain across blocks: the register
+//! tile of a later block starts from the output's stored partial sums
+//! instead of `+0.0`. The running sum lives in an f32 register between
+//! two steps of the chain either way, so a partial that is stored as f32
+//! and reloaded continues exactly the chain one full-`k` call would have
+//! run — the split points never change a bit.
 //!
 //! On non-finite inputs the contract is exactly what IEEE 754 plus the
 //! compiler guarantee: ±inf and `-0.0` results are bit-identical across
@@ -132,12 +149,13 @@
 // established by the drivers in this file.
 #![allow(unsafe_code)]
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use aergia_telemetry::LazyCounter;
 
 use crate::conv::{PatchTable, RowBases};
-use crate::ops::{require_rank2, run_row_tiles};
+use crate::ops::{require_rank2, run_row_tiles, PAR_FLOPS, TILE_ROWS};
 use crate::{Tensor, TensorError};
 
 // ---------------------------------------------------------------------------
@@ -456,40 +474,51 @@ impl PackedB {
         Ok(())
     }
 
-    /// Packs the patch matrix of the zero-padded input `xpad` (see
-    /// [`PatchTable`]) into `variant`'s panel layout, gathering each
-    /// element straight from `xpad` — the same pack as
-    /// [`PackedB::pack_with`] on the explicit `im2col` matrix, without
-    /// writing that matrix first. This is the `B` operand of a
-    /// convolution's weight gradient `dW = dy_rowsᵀ · patches`.
+    /// Packs patch rows `row0 .. row0 + rows` of the zero-padded input
+    /// `xpad` (see [`PatchTable`]) into `variant`'s panel layout, as the
+    /// `rows × C·kh·kw` operand they form, gathering each element straight
+    /// from `xpad` — the same pack as [`PackedB::pack_with`] on those rows
+    /// of the explicit `im2col` matrix, without writing that matrix first.
+    /// One call is one `k`-block of a convolution's weight gradient
+    /// `dW = dy_rowsᵀ · patches` ([`gemm_patches_tn`]).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
     /// input shape of `table`.
-    pub fn pack_patches_with(
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows run past the patch matrix or `rows` is zero.
+    pub(crate) fn pack_patch_rows(
         &mut self,
         xpad: &Tensor,
         table: &PatchTable,
+        row0: usize,
+        rows: usize,
         variant: KernelVariant,
     ) -> Result<(), TensorError> {
         let m = table.check_bound("pack_patches", xpad)?;
+        assert!(rows > 0 && row0 + rows <= m, "pack_patch_rows: rows {row0}+{rows} of {m}");
         let k_off = table.k_off();
         let n = k_off.len();
-        self.reset_layout(m, n, variant, false);
+        self.reset_layout(rows, n, variant, false);
         let nr = variant.nr;
         let xd = xpad.data();
         // Row-outer, panel-inner like `pack_with`: one patch row is
         // gathered per step, fanned out over one write stream per panel.
-        let stride = m * nr;
-        for (r, base) in table.row_bases(0).take(m).enumerate() {
+        let stride = rows * nr;
+        for (r, base) in table.row_bases(row0).take(rows).enumerate() {
             let src = &xd[base..];
             for (jp, offs) in k_off.chunks(nr).enumerate() {
                 let dst = &mut self.buf[jp * stride + r * nr..jp * stride + (r + 1) * nr];
                 for (d, &o) in dst.iter_mut().zip(offs) {
-                    // SAFETY: `check_bound` above checked once that
-                    // `row_base(r) + k_off[kk] < xpad.len()` for every
-                    // `r < m` and every `kk`, i.e. `o < src.len()`.
+                    debug_assert!(o < src.len(), "patch gather overruns the padded input");
+                    // SAFETY: `PatchTable::check_bound` above checked once
+                    // per call that `row_base(r) + k_off[kk] < xpad.len()`
+                    // for every row `r < m` and every `kk`, and the rows
+                    // gathered here were asserted to lie below `m`, so
+                    // `o < src.len()`.
                     *d = unsafe { *src.get_unchecked(o) };
                 }
                 dst[offs.len()..].fill(0.0);
@@ -721,11 +750,14 @@ struct PackedTile<'a> {
 }
 
 impl<'a> PackedTile<'a> {
-    /// The tile holding output rows `row0 ..` (`row0` a multiple of `mr`)
-    /// of a [`PackedA`] buffer of `mr`-row tiles.
+    /// Steps `ks` of the tile holding output rows `row0 ..` (`row0` a
+    /// multiple of `mr`) of a [`PackedA`] buffer of `mr`-row tiles over a
+    /// shared dimension `k`. A tile is `k`-major, so a `k`-block of it is
+    /// one contiguous run.
     #[inline(always)]
-    fn cut(a: &'a [f32], k: usize, row0: usize, mr: usize) -> Self {
-        PackedTile { data: &a[row0 * k..(row0 + mr) * k], mr, k }
+    fn cut(a: &'a [f32], k: usize, row0: usize, mr: usize, ks: Range<usize>) -> Self {
+        let tile = row0 * k;
+        PackedTile { data: &a[tile + ks.start * mr..tile + ks.end * mr], mr, k: ks.len() }
     }
 }
 
@@ -834,13 +866,23 @@ fn fma_row<const SKIP: bool>(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
 /// while each individual output element still accumulates strictly
 /// ascending-`k`. The accumulators live in plain local arrays so scalar
 /// replacement keeps them in registers for the whole `k` walk; the kernel
-/// fully overwrites its `4×8` region of `acc`.
+/// fully overwrites its `4×8` region of `acc`. They start from `+0.0`, or
+/// with `ACC` from the partial sums in that region (see the module docs'
+/// determinism contract).
 #[inline(always)]
-fn scalar_4x8<'a, const SKIP: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
-    let mut x0 = [0.0f32; NR];
-    let mut x1 = [0.0f32; NR];
-    let mut x2 = [0.0f32; NR];
-    let mut x3 = [0.0f32; NR];
+fn scalar_4x8<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
+    a: A,
+    panel: &[f32],
+    acc: &mut Acc,
+) {
+    let start = |r: usize| -> [f32; NR] {
+        if ACC {
+            acc[r * NR..(r + 1) * NR].try_into().expect("an NR-wide accumulator row")
+        } else {
+            [0.0; NR]
+        }
+    };
+    let (mut x0, mut x1, mut x2, mut x3) = (start(0), start(1), start(2), start(3));
     assert!(a.fits(MR), "scalar_4x8: A subtile does not fit a 4-row kernel");
     let (a0, a1, a2, a3) = (a.row(0), a.row(1), a.row(2), a.row(3));
     for (kk, b) in panel.chunks_exact(NR).take(a.k()).enumerate() {
@@ -866,8 +908,8 @@ fn scalar_4x8<'a, const SKIP: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &
 /// Scalar microkernel for *any* tile geometry: the correctness fallback
 /// that lets a scalar-only process (or a `AERGIA_FORCE_SCALAR` run)
 /// execute packs laid out for SIMD variants. Same ascending-`k` mul/add
-/// chain per element, so same bits.
-fn scalar_any<'a, const SKIP: bool, A: SubtileA<'a>>(
+/// chain per element, from the same start (`ACC`), so same bits.
+fn scalar_any<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
     mr: usize,
     nr: usize,
     a: A,
@@ -877,7 +919,9 @@ fn scalar_any<'a, const SKIP: bool, A: SubtileA<'a>>(
     assert!(a.fits(mr), "scalar_any: A subtile does not fit the variant's mr");
     for (r, out) in acc[..mr * nr].chunks_exact_mut(nr).enumerate() {
         let row = a.row(r);
-        out.fill(0.0);
+        if !ACC {
+            out.fill(0.0);
+        }
         for (kk, b) in panel.chunks_exact(nr).take(a.k()).enumerate() {
             let av = row[a.at(kk, mr)];
             if SKIP && av == 0.0 {
@@ -984,7 +1028,8 @@ mod v512 {
 /// and `vaddps` round per lane exactly like scalar `*` and `+`, so the
 /// result is bit-identical to the scalar kernels for every input
 /// (non-finite values included). `SKIP` replicates the per-`(row, k)`
-/// exact-zero skip. Accumulator/`B` arrays are indexed only by
+/// exact-zero skip; `ACC` starts the accumulators from the partial sums
+/// in `acc` instead of `+0.0`. Accumulator/`B` arrays are indexed only by
 /// constant-bounded loops, which LLVM fully unrolls and SROAs into
 /// registers.
 #[cfg(target_arch = "x86_64")]
@@ -997,7 +1042,11 @@ macro_rules! simd_kernel {
         /// and `a` must fit this kernel's `mr`. (`a`'s own reads are then
         /// covered by the [`SubtileA`] invariant.)
         #[target_feature(enable = $feat)]
-        unsafe fn $name<'a, const SKIP: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
+        unsafe fn $name<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
+            a: A,
+            panel: &[f32],
+            acc: &mut Acc,
+        ) {
             const MRK: usize = $mr;
             const NV: usize = $nv;
             let nr = NV * $v::LANES;
@@ -1007,6 +1056,19 @@ macro_rules! simd_kernel {
                 *row = a.row(r);
             }
             let mut c = [[$v::zero(); NV]; MRK];
+            if ACC {
+                debug_assert!(MRK * nr <= acc.len(), "register tile larger than Acc");
+                let ip = acc.as_ptr();
+                for (r, cr) in c.iter_mut().enumerate() {
+                    for (v, cv) in cr.iter_mut().enumerate() {
+                        // SAFETY: `r < MRK ≤ MR_MAX` and
+                        // `v·LANES + LANES ≤ nr ≤ NR_MAX`, so the vector
+                        // ends within `acc`'s `MR_MAX·NR_MAX` elements —
+                        // the bound the write-back below relies on too.
+                        *cv = $v::load(ip.add(r * nr + v * $v::LANES));
+                    }
+                }
+            }
             for kk in 0..a.k() {
                 let mut b = [$v::zero(); NV];
                 for (v, bv) in b.iter_mut().enumerate() {
@@ -1050,7 +1112,7 @@ simd_kernel!(avx512_8x32, "avx512f", v512, 8, 2);
 /// in this process (wrong CPU or `AERGIA_FORCE_SCALAR`) — the fallback
 /// computes identical bits, just slower.
 #[inline(always)]
-fn run_kernel<'a, const SKIP: bool, A: SubtileA<'a>>(
+fn run_kernel<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
     variant: KernelVariant,
     a: A,
     panel: &[f32],
@@ -1064,17 +1126,17 @@ fn run_kernel<'a, const SKIP: bool, A: SubtileA<'a>>(
         // two assertions above are the kernels' remaining preconditions.
         unsafe {
             match (variant.isa, variant.mr, variant.nr) {
-                (Isa::Avx2, 4, 16) => return avx2_4x16::<SKIP, A>(a, panel, acc),
-                (Isa::Avx512, 8, 16) => return avx512_8x16::<SKIP, A>(a, panel, acc),
-                (Isa::Avx512, 8, 32) => return avx512_8x32::<SKIP, A>(a, panel, acc),
+                (Isa::Avx2, 4, 16) => return avx2_4x16::<SKIP, ACC, A>(a, panel, acc),
+                (Isa::Avx512, 8, 16) => return avx512_8x16::<SKIP, ACC, A>(a, panel, acc),
+                (Isa::Avx512, 8, 32) => return avx512_8x32::<SKIP, ACC, A>(a, panel, acc),
                 _ => {}
             }
         }
     }
     if (variant.mr, variant.nr) == (MR, NR) {
-        scalar_4x8::<SKIP, A>(a, panel, acc);
+        scalar_4x8::<SKIP, ACC, A>(a, panel, acc);
     } else {
-        scalar_any::<SKIP, A>(variant.mr, variant.nr, a, panel, acc);
+        scalar_any::<SKIP, ACC, A>(variant.mr, variant.nr, a, panel, acc);
     }
 }
 
@@ -1097,6 +1159,27 @@ fn write_back(
     }
 }
 
+/// Loads the live part of a register tile from the output rows, the
+/// partial sums an accumulating block continues: the inverse of
+/// [`write_back`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn read_back(
+    acc: &mut Acc,
+    nr: usize,
+    rows: &[f32],
+    n: usize,
+    r0: usize,
+    mrows: usize,
+    col0: usize,
+    ncols: usize,
+) {
+    for r in 0..mrows {
+        let orow = &rows[(r0 + r) * n + col0..(r0 + r) * n + col0 + ncols];
+        acc[r * nr..r * nr + ncols].copy_from_slice(orow);
+    }
+}
+
 /// Driver for the row-major-`A` packed kernels (`nn` with
 /// `SKIP = true`, `nt` with `SKIP = false`): parallel
 /// [`run_row_tiles`] over the output, one [`gemm_row_tile`] per tile.
@@ -1105,7 +1188,7 @@ pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, 
     let m = od.len() / n.max(1);
     count_gemm_call(if SKIP { GemmOp::Nn } else { GemmOp::Nt }, pb.variant);
     run_row_tiles(od, n, m * n * k, |first_row, rows| {
-        gemm_row_tile::<SKIP, _>(
+        gemm_row_tile::<SKIP, false, _>(
             |row0, mrows| RowMajor::cut(ad, k, row0, mrows),
             pb,
             first_row,
@@ -1114,24 +1197,48 @@ pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, 
     });
 }
 
-/// Driver for the packed-`A` kernel (`tn`). Row-tile boundaries are
-/// multiples of every variant's `mr` (the parallel tile size is a multiple
-/// of [`MR_MAX`]), so output sub-tiles map 1:1 onto [`PackedA`] tiles.
+/// Driver for the packed-`A` kernel (`tn`): one full-`k` block.
+pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
+    count_gemm_call(GemmOp::Tn, pa.variant);
+    gemm_tn_block::<false>(pa, 0, pb, od);
+}
+
+/// Shared-dimension rows per block of the `k`-blocked weight gradient
+/// ([`gemm_patches_tn`]). Every value gives the same bits (see the module
+/// docs), so it is chosen by timing alone: a block of the CIFAR CNN's
+/// widest patch panels (`C·kh·kw` = 1 152) is then 1.2 MB, inside L2. On
+/// a 2-vCPU AVX-512 Xeon, 128, 256 and 512 timed alike on the CIFAR CNN's
+/// backward; 64 and 1 024 were slower.
+pub(crate) const KC: usize = 256;
+
+/// One `k`-block of a packed-`A` product: `A`'s shared steps
+/// `k0 .. k0 + pb.k()` times `pb`, a pack of just those `k` rows of `B`.
+/// Without `ACC` the block overwrites `od`; with `ACC` it continues the
+/// partial sums `od` holds from the blocks before `k0`. Row-tile
+/// boundaries are multiples of every variant's `mr` (the parallel tile
+/// size is a multiple of [`MR_MAX`]), so output sub-tiles map 1:1 onto
+/// [`PackedA`] tiles. Uncounted: the drivers count their call once.
 ///
 /// # Panics
 ///
 /// Panics if the packs were laid out for different kernel variants — the
 /// tile height comes from `pa` and the panel width from `pb`, so a mixed
-/// pair has no kernel to run on.
-pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
+/// pair has no kernel to run on — or if the block runs past `A`'s `k`.
+fn gemm_tn_block<const ACC: bool>(pa: &PackedA, k0: usize, pb: &PackedB, od: &mut [f32]) {
     assert_eq!(
         pa.variant, pb.variant,
         "gemm_packed_tn: operand packs were laid out for different kernel variants"
     );
-    count_gemm_call(GemmOp::Tn, pa.variant);
     let (a, k, mr) = (&pa.buf[..], pa.k, pa.variant.mr);
-    run_row_tiles(od, pb.n, pa.m * pb.n * k, |first_row, rows| {
-        gemm_row_tile::<true, _>(|row0, _| PackedTile::cut(a, k, row0, mr), pb, first_row, rows);
+    let ks = k0..k0 + pb.k;
+    assert!(ks.end <= k, "gemm_tn_block: steps {ks:?} run past k = {k}");
+    run_row_tiles(od, pb.n, pa.m * pb.n * pb.k, |first_row, rows| {
+        gemm_row_tile::<true, ACC, _>(
+            |row0, _| PackedTile::cut(a, k, row0, mr, ks.clone()),
+            pb,
+            first_row,
+            rows,
+        );
     });
 }
 
@@ -1168,7 +1275,7 @@ pub(crate) fn gemm_patches_nt(
         // Subtiles are cut in row order, so one stepped walk of the row
         // bases serves the whole tile.
         let mut bases = table.row_bases(first_row);
-        gemm_row_tile::<false, _>(
+        gemm_row_tile::<false, false, _>(
             |_, mrows| Patches::cut(xd, k_off, &mut bases, mrows),
             pb,
             first_row,
@@ -1176,6 +1283,152 @@ pub(crate) fn gemm_patches_nt(
         );
     });
     Ok(())
+}
+
+/// Driver for a convolution's weight gradient `dW = Aᵀ · patches(xpad)`
+/// (the `tn` form, skip-zero on `A`), `k`-blocked: the `B` panels are
+/// gathered [`KC`] patch rows at a time into `block` (one small pack,
+/// rewritten per block) and each block after the first continues the
+/// partial sums in `out` (see the module docs). `out` is reset to
+/// `[m, C·kh·kw]` and overwritten, and the call counts once, as
+/// [`gemm_packed_tn`] on the full gathered pack does — whose bits it
+/// gives.
+pub(crate) fn gemm_patches_tn(
+    pa: &PackedA,
+    xpad: &Tensor,
+    table: &PatchTable,
+    block: &mut PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    let rows = table.check_bound("matmul_tn_patches", xpad)?;
+    if pa.k != rows {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_tn_patches",
+            lhs: vec![pa.k, pa.m],
+            rhs: vec![rows, table.k()],
+        });
+    }
+    out.reset_for_overwrite(&[pa.m, table.k()]);
+    count_gemm_call(GemmOp::Tn, pa.variant);
+    for k0 in (0..rows).step_by(KC) {
+        block.pack_patch_rows(xpad, table, k0, KC.min(rows - k0), pa.variant)?;
+        if k0 == 0 {
+            gemm_tn_block::<false>(pa, k0, block, out.data_mut());
+        } else {
+            gemm_tn_block::<true>(pa, k0, block, out.data_mut());
+        }
+    }
+    Ok(())
+}
+
+/// Driver for a convolution's input gradient without its patch-matrix
+/// gradient: `dx = col2im(dy_rows · W)` (the `nn` form, skip-zero on
+/// `dy_rows`), computed per image, [`TILE_ROWS`] patch rows at a time.
+/// Each tile `dy_rows[rows] · W` is scatter-added, in ascending row
+/// order, into the image's zero-padded gradient in `dxpad` through
+/// `table`, and the image is then cropped into `out` — per pixel the
+/// addition order of [`crate::conv::col2im_into`], so its bits. Groups of
+/// images run in parallel once the product clears the threading
+/// threshold, each with its own tile slice of `tiles`. `dxpad`, `tiles`
+/// and `out` are reset and overwritten; the call counts once, as the
+/// `nn` GEMM it replaces.
+pub(crate) fn gemm_scatter_patches(
+    dy_rows: &Tensor,
+    pb: &PackedB,
+    table: &PatchTable,
+    tiles: &mut Tensor,
+    dxpad: &mut Tensor,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    const OP: &str = "matmul_scatter_patches";
+    let (m, k) = require_rank2(OP, dy_rows)?;
+    let (n, pixels) = (pb.n, table.rows(1));
+    if k != pb.k || n != table.k() || m % pixels != 0 {
+        return Err(TensorError::ShapeMismatch {
+            op: OP,
+            lhs: dy_rows.dims().to_vec(),
+            rhs: vec![pb.k, pb.n],
+        });
+    }
+    let batch = m / pixels;
+    dxpad.reset_for_overwrite(&table.padded_dims(batch));
+    table.check_bound(OP, dxpad)?;
+    out.reset_for_overwrite(&table.input_dims(batch));
+    let (img_len, out_len) = (dxpad.numel() / batch, out.numel() / batch);
+    let threads = if m * k * n >= PAR_FLOPS { aergia_runtime::parallelism() } else { 1 };
+    let per_group = batch.div_ceil(threads.min(batch));
+    let groups = batch.div_ceil(per_group);
+    tiles.reset_for_overwrite(&[groups * TILE_ROWS, n]);
+    count_gemm_call(GemmOp::Nn, pb.variant);
+
+    let ad = dy_rows.data();
+    let work = |first_img: usize, xp: &mut [f32], dx: &mut [f32], tile: &mut [f32]| {
+        for (i, (img, dx_img)) in
+            xp.chunks_exact_mut(img_len).zip(dx.chunks_exact_mut(out_len)).enumerate()
+        {
+            img.fill(0.0);
+            let row0 = (first_img + i) * pixels;
+            for p0 in (0..pixels).step_by(TILE_ROWS) {
+                let tile = &mut tile[..TILE_ROWS.min(pixels - p0) * n];
+                gemm_row_tile::<true, false, _>(
+                    |row, mrows| RowMajor::cut(ad, k, row, mrows),
+                    pb,
+                    row0 + p0,
+                    tile,
+                );
+                scatter_patch_rows(tile, table, p0, img);
+            }
+            table.crop_image(img, dx_img);
+        }
+    };
+    let parts = dxpad
+        .data_mut()
+        .chunks_mut(per_group * img_len)
+        .zip(out.data_mut().chunks_mut(per_group * out_len))
+        .zip(tiles.data_mut().chunks_exact_mut(TILE_ROWS * n))
+        .enumerate();
+    let work = &work;
+    aergia_runtime::scope(|s| {
+        // The caller takes the last group itself, so one group never
+        // leaves the calling thread.
+        for (g, ((xp, dx), tile)) in parts {
+            if g + 1 == groups {
+                work(g * per_group, xp, dx, tile);
+            } else {
+                s.spawn(move || work(g * per_group, xp, dx, tile));
+            }
+        }
+    });
+    Ok(())
+}
+
+/// Adds the rows of `tile` — patch-matrix gradient rows `p0 ..` of one
+/// image — into that image's zero-padded gradient `img` through `table`,
+/// one row after another in ascending order. Within a row every element
+/// lands on a distinct pixel, so each pixel receives its contributions in
+/// ascending row order, as in [`crate::conv::col2im_into`].
+fn scatter_patch_rows(tile: &[f32], table: &PatchTable, p0: usize, img: &mut [f32]) {
+    let k_off = table.k_off();
+    assert!(
+        img.len() == table.padded_dims(1).iter().product::<usize>()
+            && p0 + tile.len() / k_off.len() <= table.rows(1),
+        "scatter_patch_rows: the tile or the image is out of shape"
+    );
+    for (row, base) in tile.chunks_exact(k_off.len()).zip(table.row_bases(p0)) {
+        let dst = &mut img[base..];
+        for (&v, &o) in row.iter().zip(k_off) {
+            debug_assert!(o < dst.len(), "patch scatter overruns the padded image");
+            // SAFETY: `PatchTable::check_bound` checked once per call (in
+            // `gemm_scatter_patches`) that `row_base(m − 1) + k_off[k − 1]`
+            // is inside the padded batch. Row bases repeat per image
+            // (`row_base(i·P + p) = i·img_len + row_base(p)` for `P` pixels)
+            // and both offsets increase, so for a pixel `p < P` of one image
+            // `row_base(p) + k_off[kk] < img_len`. The assertion above keeps
+            // every row of the tile below `P` and `img` one padded image
+            // long, so `base + o < img.len()`, i.e. `o < dst.len()`.
+            unsafe { *dst.get_unchecked_mut(o) += v };
+        }
+    }
 }
 
 /// One row tile of any packed GEMM: computes output rows
@@ -1193,8 +1446,13 @@ pub(crate) fn gemm_patches_nt(
 /// unguarded microkernel — bit-exact because a guard that never fires
 /// contributes nothing — and only subtiles that actually contain zeros pay
 /// for the guarded instantiation (where the skip then saves real work,
-/// e.g. on ReLU-masked gradients).
-fn gemm_row_tile<'a, const SKIP: bool, A: SubtileA<'a>>(
+/// e.g. on ReLU-masked gradients). The subtile counters therefore count
+/// per call of this function: per row tile, per `k`-block.
+///
+/// `ACC` says whether `rows` holds partial sums to continue (a later
+/// `k`-block); without it the kernels start from `+0.0` and the previous
+/// contents of `rows` are never read.
+fn gemm_row_tile<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
     mut cut: impl FnMut(usize, usize) -> A,
     pb: &PackedB,
     first_row: usize,
@@ -1222,10 +1480,13 @@ fn gemm_row_tile<'a, const SKIP: bool, A: SubtileA<'a>>(
             let panel = pb.panel(jp);
             let col0 = jp * nr;
             let ncols = (n - col0).min(nr);
+            if ACC {
+                read_back(&mut acc, nr, rows, n, r0, mrows, col0, ncols);
+            }
             if dense {
-                run_kernel::<false, A>(variant, sub, panel, &mut acc);
+                run_kernel::<false, ACC, A>(variant, sub, panel, &mut acc);
             } else {
-                run_kernel::<true, A>(variant, sub, panel, &mut acc);
+                run_kernel::<true, ACC, A>(variant, sub, panel, &mut acc);
             }
             write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
         }
@@ -1332,12 +1593,38 @@ mod tests {
         Tensor::from_vec(data, dims).unwrap()
     }
 
+    /// A `dims` gradient-like tensor: values in `[-1, 1)`; with `zeros`,
+    /// about one element in seven is an exact zero of either sign (the
+    /// skip-zero path, as on ReLU-masked gradients); with `specials`,
+    /// about one in twenty is NaN or ±inf.
+    fn sparse_input(dims: &[usize], seed: u64, zeros: bool, specials: bool) -> Tensor {
+        use rand::{RngExt as _, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data = (0..dims.iter().product())
+            .map(|_| match rng.random_range(0u32..100) {
+                0..=9 if zeros => 0.0,
+                10..=13 if zeros => -0.0,
+                14 | 15 if specials => f32::NAN,
+                16 | 17 if specials => f32::INFINITY,
+                18 if specials => f32::NEG_INFINITY,
+                _ => rng.random_range(-1.0f32..1.0),
+            })
+            .collect();
+        Tensor::from_vec(data, dims).unwrap()
+    }
+
+    /// The bits of a pack's whole buffer, padding included.
+    fn pack_bits(pb: &PackedB) -> Vec<u32> {
+        pb.buf.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// One convolution case against the explicit oracle, on every
     /// variant, through dirty buffers of other shapes (a NaN-filled padded
     /// copy, output and pack): the implicit forward must give
     /// `matmul_nt_reference(im2col(x), W)` — NaN positions plus the exact
-    /// bits of every other element — and the gathered dW panels must be
-    /// `pack_with(im2col(x))` bit for bit.
+    /// bits of every other element — and the gathered dW panels, whole or
+    /// as a block of rows, must be `pack_with` of those rows of
+    /// `im2col(x)` bit for bit.
     fn check_patches_against_im2col(
         (n, c, h, w): (usize, usize, usize, usize),
         (kernel, stride, pad): (usize, usize, usize),
@@ -1368,15 +1655,95 @@ mod tests {
             ops::matmul_nt_patches_into(&xpad, &table, &pwt, &mut out).unwrap();
             assert_same_modulo_nan_bits(&out, &want, &format!("forward {case} {variant:?}"));
 
-            let mut oracle = PackedB::new();
-            oracle.pack_with(&cols, variant).unwrap();
-            patches.pack_patches_with(&xpad, &table, variant).unwrap();
-            assert_eq!(
-                (patches.k(), patches.n(), patches.variant()),
-                (oracle.k(), oracle.n(), variant)
-            );
-            let bits = |pb: &PackedB| pb.buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&patches), bits(&oracle), "dW panels {case} {variant:?}");
+            let m = table.rows(n);
+            let r0 = m / 3;
+            for rows in [r0..m, r0..m.min(r0 + 5)] {
+                let ckk = cols.dims()[1];
+                let block = &cols.data()[rows.start * ckk..rows.end * ckk];
+                let mut oracle = PackedB::new();
+                oracle
+                    .pack_with(
+                        &Tensor::from_vec(block.to_vec(), &[rows.len(), ckk]).unwrap(),
+                        variant,
+                    )
+                    .unwrap();
+                patches.pack_patch_rows(&xpad, &table, rows.start, rows.len(), variant).unwrap();
+                assert_eq!(
+                    (patches.k(), patches.n(), patches.variant()),
+                    (oracle.k(), oracle.n(), variant)
+                );
+                assert_eq!(
+                    pack_bits(&patches),
+                    pack_bits(&oracle),
+                    "dW panels {case} {rows:?} {variant:?}"
+                );
+            }
+        }
+    }
+
+    /// A convolution's backward against the explicit oracle, on every
+    /// variant, through NaN-filled buffers of other shapes (padded copy,
+    /// block pack, tiles, padded gradient and both outputs), with exact
+    /// zeros (`zeros`) and NaN / ±inf (`specials`) in `x`, `dy` and `W`:
+    ///
+    /// * the `k`-blocked weight gradient must give
+    ///   `matmul_tn_reference(dy_rows, im2col(x))` and the one-call
+    ///   `matmul_tn_packed_into` over `pack_with(im2col(x))`;
+    /// * the chunked input gradient must give
+    ///   `col2im(matmul_packed_into(dy_rows, pack_with(W)))` and
+    ///   `col2im(matmul_reference(dy_rows, W))`;
+    ///
+    /// each as NaN positions plus the exact bits of every other element.
+    fn check_backward_against_im2col(
+        (n, c, h, w): (usize, usize, usize, usize),
+        (kernel, stride, pad): (usize, usize, usize),
+        oc: usize,
+        (zeros, specials): (bool, bool),
+        (gr, gc): (usize, usize),
+        seed: u64,
+    ) {
+        let geom = crate::conv::ConvGeometry::new(h, w, kernel, kernel, stride, pad);
+        let table = PatchTable::new(c, &geom);
+        let (rows, ckk) = (table.rows(n), table.k());
+        let x = conv_input(&[n, c, h, w], seed, specials);
+        let dy = sparse_input(&[rows, oc], seed ^ 0xd1, zeros, specials);
+        let weight = sparse_input(&[oc, ckk], seed ^ 0x5eed, zeros, specials);
+        let mut cols = Tensor::default();
+        crate::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
+        let dw_ref = ops::matmul_tn_reference(&dy, &cols).unwrap();
+        let mut dx_ref = Tensor::default();
+        let dcols_ref = ops::matmul_reference(&dy, &weight).unwrap();
+        crate::conv::col2im_into(&dcols_ref, n, c, &geom, &mut dx_ref).unwrap();
+
+        let nan = |dims: &[usize]| Tensor::full(dims, f32::NAN);
+        let mut xpad = nan(&[gr, gc]);
+        table.pad_into(&x, &mut xpad).unwrap();
+        let mut block = PackedB::new();
+        block.pack_with(&nan(&[gr + 3, gc + 5]), KernelVariant::PORTABLE).unwrap();
+        let (mut dw, mut tiles, mut dxpad, mut dx) =
+            (nan(&[gc, gr]), nan(&[gr + 1, gc]), nan(&[gc + 2, gr]), nan(&[gr, gc + 3]));
+        let case = format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} oc{oc}");
+        for variant in all_variants() {
+            let mut pa = PackedA::new();
+            pa.pack_transposed_with(&dy, variant).unwrap();
+            ops::matmul_tn_patches_into(&pa, &xpad, &table, &mut block, &mut dw).unwrap();
+            assert_same_modulo_nan_bits(&dw, &dw_ref, &format!("dW {case} {variant:?}"));
+            let mut full = PackedB::new();
+            full.pack_with(&cols, variant).unwrap();
+            let mut dw_one = Tensor::default();
+            ops::matmul_tn_packed_into(&pa, &full, &mut dw_one).unwrap();
+            assert_same_modulo_nan_bits(&dw, &dw_one, &format!("dW one call {case} {variant:?}"));
+
+            let mut pw = PackedB::new();
+            pw.pack_with(&weight, variant).unwrap();
+            let mut dcols = Tensor::default();
+            ops::matmul_packed_into(&dy, &pw, &mut dcols).unwrap();
+            let mut dx_one = Tensor::default();
+            crate::conv::col2im_into(&dcols, n, c, &geom, &mut dx_one).unwrap();
+            ops::matmul_scatter_patches_into(&dy, &pw, &table, &mut tiles, &mut dxpad, &mut dx)
+                .unwrap();
+            assert_same_modulo_nan_bits(&dx, &dx_one, &format!("dx {case} {variant:?}"));
+            assert_same_modulo_nan_bits(&dx, &dx_ref, &format!("dx reference {case} {variant:?}"));
         }
     }
 
@@ -1407,6 +1774,102 @@ mod tests {
                 (gr, gc),
                 seed,
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The `k`-blocked weight gradient and the chunked input gradient
+        /// equal the explicit `im2col` / `col2im` oracles: kernels 1, 3
+        /// and 5, stride 1 and 2, padding 0–2, pixel counts that are no
+        /// multiple of any `mr` or of the tile height, exact zeros,
+        /// non-finite values, dirty buffers.
+        #[test]
+        fn implicit_patches_backward_matches_the_explicit_oracles_bitwise(
+            (n, c, oc) in (1usize..4, 1usize..4, 1usize..24),
+            (h, w, pad) in (1usize..15, 1usize..15, 0usize..3),
+            (kernel, stride) in (0usize..3, 1usize..3),
+            (zeros, specials) in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            (gr, gc) in (1usize..9, 1usize..9),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let kernel: usize = [1, 3, 5][kernel];
+            let fit = |d: usize| d.max(kernel.saturating_sub(2 * pad));
+            check_backward_against_im2col(
+                (n, c, fit(h), fit(w)),
+                (kernel, stride, pad),
+                oc,
+                (zeros, specials),
+                (gr, gc),
+                seed,
+            );
+        }
+    }
+
+    /// Fixed backward cases the property cannot reach or must never miss:
+    /// a shared dimension below, at and past [`KC`] (ragged, and three or
+    /// more blocks), 14×14 images (196 patch rows: no multiple of any `mr`
+    /// or of the tile height) at batch 1, and batches larger than the pool
+    /// above the threading threshold, so image groups run on several
+    /// threads and the last group is short.
+    #[test]
+    fn implicit_patches_backward_covers_blocks_tiles_and_image_groups() {
+        let rows = |n: usize, hw: usize| n * hw * hw;
+        assert!(rows(1, 7) < KC && rows(1, 16) == KC);
+        assert!(rows(3, 16) == 3 * KC && rows(5, 14) > 3 * KC && rows(5, 14) % KC != 0);
+        check_backward_against_im2col((1, 2, 7, 7), (3, 1, 1), 5, (true, true), (2, 3), 1);
+        check_backward_against_im2col((1, 1, 16, 16), (3, 1, 1), 9, (true, false), (3, 2), 2);
+        check_backward_against_im2col((3, 2, 16, 16), (3, 1, 1), 8, (false, false), (1, 1), 3);
+        check_backward_against_im2col((5, 3, 14, 14), (3, 1, 1), 16, (true, true), (4, 4), 4);
+        check_backward_against_im2col((1, 3, 14, 14), (5, 1, 2), 7, (true, false), (2, 2), 5);
+        check_backward_against_im2col((1, 2, 28, 28), (1, 2, 0), 3, (false, true), (5, 1), 6);
+        let batch = aergia_runtime::parallelism() + 3;
+        let (m, k, n) = (rows(batch, 14), 16, 3 * 5 * 5);
+        assert!(m * k * n >= PAR_FLOPS, "the image groups must take the pool path");
+        check_backward_against_im2col((batch, 3, 14, 14), (5, 1, 2), 16, (true, true), (3, 3), 7);
+        check_backward_against_im2col((batch, 3, 27, 27), (3, 2, 1), 16, (true, false), (2, 5), 8);
+    }
+
+    /// Splitting the shared dimension across a first block and an
+    /// accumulating one continues each element's chain exactly: on every
+    /// variant, for split points at the edges, mid-tile and past a
+    /// subtile, with zeros and non-finite values in both operands and a
+    /// NaN-filled output before the first block.
+    #[test]
+    fn accumulate_entry_continues_the_one_call_chain_on_every_variant() {
+        let (k, m, n) = (37, 13, 21);
+        for (case, &(zeros, specials)) in
+            [(true, false), (false, false), (true, true), (false, true)].iter().enumerate()
+        {
+            let a = sparse_input(&[k, m], 10 + case as u64, zeros, specials);
+            let b = sparse_input(&[k, n], 20 + case as u64, zeros, specials);
+            let want = ops::matmul_tn_reference(&a, &b).unwrap();
+            let rows_of = |t: &Tensor, ks: Range<usize>| {
+                let w = t.dims()[1];
+                Tensor::from_vec(t.data()[ks.start * w..ks.end * w].to_vec(), &[ks.len(), w])
+                    .unwrap()
+            };
+            for variant in all_variants() {
+                let mut pa = PackedA::new();
+                pa.pack_transposed_with(&a, variant).unwrap();
+                let mut pb = PackedB::new();
+                pb.pack_with(&b, variant).unwrap();
+                let mut one = Tensor::default();
+                ops::matmul_tn_packed_into(&pa, &pb, &mut one).unwrap();
+                assert_same_modulo_nan_bits(&one, &want, &format!("one call {case} {variant:?}"));
+                for split in [1, 5, 8, 19, k - 1] {
+                    let mut out = vec![f32::NAN; m * n];
+                    let (mut first, mut rest) = (PackedB::new(), PackedB::new());
+                    first.pack_with(&rows_of(&b, 0..split), variant).unwrap();
+                    rest.pack_with(&rows_of(&b, split..k), variant).unwrap();
+                    gemm_tn_block::<false>(&pa, 0, &first, &mut out);
+                    gemm_tn_block::<true>(&pa, split, &rest, &mut out);
+                    let got = Tensor::from_vec(out, &[m, n]).unwrap();
+                    let what = format!("split {split} case {case} {variant:?}");
+                    assert_same_modulo_nan_bits(&got, &one, &what);
+                }
+            }
         }
     }
 

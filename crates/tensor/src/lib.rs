@@ -9,8 +9,9 @@
 //!   [`Tensor::scale`]),
 //! * packed 2-D matrix multiplication in three forms ([`ops`], over the
 //!   [`gemm`] microkernels) with naive reference oracles,
-//! * implicit-GEMM convolution lowering over a zero-padded input, plus
-//!   `col2im` ([`conv`]),
+//! * implicit-GEMM convolution lowering over a zero-padded input, for the
+//!   forward and both gradients, with explicit `im2col` / `col2im` as its
+//!   oracles ([`conv`]),
 //! * a buffer and pack pool for allocation-free steady-state loops
 //!   ([`Workspace`]),
 //! * seeded random initialisation ([`init`]), including Box–Muller Gaussian

@@ -11,9 +11,12 @@
 //! the shared dimension. A convolution's forward runs the `A·Bᵀ` form
 //! with an implicit `A` ([`matmul_nt_patches_into`]): the patch matrix is
 //! read through a [`PatchTable`] from the zero-padded input, never
-//! written. Output row tiles are claimed by the threads of
-//! the [`aergia_runtime`] pool once a product is worth threading
-//! (`PAR_FLOPS`).
+//! written. Its backward does the same for the weight gradient's `B`
+//! (the `Aᵀ·B` form, `k`-blocked: [`matmul_tn_patches_into`]) and
+//! scatters the input gradient's `A·B` tiles back through the table
+//! ([`matmul_scatter_patches_into`]). Output row tiles are claimed by
+//! the threads of the [`aergia_runtime`] pool once a product is worth
+//! threading (`PAR_FLOPS`).
 //!
 //! The caller owns the packs, so a cached weight pack is reused across
 //! calls and transient packs recycle through [`crate::Workspace`] pools
@@ -36,7 +39,10 @@
 //! [`crate::gemm`] for why the register tile preserves the contract).
 
 use crate::conv::PatchTable;
-use crate::gemm::{gemm_packed, gemm_packed_tn, gemm_patches_nt, PackedA, PackedB};
+use crate::gemm::{
+    gemm_packed, gemm_packed_tn, gemm_patches_nt, gemm_patches_tn, gemm_scatter_patches, PackedA,
+    PackedB,
+};
 use crate::{Tensor, TensorError};
 
 /// Output rows per parallel tile: big enough to amortise a claim, small
@@ -48,7 +54,7 @@ pub(crate) const TILE_ROWS: usize = 64;
 /// Multiply-accumulate count below which a product runs on the calling
 /// thread: at ~1 ns/flop the threshold (~260k) is a few hundred
 /// microseconds, comfortably above the pool's per-tile overhead.
-const PAR_FLOPS: usize = 1 << 18;
+pub(crate) const PAR_FLOPS: usize = 1 << 18;
 
 /// Width of the fixed-size chunks the elementwise kernels
 /// ([`add_bias_rows`], [`sum_rows_into`]) process per step — a bounded
@@ -303,6 +309,70 @@ pub fn matmul_nt_patches_into(
 ) -> Result<(), TensorError> {
     assert!(pb.is_valid(), "matmul_nt_patches_into: stale PackedB (pack or ensure it first)");
     gemm_patches_nt(xpad, table, pb, out)
+}
+
+/// [`matmul_tn_packed_into`] with the implicit patch matrix of a
+/// convolution as `B`: `Aᵀ (k×m) · patches(xpad) (k×n) → C (m×n)` — a
+/// convolution's weight gradient `dW = dy_rowsᵀ · patches`, with `pa` the
+/// packed `dy_rows`. The shared dimension is a whole batch of patch rows,
+/// so it is walked in blocks: `block` is a scratch pack that receives the
+/// `B` panels of one block at a time, gathered from `xpad` through
+/// `table`, and each later block continues the partial sums in `out`.
+/// Bit-identical to [`matmul_tn_reference`] on the explicit
+/// [`crate::conv::im2col_into`] matrix, with the same `tn` GEMM count, but
+/// neither that matrix nor its full pack is ever written. `block` and
+/// `out` are reset and overwritten.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
+/// input shape of `table` or `pa`'s `k` is not its patch-row count; `out`
+/// is untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pa` is stale.
+pub fn matmul_tn_patches_into(
+    pa: &PackedA,
+    xpad: &Tensor,
+    table: &PatchTable,
+    block: &mut PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    assert!(pa.is_valid(), "matmul_tn_patches_into: stale PackedA (pack it first)");
+    gemm_patches_tn(pa, xpad, table, block, out)
+}
+
+/// A convolution's input gradient `dx = col2im(dy_rows · W)` without the
+/// `[N·OH·OW, C·kh·kw]` patch-matrix gradient: `dy_rows · W` (`W` packed
+/// in `pb`, skip-zero on `dy_rows` as in [`matmul_packed_into`]) is
+/// computed a few patch rows at a time into a tile of `tiles` and
+/// scatter-added through `table` into the zero-padded gradient `dxpad`,
+/// which is then cropped into `out` (`[N, C, H, W]`). Bit-identical to
+/// [`matmul_packed_into`] followed by [`crate::conv::col2im_into`], with
+/// the same `nn` GEMM count. `tiles`, `dxpad` and `out` are reset and
+/// overwritten, so their previous shapes and contents never matter.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] if `dy_rows` is not rank 2 and
+/// [`TensorError::ShapeMismatch`] if its columns disagree with the pack's
+/// `k`, the pack's `n` with the table's `k`, or its rows are no whole
+/// number of images; the outputs are untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pb` is stale.
+pub fn matmul_scatter_patches_into(
+    dy_rows: &Tensor,
+    pb: &PackedB,
+    table: &PatchTable,
+    tiles: &mut Tensor,
+    dxpad: &mut Tensor,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    assert!(pb.is_valid(), "matmul_scatter_patches_into: stale PackedB (pack or ensure it first)");
+    gemm_scatter_patches(dy_rows, pb, table, tiles, dxpad, out)
 }
 
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the
