@@ -81,27 +81,6 @@ impl Scale {
     }
 }
 
-/// Engine-level parallelism for benchmark configurations, read from
-/// `AERGIA_THREADS` (the same variable that sizes the global
-/// [`aergia_runtime`] pool): unset or unparsable means `0` — every
-/// pool thread claims clients — except on a single-core host, where the
-/// fan-out is pure scheduling overhead and the default drops to `1` (fully
-/// serial rounds, the same mode the determinism suite uses for its
-/// reference run). Rounds are bit-identical across parallelism settings,
-/// so the adaptive default never changes benchmark output.
-pub fn engine_parallelism() -> usize {
-    match std::env::var("AERGIA_THREADS").ok().and_then(|v| v.parse().ok()) {
-        Some(n) => n,
-        None if single_core() => 1,
-        None => 0,
-    }
-}
-
-/// Whether the host exposes only one hardware thread.
-fn single_core() -> bool {
-    std::thread::available_parallelism().is_ok_and(|n| n.get() == 1)
-}
-
 /// The paper's dataset/architecture pairings for Figures 6 and 7.
 pub(crate) fn eval_pairs() -> Vec<(DatasetSpec, ModelArch)> {
     vec![
@@ -159,7 +138,6 @@ pub fn base_config(
         speeds: aergia_simnet::cluster::uniform_speeds(clients, 0.1, 1.0, seed ^ 0x5eed),
         eval_samples: scale.scaled(256, 64),
         mode: Mode::Real,
-        parallelism: engine_parallelism(),
         seed,
         ..ExperimentConfig::default()
     }
@@ -191,7 +169,6 @@ pub fn scaleout_config(
         batch_size: 8,
         speeds: aergia_simnet::cluster::uniform_speeds(simulated, 0.05, 1.0, seed),
         mode: Mode::Timing,
-        parallelism: engine_parallelism(),
         client_state: aergia::config::ClientStateMode::CohortSampled { max_resident: trained },
         seed,
         ..ExperimentConfig::default()
@@ -216,7 +193,8 @@ pub fn run(config: ExperimentConfig, strategy: Strategy) -> RunResult {
 /// thrash caches — which cannot change results: each job is a pure
 /// function of its configuration.
 pub(crate) fn run_parallel(jobs: Vec<(ExperimentConfig, Strategy)>) -> Vec<RunResult> {
-    let workers = if single_core() { 1 } else { 2 };
+    let single_core = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
+    let workers = if single_core { 1 } else { 2 };
     let n = jobs.len();
     let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
     let queue: std::sync::Mutex<Vec<(usize, ExperimentConfig, Strategy)>> = std::sync::Mutex::new(

@@ -19,6 +19,15 @@
 //! subsequent round record, the final accuracy and the final global
 //! weights match an uninterrupted run **bit for bit**, under every codec.
 //!
+//! Each chunk body is one [`Wire`] value, decoded strictly (trailing
+//! bytes are corruption): `META` and `NETW` are field lists declared
+//! below, `SRNG`, `BTCH`, `POOL`, `COHT`, `CHRN`, `RNDS` and `ENGV` are
+//! tuples and lists of types that bring their own layout — the `BTCH`
+//! batcher snapshot is the very value `aergia-net` ships in its orders
+//! and replies — and `TIFL` keeps a hand impl for its shared count. The
+//! weight-bearing `GLOB`, `WDLB` and `WUPR` chunks stay dense
+//! two-section frames, `WUPR`'s after its client id.
+//!
 //! [`Engine::save_checkpoint`] returns bytes; putting them on disk is the
 //! caller's job. The networked coordinator (`aergia-net`) writes them to a
 //! temporary file and renames it over the last checkpoint, so a kill
@@ -38,9 +47,6 @@ use std::fmt;
 use std::path::Path;
 
 use aergia_codec::checkpoint::{ChunkReader, ChunkWriter};
-use aergia_codec::io::{
-    put_bool, put_f64, put_indices, put_opt_u32, put_u16, put_u32, put_u64, Reader,
-};
 use aergia_codec::{dense, CodecError, CodecId, Frame, FrameBuilder, SectionKind};
 use aergia_data::batcher::BatcherState;
 use aergia_simnet::{SimDuration, SimTime};
@@ -48,6 +54,7 @@ use aergia_tensor::Tensor;
 
 use crate::config::ClientStateMode;
 use crate::metrics::RoundRecord;
+use crate::wire::{fnv1a, Reader, Wire, FNV_OFFSET};
 
 use super::{make_batcher, tifl::TiflSnapshot, Engine};
 
@@ -144,13 +151,7 @@ const ENGINE_LAYOUT_VERSION: u16 = 3;
 fn config_fingerprint(engine: &Engine) -> u64 {
     let mut config = engine.config.clone();
     config.parallelism = 0;
-    let text = format!("{:?}|{:?}", config, engine.strategy);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, format!("{:?}|{:?}", config, engine.strategy).as_bytes())
 }
 
 /// A full snapshot as a dense two-section frame (the same frames that
@@ -179,41 +180,59 @@ fn frame_tensors(frame: &Frame) -> Result<Vec<Tensor>, CodecError> {
     Ok(out)
 }
 
-fn put_rng(out: &mut Vec<u8>, state: [u64; 4]) {
-    for s in state {
-        put_u64(out, s);
+/// The `META` chunk: where the run stands, and which experiment it
+/// belongs to.
+struct Meta {
+    next_round: u32,
+    now: SimTime,
+    pretraining: SimDuration,
+    num_clients: usize,
+    fingerprint: u64,
+    broadcasts: u64,
+}
+
+crate::wire_struct!(Meta { next_round, now, pretraining, num_clients, fingerprint, broadcasts });
+
+/// The `NETW` chunk: the simulated network's fault state and odometer.
+struct NetState {
+    drop_prob: f64,
+    jitter: SimDuration,
+    rng: [u64; 4],
+    odometer: u64,
+}
+
+crate::wire_struct!(NetState { drop_prob, jitter, rng, odometer });
+
+// Credits and accuracies share one count, and the last-selected tier is a
+// fixed-width `u32` option.
+impl Wire for TiflSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.credits.put(out);
+        self.accuracy.iter().for_each(|a| a.put(out));
+        self.last_selected.map(|t| t as u32).put(out);
+        self.rng.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let credits = Vec::<u32>::get(r)?;
+        let accuracy = credits.iter().map(|_| f64::get(r)).collect::<Result<_, _>>()?;
+        let last_selected = Option::<u32>::get(r)?.map(|t| t as usize);
+        Ok(TiflSnapshot { credits, accuracy, last_selected, rng: Wire::get(r)? })
     }
 }
 
-fn read_rng(r: &mut Reader<'_>) -> Result<[u64; 4], CodecError> {
-    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
+/// Decodes the one `tag` chunk, which must be present.
+fn required<T: Wire>(
+    chunks: &ChunkReader<'_>,
+    tag: [u8; 4],
+    missing: &'static str,
+) -> Result<T, CheckpointError> {
+    Ok(T::decode(chunks.get(tag).ok_or(CheckpointError::Mismatch(missing))?)?)
 }
 
-/// Appends a batcher snapshot: cursor, RNG state, then the shard's index
-/// list. This is the body of the checkpoint's `BTCH` chunk (after the
-/// client id and LRU stamp) *and* how `aergia-net` ships batcher state in
-/// its orders and replies, so a state that round-trips the network is
-/// byte-for-byte the state a checkpoint would have persisted.
-pub fn put_batcher(out: &mut Vec<u8>, state: &BatcherState) {
-    put_u64(out, state.cursor as u64);
-    put_rng(out, state.rng);
-    put_indices(out, &state.indices);
-}
-
-/// Reads a snapshot written by [`put_batcher`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the buffer ends early and
-/// [`CodecError::Corrupt`] for a cursor beyond the index list.
-pub fn read_batcher(r: &mut Reader<'_>) -> Result<BatcherState, CodecError> {
-    let cursor = r.u64()? as usize;
-    let rng = read_rng(r)?;
-    let indices = r.indices()?;
-    if cursor > indices.len() {
-        return Err(CodecError::Corrupt("batcher cursor out of range"));
-    }
-    Ok(BatcherState { indices, cursor, rng })
+/// Decodes the `tag` chunk if the checkpoint has one.
+fn optional<T: Wire>(chunks: &ChunkReader<'_>, tag: [u8; 4]) -> Result<Option<T>, CodecError> {
+    chunks.get(tag).map(T::decode).transpose()
 }
 
 impl Engine {
@@ -225,103 +244,58 @@ impl Engine {
         let feature_tensors = self.wire.feature_tensors;
         let mut w = ChunkWriter::new();
 
-        let mut meta = Vec::new();
-        put_u32(&mut meta, progress.next_round);
-        put_u64(&mut meta, progress.now.as_micros());
-        put_u64(&mut meta, progress.pretraining.as_micros());
-        put_u32(&mut meta, self.config.num_clients as u32);
-        put_u64(&mut meta, config_fingerprint(self));
-        put_u64(&mut meta, self.wire.broadcasts);
-        w.chunk(META, meta);
-
+        let meta = Meta {
+            next_round: progress.next_round,
+            now: progress.now,
+            pretraining: progress.pretraining,
+            num_clients: self.config.num_clients,
+            fingerprint: config_fingerprint(self),
+            broadcasts: self.wire.broadcasts,
+        };
+        w.chunk(META, meta.encode());
         w.frame_chunk(GLOB, &dense_frame(&self.global, feature_tensors));
+        w.chunk(SRNG, self.select_rng.state().encode());
 
-        let mut srng = Vec::new();
-        put_rng(&mut srng, self.select_rng.state());
-        w.chunk(SRNG, srng);
-
-        let (drop_prob, jitter, net_rng) = self.network.fault_state();
-        let mut netw = Vec::new();
-        put_f64(&mut netw, drop_prob);
-        put_u64(&mut netw, jitter.as_micros());
-        put_rng(&mut netw, net_rng);
-        put_u64(&mut netw, self.network.bytes_delivered());
-        w.chunk(NETW, netw);
+        let (drop_prob, jitter, rng) = self.network.fault_state();
+        let odometer = self.network.bytes_delivered();
+        w.chunk(NETW, NetState { drop_prob, jitter, rng, odometer }.encode());
 
         // One BTCH chunk per *resident* pool entry, in client-id order:
         // under cohort sampling only the ≤ `max_resident` clients with a
         // live draw stream are persisted, so checkpoint size follows the
         // pool cap, not the simulated population.
         for (client, stamp, batcher) in self.pool.snapshot_entries() {
-            let mut body = Vec::new();
-            put_u32(&mut body, client as u32);
-            put_u64(&mut body, stamp);
-            put_batcher(&mut body, &batcher.state());
-            w.chunk(BTCH, body);
+            w.chunk(BTCH, (client, stamp, batcher.state()).encode());
         }
-
-        let (clock, evicted) = self.pool.snapshot_meta();
-        let mut pool = Vec::new();
-        put_u64(&mut pool, clock);
-        put_indices(&mut pool, &evicted);
-        w.chunk(POOL, pool);
-
-        let mut coht = Vec::new();
-        put_u32(&mut coht, self.cohorts.num_edges() as u32);
-        put_u64(&mut coht, self.cohorts.fingerprint());
-        w.chunk(COHT, coht);
+        w.chunk(POOL, self.pool.snapshot_meta().encode());
+        w.chunk(COHT, (self.cohorts.num_edges(), self.cohorts.fingerprint()).encode());
 
         if let Some(tifl) = &self.tifl {
-            let snap = tifl.snapshot();
-            let mut body = Vec::new();
-            put_u32(&mut body, snap.credits.len() as u32);
-            for &c in &snap.credits {
-                put_u32(&mut body, c);
-            }
-            for &a in &snap.accuracy {
-                put_f64(&mut body, a);
-            }
-            put_opt_u32(&mut body, snap.last_selected.map(|t| t as u32));
-            put_rng(&mut body, snap.rng);
-            w.chunk(TIFL, body);
+            w.chunk(TIFL, tifl.snapshot().encode());
         }
 
+        // The weight-bearing chunks stay dense two-section frames; a
+        // residual's frame follows its client id.
         if let Some(base) = &self.wire.downlink_base {
             w.frame_chunk(WDLB, &dense_frame(base, feature_tensors));
         }
         for (client, residual) in self.wire.uplink_residual.iter().enumerate() {
             if let Some(residual) = residual {
-                let mut body = Vec::new();
-                put_u32(&mut body, client as u32);
+                let mut body = client.encode();
                 body.extend_from_slice(dense_frame(residual, feature_tensors).as_bytes());
                 w.chunk(WUPR, body);
             }
         }
 
         if let Some(churn) = &self.churn {
-            let (available, rng) = churn.snapshot();
-            let mut body = Vec::new();
-            put_u32(&mut body, available.len() as u32);
-            for &a in &available {
-                put_bool(&mut body, a);
-            }
-            put_rng(&mut body, rng);
-            w.chunk(CHRN, body);
+            w.chunk(CHRN, churn.snapshot().encode());
         }
-
-        let mut rnds = Vec::new();
-        put_u32(&mut rnds, progress.rounds.len() as u32);
-        for record in &progress.rounds {
-            record.encode_into(&mut rnds);
-        }
-        w.chunk(RNDS, rnds);
+        w.chunk(RNDS, progress.rounds.encode());
 
         // Version marker of the *engine* state layout (the container has
         // its own); bump when chunks change incompatibly — restore rejects
         // anything else.
-        let mut vers = Vec::new();
-        put_u16(&mut vers, ENGINE_LAYOUT_VERSION);
-        w.chunk(ENGV, vers);
+        w.chunk(ENGV, ENGINE_LAYOUT_VERSION.encode());
 
         w.finish()
     }
@@ -338,27 +312,19 @@ impl Engine {
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<RunProgress, CheckpointError> {
         let chunks = ChunkReader::parse(bytes)?;
 
-        let mut vers =
-            Reader::new(chunks.get(ENGV).ok_or(CheckpointError::Mismatch("no layout version"))?);
-        let layout = vers.u16()?;
+        let layout: u16 = required(&chunks, ENGV, "no layout version")?;
         if layout != ENGINE_LAYOUT_VERSION {
             return Err(CheckpointError::Codec(CodecError::UnsupportedVersion(layout)));
         }
 
-        let mut meta = Reader::new(chunks.get(META).ok_or(CheckpointError::Mismatch("no meta"))?);
-        let next_round = meta.u32().map_err(CheckpointError::Codec)?;
-        let now = SimTime::from_micros(meta.u64().map_err(CheckpointError::Codec)?);
-        let pretraining = SimDuration::from_micros(meta.u64().map_err(CheckpointError::Codec)?);
-        let num_clients = meta.u32().map_err(CheckpointError::Codec)? as usize;
-        let fingerprint = meta.u64().map_err(CheckpointError::Codec)?;
-        let broadcasts = meta.u64().map_err(CheckpointError::Codec)?;
-        if num_clients != self.config.num_clients {
+        let meta: Meta = required(&chunks, META, "no meta")?;
+        if meta.num_clients != self.config.num_clients {
             return Err(CheckpointError::Mismatch("client count"));
         }
-        if fingerprint != config_fingerprint(self) {
+        if meta.fingerprint != config_fingerprint(self) {
             return Err(CheckpointError::Mismatch("config/strategy fingerprint"));
         }
-        if next_round > self.config.rounds {
+        if meta.next_round > self.config.rounds {
             return Err(CheckpointError::Mismatch("round beyond configured horizon"));
         }
 
@@ -369,31 +335,19 @@ impl Engine {
         self.global = global;
         self.last_accuracy = None;
 
-        let mut srng = Reader::new(chunks.get(SRNG).ok_or(CheckpointError::Mismatch("no rng"))?);
-        self.select_rng = rand::rngs::StdRng::from_state(read_rng(&mut srng)?);
+        self.select_rng = rand::rngs::StdRng::from_state(required(&chunks, SRNG, "no rng")?);
 
-        let mut netw =
-            Reader::new(chunks.get(NETW).ok_or(CheckpointError::Mismatch("no network state"))?);
-        let drop_prob = netw.f64()?;
-        let jitter = SimDuration::from_micros(netw.u64()?);
-        let net_rng = read_rng(&mut netw)?;
-        let odometer = netw.u64()?;
+        let net: NetState = required(&chunks, NETW, "no network state")?;
         // Validate before handing off: the setters assert, and a corrupt
         // checkpoint must surface as an error, not a panic.
-        if !(0.0..1.0).contains(&drop_prob) {
+        if !(0.0..1.0).contains(&net.drop_prob) {
             return Err(CheckpointError::Mismatch("drop probability out of range"));
         }
-        self.network.restore_fault_state(drop_prob, jitter, net_rng, odometer);
+        self.network.restore_fault_state(net.drop_prob, net.jitter, net.rng, net.odometer);
 
-        let mut pool_r =
-            Reader::new(chunks.get(POOL).ok_or(CheckpointError::Mismatch("no pool state"))?);
-        let clock = pool_r.u64()?;
-        let evicted = pool_r.indices()?;
+        let (clock, evicted): (u64, Vec<usize>) = required(&chunks, POOL, "no pool state")?;
 
-        let mut coht =
-            Reader::new(chunks.get(COHT).ok_or(CheckpointError::Mismatch("no cohort layout"))?);
-        let num_edges = coht.u32()? as usize;
-        let layout_fp = coht.u64()?;
+        let (num_edges, layout_fp): (usize, u64) = required(&chunks, COHT, "no cohort layout")?;
         if num_edges != self.cohorts.num_edges() || layout_fp != self.cohorts.fingerprint() {
             return Err(CheckpointError::Mismatch("cohort layout"));
         }
@@ -414,10 +368,7 @@ impl Engine {
         let mut entries = Vec::with_capacity(bodies.len());
         let mut prev_client = None;
         for body in bodies {
-            let mut r = Reader::new(body);
-            let client = r.u32()? as usize;
-            let stamp = r.u64()?;
-            let state = read_batcher(&mut r)?;
+            let (client, stamp, state) = <(usize, u64, BatcherState)>::decode(body)?;
             if client >= self.config.num_clients {
                 return Err(CheckpointError::Mismatch("resident client id"));
             }
@@ -437,51 +388,33 @@ impl Engine {
         }
         self.pool.restore(entries, clock, evicted);
 
-        match (&mut self.tifl, chunks.get(TIFL)) {
-            (Some(tifl), Some(body)) => {
-                let mut r = Reader::new(body);
-                let n = r.u32()? as usize;
+        match (&mut self.tifl, optional::<TiflSnapshot>(&chunks, TIFL)?) {
+            (Some(tifl), Some(snap)) => {
+                let n = snap.credits.len();
                 if n != tifl.tier_count() {
                     return Err(CheckpointError::Mismatch("tifl tier count"));
                 }
-                let mut credits = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    credits.push(r.u32()?);
-                }
-                let mut accuracy = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    accuracy.push(r.f64()?);
-                }
-                let last_selected = r.opt_u32()?.map(|t| t as usize);
-                if last_selected.is_some_and(|t| t >= n) {
+                if snap.last_selected.is_some_and(|t| t >= n) {
                     return Err(CheckpointError::Mismatch("tifl last-selected tier"));
                 }
-                let rng = read_rng(&mut r)?;
-                tifl.restore(TiflSnapshot { credits, accuracy, last_selected, rng });
+                tifl.restore(snap);
             }
             (None, None) => {}
             _ => return Err(CheckpointError::Mismatch("tifl state presence")),
         }
 
-        match (&mut self.churn, chunks.get(CHRN)) {
-            (Some(churn), Some(body)) => {
-                let mut r = Reader::new(body);
-                let n = r.u32()? as usize;
-                if n != self.config.num_clients {
+        match (&mut self.churn, optional::<(Vec<bool>, [u64; 4])>(&chunks, CHRN)?) {
+            (Some(churn), Some((available, rng))) => {
+                if available.len() != self.config.num_clients {
                     return Err(CheckpointError::Mismatch("churn availability count"));
                 }
-                let mut available = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    available.push(r.bool()?);
-                }
-                let rng = read_rng(&mut r)?;
                 churn.restore(available, rng);
             }
             (None, None) => {}
             _ => return Err(CheckpointError::Mismatch("churn state presence")),
         }
 
-        self.wire.broadcasts = broadcasts;
+        self.wire.broadcasts = meta.broadcasts;
         self.wire.downlink_base = match chunks.get(WDLB) {
             Some(body) => Some(frame_tensors(&Frame::from_bytes(body.to_vec())?)?),
             None => None,
@@ -491,7 +424,7 @@ impl Engine {
         }
         for body in chunks.get_all(WUPR) {
             let mut r = Reader::new(body);
-            let client = r.u32()? as usize;
+            let client = usize::get(&mut r)?;
             if client >= self.wire.uplink_residual.len() {
                 return Err(CheckpointError::Mismatch("uplink residual client id"));
             }
@@ -499,18 +432,17 @@ impl Engine {
             self.wire.uplink_residual[client] = Some(frame_tensors(&frame)?);
         }
 
-        let mut rnds =
-            Reader::new(chunks.get(RNDS).ok_or(CheckpointError::Mismatch("no round records"))?);
-        let n = rnds.u32()? as usize;
-        if n != next_round as usize {
+        let rounds: Vec<RoundRecord> = required(&chunks, RNDS, "no round records")?;
+        if rounds.len() != meta.next_round as usize {
             return Err(CheckpointError::Mismatch("record count vs next round"));
         }
-        let mut rounds = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            rounds.push(RoundRecord::decode(&mut rnds)?);
-        }
 
-        Ok(RunProgress { next_round, now, pretraining, rounds })
+        Ok(RunProgress {
+            next_round: meta.next_round,
+            now: meta.now,
+            pretraining: meta.pretraining,
+            rounds,
+        })
     }
 
     /// Reads a checkpoint file and restores it into this engine.
@@ -534,14 +466,18 @@ mod tests {
     use crate::config::{ExperimentConfig, Mode};
     use crate::scenario::{ChurnConfig, OffloadPolicy};
     use crate::strategy::Strategy;
+    use crate::wire::assert_wire_laws;
 
-    /// A timing-mode engine one round in, with its checkpoint.
-    fn one_round_in(config: ExperimentConfig, strategy: Strategy) -> (Engine, Vec<u8>) {
+    /// An engine one round in, with its progress and its checkpoint.
+    fn one_round_in(
+        config: ExperimentConfig,
+        strategy: Strategy,
+    ) -> (Engine, RunProgress, Vec<u8>) {
         let mut engine = Engine::new(config, strategy).expect("valid config");
         let mut progress = engine.start_progress();
         engine.step_round(&mut progress).expect("round 0");
         let bytes = engine.save_checkpoint(&progress);
-        (engine, bytes)
+        (engine, progress, bytes)
     }
 
     fn timing() -> ExperimentConfig {
@@ -564,16 +500,17 @@ mod tests {
         chunk.as_ptr() as usize - bytes.as_ptr() as usize
     }
 
-    /// Layout v3 of the chunks whose bodies go through shared codecs
-    /// (`BTCH` → [`put_batcher`], `TIFL`/`CHRN` → the `io` flag writers),
-    /// re-assembled here field by field from the live engine state. The
+    /// Layout v3 of the chunks whose bodies share impls with other types
+    /// (`BTCH` → the `BatcherState` the protocol ships, `TIFL`/`CHRN` →
+    /// the flag and option rules), re-assembled here field by field from
+    /// the live engine state. The
     /// `RNDS` record layout is pinned by `metrics::record_bytes_are_pinned`.
     #[test]
     fn shared_codec_chunks_follow_layout_v3() {
         let u32le = |v: usize| (v as u32).to_le_bytes();
         let rng_le = |rng: [u64; 4]| rng.into_iter().flat_map(u64::to_le_bytes);
 
-        let (engine, bytes) = one_round_in(timing(), Strategy::tifl_default());
+        let (engine, _, bytes) = one_round_in(timing(), Strategy::tifl_default());
         let chunks = ChunkReader::parse(&bytes).unwrap();
         let entries = engine.pool.snapshot_entries();
         let bodies = chunks.get_all(BTCH);
@@ -602,7 +539,7 @@ mod tests {
         assert_eq!(chunks.get(TIFL).expect("TIFL chunk"), want);
         assert!(snap.last_selected.is_some(), "round 0 must have selected a tier");
 
-        let (engine, bytes) = one_round_in(churning(), Strategy::FedAvg);
+        let (engine, _, bytes) = one_round_in(churning(), Strategy::FedAvg);
         let chunks = ChunkReader::parse(&bytes).unwrap();
         let (available, rng) = engine.churn.as_ref().expect("churn state").snapshot();
         let mut want = Vec::new();
@@ -610,6 +547,116 @@ mod tests {
         want.extend(available.iter().map(|&a| u8::from(a)));
         want.extend(rng_le(rng));
         assert_eq!(chunks.get(CHRN).expect("CHRN chunk"), want);
+    }
+
+    /// Layout v3 of the engine's own chunk bodies, re-assembled field by
+    /// field. The config and cohort-layout fingerprints are literals: a
+    /// change to either hash strands every checkpoint already written.
+    #[test]
+    fn engine_chunks_follow_layout_v3() {
+        let u32le = |v: usize| (v as u32).to_le_bytes();
+        let rng_le = |rng: [u64; 4]| rng.into_iter().flat_map(u64::to_le_bytes);
+        let indices_le = |v: &[usize]| {
+            let mut out = u32le(v.len()).to_vec();
+            out.extend(v.iter().flat_map(|&i| u32le(i)));
+            out
+        };
+
+        let (engine, progress, bytes) = one_round_in(timing(), Strategy::FedAvg);
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+
+        let mut want = Vec::new();
+        want.extend(1u32.to_le_bytes());
+        want.extend(progress.now.as_micros().to_le_bytes());
+        want.extend(progress.pretraining.as_micros().to_le_bytes());
+        want.extend(u32le(timing().num_clients));
+        want.extend(0x5e8b_99e3_01be_434du64.to_le_bytes());
+        want.extend(engine.wire.broadcasts.to_le_bytes());
+        assert_eq!(chunks.get(META).expect("META chunk"), want);
+
+        let want: Vec<u8> = rng_le(engine.select_rng.state()).collect();
+        assert_eq!(chunks.get(SRNG).expect("SRNG chunk"), want);
+
+        let (drop_prob, jitter, net_rng) = engine.network.fault_state();
+        let mut want = Vec::new();
+        want.extend(drop_prob.to_bits().to_le_bytes());
+        want.extend(jitter.as_micros().to_le_bytes());
+        want.extend(rng_le(net_rng));
+        want.extend(engine.network.bytes_delivered().to_le_bytes());
+        assert_eq!(chunks.get(NETW).expect("NETW chunk"), want);
+
+        let (clock, evicted) = engine.pool.snapshot_meta();
+        let mut want = clock.to_le_bytes().to_vec();
+        want.extend(indices_le(&evicted));
+        assert_eq!(chunks.get(POOL).expect("POOL chunk"), want);
+
+        let mut want = u32le(engine.cohorts.num_edges()).to_vec();
+        want.extend(0xdd33_c694_fd66_f3a0u64.to_le_bytes());
+        assert_eq!(chunks.get(COHT).expect("COHT chunk"), want);
+
+        let mut want = u32le(progress.rounds.len()).to_vec();
+        for record in &progress.rounds {
+            want.extend(record.round.to_le_bytes());
+            want.extend(record.duration.as_micros().to_le_bytes());
+            want.extend(record.test_accuracy.to_bits().to_le_bytes());
+            want.extend(record.train_loss.to_bits().to_le_bytes());
+            want.extend(record.bytes_on_wire.to_le_bytes());
+            want.extend(indices_le(&record.participants));
+            want.extend(u32le(record.offloads.len()));
+            want.extend(record.offloads.iter().flat_map(|&(s, r)| [u32le(s), u32le(r)]).flatten());
+            want.extend(indices_le(&record.dropped));
+            let pool = &record.pool;
+            for v in [pool.hits, pool.misses, pool.rebuilds, pool.evictions, pool.resident_clients]
+            {
+                want.extend(v.to_le_bytes());
+            }
+            want.extend(pool.resident_bytes.to_le_bytes());
+        }
+        assert_eq!(chunks.get(RNDS).expect("RNDS chunk"), want);
+
+        assert_eq!(chunks.get(ENGV).expect("ENGV chunk"), [3, 0]);
+
+        // WUPR: the client id, then the residual as a dense frame.
+        let config = ExperimentConfig {
+            codec: aergia_codec::CodecConfig::TopKDelta { keep_permille: 100 },
+            ..ExperimentConfig::default()
+        };
+        let (engine, _, bytes) = one_round_in(config, Strategy::FedAvg);
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        let residuals: Vec<_> = engine.wire.uplink_residual.iter().enumerate().collect();
+        let bodies = chunks.get_all(WUPR);
+        assert_eq!(bodies.len(), residuals.len());
+        for ((client, residual), body) in residuals.into_iter().zip(bodies) {
+            let frame =
+                dense_frame(residual.as_ref().expect("residual"), engine.wire.feature_tensors);
+            let mut want = u32le(client).to_vec();
+            want.extend_from_slice(frame.as_bytes());
+            assert_eq!(body, want, "WUPR of client {client}");
+        }
+    }
+
+    /// Round trip, every truncation and one trailing byte, for each chunk
+    /// body the engine writes through [`Wire`].
+    #[test]
+    fn chunk_bodies_keep_the_wire_laws() {
+        let (engine, progress, bytes) = one_round_in(timing(), Strategy::tifl_default());
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        let meta: Meta = required(&chunks, META, "meta").unwrap();
+        assert_wire_laws(&meta);
+        let (drop_prob, jitter, rng) = engine.network.fault_state();
+        assert_wire_laws(&NetState { drop_prob, jitter, rng, odometer: 7 });
+        assert_wire_laws(&engine.select_rng.state());
+        for (client, stamp, batcher) in engine.pool.snapshot_entries() {
+            assert_wire_laws(&(client, stamp, batcher.state()));
+        }
+        assert_wire_laws(&engine.pool.snapshot_meta());
+        assert_wire_laws(&(engine.cohorts.num_edges(), engine.cohorts.fingerprint()));
+        assert_wire_laws(&engine.tifl.as_ref().expect("tifl state").snapshot());
+        assert_wire_laws(&progress.rounds);
+        assert_wire_laws(&ENGINE_LAYOUT_VERSION);
+
+        let (engine, _, _) = one_round_in(churning(), Strategy::FedAvg);
+        assert_wire_laws(&engine.churn.as_ref().expect("churn state").snapshot());
     }
 
     /// A flag byte that is neither 0 nor 1 is corruption, not `false`.
@@ -624,7 +671,7 @@ mod tests {
         };
 
         let tifl = Strategy::tifl_default();
-        let (engine, mut bytes) = one_round_in(timing(), tifl);
+        let (engine, _, mut bytes) = one_round_in(timing(), tifl);
         let tiers = engine.tifl.as_ref().expect("tifl state").tier_count();
         let chunks = ChunkReader::parse(&bytes).unwrap();
         // TIFL body: count, credits, accuracies, then the last-selected flag.
@@ -635,7 +682,7 @@ mod tests {
         bytes[flag] = 1;
         assert!(!rejected(timing(), tifl, &bytes), "the untouched checkpoint restores");
 
-        let (_, mut bytes) = one_round_in(churning(), Strategy::FedAvg);
+        let (_, _, mut bytes) = one_round_in(churning(), Strategy::FedAvg);
         let chunks = ChunkReader::parse(&bytes).unwrap();
         let first = offset_in(&bytes, chunks.get(CHRN).unwrap()) + 4;
         for flag in first..first + churning().num_clients {

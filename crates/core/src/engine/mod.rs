@@ -53,7 +53,7 @@ use crate::scenario;
 use crate::strategy::Strategy;
 use crate::transport::{self, ClientWorkspace, InProcess, Transport, TransportError};
 
-pub use checkpoint::{put_batcher, read_batcher, CheckpointError, RunProgress};
+pub use checkpoint::{CheckpointError, RunProgress};
 
 /// Errors surfaced while constructing or running an experiment.
 #[derive(Debug)]

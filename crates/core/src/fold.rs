@@ -40,6 +40,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::scenario::staleness_weight;
+use crate::wire::{fnv1a, FNV_OFFSET};
 
 /// How clients map onto edge aggregators: every client belongs to
 /// exactly one cohort, by construction of both constructors.
@@ -114,19 +115,9 @@ impl CohortLayout {
     /// resumed run provably folds with the same bracketing.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.num_edges as u64);
-        eat(self.edge_of.len() as u64);
-        for &e in &self.edge_of {
-            eat(u64::from(e));
-        }
-        h
+        let words = [self.num_edges as u64, self.edge_of.len() as u64];
+        let edges = self.edge_of.iter().map(|&e| u64::from(e));
+        words.into_iter().chain(edges).fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()))
     }
 }
 

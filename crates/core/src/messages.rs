@@ -11,14 +11,10 @@ use aergia_codec::frame;
 
 use crate::profiler::ProfileReport;
 use crate::scheduler::Assignment;
+use crate::wire::{fnv1a, FNV_OFFSET};
 
 fn keyed_hash(secret: u64, payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ secret.rotate_left(31);
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET ^ secret.rotate_left(31), payload)
 }
 
 /// A federator signature over a schedule message.

@@ -1,7 +1,5 @@
 //! Per-round records and whole-run results.
 
-use aergia_codec::io::{put_f64, put_indices, put_u32, put_u64, Reader};
-use aergia_codec::CodecError;
 use aergia_simnet::{SimDuration, SimTime};
 
 use crate::profiler::WorkspacePoolStats;
@@ -45,72 +43,30 @@ pub struct RoundRecord {
     pub pool: WorkspacePoolStats,
 }
 
-impl RoundRecord {
-    /// Appends the record's little-endian byte form — the one layout both
-    /// the engine checkpoint's `RNDS` chunk (layout v3) and the
-    /// coordinator's `RunOutcome` file (v2) store, pinned by a
-    /// golden-bytes test below.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.round);
-        put_u64(out, self.duration.as_micros());
-        put_f64(out, self.test_accuracy);
-        put_f64(out, self.train_loss);
-        put_u64(out, self.bytes_on_wire);
-        put_indices(out, &self.participants);
-        put_u32(out, self.offloads.len() as u32);
-        for &(s, r) in &self.offloads {
-            put_u32(out, s as u32);
-            put_u32(out, r as u32);
-        }
-        put_indices(out, &self.dropped);
-        put_u32(out, self.pool.hits);
-        put_u32(out, self.pool.misses);
-        put_u32(out, self.pool.rebuilds);
-        put_u32(out, self.pool.evictions);
-        put_u32(out, self.pool.resident_clients);
-        put_u64(out, self.pool.resident_bytes);
-    }
+// Wire order differs from field order: `bytes_on_wire` precedes
+// `participants`. This one layout is the checkpoint's `RNDS` record
+// (layout v3) and the coordinator's `RunOutcome` record (v2), pinned by a
+// golden-bytes test below.
+crate::wire_struct!(RoundRecord {
+    round,
+    duration,
+    test_accuracy,
+    train_loss,
+    bytes_on_wire,
+    participants,
+    offloads,
+    dropped,
+    pool,
+});
 
-    /// Reads one record written by [`RoundRecord::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Truncated`] if the buffer ends early; counts
-    /// are bounded by the bytes present before anything is allocated.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let round = r.u32()?;
-        let duration = SimDuration::from_micros(r.u64()?);
-        let test_accuracy = r.f64()?;
-        let train_loss = r.f64()?;
-        let bytes_on_wire = r.u64()?;
-        let participants = r.indices()?;
-        let n = r.u32()? as usize;
-        let mut offloads = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            offloads.push((r.u32()? as usize, r.u32()? as usize));
-        }
-        let dropped = r.indices()?;
-        let pool = WorkspacePoolStats {
-            hits: r.u32()?,
-            misses: r.u32()?,
-            rebuilds: r.u32()?,
-            evictions: r.u32()?,
-            resident_clients: r.u32()?,
-            resident_bytes: r.u64()?,
-        };
-        Ok(RoundRecord {
-            round,
-            duration,
-            test_accuracy,
-            train_loss,
-            participants,
-            offloads,
-            dropped,
-            bytes_on_wire,
-            pool,
-        })
-    }
-}
+crate::wire_struct!(WorkspacePoolStats {
+    hits,
+    misses,
+    rebuilds,
+    evictions,
+    resident_clients,
+    resident_bytes,
+});
 
 /// The result of a whole FL run.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,6 +80,9 @@ pub struct RunResult {
     /// Test accuracy of the final global model (NaN in timing mode).
     pub final_accuracy: f64,
 }
+
+// The header of the coordinator's `RunOutcome` file.
+crate::wire_struct!(RunResult { pretraining, finished_at, final_accuracy, rounds });
 
 impl RunResult {
     /// Total training time: pre-training plus all round durations (the
@@ -236,6 +195,7 @@ impl DurationHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     fn record(round: u32, secs: f64, acc: f64) -> RoundRecord {
         RoundRecord {
@@ -297,14 +257,10 @@ mod tests {
             4, 0, 0, 0, 5, 0, 0, 0,                   // evictions, resident clients
             6, 0, 0, 0, 0, 0, 0, 0,                   // resident bytes
         ];
-        let mut bytes = Vec::new();
-        record.encode_into(&mut bytes);
-        assert_eq!(bytes, golden);
-        let mut r = Reader::new(golden);
-        assert_eq!(RoundRecord::decode(&mut r).unwrap(), record);
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(record.encode(), golden);
+        assert_eq!(RoundRecord::decode(golden).unwrap(), record);
         for cut in 0..golden.len() {
-            assert!(RoundRecord::decode(&mut Reader::new(&golden[..cut])).is_err(), "cut {cut}");
+            assert!(RoundRecord::decode(&golden[..cut]).is_err(), "cut {cut}");
         }
     }
 

@@ -24,3 +24,4 @@ pub use crate::scenario::{
 pub use crate::strategy::Strategy;
 pub use crate::topology::TopologyBuilder;
 pub use crate::transport::{InProcess, Transport, TransportError};
+pub use crate::wire::Wire;

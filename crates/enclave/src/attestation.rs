@@ -8,7 +8,9 @@
 
 /// FNV-1a, the stand-in for the attestation hash. Deterministic and cheap;
 /// *not* collision resistant — acceptable for a simulation whose parties
-/// are honest (paper §3.1 assumes all parties honest).
+/// are honest (paper §3.1 assumes all parties honest). The core crate has
+/// its own FNV-1a for fingerprints and signatures; this crate keeps a
+/// copy because it does not depend on core.
 pub(crate) fn measurement_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

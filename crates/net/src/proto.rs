@@ -1,14 +1,15 @@
 //! Protocol message bodies for the coordinator⇄client TCP runtime.
 //!
 //! Every message travels as an [`aergia_codec::envelope`] whose kind byte
-//! names one of the types here and whose body is the type's hand-rolled
-//! little-endian encoding.
-//! Tensor lists ride as [`aergia_codec::dense`] payloads — the same
-//! bit-exact encoding the simulator's wire codec and checkpoints use —
-//! and batcher snapshots and round records go through the engine's own
-//! codecs ([`aergia::engine::put_batcher`],
-//! [`RoundRecord::encode_into`]), so a state that round-trips the network
-//! is byte-for-byte the state a checkpoint would have persisted.
+//! names one of the types here and whose body is the type's [`Wire`]
+//! encoding: one field list per message, in wire order, from which
+//! [`aergia::wire_struct!`] derives both directions. The field types bring
+//! their own layouts from [`aergia::wire`] — tensor lists as
+//! [`aergia_codec::dense`] payloads (the bit-exact encoding the
+//! simulator's wire codec and checkpoints use), batcher snapshots and
+//! round records exactly as the engine's checkpoint persists them — so a
+//! state that round-trips the network is byte-for-byte the state a
+//! checkpoint would have persisted.
 //!
 //! The protocol keeps remote clients *stateless between orders*: a
 //! [`TrainOrderMsg`] carries everything the numeric work needs (round
@@ -19,84 +20,18 @@
 //! own-training optimizer, which [`OffloadOrderMsg`] implicitly reuses (the
 //! same momentum-threading the in-process transport performs explicitly).
 //!
-//! Decoders validate counts against [`Reader`] bounds before allocating
-//! and reject trailing garbage, matching the rigor of the envelope layer.
+//! Decoders cap allocations by the bytes present, reject flag bytes
+//! other than 0 and 1, and reject trailing garbage ([`Wire::decode`]),
+//! matching the rigor of the envelope layer.
 
-use aergia::engine::{put_batcher, read_batcher};
-use aergia::metrics::{RoundRecord, RunResult};
 use aergia::prelude::*;
-use aergia_codec::dense;
-use aergia_codec::io::{put_bool, put_f32, put_f64, put_opt_u32, put_u32, put_u64, Reader};
-use aergia_codec::CodecError;
+use aergia::wire::{CodecError, Reader};
+use aergia::wire_struct;
 use aergia_data::batcher::BatcherState;
-use aergia_data::{DataConfig, DatasetSpec};
+use aergia_data::DataConfig;
 use aergia_nn::models::ModelArch;
 use aergia_nn::optim::SgdConfig;
-use aergia_simnet::{SimDuration, SimTime};
 use aergia_tensor::Tensor;
-
-fn put_tensors(out: &mut Vec<u8>, tensors: &[Tensor]) {
-    put_u32(out, tensors.len() as u32);
-    put_u32(out, dense::payload_len(tensors) as u32);
-    dense::encode_payload_into(tensors, out);
-}
-
-fn read_tensors(r: &mut Reader<'_>) -> Result<Vec<Tensor>, CodecError> {
-    let count = r.u32()? as usize;
-    let len = r.u32()? as usize;
-    let payload = r.take(len)?;
-    dense::decode_payload(payload, count)
-}
-
-/// Rejects messages with bytes past their declared content.
-fn finish(r: &Reader<'_>) -> Result<(), CodecError> {
-    if r.remaining() != 0 {
-        return Err(CodecError::Corrupt("trailing bytes after message"));
-    }
-    Ok(())
-}
-
-fn spec_to_wire(spec: DatasetSpec) -> u8 {
-    match spec {
-        DatasetSpec::MnistLike => 0,
-        DatasetSpec::FmnistLike => 1,
-        DatasetSpec::Cifar10Like => 2,
-        DatasetSpec::Cifar100Like => 3,
-    }
-}
-
-fn spec_from_wire(byte: u8) -> Result<DatasetSpec, CodecError> {
-    match byte {
-        0 => Ok(DatasetSpec::MnistLike),
-        1 => Ok(DatasetSpec::FmnistLike),
-        2 => Ok(DatasetSpec::Cifar10Like),
-        3 => Ok(DatasetSpec::Cifar100Like),
-        _ => Err(CodecError::Corrupt("dataset spec")),
-    }
-}
-
-fn arch_to_wire(arch: ModelArch) -> u8 {
-    match arch {
-        ModelArch::MnistCnn => 0,
-        ModelArch::FmnistCnn => 1,
-        ModelArch::Cifar10Cnn => 2,
-        ModelArch::Cifar10ResNet => 3,
-        ModelArch::Cifar100Vgg => 4,
-        ModelArch::Cifar100ResNet => 5,
-    }
-}
-
-fn arch_from_wire(byte: u8) -> Result<ModelArch, CodecError> {
-    match byte {
-        0 => Ok(ModelArch::MnistCnn),
-        1 => Ok(ModelArch::FmnistCnn),
-        2 => Ok(ModelArch::Cifar10Cnn),
-        3 => Ok(ModelArch::Cifar10ResNet),
-        4 => Ok(ModelArch::Cifar100Vgg),
-        5 => Ok(ModelArch::Cifar100ResNet),
-        _ => Err(CodecError::Corrupt("model arch")),
-    }
-}
 
 /// Client → coordinator: introduce a client id and request admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,26 +40,7 @@ pub struct Hello {
     pub client: usize,
 }
 
-impl Hello {
-    /// Encodes the message body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4);
-        put_u32(&mut out, self.client as u32);
-        out
-    }
-
-    /// Decodes a message body.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(body);
-        let client = r.u32()? as usize;
-        finish(&r)?;
-        Ok(Hello { client })
-    }
-}
+wire_struct!(Hello { client });
 
 /// Coordinator → client: the slice of the experiment description a
 /// stateless numeric worker needs.
@@ -151,6 +67,8 @@ pub struct WorkerSetup {
     /// strategy knob that changes client-side arithmetic).
     pub prox_mu: Option<f32>,
 }
+
+wire_struct!(WorkerSetup { dataset, arch, batch_size, sgd, seed, prox_mu });
 
 impl WorkerSetup {
     /// Extracts the worker-relevant slice of an experiment.
@@ -194,65 +112,6 @@ impl WorkerSetup {
             None => Strategy::FedAvg,
         }
     }
-
-    /// Encodes the message body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.push(spec_to_wire(self.dataset.spec));
-        put_u64(&mut out, self.dataset.train_size as u64);
-        put_u64(&mut out, self.dataset.test_size as u64);
-        put_u64(&mut out, self.dataset.seed);
-        out.push(arch_to_wire(self.arch));
-        put_u32(&mut out, self.batch_size as u32);
-        put_f32(&mut out, self.sgd.lr);
-        put_f32(&mut out, self.sgd.momentum);
-        put_f32(&mut out, self.sgd.weight_decay);
-        put_u64(&mut out, self.seed);
-        match self.prox_mu {
-            Some(mu) => {
-                out.push(1);
-                put_f32(&mut out, mu);
-            }
-            None => {
-                out.push(0);
-                put_f32(&mut out, 0.0);
-            }
-        }
-        out
-    }
-
-    /// Decodes a message body.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(body);
-        let spec = spec_from_wire(r.u8()?)?;
-        let train_size = r.u64()? as usize;
-        let test_size = r.u64()? as usize;
-        let data_seed = r.u64()?;
-        let arch = arch_from_wire(r.u8()?)?;
-        let batch_size = r.u32()? as usize;
-        let sgd = SgdConfig { lr: r.f32()?, momentum: r.f32()?, weight_decay: r.f32()? };
-        let seed = r.u64()?;
-        let prox_flag = r.u8()?;
-        let mu = r.f32()?;
-        let prox_mu = match prox_flag {
-            0 => None,
-            1 => Some(mu),
-            _ => return Err(CodecError::Corrupt("prox flag")),
-        };
-        finish(&r)?;
-        Ok(WorkerSetup {
-            dataset: DataConfig { spec, train_size, test_size, seed: data_seed },
-            arch,
-            batch_size,
-            sgd,
-            seed,
-            prox_mu,
-        })
-    }
 }
 
 /// Coordinator → client: train your own batches for one round.
@@ -275,46 +134,15 @@ pub struct TrainOrderMsg {
     pub round_base: Vec<Tensor>,
 }
 
-impl TrainOrderMsg {
-    /// Encodes the message body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.round);
-        put_u32(&mut out, self.client as u32);
-        put_u32(&mut out, self.own_batches);
-        put_opt_u32(&mut out, self.freeze_after);
-        put_bool(&mut out, self.snapshot_wanted);
-        put_batcher(&mut out, &self.batcher);
-        put_tensors(&mut out, &self.round_base);
-        out
-    }
-
-    /// Decodes a message body.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(body);
-        let round = r.u32()?;
-        let client = r.u32()? as usize;
-        let own_batches = r.u32()?;
-        let freeze_after = r.opt_u32()?;
-        let snapshot_wanted = r.bool()?;
-        let batcher = read_batcher(&mut r)?;
-        let round_base = read_tensors(&mut r)?;
-        finish(&r)?;
-        Ok(TrainOrderMsg {
-            round,
-            client,
-            own_batches,
-            freeze_after,
-            snapshot_wanted,
-            batcher,
-            round_base,
-        })
-    }
-}
+wire_struct!(TrainOrderMsg {
+    round,
+    client,
+    own_batches,
+    freeze_after,
+    snapshot_wanted,
+    batcher,
+    round_base,
+});
 
 /// Client → coordinator: what one round of own training produced.
 #[derive(Debug, Clone)]
@@ -333,53 +161,7 @@ pub struct TrainReplyMsg {
     pub batcher: BatcherState,
 }
 
-impl TrainReplyMsg {
-    /// Encodes the message body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.round);
-        put_u32(&mut out, self.client as u32);
-        put_u32(&mut out, self.losses.len() as u32);
-        for &l in &self.losses {
-            put_f32(&mut out, l);
-        }
-        put_tensors(&mut out, &self.weights);
-        match &self.snapshot {
-            Some(snapshot) => {
-                out.push(1);
-                put_tensors(&mut out, snapshot);
-            }
-            None => out.push(0),
-        }
-        put_batcher(&mut out, &self.batcher);
-        out
-    }
-
-    /// Decodes a message body.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(body);
-        let round = r.u32()?;
-        let client = r.u32()? as usize;
-        let n = r.u32()? as usize;
-        let mut losses = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            losses.push(r.f32()?);
-        }
-        let weights = read_tensors(&mut r)?;
-        let snapshot = match r.u8()? {
-            0 => None,
-            1 => Some(read_tensors(&mut r)?),
-            _ => return Err(CodecError::Corrupt("snapshot flag")),
-        };
-        let batcher = read_batcher(&mut r)?;
-        finish(&r)?;
-        Ok(TrainReplyMsg { round, client, losses, weights, snapshot, batcher })
-    }
-}
+wire_struct!(TrainReplyMsg { round, client, losses, weights, snapshot, batcher });
 
 /// Coordinator → client: train a straggler's frozen snapshot.
 #[derive(Debug, Clone)]
@@ -398,36 +180,7 @@ pub struct OffloadOrderMsg {
     pub batcher: BatcherState,
 }
 
-impl OffloadOrderMsg {
-    /// Encodes the message body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.round);
-        put_u32(&mut out, self.receiver as u32);
-        put_u32(&mut out, self.weak as u32);
-        put_u32(&mut out, self.batches);
-        put_tensors(&mut out, &self.snapshot);
-        put_batcher(&mut out, &self.batcher);
-        out
-    }
-
-    /// Decodes a message body.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(body);
-        let round = r.u32()?;
-        let receiver = r.u32()? as usize;
-        let weak = r.u32()? as usize;
-        let batches = r.u32()?;
-        let snapshot = read_tensors(&mut r)?;
-        let batcher = read_batcher(&mut r)?;
-        finish(&r)?;
-        Ok(OffloadOrderMsg { round, receiver, weak, batches, snapshot, batcher })
-    }
-}
+wire_struct!(OffloadOrderMsg { round, receiver, weak, batches, snapshot, batcher });
 
 /// Client → coordinator: the trained feature section of an offload.
 #[derive(Debug, Clone)]
@@ -444,34 +197,7 @@ pub struct OffloadReplyMsg {
     pub batcher: BatcherState,
 }
 
-impl OffloadReplyMsg {
-    /// Encodes the message body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.round);
-        put_u32(&mut out, self.receiver as u32);
-        put_u32(&mut out, self.weak as u32);
-        put_tensors(&mut out, &self.features);
-        put_batcher(&mut out, &self.batcher);
-        out
-    }
-
-    /// Decodes a message body.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(body);
-        let round = r.u32()?;
-        let receiver = r.u32()? as usize;
-        let weak = r.u32()? as usize;
-        let features = read_tensors(&mut r)?;
-        let batcher = read_batcher(&mut r)?;
-        finish(&r)?;
-        Ok(OffloadReplyMsg { round, receiver, weak, features, batcher })
-    }
-}
+wire_struct!(OffloadReplyMsg { round, receiver, weak, features, batcher });
 
 /// Magic bytes of a serialized [`RunOutcome`] file.
 pub const OUTCOME_MAGIC: [u8; 4] = *b"ARES";
@@ -490,51 +216,24 @@ pub struct RunOutcome {
     pub weights: Vec<Tensor>,
 }
 
-impl RunOutcome {
-    /// Encodes the outcome file.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+// A file, not a message: it opens with the magic and the layout version.
+impl Wire for RunOutcome {
+    fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&OUTCOME_MAGIC);
-        aergia_codec::io::put_u16(&mut out, OUTCOME_VERSION);
-        put_u64(&mut out, self.result.pretraining.as_micros());
-        put_u64(&mut out, self.result.finished_at.as_micros());
-        put_f64(&mut out, self.result.final_accuracy);
-        put_u32(&mut out, self.result.rounds.len() as u32);
-        for record in &self.result.rounds {
-            record.encode_into(&mut out);
-        }
-        put_tensors(&mut out, &self.weights);
-        out
+        OUTCOME_VERSION.put(out);
+        self.result.put(out);
+        self.weights.put(out);
     }
 
-    /// Decodes an outcome file.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed bodies.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         if r.take(4)? != OUTCOME_MAGIC {
             return Err(CodecError::BadMagic);
         }
-        let version = r.u16()?;
+        let version = u16::get(r)?;
         if version != OUTCOME_VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let pretraining = SimDuration::from_micros(r.u64()?);
-        let finished_at = SimTime::from_micros(r.u64()?);
-        let final_accuracy = r.f64()?;
-        let n = r.u32()? as usize;
-        let mut rounds = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            rounds.push(RoundRecord::decode(&mut r)?);
-        }
-        let weights = read_tensors(&mut r)?;
-        finish(&r)?;
-        Ok(RunOutcome {
-            result: RunResult { rounds, pretraining, finished_at, final_accuracy },
-            weights,
-        })
+        Ok(RunOutcome { result: RunResult::get(r)?, weights: Wire::get(r)? })
     }
 }
 
@@ -542,6 +241,9 @@ impl RunOutcome {
 mod tests {
     use super::*;
     use aergia::profiler::WorkspacePoolStats;
+    use aergia::wire::assert_wire_laws;
+    use aergia_data::DatasetSpec;
+    use aergia_simnet::{SimDuration, SimTime};
 
     fn tensors() -> Vec<Tensor> {
         vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[4])]
@@ -652,6 +354,145 @@ mod tests {
         assert_eq!(decoded.features, tensors());
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `batcher_state()` on the wire: cursor (u64), rng, index list.
+    const BATCHER_HEX: &str = concat!(
+        "0200000000000000",
+        "0100000000000000020000000000000003000000000000000400000000000000",
+        "0400000005000000020000000900000000000000",
+    );
+
+    fn setup(prox_mu: Option<f32>) -> WorkerSetup {
+        WorkerSetup {
+            dataset: DataConfig {
+                spec: DatasetSpec::Cifar10Like,
+                train_size: 256,
+                test_size: 128,
+                seed: 9,
+            },
+            arch: ModelArch::Cifar10Cnn,
+            batch_size: 8,
+            sgd: SgdConfig { lr: 0.5, momentum: 0.25, weight_decay: 0.0 },
+            seed: 33,
+            prox_mu,
+        }
+    }
+
+    /// The bodies the order and outcome goldens leave open. Like those,
+    /// these strings are the layout: changing it is a version bump, not
+    /// an edit here.
+    #[test]
+    fn message_bytes_are_pinned() {
+        assert_eq!(hex(&Hello { client: 3 }.encode()), "03000000");
+
+        // Spec, train/test sizes and data seed (u64), arch, batch size,
+        // lr/momentum/decay, seed, then the fixed-width prox option.
+        let head = concat!(
+            "02",
+            "0001000000000000",
+            "8000000000000000",
+            "0900000000000000",
+            "02",
+            "08000000",
+            "0000003f0000803e00000000",
+            "2100000000000000",
+        );
+        assert_eq!(hex(&setup(Some(0.5)).encode()), format!("{head}010000003f"));
+        assert_eq!(hex(&setup(None).encode()), format!("{head}0000000000"));
+
+        // Round, client, losses, weights, snapshot flag (+ list), batcher.
+        let reply = |snapshot| TrainReplyMsg {
+            round: 2,
+            client: 1,
+            losses: vec![0.5, 0.25],
+            weights: tensors(),
+            snapshot,
+            batcher: batcher_state(),
+        };
+        let head = concat!("0200000001000000", "020000000000003f0000803e");
+        assert_eq!(
+            hex(&reply(Some(tensors())).encode()),
+            [head, TENSORS_HEX, "01", TENSORS_HEX, BATCHER_HEX].concat()
+        );
+        assert_eq!(hex(&reply(None).encode()), [head, TENSORS_HEX, "00", BATCHER_HEX].concat());
+
+        // Round, receiver, weak, batches, snapshot, batcher.
+        let offload = OffloadOrderMsg {
+            round: 1,
+            receiver: 3,
+            weak: 0,
+            batches: 6,
+            snapshot: tensors(),
+            batcher: batcher_state(),
+        };
+        assert_eq!(
+            hex(&offload.encode()),
+            ["01000000030000000000000006000000", TENSORS_HEX, BATCHER_HEX].concat()
+        );
+
+        // Round, receiver, weak, features, batcher.
+        let reply = OffloadReplyMsg {
+            round: 1,
+            receiver: 3,
+            weak: 0,
+            features: tensors(),
+            batcher: batcher_state(),
+        };
+        assert_eq!(
+            hex(&reply.encode()),
+            ["010000000300000000000000", TENSORS_HEX, BATCHER_HEX].concat()
+        );
+    }
+
+    /// Round trip, every truncation and one trailing byte, for each of
+    /// the seven bodies.
+    #[test]
+    fn every_message_keeps_the_wire_laws() {
+        assert_wire_laws(&Hello { client: 3 });
+        assert_wire_laws(&setup(Some(0.5)));
+        assert_wire_laws(&setup(None));
+        for (freeze_after, snapshot_wanted) in [(Some(4), true), (None, false)] {
+            assert_wire_laws(&TrainOrderMsg {
+                round: 2,
+                client: 1,
+                own_batches: 10,
+                freeze_after,
+                snapshot_wanted,
+                batcher: batcher_state(),
+                round_base: tensors(),
+            });
+        }
+        for snapshot in [Some(tensors()), None] {
+            assert_wire_laws(&TrainReplyMsg {
+                round: 2,
+                client: 1,
+                losses: vec![0.5, 0.25],
+                weights: tensors(),
+                snapshot,
+                batcher: batcher_state(),
+            });
+        }
+        assert_wire_laws(&OffloadOrderMsg {
+            round: 1,
+            receiver: 3,
+            weak: 0,
+            batches: 6,
+            snapshot: tensors(),
+            batcher: batcher_state(),
+        });
+        assert_wire_laws(&OffloadReplyMsg {
+            round: 1,
+            receiver: 3,
+            weak: 0,
+            features: tensors(),
+            batcher: batcher_state(),
+        });
+        assert_wire_laws(&outcome());
+    }
+
     #[test]
     fn truncated_and_trailing_bytes_are_rejected() {
         let order = TrainOrderMsg {
@@ -671,9 +512,8 @@ mod tests {
         assert!(matches!(TrainOrderMsg::decode(&bytes), Err(CodecError::Corrupt(_))));
     }
 
-    #[test]
-    fn outcome_file_round_trips() {
-        let outcome = RunOutcome {
+    fn outcome() -> RunOutcome {
+        RunOutcome {
             result: RunResult {
                 rounds: vec![RoundRecord {
                     round: 0,
@@ -698,7 +538,12 @@ mod tests {
                 final_accuracy: 0.75,
             },
             weights: tensors(),
-        };
+        }
+    }
+
+    #[test]
+    fn outcome_file_round_trips() {
+        let outcome = outcome();
         // Outcome file v2: header, one round record, the weights.
         let golden = [
             "4152455302000a000000000000006ae3160000000000000000000000e83f01000000",

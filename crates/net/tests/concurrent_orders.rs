@@ -12,6 +12,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use aergia::transport::{OffloadOrder, RoundContext, TrainOrder, Transport};
+use aergia::wire::Wire;
 use aergia_codec::envelope::{self, MsgKind};
 use aergia_data::batcher::Batcher;
 use aergia_data::{DataConfig, DatasetSpec};

@@ -2,8 +2,9 @@
 //!
 //! The paper's testbed draws each client's CPU fraction uniformly from
 //! [0.1, 1.0] (§5.1); its motivation study (Figure 1(a)) sweeps the
-//! *variance* of client speeds at a fixed mean of 0.5. Both generators
-//! live here.
+//! *variance* of client speeds at a fixed mean of 0.5. The generator for
+//! each lives here: [`uniform_speeds`] and
+//! [`random_speeds_with_variance`].
 
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -28,41 +29,13 @@ pub fn uniform_speeds(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
     (0..n).map(|_| rng.random_range(lo..=hi)).collect()
 }
 
-/// Produces `n` speeds with mean exactly `mean` and variance exactly
-/// `variance` by placing half the clients at `mean − d` and half at
-/// `mean + d` with `d = √variance` (odd counts keep one client at the
-/// mean). Nothing outside this module's tests calls it.
-///
-/// # Panics
-///
-/// Panics if the implied speeds leave `(0, 1]`.
-#[cfg(test)]
-fn speeds_with_variance(n: usize, mean: f64, variance: f64) -> Vec<f64> {
-    assert!(variance >= 0.0, "speeds_with_variance: negative variance");
-    let d = variance.sqrt();
-    let (lo, hi) = (mean - d, mean + d);
-    assert!(lo > 0.0 && hi <= 1.0, "speeds_with_variance: mean {mean} ± {d} leaves (0, 1]");
-    let mut speeds = Vec::with_capacity(n);
-    for i in 0..n {
-        if n % 2 == 1 && i == n - 1 {
-            speeds.push(mean);
-        } else if i % 2 == 0 {
-            speeds.push(lo);
-        } else {
-            speeds.push(hi);
-        }
-    }
-    speeds
-}
-
 /// Draws `n` speeds from a clipped Gaussian with the given mean and
 /// variance: the sweep behind Figure 1(a).
 ///
-/// Unlike the exact bimodal generator, random draws reproduce the paper's
-/// Figure 1(a) effect that *larger* clusters suffer more from the same
-/// variance (they are more likely to contain a very slow client). Speeds
-/// are clipped to `[0.05, 1.0]`, so the realized variance is slightly
-/// below the target at the extremes.
+/// Random draws reproduce the paper's Figure 1(a) effect that *larger*
+/// clusters suffer more from the same variance (they are more likely to
+/// contain a very slow client). Speeds are clipped to `[0.05, 1.0]`, so
+/// the realized variance is slightly below the target at the extremes.
 ///
 /// # Panics
 ///
@@ -119,33 +92,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().all(|&s| (0.1..=1.0).contains(&s)));
         assert_ne!(a, uniform_speeds(24, 0.1, 1.0, 2));
-    }
-
-    #[test]
-    fn variance_generator_hits_exact_moments_even_n() {
-        let speeds = speeds_with_variance(10, 0.5, 0.04);
-        assert!((mean(&speeds) - 0.5).abs() < 1e-12);
-        assert!((variance(&speeds) - 0.04).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_generator_odd_n_keeps_mean() {
-        let speeds = speeds_with_variance(7, 0.5, 0.01);
-        assert!((mean(&speeds) - 0.5).abs() < 1e-12);
-        // One client sits exactly at the mean.
-        assert!(speeds.iter().any(|&s| (s - 0.5).abs() < 1e-12));
-    }
-
-    #[test]
-    fn zero_variance_is_homogeneous() {
-        let speeds = speeds_with_variance(6, 0.5, 0.0);
-        assert!(speeds.iter().all(|&s| (s - 0.5).abs() < 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "leaves (0, 1]")]
-    fn excessive_variance_is_rejected() {
-        speeds_with_variance(4, 0.5, 0.5);
     }
 
     #[test]

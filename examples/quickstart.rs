@@ -6,7 +6,7 @@
 //! ```
 
 use aergia::prelude::*;
-use aergia_bench::{engine_parallelism, Scale};
+use aergia_bench::Scale;
 use aergia_data::partition::Scheme;
 use aergia_data::{DataConfig, DatasetSpec};
 use aergia_nn::models::ModelArch;
@@ -14,7 +14,7 @@ use aergia_nn::models::ModelArch;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Six clients with very different CPU shares — client 0 is a severe
     // straggler, exactly the situation Aergia targets. AERGIA_SCALE=smoke
-    // shrinks the run for CI; AERGIA_THREADS caps the parallel runtime.
+    // shrinks the run for CI; AERGIA_THREADS sizes the parallel runtime.
     let smoke = Scale::from_env() == Scale::Smoke;
     let speeds = vec![0.12, 0.3, 0.5, 0.7, 0.9, 1.0];
     let rounds = if smoke { 2 } else { 6 };
@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch_size: 8,
         speeds,
         mode: Mode::Real,
-        parallelism: engine_parallelism(),
         seed: 42,
         ..ExperimentConfig::default()
     };
