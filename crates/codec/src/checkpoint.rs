@@ -18,7 +18,7 @@
 //! ```
 
 use crate::io::{put_u16, put_u32, Reader};
-use crate::{CodecError, Frame};
+use crate::CodecError;
 
 /// Checkpoint magic bytes.
 pub const MAGIC: [u8; 8] = *b"AERGCKPT";
@@ -42,11 +42,6 @@ impl ChunkWriter {
     pub fn chunk(&mut self, tag: [u8; 4], body: Vec<u8>) -> &mut Self {
         self.chunks.push((tag, body));
         self
-    }
-
-    /// Appends a chunk holding one encoded [`Frame`].
-    pub fn frame_chunk(&mut self, tag: [u8; 4], frame: &Frame) -> &mut Self {
-        self.chunk(tag, frame.as_bytes().to_vec())
     }
 
     /// Assembles the checkpoint buffer.
@@ -116,23 +111,12 @@ impl<'a> ChunkReader<'a> {
     pub fn get_all(&self, tag: [u8; 4]) -> Vec<&'a [u8]> {
         self.chunks.iter().filter(|(t, _)| *t == tag).map(|(_, b)| *b).collect()
     }
-
-    /// The first chunk with the given tag, decoded as a [`Frame`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] if the tag is absent and any frame
-    /// decoding error otherwise.
-    pub fn frame(&self, tag: [u8; 4]) -> Result<Frame, CodecError> {
-        let body = self.get(tag).ok_or(CodecError::Corrupt("missing required chunk"))?;
-        Frame::from_bytes(body.to_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dense, CodecId, FrameBuilder, SectionKind};
+    use crate::{CodecConfig, Frame};
     use aergia_tensor::Tensor;
 
     #[test]
@@ -151,16 +135,12 @@ mod tests {
     #[test]
     fn frames_embed_and_decode() {
         let weights = vec![Tensor::full(&[2, 2], 0.25)];
-        let mut b = FrameBuilder::new();
-        b.push_section(SectionKind::Features, CodecId::DenseF32, weights.len(), |out| {
-            dense::encode_payload_into(&weights, out);
-        });
+        let frame = CodecConfig::DenseF32.encode_frame(&weights, 1, None, None);
         let mut w = ChunkWriter::new();
-        w.frame_chunk(*b"GLOB", &b.finish());
+        w.chunk(*b"GLOB", frame.as_bytes().to_vec());
         let bytes = w.finish();
-        let frame = ChunkReader::parse(&bytes).unwrap().frame(*b"GLOB").unwrap();
-        let section = frame.sections().unwrap()[0];
-        assert_eq!(dense::decode_payload(section.payload, 1).unwrap(), weights);
+        let body = ChunkReader::parse(&bytes).unwrap().get(*b"GLOB").unwrap();
+        assert_eq!(Frame::from_bytes(body.to_vec()).unwrap().decode(None).unwrap(), weights);
     }
 
     #[test]

@@ -23,9 +23,15 @@
 //! (features / classifier — the frozen/feature split Aergia's offload
 //! messages need) and its [`CodecId`], so a `TopKDelta` stream can open
 //! with a dense keyframe and a decoder never guesses.
+//!
+//! [`CodecConfig::encode_frame`] and [`Frame::decode`] are the one
+//! snapshot ↔ frame path, for every weight message and checkpoint chunk,
+//! and the only place that dispatches on [`CodecId`].
+
+use aergia_tensor::Tensor;
 
 use crate::io::{put_u16, put_u32, Reader};
-use crate::{telemetry_hooks, CodecError, CodecId, SectionKind};
+use crate::{dense, quant, telemetry_hooks, topk, CodecConfig, CodecError, CodecId, SectionKind};
 
 /// Frame magic bytes.
 pub const MAGIC: [u8; 4] = *b"AERG";
@@ -137,13 +143,84 @@ impl Frame {
         Ok(sections)
     }
 
-    /// The section of the given kind, if present.
+    /// Decodes every section in order into one tensor list. `base` is the
+    /// whole snapshot the frame was encoded against: each `TopKDelta`
+    /// section reads its own slice, the stateless codecs ignore it. Records
+    /// no telemetry ([`Frame::from_bytes`] counts a received frame).
     ///
     /// # Errors
     ///
-    /// Propagates structural errors from [`Frame::sections`].
-    pub fn section(&self, kind: SectionKind) -> Result<Option<Section<'_>>, CodecError> {
-        Ok(self.sections()?.into_iter().find(|s| s.kind == kind))
+    /// [`CodecError::BaseMismatch`] if a delta section's base is missing or
+    /// does not match the frame, and any structural or payload error.
+    pub fn decode(&self, base: Option<&[Tensor]>) -> Result<Vec<Tensor>, CodecError> {
+        let sections = self.sections()?;
+        let total: usize = sections.iter().map(|s| s.tensor_count).sum();
+        let mut out = Vec::new();
+        let mut start = 0;
+        for s in &sections {
+            let range = start..start + s.tensor_count;
+            start = range.end;
+            let mut tensors = match s.codec {
+                CodecId::DenseF32 => dense::decode_payload(s.payload, s.tensor_count)?,
+                CodecId::QuantI8 => quant::decode_payload(s.payload, s.tensor_count)?,
+                CodecId::TopKDelta => {
+                    let base = base
+                        .filter(|b| b.len() == total)
+                        .ok_or(CodecError::BaseMismatch("base tensor count"))?;
+                    topk::decode_payload(s.payload, s.tensor_count, &base[range])?
+                }
+            };
+            out.append(&mut tensors);
+        }
+        Ok(out)
+    }
+}
+
+impl CodecConfig {
+    /// Encodes `tensors` as one frame: `[..split]` as the features section
+    /// and, when non-empty, `[split..]` as the classifier section. Without
+    /// a `base` the frame opens a stream ([`CodecConfig::keyframe_id`]);
+    /// with one it is steady ([`CodecConfig::steady_id`]): `TopKDelta`
+    /// diffs against `base` and carries the unsent remainder in `residual`
+    /// when given one, and the stateless codecs ignore both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `split > tensors.len()` or a delta frame's `base` or
+    /// `residual` disagrees with `tensors` in structure (a bug: all derive
+    /// from one model template).
+    pub fn encode_frame(
+        &self,
+        tensors: &[Tensor],
+        split: usize,
+        base: Option<&[Tensor]>,
+        mut residual: Option<&mut [Tensor]>,
+    ) -> Frame {
+        let (id, base) = match base {
+            Some(base) => (self.steady_id(), base),
+            None => (self.keyframe_id(), &[][..]),
+        };
+        let mut builder = FrameBuilder::new();
+        for (kind, range) in
+            [(SectionKind::Features, 0..split), (SectionKind::Classifier, split..tensors.len())]
+        {
+            if kind == SectionKind::Classifier && range.is_empty() {
+                continue;
+            }
+            let current = &tensors[range.clone()];
+            builder.push_section(kind, id, current.len(), |out| match id {
+                CodecId::DenseF32 => dense::encode_payload_into(current, out),
+                CodecId::QuantI8 => quant::encode_payload_into(current, out),
+                CodecId::TopKDelta => topk::encode_payload_into(
+                    current,
+                    &base[range.clone()],
+                    self.keep_permille(),
+                    residual.as_deref_mut().map(|r| &mut r[range]),
+                    out,
+                ),
+            });
+        }
+        builder.finish()
     }
 }
 
@@ -256,8 +333,6 @@ mod tests {
         assert_eq!(sections[1].kind, SectionKind::Classifier);
         assert_eq!(sections[1].codec, CodecId::QuantI8);
         assert_eq!(sections[1].payload, &[9]);
-        let feat = frame.section(SectionKind::Features).unwrap().unwrap();
-        assert_eq!(feat.payload, &[1, 2, 3]);
     }
 
     #[test]
@@ -279,6 +354,56 @@ mod tests {
         let mut trailing = good.as_bytes().to_vec();
         trailing.push(0);
         assert!(Frame::from_bytes(trailing).is_err());
+    }
+
+    fn snapshot(shift: f32) -> Vec<Tensor> {
+        let ramp = |n: usize| (0..n).map(|i| i as f32 * 0.5 + shift).collect();
+        vec![
+            Tensor::from_vec(ramp(6), &[2, 3]).unwrap(),
+            Tensor::from_vec(ramp(3), &[3]).unwrap(),
+            Tensor::from_vec(ramp(4), &[4]).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn encode_frame_picks_the_id_by_base_and_decode_inverts_it() {
+        let (base, current) = (snapshot(0.0), snapshot(1.0));
+        let topk = CodecConfig::TopKDelta { keep_permille: 1000 };
+        for cfg in [CodecConfig::DenseF32, CodecConfig::QuantI8, topk] {
+            for (with_base, id) in [(None, cfg.keyframe_id()), (Some(&base[..]), cfg.steady_id())] {
+                let frame = cfg.encode_frame(&current, 2, with_base, None);
+                let sections = frame.sections().unwrap();
+                let layout: Vec<_> =
+                    sections.iter().map(|s| (s.kind, s.codec, s.tensor_count)).collect();
+                let want = [(SectionKind::Features, id, 2), (SectionKind::Classifier, id, 1)];
+                assert_eq!(layout, want, "{cfg}");
+                let decoded = frame.decode(with_base).unwrap();
+                assert_eq!(decoded.len(), 3);
+                if cfg != CodecConfig::QuantI8 {
+                    assert_eq!(decoded, current, "{cfg} keeps every element at 1000‰");
+                }
+            }
+        }
+        // An empty classifier slice is left out: a features-only frame.
+        let frame = topk.encode_frame(&current[..2], 2, Some(&base[..2]), None);
+        assert_eq!(frame.sections().unwrap().len(), 1);
+        assert_eq!(frame.decode(Some(&base[..2])).unwrap(), current[..2]);
+    }
+
+    #[test]
+    fn a_mismatched_base_is_an_error_not_a_panic() {
+        let (base, current) = (snapshot(0.0), snapshot(1.0));
+        let topk = CodecConfig::TopKDelta { keep_permille: 500 };
+        let frame = topk.encode_frame(&current, 2, Some(&base), None);
+        let mut reshaped = base.clone();
+        reshaped[2] = Tensor::zeros(&[2, 2]);
+        let longer = [&base[..], &base[..]].concat();
+        for wrong in [None, Some(&base[..2]), Some(&longer[..]), Some(&reshaped[..])] {
+            assert!(matches!(frame.decode(wrong), Err(CodecError::BaseMismatch(_))));
+        }
+        // The stateless codecs need no base and ignore one.
+        let dense = CodecConfig::DenseF32.encode_frame(&current, 2, None, None);
+        assert_eq!(dense.decode(Some(&base[..1])).unwrap(), current);
     }
 
     #[test]

@@ -26,19 +26,16 @@
 //!
 //! # Examples
 //!
+//! A snapshot becomes a frame, and a frame becomes tensors, through one
+//! pair — [`CodecConfig::encode_frame`] and [`Frame::decode`]:
+//!
 //! ```
-//! use aergia_codec::{dense, frame::FrameBuilder, CodecId, SectionKind};
+//! use aergia_codec::CodecConfig;
 //! use aergia_tensor::Tensor;
 //!
-//! let weights = vec![Tensor::ones(&[2, 3])];
-//! let mut builder = FrameBuilder::new();
-//! builder.push_section(SectionKind::Features, CodecId::DenseF32, weights.len(), |out| {
-//!     dense::encode_payload_into(&weights, out);
-//! });
-//! let frame = builder.finish();
-//! let section = frame.sections().unwrap().pop().unwrap();
-//! let decoded = dense::decode_payload(section.payload, section.tensor_count).unwrap();
-//! assert_eq!(decoded, weights);
+//! let weights = vec![Tensor::ones(&[2, 3]), Tensor::zeros(&[3])];
+//! let frame = CodecConfig::DenseF32.encode_frame(&weights, 1, None, None);
+//! assert_eq!(frame.decode(None).unwrap(), weights);
 //! ```
 
 #![forbid(unsafe_code)]

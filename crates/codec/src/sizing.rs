@@ -25,11 +25,6 @@ impl ShapeSpec {
         ShapeSpec { dims: tensors.iter().map(|t| t.dims().to_vec()).collect() }
     }
 
-    /// Number of tensors described.
-    pub fn tensor_count(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Splits the spec into the first `n` tensors and the rest — the
     /// feature/classifier partition of a full-model snapshot.
     ///
@@ -120,8 +115,8 @@ mod tests {
     fn split_partitions_the_tensor_list() {
         let spec = ShapeSpec::of(&tensors());
         let (a, b) = spec.split_at(1);
-        assert_eq!(a.tensor_count(), 1);
-        assert_eq!(b.tensor_count(), 2);
+        assert_eq!(a, ShapeSpec::of(&tensors()[..1]));
+        assert_eq!(b, ShapeSpec::of(&tensors()[1..]));
         assert_eq!(
             a.dense_payload_len() + b.dense_payload_len(),
             spec.dense_payload_len(),

@@ -47,7 +47,7 @@ use std::fmt;
 use std::path::Path;
 
 use aergia_codec::checkpoint::{ChunkReader, ChunkWriter};
-use aergia_codec::{dense, CodecError, CodecId, Frame, FrameBuilder, SectionKind};
+use aergia_codec::{CodecConfig, CodecError, Frame};
 use aergia_data::batcher::BatcherState;
 use aergia_simnet::{SimDuration, SimTime};
 use aergia_tensor::Tensor;
@@ -154,30 +154,15 @@ fn config_fingerprint(engine: &Engine) -> u64 {
     fnv1a(FNV_OFFSET, format!("{:?}|{:?}", config, engine.strategy).as_bytes())
 }
 
-/// A full snapshot as a dense two-section frame (the same frames that
-/// travel the wire — bit-exact by construction).
-fn dense_frame(weights: &[Tensor], feature_tensors: usize) -> Frame {
-    let (feat, clf) = weights.split_at(feature_tensors);
-    let mut builder = FrameBuilder::new();
-    builder.push_section(SectionKind::Features, CodecId::DenseF32, feat.len(), |out| {
-        dense::encode_payload_into(feat, out);
-    });
-    builder.push_section(SectionKind::Classifier, CodecId::DenseF32, clf.len(), |out| {
-        dense::encode_payload_into(clf, out);
-    });
-    builder.finish()
-}
-
-/// Decodes a [`dense_frame`] back into the flat tensor list.
-fn frame_tensors(frame: &Frame) -> Result<Vec<Tensor>, CodecError> {
-    let mut out = Vec::new();
-    for section in frame.sections()? {
-        if section.codec != CodecId::DenseF32 {
-            return Err(CodecError::Corrupt("checkpoint frames must be dense"));
-        }
-        out.append(&mut dense::decode_payload(section.payload, section.tensor_count)?);
+/// Decodes a weight chunk's frame. Checkpoints write only dense frames
+/// (there is no shared base on disk), so any other codec is corruption.
+fn dense_tensors(body: &[u8]) -> Result<Vec<Tensor>, CodecError> {
+    let frame = Frame::from_bytes(body.to_vec())?;
+    let dense = CodecConfig::DenseF32.steady_id();
+    if frame.sections()?.iter().any(|s| s.codec != dense) {
+        return Err(CodecError::Corrupt("checkpoint frames must be dense"));
     }
-    Ok(out)
+    frame.decode(None)
 }
 
 /// The `META` chunk: where the run stands, and which experiment it
@@ -241,7 +226,11 @@ impl Engine {
     /// Pair with [`Engine::restore_checkpoint`] on a fresh engine built
     /// from the same configuration and strategy.
     pub fn save_checkpoint(&self, progress: &RunProgress) -> Vec<u8> {
-        let feature_tensors = self.wire.feature_tensors;
+        // A full snapshot as a dense two-section frame (the same frames
+        // that travel the wire — bit-exact by construction).
+        let dense_frame = |w: &[Tensor]| {
+            CodecConfig::DenseF32.encode_frame(w, self.wire.feature_tensors, None, None)
+        };
         let mut w = ChunkWriter::new();
 
         let meta = Meta {
@@ -253,7 +242,7 @@ impl Engine {
             broadcasts: self.wire.broadcasts,
         };
         w.chunk(META, meta.encode());
-        w.frame_chunk(GLOB, &dense_frame(&self.global, feature_tensors));
+        w.chunk(GLOB, dense_frame(&self.global).as_bytes().to_vec());
         w.chunk(SRNG, self.select_rng.state().encode());
 
         let (drop_prob, jitter, rng) = self.network.fault_state();
@@ -277,12 +266,12 @@ impl Engine {
         // The weight-bearing chunks stay dense two-section frames; a
         // residual's frame follows its client id.
         if let Some(base) = &self.wire.downlink_base {
-            w.frame_chunk(WDLB, &dense_frame(base, feature_tensors));
+            w.chunk(WDLB, dense_frame(base).as_bytes().to_vec());
         }
         for (client, residual) in self.wire.uplink_residual.iter().enumerate() {
             if let Some(residual) = residual {
                 let mut body = client.encode();
-                body.extend_from_slice(dense_frame(residual, feature_tensors).as_bytes());
+                body.extend_from_slice(dense_frame(residual).as_bytes());
                 w.chunk(WUPR, body);
             }
         }
@@ -328,7 +317,8 @@ impl Engine {
             return Err(CheckpointError::Mismatch("round beyond configured horizon"));
         }
 
-        let global = frame_tensors(&chunks.frame(GLOB)?)?;
+        let global =
+            dense_tensors(chunks.get(GLOB).ok_or(CodecError::Corrupt("missing required chunk"))?)?;
         if global.len() != self.global.len() {
             return Err(CheckpointError::Mismatch("global snapshot structure"));
         }
@@ -415,10 +405,7 @@ impl Engine {
         }
 
         self.wire.broadcasts = meta.broadcasts;
-        self.wire.downlink_base = match chunks.get(WDLB) {
-            Some(body) => Some(frame_tensors(&Frame::from_bytes(body.to_vec())?)?),
-            None => None,
-        };
+        self.wire.downlink_base = chunks.get(WDLB).map(dense_tensors).transpose()?;
         for slot in self.wire.uplink_residual.iter_mut() {
             *slot = None;
         }
@@ -428,8 +415,7 @@ impl Engine {
             if client >= self.wire.uplink_residual.len() {
                 return Err(CheckpointError::Mismatch("uplink residual client id"));
             }
-            let frame = Frame::from_bytes(r.take(r.remaining())?.to_vec())?;
-            self.wire.uplink_residual[client] = Some(frame_tensors(&frame)?);
+            self.wire.uplink_residual[client] = Some(dense_tensors(r.take(r.remaining())?)?);
         }
 
         let rounds: Vec<RoundRecord> = required(&chunks, RNDS, "no round records")?;
@@ -627,8 +613,13 @@ mod tests {
         let bodies = chunks.get_all(WUPR);
         assert_eq!(bodies.len(), residuals.len());
         for ((client, residual), body) in residuals.into_iter().zip(bodies) {
-            let frame =
-                dense_frame(residual.as_ref().expect("residual"), engine.wire.feature_tensors);
+            let residual = residual.as_deref().expect("residual");
+            let frame = CodecConfig::DenseF32.encode_frame(
+                residual,
+                engine.wire.feature_tensors,
+                None,
+                None,
+            );
             let mut want = u32le(client).to_vec();
             want.extend_from_slice(frame.as_bytes());
             assert_eq!(body, want, "WUPR of client {client}");

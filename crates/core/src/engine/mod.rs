@@ -51,7 +51,7 @@ use crate::config::{ClientStateMode, ConfigError, ExperimentConfig, Mode};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scenario;
 use crate::strategy::Strategy;
-use crate::transport::{self, ClientWorkspace, InProcess, Transport, TransportError};
+use crate::transport::{self, ClientWorkspace, InProcess, Transport};
 
 pub use checkpoint::{CheckpointError, RunProgress};
 
@@ -105,15 +105,10 @@ impl From<EnclaveError> for EngineError {
     }
 }
 
-impl From<TransportError> for EngineError {
-    fn from(e: TransportError) -> Self {
-        match e {
-            // The in-process transport surfaces model failures directly;
-            // unwrap them so the error story is unchanged for simulator
-            // users (and tests matching on `EngineError::Nn`).
-            TransportError::Nn(e) => EngineError::Nn(e),
-        }
-    }
+/// Seconds per training phase of one batch on `cpu`: the template's
+/// per-phase FLOPs at `1 / (speed · BASE_FLOPS)` seconds each.
+fn phase_secs(flops: &PhaseCost, cpu: &CpuModel) -> PhaseCost {
+    flops.scaled(1.0 / (cpu.speed() * BASE_FLOPS))
 }
 
 /// Compact persistent per-client state (survives across rounds). Tens
@@ -363,12 +358,8 @@ impl Engine {
         let clients = (0..config.num_clients)
             .map(|id| {
                 let cpu = CpuModel::new(config.speeds[id]);
-                let secs_per_flop = 1.0 / (cpu.speed() * BASE_FLOPS);
-                ClientNode {
-                    cpu,
-                    shard_len: partition.shard_len(id),
-                    phase_secs: flops.scaled(secs_per_flop),
-                }
+                let phase_secs = phase_secs(&flops, &cpu);
+                ClientNode { cpu, shard_len: partition.shard_len(id), phase_secs }
             })
             .collect();
 
@@ -493,8 +484,7 @@ impl Engine {
     pub fn set_client_speed(&mut self, client: usize, speed: f64) {
         let node = &mut self.clients[client];
         node.cpu.set_speed(speed);
-        let secs_per_flop = 1.0 / (node.cpu.speed() * BASE_FLOPS);
-        node.phase_secs = self.template.phase_flops(self.config.batch_size).scaled(secs_per_flop);
+        node.phase_secs = phase_secs(&self.template.phase_flops(self.config.batch_size), &node.cpu);
     }
 
     /// Pre-training cost charged before round 0.

@@ -711,7 +711,7 @@ pub(crate) fn execute(
     let round = plan.round;
     let wire = &engine.wire;
     let deliver_snapshot = |snapshot: &[Tensor]| {
-        let (frame, delivered) = wire.encode_snapshot(snapshot, round_base);
+        let (frame, delivered) = wire.encode_offload(snapshot, round_base);
         debug_assert_eq!(frame.wire_len(), plan.sizes.offload_model, "snapshot size drifted");
         delivered
     };
@@ -792,7 +792,7 @@ pub(crate) fn execute(
         if lapsed || !plan.offload_results.contains_key(&reply.weak) {
             continue;
         }
-        let (frame, delivered) = engine.wire.encode_features(&reply.features, base_features);
+        let (frame, delivered) = engine.wire.encode_offload(&reply.features, base_features);
         debug_assert_eq!(frame.wire_len(), plan.sizes.offload_result, "feature size drifted");
         features.insert(reply.weak, delivered);
     }

@@ -21,14 +21,18 @@
 //!   one-shot deltas against the round base (no residual — there is no
 //!   stream to feed it back into).
 //!
+//! The streams are policy only: each names the base it diffs against and
+//! whose residual advances, and hands the snapshot to the codec crate's
+//! one snapshot ↔ frame pair, [`CodecConfig::encode_frame`] and
+//! [`Frame::decode`]. No codec id is chosen or matched here — a frame
+//! with a base is a steady frame, one without opens its stream.
+//!
 //! Every encoded length here is a pure function of shapes and policy
 //! (never of values), so the virtual-clock plan stage can charge
 //! transfers before the execute stage trains anything — and timing-only
 //! runs share the exact timeline of real runs.
 
-use aergia_codec::{
-    dense, quant, sizing, topk, CodecConfig, CodecId, Frame, FrameBuilder, SectionKind, ShapeSpec,
-};
+use aergia_codec::{sizing, topk, CodecConfig, Frame, ShapeSpec};
 use aergia_tensor::Tensor;
 
 use crate::messages::RoundWireSizes;
@@ -101,17 +105,9 @@ impl WireState {
     /// plus the reconstruction every client decodes — the round base all
     /// other streams diff against.
     pub(crate) fn broadcast(&mut self, global: &[Tensor]) -> (Frame, Vec<Tensor>) {
-        let kp = self.cfg.keep_permille();
-        let ft = self.feature_tensors;
-        let (frame, decoded) = match self.cfg {
-            CodecConfig::DenseF32 => encode_split(ft, kp, CodecId::DenseF32, global, None, None),
-            CodecConfig::QuantI8 => encode_split(ft, kp, CodecId::QuantI8, global, None, None),
-            CodecConfig::TopKDelta { .. } => match &self.downlink_base {
-                None => encode_split(ft, kp, CodecId::DenseF32, global, None, None),
-                Some(base) => encode_split(ft, kp, CodecId::TopKDelta, global, Some(base), None),
-            },
-        };
-        if matches!(self.cfg, CodecConfig::TopKDelta { .. }) {
+        let base = self.downlink_base.as_deref();
+        let (frame, decoded) = round_trip(&self.cfg, global, self.feature_tensors, base, None);
+        if self.is_delta() {
             self.downlink_base = Some(decoded.clone());
         }
         self.broadcasts += 1;
@@ -131,156 +127,51 @@ impl WireState {
         trained: &[Tensor],
         round_base: &[Tensor],
     ) -> (Frame, Vec<Tensor>) {
-        let kp = self.cfg.keep_permille();
-        let ft = self.feature_tensors;
-        match self.cfg {
-            CodecConfig::DenseF32 => encode_split(ft, kp, CodecId::DenseF32, trained, None, None),
-            CodecConfig::QuantI8 => encode_split(ft, kp, CodecId::QuantI8, trained, None, None),
-            CodecConfig::TopKDelta { .. } => {
-                let residual = self.uplink_residual[client]
-                    .get_or_insert_with(|| topk::zero_residual(trained));
-                encode_split(
-                    ft,
-                    kp,
-                    CodecId::TopKDelta,
-                    trained,
-                    Some(round_base),
-                    Some(&mut residual[..]),
-                )
-            }
-        }
+        let residual =
+            self.is_delta().then(|| {
+                &mut self.uplink_residual[client]
+                    .get_or_insert_with(|| topk::zero_residual(trained))[..]
+            });
+        round_trip(&self.cfg, trained, self.feature_tensors, Some(round_base), residual)
     }
 
-    /// Encodes a straggler's frozen snapshot for the client-to-client
-    /// offload (one-shot: no residual stream).
-    pub(crate) fn encode_snapshot(
+    /// Encodes a one-shot offload transfer against the round base: a
+    /// straggler's frozen snapshot for its strong client, or — given the
+    /// feature slices of both — a trained feature section for the upload.
+    /// No residual: there is no stream to feed it back into.
+    pub(crate) fn encode_offload(
         &self,
-        snapshot: &[Tensor],
+        tensors: &[Tensor],
         round_base: &[Tensor],
     ) -> (Frame, Vec<Tensor>) {
-        let kp = self.cfg.keep_permille();
-        let ft = self.feature_tensors;
-        match self.cfg {
-            CodecConfig::DenseF32 => encode_split(ft, kp, CodecId::DenseF32, snapshot, None, None),
-            CodecConfig::QuantI8 => encode_split(ft, kp, CodecId::QuantI8, snapshot, None, None),
-            CodecConfig::TopKDelta { .. } => {
-                encode_split(ft, kp, CodecId::TopKDelta, snapshot, Some(round_base), None)
-            }
-        }
+        round_trip(&self.cfg, tensors, self.feature_tensors, Some(round_base), None)
     }
 
-    /// Encodes a trained feature section for the offload-result upload
-    /// (one-shot, features only — `round_base_features` is the feature
-    /// slice of the round base).
-    pub(crate) fn encode_features(
-        &self,
-        features: &[Tensor],
-        round_base_features: &[Tensor],
-    ) -> (Frame, Vec<Tensor>) {
-        let kp = self.cfg.keep_permille();
-        let (id, base) = match self.cfg {
-            CodecConfig::DenseF32 => (CodecId::DenseF32, None),
-            CodecConfig::QuantI8 => (CodecId::QuantI8, None),
-            CodecConfig::TopKDelta { .. } => (CodecId::TopKDelta, Some(round_base_features)),
-        };
-        let mut builder = FrameBuilder::new();
-        builder.push_section(SectionKind::Features, id, features.len(), |out| {
-            encode_section_payload(id, features, base, None, kp, out);
-        });
-        let frame = builder.finish();
-        let decoded = decode_frame_sections(&frame, &[base.unwrap_or(&[])])
-            .expect("a frame encoded in-process always decodes");
-        (frame, decoded)
+    /// Whether the policy runs delta streams (shared bases, residuals).
+    fn is_delta(&self) -> bool {
+        matches!(self.cfg, CodecConfig::TopKDelta { .. })
     }
 }
 
-/// Encodes `current` as a two-section (features + classifier) frame under
-/// `codec`, then decodes it back — the returned tensors are exactly what
-/// the receiving end reconstructs.
-fn encode_split(
-    feature_tensors: usize,
-    keep_permille: u16,
-    codec: CodecId,
-    current: &[Tensor],
+/// Encodes `tensors` split at `split` under `cfg`, then decodes the frame
+/// back — the returned tensors are exactly what the receiving end
+/// reconstructs.
+fn round_trip(
+    cfg: &CodecConfig,
+    tensors: &[Tensor],
+    split: usize,
     base: Option<&[Tensor]>,
     residual: Option<&mut [Tensor]>,
 ) -> (Frame, Vec<Tensor>) {
-    let (feat, clf) = current.split_at(feature_tensors);
-    let (base_feat, base_clf) = match base {
-        Some(b) => {
-            let (bf, bc) = b.split_at(feature_tensors);
-            (Some(bf), Some(bc))
-        }
-        None => (None, None),
-    };
-    let (res_feat, res_clf) = match residual {
-        Some(r) => {
-            let (rf, rc) = r.split_at_mut(feature_tensors);
-            (Some(rf), Some(rc))
-        }
-        None => (None, None),
-    };
-    let mut builder = FrameBuilder::new();
-    builder.push_section(SectionKind::Features, codec, feat.len(), |out| {
-        encode_section_payload(codec, feat, base_feat, res_feat, keep_permille, out);
-    });
-    builder.push_section(SectionKind::Classifier, codec, clf.len(), |out| {
-        encode_section_payload(codec, clf, base_clf, res_clf, keep_permille, out);
-    });
-    let frame = builder.finish();
-    let decoded =
-        decode_frame_sections(&frame, &[base_feat.unwrap_or(&[]), base_clf.unwrap_or(&[])])
-            .expect("a frame encoded in-process always decodes");
+    let frame = cfg.encode_frame(tensors, split, base, residual);
+    let decoded = frame.decode(base).expect("a frame encoded in-process always decodes");
     (frame, decoded)
-}
-
-fn encode_section_payload(
-    codec: CodecId,
-    current: &[Tensor],
-    base: Option<&[Tensor]>,
-    residual: Option<&mut [Tensor]>,
-    keep_permille: u16,
-    out: &mut Vec<u8>,
-) {
-    match codec {
-        CodecId::DenseF32 => dense::encode_payload_into(current, out),
-        CodecId::QuantI8 => quant::encode_payload_into(current, out),
-        CodecId::TopKDelta => topk::encode_payload_into(
-            current,
-            base.expect("topk sections always have a base"),
-            keep_permille,
-            residual,
-            out,
-        ),
-    }
-}
-
-/// Decodes every section of `frame` in order and concatenates the
-/// tensors; `bases[i]` is the base snapshot of section `i` (ignored by
-/// the stateless codecs).
-pub(crate) fn decode_frame_sections(
-    frame: &Frame,
-    bases: &[&[Tensor]],
-) -> Result<Vec<Tensor>, aergia_codec::CodecError> {
-    let sections = frame.sections()?;
-    let mut out = Vec::new();
-    for (i, section) in sections.iter().enumerate() {
-        let base = bases.get(i).copied().unwrap_or(&[]);
-        let mut tensors = match section.codec {
-            CodecId::DenseF32 => dense::decode_payload(section.payload, section.tensor_count)?,
-            CodecId::QuantI8 => quant::decode_payload(section.payload, section.tensor_count)?,
-            CodecId::TopKDelta => {
-                topk::decode_payload(section.payload, section.tensor_count, base)?
-            }
-        };
-        out.append(&mut tensors);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{fnv1a, FNV_OFFSET};
 
     fn snapshot(seed: f32) -> Vec<Tensor> {
         vec![
@@ -292,6 +183,70 @@ mod tests {
 
     fn bits(ws: &[Tensor]) -> Vec<u32> {
         ws.iter().flat_map(|t| t.data().iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// FNV-1a of a frame's bytes and of its reconstruction's bits.
+    fn fingerprint((frame, decoded): (Frame, Vec<Tensor>)) -> [u64; 2] {
+        let recon: Vec<u8> = bits(&decoded).iter().flat_map(|b| b.to_le_bytes()).collect();
+        [fnv1a(FNV_OFFSET, frame.as_bytes()), fnv1a(FNV_OFFSET, &recon)]
+    }
+
+    /// Every stream's frame bytes and reconstruction under every codec,
+    /// pinned as literals: a keyframe then a steady broadcast, two uploads
+    /// by one client (the second carries the first's residual), one
+    /// offload snapshot and one features frame.
+    #[test]
+    fn stream_frames_are_pinned() {
+        let pins: [(CodecConfig, [[u64; 2]; 6]); 3] = [
+            (
+                CodecConfig::DenseF32,
+                [
+                    [0xb41c_e7a8_9abd_3ab5, 0xbb22_33fa_7709_7d6d],
+                    [0x60c3_5d74_e2e9_1cac, 0x135a_1d11_79f3_cfd8],
+                    [0xa65c_f174_1939_27de, 0x0f75_5e92_9642_2936],
+                    [0x5f66_a59f_a8d1_fd66, 0x27d1_bc74_b773_a402],
+                    [0x8003_4642_9a77_9968, 0x7d7d_85a2_d18a_b5e4],
+                    [0xab21_7156_a227_fa8a, 0x8dbb_6007_acc9_7613],
+                ],
+            ),
+            (
+                CodecConfig::QuantI8,
+                [
+                    [0xd61f_62b1_da45_3a57, 0xcb97_3fa1_2594_36d1],
+                    [0xa879_281a_2750_b608, 0x8be2_06b5_a750_5048],
+                    [0xb1c7_7b45_2d94_dd9e, 0x530c_8889_c05a_9741],
+                    [0x73a3_2267_1d06_7c5e, 0x8c37_0559_568c_a960],
+                    [0x8d56_af53_1411_7c3c, 0xdc91_050e_f5d8_d7b8],
+                    [0x8967_7d35_3983_f9b3, 0xcbae_d4bc_520d_fc49],
+                ],
+            ),
+            (
+                CodecConfig::TopKDelta { keep_permille: 50 },
+                [
+                    [0xb41c_e7a8_9abd_3ab5, 0xbb22_33fa_7709_7d6d],
+                    [0xd1ca_34ab_58fe_22d5, 0x3232_a949_5ffa_8b1b],
+                    [0x55a0_11d2_192a_5eb4, 0x4d5f_5eea_895f_66dd],
+                    [0x3079_6ca4_df33_183f, 0x7f3a_5924_413f_94d0],
+                    [0xc88a_f644_296c_5d49, 0xdfc8_8a9d_425a_88b2],
+                    [0x13f4_a060_9bf9_adc1, 0x5d01_0fa7_9e3d_6591],
+                ],
+            ),
+        ];
+        let shifted = |seed: f32, by: f32| -> Vec<Tensor> {
+            snapshot(seed).iter().map(|t| t.map(|v| v * 1.5 + by)).collect()
+        };
+        for (cfg, want) in pins {
+            let mut wire = WireState::new(cfg, &snapshot(0.0), 2, 2);
+            let keyframe = fingerprint(wire.broadcast(&snapshot(0.25)));
+            let (frame, base) = wire.broadcast(&shifted(0.25, 0.5));
+            let steady = fingerprint((frame, base.clone()));
+            let first = fingerprint(wire.encode_update(1, &shifted(0.5, -0.75), &base));
+            let second = fingerprint(wire.encode_update(1, &shifted(0.5, -1.25), &base));
+            let offload = fingerprint(wire.encode_offload(&shifted(-2.0, 0.125), &base));
+            let features = fingerprint(wire.encode_offload(&shifted(1.0, 3.0)[..2], &base[..2]));
+            let got = [keyframe, steady, first, second, offload, features];
+            assert_eq!(got, want, "{cfg}: {got:#018x?}");
+        }
     }
 
     #[test]
@@ -366,7 +321,7 @@ mod tests {
     fn feature_frames_carry_only_the_feature_section() {
         let global = snapshot(1.0);
         let wire = WireState::new(CodecConfig::DenseF32, &global, 2, 2);
-        let (frame, decoded) = wire.encode_features(&global[..2], &global[..2]);
+        let (frame, decoded) = wire.encode_offload(&global[..2], &global[..2]);
         assert_eq!(frame.wire_len(), wire.round_sizes().offload_result);
         assert_eq!(decoded.len(), 2);
         assert_eq!(bits(&decoded), bits(&global[..2]));

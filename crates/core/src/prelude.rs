@@ -23,5 +23,5 @@ pub use crate::scenario::{
 };
 pub use crate::strategy::Strategy;
 pub use crate::topology::TopologyBuilder;
-pub use crate::transport::{InProcess, Transport, TransportError};
+pub use crate::transport::{InProcess, Transport};
 pub use crate::wire::Wire;

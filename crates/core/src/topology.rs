@@ -27,7 +27,6 @@
 //! # let _ = engine;
 //! ```
 
-use aergia_simnet::node::BASE_FLOPS;
 use aergia_simnet::{LinkModel, NodeId, SimDuration};
 
 use crate::config::ConfigError;
@@ -142,11 +141,7 @@ impl TopologyBuilder {
             engine.network.set_link(NodeId::FEDERATOR, NodeId(to as u32), link);
         }
         for (client, speed) in self.client_speeds {
-            let node = &mut engine.clients[client];
-            node.cpu.set_speed(speed);
-            let secs_per_flop = 1.0 / (node.cpu.speed() * BASE_FLOPS);
-            node.phase_secs =
-                engine.template.phase_flops(engine.config.batch_size).scaled(secs_per_flop);
+            engine.set_client_speed(client, speed);
         }
         if let Some((drop_prob, jitter, seed)) = self.faults {
             engine.network.enable_faults(drop_prob, jitter, seed);

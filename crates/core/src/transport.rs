@@ -44,8 +44,6 @@
 //! networked e2e suite pins that a run through `aergia-net`'s TCP
 //! transport is bit-identical to [`InProcess`] on the same seeds.
 
-use std::error::Error;
-use std::fmt;
 use std::sync::Mutex;
 
 use aergia_data::batcher::Batcher;
@@ -56,40 +54,6 @@ use aergia_tensor::{Tensor, Workspace};
 
 use crate::config::ExperimentConfig;
 use crate::strategy::Strategy;
-
-/// Errors surfaced by a [`Transport`] while executing a round's orders.
-///
-/// A remote transport that loses a client omits that client's reply (the
-/// engine then treats it as dropped) rather than returning an error, so
-/// the one failure left is the model rejecting an order.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum TransportError {
-    /// A model operation failed while executing an order.
-    Nn(NnError),
-}
-
-impl fmt::Display for TransportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportError::Nn(e) => write!(f, "model error: {e}"),
-        }
-    }
-}
-
-impl Error for TransportError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TransportError::Nn(e) => Some(e),
-        }
-    }
-}
-
-impl From<NnError> for TransportError {
-    fn from(e: NnError) -> Self {
-        TransportError::Nn(e)
-    }
-}
 
 /// Round-scoped context shared by every order of the round.
 pub struct RoundContext<'a> {
@@ -202,8 +166,8 @@ pub struct RoundReplies {
 /// * An omitted own reply means the participant is gone this round; the
 ///   engine drops it, lapses any offload it took part in, and completes
 ///   the round with the rest.
-/// * An `Err` aborts the whole run — reserve it for failures that leave
-///   the transport unusable, not for one lost client.
+/// * An `Err` — a model operation rejecting an order — aborts the whole
+///   run; a lost client is an omitted reply, never an error.
 pub trait Transport {
     /// Executes every participant's own local training and every
     /// offload edge, each offload after both its parties' own training.
@@ -212,7 +176,7 @@ pub trait Transport {
         ctx: &RoundContext<'_>,
         own: Vec<TrainOrder<'_>>,
         offloads: Vec<OffloadOrder>,
-    ) -> Result<RoundReplies, TransportError>;
+    ) -> Result<RoundReplies, NnError>;
 }
 
 /// A reusable training workspace: a live model whose weights are reset
@@ -432,7 +396,7 @@ impl Transport for InProcess {
         ctx: &RoundContext<'_>,
         own: Vec<TrainOrder<'_>>,
         offloads: Vec<OffloadOrder>,
-    ) -> Result<RoundReplies, TransportError> {
+    ) -> Result<RoundReplies, NnError> {
         struct Slot<'a> {
             client: usize,
             order: Option<TrainOrder<'a>>,

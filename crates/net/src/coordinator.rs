@@ -31,10 +31,10 @@ use std::time::Duration;
 use aergia::prelude::*;
 use aergia::transport::{
     OffloadOrder, OffloadReply, RoundContext, RoundReplies, TrainOrder, TrainReply, Transport,
-    TransportError,
 };
 use aergia_codec::envelope::{self, MsgKind};
 use aergia_data::batcher::{Batcher, BatcherState};
+use aergia_nn::NnError;
 
 use crate::log::{netlog, CONNECTS, DROPS, ENVELOPE_BYTES, ORDER_RTT_SECS, REJECTS, RESUMES};
 use crate::proto::{
@@ -211,7 +211,7 @@ impl Transport for TcpTransport<'_> {
         ctx: &RoundContext<'_>,
         own: Vec<TrainOrder<'_>>,
         offloads: Vec<OffloadOrder>,
-    ) -> Result<RoundReplies, TransportError> {
+    ) -> Result<RoundReplies, NnError> {
         let (round, timeout) = (ctx.round, self.reply_timeout);
         let mut sent: Vec<Sent<'_, TrainReplyMsg>> = own
             .into_iter()

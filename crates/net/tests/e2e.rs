@@ -13,11 +13,12 @@ use std::time::{Duration, Instant};
 
 use aergia::prelude::*;
 use aergia::transport::{
-    InProcess, OffloadOrder, RoundContext, RoundReplies, TrainOrder, Transport, TransportError,
+    InProcess, OffloadOrder, RoundContext, RoundReplies, TrainOrder, Transport,
 };
 use aergia_codec::CodecConfig;
 use aergia_net::presets::{smoke_config, strategy_by_name};
 use aergia_net::proto::RunOutcome;
+use aergia_nn::NnError;
 use aergia_tensor::Tensor;
 
 const SEED: u64 = 33;
@@ -232,7 +233,7 @@ impl Transport for DropFrom {
         ctx: &RoundContext<'_>,
         own: Vec<TrainOrder<'_>>,
         offloads: Vec<OffloadOrder>,
-    ) -> Result<RoundReplies, TransportError> {
+    ) -> Result<RoundReplies, NnError> {
         let mut replies = InProcess.train_round(ctx, own, offloads)?;
         if ctx.round >= self.from_round {
             replies.own.retain(|r| r.client != self.client);

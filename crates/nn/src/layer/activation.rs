@@ -110,10 +110,6 @@ impl Layer for Relu {
         Vec::new()
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        Vec::new()
-    }
-
     fn set_params(&mut self, weights: &[Tensor]) {
         assert!(weights.is_empty(), "Relu::set_params: relu has no parameters");
     }
@@ -142,6 +138,7 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::testutil::grads;
 
     #[test]
     fn forward_clamps_negatives() {
@@ -172,7 +169,7 @@ mod tests {
     fn has_no_params() {
         let mut relu = Relu::new();
         assert!(relu.params().is_empty());
-        assert!(relu.params_and_grads().is_empty());
+        assert!(grads(&mut relu).is_empty());
         relu.set_params(&[]);
     }
 }

@@ -248,10 +248,6 @@ impl Layer for Conv2d {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        vec![(&mut self.weight, &mut self.grad_weight), (&mut self.bias, &mut self.grad_bias)]
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
@@ -295,7 +291,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::testutil::finite_diff_input_check;
+    use crate::layer::testutil::{finite_diff_input_check, grads};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -341,14 +337,14 @@ mod tests {
         let y = conv.forward(&x);
         let dy = Tensor::ones(y.dims());
         conv.backward(&dy);
-        let g1 = conv.params_and_grads()[0].1.clone();
+        let g1 = grads(&mut conv)[0].clone();
         assert!(g1.max_abs() > 0.0);
         conv.forward(&x);
         conv.backward(&dy);
-        let g2 = conv.params_and_grads()[0].1.clone();
+        let g2 = grads(&mut conv)[0].clone();
         assert!((g2.max_abs() - 2.0 * g1.max_abs()).abs() < 1e-4);
         conv.zero_grads();
-        assert_eq!(conv.params_and_grads()[0].1.max_abs(), 0.0);
+        assert_eq!(grads(&mut conv)[0].max_abs(), 0.0);
     }
 
     #[test]

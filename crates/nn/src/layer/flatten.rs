@@ -60,10 +60,6 @@ impl Layer for Flatten {
         Vec::new()
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        Vec::new()
-    }
-
     fn set_params(&mut self, weights: &[Tensor]) {
         assert!(weights.is_empty(), "Flatten::set_params: flatten has no parameters");
     }

@@ -115,10 +115,6 @@ impl Layer for Linear {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        vec![(&mut self.weight, &mut self.grad_weight), (&mut self.bias, &mut self.grad_bias)]
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
@@ -161,7 +157,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::testutil::finite_diff_input_check;
+    use crate::layer::testutil::{finite_diff_input_check, grads};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -198,10 +194,9 @@ mod tests {
         fc.forward(&x);
         let dy = Tensor::from_vec(vec![2.0], &[1, 1]).unwrap();
         fc.backward(&dy);
-        let binding = fc.params_and_grads();
-        let (gw, gb) = (binding[0].1.data().to_vec(), binding[1].1.data().to_vec());
-        assert_eq!(gw, vec![6.0, -4.0]);
-        assert_eq!(gb, vec![2.0]);
+        let grads = grads(&mut fc);
+        assert_eq!(grads[0].data(), [6.0, -4.0]);
+        assert_eq!(grads[1].data(), [2.0]);
     }
 
     #[test]

@@ -105,20 +105,11 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// Immutable views of the layer parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 
-    /// Parameter/gradient pairs for the optimizer, in the same order as
-    /// [`Layer::params`].
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)>;
-
     /// Visits every parameter/gradient pair in [`Layer::params`] order
     /// without materialising a `Vec` — the allocation-free path the
-    /// optimizer takes every batch. The default delegates to
-    /// [`Layer::params_and_grads`] (which is already allocation-free for
-    /// parameterless layers, since an empty `Vec` never touches the heap).
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        for (param, grad) in self.params_and_grads() {
-            f(param, grad);
-        }
-    }
+    /// optimizer takes every batch. The default visits nothing, which is
+    /// what parameterless layers need.
+    fn for_each_param(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 
     /// Overwrites the layer parameters from a snapshot slice.
     ///
@@ -137,7 +128,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// matmul-backed layers cache per weight operand. Called by the
     /// optimizer after every parameter update (and by `set_params`
     /// implementations); anything else that mutates parameters in place
-    /// (e.g. via [`Layer::params_and_grads`]) must call it too, or
+    /// (e.g. via [`Layer::for_each_param`]) must call it too, or
     /// subsequent forward/backward passes will run on stale packs. The
     /// default is a no-op for layers without parameter-derived caches.
     fn invalidate_param_caches(&mut self) {}
@@ -219,6 +210,14 @@ pub(crate) mod testutil {
     use aergia_tensor::Tensor;
 
     use super::Layer;
+
+    /// Clones of the layer's parameter gradients, in [`Layer::params`]
+    /// order.
+    pub(crate) fn grads(layer: &mut dyn Layer) -> Vec<Tensor> {
+        let mut out = Vec::new();
+        layer.for_each_param(&mut |_, grad| out.push(grad.clone()));
+        out
+    }
 
     /// Central-difference gradient check: perturbs each input element and
     /// compares the numeric directional derivative of `sum(forward(x) * w)`

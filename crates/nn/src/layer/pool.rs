@@ -126,10 +126,6 @@ impl Layer for MaxPool2d {
         Vec::new()
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        Vec::new()
-    }
-
     fn set_params(&mut self, weights: &[Tensor]) {
         assert!(weights.is_empty(), "MaxPool2d::set_params: pooling has no parameters");
     }

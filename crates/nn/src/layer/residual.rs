@@ -130,15 +130,6 @@ impl Layer for ResidualBlock {
         out
     }
 
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        let mut out = self.conv1.params_and_grads();
-        out.extend(self.conv2.params_and_grads());
-        if let Some(proj) = &mut self.projection {
-            out.extend(proj.params_and_grads());
-        }
-        out
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         self.conv1.for_each_param(f);
         self.conv2.for_each_param(f);

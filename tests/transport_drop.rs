@@ -11,10 +11,11 @@
 
 use aergia::prelude::*;
 use aergia::transport::{
-    InProcess, OffloadOrder, RoundContext, RoundReplies, TrainOrder, Transport, TransportError,
+    InProcess, OffloadOrder, RoundContext, RoundReplies, TrainOrder, Transport,
 };
 use aergia_codec::CodecConfig;
 use aergia_net::presets::smoke_config;
+use aergia_nn::NnError;
 use aergia_tensor::Tensor;
 
 /// Runs orders through [`InProcess`] and then omits every reply by (or
@@ -32,7 +33,7 @@ impl Transport for DropFrom {
         ctx: &RoundContext<'_>,
         own: Vec<TrainOrder<'_>>,
         offloads: Vec<OffloadOrder>,
-    ) -> Result<RoundReplies, TransportError> {
+    ) -> Result<RoundReplies, NnError> {
         let mut replies = InProcess.train_round(ctx, own, offloads)?;
         if ctx.round >= self.from_round {
             replies.own.retain(|r| r.client != self.client);
@@ -55,7 +56,7 @@ impl Transport for WithholdSections {
         ctx: &RoundContext<'_>,
         own: Vec<TrainOrder<'_>>,
         offloads: Vec<OffloadOrder>,
-    ) -> Result<RoundReplies, TransportError> {
+    ) -> Result<RoundReplies, NnError> {
         let mut replies = self.inner.train_round(ctx, own, offloads)?;
         if ctx.round >= self.inner.from_round {
             let before = replies.offloads.len();
