@@ -46,11 +46,10 @@
 //!   variant's layout, so a SIMD-tagged pack still computes correct (and
 //!   bit-identical) results on a scalar-only process.
 //! * **AVX2** (`4×16`): explicit `std::arch` intrinsics, two 256-bit
-//!   accumulator vectors per row.
+//!   accumulator vectors per row; needs `fma` as well as `avx2`.
 //! * **AVX-512F** (`8×32`, `8×16`): 512-bit accumulators; `8×32` holds 16
-//!   independent accumulator chains, enough to hide the FP-add latency of
-//!   the mul+add (non-FMA) inner step on both port-bound and
-//!   latency-bound cores.
+//!   independent accumulator chains, enough to keep both FMA ports of a
+//!   core busy through the fused step's latency.
 //!
 //! Which variant a GEMM uses is a **pure function of the active ISA and
 //! the output width `n`** ([`tuned_variant`]): scalar `4×8`, AVX2 `4×16`,
@@ -85,18 +84,22 @@
 //!
 //! # Determinism contract
 //!
-//! Every output element accumulates its `k` contributions **strictly in
-//! ascending-`k` order from a `+0.0` start**, with a separate multiply and
-//! add per step (never `mul_add`/FMA — x86 `vmulps`/`vaddps` round each
-//! operation exactly like the scalar ops, an FMA's single rounding would
-//! not), exactly like the naive reference kernels. The register tile only
-//! changes *where* the running sum lives (a register instead of the output
+//! Every output element is a **strict ascending-`k` chain of fused steps
+//! from a `+0.0` start**: `s = fma(a[i, kk], b[kk, j], s)` for
+//! `kk = 0, 1, …, k − 1`, no term skipped, exactly like the naive
+//! reference kernels. IEEE 754 defines `fusedMultiplyAdd` with one
+//! rounding, so `f32::mul_add`, AVX2 `vfmadd` and AVX-512 `vfmadd` give
+//! the same bits for the same operands. The register tile only changes
+//! *where* the running sum lives (a register instead of the output
 //! buffer) and *how many* elements advance together — never the sequence
 //! of floating-point operations that produce any single element. That is
 //! why the variant choice is free: `mr`/`nr`/ISA decide which *other*
-//! elements share the register tile, not any element's own ascending-`k`
-//! mul/add chain, so every variant is bit-identical to every other and to
-//! the references.
+//! elements share the register tile, not any element's own chain, so
+//! every variant is bit-identical to every other and to the references,
+//! and to themselves at any thread count (parallel row tiles write
+//! disjoint rows at fixed boundaries). The kernels fuse only where they
+//! call `fma` / `mul_add`; the compiler never contracts a separate
+//! multiply and add.
 //!
 //! The `k`-blocked entry keeps that chain across blocks: the register
 //! tile of a later block starts from the output's stored partial sums
@@ -107,29 +110,17 @@
 //!
 //! On non-finite inputs the contract is exactly what IEEE 754 plus the
 //! compiler guarantee: ±inf and `-0.0` results are bit-identical across
-//! every variant and the references (swapping the two operands of one
-//! `mul`/`add` — which the compiler may do per kernel instantiation —
-//! never changes a finite, zero-signed or infinite result), and NaN
-//! *placement* is identical (whether an element is NaN is determined by
-//! the operation sequence alone). The sign/payload bits of a NaN are the
-//! one thing not pinned: LLVM treats them as unspecified, so two
-//! compilations of the same mul/add chain may canonicalize a freshly
-//! created or propagated NaN differently — the autovectorized reference
-//! loop itself does. The property suite therefore feeds NaN payloads,
-//! ±inf and `-0.0` through every variant asserting NaN positions plus
-//! exact bits of every non-NaN element. (Training data is finite, so the
-//! engine-level byte-identity guarantees are unaffected.)
-//!
-//! Kernels whose reference skips exact-zero `A` elements
-//! ([`crate::ops::matmul_reference`], [`crate::ops::matmul_tn_reference`])
-//! replicate the skip exactly, but hoist its cost out of the hot loop:
-//! each `mr`-subtile is scanned for zeros once, zero-free subtiles run an
-//! unguarded microkernel (a guard that can never fire changes nothing),
-//! and only subtiles containing zeros take the guarded per-`(row, k)` skip
-//! — where the skip recoups its branch cost by eliding work, e.g. on
-//! ReLU-masked gradients. The packed kernels are therefore bit-identical
-//! to the references and to themselves at any thread count (parallel row
-//! tiles write disjoint rows at fixed boundaries).
+//! every variant and the references, and NaN *placement* is identical
+//! (whether an element is NaN is determined by the operation sequence
+//! alone; with no skipped terms, `0 · ±inf` and `0 · NaN` give NaN
+//! everywhere). The sign/payload bits of a NaN are the one thing not
+//! pinned: LLVM treats them as unspecified, so two compilations of the
+//! same chain may canonicalize a freshly created or propagated NaN
+//! differently — the autovectorized reference loop itself does. The
+//! property suite therefore feeds NaN payloads, ±inf and `-0.0` through
+//! every variant asserting NaN positions plus exact bits of every non-NaN
+//! element. (Training data is finite, so the engine-level byte-identity
+//! guarantees are unaffected.)
 //!
 //! # Reuse and caching
 //!
@@ -183,10 +174,8 @@ static GEMM_DISPATCH: [LazyCounter; 3] = [
     LazyCounter::new("aergia_gemm_dispatch_total{isa=\"avx512\"}"),
 ];
 
-/// Subtiles that scanned zero-free and ran the unguarded microkernel.
+/// `mr`-row subtiles the microkernels walked, per row tile and `k`-block.
 static GEMM_SUBTILES_DENSE: LazyCounter = LazyCounter::new("aergia_gemm_subtiles_dense_total");
-/// Subtiles that contained zeros and took the guarded skip kernel.
-static GEMM_SUBTILES_GUARDED: LazyCounter = LazyCounter::new("aergia_gemm_subtiles_guarded_total");
 
 fn count_gemm_call(op: GemmOp, variant: KernelVariant) {
     let op_idx = match op {
@@ -232,12 +221,14 @@ type Acc = [f32; MR_MAX * NR_MAX];
 // ---------------------------------------------------------------------------
 
 /// Instruction-set tier a kernel variant is implemented with. Ordered:
-/// every CPU that has a tier has all lower tiers (AVX-512F implies AVX2).
+/// every CPU that has a tier has all lower tiers (AVX-512F implies AVX2
+/// and FMA).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Isa {
     /// Scalar-ordered loops (autovectorized where the compiler can).
     Scalar,
-    /// 256-bit `std::arch` kernels behind `is_x86_feature_detected!("avx2")`.
+    /// 256-bit `std::arch` kernels behind `is_x86_feature_detected!` of
+    /// both `avx2` and `fma`.
     Avx2,
     /// 512-bit kernels behind `is_x86_feature_detected!("avx512f")`.
     Avx512,
@@ -259,7 +250,7 @@ impl Isa {
 /// it to [`Isa::Scalar`], otherwise runtime feature detection picks the
 /// widest tier the CPU offers. Forcing scalar also makes [`tuned_variant`]
 /// answer the portable variant, so every pack in the process gets the
-/// baseline `4×8` layout and the exact pre-SIMD code path runs.
+/// baseline `4×8` layout and the portable scalar kernels run.
 pub fn active_isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
@@ -271,7 +262,7 @@ pub fn active_isa() -> Isa {
             if is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                 return Isa::Avx2;
             }
         }
@@ -688,12 +679,6 @@ trait SubtileA<'a>: Copy {
     /// Index of `(r, kk)` in [`SubtileA::row`]`(r)` for a kernel of `mr`
     /// rows, `kk < k()`.
     fn at(self, kk: usize, mr: usize) -> usize;
-
-    /// Whether the subtile is zero-free, i.e. the skip-zero guard can
-    /// never fire and the unguarded microkernel instantiation is
-    /// bit-exact. One scan per subtile buys guard-free inner loops across
-    /// every `B` panel.
-    fn zero_free(self) -> bool;
 }
 
 /// Row-major `A` read in place: `data` is the subtile's `rows`
@@ -732,16 +717,11 @@ impl<'a> SubtileA<'a> for RowMajor<'a> {
     fn at(self, kk: usize, _mr: usize) -> usize {
         kk
     }
-    #[inline(always)]
-    fn zero_free(self) -> bool {
-        self.data.iter().all(|&v| v != 0.0)
-    }
 }
 
 /// A [`PackedA`] tile: `data` is the `k`-major tile of `mr` rows and
-/// `(r, kk)` is `data[kk·mr + r]`. The pack zero-padded a ragged tail, so
-/// its padding rows contain zeros, report `zero_free() == false`, and the
-/// guarded kernel skips (and thereby discards) them.
+/// `(r, kk)` is `data[kk·mr + r]`. The pack zero-padded a ragged tail;
+/// the accumulator rows of its padding are dropped at write-back.
 #[derive(Clone, Copy)]
 struct PackedTile<'a> {
     data: &'a [f32],
@@ -778,10 +758,6 @@ impl<'a> SubtileA<'a> for PackedTile<'a> {
     fn at(self, kk: usize, mr: usize) -> usize {
         kk * mr
     }
-    #[inline(always)]
-    fn zero_free(self) -> bool {
-        self.data.iter().all(|&v| v != 0.0)
-    }
 }
 
 /// The implicit patch matrix of a convolution: `(r, kk)` is
@@ -793,7 +769,6 @@ impl<'a> SubtileA<'a> for PackedTile<'a> {
 struct Patches<'a> {
     xpad: &'a [f32],
     base: [usize; MR_MAX],
-    rows: usize,
     k_off: &'a [usize],
 }
 
@@ -808,7 +783,7 @@ impl<'a> Patches<'a> {
         }
         let last = base[mrows - 1];
         base[mrows..].fill(last);
-        Patches { xpad, base, rows: mrows, k_off }
+        Patches { xpad, base, k_off }
     }
 }
 
@@ -830,39 +805,28 @@ impl<'a> SubtileA<'a> for Patches<'a> {
         // Checked: an unchecked table read measured no faster.
         self.k_off[kk]
     }
-    #[inline(always)]
-    fn zero_free(self) -> bool {
-        self.base[..self.rows].iter().all(|&b| self.k_off.iter().all(|&o| self.xpad[b + o] != 0.0))
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Scalar microkernels
 // ---------------------------------------------------------------------------
 
-/// One accumulator row of the portable register tile: `acc += av · b`. A
-/// fixed-size `b` and straight-line updates keep the row SROA-promoted to
-/// registers.
-///
-/// With `SKIP`, the whole row update is skipped for an exact-zero `av`,
-/// replicating the reference kernels' skip-zero fast path per `(row, k)`.
-/// The driver only instantiates `SKIP = true` for subtiles that actually
-/// contain zeros (see [`gemm_row_tile`]), so dense operands never pay for
-/// the guard.
+/// One accumulator row of the portable register tile: `acc = fma(av, b,
+/// acc)` per lane. A fixed-size `b` and straight-line updates keep the row
+/// SROA-promoted to registers; under the build's `target-cpu=native` each
+/// `mul_add` is one `vfmadd` (a host without FMA gets the same bits from
+/// libm, slowly).
 #[inline(always)]
-fn fma_row<const SKIP: bool>(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
-    if SKIP && av == 0.0 {
-        return;
-    }
+fn fma_row(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
     for (o, &bv) in acc.iter_mut().zip(b) {
-        *o += av * bv;
+        *o = av.mul_add(bv, *o);
     }
 }
 
 /// The portable `4×8` register-tile microkernel.
 ///
 /// The four rows advance through `k` together: their accumulator chains
-/// are independent, so one row's FP-add latency hides behind the others',
+/// are independent, so one row's FMA latency hides behind the others',
 /// while each individual output element still accumulates strictly
 /// ascending-`k`. The accumulators live in plain local arrays so scalar
 /// replacement keeps them in registers for the whole `k` walk; the kernel
@@ -870,11 +834,7 @@ fn fma_row<const SKIP: bool>(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
 /// with `ACC` from the partial sums in that region (see the module docs'
 /// determinism contract).
 #[inline(always)]
-fn scalar_4x8<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
-    a: A,
-    panel: &[f32],
-    acc: &mut Acc,
-) {
+fn scalar_4x8<'a, const ACC: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
     let start = |r: usize| -> [f32; NR] {
         if ACC {
             acc[r * NR..(r + 1) * NR].try_into().expect("an NR-wide accumulator row")
@@ -894,10 +854,10 @@ fn scalar_4x8<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
         // step.)
         let i = a.at(kk, MR);
         let at = |row: &[f32]| unsafe { *row.get_unchecked(i) };
-        fma_row::<SKIP>(&mut x0, at(a0), b);
-        fma_row::<SKIP>(&mut x1, at(a1), b);
-        fma_row::<SKIP>(&mut x2, at(a2), b);
-        fma_row::<SKIP>(&mut x3, at(a3), b);
+        fma_row(&mut x0, at(a0), b);
+        fma_row(&mut x1, at(a1), b);
+        fma_row(&mut x2, at(a2), b);
+        fma_row(&mut x3, at(a3), b);
     }
     acc[..NR].copy_from_slice(&x0);
     acc[NR..2 * NR].copy_from_slice(&x1);
@@ -907,9 +867,9 @@ fn scalar_4x8<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
 
 /// Scalar microkernel for *any* tile geometry: the correctness fallback
 /// that lets a scalar-only process (or a `AERGIA_FORCE_SCALAR` run)
-/// execute packs laid out for SIMD variants. Same ascending-`k` mul/add
+/// execute packs laid out for SIMD variants. Same ascending-`k` fused
 /// chain per element, from the same start (`ACC`), so same bits.
-fn scalar_any<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
+fn scalar_any<'a, const ACC: bool, A: SubtileA<'a>>(
     mr: usize,
     nr: usize,
     a: A,
@@ -924,11 +884,8 @@ fn scalar_any<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
         }
         for (kk, b) in panel.chunks_exact(nr).take(a.k()).enumerate() {
             let av = row[a.at(kk, mr)];
-            if SKIP && av == 0.0 {
-                continue;
-            }
             for (o, &bv) in out.iter_mut().zip(b) {
-                *o += av * bv;
+                *o = av.mul_add(bv, *o);
             }
         }
     }
@@ -947,33 +904,48 @@ mod v256 {
     pub type V = __m256;
     pub const LANES: usize = 8;
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn zero() -> V {
         _mm256_setzero_ps()
     }
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `p` must be valid for reads
+    /// of `LANES` f32s (no alignment needed).
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn load(p: *const f32) -> V {
         _mm256_loadu_ps(p)
     }
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn set1(x: f32) -> V {
         _mm256_set1_ps(x)
     }
+    /// `a · b + c` per lane with one rounding: the fused step of the
+    /// determinism contract.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul(a: V, b: V) -> V {
-        _mm256_mul_ps(a, b)
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn fma(a: V, b: V, c: V) -> V {
+        _mm256_fmadd_ps(a, b, c)
     }
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `p` must be valid for writes
+    /// of `LANES` f32s (no alignment needed).
     #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add(a: V, b: V) -> V {
-        _mm256_add_ps(a, b)
-    }
-    #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn store(p: *mut f32, v: V) {
         _mm256_storeu_ps(p, v)
     }
@@ -987,31 +959,46 @@ mod v512 {
     pub type V = __m512;
     pub const LANES: usize = 16;
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn zero() -> V {
         _mm512_setzero_ps()
     }
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and `p` must be valid for reads of
+    /// `LANES` f32s (no alignment needed).
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn load(p: *const f32) -> V {
         _mm512_loadu_ps(p as *const _)
     }
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn set1(x: f32) -> V {
         _mm512_set1_ps(x)
     }
+    /// `a · b + c` per lane with one rounding: the fused step of the
+    /// determinism contract.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn mul(a: V, b: V) -> V {
-        _mm512_mul_ps(a, b)
+    pub unsafe fn fma(a: V, b: V, c: V) -> V {
+        _mm512_fmadd_ps(a, b, c)
     }
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn add(a: V, b: V) -> V {
-        _mm512_add_ps(a, b)
-    }
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and `p` must be valid for writes of
+    /// `LANES` f32s (no alignment needed).
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn store(p: *mut f32, v: V) {
@@ -1024,12 +1011,11 @@ mod v512 {
 ///
 /// The generated kernel follows the exact scalar recipe: per `k` step,
 /// load the panel's `nv` vectors once, broadcast each row's `A` value, and
-/// do a separate `mul` then `add` into that row's accumulators — `vmulps`
-/// and `vaddps` round per lane exactly like scalar `*` and `+`, so the
-/// result is bit-identical to the scalar kernels for every input
-/// (non-finite values included). `SKIP` replicates the per-`(row, k)`
-/// exact-zero skip; `ACC` starts the accumulators from the partial sums
-/// in `acc` instead of `+0.0`. Accumulator/`B` arrays are indexed only by
+/// fuse it into that row's accumulators with one `fma` per vector — the
+/// same single rounding per lane as the scalar kernels' `mul_add`, so the
+/// result is bit-identical to them for every input (non-finite values
+/// included). `ACC` starts the accumulators from the partial sums in
+/// `acc` instead of `+0.0`. Accumulator/`B` arrays are indexed only by
 /// constant-bounded loops, which LLVM fully unrolls and SROAs into
 /// registers.
 #[cfg(target_arch = "x86_64")]
@@ -1042,14 +1028,11 @@ macro_rules! simd_kernel {
         /// and `a` must fit this kernel's `mr`. (`a`'s own reads are then
         /// covered by the [`SubtileA`] invariant.)
         #[target_feature(enable = $feat)]
-        unsafe fn $name<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
-            a: A,
-            panel: &[f32],
-            acc: &mut Acc,
-        ) {
+        unsafe fn $name<'a, const ACC: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
             const MRK: usize = $mr;
             const NV: usize = $nv;
             let nr = NV * $v::LANES;
+            debug_assert!(MRK * nr <= acc.len(), "register tile larger than Acc");
             let pp = panel.as_ptr();
             let mut ap = [a.row(0); MRK];
             for (r, row) in ap.iter_mut().enumerate() {
@@ -1057,7 +1040,6 @@ macro_rules! simd_kernel {
             }
             let mut c = [[$v::zero(); NV]; MRK];
             if ACC {
-                debug_assert!(MRK * nr <= acc.len(), "register tile larger than Acc");
                 let ip = acc.as_ptr();
                 for (r, cr) in c.iter_mut().enumerate() {
                     for (v, cv) in cr.iter_mut().enumerate() {
@@ -1072,23 +1054,30 @@ macro_rules! simd_kernel {
             for kk in 0..a.k() {
                 let mut b = [$v::zero(); NV];
                 for (v, bv) in b.iter_mut().enumerate() {
+                    debug_assert!(
+                        kk * nr + v * $v::LANES + $v::LANES <= panel.len(),
+                        "panel vector past the end of the panel"
+                    );
+                    // SAFETY: `kk < a.k()` and `v < NV`, so the vector
+                    // ends at `kk·nr + (v + 1)·LANES ≤ a.k()·nr`, within
+                    // `panel` by this kernel's precondition.
                     *bv = $v::load(pp.add(kk * nr + v * $v::LANES));
                 }
                 let i = a.at(kk, MRK);
                 for (cr, row) in c.iter_mut().zip(&ap) {
-                    let av = *row.get_unchecked(i);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    let avv = $v::set1(av);
+                    // SAFETY: `kk < a.k()` and `a` fits `MRK` rows (this
+                    // kernel's precondition), the conditions under which
+                    // the `SubtileA` invariant puts index `i` in `row`.
+                    let avv = $v::set1(*row.get_unchecked(i));
                     for (cv, &bv) in cr.iter_mut().zip(&b) {
-                        *cv = $v::add(*cv, $v::mul(avv, bv));
+                        *cv = $v::fma(avv, bv, *cv);
                     }
                 }
             }
             let op = acc.as_mut_ptr();
             for (r, cr) in c.iter().enumerate() {
                 for (v, &cv) in cr.iter().enumerate() {
+                    // SAFETY: as for the loads from `acc` above.
                     $v::store(op.add(r * nr + v * $v::LANES), cv);
                 }
             }
@@ -1097,7 +1086,7 @@ macro_rules! simd_kernel {
 }
 
 #[cfg(target_arch = "x86_64")]
-simd_kernel!(avx2_4x16, "avx2", v256, 4, 2);
+simd_kernel!(avx2_4x16, "avx2,fma", v256, 4, 2);
 #[cfg(target_arch = "x86_64")]
 simd_kernel!(avx512_8x16, "avx512f", v512, 8, 1);
 #[cfg(target_arch = "x86_64")]
@@ -1112,7 +1101,7 @@ simd_kernel!(avx512_8x32, "avx512f", v512, 8, 2);
 /// in this process (wrong CPU or `AERGIA_FORCE_SCALAR`) — the fallback
 /// computes identical bits, just slower.
 #[inline(always)]
-fn run_kernel<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
+fn run_kernel<'a, const ACC: bool, A: SubtileA<'a>>(
     variant: KernelVariant,
     a: A,
     panel: &[f32],
@@ -1126,17 +1115,17 @@ fn run_kernel<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
         // two assertions above are the kernels' remaining preconditions.
         unsafe {
             match (variant.isa, variant.mr, variant.nr) {
-                (Isa::Avx2, 4, 16) => return avx2_4x16::<SKIP, ACC, A>(a, panel, acc),
-                (Isa::Avx512, 8, 16) => return avx512_8x16::<SKIP, ACC, A>(a, panel, acc),
-                (Isa::Avx512, 8, 32) => return avx512_8x32::<SKIP, ACC, A>(a, panel, acc),
+                (Isa::Avx2, 4, 16) => return avx2_4x16::<ACC, A>(a, panel, acc),
+                (Isa::Avx512, 8, 16) => return avx512_8x16::<ACC, A>(a, panel, acc),
+                (Isa::Avx512, 8, 32) => return avx512_8x32::<ACC, A>(a, panel, acc),
                 _ => {}
             }
         }
     }
     if (variant.mr, variant.nr) == (MR, NR) {
-        scalar_4x8::<SKIP, ACC, A>(a, panel, acc);
+        scalar_4x8::<ACC, A>(a, panel, acc);
     } else {
-        scalar_any::<SKIP, ACC, A>(variant.mr, variant.nr, a, panel, acc);
+        scalar_any::<ACC, A>(variant.mr, variant.nr, a, panel, acc);
     }
 }
 
@@ -1180,15 +1169,16 @@ fn read_back(
     }
 }
 
-/// Driver for the row-major-`A` packed kernels (`nn` with
-/// `SKIP = true`, `nt` with `SKIP = false`): parallel
-/// [`run_row_tiles`] over the output, one [`gemm_row_tile`] per tile.
-pub(crate) fn gemm_packed<const SKIP: bool>(ad: &[f32], k: usize, pb: &PackedB, od: &mut [f32]) {
+/// Driver for the row-major-`A` packed kernels (`op` is [`GemmOp::Nn`] or
+/// [`GemmOp::Nt`], which differ only in how `B` was packed and in the
+/// counter they bump): parallel [`run_row_tiles`] over the output, one
+/// [`gemm_row_tile`] per tile.
+pub(crate) fn gemm_packed(op: GemmOp, ad: &[f32], k: usize, pb: &PackedB, od: &mut [f32]) {
     let n = pb.n;
     let m = od.len() / n.max(1);
-    count_gemm_call(if SKIP { GemmOp::Nn } else { GemmOp::Nt }, pb.variant);
+    count_gemm_call(op, pb.variant);
     run_row_tiles(od, n, m * n * k, |first_row, rows| {
-        gemm_row_tile::<SKIP, false, _>(
+        gemm_row_tile::<false, _>(
             |row0, mrows| RowMajor::cut(ad, k, row0, mrows),
             pb,
             first_row,
@@ -1233,7 +1223,7 @@ fn gemm_tn_block<const ACC: bool>(pa: &PackedA, k0: usize, pb: &PackedB, od: &mu
     let ks = k0..k0 + pb.k;
     assert!(ks.end <= k, "gemm_tn_block: steps {ks:?} run past k = {k}");
     run_row_tiles(od, pb.n, pa.m * pb.n * pb.k, |first_row, rows| {
-        gemm_row_tile::<true, ACC, _>(
+        gemm_row_tile::<ACC, _>(
             |row0, _| PackedTile::cut(a, k, row0, mr, ks.clone()),
             pb,
             first_row,
@@ -1245,9 +1235,9 @@ fn gemm_tn_block<const ACC: bool>(pa: &PackedA, k0: usize, pb: &PackedB, od: &mu
 /// Driver for the implicit-`A` kernel (the convolution `nt` forward):
 /// `A` is the patch matrix of the zero-padded input `xpad`, read through
 /// `table` (see [`PatchTable`]), and `out` is reset to `[m, n]` and
-/// overwritten. No skip-zero semantics and the `nt` counter, exactly as
-/// [`gemm_packed`]`::<false>` on the explicit matrix, so every product and
-/// count is the same.
+/// overwritten. The `nt` counter, exactly as [`gemm_packed`] with
+/// [`GemmOp::Nt`] on the explicit matrix, so every product and count is
+/// the same.
 ///
 /// The kernels read the patch matrix unchecked. Their bound —
 /// `row_base(r) + k_off[kk] < xpad.len()` for every row `r < m` — is
@@ -1275,7 +1265,7 @@ pub(crate) fn gemm_patches_nt(
         // Subtiles are cut in row order, so one stepped walk of the row
         // bases serves the whole tile.
         let mut bases = table.row_bases(first_row);
-        gemm_row_tile::<false, false, _>(
+        gemm_row_tile::<false, _>(
             |_, mrows| Patches::cut(xd, k_off, &mut bases, mrows),
             pb,
             first_row,
@@ -1286,7 +1276,7 @@ pub(crate) fn gemm_patches_nt(
 }
 
 /// Driver for a convolution's weight gradient `dW = Aᵀ · patches(xpad)`
-/// (the `tn` form, skip-zero on `A`), `k`-blocked: the `B` panels are
+/// (the `tn` form), `k`-blocked: the `B` panels are
 /// gathered [`KC`] patch rows at a time into `block` (one small pack,
 /// rewritten per block) and each block after the first continues the
 /// partial sums in `out` (see the module docs). `out` is reset to
@@ -1322,8 +1312,8 @@ pub(crate) fn gemm_patches_tn(
 }
 
 /// Driver for a convolution's input gradient without its patch-matrix
-/// gradient: `dx = col2im(dy_rows · W)` (the `nn` form, skip-zero on
-/// `dy_rows`), computed per image, [`TILE_ROWS`] patch rows at a time.
+/// gradient: `dx = col2im(dy_rows · W)` (the `nn` form), computed per
+/// image, [`TILE_ROWS`] patch rows at a time.
 /// Each tile `dy_rows[rows] · W` is scatter-added, in ascending row
 /// order, into the image's zero-padded gradient in `dxpad` through
 /// `table`, and the image is then cropped into `out` — per pixel the
@@ -1370,7 +1360,7 @@ pub(crate) fn gemm_scatter_patches(
             let row0 = (first_img + i) * pixels;
             for p0 in (0..pixels).step_by(TILE_ROWS) {
                 let tile = &mut tile[..TILE_ROWS.min(pixels - p0) * n];
-                gemm_row_tile::<true, false, _>(
+                gemm_row_tile::<false, _>(
                     |row, mrows| RowMajor::cut(ad, k, row, mrows),
                     pb,
                     row0 + p0,
@@ -1438,21 +1428,13 @@ fn scatter_patch_rows(tile: &[f32], table: &PatchTable, p0: usize, img: &mut [f3
 /// whole `A` operand holding rows `row0 .. row0 + mrows` in its storage;
 /// it is called once per subtile, in ascending row order.
 /// Called only by the drivers above, which count the call and fan the
-/// tiles out.
-///
-/// `SKIP` says whether the GEMM form has skip-zero semantics. If so, the
-/// subtile-outer order lets each subtile be scanned for zeros *once*:
-/// zero-free subtiles (the common case on dense operands) run the
-/// unguarded microkernel — bit-exact because a guard that never fires
-/// contributes nothing — and only subtiles that actually contain zeros pay
-/// for the guarded instantiation (where the skip then saves real work,
-/// e.g. on ReLU-masked gradients). The subtile counters therefore count
-/// per call of this function: per row tile, per `k`-block.
+/// tiles out; the subtile counter therefore counts per call of this
+/// function: per row tile, per `k`-block.
 ///
 /// `ACC` says whether `rows` holds partial sums to continue (a later
 /// `k`-block); without it the kernels start from `+0.0` and the previous
 /// contents of `rows` are never read.
-fn gemm_row_tile<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
+fn gemm_row_tile<'a, const ACC: bool, A: SubtileA<'a>>(
     mut cut: impl FnMut(usize, usize) -> A,
     pb: &PackedB,
     first_row: usize,
@@ -1463,19 +1445,9 @@ fn gemm_row_tile<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
     let n = pb.n;
     let nrows = rows.len() / n;
     let mut acc = [0.0f32; MR_MAX * NR_MAX];
-    // Skip-zero accounting accumulates in locals and flushes as two
-    // atomic adds per row tile — nothing per subtile or per multiply.
-    let (mut dense_subtiles, mut guarded_subtiles) = (0u64, 0u64);
-    let mut r0 = 0;
-    while r0 < nrows {
+    for r0 in (0..nrows).step_by(mr) {
         let mrows = (nrows - r0).min(mr);
         let sub = cut(first_row + r0, mrows);
-        let dense = !SKIP || sub.zero_free();
-        if dense {
-            dense_subtiles += 1;
-        } else {
-            guarded_subtiles += 1;
-        }
         for jp in 0..n.div_ceil(nr) {
             let panel = pb.panel(jp);
             let col0 = jp * nr;
@@ -1483,17 +1455,12 @@ fn gemm_row_tile<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
             if ACC {
                 read_back(&mut acc, nr, rows, n, r0, mrows, col0, ncols);
             }
-            if dense {
-                run_kernel::<false, ACC, A>(variant, sub, panel, &mut acc);
-            } else {
-                run_kernel::<true, ACC, A>(variant, sub, panel, &mut acc);
-            }
+            run_kernel::<ACC, A>(variant, sub, panel, &mut acc);
             write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
         }
-        r0 += mrows;
     }
-    GEMM_SUBTILES_DENSE.add(dense_subtiles);
-    GEMM_SUBTILES_GUARDED.add(guarded_subtiles);
+    // One atomic add per row tile — nothing per subtile or per multiply.
+    GEMM_SUBTILES_DENSE.add(nrows.div_ceil(mr) as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1501,15 +1468,15 @@ fn gemm_row_tile<'a, const SKIP: bool, const ACC: bool, A: SubtileA<'a>>(
 // ---------------------------------------------------------------------------
 
 /// Which GEMM entry point a [`tuned_variant`] query describes — the three
-/// differ in how `A` is consumed (in-place rows, packed tiles) and whether
-/// the skip-zero guard is in play.
+/// differ in how each operand is stored and consumed (in-place rows,
+/// packed tiles, transposed panels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmOp {
-    /// [`crate::ops::matmul_packed_into`]: row-major `A`, skip-zero semantics.
+    /// [`crate::ops::matmul_packed_into`]: row-major `A`, row-major `B`.
     Nn,
-    /// [`crate::ops::matmul_nt_packed_into`]: row-major `A`, no skipping.
+    /// [`crate::ops::matmul_nt_packed_into`]: row-major `A`, transposed `B`.
     Nt,
-    /// [`crate::ops::matmul_tn_packed_into`]: packed-`A` tiles, skip-zero semantics.
+    /// [`crate::ops::matmul_tn_packed_into`]: packed-`A` tiles of a transposed `A`.
     Tn,
 }
 
@@ -1594,8 +1561,8 @@ mod tests {
     }
 
     /// A `dims` gradient-like tensor: values in `[-1, 1)`; with `zeros`,
-    /// about one element in seven is an exact zero of either sign (the
-    /// skip-zero path, as on ReLU-masked gradients); with `specials`,
+    /// about one element in seven is an exact zero of either sign (as on
+    /// ReLU-masked gradients); with `specials`,
     /// about one in twenty is NaN or ±inf.
     fn sparse_input(dims: &[usize], seed: u64, zeros: bool, specials: bool) -> Tensor {
         use rand::{RngExt as _, SeedableRng};
@@ -1873,6 +1840,90 @@ mod tests {
         }
     }
 
+    /// Every GEMM entry and every oracle computes the fused chain
+    /// `s = fma(a, b, s)`, not a separate multiply and add: each output
+    /// element below is `1 · (−1) + (1 + 2⁻¹²)²`, which is `2⁻¹¹ + 2⁻²⁴`
+    /// fused (one rounding) and `2⁻¹¹` unfused (the square rounds to
+    /// `1 + 2⁻¹¹` first). Checked on every variant for `nn`, `nt`, `tn`,
+    /// the implicit-patch forward and the `k`-blocked dW, whose chain here
+    /// crosses a block boundary; and the AVX2 tier is only ever active
+    /// with FMA present.
+    #[test]
+    fn fused_chain_is_the_contract_on_every_variant() {
+        #[cfg(target_arch = "x86_64")]
+        assert!(active_isa() != Isa::Avx2 || is_x86_feature_detected!("fma"));
+        let x = 1.0 + f32::EPSILON * 2048.0; // 1 + 2⁻¹²
+        let fused = 0.5f32.powi(11) + 0.5f32.powi(24);
+        assert_eq!(x.mul_add(x, 1.0f32.mul_add(-1.0, 0.0)), fused);
+        assert_ne!(-1.0 + std::hint::black_box(x) * x, fused, "the case must tell the two apart");
+        let all_fused = |t: &Tensor, what: &str| {
+            assert!(
+                t.data().iter().all(|v| v.to_bits() == fused.to_bits()),
+                "{what}: {:?} is not the fused chain's {fused:?}",
+                t.data().iter().find(|v| v.to_bits() != fused.to_bits())
+            );
+        };
+        let (m, n) = (13, 21);
+        let tile = |rows: usize, cols: usize, f: &dyn Fn(usize, usize) -> f32| {
+            let data = (0..rows * cols).map(|i| f(i / cols, i % cols)).collect();
+            Tensor::from_vec(data, &[rows, cols]).unwrap()
+        };
+        // Row `[1, x]` of A meets column `[−1, x]` of B in every form.
+        let a = tile(m, 2, &|_, kk| [1.0, x][kk]);
+        let at = tile(2, m, &|kk, _| [1.0, x][kk]);
+        let b = tile(2, n, &|kk, _| [-1.0, x][kk]);
+        let bt = tile(n, 2, &|_, kk| [-1.0, x][kk]);
+        all_fused(&ops::matmul_reference(&a, &b).unwrap(), "nn oracle");
+        all_fused(&ops::matmul_nt_reference(&a, &bt).unwrap(), "nt oracle");
+        all_fused(&ops::matmul_tn_reference(&at, &b).unwrap(), "tn oracle");
+
+        // The conv forward: two channels, 1×1 kernel, so patch row `p` is
+        // `[x₀[p], x₁[p]]` = `[1, x]`, against weight rows `[−1, x]`.
+        let fwd = crate::conv::ConvGeometry::new(3, 5, 1, 1, 1, 0);
+        let fwd_table = PatchTable::new(2, &fwd);
+        let img = Tensor::from_vec([[1.0; 15], [x; 15]].concat(), &[1, 2, 3, 5]).unwrap();
+        let mut fwd_pad = Tensor::default();
+        fwd_table.pad_into(&img, &mut fwd_pad).unwrap();
+        // The dW: one channel, one row of KC + 1 pixels, 1×1 kernel, so
+        // `k` = KC + 1 patch rows. Only rows 0 and KC carry terms (the
+        // zero rows add `fma(1, 0, s) = s`), so the chain is `−1` in the
+        // first block, continued by `x²` in the second.
+        let dw_geom = crate::conv::ConvGeometry::new(1, KC + 1, 1, 1, 1, 0);
+        let dw_table = PatchTable::new(1, &dw_geom);
+        let mut pixels = vec![0.0; KC + 1];
+        (pixels[0], pixels[KC]) = (-1.0, x);
+        let mut dw_pad = Tensor::default();
+        dw_table
+            .pad_into(&Tensor::from_vec(pixels, &[1, 1, 1, KC + 1]).unwrap(), &mut dw_pad)
+            .unwrap();
+        let dy = tile(KC + 1, m, &|r, _| if r == KC { x } else { 1.0 });
+
+        let mut out = Tensor::default();
+        for variant in all_variants() {
+            let mut pb = PackedB::new();
+            pb.pack_with(&b, variant).unwrap();
+            ops::matmul_packed_into(&a, &pb, &mut out).unwrap();
+            all_fused(&out, &format!("nn {variant:?}"));
+            let mut pa = PackedA::new();
+            pa.pack_transposed_with(&at, variant).unwrap();
+            ops::matmul_tn_packed_into(&pa, &pb, &mut out).unwrap();
+            all_fused(&out, &format!("tn {variant:?}"));
+            let mut pbt = PackedB::new();
+            pbt.pack_transposed_with(&bt, variant).unwrap();
+            ops::matmul_nt_packed_into(&a, &pbt, &mut out).unwrap();
+            all_fused(&out, &format!("nt {variant:?}"));
+            ops::matmul_nt_patches_into(&fwd_pad, &fwd_table, &pbt, &mut out).unwrap();
+            assert_eq!(out.dims(), &[15, n]);
+            all_fused(&out, &format!("implicit-patch forward {variant:?}"));
+            let mut pdy = PackedA::new();
+            pdy.pack_transposed_with(&dy, variant).unwrap();
+            let mut block = PackedB::new();
+            ops::matmul_tn_patches_into(&pdy, &dw_pad, &dw_table, &mut block, &mut out).unwrap();
+            assert_eq!(out.dims(), &[m, 1]);
+            all_fused(&out, &format!("k-blocked dW {variant:?}"));
+        }
+    }
+
     /// Fixed cases the property must never miss: subtiles straddling
     /// output rows and images at every `mr`, and a product above the
     /// threading threshold with more rows than one parallel tile, whose
@@ -2067,14 +2118,13 @@ mod tests {
         // See the module docs: ±inf and -0.0 results and NaN *positions*
         // are pinned bit-exactly across every variant and the reference;
         // a NaN's own sign/payload bits are the one thing the compiler
-        // does not guarantee (LLVM may commute a single mul/add per
-        // kernel instantiation, which only a freshly created NaN can
-        // observe). The skip guard is semantically load-bearing here
-        // (0 · inf = NaN when *not* skipped), so NaN placement also pins
-        // the skip semantics across variants.
+        // does not guarantee (LLVM may commute the two factors of one
+        // fused step per kernel instantiation, which only a NaN can
+        // observe). No term is ever skipped, so 0 · inf is NaN in every
+        // form, and NaN placement pins that across variants.
         // Case 1: a dense grid of specials — every accumulation chain hits
-        // NaNs, pinning NaN placement and the skip semantics (a -0.0 in A
-        // is skipped like +0.0; an unskipped 0 · inf is NaN).
+        // NaNs, pinning NaN placement (a zero of either sign times ±inf
+        // or NaN is NaN, in A and in B).
         let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.5, -2.25];
         let (m, k, n) = (9, 13, 11);
         let dense_a =
@@ -2116,9 +2166,6 @@ mod tests {
                 ops::matmul_packed_into(a, &pb, &mut out).unwrap();
                 assert_same_modulo_nan_bits(&out, &nn_ref, &format!("case {case} nn {variant:?}"));
 
-                // The unguarded path (nt: no zero skipping)
-                // creates NaNs from 0 · inf that the guarded path never
-                // sees.
                 let mut pbt = PackedB::new();
                 pbt.pack_transposed_with(&bt, variant).unwrap();
                 ops::matmul_nt_packed_into(a, &pbt, &mut out).unwrap();

@@ -28,10 +28,12 @@
 //!
 //! # Determinism
 //!
-//! The packed path never reorders floating-point accumulation: for every
-//! output element the contributions along the shared dimension are added
-//! in ascending-`k` order from `+0.0`, exactly as the reference kernels
-//! do, and parallel tiles write disjoint output rows at fixed boundaries.
+//! The packed path never reorders floating-point accumulation: every
+//! output element is one chain of fused multiply-adds
+//! (`s = fma(a, b, s)`, one rounding per step) along the shared dimension
+//! in ascending-`k` order from `+0.0`, no term skipped, exactly as the
+//! reference kernels compute it, and parallel tiles write disjoint output
+//! rows at fixed boundaries.
 //! It is therefore **bit-identical** to the references and to itself at
 //! any thread count — the property the engine's
 //! serial-vs-parallel equivalence suite relies on (enforced by unit tests
@@ -40,8 +42,8 @@
 
 use crate::conv::PatchTable;
 use crate::gemm::{
-    gemm_packed, gemm_packed_tn, gemm_patches_nt, gemm_patches_tn, gemm_scatter_patches, PackedA,
-    PackedB,
+    gemm_packed, gemm_packed_tn, gemm_patches_nt, gemm_patches_tn, gemm_scatter_patches, GemmOp,
+    PackedA, PackedB,
 };
 use crate::{Tensor, TensorError};
 
@@ -135,15 +137,14 @@ pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<
         });
     }
     out.reset_for_overwrite(&[m, pb.n()]);
-    gemm_packed::<true>(a.data(), ka, pb, out.data_mut());
+    gemm_packed(GemmOp::Nn, a.data(), ka, pb, out.data_mut());
     Ok(())
 }
 
 /// The naive `i-k-j` matmul kept as the oracle for the packed kernels
-/// (property tests assert exact equality on random shapes). Skips
-/// exact-zero `A` elements — the historical sparsity fast path whose
-/// semantics the packed kernels replicate bit for bit (as a guarded skip,
-/// see [`crate::gemm`]).
+/// (property tests assert exact equality on random shapes): each output
+/// element is `s = a[i, k].mul_add(b[k, j], s)` over ascending `k` from
+/// `+0.0`, no term skipped — the contract of [`crate::gemm`].
 ///
 /// # Errors
 ///
@@ -167,12 +168,9 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         let arow = &ad[i * ka..(i + 1) * ka];
         let orow = &mut od[i * n..(i + 1) * n];
         for (k, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
             let brow = &bd[k * n..(k + 1) * n];
             for (o, &bkj) in orow.iter_mut().zip(brow) {
-                *o += aik * bkj;
+                *o = aik.mul_add(bkj, *o);
             }
         }
     }
@@ -214,7 +212,7 @@ pub fn matmul_tn_packed_into(
 }
 
 /// The naive `k-i-j` transposed-A matmul kept as the oracle for the packed
-/// kernel.
+/// kernel: the fused ascending-`k` chain of [`matmul_reference`].
 ///
 /// # Errors
 ///
@@ -238,12 +236,9 @@ pub fn matmul_tn_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
         let arow = &ad[k * m..(k + 1) * m];
         let brow = &bd[k * n..(k + 1) * n];
         for (i, &aki) in arow.iter().enumerate() {
-            if aki == 0.0 {
-                continue;
-            }
             let orow = &mut od[i * n..(i + 1) * n];
             for (o, &bkj) in orow.iter_mut().zip(brow) {
-                *o += aki * bkj;
+                *o = aki.mul_add(bkj, *o);
             }
         }
     }
@@ -280,7 +275,7 @@ pub fn matmul_nt_packed_into(
         });
     }
     out.reset_for_overwrite(&[m, pb.n()]);
-    gemm_packed::<false>(a.data(), ka, pb, out.data_mut());
+    gemm_packed(GemmOp::Nt, a.data(), ka, pb, out.data_mut());
     Ok(())
 }
 
@@ -345,7 +340,7 @@ pub fn matmul_tn_patches_into(
 
 /// A convolution's input gradient `dx = col2im(dy_rows · W)` without the
 /// `[N·OH·OW, C·kh·kw]` patch-matrix gradient: `dy_rows · W` (`W` packed
-/// in `pb`, skip-zero on `dy_rows` as in [`matmul_packed_into`]) is
+/// in `pb`, the `nn` kernels of [`matmul_packed_into`]) is
 /// computed a few patch rows at a time into a tile of `tiles` and
 /// scatter-added through `table` into the zero-padded gradient `dxpad`,
 /// which is then cropped into `out` (`[N, C, H, W]`). Bit-identical to
@@ -376,7 +371,8 @@ pub fn matmul_scatter_patches_into(
 }
 
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the
-/// packed kernel.
+/// packed kernel: the fused ascending-`k` chain of [`matmul_reference`],
+/// run in a local and stored as it ends.
 ///
 /// # Errors
 ///
@@ -401,11 +397,11 @@ pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
         let orow = &mut od[i * n..(i + 1) * n];
         for (j, o) in orow.iter_mut().enumerate() {
             let brow = &bd[j * ka..(j + 1) * ka];
-            let mut acc = 0.0;
+            let mut acc = 0.0f32;
             for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
+                acc = x.mul_add(y, acc);
             }
-            *o += acc;
+            *o = acc;
         }
     }
     Ok(out)

@@ -134,7 +134,7 @@ proptest! {
         let mut fill = |len: usize| -> Vec<f32> {
             (0..len)
                 .map(|_| {
-                    // Exact zeros exercise the skip-zero fast path.
+                    // Exact zeros, as on ReLU-masked gradients.
                     if rng.random_range(0.0..1.0) < 0.1 { 0.0 } else { rng.random_range(-2.0f32..2.0) }
                 })
                 .collect()
@@ -350,7 +350,7 @@ proptest! {
         let mut fill = |len: usize| -> Vec<f32> {
             (0..len)
                 .map(|_| {
-                    // Exact zeros force the guarded skip path too.
+                    // Exact zeros, as on ReLU-masked gradients.
                     if rng.random_range(0.0..1.0) < 0.15 { 0.0 } else { rng.random_range(-2.0f32..2.0) }
                 })
                 .collect()
@@ -398,7 +398,7 @@ proptest! {
         let mut fill = |len: usize| -> Vec<f32> {
             (0..len)
                 .map(|_| {
-                    // Exact zeros exercise the guarded skip path in every tier.
+                    // Exact zeros, as on ReLU-masked gradients.
                     if rng.random_range(0.0..1.0) < 0.2 { 0.0 } else { rng.random_range(-2.0f32..2.0) }
                 })
                 .collect()
