@@ -17,14 +17,11 @@
 //!     16     …  chunks: tag [u8;4] · len u32 · bytes
 //! ```
 
-use crate::io::{put_u16, put_u32, Reader};
+use crate::wire::{get_n, read_all, Preamble, Reader, Wire};
 use crate::CodecError;
 
-/// Checkpoint magic bytes.
-pub const MAGIC: [u8; 8] = *b"AERGCKPT";
-
-/// Checkpoint container version.
-pub const VERSION: u16 = 1;
+/// Checkpoint magic `b"AERGCKPT"`, container version 1.
+const PREAMBLE: Preamble = Preamble { magic: b"AERGCKPT", version: 1 };
 
 /// Writes chunks into one checkpoint buffer.
 #[derive(Debug, Default)]
@@ -39,30 +36,43 @@ impl ChunkWriter {
     }
 
     /// Appends a chunk with the given 4-byte tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `body` exceeds `u32::MAX` bytes.
     pub fn chunk(&mut self, tag: [u8; 4], body: Vec<u8>) -> &mut Self {
+        assert!(body.len() <= u32::MAX as usize, "chunk body overflows u32");
         self.chunks.push((tag, body));
         self
     }
 
     /// Assembles the checkpoint buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chunk body exceeds `u32::MAX` bytes.
     pub fn finish(self) -> Vec<u8> {
         let total: usize = self.chunks.iter().map(|(_, b)| 8 + b.len()).sum();
         let mut out = Vec::with_capacity(16 + total);
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, VERSION);
-        put_u16(&mut out, 0);
-        put_u32(&mut out, self.chunks.len() as u32);
+        self.put(&mut out);
+        out
+    }
+}
+
+// The container opens with its preamble and a reserved `u16`; its chunks
+// are a list of tag, `u32` length and bytes, read as borrows by
+// [`ChunkReader`], which an owned container copies out of.
+impl Wire for ChunkWriter {
+    fn put(&self, out: &mut Vec<u8>) {
+        PREAMBLE.put(out);
+        0u16.put(out);
+        self.chunks.len().put(out);
         for (tag, body) in &self.chunks {
-            assert!(body.len() <= u32::MAX as usize, "chunk body overflows u32");
-            out.extend_from_slice(tag);
-            put_u32(&mut out, body.len() as u32);
+            tag.put(out);
+            body.len().put(out);
             out.extend_from_slice(body);
         }
-        out
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let chunks = ChunkReader::read(r)?.chunks.into_iter();
+        Ok(ChunkWriter { chunks: chunks.map(|(tag, body)| (tag, body.to_vec())).collect() })
     }
 }
 
@@ -77,28 +87,21 @@ impl<'a> ChunkReader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] on bad magic, unknown version or truncation.
+    /// Returns [`CodecError`] on bad magic, unknown version or truncation,
+    /// including a chunk count the bytes left cannot hold.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        if r.take(8)? != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let _reserved = r.u16()?;
-        let count = r.u32()? as usize;
-        let mut chunks = Vec::with_capacity(count);
-        for _ in 0..count {
-            let tag_bytes = r.take(4)?;
-            let tag = [tag_bytes[0], tag_bytes[1], tag_bytes[2], tag_bytes[3]];
-            let len = r.u32()? as usize;
-            chunks.push((tag, r.take(len)?));
-        }
-        if r.remaining() != 0 {
-            return Err(CodecError::Corrupt("trailing bytes after chunks"));
-        }
+        read_all(bytes, Self::read)
+    }
+
+    fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        PREAMBLE.check(r)?;
+        let _reserved = u16::get(r)?;
+        let count = usize::get(r)?;
+        let chunks = get_n(r, count, |r| {
+            let tag = <[u8; 4]>::get(r)?;
+            let len = usize::get(r)?;
+            Ok((tag, r.take(len)?))
+        })?;
         Ok(ChunkReader { chunks })
     }
 
@@ -141,6 +144,25 @@ mod tests {
         let bytes = w.finish();
         let body = ChunkReader::parse(&bytes).unwrap().get(*b"GLOB").unwrap();
         assert_eq!(Frame::from_bytes(body.to_vec()).unwrap().decode(None).unwrap(), weights);
+    }
+
+    #[test]
+    fn the_container_keeps_the_wire_laws() {
+        let mut w = ChunkWriter::new();
+        w.chunk(*b"META", vec![1, 2, 3]).chunk(*b"NONE", Vec::new());
+        crate::wire::assert_wire_laws(&w);
+        crate::wire::assert_wire_laws(&ChunkWriter::new());
+    }
+
+    /// A 16-byte header declaring `u32::MAX` chunks is `Truncated`: the
+    /// count is checked against the bytes left before anything is
+    /// reserved for it.
+    #[test]
+    fn a_hostile_chunk_count_is_truncated_not_allocated() {
+        let mut bytes = b"AERGCKPT".to_vec();
+        bytes.extend_from_slice(&[1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(bytes.len(), 16);
+        assert_eq!(ChunkReader::parse(&bytes).unwrap_err(), CodecError::Truncated);
     }
 
     #[test]

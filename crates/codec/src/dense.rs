@@ -6,33 +6,25 @@
 //! property that lets a dense-codec run stay byte-identical to one that
 //! never serialized at all.
 
-use aergia_tensor::Tensor;
+use aergia_tensor::{Shape, Tensor};
 
-use crate::io::{put_f32, put_u32, Reader};
-use crate::sizing::{self, ShapeSpec};
+use crate::sizing::ShapeSpec;
+use crate::wire::{get_n, read_all, Reader, Wire};
 use crate::CodecError;
 
 /// Upper bound on rank/element counts honoured by the decoder; prevents
 /// pathological allocations from corrupt buffers.
 const SANITY_LIMIT: u64 = 1 << 31;
-const MAX_RANK: u32 = 16;
+const MAX_RANK: usize = 16;
 
 /// Appends the dense encoding of `tensors` to `out`.
 pub fn encode_payload_into(tensors: &[Tensor], out: &mut Vec<u8>) {
-    if aergia_telemetry::enabled() {
-        crate::telemetry_hooks::record_dense_equiv(
-            crate::CodecId::DenseF32,
-            sizing::ShapeSpec::of(tensors).dense_payload_len(),
-        );
-    }
-    out.reserve(sizing::ShapeSpec::of(tensors).dense_payload_len());
+    crate::telemetry_hooks::record_dense_equiv(crate::CodecId::DenseF32, tensors);
+    out.reserve(payload_len(tensors));
     for t in tensors {
-        put_u32(out, t.dims().len() as u32);
-        for &d in t.dims() {
-            put_u32(out, d as u32);
-        }
-        for &v in t.data() {
-            put_f32(out, v);
+        t.shape().put(out);
+        for v in t.data() {
+            v.put(out);
         }
     }
 }
@@ -43,48 +35,46 @@ pub fn encode_payload_into(tensors: &[Tensor], out: &mut Vec<u8>) {
 ///
 /// Returns [`CodecError`] on truncation or implausible shape metadata.
 pub fn decode_payload(payload: &[u8], tensor_count: usize) -> Result<Vec<Tensor>, CodecError> {
-    let mut r = Reader::new(payload);
-    // Cap the pre-allocation: a corrupt count must not allocate blindly.
-    let mut out = Vec::with_capacity(tensor_count.min(payload.len() / 4 + 1));
-    for _ in 0..tensor_count {
-        let (dims, numel) = decode_shape(&mut r)?;
-        // Cap against the bytes actually present: corrupt dims must fail
-        // with Truncated, not attempt a multi-GiB allocation first.
-        let mut data = Vec::with_capacity(numel.min(r.remaining() / 4 + 1));
-        for _ in 0..numel {
-            data.push(r.f32()?);
-        }
-        out.push(Tensor::from_vec(data, &dims).map_err(|_| CodecError::Corrupt("shape"))?);
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Corrupt("trailing bytes in dense payload"));
-    }
-    Ok(out)
+    read_all(payload, |r| {
+        get_n(r, tensor_count, |r| {
+            let shape = Shape::get(r)?;
+            let data = get_n(r, shape.numel(), f32::get)?;
+            Tensor::from_vec(data, shape.dims()).map_err(|_| CodecError::Corrupt("shape"))
+        })
+    })
 }
 
-/// Reads the shared `rank + dims` prefix every payload format uses.
-pub(crate) fn decode_shape(r: &mut Reader<'_>) -> Result<(Vec<usize>, usize), CodecError> {
-    let rank = r.u32()?;
-    if rank > MAX_RANK {
-        return Err(CodecError::Corrupt("rank"));
+// The `rank + dims` prefix every payload format opens a tensor with. Rank
+// and element count are capped, so corrupt dims fail before they size an
+// allocation.
+impl Wire for Shape {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.rank().put(out);
+        self.dims().iter().for_each(|d| d.put(out));
     }
-    let mut dims = Vec::with_capacity(rank as usize);
-    let mut numel: u64 = 1;
-    for _ in 0..rank {
-        let d = u64::from(r.u32()?);
-        numel = numel.saturating_mul(d.max(1));
-        if numel > SANITY_LIMIT {
-            return Err(CodecError::Corrupt("element count"));
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let rank = usize::get(r)?;
+        if rank > MAX_RANK {
+            return Err(CodecError::Corrupt("rank"));
         }
-        dims.push(d as usize);
+        let mut dims = Vec::with_capacity(rank);
+        let mut numel: u64 = 1;
+        for _ in 0..rank {
+            let d = usize::get(r)?;
+            numel = numel.saturating_mul(d.max(1) as u64);
+            if numel > SANITY_LIMIT {
+                return Err(CodecError::Corrupt("element count"));
+            }
+            dims.push(d);
+        }
+        Shape::try_from(dims).map_err(|_| CodecError::Corrupt("shape"))
     }
-    let numel: usize = dims.iter().product();
-    Ok((dims, numel))
 }
 
 /// Exact dense payload length for `tensors` (shape-only; see
 /// [`ShapeSpec::dense_payload_len`]).
-pub fn payload_len(tensors: &[Tensor]) -> usize {
+pub(crate) fn payload_len(tensors: &[Tensor]) -> usize {
     ShapeSpec::of(tensors).dense_payload_len()
 }
 
@@ -127,14 +117,10 @@ mod tests {
             assert!(decode_payload(&payload[..cut], 1).is_err(), "cut at {cut}");
         }
         // Absurd rank.
-        let mut bad = Vec::new();
-        put_u32(&mut bad, 99);
-        assert_eq!(decode_payload(&bad, 1), Err(CodecError::Corrupt("rank")));
+        assert_eq!(decode_payload(&99u32.encode(), 1), Err(CodecError::Corrupt("rank")));
         // Huge declared dims in a tiny buffer: must fail fast (Truncated),
         // not allocate gigabytes up front.
-        let mut bomb = Vec::new();
-        put_u32(&mut bomb, 1);
-        put_u32(&mut bomb, 0x7fff_ffff);
+        let bomb = (1u32, 0x7fff_ffffu32).encode();
         assert_eq!(decode_payload(&bomb, 1), Err(CodecError::Truncated));
         // Declared tensor count smaller than the payload.
         assert!(decode_payload(&payload, 0).is_err());

@@ -25,14 +25,11 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use crate::io::{put_u16, put_u32, Reader};
+use crate::wire::{Preamble, Reader, Wire};
 use crate::CodecError;
 
-/// Envelope magic bytes.
-pub const MAGIC: [u8; 4] = *b"AENV";
-
-/// Current envelope format version.
-pub const VERSION: u16 = 1;
+/// Envelope magic `b"AENV"`, version 1.
+const PREAMBLE: Preamble = Preamble { magic: b"AENV", version: 1 };
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -42,45 +39,56 @@ pub const HEADER_LEN: usize = 12;
 /// Checked before allocation on the read path.
 pub const MAX_BODY_LEN: usize = 256 << 20;
 
-/// The message kinds of the coordinator⇄client protocol, as carried in
-/// the envelope header. Bodies are chunked containers / frames built by
-/// `aergia-net` on top of this crate's primitives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum MsgKind {
-    /// Client → coordinator: introduce client id, request admission.
-    Hello = 1,
-    /// Coordinator → client: admission plus the experiment description.
-    Welcome = 2,
-    /// Coordinator → client: train your own batches for a round.
-    TrainOrder = 3,
-    /// Client → coordinator: trained weights and losses.
-    TrainReply = 4,
-    /// Coordinator → client: train a straggler's frozen snapshot.
-    OffloadOrder = 5,
-    /// Client → coordinator: the trained feature section.
-    OffloadReply = 6,
-    /// Coordinator → client: the run is over, shut down.
-    Finish = 7,
+wire_enum! {
+    /// The message kinds of the coordinator⇄client protocol, as carried in
+    /// the envelope header. Bodies are chunked containers / frames built by
+    /// `aergia-net` on top of this crate's primitives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum MsgKind {
+        /// Client → coordinator: introduce client id, request admission.
+        Hello = 1,
+        /// Coordinator → client: admission plus the experiment description.
+        Welcome = 2,
+        /// Coordinator → client: train your own batches for a round.
+        TrainOrder = 3,
+        /// Client → coordinator: trained weights and losses.
+        TrainReply = 4,
+        /// Coordinator → client: train a straggler's frozen snapshot.
+        OffloadOrder = 5,
+        /// Client → coordinator: the trained feature section.
+        OffloadReply = 6,
+        /// Coordinator → client: the run is over, shut down.
+        Finish = 7,
+    }
 }
 
-impl MsgKind {
-    /// Decodes the one-byte wire representation.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Corrupt`] for unknown kinds.
-    pub(crate) fn from_wire(byte: u8) -> Result<Self, CodecError> {
-        match byte {
-            1 => Ok(MsgKind::Hello),
-            2 => Ok(MsgKind::Welcome),
-            3 => Ok(MsgKind::TrainOrder),
-            4 => Ok(MsgKind::TrainReply),
-            5 => Ok(MsgKind::OffloadOrder),
-            6 => Ok(MsgKind::OffloadReply),
-            7 => Ok(MsgKind::Finish),
-            _ => Err(CodecError::Corrupt("envelope message kind")),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
+    kind: MsgKind,
+    body_len: usize,
+}
+
+// The fixed header: the preamble, then the kind, a reserved zero byte and
+// the body length, capped before anyone sizes a buffer by it.
+impl Wire for Header {
+    fn put(&self, out: &mut Vec<u8>) {
+        PREAMBLE.put(out);
+        self.kind.put(out);
+        0u8.put(out);
+        self.body_len.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        PREAMBLE.check(r)?;
+        let kind = MsgKind::get(r)?;
+        if u8::get(r)? != 0 {
+            return Err(CodecError::Corrupt("envelope reserved byte"));
         }
+        let body_len = usize::get(r)?;
+        if body_len > MAX_BODY_LEN {
+            return Err(CodecError::Corrupt("envelope body length over cap"));
+        }
+        Ok(Header { kind, body_len })
     }
 }
 
@@ -123,28 +131,6 @@ impl From<CodecError> for EnvelopeError {
     }
 }
 
-/// Validates a 12-byte header and returns `(kind, body_len)`.
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(MsgKind, usize), CodecError> {
-    let mut r = Reader::new(header);
-    let magic = r.take(4).expect("header is 12 bytes");
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.u16().expect("header is 12 bytes");
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let kind = MsgKind::from_wire(r.u8().expect("header is 12 bytes"))?;
-    if r.u8().expect("header is 12 bytes") != 0 {
-        return Err(CodecError::Corrupt("envelope reserved byte"));
-    }
-    let body_len = r.u32().expect("header is 12 bytes") as usize;
-    if body_len > MAX_BODY_LEN {
-        return Err(CodecError::Corrupt("envelope body length over cap"));
-    }
-    Ok((kind, body_len))
-}
-
 /// Parses one envelope from the front of `buf` without allocating.
 /// Returns the kind, the borrowed body, and the total bytes consumed
 /// (header + body) so callers can advance through a buffer of
@@ -157,16 +143,10 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(MsgKind, usize), CodecErro
 /// [`CodecError::UnsupportedVersion`] / [`CodecError::Corrupt`] for
 /// invalid headers (including a body length over [`MAX_BODY_LEN`]).
 pub fn parse(buf: &[u8]) -> Result<(MsgKind, &[u8], usize), CodecError> {
-    if buf.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("sliced to length");
-    let (kind, body_len) = parse_header(header)?;
-    let total = HEADER_LEN + body_len;
-    if buf.len() < total {
-        return Err(CodecError::Truncated);
-    }
-    Ok((kind, &buf[HEADER_LEN..total], total))
+    let header = Header::decode(buf.get(..HEADER_LEN).ok_or(CodecError::Truncated)?)?;
+    let total = HEADER_LEN + header.body_len;
+    let body = buf.get(HEADER_LEN..total).ok_or(CodecError::Truncated)?;
+    Ok((header.kind, body, total))
 }
 
 /// Encodes an envelope into a fresh buffer.
@@ -179,11 +159,7 @@ pub fn parse(buf: &[u8]) -> Result<(MsgKind, &[u8], usize), CodecError> {
 pub fn encode(kind: MsgKind, body: &[u8]) -> Vec<u8> {
     assert!(body.len() <= MAX_BODY_LEN, "envelope body exceeds MAX_BODY_LEN");
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, VERSION);
-    out.push(kind as u8);
-    out.push(0);
-    put_u32(&mut out, body.len() as u32);
+    Header { kind, body_len: body.len() }.put(&mut out);
     out.extend_from_slice(body);
     out
 }
@@ -212,7 +188,7 @@ pub fn write_to<W: Write>(w: &mut W, kind: MsgKind, body: &[u8]) -> std::io::Res
 pub fn read_from<R: Read>(r: &mut R) -> Result<(MsgKind, Vec<u8>), EnvelopeError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let (kind, body_len) = parse_header(&header)?;
+    let Header { kind, body_len } = Header::decode(&header)?;
     let mut body = vec![0u8; body_len];
     r.read_exact(&mut body)?;
     Ok((kind, body))
@@ -297,9 +273,21 @@ mod tests {
             MsgKind::OffloadReply,
             MsgKind::Finish,
         ] {
-            assert_eq!(MsgKind::from_wire(kind as u8).unwrap(), kind);
+            assert_eq!(kind.encode(), [kind as u8]);
+            assert_eq!(MsgKind::decode(&[kind as u8]), Ok(kind));
         }
-        assert!(MsgKind::from_wire(0).is_err());
-        assert!(MsgKind::from_wire(8).is_err());
+        assert!(MsgKind::decode(&[0]).is_err());
+        assert!(MsgKind::decode(&[8]).is_err());
+    }
+
+    #[test]
+    fn the_header_keeps_the_wire_laws() {
+        for header in [
+            Header { kind: MsgKind::Hello, body_len: 0 },
+            Header { kind: MsgKind::OffloadReply, body_len: MAX_BODY_LEN },
+        ] {
+            assert_eq!(header.encode().len(), HEADER_LEN);
+            crate::wire::assert_wire_laws(&header);
+        }
     }
 }

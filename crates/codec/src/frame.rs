@@ -30,14 +30,11 @@
 
 use aergia_tensor::Tensor;
 
-use crate::io::{put_u16, put_u32, Reader};
+use crate::wire::{read_all, Preamble, Reader, Wire};
 use crate::{dense, quant, telemetry_hooks, topk, CodecConfig, CodecError, CodecId, SectionKind};
 
-/// Frame magic bytes.
-pub const MAGIC: [u8; 4] = *b"AERG";
-
-/// Wire format version this crate encodes and decodes.
-pub const VERSION: u16 = 1;
+/// Frame magic `b"AERG"`, version 1.
+const PREAMBLE: Preamble = Preamble { magic: b"AERG", version: 1 };
 
 /// Fixed header size in bytes (magic + version + flags + count + two
 /// 8-byte section slots), independent of how many slots are in use.
@@ -45,6 +42,49 @@ pub const HEADER_LEN: usize = 24;
 
 /// Maximum sections a frame can carry (features + classifier).
 pub const MAX_SECTIONS: usize = 2;
+
+/// One section-map slot; an unused slot is all zero bytes (the default).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Slot {
+    kind: SectionKind,
+    codec: CodecId,
+    tensor_count: u16,
+    payload_len: u32,
+}
+
+wire_struct!(Slot { kind, codec, tensor_count, payload_len });
+
+/// The fixed header: the section count and both slots.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct Header {
+    count: u8,
+    slots: [Slot; MAX_SECTIONS],
+}
+
+// The preamble and a reserved flags byte (written 0) precede the fields,
+// and the count bounds which slots may be non-zero.
+impl Wire for Header {
+    fn put(&self, out: &mut Vec<u8>) {
+        PREAMBLE.put(out);
+        0u8.put(out);
+        self.count.put(out);
+        self.slots.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        PREAMBLE.check(r)?;
+        let _flags = u8::get(r)?;
+        let count = u8::get(r)?;
+        if count == 0 || count as usize > MAX_SECTIONS {
+            return Err(CodecError::Corrupt("section count"));
+        }
+        let slots = <[Slot; MAX_SECTIONS]>::get(r)?;
+        if slots[count as usize..].iter().any(|s| *s != Slot::default()) {
+            return Err(CodecError::Corrupt("unused section slot not zeroed"));
+        }
+        Ok(Header { count, slots })
+    }
+}
 
 /// One decoded section view: its map entry plus a borrow of its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +132,6 @@ impl Frame {
             }
             telemetry_hooks::record_frame_decoded(frame.wire_len());
         }
-        drop(sections);
         Ok(frame)
     }
 
@@ -102,45 +141,15 @@ impl Frame {
     ///
     /// Returns [`CodecError`] on any structural violation.
     pub fn sections(&self) -> Result<Vec<Section<'_>>, CodecError> {
-        let mut r = Reader::new(&self.bytes);
-        if r.take(4)? != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let _flags = r.u8()?;
-        let nsections = r.u8()? as usize;
-        if nsections == 0 || nsections > MAX_SECTIONS {
-            return Err(CodecError::Corrupt("section count"));
-        }
-        let mut slots = Vec::with_capacity(nsections);
-        for slot in 0..MAX_SECTIONS {
-            let kind = r.u8()?;
-            let codec = r.u8()?;
-            let tensor_count = r.u16()? as usize;
-            let payload_len = r.u32()? as usize;
-            if slot < nsections {
-                slots.push((
-                    SectionKind::from_wire(kind)?,
-                    CodecId::from_wire(codec)?,
-                    tensor_count,
-                    payload_len,
-                ));
-            } else if kind != 0 || codec != 0 || tensor_count != 0 || payload_len != 0 {
-                return Err(CodecError::Corrupt("unused section slot not zeroed"));
-            }
-        }
-        let mut sections = Vec::with_capacity(nsections);
-        for (kind, codec, tensor_count, payload_len) in slots {
-            let payload = r.take(payload_len)?;
-            sections.push(Section { kind, codec, tensor_count, payload });
-        }
-        if r.remaining() != 0 {
-            return Err(CodecError::Corrupt("trailing bytes after payloads"));
-        }
-        Ok(sections)
+        read_all(&self.bytes, |r| {
+            let header = Header::get(r)?;
+            let view = |s: &Slot| {
+                let payload = r.take(s.payload_len as usize)?;
+                let tensor_count = s.tensor_count.into();
+                Ok::<_, CodecError>(Section { kind: s.kind, codec: s.codec, tensor_count, payload })
+            };
+            header.slots[..header.count as usize].iter().map(view).collect()
+        })
     }
 
     /// Decodes every section in order into one tensor list. `base` is the
@@ -227,8 +236,8 @@ impl CodecConfig {
 /// Builds a frame section by section.
 #[derive(Debug, Default)]
 pub struct FrameBuilder {
-    /// `(kind, codec, tensor_count, payload)` per pushed section.
-    sections: Vec<(SectionKind, CodecId, usize, Vec<u8>)>,
+    header: Header,
+    payloads: Vec<Vec<u8>>,
 }
 
 impl FrameBuilder {
@@ -242,8 +251,9 @@ impl FrameBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the frame already holds [`MAX_SECTIONS`] sections or
-    /// `tensor_count` exceeds `u16::MAX`.
+    /// Panics if the frame already holds [`MAX_SECTIONS`] sections,
+    /// `tensor_count` exceeds `u16::MAX` or the payload exceeds
+    /// `u32::MAX` bytes.
     pub fn push_section(
         &mut self,
         kind: SectionKind,
@@ -251,11 +261,15 @@ impl FrameBuilder {
         tensor_count: usize,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> &mut Self {
-        assert!(self.sections.len() < MAX_SECTIONS, "frame holds at most {MAX_SECTIONS} sections");
-        assert!(tensor_count <= u16::MAX as usize, "section tensor count overflows u16");
+        let slot = self.payloads.len();
+        assert!(slot < MAX_SECTIONS, "frame holds at most {MAX_SECTIONS} sections");
+        let tensor_count = u16::try_from(tensor_count).expect("section tensor count overflows u16");
         let mut payload = Vec::new();
         encode(&mut payload);
-        self.sections.push((kind, codec, tensor_count, payload));
+        let payload_len = u32::try_from(payload.len()).expect("section payload overflows u32");
+        self.header.slots[slot] = Slot { kind, codec, tensor_count, payload_len };
+        self.header.count += 1;
+        self.payloads.push(payload);
         self
     }
 
@@ -263,34 +277,18 @@ impl FrameBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no section was pushed or a payload exceeds `u32::MAX`
-    /// bytes.
+    /// Panics if no section was pushed.
     pub fn finish(self) -> Frame {
-        assert!(!self.sections.is_empty(), "frame needs at least one section");
-        let payload_total: usize = self.sections.iter().map(|(_, _, _, p)| p.len()).sum();
+        assert!(!self.payloads.is_empty(), "frame needs at least one section");
+        let payload_total: usize = self.payloads.iter().map(Vec::len).sum();
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload_total);
-        bytes.extend_from_slice(&MAGIC);
-        put_u16(&mut bytes, VERSION);
-        bytes.push(0); // flags
-        bytes.push(self.sections.len() as u8);
-        for slot in 0..MAX_SECTIONS {
-            match self.sections.get(slot) {
-                Some(&(kind, codec, tensor_count, ref payload)) => {
-                    assert!(payload.len() <= u32::MAX as usize, "section payload overflows u32");
-                    bytes.push(kind as u8);
-                    bytes.push(codec as u8);
-                    put_u16(&mut bytes, tensor_count as u16);
-                    put_u32(&mut bytes, payload.len() as u32);
-                }
-                None => bytes.extend_from_slice(&[0u8; 8]),
-            }
-        }
-        for (_, _, _, payload) in &self.sections {
+        self.header.put(&mut bytes);
+        for payload in &self.payloads {
             bytes.extend_from_slice(payload);
         }
         if aergia_telemetry::enabled() {
-            for (kind, codec, _, payload) in &self.sections {
-                telemetry_hooks::record_section_encoded(*codec, *kind, payload.len());
+            for (slot, payload) in self.header.slots.iter().zip(&self.payloads) {
+                telemetry_hooks::record_section_encoded(slot.codec, slot.kind, payload.len());
             }
             telemetry_hooks::record_frame_encoded(bytes.len());
         }
@@ -404,6 +402,20 @@ mod tests {
         // The stateless codecs need no base and ignore one.
         let dense = CodecConfig::DenseF32.encode_frame(&current, 2, None, None);
         assert_eq!(dense.decode(Some(&base[..1])).unwrap(), current);
+    }
+
+    #[test]
+    fn the_header_keeps_the_wire_laws() {
+        let features = Slot { tensor_count: 3, payload_len: 70_000, ..Slot::default() };
+        let classifier =
+            Slot { kind: SectionKind::Classifier, codec: CodecId::TopKDelta, ..features };
+        for header in [
+            Header { count: 1, slots: [features, Slot::default()] },
+            Header { count: 2, slots: [features, classifier] },
+        ] {
+            assert_eq!(header.encode().len(), HEADER_LEN);
+            crate::wire::assert_wire_laws(&header);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! ([`sizing`]) so the discrete-event simulation can charge transfers
 //! *before* any numeric work runs, and a chunked container
 //! ([`checkpoint`]) for resumable on-disk run state built on the same
-//! frames.
+//! frames. Each format states its byte layout once, as a [`wire::Wire`]
+//! type — the trait every message and chunk body above it implements too.
 //!
 //! # Codecs
 //!
@@ -41,11 +42,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+pub mod wire;
+
 pub mod checkpoint;
 pub mod dense;
 pub mod envelope;
 pub mod frame;
-pub mod io;
 pub mod partial;
 pub mod quant;
 pub mod sizing;
@@ -88,49 +91,30 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// On-wire codec identifier (one byte per frame section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum CodecId {
-    /// Little-endian IEEE-754 `f32`, bit-exact round-trip.
-    DenseF32 = 0,
-    /// Per-tensor affine int8 quantization with stored scale/zero-point.
-    QuantI8 = 1,
-    /// Sparse top-k delta against a base snapshot both ends share.
-    TopKDelta = 2,
-}
-
-impl CodecId {
-    /// Decodes the one-byte wire representation.
-    pub(crate) fn from_wire(byte: u8) -> Result<Self, CodecError> {
-        match byte {
-            0 => Ok(CodecId::DenseF32),
-            1 => Ok(CodecId::QuantI8),
-            2 => Ok(CodecId::TopKDelta),
-            _ => Err(CodecError::Corrupt("codec id")),
-        }
+wire_enum! {
+    /// On-wire codec identifier (one byte per frame section).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum CodecId {
+        /// Little-endian IEEE-754 `f32`, bit-exact round-trip.
+        #[default]
+        DenseF32 = 0,
+        /// Per-tensor affine int8 quantization with stored scale/zero-point.
+        QuantI8 = 1,
+        /// Sparse top-k delta against a base snapshot both ends share.
+        TopKDelta = 2,
     }
 }
 
-/// Which slice of the model a frame section carries — exactly the
-/// feature/classifier split of Aergia's offload protocol (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum SectionKind {
-    /// The feature section (`layers[..split]` parameters).
-    Features = 0,
-    /// The classifier section (`layers[split..]` parameters).
-    Classifier = 1,
-}
-
-impl SectionKind {
-    /// Decodes the one-byte wire representation.
-    pub(crate) fn from_wire(byte: u8) -> Result<Self, CodecError> {
-        match byte {
-            0 => Ok(SectionKind::Features),
-            1 => Ok(SectionKind::Classifier),
-            _ => Err(CodecError::Corrupt("section kind")),
-        }
+wire_enum! {
+    /// Which slice of the model a frame section carries — exactly the
+    /// feature/classifier split of Aergia's offload protocol (§2.1).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum SectionKind {
+        /// The feature section (`layers[..split]` parameters).
+        #[default]
+        Features = 0,
+        /// The classifier section (`layers[split..]` parameters).
+        Classifier = 1,
     }
 }
 
@@ -206,20 +190,24 @@ impl fmt::Display for CodecConfig {
 mod tests {
     use super::*;
 
+    use crate::wire::Wire;
+
     #[test]
     fn codec_ids_round_trip_the_wire_byte() {
         for id in [CodecId::DenseF32, CodecId::QuantI8, CodecId::TopKDelta] {
-            assert_eq!(CodecId::from_wire(id as u8).unwrap(), id);
+            assert_eq!(id.encode(), [id as u8]);
+            assert_eq!(CodecId::decode(&[id as u8]), Ok(id));
         }
-        assert!(CodecId::from_wire(7).is_err());
+        assert_eq!(CodecId::decode(&[7]), Err(CodecError::Corrupt("CodecId")));
     }
 
     #[test]
     fn section_kinds_round_trip_the_wire_byte() {
         for kind in [SectionKind::Features, SectionKind::Classifier] {
-            assert_eq!(SectionKind::from_wire(kind as u8).unwrap(), kind);
+            assert_eq!(kind.encode(), [kind as u8]);
+            assert_eq!(SectionKind::decode(&[kind as u8]), Ok(kind));
         }
-        assert!(SectionKind::from_wire(2).is_err());
+        assert_eq!(SectionKind::decode(&[2]), Err(CodecError::Corrupt("SectionKind")));
     }
 
     #[test]

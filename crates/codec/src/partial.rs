@@ -16,14 +16,13 @@
 
 use aergia_tensor::Tensor;
 
-use crate::io::{put_f32, put_u16, put_u32, Reader};
 use crate::sizing::ShapeSpec;
+use crate::wire::{Preamble, Reader, Wire};
 use crate::{dense, CodecError};
 
-/// Frame magic: "APAG" (Aergia Partial AGgregate).
-pub const PARTIAL_MAGIC: &[u8; 4] = b"APAG";
-/// Current partial-aggregate frame version.
-pub const PARTIAL_VERSION: u16 = 1;
+/// Partial-aggregate magic `b"APAG"` (Aergia Partial AGgregate),
+/// version 1.
+const PREAMBLE: Preamble = Preamble { magic: b"APAG", version: 1 };
 
 /// One edge aggregator's pre-folded contribution to a round.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,19 +42,33 @@ pub struct PartialAggregate {
     pub tensors: Vec<Tensor>,
 }
 
+// Opens with its preamble, and its tensors run to the end of the body:
+// a tensor count, then the dense payload with no byte length.
+impl Wire for PartialAggregate {
+    fn put(&self, out: &mut Vec<u8>) {
+        PREAMBLE.put(out);
+        (self.edge, self.count).put(out);
+        (self.weight, self.aux).put(out);
+        self.tensors.len().put(out);
+        dense::encode_payload_into(&self.tensors, out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        PREAMBLE.check(r)?;
+        let (edge, count) = <(u32, u32)>::get(r)?;
+        let (weight, aux) = <(f32, f32)>::get(r)?;
+        let tensor_count = usize::get(r)?;
+        let tensors = dense::decode_payload(r.take(r.remaining())?, tensor_count)?;
+        Ok(PartialAggregate { edge, count, weight, aux, tensors })
+    }
+}
+
 /// Encodes a partial aggregate: magic, version, `edge`, `count`,
 /// `weight`/`aux` bit patterns, tensor count, then the dense payload.
 #[must_use]
 pub fn encode(partial: &PartialAggregate) -> Vec<u8> {
     let mut out = Vec::with_capacity(frame_len(&ShapeSpec::of(&partial.tensors)));
-    out.extend_from_slice(PARTIAL_MAGIC);
-    put_u16(&mut out, PARTIAL_VERSION);
-    put_u32(&mut out, partial.edge);
-    put_u32(&mut out, partial.count);
-    put_f32(&mut out, partial.weight);
-    put_f32(&mut out, partial.aux);
-    put_u32(&mut out, partial.tensors.len() as u32);
-    dense::encode_payload_into(&partial.tensors, &mut out);
+    partial.put(&mut out);
     out
 }
 
@@ -67,24 +80,7 @@ pub fn encode(partial: &PartialAggregate) -> Vec<u8> {
 /// or [`CodecError::Truncated`]/[`CodecError::Corrupt`] on malformed
 /// input.
 pub fn decode(buf: &[u8]) -> Result<PartialAggregate, CodecError> {
-    let mut r = Reader::new(buf);
-    if r.take(4)? != PARTIAL_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != PARTIAL_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let edge = r.u32()?;
-    let count = r.u32()?;
-    let weight = r.f32()?;
-    let aux = r.f32()?;
-    let tensor_count = r.u32()? as usize;
-    if tensor_count > buf.len() {
-        return Err(CodecError::Corrupt("tensor count"));
-    }
-    let tensors = dense::decode_payload(r.take(r.remaining())?, tensor_count)?;
-    Ok(PartialAggregate { edge, count, weight, aux, tensors })
+    PartialAggregate::decode(buf)
 }
 
 /// Exact encoded length for a partial whose tensors have shape `spec` —
@@ -129,6 +125,12 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn the_partial_keeps_the_wire_laws() {
+        crate::wire::assert_wire_laws(&partial());
+        crate::wire::assert_wire_laws(&PartialAggregate { tensors: Vec::new(), ..partial() });
     }
 
     #[test]

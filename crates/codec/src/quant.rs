@@ -14,11 +14,10 @@
 //! `-127 → −∞`, `127 → +∞`. A constant tensor stores `scale = 0` and
 //! round-trips exactly.
 
-use aergia_tensor::Tensor;
+use aergia_tensor::{Shape, Tensor};
 
-use crate::dense::decode_shape;
-use crate::io::{put_f32, put_u32, Reader};
 use crate::sizing::ShapeSpec;
+use crate::wire::{get_n, read_all, Wire};
 use crate::CodecError;
 
 /// Reserved code for NaN.
@@ -41,18 +40,10 @@ pub fn max_abs_error(scale: f32) -> f32 {
 
 /// Appends the quantized encoding of `tensors` to `out`.
 pub fn encode_payload_into(tensors: &[Tensor], out: &mut Vec<u8>) {
-    if aergia_telemetry::enabled() {
-        crate::telemetry_hooks::record_dense_equiv(
-            crate::CodecId::QuantI8,
-            ShapeSpec::of(tensors).dense_payload_len(),
-        );
-    }
+    crate::telemetry_hooks::record_dense_equiv(crate::CodecId::QuantI8, tensors);
     out.reserve(ShapeSpec::of(tensors).quant_payload_len());
     for t in tensors {
-        put_u32(out, t.dims().len() as u32);
-        for &d in t.dims() {
-            put_u32(out, d as u32);
-        }
+        t.shape().put(out);
         let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
         for &v in t.data() {
             if v.is_finite() {
@@ -69,8 +60,7 @@ pub fn encode_payload_into(tensors: &[Tensor], out: &mut Vec<u8>) {
         } else {
             0.0
         };
-        put_f32(out, scale);
-        put_f32(out, zero_point);
+        (scale, zero_point).put(out);
         for &v in t.data() {
             out.push(quantize(v, scale, zero_point) as u8);
         }
@@ -113,24 +103,15 @@ fn dequantize(q: i8, scale: f32, zero_point: f32) -> f32 {
 ///
 /// Returns [`CodecError`] on truncation or implausible shape metadata.
 pub fn decode_payload(payload: &[u8], tensor_count: usize) -> Result<Vec<Tensor>, CodecError> {
-    let mut r = Reader::new(payload);
-    // Cap the pre-allocation: a corrupt count must not allocate blindly.
-    let mut out = Vec::with_capacity(tensor_count.min(payload.len() / 4 + 1));
-    for _ in 0..tensor_count {
-        let (dims, numel) = decode_shape(&mut r)?;
-        let scale = r.f32()?;
-        let zero_point = r.f32()?;
-        // Capped like the dense decoder: corrupt dims fail fast.
-        let mut data = Vec::with_capacity(numel.min(r.remaining() + 1));
-        for _ in 0..numel {
-            data.push(dequantize(r.i8()?, scale, zero_point));
-        }
-        out.push(Tensor::from_vec(data, &dims).map_err(|_| CodecError::Corrupt("shape"))?);
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Corrupt("trailing bytes in quant payload"));
-    }
-    Ok(out)
+    read_all(payload, |r| {
+        get_n(r, tensor_count, |r| {
+            let shape = Shape::get(r)?;
+            let (scale, zero_point) = <(f32, f32)>::get(r)?;
+            let codes = r.take(shape.numel())?;
+            let data = codes.iter().map(|&q| dequantize(q as i8, scale, zero_point)).collect();
+            Tensor::from_vec(data, shape.dims()).map_err(|_| CodecError::Corrupt("shape"))
+        })
+    })
 }
 
 #[cfg(test)]

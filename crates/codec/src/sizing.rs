@@ -66,7 +66,7 @@ impl ShapeSpec {
 
     /// Payload length under `codec` (`keep_permille` only matters for
     /// [`CodecId::TopKDelta`]).
-    pub fn payload_len(&self, codec: CodecId, keep_permille: u16) -> usize {
+    pub(crate) fn payload_len(&self, codec: CodecId, keep_permille: u16) -> usize {
         match codec {
             CodecId::DenseF32 => self.dense_payload_len(),
             CodecId::QuantI8 => self.quant_payload_len(),

@@ -10,57 +10,32 @@
 //! single load-and-branch.
 
 use aergia_telemetry::LazyCounter;
+use aergia_tensor::Tensor;
 
 use crate::{CodecId, SectionKind};
 
 /// `(codec, kind)`-indexed counter table, codec-major.
 type PerSection = [[LazyCounter; 2]; 3];
 
-static ENCODED_BYTES: PerSection = [
-    [
-        LazyCounter::new("aergia_codec_encoded_bytes_total{codec=\"dense_f32\",kind=\"features\"}"),
-        LazyCounter::new(
-            "aergia_codec_encoded_bytes_total{codec=\"dense_f32\",kind=\"classifier\"}",
-        ),
-    ],
-    [
-        LazyCounter::new("aergia_codec_encoded_bytes_total{codec=\"quant_i8\",kind=\"features\"}"),
-        LazyCounter::new(
-            "aergia_codec_encoded_bytes_total{codec=\"quant_i8\",kind=\"classifier\"}",
-        ),
-    ],
-    [
-        LazyCounter::new(
-            "aergia_codec_encoded_bytes_total{codec=\"topk_delta\",kind=\"features\"}",
-        ),
-        LazyCounter::new(
-            "aergia_codec_encoded_bytes_total{codec=\"topk_delta\",kind=\"classifier\"}",
-        ),
-    ],
-];
+/// One [`PerSection`] table of `$metric{codec=…,kind=…}` counters.
+macro_rules! per_section {
+    ($metric:literal) => {
+        [
+            per_section!($metric, "dense_f32"),
+            per_section!($metric, "quant_i8"),
+            per_section!($metric, "topk_delta"),
+        ]
+    };
+    ($metric:literal, $codec:literal) => {
+        [
+            LazyCounter::new(concat!($metric, "{codec=\"", $codec, "\",kind=\"features\"}")),
+            LazyCounter::new(concat!($metric, "{codec=\"", $codec, "\",kind=\"classifier\"}")),
+        ]
+    };
+}
 
-static DECODED_BYTES: PerSection = [
-    [
-        LazyCounter::new("aergia_codec_decoded_bytes_total{codec=\"dense_f32\",kind=\"features\"}"),
-        LazyCounter::new(
-            "aergia_codec_decoded_bytes_total{codec=\"dense_f32\",kind=\"classifier\"}",
-        ),
-    ],
-    [
-        LazyCounter::new("aergia_codec_decoded_bytes_total{codec=\"quant_i8\",kind=\"features\"}"),
-        LazyCounter::new(
-            "aergia_codec_decoded_bytes_total{codec=\"quant_i8\",kind=\"classifier\"}",
-        ),
-    ],
-    [
-        LazyCounter::new(
-            "aergia_codec_decoded_bytes_total{codec=\"topk_delta\",kind=\"features\"}",
-        ),
-        LazyCounter::new(
-            "aergia_codec_decoded_bytes_total{codec=\"topk_delta\",kind=\"classifier\"}",
-        ),
-    ],
-];
+static ENCODED_BYTES: PerSection = per_section!("aergia_codec_encoded_bytes_total");
+static DECODED_BYTES: PerSection = per_section!("aergia_codec_decoded_bytes_total");
 
 /// Dense-`f32`-equivalent bytes of every payload an encoder produced,
 /// by codec: the compression-ratio denominator's counterpart.
@@ -107,7 +82,10 @@ pub(crate) fn record_frame_decoded(wire_len: usize) {
     FRAME_BYTES_DECODED.add(wire_len as u64);
 }
 
-/// Records the dense-equivalent size of a payload an encoder produced.
-pub(crate) fn record_dense_equiv(codec: CodecId, dense_bytes: usize) {
-    DENSE_EQUIV_BYTES[codec as usize].add(dense_bytes as u64);
+/// Records the dense-equivalent size of a payload an encoder produced
+/// from `tensors`, sizing them only when telemetry is on.
+pub(crate) fn record_dense_equiv(codec: CodecId, tensors: &[Tensor]) {
+    if aergia_telemetry::enabled() {
+        DENSE_EQUIV_BYTES[codec as usize].add(crate::dense::payload_len(tensors) as u64);
+    }
 }

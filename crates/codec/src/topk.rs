@@ -18,14 +18,10 @@
 //! `f32::total_cmp` (NaNs rank highest, so a diverged run keeps shipping
 //! its poison honestly) with ties broken toward the lower index.
 
-use aergia_tensor::Tensor;
+use aergia_tensor::{Shape, Tensor};
 
-use crate::dense::decode_shape;
-use crate::io::{put_f32, put_u32, Reader};
+use crate::wire::{read_all, Wire};
 use crate::CodecError;
-
-#[cfg(test)]
-use crate::sizing::ShapeSpec;
 
 /// Elements kept for a tensor of `numel` elements at `keep_permille`:
 /// `⌊numel·keep_permille/1000⌋`, at least 1 (unless the tensor is empty),
@@ -58,12 +54,7 @@ pub fn encode_payload_into(
     if let Some(res) = residual.as_ref() {
         assert_eq!(res.len(), current.len(), "topk: residual tensor count");
     }
-    if aergia_telemetry::enabled() {
-        crate::telemetry_hooks::record_dense_equiv(
-            crate::CodecId::TopKDelta,
-            crate::sizing::ShapeSpec::of(current).dense_payload_len(),
-        );
-    }
+    crate::telemetry_hooks::record_dense_equiv(crate::CodecId::TopKDelta, current);
     let mut delta: Vec<f32> = Vec::new();
     let mut order: Vec<u32> = Vec::new();
     for (i, (cur, bas)) in current.iter().zip(base).enumerate() {
@@ -77,12 +68,9 @@ pub fn encode_payload_into(
             }
         }
 
-        put_u32(out, cur.dims().len() as u32);
-        for &d in cur.dims() {
-            put_u32(out, d as u32);
-        }
+        cur.shape().put(out);
         let k = keep_count(numel, keep_permille);
-        put_u32(out, k as u32);
+        k.put(out);
 
         // Rank by (|delta| descending, index ascending) — a total order,
         // so the kept set is unique and selection order cannot leak in.
@@ -95,8 +83,7 @@ pub fn encode_payload_into(
         }
         order.sort_unstable();
         for &j in &order {
-            put_u32(out, j);
-            put_f32(out, delta[j as usize]);
+            (j, delta[j as usize]).put(out);
         }
         if let Some(res) = residual.as_mut() {
             // Error feedback: the residual becomes the unsent remainder —
@@ -125,38 +112,36 @@ pub fn decode_payload(
     if tensor_count != base.len() {
         return Err(CodecError::BaseMismatch("tensor count"));
     }
-    let mut r = Reader::new(payload);
-    let mut out = Vec::with_capacity(tensor_count);
-    for bas in base {
-        let (dims, numel) = decode_shape(&mut r)?;
-        if dims != bas.dims() {
-            return Err(CodecError::BaseMismatch("tensor shape"));
-        }
-        let k = r.u32()? as usize;
-        if k > numel {
-            return Err(CodecError::Corrupt("sparse count exceeds element count"));
-        }
-        let mut t = bas.clone();
-        let data = t.data_mut();
-        let mut prev: Option<u32> = None;
-        for _ in 0..k {
-            let idx = r.u32()?;
-            let val = r.f32()?;
-            if idx as usize >= numel {
-                return Err(CodecError::Corrupt("sparse index out of range"));
+    read_all(payload, |r| {
+        let mut out = Vec::with_capacity(tensor_count);
+        for bas in base {
+            let shape = Shape::get(r)?;
+            if shape.dims() != bas.dims() {
+                return Err(CodecError::BaseMismatch("tensor shape"));
             }
-            if prev.is_some_and(|p| idx <= p) {
-                return Err(CodecError::Corrupt("sparse indices not ascending"));
+            let numel = shape.numel();
+            let k = usize::get(r)?;
+            if k > numel {
+                return Err(CodecError::Corrupt("sparse count exceeds element count"));
             }
-            prev = Some(idx);
-            data[idx as usize] += val;
+            let mut t = bas.clone();
+            let data = t.data_mut();
+            let mut prev: Option<u32> = None;
+            for _ in 0..k {
+                let (idx, val) = <(u32, f32)>::get(r)?;
+                if idx as usize >= numel {
+                    return Err(CodecError::Corrupt("sparse index out of range"));
+                }
+                if prev.is_some_and(|p| idx <= p) {
+                    return Err(CodecError::Corrupt("sparse indices not ascending"));
+                }
+                prev = Some(idx);
+                data[idx as usize] += val;
+            }
+            out.push(t);
         }
-        out.push(t);
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Corrupt("trailing bytes in topk payload"));
-    }
-    Ok(out)
+        Ok(out)
+    })
 }
 
 /// Zero tensors matching `template`'s structure — a fresh error-feedback
@@ -168,6 +153,7 @@ pub fn zero_residual(template: &[Tensor]) -> Vec<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sizing::ShapeSpec;
 
     fn t(vals: &[f32]) -> Tensor {
         Tensor::from_vec(vals.to_vec(), &[vals.len()]).unwrap()

@@ -2,9 +2,10 @@
 //! error bounds, error-feedback reconstruction and the shape-only sizing
 //! invariant every codec must honour.
 
+use aergia_codec::checkpoint::ChunkReader;
 use aergia_codec::sizing::{frame_len, ShapeSpec};
 use aergia_codec::{
-    dense, envelope, quant, topk, CodecError, CodecId, Frame, FrameBuilder, SectionKind,
+    dense, envelope, partial, quant, topk, CodecError, CodecId, Frame, FrameBuilder, SectionKind,
 };
 use aergia_tensor::Tensor;
 use proptest::prelude::*;
@@ -25,6 +26,12 @@ fn finite_tensor(max_elems: usize) -> impl Strategy<Value = Tensor> {
         let n = data.len();
         Tensor::from_vec(data, &[n]).expect("sized vec")
     })
+}
+
+/// The predicted payload length of one `codec` section over `spec`: its
+/// frame's length less the fixed header.
+fn payload_len(spec: &ShapeSpec, codec: CodecId, keep_permille: u16) -> usize {
+    frame_len(codec, keep_permille, &[spec]) - aergia_codec::frame::HEADER_LEN
 }
 
 fn bits(ts: &[Tensor]) -> Vec<u32> {
@@ -51,7 +58,7 @@ proptest! {
     ) {
         let mut payload = Vec::new();
         quant::encode_payload_into(&tensors, &mut payload);
-        prop_assert_eq!(payload.len(), ShapeSpec::of(&tensors).payload_len(CodecId::QuantI8, 0));
+        prop_assert_eq!(payload.len(), payload_len(&ShapeSpec::of(&tensors), CodecId::QuantI8, 0));
         let decoded = quant::decode_payload(&payload, tensors.len()).unwrap();
         for (t, d) in tensors.iter().zip(&decoded) {
             let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -106,7 +113,7 @@ proptest! {
         topk::encode_payload_into(
             &current, &base, permille, Some(&mut residual[..]), &mut payload,
         );
-        prop_assert_eq!(payload.len(), ShapeSpec::of(&base).payload_len(CodecId::TopKDelta, permille));
+        prop_assert_eq!(payload.len(), payload_len(&ShapeSpec::of(&base), CodecId::TopKDelta, permille));
         let decoded = topk::decode_payload(&payload, current.len(), &base).unwrap();
         // Every element is either transmitted (residual 0, decoded moves by
         // exactly the delta) or held back (decoded stays at base, residual
@@ -173,7 +180,7 @@ proptest! {
             frame.wire_len(),
             aergia_codec::frame::HEADER_LEN
                 + feat_spec.dense_payload_len()
-                + clf_spec.payload_len(CodecId::QuantI8, 0)
+                + payload_len(&clf_spec, CodecId::QuantI8, 0)
         );
         // Mixed-codec frame lengths are NOT what frame_len (single codec)
         // predicts unless the codecs agree — sanity-check the dense case.
@@ -300,5 +307,76 @@ proptest! {
             envelope::read_from(&mut &bytes[..]),
             Err(envelope::EnvelopeError::Codec(CodecError::Corrupt(_)))
         ));
+    }
+}
+
+/// A count or length word: a small, plausible one half the time, any
+/// `u32` (hostile ones included) the other half.
+fn count_word(hostile: bool, any_word: u32, small: u32) -> [u8; 4] {
+    (if hostile { any_word } else { small }).to_le_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A valid frame preamble, a section map whose counts and payload
+    /// length may be hostile, then arbitrary bytes: adopting the frame and
+    /// decoding it without a base returns, and never panics.
+    #[test]
+    fn arbitrary_bytes_after_a_frame_preamble_never_panic(
+        (sections, kind, codec) in (1u8..=2, 0u8..2, 0u8..3),
+        tensor_count in any::<u16>(),
+        (hostile, any_word, small) in (any::<bool>(), any::<u32>(), 0u32..64),
+        zeroed_slot in any::<bool>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut bytes = b"AERG\x01\x00\x00".to_vec();
+        bytes.extend_from_slice(&[sections, kind, codec]);
+        bytes.extend_from_slice(&tensor_count.to_le_bytes());
+        bytes.extend_from_slice(&count_word(hostile, any_word, small));
+        if zeroed_slot {
+            bytes.extend_from_slice(&[0; 8]);
+        }
+        bytes.extend_from_slice(&tail);
+        if let Ok(frame) = Frame::from_bytes(bytes) {
+            let _ = frame.decode(None);
+        }
+    }
+
+    /// A valid partial-aggregate preamble and scalars, a tensor count that
+    /// may be hostile, then arbitrary bytes: decoding returns, never panics.
+    #[test]
+    fn arbitrary_bytes_after_a_partial_preamble_never_panic(
+        scalars in proptest::collection::vec(any::<u8>(), 16),
+        (hostile, any_word, small) in (any::<bool>(), any::<u32>(), 0u32..8),
+        tail in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut bytes = b"APAG\x01\x00".to_vec();
+        bytes.extend_from_slice(&scalars);
+        bytes.extend_from_slice(&count_word(hostile, any_word, small));
+        bytes.extend_from_slice(&tail);
+        let _ = partial::decode(&bytes);
+    }
+
+    /// A valid container preamble, a chunk count and a first chunk length
+    /// that may be hostile, then arbitrary bytes: parsing returns, never
+    /// panics, and a count the bytes cannot hold is `Truncated`.
+    #[test]
+    fn arbitrary_bytes_after_a_checkpoint_preamble_never_panic(
+        (hostile, any_word, small) in (any::<bool>(), any::<u32>(), 0u32..8),
+        (hostile_len, any_len, small_len) in (any::<bool>(), any::<u32>(), 0u32..32),
+        tag in any::<u32>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut bytes = b"AERGCKPT\x01\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(&count_word(hostile, any_word, small));
+        bytes.extend_from_slice(&tag.to_le_bytes());
+        bytes.extend_from_slice(&count_word(hostile_len, any_len, small_len));
+        bytes.extend_from_slice(&tail);
+        let left = bytes.len() - 16;
+        let parsed = ChunkReader::parse(&bytes);
+        if u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize > left {
+            prop_assert_eq!(parsed.unwrap_err(), CodecError::Truncated);
+        }
     }
 }

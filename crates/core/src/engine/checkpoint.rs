@@ -47,6 +47,8 @@ use std::fmt;
 use std::path::Path;
 
 use aergia_codec::checkpoint::{ChunkReader, ChunkWriter};
+use aergia_codec::wire::{read_all, Reader, Wire};
+use aergia_codec::wire_struct;
 use aergia_codec::{CodecConfig, CodecError, Frame};
 use aergia_data::batcher::BatcherState;
 use aergia_simnet::{SimDuration, SimTime};
@@ -54,7 +56,7 @@ use aergia_tensor::Tensor;
 
 use crate::config::ClientStateMode;
 use crate::metrics::RoundRecord;
-use crate::wire::{fnv1a, Reader, Wire, FNV_OFFSET};
+use crate::wire::{fnv1a, FNV_OFFSET};
 
 use super::{make_batcher, tifl::TiflSnapshot, Engine};
 
@@ -176,7 +178,7 @@ struct Meta {
     broadcasts: u64,
 }
 
-crate::wire_struct!(Meta { next_round, now, pretraining, num_clients, fingerprint, broadcasts });
+wire_struct!(Meta { next_round, now, pretraining, num_clients, fingerprint, broadcasts });
 
 /// The `NETW` chunk: the simulated network's fault state and odometer.
 struct NetState {
@@ -186,7 +188,7 @@ struct NetState {
     odometer: u64,
 }
 
-crate::wire_struct!(NetState { drop_prob, jitter, rng, odometer });
+wire_struct!(NetState { drop_prob, jitter, rng, odometer });
 
 // Credits and accuracies share one count, and the last-selected tier is a
 // fixed-width `u32` option.
@@ -410,12 +412,11 @@ impl Engine {
             *slot = None;
         }
         for body in chunks.get_all(WUPR) {
-            let mut r = Reader::new(body);
-            let client = usize::get(&mut r)?;
+            let (client, frame) = read_all(body, |r| Ok((usize::get(r)?, r.take(r.remaining())?)))?;
             if client >= self.wire.uplink_residual.len() {
                 return Err(CheckpointError::Mismatch("uplink residual client id"));
             }
-            self.wire.uplink_residual[client] = Some(dense_tensors(r.take(r.remaining())?)?);
+            self.wire.uplink_residual[client] = Some(dense_tensors(frame)?);
         }
 
         let rounds: Vec<RoundRecord> = required(&chunks, RNDS, "no round records")?;
@@ -452,7 +453,7 @@ mod tests {
     use crate::config::{ExperimentConfig, Mode};
     use crate::scenario::{ChurnConfig, OffloadPolicy};
     use crate::strategy::Strategy;
-    use crate::wire::assert_wire_laws;
+    use aergia_codec::wire::assert_wire_laws;
 
     /// An engine one round in, with its progress and its checkpoint.
     fn one_round_in(

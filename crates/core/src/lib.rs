@@ -72,7 +72,7 @@ pub mod scheduler;
 pub mod strategy;
 pub mod topology;
 pub mod transport;
-pub mod wire;
+mod wire;
 
 pub use config::{ExperimentConfig, Mode};
 pub use engine::Engine;

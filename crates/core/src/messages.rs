@@ -8,6 +8,7 @@
 //! an HMAC, consistent with the honest-but-curious threat model.
 
 use aergia_codec::frame;
+use aergia_codec::wire::Wire;
 
 use crate::profiler::ProfileReport;
 use crate::scheduler::Assignment;
@@ -38,10 +39,7 @@ pub struct SignedAssignment {
 impl SignedAssignment {
     fn payload(round: u32, a: &Assignment) -> Vec<u8> {
         let mut p = Vec::with_capacity(8 * 4);
-        p.extend_from_slice(&round.to_le_bytes());
-        p.extend_from_slice(&(a.sender as u64).to_le_bytes());
-        p.extend_from_slice(&(a.receiver as u64).to_le_bytes());
-        p.extend_from_slice(&a.offload_batches.to_le_bytes());
+        (round, (a.sender as u64, a.receiver as u64), a.offload_batches).put(&mut p);
         p
     }
 

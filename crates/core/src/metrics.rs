@@ -1,5 +1,6 @@
 //! Per-round records and whole-run results.
 
+use aergia_codec::wire_struct;
 use aergia_simnet::{SimDuration, SimTime};
 
 use crate::profiler::WorkspacePoolStats;
@@ -47,7 +48,7 @@ pub struct RoundRecord {
 // `participants`. This one layout is the checkpoint's `RNDS` record
 // (layout v3) and the coordinator's `RunOutcome` record (v2), pinned by a
 // golden-bytes test below.
-crate::wire_struct!(RoundRecord {
+wire_struct!(RoundRecord {
     round,
     duration,
     test_accuracy,
@@ -59,7 +60,7 @@ crate::wire_struct!(RoundRecord {
     pool,
 });
 
-crate::wire_struct!(WorkspacePoolStats {
+wire_struct!(WorkspacePoolStats {
     hits,
     misses,
     rebuilds,
@@ -82,7 +83,7 @@ pub struct RunResult {
 }
 
 // The header of the coordinator's `RunOutcome` file.
-crate::wire_struct!(RunResult { pretraining, finished_at, final_accuracy, rounds });
+wire_struct!(RunResult { pretraining, finished_at, final_accuracy, rounds });
 
 impl RunResult {
     /// Total training time: pre-training plus all round durations (the
@@ -195,7 +196,7 @@ impl DurationHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Wire;
+    use aergia_codec::wire::Wire;
 
     fn record(round: u32, secs: f64, acc: f64) -> RoundRecord {
         RoundRecord {

@@ -24,4 +24,4 @@ pub use crate::scenario::{
 pub use crate::strategy::Strategy;
 pub use crate::topology::TopologyBuilder;
 pub use crate::transport::{InProcess, Transport};
-pub use crate::wire::Wire;
+pub use aergia_codec::wire::Wire;

@@ -1,5 +1,7 @@
 //! Mini-batch iteration over a client's shard.
 
+use aergia_codec::wire::{Reader, Wire};
+use aergia_codec::CodecError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -17,6 +19,25 @@ pub struct BatcherState {
     pub cursor: usize,
     /// Raw RNG state driving the epoch reshuffles.
     pub rng: [u64; 4],
+}
+
+// The cursor travels as u64 and must lie within the index list. This is
+// the body of the checkpoint's `BTCH` chunk and of every batcher snapshot
+// the network protocol ships, so both persist the same bytes.
+impl Wire for BatcherState {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.cursor as u64, self.rng).put(out);
+        self.indices.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (cursor, rng) = <(u64, [u64; 4])>::get(r)?;
+        let (cursor, indices) = (cursor as usize, Vec::<usize>::get(r)?);
+        if cursor > indices.len() {
+            return Err(CodecError::Corrupt("batcher cursor out of range"));
+        }
+        Ok(BatcherState { indices, cursor, rng })
+    }
 }
 
 /// Cycles through a client's sample indices in shuffled epochs, yielding

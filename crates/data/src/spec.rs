@@ -1,20 +1,22 @@
 //! Dataset specifications mirroring the paper's benchmarks.
 
-/// A synthetic stand-in for one of the paper's image benchmarks.
-///
-/// Image shapes and class counts match the originals; the `noise_std` /
-/// `class_overlap` knobs order the classification difficulty the same way
-/// (MNIST easiest, CIFAR hardest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DatasetSpec {
-    /// 28×28 grayscale, 10 well-separated classes (stands in for MNIST).
-    MnistLike,
-    /// 28×28 grayscale, 10 classes with more overlap (FMNIST).
-    FmnistLike,
-    /// 32×32 RGB, 10 overlapping classes (CIFAR-10).
-    Cifar10Like,
-    /// 32×32 RGB, 100 overlapping classes (CIFAR-100).
-    Cifar100Like,
+aergia_codec::wire_enum! {
+    /// A synthetic stand-in for one of the paper's image benchmarks.
+    ///
+    /// Image shapes and class counts match the originals; the `noise_std` /
+    /// `class_overlap` knobs order the classification difficulty the same way
+    /// (MNIST easiest, CIFAR hardest).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum DatasetSpec {
+        /// 28×28 grayscale, 10 well-separated classes (stands in for MNIST).
+        MnistLike = 0,
+        /// 28×28 grayscale, 10 classes with more overlap (FMNIST).
+        FmnistLike = 1,
+        /// 32×32 RGB, 10 overlapping classes (CIFAR-10).
+        Cifar10Like = 2,
+        /// 32×32 RGB, 100 overlapping classes (CIFAR-100).
+        Cifar100Like = 3,
+    }
 }
 
 impl DatasetSpec {

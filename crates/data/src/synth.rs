@@ -21,6 +21,8 @@
 
 use std::sync::{Arc, OnceLock};
 
+use aergia_codec::wire::{Reader, Wire};
+use aergia_codec::CodecError;
 use aergia_runtime::ThreadPool;
 use aergia_tensor::init::{skip_standard_normals, standard_normal};
 use aergia_tensor::Tensor;
@@ -41,6 +43,20 @@ pub struct DataConfig {
     /// Master seed: prototypes derive from it, so train and test share the
     /// same class structure.
     pub seed: u64,
+}
+
+// The dataset sizes travel as u64, not as the usual u32.
+impl Wire for DataConfig {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.spec, self.train_size as u64, self.test_size as u64).put(out);
+        self.seed.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (spec, train_size, test_size) = <(DatasetSpec, u64, u64)>::get(r)?;
+        let (train_size, test_size) = (train_size as usize, test_size as usize);
+        Ok(DataConfig { spec, train_size, test_size, seed: u64::get(r)? })
+    }
 }
 
 impl DataConfig {

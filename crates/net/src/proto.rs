@@ -3,8 +3,8 @@
 //! Every message travels as an [`aergia_codec::envelope`] whose kind byte
 //! names one of the types here and whose body is the type's [`Wire`]
 //! encoding: one field list per message, in wire order, from which
-//! [`aergia::wire_struct!`] derives both directions. The field types bring
-//! their own layouts from [`aergia::wire`] — tensor lists as
+//! [`aergia_codec::wire_struct!`] derives both directions. The field types
+//! bring their own layouts from [`aergia_codec::wire`] — tensor lists as
 //! [`aergia_codec::dense`] payloads (the bit-exact encoding the
 //! simulator's wire codec and checkpoints use), batcher snapshots and
 //! round records exactly as the engine's checkpoint persists them — so a
@@ -20,13 +20,14 @@
 //! own-training optimizer, which [`OffloadOrderMsg`] implicitly reuses (the
 //! same momentum-threading the in-process transport performs explicitly).
 //!
-//! Decoders cap allocations by the bytes present, reject flag bytes
-//! other than 0 and 1, and reject trailing garbage ([`Wire::decode`]),
-//! matching the rigor of the envelope layer.
+//! Decoders reserve no more than the bytes present (a list's count is
+//! checked against the bytes left before anything is reserved), reject
+//! flag bytes other than 0 and 1, and reject trailing garbage
+//! ([`Wire::decode`]), matching the rigor of the envelope layer.
 
 use aergia::prelude::*;
-use aergia::wire::{CodecError, Reader};
-use aergia::wire_struct;
+use aergia_codec::wire::Preamble;
+use aergia_codec::wire_struct;
 use aergia_data::batcher::BatcherState;
 use aergia_data::DataConfig;
 use aergia_nn::models::ModelArch;
@@ -199,11 +200,10 @@ pub struct OffloadReplyMsg {
 
 wire_struct!(OffloadReplyMsg { round, receiver, weak, features, batcher });
 
-/// Magic bytes of a serialized [`RunOutcome`] file.
-pub const OUTCOME_MAGIC: [u8; 4] = *b"ARES";
-/// Version of the [`RunOutcome`] file layout. v2 appended the
-/// client-state pool statistics to each round record.
-pub const OUTCOME_VERSION: u16 = 2;
+/// How a serialized [`RunOutcome`] file opens: magic `b"ARES"`, then
+/// the layout version. v2 appended the client-state pool statistics to
+/// each round record.
+const OUTCOME: Preamble = Preamble { magic: b"ARES", version: 2 };
 
 /// What a completed coordinator run leaves on disk: the metrics *and*
 /// the final global weights, so harnesses can assert bit-identity
@@ -217,31 +217,14 @@ pub struct RunOutcome {
 }
 
 // A file, not a message: it opens with the magic and the layout version.
-impl Wire for RunOutcome {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&OUTCOME_MAGIC);
-        OUTCOME_VERSION.put(out);
-        self.result.put(out);
-        self.weights.put(out);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        if r.take(4)? != OUTCOME_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u16::get(r)?;
-        if version != OUTCOME_VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        Ok(RunOutcome { result: RunResult::get(r)?, weights: Wire::get(r)? })
-    }
-}
+wire_struct!(RunOutcome after OUTCOME { result, weights });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aergia::profiler::WorkspacePoolStats;
-    use aergia::wire::assert_wire_laws;
+    use aergia_codec::wire::assert_wire_laws;
+    use aergia_codec::CodecError;
     use aergia_data::DatasetSpec;
     use aergia_simnet::{SimDuration, SimTime};
 

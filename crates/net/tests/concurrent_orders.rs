@@ -12,8 +12,8 @@ use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use aergia::transport::{OffloadOrder, RoundContext, TrainOrder, Transport};
-use aergia::wire::Wire;
 use aergia_codec::envelope::{self, MsgKind};
+use aergia_codec::wire::Wire;
 use aergia_data::batcher::Batcher;
 use aergia_data::{DataConfig, DatasetSpec};
 use aergia_net::coordinator::TcpTransport;

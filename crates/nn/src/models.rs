@@ -15,22 +15,24 @@ use rand::SeedableRng;
 use crate::layer::{Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, ResidualBlock};
 use crate::model::Cnn;
 
-/// The network architectures used in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelArch {
-    /// Two conv layers + one fully-connected layer, for 28×28×1 inputs.
-    MnistCnn,
-    /// Same topology as [`ModelArch::MnistCnn`] (the paper trains the same
-    /// model on FMNIST).
-    FmnistCnn,
-    /// Six conv layers + two fully-connected layers, for 32×32×3 inputs.
-    Cifar10Cnn,
-    /// Conv stem + three residual blocks, 10 classes.
-    Cifar10ResNet,
-    /// VGG-style conv stack with a three-layer dense head, 100 classes.
-    Cifar100Vgg,
-    /// Conv stem + three residual blocks, 100 classes.
-    Cifar100ResNet,
+aergia_codec::wire_enum! {
+    /// The network architectures used in the paper's evaluation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ModelArch {
+        /// Two conv layers + one fully-connected layer, for 28×28×1 inputs.
+        MnistCnn = 0,
+        /// Same topology as [`ModelArch::MnistCnn`] (the paper trains the same
+        /// model on FMNIST).
+        FmnistCnn = 1,
+        /// Six conv layers + two fully-connected layers, for 32×32×3 inputs.
+        Cifar10Cnn = 2,
+        /// Conv stem + three residual blocks, 10 classes.
+        Cifar10ResNet = 3,
+        /// VGG-style conv stack with a three-layer dense head, 100 classes.
+        Cifar100Vgg = 4,
+        /// Conv stem + three residual blocks, 100 classes.
+        Cifar100ResNet = 5,
+    }
 }
 
 impl ModelArch {

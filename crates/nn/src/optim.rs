@@ -98,6 +98,8 @@ pub struct SgdConfig {
     pub weight_decay: f32,
 }
 
+aergia_codec::wire_struct!(SgdConfig { lr, momentum, weight_decay });
+
 impl Default for SgdConfig {
     /// Matches the paper's simple local-SGD setup: `lr = 0.01`, no
     /// momentum, no weight decay.

@@ -14,6 +14,10 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+// Both travel as their `u64` of microseconds.
+aergia_codec::wire_struct!(SimTime(u64));
+aergia_codec::wire_struct!(SimDuration(u64));
+
 impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);

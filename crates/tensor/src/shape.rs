@@ -28,10 +28,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::ZeroDim`] if any dimension is zero.
     pub fn new(dims: &[usize]) -> Result<Self, TensorError> {
-        if let Some(&d) = dims.iter().find(|&&d| d == 0) {
-            return Err(TensorError::ZeroDim { dim: d, dims: dims.to_vec() });
-        }
-        Ok(Shape(dims.to_vec()))
+        Shape::try_from(dims.to_vec())
     }
 
     /// The dimensions as a slice, outermost first.
@@ -77,6 +74,18 @@ impl fmt::Display for Shape {
             write!(f, "{d}")?;
         }
         write!(f, "]")
+    }
+}
+
+impl TryFrom<Vec<usize>> for Shape {
+    type Error = TensorError;
+
+    /// Adopts `dims` without copying them.
+    fn try_from(dims: Vec<usize>) -> Result<Self, Self::Error> {
+        match dims.iter().find(|&&d| d == 0) {
+            Some(&dim) => Err(TensorError::ZeroDim { dim, dims }),
+            None => Ok(Shape(dims)),
+        }
     }
 }
 
