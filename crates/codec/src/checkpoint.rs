@@ -143,7 +143,8 @@ mod tests {
         w.chunk(*b"GLOB", frame.as_bytes().to_vec());
         let bytes = w.finish();
         let body = ChunkReader::parse(&bytes).unwrap().get(*b"GLOB").unwrap();
-        assert_eq!(Frame::from_bytes(body.to_vec()).unwrap().decode(None).unwrap(), weights);
+        let sections = Frame::parse(body).unwrap();
+        assert_eq!(crate::frame::decode_sections(&sections, None).unwrap(), weights);
     }
 
     #[test]

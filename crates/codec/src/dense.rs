@@ -8,7 +8,6 @@
 
 use aergia_tensor::{Shape, Tensor};
 
-use crate::sizing::ShapeSpec;
 use crate::wire::{get_n, read_all, Reader, Wire};
 use crate::CodecError;
 
@@ -72,10 +71,10 @@ impl Wire for Shape {
     }
 }
 
-/// Exact dense payload length for `tensors` (shape-only; see
-/// [`ShapeSpec::dense_payload_len`]).
+/// Exact dense payload length for `tensors` (shape-only, allocation-free;
+/// see [`crate::sizing::dense_len`]).
 pub(crate) fn payload_len(tensors: &[Tensor]) -> usize {
-    ShapeSpec::of(tensors).dense_payload_len()
+    crate::sizing::dense_len(tensors.iter().map(Tensor::dims))
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ pub fn parse(buf: &[u8]) -> Result<(MsgKind, &[u8], usize), CodecError> {
     Ok((header.kind, body, total))
 }
 
-/// Encodes an envelope into a fresh buffer.
+/// Encodes an envelope of raw `body` bytes into a fresh buffer.
 ///
 /// # Panics
 ///
@@ -157,10 +157,31 @@ pub fn parse(buf: &[u8]) -> Result<(MsgKind, &[u8], usize), CodecError> {
 /// sized by the model's shapes, orders of magnitude below the cap, so an
 /// oversized body indicates an internal bug.
 pub fn encode(kind: MsgKind, body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_BODY_LEN, "envelope body exceeds MAX_BODY_LEN");
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    Header { kind, body_len: body.len() }.put(&mut out);
-    out.extend_from_slice(body);
+    encode_with(kind, body.len(), |out| out.extend_from_slice(body))
+}
+
+/// Encodes `msg` as the body of one envelope, written in place after the
+/// header: the message is never encoded into a buffer of its own first.
+///
+/// # Panics
+///
+/// See [`encode`].
+pub fn encode_msg(kind: MsgKind, msg: &impl Wire) -> Vec<u8> {
+    encode_with(kind, 0, |out| msg.put(out))
+}
+
+/// The one envelope writer: a placeholder header, the body `put` writes
+/// after it (`body_hint` bytes reserved), then the real header, appended
+/// and moved over the placeholder.
+fn encode_with(kind: MsgKind, body_hint: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * HEADER_LEN + body_hint);
+    Header { kind, body_len: 0 }.put(&mut out);
+    put(&mut out);
+    let end = out.len();
+    assert!(end - HEADER_LEN <= MAX_BODY_LEN, "envelope body exceeds MAX_BODY_LEN");
+    Header { kind, body_len: end - HEADER_LEN }.put(&mut out);
+    out.copy_within(end.., 0);
+    out.truncate(end);
     out
 }
 
@@ -212,6 +233,19 @@ mod tests {
         let (kind, read) = read_from(&mut &bytes[..]).unwrap();
         assert_eq!(kind, MsgKind::TrainReply);
         assert_eq!(read, body);
+    }
+
+    #[test]
+    fn a_message_envelope_is_the_raw_envelope_of_its_encoding() {
+        let msg = (7u32, vec![1.5f32, -2.0], true);
+        let bytes = encode_msg(MsgKind::OffloadOrder, &msg);
+        assert_eq!(bytes, encode(MsgKind::OffloadOrder, &msg.encode()));
+        assert_eq!(bytes.len(), HEADER_LEN + msg.encode().len());
+        let (kind, body, _) = parse(&bytes).unwrap();
+        assert_eq!(
+            (kind, <(u32, Vec<f32>, bool)>::decode(body).unwrap()),
+            (MsgKind::OffloadOrder, msg)
+        );
     }
 
     #[test]

@@ -117,22 +117,23 @@ impl Frame {
         &self.bytes
     }
 
-    /// Validates and adopts an encoded buffer.
+    /// Validates the encoded frame `bytes` in place and returns its
+    /// sections, each payload a borrow of `bytes`: the header is parsed
+    /// once and nothing is copied. Counted as one received frame.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] if the header is malformed, the version is
     /// unknown, or the payload lengths disagree with the buffer.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CodecError> {
-        let frame = Frame { bytes };
-        let sections = frame.sections()?; // full header + length validation
+    pub fn parse(bytes: &[u8]) -> Result<Vec<Section<'_>>, CodecError> {
+        let sections = sections_of(bytes)?; // full header + length validation
         if aergia_telemetry::enabled() {
             for s in &sections {
                 telemetry_hooks::record_section_decoded(s.codec, s.kind, s.payload.len());
             }
-            telemetry_hooks::record_frame_decoded(frame.wire_len());
+            telemetry_hooks::record_frame_decoded(bytes.len());
         }
-        Ok(frame)
+        Ok(sections)
     }
 
     /// Decodes the section map and returns one view per populated slot.
@@ -141,48 +142,64 @@ impl Frame {
     ///
     /// Returns [`CodecError`] on any structural violation.
     pub fn sections(&self) -> Result<Vec<Section<'_>>, CodecError> {
-        read_all(&self.bytes, |r| {
-            let header = Header::get(r)?;
-            let view = |s: &Slot| {
-                let payload = r.take(s.payload_len as usize)?;
-                let tensor_count = s.tensor_count.into();
-                Ok::<_, CodecError>(Section { kind: s.kind, codec: s.codec, tensor_count, payload })
-            };
-            header.slots[..header.count as usize].iter().map(view).collect()
-        })
+        sections_of(&self.bytes)
     }
 
-    /// Decodes every section in order into one tensor list. `base` is the
-    /// whole snapshot the frame was encoded against: each `TopKDelta`
-    /// section reads its own slice, the stateless codecs ignore it. Records
-    /// no telemetry ([`Frame::from_bytes`] counts a received frame).
+    /// Decodes every section in order into one tensor list
+    /// ([`decode_sections`]). Records no telemetry ([`Frame::parse`]
+    /// counts a received frame).
     ///
     /// # Errors
     ///
-    /// [`CodecError::BaseMismatch`] if a delta section's base is missing or
-    /// does not match the frame, and any structural or payload error.
+    /// As [`decode_sections`], and any structural error.
     pub fn decode(&self, base: Option<&[Tensor]>) -> Result<Vec<Tensor>, CodecError> {
-        let sections = self.sections()?;
-        let total: usize = sections.iter().map(|s| s.tensor_count).sum();
-        let mut out = Vec::new();
-        let mut start = 0;
-        for s in &sections {
-            let range = start..start + s.tensor_count;
-            start = range.end;
-            let mut tensors = match s.codec {
-                CodecId::DenseF32 => dense::decode_payload(s.payload, s.tensor_count)?,
-                CodecId::QuantI8 => quant::decode_payload(s.payload, s.tensor_count)?,
-                CodecId::TopKDelta => {
-                    let base = base
-                        .filter(|b| b.len() == total)
-                        .ok_or(CodecError::BaseMismatch("base tensor count"))?;
-                    topk::decode_payload(s.payload, s.tensor_count, &base[range])?
-                }
-            };
-            out.append(&mut tensors);
-        }
-        Ok(out)
+        decode_sections(&self.sections()?, base)
     }
+}
+
+fn sections_of(bytes: &[u8]) -> Result<Vec<Section<'_>>, CodecError> {
+    read_all(bytes, |r| {
+        let header = Header::get(r)?;
+        let view = |s: &Slot| {
+            let payload = r.take(s.payload_len as usize)?;
+            let tensor_count = s.tensor_count.into();
+            Ok::<_, CodecError>(Section { kind: s.kind, codec: s.codec, tensor_count, payload })
+        };
+        header.slots[..header.count as usize].iter().map(view).collect()
+    })
+}
+
+/// Decodes a frame's sections in order into one tensor list. `base` is
+/// the whole snapshot the frame was encoded against: each `TopKDelta`
+/// section reads its own slice, the stateless codecs ignore it.
+///
+/// # Errors
+///
+/// [`CodecError::BaseMismatch`] if a delta section's base is missing or
+/// does not match the frame, and any payload error.
+pub fn decode_sections(
+    sections: &[Section<'_>],
+    base: Option<&[Tensor]>,
+) -> Result<Vec<Tensor>, CodecError> {
+    let total: usize = sections.iter().map(|s| s.tensor_count).sum();
+    let mut out = Vec::new();
+    let mut start = 0;
+    for s in sections {
+        let range = start..start + s.tensor_count;
+        start = range.end;
+        let mut tensors = match s.codec {
+            CodecId::DenseF32 => dense::decode_payload(s.payload, s.tensor_count)?,
+            CodecId::QuantI8 => quant::decode_payload(s.payload, s.tensor_count)?,
+            CodecId::TopKDelta => {
+                let base = base
+                    .filter(|b| b.len() == total)
+                    .ok_or(CodecError::BaseMismatch("base tensor count"))?;
+                topk::decode_payload(s.payload, s.tensor_count, &base[range])?
+            }
+        };
+        out.append(&mut tensors);
+    }
+    Ok(out)
 }
 
 impl CodecConfig {
@@ -334,24 +351,24 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_validates_structure() {
+    fn parse_validates_structure() {
         let good = two_section_frame();
-        assert!(Frame::from_bytes(good.as_bytes().to_vec()).is_ok());
+        assert_eq!(Frame::parse(good.as_bytes()), good.sections());
 
         let mut bad_magic = good.as_bytes().to_vec();
         bad_magic[0] = b'X';
-        assert_eq!(Frame::from_bytes(bad_magic), Err(CodecError::BadMagic));
+        assert_eq!(Frame::parse(&bad_magic), Err(CodecError::BadMagic));
 
         let mut bad_version = good.as_bytes().to_vec();
         bad_version[4] = 99;
-        assert_eq!(Frame::from_bytes(bad_version), Err(CodecError::UnsupportedVersion(99)));
+        assert_eq!(Frame::parse(&bad_version), Err(CodecError::UnsupportedVersion(99)));
 
-        let truncated = good.as_bytes()[..good.wire_len() - 1].to_vec();
-        assert_eq!(Frame::from_bytes(truncated), Err(CodecError::Truncated));
+        let truncated = &good.as_bytes()[..good.wire_len() - 1];
+        assert_eq!(Frame::parse(truncated), Err(CodecError::Truncated));
 
         let mut trailing = good.as_bytes().to_vec();
         trailing.push(0);
-        assert!(Frame::from_bytes(trailing).is_err());
+        assert!(Frame::parse(&trailing).is_err());
     }
 
     fn snapshot(shift: f32) -> Vec<Tensor> {
@@ -424,6 +441,6 @@ mod tests {
         one.push_section(SectionKind::Features, CodecId::DenseF32, 0, |_| {});
         let mut bytes = one.finish().as_bytes().to_vec();
         bytes[16] = 1; // poke the unused slot
-        assert!(Frame::from_bytes(bytes).is_err());
+        assert!(Frame::parse(&bytes).is_err());
     }
 }

@@ -16,7 +16,6 @@
 
 use aergia_tensor::{Shape, Tensor};
 
-use crate::sizing::ShapeSpec;
 use crate::wire::{get_n, read_all, Wire};
 use crate::CodecError;
 
@@ -41,7 +40,7 @@ pub fn max_abs_error(scale: f32) -> f32 {
 /// Appends the quantized encoding of `tensors` to `out`.
 pub fn encode_payload_into(tensors: &[Tensor], out: &mut Vec<u8>) {
     crate::telemetry_hooks::record_dense_equiv(crate::CodecId::QuantI8, tensors);
-    out.reserve(ShapeSpec::of(tensors).quant_payload_len());
+    out.reserve(crate::sizing::quant_len(tensors.iter().map(Tensor::dims)));
     for t in tensors {
         t.shape().put(out);
         let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -117,6 +116,7 @@ pub fn decode_payload(payload: &[u8], tensor_count: usize) -> Result<Vec<Tensor>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sizing::ShapeSpec;
 
     fn round_trip(t: &Tensor) -> Tensor {
         let mut payload = Vec::new();

@@ -36,20 +36,20 @@ impl ShapeSpec {
         (ShapeSpec { dims: a.to_vec() }, ShapeSpec { dims: b.to_vec() })
     }
 
-    fn shape_prefix_len(dims: &[usize]) -> usize {
-        4 + 4 * dims.len() // u32 rank + u32 per dim
+    fn shapes(&self) -> impl Iterator<Item = &[usize]> {
+        self.dims.iter().map(Vec::as_slice)
     }
 
     /// Length of the [`crate::dense`] payload: per tensor, the shape
     /// prefix plus 4 bytes per element.
     pub fn dense_payload_len(&self) -> usize {
-        self.dims.iter().map(|d| Self::shape_prefix_len(d) + 4 * d.iter().product::<usize>()).sum()
+        dense_len(self.shapes())
     }
 
     /// Length of the [`crate::quant`] payload: per tensor, the shape
     /// prefix, 8 bytes of scale/zero-point and 1 byte per element.
     pub(crate) fn quant_payload_len(&self) -> usize {
-        self.dims.iter().map(|d| Self::shape_prefix_len(d) + 8 + d.iter().product::<usize>()).sum()
+        quant_len(self.shapes())
     }
 
     /// Length of the [`crate::topk`] payload: per tensor, the shape
@@ -59,7 +59,7 @@ impl ShapeSpec {
             .iter()
             .map(|d| {
                 let numel = d.iter().product::<usize>();
-                Self::shape_prefix_len(d) + 4 + 8 * keep_count(numel, keep_permille)
+                shape_prefix_len(d) + 4 + 8 * keep_count(numel, keep_permille)
             })
             .sum()
     }
@@ -73,6 +73,24 @@ impl ShapeSpec {
             CodecId::TopKDelta => self.topk_payload_len(keep_permille),
         }
     }
+}
+
+fn shape_prefix_len(dims: &[usize]) -> usize {
+    4 + 4 * dims.len() // u32 rank + u32 per dim
+}
+
+/// Length of the [`crate::dense`] payload of tensors of these shapes: per
+/// tensor, the shape prefix plus 4 bytes per element. An encoder sizes its
+/// reserve by it straight from `t.dims()`, with no [`ShapeSpec`] to build.
+pub(crate) fn dense_len<'d>(shapes: impl IntoIterator<Item = &'d [usize]>) -> usize {
+    shapes.into_iter().map(|d| shape_prefix_len(d) + 4 * d.iter().product::<usize>()).sum()
+}
+
+/// Length of the [`crate::quant`] payload of tensors of these shapes: per
+/// tensor, the shape prefix, 8 bytes of scale/zero-point and 1 byte per
+/// element.
+pub(crate) fn quant_len<'d>(shapes: impl IntoIterator<Item = &'d [usize]>) -> usize {
+    shapes.into_iter().map(|d| shape_prefix_len(d) + 8 + d.iter().product::<usize>()).sum()
 }
 
 /// Total wire length of a frame carrying the given sections, all encoded

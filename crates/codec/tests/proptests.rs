@@ -189,8 +189,7 @@ proptest! {
             aergia_codec::frame::HEADER_LEN + feat_spec.dense_payload_len()
         );
 
-        let reparsed = Frame::from_bytes(frame.as_bytes().to_vec()).unwrap();
-        let sections = reparsed.sections().unwrap();
+        let sections = Frame::parse(frame.as_bytes()).unwrap();
         prop_assert_eq!(sections.len(), 2);
         let back_feat =
             dense::decode_payload(sections[0].payload, sections[0].tensor_count).unwrap();
@@ -210,7 +209,7 @@ proptest! {
         });
         let frame = builder.finish();
         let cut = ((frame.wire_len() - 1) as f64 * cut_fraction) as usize;
-        prop_assert!(Frame::from_bytes(frame.as_bytes()[..cut].to_vec()).is_err());
+        prop_assert!(Frame::parse(&frame.as_bytes()[..cut]).is_err());
     }
 }
 
@@ -320,7 +319,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A valid frame preamble, a section map whose counts and payload
-    /// length may be hostile, then arbitrary bytes: adopting the frame and
+    /// length may be hostile, then arbitrary bytes: parsing the frame and
     /// decoding it without a base returns, and never panics.
     #[test]
     fn arbitrary_bytes_after_a_frame_preamble_never_panic(
@@ -338,8 +337,8 @@ proptest! {
             bytes.extend_from_slice(&[0; 8]);
         }
         bytes.extend_from_slice(&tail);
-        if let Ok(frame) = Frame::from_bytes(bytes) {
-            let _ = frame.decode(None);
+        if let Ok(sections) = Frame::parse(&bytes) {
+            let _ = aergia_codec::frame::decode_sections(&sections, None);
         }
     }
 

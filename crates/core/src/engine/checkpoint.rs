@@ -47,6 +47,7 @@ use std::fmt;
 use std::path::Path;
 
 use aergia_codec::checkpoint::{ChunkReader, ChunkWriter};
+use aergia_codec::frame::decode_sections;
 use aergia_codec::wire::{read_all, Reader, Wire};
 use aergia_codec::wire_struct;
 use aergia_codec::{CodecConfig, CodecError, Frame};
@@ -156,15 +157,16 @@ fn config_fingerprint(engine: &Engine) -> u64 {
     fnv1a(FNV_OFFSET, format!("{:?}|{:?}", config, engine.strategy).as_bytes())
 }
 
-/// Decodes a weight chunk's frame. Checkpoints write only dense frames
-/// (there is no shared base on disk), so any other codec is corruption.
+/// Decodes a weight chunk's frame, borrowed in place and parsed once.
+/// Checkpoints write only dense frames (there is no shared base on disk),
+/// so any other codec is corruption.
 fn dense_tensors(body: &[u8]) -> Result<Vec<Tensor>, CodecError> {
-    let frame = Frame::from_bytes(body.to_vec())?;
+    let sections = Frame::parse(body)?;
     let dense = CodecConfig::DenseF32.steady_id();
-    if frame.sections()?.iter().any(|s| s.codec != dense) {
+    if sections.iter().any(|s| s.codec != dense) {
         return Err(CodecError::Corrupt("checkpoint frames must be dense"));
     }
-    frame.decode(None)
+    decode_sections(&sections, None)
 }
 
 /// The `META` chunk: where the run stands, and which experiment it

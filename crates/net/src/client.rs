@@ -230,7 +230,7 @@ fn try_connect(opts: &ClientOpts, worker: &mut Option<Worker>) -> Result<TcpStre
     conn.set_nodelay(true)?;
     conn.set_read_timeout(Some(Duration::from_secs(30)))?;
     conn.set_write_timeout(Some(Duration::from_secs(60)))?;
-    conn.write_all(&envelope::encode(MsgKind::Hello, &Hello { client: opts.id }.encode()))?;
+    conn.write_all(&envelope::encode_msg(MsgKind::Hello, &Hello { client: opts.id }))?;
     let (kind, body) = envelope::read_from(&mut conn)?;
     if kind != MsgKind::Welcome {
         return Err(NetError::Protocol(format!("expected Welcome, got {kind:?}")));
@@ -316,7 +316,7 @@ fn step_work(
                 batcher: batcher.state(),
             };
             worker.round_opt = Some((round, opt));
-            let wire = envelope::encode(MsgKind::TrainReply, &reply.encode());
+            let wire = envelope::encode_msg(MsgKind::TrainReply, &reply);
             Ok(ClientState::Uploading { conn, round, train_reply: true, wire })
         }
         Order::Offload(msg) => {
@@ -349,7 +349,7 @@ fn step_work(
                 .map_err(nn_err)?;
             let reply =
                 OffloadReplyMsg { round, receiver, weak, features, batcher: batcher.state() };
-            let wire = envelope::encode(MsgKind::OffloadReply, &reply.encode());
+            let wire = envelope::encode_msg(MsgKind::OffloadReply, &reply);
             Ok(ClientState::Uploading { conn, round, train_reply: false, wire })
         }
     }

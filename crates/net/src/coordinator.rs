@@ -228,7 +228,7 @@ impl Transport for TcpTransport<'_> {
                 Sent {
                     client: order.client,
                     batcher: order.batcher,
-                    wire: envelope::encode(MsgKind::TrainOrder, &msg.encode()),
+                    wire: envelope::encode_msg(MsgKind::TrainOrder, &msg),
                     stream: self.conns[order.client].take(),
                     reply: None,
                 }
@@ -289,7 +289,7 @@ impl Transport for TcpTransport<'_> {
             sent.push(Sent {
                 client: edge.receiver,
                 batcher,
-                wire: envelope::encode(MsgKind::OffloadOrder, &msg.encode()),
+                wire: envelope::encode_msg(MsgKind::OffloadOrder, &msg),
                 stream: self.conns[edge.receiver].take(),
                 reply: None,
             });
@@ -354,7 +354,7 @@ pub fn serve(
     netlog!("net.coordinator.listen", port = port, clients = num_clients;
         "coordinator: listening on 127.0.0.1:{port}, waiting for {num_clients} clients");
 
-    let welcome = envelope::encode(MsgKind::Welcome, &setup.encode());
+    let welcome = envelope::encode_msg(MsgKind::Welcome, &setup);
     let mut conns: Vec<Option<TcpStream>> = (0..num_clients).map(|_| None).collect();
     while conns.iter().any(Option::is_none) {
         let (mut stream, peer) = listener.accept()?;

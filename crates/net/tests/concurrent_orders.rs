@@ -68,7 +68,7 @@ fn scripted_client(
     };
     tamper(&mut reply);
     stream
-        .write_all(&envelope::encode(MsgKind::TrainReply, &reply.encode()))
+        .write_all(&envelope::encode_msg(MsgKind::TrainReply, &reply))
         .expect("client writes its reply");
     if order.client != RECEIVER {
         return;
@@ -86,7 +86,7 @@ fn scripted_client(
         batcher: offload.batcher,
     };
     stream
-        .write_all(&envelope::encode(MsgKind::OffloadReply, &reply.encode()))
+        .write_all(&envelope::encode_msg(MsgKind::OffloadReply, &reply))
         .expect("receiver writes its offload reply");
 }
 

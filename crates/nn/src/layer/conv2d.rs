@@ -2,25 +2,30 @@
 //!
 //! The forward pads its input once ([`PatchTable::pad_into`]) and runs the
 //! conv GEMM `patches · Wᵀ` with the patch matrix read through the layer's
-//! [`PatchTable`] straight from that copy
-//! ([`ops::matmul_nt_patches_into`]); the patch matrix itself is never
-//! written. A training forward keeps the padded copy for the backward,
-//! and neither half of the backward writes a buffer the size of the patch
-//! matrix either:
+//! [`PatchTable`] straight from that copy, storing each register tile
+//! transposed, bias added, into the NCHW output
+//! ([`ops::matmul_nt_patches_into`]): neither the patch matrix nor a
+//! row-major product is written, and no transpose pass follows. A
+//! training forward keeps the padded copy for the backward, and neither
+//! half of the backward writes a buffer the size of the patch matrix
+//! either:
 //!
-//! * the weight gradient `dy_rowsᵀ · patches` gathers its `B` panels from
-//!   the padded copy through the same table, a few hundred patch rows at
-//!   a time into one small pack ([`ops::matmul_tn_patches_into`]);
+//! * the weight gradient is computed transposed,
+//!   `dWᵀ = patchesᵀ · dy_rows`: the transposed patch matrix is read in
+//!   place from the padded copy through the same table, against `dy_rows`
+//!   packed once, and `dWᵀ` is added transposed into the running gradient
+//!   ([`ops::matmul_tn_patches_into`]);
 //! * the input gradient computes `dy_rows · W` one tile of patch rows at
 //!   a time and scatter-adds each tile through the table into a zeroed
 //!   padded gradient — the padded copy's buffer, consumed by then — which
 //!   is cropped into `dx` ([`ops::matmul_scatter_patches_into`]).
 //!
-//! Both give the bits of the explicit lowering (`im2col`, one full pack,
-//! `dy_rows · W` as one matrix, `col2im`), which stays in
-//! [`aergia_tensor::conv`] as the tests' oracle.
+//! All three give the bits of the explicit lowering (`im2col`, full
+//! packs, `dy_rowsᵀ · patches` and `dy_rows · W` as whole matrices,
+//! `col2im`), which stays in [`aergia_tensor::conv`] as the tests'
+//! oracle.
 
-use aergia_tensor::conv::{nchw_to_rows_into, rows_to_nchw_into, ConvGeometry, PatchTable};
+use aergia_tensor::conv::{nchw_to_rows_into, ConvGeometry, PatchTable};
 use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 use aergia_tensor::{init, ops, Tensor, Workspace};
 use rand::Rng;
@@ -48,7 +53,6 @@ use super::{check_snapshot, Layer};
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     out_channels: usize,
-    geom: ConvGeometry,
     /// Where each patch element lives in the padded input.
     patches: PatchTable,
     weight: Tensor,
@@ -96,7 +100,6 @@ impl Conv2d {
         init::kaiming_uniform(&mut weight, rng, ckk);
         Conv2d {
             out_channels,
-            geom,
             patches,
             weight,
             bias: Tensor::zeros(&[out_channels]),
@@ -115,28 +118,29 @@ impl Conv2d {
     /// scratch-stack buffer the caller gives back.
     fn backward_grads(&mut self, dy: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
         let xpad = self.cached_xpad.take().expect("Conv2d::backward before forward");
-        let rows = self.patches.rows(xpad.dims()[0]);
+        let (rows, ckk, oc) =
+            (self.patches.rows(xpad.dims()[0]), self.patches.k(), self.out_channels);
         let mut dy_rows = ws.take_scratch();
         nchw_to_rows_into(dy, &mut dy_rows).expect("conv dy reshape");
-        // dW[oc, ckk] = dyᵀ · patches
-        // dW/db land in zeroed scratch first, then fold into the running
+        // dWᵀ[ckk, oc] = patchesᵀ · dy_rows, with `dy_rows` packed once as
+        // `B` (a per-batch pack from the workspace pool) and the patches
+        // read in place from the padded input.
+        // dWᵀ/db land in zeroed scratch first, then fold into the running
         // gradients with a single add each — accumulating the matmul
         // directly into `grad_weight` would reorder the summation and
         // break bit-identity with the allocating path.
-        // Both dW operands are per-batch; the `dy` pack and the block pack
-        // the patch panels are gathered into cycle through the workspace
-        // pack pools.
-        let vdw = tuned_variant(GemmOp::Tn, self.out_channels, rows, self.patches.k());
-        let mut pa = ws.take_packed_a();
-        pa.pack_transposed_with(&dy_rows, vdw).expect("conv dy pack");
-        let mut block = ws.take_packed_b();
-        let mut dw = ws.take(self.grad_weight.dims());
-        ops::matmul_tn_patches_into(&pa, &xpad, &self.patches, &mut block, &mut dw)
-            .expect("conv dW");
-        self.grad_weight.add_assign(&dw);
-        ws.give(dw);
-        ws.give_packed_b(block);
-        ws.give_packed_a(pa);
+        let mut pdy = ws.take_packed_b();
+        pdy.pack_with(&dy_rows, tuned_variant(GemmOp::Tn, ckk, rows, oc)).expect("conv dy pack");
+        let mut dwt = ws.take(&[ckk, oc]);
+        ops::matmul_tn_patches_into(&xpad, &self.patches, &pdy, &mut dwt).expect("conv dW");
+        ws.give_packed_b(pdy);
+        let gw = self.grad_weight.data_mut();
+        for (i, row) in dwt.data().chunks_exact(oc).enumerate() {
+            for (o, &v) in row.iter().enumerate() {
+                gw[o * ckk + i] += v;
+            }
+        }
+        ws.give(dwt);
         let mut db = ws.take(self.grad_bias.dims());
         ops::sum_rows_into(&dy_rows, &mut db).expect("conv db");
         self.grad_bias.add_assign(&db);
@@ -145,32 +149,19 @@ impl Conv2d {
     }
 
     /// The forward computation shared by [`Layer::forward_into`] and
-    /// [`Layer::infer_into`]: `x` zero-padded into `xpad`,
-    /// `patches(xpad) · Wᵀ + b` into a scratch-stack buffer, reshaped into
-    /// `out`. `xpad` is fully rewritten, so its previous shape and
-    /// contents never matter; the GEMM output goes straight back to the
-    /// stack, so both passes leave it as they found it.
-    fn forward_through(
-        &mut self,
-        x: &Tensor,
-        xpad: &mut Tensor,
-        ws: &mut Workspace,
-        out: &mut Tensor,
-    ) {
-        let batch = x.dims()[0];
-        let rows = self.patches.rows(batch);
+    /// [`Layer::infer_into`]: `x` zero-padded into `xpad`, then
+    /// `patches(xpad) · Wᵀ + b` written straight into `out` as NCHW.
+    /// `xpad` is fully rewritten, so its previous shape and contents never
+    /// matter.
+    fn forward_through(&mut self, x: &Tensor, xpad: &mut Tensor, out: &mut Tensor) {
+        let rows = self.patches.rows(x.dims()[0]);
         self.patches.pad_into(x, xpad).expect("Conv2d::forward: bad input");
-        // y_rows[(n,oh,ow), oc] = patches · Wᵀ — against the cached weight
-        // pack, rebuilt only after the weights change.
+        // Against the cached weight pack, rebuilt only after the weights
+        // change.
         let v = tuned_variant(GemmOp::Nt, rows, self.patches.k(), self.out_channels);
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
-        let mut y_rows = ws.take_scratch();
-        ops::matmul_nt_patches_into(xpad, &self.patches, &self.packed_wt, &mut y_rows)
+        ops::matmul_nt_patches_into(xpad, &self.patches, &self.packed_wt, &self.bias, out)
             .expect("conv matmul");
-        ops::add_bias_rows(&mut y_rows, &self.bias).expect("conv bias");
-        rows_to_nchw_into(&y_rows, batch, self.out_channels, self.geom.out_h, self.geom.out_w, out)
-            .expect("conv reshape");
-        ws.give_scratch(y_rows);
     }
 
     fn macs(&self, batch: usize) -> u64 {
@@ -188,7 +179,7 @@ impl Layer for Conv2d {
             Some(buf) => buf,
             None => ws.take(&self.patches.padded_dims(x.dims()[0])),
         };
-        self.forward_through(x, &mut xpad, ws, out);
+        self.forward_through(x, &mut xpad, out);
         self.cached_xpad = Some(xpad);
     }
 
@@ -201,12 +192,12 @@ impl Layer for Conv2d {
         // of the walk whatever its shape. Either way it goes straight back.
         match ws.take_pooled(&self.patches.padded_dims(x.dims()[0])) {
             Some(mut xpad) => {
-                self.forward_through(x, &mut xpad, ws, out);
+                self.forward_through(x, &mut xpad, out);
                 ws.give(xpad);
             }
             None => {
                 let mut xpad = ws.take_scratch();
-                self.forward_through(x, &mut xpad, ws, out);
+                self.forward_through(x, &mut xpad, out);
                 ws.give_scratch(xpad);
             }
         }

@@ -1,5 +1,5 @@
 //! Convolution lowering: the implicit patch matrix, its explicit oracles
-//! (`im2col`, `col2im`) and NCHW layout shuffles.
+//! (`im2col`, `col2im`) and the NCHW-to-rows shuffle of `dy`.
 //!
 //! Convolutions are computed as matrix products over patch matrices. For
 //! a batch of `N` images of shape `C×H×W`, a `kh×kw` kernel with stride
@@ -17,10 +17,12 @@
 //! `(1 + 2p/H)(1 + 2p/W)`× (1.13× for a 32×32 input at `p = 1`). All
 //! three GEMMs of a convolution go through the table:
 //!
-//! * the forward reads its `A` operand that way
+//! * the forward reads its `A` operand that way and stores each register
+//!   tile, bias added, straight into the NCHW output
 //!   ([`crate::ops::matmul_nt_patches_into`]);
-//! * the weight gradient gathers its `B` panels that way, a block of
-//!   patch rows at a time ([`crate::ops::matmul_tn_patches_into`]);
+//! * the weight gradient reads the transposed patch matrix that way as
+//!   *its* `A` operand, `dWᵀ = patchesᵀ · dy_rows`, a block of patch rows
+//!   at a time ([`crate::ops::matmul_tn_patches_into`]);
 //! * the input gradient computes the patch-matrix gradient a tile of rows
 //!   at a time and scatter-adds each tile through the table into a
 //!   zero-padded gradient, which is then cropped
@@ -134,12 +136,19 @@ impl ConvGeometry {
 /// assert_eq!(xpad.dims(), &[2, 1, 6, 6]);
 /// let mut pw = PackedB::new();
 /// pw.pack_transposed_with(&w, tuned_variant(GemmOp::Nt, 32, 9, 2))?;
+/// let bias = Tensor::from_vec(vec![0.5, -1.0], &[2])?;
 /// let mut y = Tensor::default();
-/// ops::matmul_nt_patches_into(&xpad, &patches, &pw, &mut y)?;
-/// // The same bits as the explicit patch matrix times `Wᵀ`.
+/// ops::matmul_nt_patches_into(&xpad, &patches, &pw, &bias, &mut y)?;
+/// assert_eq!(y.dims(), &[2, 2, 4, 4]);
+/// // The bits of the explicit patch matrix times `Wᵀ` plus the bias,
+/// // moved from rows `(n, oy, ox)` to NCHW.
 /// let mut cols = Tensor::default();
 /// im2col_into(&x, 1, &geom, &mut cols)?;
-/// assert_eq!(y, ops::matmul_nt_reference(&cols, &w)?);
+/// let rows = ops::matmul_nt_reference(&cols, &w)?;
+/// for (i, &v) in y.data().iter().enumerate() {
+///     let (img, o, p) = (i / 32, i / 16 % 2, i % 16);
+///     assert_eq!(v, rows.data()[(img * 16 + p) * 2 + o] + bias.data()[o]);
+/// }
 /// # Ok(())
 /// # }
 /// ```
@@ -187,6 +196,12 @@ impl PatchTable {
     /// Shape of a `batch`-image input, `[batch, C, H, W]`.
     pub(crate) fn input_dims(&self, batch: usize) -> [usize; 4] {
         [batch, self.channels, self.geom.in_h, self.geom.in_w]
+    }
+
+    /// Shape of the NCHW output of a `batch`-image input with
+    /// `out_channels` filters, `[batch, out_channels, OH, OW]`.
+    pub(crate) fn output_dims(&self, batch: usize, out_channels: usize) -> [usize; 4] {
+        [batch, out_channels, self.geom.out_h, self.geom.out_w]
     }
 
     /// The column offsets `k_off` (see the type docs).
@@ -591,53 +606,6 @@ pub fn nchw_to_rows_into(input: &Tensor, out: &mut Tensor) -> Result<(), TensorE
     Ok(())
 }
 
-/// Inverse of [`nchw_to_rows_into`]: reorders a `[N·H·W, C]` row matrix
-/// into `[N, C, H, W]`. `out` is reset as in [`im2col_into`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `rows` does not have
-/// `n·h·w` rows of `c` columns; `out` is untouched on error.
-pub fn rows_to_nchw_into(
-    rows: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    if rows.dims() != [n * h * w, c] {
-        return Err(TensorError::ShapeMismatch {
-            op: "rows_to_nchw_into",
-            lhs: rows.dims().to_vec(),
-            rhs: vec![n * h * w, c],
-        });
-    }
-    out.reset_for_overwrite(&[n, c, h, w]);
-    let src = rows.data();
-    let dst = out.data_mut();
-    let hw = h * w;
-    // Tiled like `nchw_to_rows_into`, transposing the other way.
-    const TILE: usize = 32;
-    for img in 0..n {
-        let src_img = &src[img * hw * c..(img + 1) * hw * c];
-        let dst_img = &mut dst[img * c * hw..(img + 1) * c * hw];
-        for ch0 in (0..c).step_by(TILE) {
-            let ch1 = (ch0 + TILE).min(c);
-            for pix0 in (0..hw).step_by(TILE) {
-                let pix1 = (pix0 + TILE).min(hw);
-                for ch in ch0..ch1 {
-                    let dst_chan = &mut dst_img[ch * hw..(ch + 1) * hw];
-                    for pix in pix0..pix1 {
-                        dst_chan[pix] = src_img[pix * c + ch];
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,8 +672,11 @@ mod tests {
         let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
         let rows = fresh(|o| nchw_to_rows_into(&x, o)).unwrap();
         assert_eq!(rows.dims(), &[8, 3]);
-        let back = fresh(|o| rows_to_nchw_into(&rows, 2, 3, 2, 2, o)).unwrap();
-        assert_eq!(back, x);
+        // Row `(img, pixel)`, column `channel` is `x[img, channel, pixel]`.
+        for (i, &v) in rows.data().iter().enumerate() {
+            let (img, pix, ch) = (i / 12, i / 3 % 4, i % 3);
+            assert_eq!(v, x.data()[img * 12 + ch * 4 + pix]);
+        }
     }
 
     #[test]
@@ -716,6 +687,5 @@ mod tests {
         let cols = Tensor::zeros(&[3, 3]);
         let g = ConvGeometry::new(3, 3, 2, 2, 1, 0);
         assert!(fresh(|o| col2im_into(&cols, 1, 1, &g, o)).is_err());
-        assert!(fresh(|o| rows_to_nchw_into(&cols, 1, 2, 2, 2, o)).is_err());
     }
 }

@@ -65,22 +65,24 @@
 //! Every microkernel and driver is written once: the `A` operand reaches
 //! the kernels as a `SubtileA` view generic over its storage — row-major
 //! rows (`nn`, `nt`), a [`PackedA`] tile (`tn`), or a convolution's
-//! implicit patch matrix read through a [`PatchTable`] from the
-//! zero-padded input (the conv `nt` forward, see [`crate::conv`]) — so
-//! all three run the same source, the stored layouts at constant strides.
+//! implicit patch matrix, or its transpose, read through a [`PatchTable`]
+//! from the zero-padded input (the conv `nt` forward and `tn` weight
+//! gradient, see [`crate::conv`]) — so all of them run the same source,
+//! the stored layouts at constant strides. Where a finished register tile
+//! goes is the driver's too: row-major output rows, or (the conv forward)
+//! one image of an NCHW output, stored transposed with the bias added.
 //!
-//! A stored pack keeps each panel as one full-`k` slab. The one product
-//! whose `k` is a whole batch of patch rows — a convolution's weight
-//! gradient `dW = dyᵀ · patches`, `k = N·OH·OW` — is `k`-blocked instead
-//! ([`crate::ops::matmul_tn_patches_into`]): its panels are gathered
-//! `KC` = 256 patch rows at a time into one small pack, and every block
-//! after the first enters the microkernel with the output's running sums
-//! loaded into the register tile. Gathering the full-`k` panels first
-//! wrote and re-read a pack the size of the patch matrix (9.4 MB on the
-//! CIFAR CNN's second convolution); the blocked walk keeps each block in
-//! L2 and cut the dW gather plus GEMM of a CIFAR CNN training batch
-//! (batch 8, one thread of a 2-vCPU AVX-512 Xeon, median of 3 runs of 80
-//! batches) from 5.9 + 12.8 to 3.8 + 10.8 ms.
+//! The one product whose `k` is a whole batch of patch rows — a
+//! convolution's weight gradient, computed transposed as
+//! `dWᵀ = patchesᵀ · dy_rows`, `k = N·OH·OW` — is `k`-blocked
+//! ([`crate::ops::matmul_tn_patches_into`]): `dy_rows` is packed once,
+//! and each row tile of `dWᵀ` walks it `KC` = 256 steps at a time, every
+//! block after the first entering the microkernel with the output's
+//! running sums loaded into the register tile. The patch matrix is
+//! never gathered: its transpose is the implicit `A`, one offset load
+//! per step, and `dWᵀ` has `C·kh·kw` rows (27 to 1 152 on the paper's
+//! CNNs) where `dW` had `out_channels` (16 to 128), enough row tiles to
+//! split across the pool.
 //!
 //! # Determinism contract
 //!
@@ -145,7 +147,7 @@ use std::sync::OnceLock;
 
 use aergia_telemetry::LazyCounter;
 
-use crate::conv::{PatchTable, RowBases};
+use crate::conv::PatchTable;
 use crate::ops::{require_rank2, run_row_tiles, PAR_FLOPS, TILE_ROWS};
 use crate::{Tensor, TensorError};
 
@@ -465,60 +467,6 @@ impl PackedB {
         Ok(())
     }
 
-    /// Packs patch rows `row0 .. row0 + rows` of the zero-padded input
-    /// `xpad` (see [`PatchTable`]) into `variant`'s panel layout, as the
-    /// `rows × C·kh·kw` operand they form, gathering each element straight
-    /// from `xpad` — the same pack as [`PackedB::pack_with`] on those rows
-    /// of the explicit `im2col` matrix, without writing that matrix first.
-    /// One call is one `k`-block of a convolution's weight gradient
-    /// `dW = dy_rowsᵀ · patches` ([`gemm_patches_tn`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
-    /// input shape of `table`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows run past the patch matrix or `rows` is zero.
-    pub(crate) fn pack_patch_rows(
-        &mut self,
-        xpad: &Tensor,
-        table: &PatchTable,
-        row0: usize,
-        rows: usize,
-        variant: KernelVariant,
-    ) -> Result<(), TensorError> {
-        let m = table.check_bound("pack_patches", xpad)?;
-        assert!(rows > 0 && row0 + rows <= m, "pack_patch_rows: rows {row0}+{rows} of {m}");
-        let k_off = table.k_off();
-        let n = k_off.len();
-        self.reset_layout(rows, n, variant, false);
-        let nr = variant.nr;
-        let xd = xpad.data();
-        // Row-outer, panel-inner like `pack_with`: one patch row is
-        // gathered per step, fanned out over one write stream per panel.
-        let stride = rows * nr;
-        for (r, base) in table.row_bases(row0).take(rows).enumerate() {
-            let src = &xd[base..];
-            for (jp, offs) in k_off.chunks(nr).enumerate() {
-                let dst = &mut self.buf[jp * stride + r * nr..jp * stride + (r + 1) * nr];
-                for (d, &o) in dst.iter_mut().zip(offs) {
-                    debug_assert!(o < src.len(), "patch gather overruns the padded input");
-                    // SAFETY: `PatchTable::check_bound` above checked once
-                    // per call that `row_base(r) + k_off[kk] < xpad.len()`
-                    // for every row `r < m` and every `kk`, and the rows
-                    // gathered here were asserted to lie below `m`, so
-                    // `o < src.len()`.
-                    *d = unsafe { *src.get_unchecked(o) };
-                }
-                dst[offs.len()..].fill(0.0);
-            }
-        }
-        self.valid = true;
-        Ok(())
-    }
-
     /// Repacks only when the pack is stale, shaped for a different
     /// operand, *or laid out for a different variant* — the
     /// cache-friendly entry point for weight matrices that rarely change.
@@ -653,9 +601,9 @@ impl PackedA {
 ///
 /// * [`RowMajor`] — row-major `A` (`nn`, `nt`), read in place;
 /// * [`PackedTile`] — a [`PackedA`] tile (`tn`);
-/// * [`Patches`] — the implicit patch matrix of a convolution, read
-///   through a [`PatchTable`] from the zero-padded input (the conv `nt`
-///   forward).
+/// * [`Patches`] — the implicit patch matrix of a convolution (the conv
+///   `nt` forward) or its transpose (the weight gradient), read through a
+///   [`PatchTable`] from the zero-padded input.
 ///
 /// Every kernel below is written once and compiled per storage, so the
 /// two stored layouts keep constant strides and the implicit one costs
@@ -760,37 +708,51 @@ impl<'a> SubtileA<'a> for PackedTile<'a> {
     }
 }
 
-/// The implicit patch matrix of a convolution: `(r, kk)` is
-/// `xpad[base[r] + k_off[kk]]`, with `base` the subtile's row bases (the
-/// last live one repeated past a ragged tail) and `k_off` the
-/// [`PatchTable`]'s column offsets. The driver checks once per call that
-/// every such index is in bounds ([`PatchTable::check_bound`]).
+/// The implicit patch matrix of a convolution, or its transpose: `(r, kk)`
+/// is `xpad[row_off[r] + step_off[kk]]`, with `row_off` the subtile's row
+/// offsets (the last live one repeated past a ragged tail). The two
+/// [`PatchTable`] offsets of a patch element play either role:
+///
+/// * the patch matrix (the conv `nt` forward): rows are patch rows, so
+///   `row_off` holds their row bases and `step_off` is the table's column
+///   offsets `k_off`;
+/// * its transpose (the weight gradient's `A`, [`gemm_patches_tn`]): rows
+///   are patch columns, so `row_off` holds their `k_off` entries and
+///   `step_off` the row bases of the `k`-block's patch rows.
+///
+/// The driver checks once per call that every such index is in bounds
+/// ([`PatchTable::check_bound`]).
 #[derive(Clone, Copy)]
 struct Patches<'a> {
     xpad: &'a [f32],
-    base: [usize; MR_MAX],
-    k_off: &'a [usize],
+    row_off: [usize; MR_MAX],
+    step_off: &'a [usize],
 }
 
 impl<'a> Patches<'a> {
-    /// The subtile holding the next `mrows` patch rows
-    /// (`1 ≤ mrows ≤ MR_MAX`), whose bases `bases` yields.
+    /// The subtile of `mrows` rows (`1 ≤ mrows ≤ MR_MAX`) whose offsets
+    /// `rows` yields, over the steps `step_off`.
     #[inline(always)]
-    fn cut(xpad: &'a [f32], k_off: &'a [usize], bases: &mut RowBases, mrows: usize) -> Self {
-        let mut base = [0; MR_MAX];
-        for b in &mut base[..mrows] {
-            *b = bases.next().expect("row bases never end");
+    fn cut(
+        xpad: &'a [f32],
+        mut rows: impl Iterator<Item = usize>,
+        mrows: usize,
+        step_off: &'a [usize],
+    ) -> Self {
+        let mut row_off = [0; MR_MAX];
+        for o in &mut row_off[..mrows] {
+            *o = rows.next().expect("a row offset per live row");
         }
-        let last = base[mrows - 1];
-        base[mrows..].fill(last);
-        Patches { xpad, base, k_off }
+        let last = row_off[mrows - 1];
+        row_off[mrows..].fill(last);
+        Patches { xpad, row_off, step_off }
     }
 }
 
 impl<'a> SubtileA<'a> for Patches<'a> {
     #[inline(always)]
     fn k(self) -> usize {
-        self.k_off.len()
+        self.step_off.len()
     }
     #[inline(always)]
     fn fits(self, mr: usize) -> bool {
@@ -798,12 +760,12 @@ impl<'a> SubtileA<'a> for Patches<'a> {
     }
     #[inline(always)]
     fn row(self, r: usize) -> &'a [f32] {
-        &self.xpad[self.base[r]..]
+        &self.xpad[self.row_off[r]..]
     }
     #[inline(always)]
     fn at(self, kk: usize, _mr: usize) -> usize {
         // Checked: an unchecked table read measured no faster.
-        self.k_off[kk]
+        self.step_off[kk]
     }
 }
 
@@ -1129,43 +1091,88 @@ fn run_kernel<'a, const ACC: bool, A: SubtileA<'a>>(
     }
 }
 
-/// Writes the live part of a register tile into the output rows.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn write_back(
-    acc: &Acc,
+/// The live corner of a register tile: its rows are output rows
+/// `r0 .. r0 + mrows` of a [`gemm_row_tile`] call, its columns output
+/// columns `col0 .. col0 + ncols`, and `acc[r·nr + c]` holds element
+/// `(r0 + r, col0 + c)`.
+#[derive(Clone, Copy)]
+struct Corner {
     nr: usize,
-    rows: &mut [f32],
-    n: usize,
     r0: usize,
     mrows: usize,
     col0: usize,
     ncols: usize,
-) {
-    for r in 0..mrows {
-        let orow = &mut rows[(r0 + r) * n + col0..(r0 + r) * n + col0 + ncols];
-        orow.copy_from_slice(&acc[r * nr..r * nr + ncols]);
+}
+
+/// Where [`gemm_row_tile`] keeps its output.
+trait TileOut {
+    /// Output rows the call computes.
+    fn rows(&self) -> usize;
+
+    /// Stores the corner of a finished register tile.
+    fn store(&mut self, acc: &Acc, at: Corner);
+
+    /// Loads the corner with the partial sums stored there, which a later
+    /// `k`-block continues: the inverse of [`TileOut::store`].
+    fn load(&self, acc: &mut Acc, at: Corner);
+}
+
+/// Row-major output rows, `n` wide.
+struct Rows<'s> {
+    data: &'s mut [f32],
+    n: usize,
+}
+
+impl TileOut for Rows<'_> {
+    fn rows(&self) -> usize {
+        self.data.len() / self.n
+    }
+
+    #[inline(always)]
+    fn store(&mut self, acc: &Acc, at: Corner) {
+        for r in 0..at.mrows {
+            let o = (at.r0 + r) * self.n + at.col0;
+            self.data[o..o + at.ncols].copy_from_slice(&acc[r * at.nr..r * at.nr + at.ncols]);
+        }
+    }
+
+    #[inline(always)]
+    fn load(&self, acc: &mut Acc, at: Corner) {
+        for r in 0..at.mrows {
+            let o = (at.r0 + r) * self.n + at.col0;
+            acc[r * at.nr..r * at.nr + at.ncols].copy_from_slice(&self.data[o..o + at.ncols]);
+        }
     }
 }
 
-/// Loads the live part of a register tile from the output rows, the
-/// partial sums an accumulating block continues: the inverse of
-/// [`write_back`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn read_back(
-    acc: &mut Acc,
-    nr: usize,
-    rows: &[f32],
-    n: usize,
-    r0: usize,
-    mrows: usize,
-    col0: usize,
-    ncols: usize,
-) {
-    for r in 0..mrows {
-        let orow = &rows[(r0 + r) * n + col0..(r0 + r) * n + col0 + ncols];
-        acc[r * nr..r * nr + ncols].copy_from_slice(orow);
+/// One image of a convolution's NCHW output, `[n, pixels]`: output row
+/// `p` is pixel `p`, column `c` is channel `c`, and each element is
+/// stored transposed with its channel's bias added — one rounding, as an
+/// add over the stored row-major product gives.
+struct NchwBias<'s> {
+    data: &'s mut [f32],
+    pixels: usize,
+    bias: &'s [f32],
+}
+
+impl TileOut for NchwBias<'_> {
+    fn rows(&self) -> usize {
+        self.pixels
+    }
+
+    #[inline(always)]
+    fn store(&mut self, acc: &Acc, at: Corner) {
+        for c in 0..at.ncols {
+            let ch = at.col0 + c;
+            let (b, o) = (self.bias[ch], ch * self.pixels + at.r0);
+            for (r, y) in self.data[o..o + at.mrows].iter_mut().enumerate() {
+                *y = acc[r * at.nr + c] + b;
+            }
+        }
+    }
+
+    fn load(&self, _acc: &mut Acc, _at: Corner) {
+        unreachable!("the conv forward runs its whole shared dimension in one block");
     }
 }
 
@@ -1177,137 +1184,147 @@ pub(crate) fn gemm_packed(op: GemmOp, ad: &[f32], k: usize, pb: &PackedB, od: &m
     let n = pb.n;
     let m = od.len() / n.max(1);
     count_gemm_call(op, pb.variant);
-    run_row_tiles(od, n, m * n * k, |first_row, rows| {
+    run_row_tiles(od, n, TILE_ROWS, m * n * k, |first_row, rows| {
         gemm_row_tile::<false, _>(
             |row0, mrows| RowMajor::cut(ad, k, row0, mrows),
             pb,
+            0..k,
             first_row,
-            rows,
+            &mut Rows { data: rows, n },
         );
     });
 }
 
-/// Driver for the packed-`A` kernel (`tn`): one full-`k` block.
-pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
-    count_gemm_call(GemmOp::Tn, pa.variant);
-    gemm_tn_block::<false>(pa, 0, pb, od);
-}
-
-/// Shared-dimension rows per block of the `k`-blocked weight gradient
-/// ([`gemm_patches_tn`]). Every value gives the same bits (see the module
-/// docs), so it is chosen by timing alone: a block of the CIFAR CNN's
-/// widest patch panels (`C·kh·kw` = 1 152) is then 1.2 MB, inside L2. On
-/// a 2-vCPU AVX-512 Xeon, 128, 256 and 512 timed alike on the CIFAR CNN's
-/// backward; 64 and 1 024 were slower.
-pub(crate) const KC: usize = 256;
-
-/// One `k`-block of a packed-`A` product: `A`'s shared steps
-/// `k0 .. k0 + pb.k()` times `pb`, a pack of just those `k` rows of `B`.
-/// Without `ACC` the block overwrites `od`; with `ACC` it continues the
-/// partial sums `od` holds from the blocks before `k0`. Row-tile
-/// boundaries are multiples of every variant's `mr` (the parallel tile
-/// size is a multiple of [`MR_MAX`]), so output sub-tiles map 1:1 onto
-/// [`PackedA`] tiles. Uncounted: the drivers count their call once.
+/// Driver for the packed-`A` kernel (`tn`). Row-tile boundaries are
+/// multiples of every variant's `mr` (the parallel tile size is a
+/// multiple of [`MR_MAX`]), so output sub-tiles map 1:1 onto [`PackedA`]
+/// tiles.
 ///
 /// # Panics
 ///
 /// Panics if the packs were laid out for different kernel variants — the
 /// tile height comes from `pa` and the panel width from `pb`, so a mixed
-/// pair has no kernel to run on — or if the block runs past `A`'s `k`.
-fn gemm_tn_block<const ACC: bool>(pa: &PackedA, k0: usize, pb: &PackedB, od: &mut [f32]) {
+/// pair has no kernel to run on.
+pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
     assert_eq!(
         pa.variant, pb.variant,
         "gemm_packed_tn: operand packs were laid out for different kernel variants"
     );
-    let (a, k, mr) = (&pa.buf[..], pa.k, pa.variant.mr);
-    let ks = k0..k0 + pb.k;
-    assert!(ks.end <= k, "gemm_tn_block: steps {ks:?} run past k = {k}");
-    run_row_tiles(od, pb.n, pa.m * pb.n * pb.k, |first_row, rows| {
-        gemm_row_tile::<ACC, _>(
-            |row0, _| PackedTile::cut(a, k, row0, mr, ks.clone()),
+    count_gemm_call(GemmOp::Tn, pa.variant);
+    let (a, k, mr, n) = (&pa.buf[..], pa.k, pa.variant.mr, pb.n);
+    run_row_tiles(od, n, TILE_ROWS, pa.m * n * k, |first_row, rows| {
+        gemm_row_tile::<false, _>(
+            |row0, _| PackedTile::cut(a, k, row0, mr, 0..k),
             pb,
+            0..k,
             first_row,
-            rows,
+            &mut Rows { data: rows, n },
         );
     });
 }
 
+/// Shared-dimension steps per block of the `k`-blocked weight gradient
+/// ([`gemm_patches_tn`]). Every value gives the same bits (see the module
+/// docs), so it is chosen by timing alone: a block of a 32-column `B`
+/// panel is then 32 KB, and the block's row bases a 2 KB stack array.
+pub(crate) const KC: usize = 256;
+
 /// Driver for the implicit-`A` kernel (the convolution `nt` forward):
 /// `A` is the patch matrix of the zero-padded input `xpad`, read through
-/// `table` (see [`PatchTable`]), and `out` is reset to `[m, n]` and
-/// overwritten. The `nt` counter, exactly as [`gemm_packed`] with
-/// [`GemmOp::Nt`] on the explicit matrix, so every product and count is
-/// the same.
+/// `table` (see [`PatchTable`]), and `out` is reset to the NCHW output
+/// `[N, n, OH, OW]` and overwritten: each register tile is stored
+/// transposed into it with `bias` added ([`NchwBias`]), so the row-major
+/// product is never written. Images run in parallel once the product
+/// clears the threading threshold. The `nt` counter, exactly as
+/// [`gemm_packed`] with [`GemmOp::Nt`] on the explicit matrix, so every
+/// product and count is the same.
 ///
 /// The kernels read the patch matrix unchecked. Their bound —
 /// `row_base(r) + k_off[kk] < xpad.len()` for every row `r < m` — is
-/// checked here once, by [`PatchTable::check_bound`], and `out` has
-/// exactly `m` rows, so no row tile walks past row `m − 1`.
+/// checked here once, by [`PatchTable::check_bound`], and `out` holds
+/// exactly the images of `xpad`, so no tile walks past row `m − 1`.
 pub(crate) fn gemm_patches_nt(
     xpad: &Tensor,
     table: &PatchTable,
     pb: &PackedB,
+    bias: &Tensor,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    let m = table.check_bound("matmul_nt_patches", xpad)?;
-    let (n, k) = (pb.n, table.k());
-    if k != pb.k {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_nt_patches",
-            lhs: vec![m, k],
-            rhs: vec![n, pb.k],
-        });
+    const OP: &str = "matmul_nt_patches";
+    let m = table.check_bound(OP, xpad)?;
+    let (n, k, pixels) = (pb.n, table.k(), table.rows(1));
+    if k != pb.k || bias.dims() != [n] {
+        return Err(TensorError::ShapeMismatch { op: OP, lhs: vec![m, k], rhs: vec![n, pb.k] });
     }
-    out.reset_for_overwrite(&[m, n]);
+    out.reset_for_overwrite(&table.output_dims(m / pixels, n));
     count_gemm_call(GemmOp::Nt, pb.variant);
-    let (xd, k_off) = (xpad.data(), table.k_off());
-    run_row_tiles(out.data_mut(), n, m * n * k, |first_row, rows| {
+    let (xd, k_off, bias) = (xpad.data(), table.k_off(), bias.data());
+    run_row_tiles(out.data_mut(), n, pixels, m * n * k, |first_row, image| {
         // Subtiles are cut in row order, so one stepped walk of the row
-        // bases serves the whole tile.
+        // bases serves the whole image.
         let mut bases = table.row_bases(first_row);
         gemm_row_tile::<false, _>(
-            |_, mrows| Patches::cut(xd, k_off, &mut bases, mrows),
+            |_, mrows| Patches::cut(xd, &mut bases, mrows, k_off),
             pb,
+            0..k,
             first_row,
-            rows,
+            &mut NchwBias { data: image, pixels, bias },
         );
     });
     Ok(())
 }
 
-/// Driver for a convolution's weight gradient `dW = Aᵀ · patches(xpad)`
-/// (the `tn` form), `k`-blocked: the `B` panels are
-/// gathered [`KC`] patch rows at a time into `block` (one small pack,
-/// rewritten per block) and each block after the first continues the
-/// partial sums in `out` (see the module docs). `out` is reset to
-/// `[m, C·kh·kw]` and overwritten, and the call counts once, as
-/// [`gemm_packed_tn`] on the full gathered pack does — whose bits it
-/// gives.
+/// Driver for a convolution's weight gradient, transposed:
+/// `dWᵀ = patches(xpad)ᵀ · B` (the `tn` form), with `pb` the packed
+/// `dy_rows` (`[N·OH·OW, n]`). `A` is the patch matrix's transpose read
+/// in place ([`Patches`]), one row per patch column, so its rows are the
+/// output's `C·kh·kw` rows: one fan-out splits them into [`TILE_ROWS`]
+/// tiles, and each tile walks the whole batch of patch rows in blocks of
+/// [`KC`] steps — the block's row bases in a stack array, its `B` steps a
+/// slice of each panel — every block after the first continuing the
+/// partial sums it stored (see the module docs). `out` is reset to
+/// `[C·kh·kw, n]` and overwritten, and the call counts once, as
+/// [`gemm_packed_tn`] over the explicit patch matrix does, whose bits it
+/// gives; since `fma(a, b, s)` is `fma(b, a, s)`, they are also the bits
+/// of `dW = dy_rowsᵀ · patches` transposed.
+///
+/// The kernels read `xpad[k_off[i] + row_base(r)]` unchecked, under the
+/// bound [`gemm_patches_nt`] states, checked here once.
 pub(crate) fn gemm_patches_tn(
-    pa: &PackedA,
     xpad: &Tensor,
     table: &PatchTable,
-    block: &mut PackedB,
+    pb: &PackedB,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    let rows = table.check_bound("matmul_tn_patches", xpad)?;
-    if pa.k != rows {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_tn_patches",
-            lhs: vec![pa.k, pa.m],
-            rhs: vec![rows, table.k()],
-        });
+    const OP: &str = "matmul_tn_patches";
+    let steps = table.check_bound(OP, xpad)?;
+    let (m, n) = (table.k(), pb.n);
+    if pb.k != steps {
+        return Err(TensorError::ShapeMismatch { op: OP, lhs: vec![steps, m], rhs: vec![pb.k, n] });
     }
-    out.reset_for_overwrite(&[pa.m, table.k()]);
-    count_gemm_call(GemmOp::Tn, pa.variant);
-    for k0 in (0..rows).step_by(KC) {
-        block.pack_patch_rows(xpad, table, k0, KC.min(rows - k0), pa.variant)?;
-        if k0 == 0 {
-            gemm_tn_block::<false>(pa, k0, block, out.data_mut());
-        } else {
-            gemm_tn_block::<true>(pa, k0, block, out.data_mut());
+    out.reset_for_overwrite(&[m, n]);
+    count_gemm_call(GemmOp::Tn, pb.variant);
+    let (xd, k_off) = (xpad.data(), table.k_off());
+    run_row_tiles(out.data_mut(), n, TILE_ROWS, m * n * steps, |first_row, rows| {
+        let mut out = Rows { data: rows, n };
+        let mut bases = table.row_bases(0);
+        let mut block = [0; KC];
+        for k0 in (0..steps).step_by(KC) {
+            let ks = k0..steps.min(k0 + KC);
+            let step_off = &mut block[..ks.len()];
+            for (o, base) in step_off.iter_mut().zip(&mut bases) {
+                *o = base;
+            }
+            let step_off = &*step_off;
+            let cut =
+                |row0, mrows| Patches::cut(xd, k_off[row0..].iter().copied(), mrows, step_off);
+            if k0 == 0 {
+                gemm_row_tile::<false, _>(cut, pb, ks, first_row, &mut out);
+            } else {
+                gemm_row_tile::<true, _>(cut, pb, ks, first_row, &mut out);
+            }
         }
-    }
+    });
     Ok(())
 }
 
@@ -1363,8 +1380,9 @@ pub(crate) fn gemm_scatter_patches(
                 gemm_row_tile::<false, _>(
                     |row, mrows| RowMajor::cut(ad, k, row, mrows),
                     pb,
+                    0..k,
                     row0 + p0,
-                    tile,
+                    &mut Rows { data: tile, n },
                 );
                 scatter_patch_rows(tile, table, p0, img);
             }
@@ -1422,41 +1440,44 @@ fn scatter_patch_rows(tile: &[f32], table: &PatchTable, p0: usize, img: &mut [f3
 }
 
 /// One row tile of any packed GEMM: computes output rows
-/// `first_row .. first_row + rows.len()/n` of `A · packed(B)` as an
-/// `mr`-subtile-outer, `B`-panel-inner walk, dispatching on the pack's
-/// [`KernelVariant`] tag. `cut(row0, mrows)` returns the subtile of the
-/// whole `A` operand holding rows `row0 .. row0 + mrows` in its storage;
-/// it is called once per subtile, in ascending row order.
+/// `first_row .. first_row + out.rows()` of `A · packed(B)` over the
+/// shared steps `ks` as an `mr`-subtile-outer, `B`-panel-inner walk,
+/// dispatching on the pack's [`KernelVariant`] tag. `cut(row0, mrows)`
+/// returns the subtile of the whole `A` operand holding rows
+/// `row0 .. row0 + mrows` over those steps in its storage; it is called
+/// once per subtile, in ascending row order.
 /// Called only by the drivers above, which count the call and fan the
 /// tiles out; the subtile counter therefore counts per call of this
 /// function: per row tile, per `k`-block.
 ///
-/// `ACC` says whether `rows` holds partial sums to continue (a later
+/// `ACC` says whether `out` holds partial sums to continue (a later
 /// `k`-block); without it the kernels start from `+0.0` and the previous
-/// contents of `rows` are never read.
+/// contents of `out` are never read.
 fn gemm_row_tile<'a, const ACC: bool, A: SubtileA<'a>>(
     mut cut: impl FnMut(usize, usize) -> A,
     pb: &PackedB,
+    ks: Range<usize>,
     first_row: usize,
-    rows: &mut [f32],
+    out: &mut impl TileOut,
 ) {
     let variant = pb.variant;
     let (mr, nr) = (variant.mr, variant.nr);
     let n = pb.n;
-    let nrows = rows.len() / n;
+    let nrows = out.rows();
     let mut acc = [0.0f32; MR_MAX * NR_MAX];
     for r0 in (0..nrows).step_by(mr) {
         let mrows = (nrows - r0).min(mr);
         let sub = cut(first_row + r0, mrows);
+        assert_eq!(sub.k(), ks.len(), "gemm: A subtile and B steps disagree");
         for jp in 0..n.div_ceil(nr) {
-            let panel = pb.panel(jp);
+            let panel = &pb.panel(jp)[ks.start * nr..ks.end * nr];
             let col0 = jp * nr;
-            let ncols = (n - col0).min(nr);
+            let at = Corner { nr, r0, mrows, col0, ncols: (n - col0).min(nr) };
             if ACC {
-                read_back(&mut acc, nr, rows, n, r0, mrows, col0, ncols);
+                out.load(&mut acc, at);
             }
             run_kernel::<ACC, A>(variant, sub, panel, &mut acc);
-            write_back(&acc, nr, rows, n, r0, mrows, col0, ncols);
+            out.store(&acc, at);
         }
     }
     // One atomic add per row tile — nothing per subtile or per multiply.
@@ -1580,18 +1601,25 @@ mod tests {
         Tensor::from_vec(data, dims).unwrap()
     }
 
-    /// The bits of a pack's whole buffer, padding included.
-    fn pack_bits(pb: &PackedB) -> Vec<u32> {
-        pb.buf.iter().map(|v| v.to_bits()).collect()
+    /// `rows` (`[N·P, c]`, row `(img, pixel)`) moved to NCHW (`[N, c, P]`
+    /// flattened), with `bias[ch]` added to every element of channel `ch`.
+    fn nchw_plus_bias(rows: &Tensor, pixels: usize, bias: &Tensor) -> Vec<f32> {
+        let c = rows.dims()[1];
+        let mut out = vec![0.0; rows.numel()];
+        for (r, row) in rows.data().chunks_exact(c).enumerate() {
+            let (img, pix) = (r / pixels, r % pixels);
+            for (ch, (&v, &b)) in row.iter().zip(bias.data()).enumerate() {
+                out[(img * c + ch) * pixels + pix] = v + b;
+            }
+        }
+        out
     }
 
-    /// One convolution case against the explicit oracle, on every
+    /// One convolution forward against the explicit oracle, on every
     /// variant, through dirty buffers of other shapes (a NaN-filled padded
-    /// copy, output and pack): the implicit forward must give
-    /// `matmul_nt_reference(im2col(x), W)` — NaN positions plus the exact
-    /// bits of every other element — and the gathered dW panels, whole or
-    /// as a block of rows, must be `pack_with` of those rows of
-    /// `im2col(x)` bit for bit.
+    /// copy and output): the implicit forward must give
+    /// `matmul_nt_reference(im2col(x), W)` plus the bias, moved to NCHW —
+    /// NaN positions plus the exact bits of every other element.
     fn check_patches_against_im2col(
         (n, c, h, w): (usize, usize, usize, usize),
         (kernel, stride, pad): (usize, usize, usize),
@@ -1603,59 +1631,38 @@ mod tests {
         let geom = crate::conv::ConvGeometry::new(h, w, kernel, kernel, stride, pad);
         let x = conv_input(&[n, c, h, w], seed, specials);
         let weight = random(&[oc, c * kernel * kernel], seed ^ 0x5eed);
+        let bias = conv_input(&[oc], seed ^ 0xb1a5, specials);
         let mut cols = Tensor::default();
         crate::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
-        let want = ops::matmul_nt_reference(&cols, &weight).unwrap();
+        let rows = ops::matmul_nt_reference(&cols, &weight).unwrap();
+        let want = Tensor::from_vec(
+            nchw_plus_bias(&rows, geom.out_h * geom.out_w, &bias),
+            &[n, oc, geom.out_h, geom.out_w],
+        )
+        .unwrap();
 
         let table = PatchTable::new(c, &geom);
         let mut xpad = Tensor::full(&[gr, gc], f32::NAN);
         table.pad_into(&x, &mut xpad).unwrap();
         let mut out = Tensor::full(&[gc, gr], f32::NAN);
-        let mut patches = PackedB::new();
-        patches
-            .pack_with(&Tensor::full(&[gr + 3, gc + 5], f32::NAN), KernelVariant::PORTABLE)
-            .unwrap();
         let mut pwt = PackedB::new();
         let case = format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} oc{oc}");
         for variant in all_variants() {
             pwt.pack_transposed_with(&weight, variant).unwrap();
-            ops::matmul_nt_patches_into(&xpad, &table, &pwt, &mut out).unwrap();
+            ops::matmul_nt_patches_into(&xpad, &table, &pwt, &bias, &mut out).unwrap();
             assert_same_modulo_nan_bits(&out, &want, &format!("forward {case} {variant:?}"));
-
-            let m = table.rows(n);
-            let r0 = m / 3;
-            for rows in [r0..m, r0..m.min(r0 + 5)] {
-                let ckk = cols.dims()[1];
-                let block = &cols.data()[rows.start * ckk..rows.end * ckk];
-                let mut oracle = PackedB::new();
-                oracle
-                    .pack_with(
-                        &Tensor::from_vec(block.to_vec(), &[rows.len(), ckk]).unwrap(),
-                        variant,
-                    )
-                    .unwrap();
-                patches.pack_patch_rows(&xpad, &table, rows.start, rows.len(), variant).unwrap();
-                assert_eq!(
-                    (patches.k(), patches.n(), patches.variant()),
-                    (oracle.k(), oracle.n(), variant)
-                );
-                assert_eq!(
-                    pack_bits(&patches),
-                    pack_bits(&oracle),
-                    "dW panels {case} {rows:?} {variant:?}"
-                );
-            }
         }
     }
 
     /// A convolution's backward against the explicit oracle, on every
     /// variant, through NaN-filled buffers of other shapes (padded copy,
-    /// block pack, tiles, padded gradient and both outputs), with exact
+    /// `dy` pack, tiles, padded gradient and both outputs), with exact
     /// zeros (`zeros`) and NaN / ±inf (`specials`) in `x`, `dy` and `W`:
     ///
-    /// * the `k`-blocked weight gradient must give
-    ///   `matmul_tn_reference(dy_rows, im2col(x))` and the one-call
-    ///   `matmul_tn_packed_into` over `pack_with(im2col(x))`;
+    /// * the transposed weight gradient must give
+    ///   `matmul_tn_reference(im2col(x), dy_rows)`, the transpose of
+    ///   `matmul_tn_reference(dy_rows, im2col(x))` (`dW` itself), and the
+    ///   one-call `matmul_tn_packed_into` over the explicit matrix;
     /// * the chunked input gradient must give
     ///   `col2im(matmul_packed_into(dy_rows, pack_with(W)))` and
     ///   `col2im(matmul_reference(dy_rows, W))`;
@@ -1677,7 +1684,8 @@ mod tests {
         let weight = sparse_input(&[oc, ckk], seed ^ 0x5eed, zeros, specials);
         let mut cols = Tensor::default();
         crate::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
-        let dw_ref = ops::matmul_tn_reference(&dy, &cols).unwrap();
+        let dwt_ref = ops::matmul_tn_reference(&cols, &dy).unwrap();
+        let dw_ref = ops::transpose(&ops::matmul_tn_reference(&dy, &cols).unwrap());
         let mut dx_ref = Tensor::default();
         let dcols_ref = ops::matmul_reference(&dy, &weight).unwrap();
         crate::conv::col2im_into(&dcols_ref, n, c, &geom, &mut dx_ref).unwrap();
@@ -1685,21 +1693,25 @@ mod tests {
         let nan = |dims: &[usize]| Tensor::full(dims, f32::NAN);
         let mut xpad = nan(&[gr, gc]);
         table.pad_into(&x, &mut xpad).unwrap();
-        let mut block = PackedB::new();
-        block.pack_with(&nan(&[gr + 3, gc + 5]), KernelVariant::PORTABLE).unwrap();
-        let (mut dw, mut tiles, mut dxpad, mut dx) =
+        let mut pdy = PackedB::new();
+        pdy.pack_with(&nan(&[gr + 3, gc + 5]), KernelVariant::PORTABLE).unwrap();
+        let (mut dwt, mut tiles, mut dxpad, mut dx) =
             (nan(&[gc, gr]), nan(&[gr + 1, gc]), nan(&[gc + 2, gr]), nan(&[gr, gc + 3]));
         let case = format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} oc{oc}");
         for variant in all_variants() {
-            let mut pa = PackedA::new();
-            pa.pack_transposed_with(&dy, variant).unwrap();
-            ops::matmul_tn_patches_into(&pa, &xpad, &table, &mut block, &mut dw).unwrap();
-            assert_same_modulo_nan_bits(&dw, &dw_ref, &format!("dW {case} {variant:?}"));
-            let mut full = PackedB::new();
-            full.pack_with(&cols, variant).unwrap();
-            let mut dw_one = Tensor::default();
-            ops::matmul_tn_packed_into(&pa, &full, &mut dw_one).unwrap();
-            assert_same_modulo_nan_bits(&dw, &dw_one, &format!("dW one call {case} {variant:?}"));
+            pdy.pack_with(&dy, variant).unwrap();
+            ops::matmul_tn_patches_into(&xpad, &table, &pdy, &mut dwt).unwrap();
+            assert_same_modulo_nan_bits(&dwt, &dwt_ref, &format!("dWT {case} {variant:?}"));
+            assert_same_modulo_nan_bits(&dwt, &dw_ref, &format!("dW {case} {variant:?}"));
+            let mut pcols = PackedA::new();
+            pcols.pack_transposed_with(&cols, variant).unwrap();
+            let mut dwt_one = Tensor::default();
+            ops::matmul_tn_packed_into(&pcols, &pdy, &mut dwt_one).unwrap();
+            assert_same_modulo_nan_bits(
+                &dwt,
+                &dwt_one,
+                &format!("dWT one call {case} {variant:?}"),
+            );
 
             let mut pw = PackedB::new();
             pw.pack_with(&weight, variant).unwrap();
@@ -1717,11 +1729,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
 
-        /// The implicit conv GEMM and the gathered dW panels equal the
-        /// explicit `im2col` oracle bit for bit: kernels 1, 3 and 5,
-        /// stride 1 and 2, padding 0–2, output widths that are no multiple
-        /// of any `mr` (so subtiles straddle output rows and images),
-        /// non-finite and signed-zero inputs, dirty buffers.
+        /// The implicit conv forward, stored as NCHW with the bias added,
+        /// equals the explicit `im2col` oracle bit for bit: kernels 1, 3
+        /// and 5, stride 1 and 2, padding 0–2, output widths that are no
+        /// multiple of any `mr` (so subtiles straddle output rows, and an
+        /// image ends in a ragged subtile), non-finite and signed-zero
+        /// inputs and biases, dirty buffers.
         #[test]
         fn implicit_patches_match_the_im2col_oracle_bitwise(
             (n, c, oc) in (1usize..4, 1usize..4, 1usize..40),
@@ -1747,11 +1760,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
-        /// The `k`-blocked weight gradient and the chunked input gradient
-        /// equal the explicit `im2col` / `col2im` oracles: kernels 1, 3
-        /// and 5, stride 1 and 2, padding 0–2, pixel counts that are no
-        /// multiple of any `mr` or of the tile height, exact zeros,
-        /// non-finite values, dirty buffers.
+        /// The transposed, `k`-blocked weight gradient and the chunked
+        /// input gradient equal the explicit `im2col` / `col2im` oracles:
+        /// kernels 1, 3 and 5, stride 1 and 2, padding 0–2, patch widths
+        /// and pixel counts that are no multiple of any `mr` or of the tile
+        /// height, exact zeros, non-finite values, dirty buffers.
         #[test]
         fn implicit_patches_backward_matches_the_explicit_oracles_bitwise(
             (n, c, oc) in (1usize..4, 1usize..4, 1usize..24),
@@ -1775,15 +1788,20 @@ mod tests {
     }
 
     /// Fixed backward cases the property cannot reach or must never miss:
-    /// a shared dimension below, at and past [`KC`] (ragged, and three or
-    /// more blocks), 14×14 images (196 patch rows: no multiple of any `mr`
-    /// or of the tile height) at batch 1, and batches larger than the pool
-    /// above the threading threshold, so image groups run on several
-    /// threads and the last group is short.
+    ///
+    /// * a shared dimension below, at and past [`KC`] (ragged, and three
+    ///   or more blocks), so dW chains cross blocks — at batch 1 too;
+    /// * `C·kh·kw` = 27 (the CIFAR CNN's first layer, no multiple of any
+    ///   `mr`), and 72 and 75, more than one row tile of `dWᵀ`;
+    /// * 14×14 images (196 patch rows, the FMNIST CNN's second layer: no
+    ///   multiple of any `mr` or of the tile height), at batch 1 too;
+    /// * products above the threading threshold, so `dWᵀ` row tiles and
+    ///   dx image groups run on several threads and the last of each is
+    ///   short.
     #[test]
     fn implicit_patches_backward_covers_blocks_tiles_and_image_groups() {
         let rows = |n: usize, hw: usize| n * hw * hw;
-        assert!(rows(1, 7) < KC && rows(1, 16) == KC);
+        assert!(rows(1, 7) < KC && rows(1, 16) == KC && rows(1, 28) % KC != 0);
         assert!(rows(3, 16) == 3 * KC && rows(5, 14) > 3 * KC && rows(5, 14) % KC != 0);
         check_backward_against_im2col((1, 2, 7, 7), (3, 1, 1), 5, (true, true), (2, 3), 1);
         check_backward_against_im2col((1, 1, 16, 16), (3, 1, 1), 9, (true, false), (3, 2), 2);
@@ -1791,6 +1809,10 @@ mod tests {
         check_backward_against_im2col((5, 3, 14, 14), (3, 1, 1), 16, (true, true), (4, 4), 4);
         check_backward_against_im2col((1, 3, 14, 14), (5, 1, 2), 7, (true, false), (2, 2), 5);
         check_backward_against_im2col((1, 2, 28, 28), (1, 2, 0), 3, (false, true), (5, 1), 6);
+        check_backward_against_im2col((1, 3, 28, 28), (3, 1, 1), 33, (true, true), (3, 1), 9);
+        let (ckk, oc) = (8 * 3 * 3, 17);
+        assert!(ckk > TILE_ROWS && ckk * oc * rows(1, 28) >= PAR_FLOPS);
+        check_backward_against_im2col((1, 8, 28, 28), (3, 1, 1), oc, (true, false), (1, 2), 10);
         let batch = aergia_runtime::parallelism() + 3;
         let (m, k, n) = (rows(batch, 14), 16, 3 * 5 * 5);
         assert!(m * k * n >= PAR_FLOPS, "the image groups must take the pool path");
@@ -1799,10 +1821,11 @@ mod tests {
     }
 
     /// Splitting the shared dimension across a first block and an
-    /// accumulating one continues each element's chain exactly: on every
-    /// variant, for split points at the edges, mid-tile and past a
-    /// subtile, with zeros and non-finite values in both operands and a
-    /// NaN-filled output before the first block.
+    /// accumulating one — the walk [`gemm_patches_tn`] makes every [`KC`]
+    /// steps, over slices of one `B` pack — continues each element's
+    /// chain exactly: on every variant, for split points at the edges,
+    /// mid-tile and past a subtile, with zeros and non-finite values in
+    /// both operands and a NaN-filled output before the first block.
     #[test]
     fn accumulate_entry_continues_the_one_call_chain_on_every_variant() {
         let (k, m, n) = (37, 13, 21);
@@ -1812,11 +1835,6 @@ mod tests {
             let a = sparse_input(&[k, m], 10 + case as u64, zeros, specials);
             let b = sparse_input(&[k, n], 20 + case as u64, zeros, specials);
             let want = ops::matmul_tn_reference(&a, &b).unwrap();
-            let rows_of = |t: &Tensor, ks: Range<usize>| {
-                let w = t.dims()[1];
-                Tensor::from_vec(t.data()[ks.start * w..ks.end * w].to_vec(), &[ks.len(), w])
-                    .unwrap()
-            };
             for variant in all_variants() {
                 let mut pa = PackedA::new();
                 pa.pack_transposed_with(&a, variant).unwrap();
@@ -1825,13 +1843,17 @@ mod tests {
                 let mut one = Tensor::default();
                 ops::matmul_tn_packed_into(&pa, &pb, &mut one).unwrap();
                 assert_same_modulo_nan_bits(&one, &want, &format!("one call {case} {variant:?}"));
+                let (ad, mr) = (&pa.buf[..], variant.mr);
                 for split in [1, 5, 8, 19, k - 1] {
                     let mut out = vec![f32::NAN; m * n];
-                    let (mut first, mut rest) = (PackedB::new(), PackedB::new());
-                    first.pack_with(&rows_of(&b, 0..split), variant).unwrap();
-                    rest.pack_with(&rows_of(&b, split..k), variant).unwrap();
-                    gemm_tn_block::<false>(&pa, 0, &first, &mut out);
-                    gemm_tn_block::<true>(&pa, split, &rest, &mut out);
+                    let mut rows = Rows { data: &mut out, n };
+                    let (first, rest) = (0..split, split..k);
+                    let cut = |ks: &Range<usize>| {
+                        let ks = ks.clone();
+                        move |row0, _| PackedTile::cut(ad, k, row0, mr, ks.clone())
+                    };
+                    gemm_row_tile::<false, _>(cut(&first), &pb, first, 0, &mut rows);
+                    gemm_row_tile::<true, _>(cut(&rest), &pb, rest, 0, &mut rows);
                     let got = Tensor::from_vec(out, &[m, n]).unwrap();
                     let what = format!("split {split} case {case} {variant:?}");
                     assert_same_modulo_nan_bits(&got, &one, &what);
@@ -1884,10 +1906,11 @@ mod tests {
         let img = Tensor::from_vec([[1.0; 15], [x; 15]].concat(), &[1, 2, 3, 5]).unwrap();
         let mut fwd_pad = Tensor::default();
         fwd_table.pad_into(&img, &mut fwd_pad).unwrap();
-        // The dW: one channel, one row of KC + 1 pixels, 1×1 kernel, so
+        // The dWᵀ: one channel, one row of KC + 1 pixels, 1×1 kernel, so
         // `k` = KC + 1 patch rows. Only rows 0 and KC carry terms (the
-        // zero rows add `fma(1, 0, s) = s`), so the chain is `−1` in the
-        // first block, continued by `x²` in the second.
+        // zero rows add `fma(0, 1, s) = s`), so the chain is `−1` in the
+        // first block, continued by `x²` in the second. (The bias of the
+        // forward is `+0.0`, which leaves the fused value's bits.)
         let dw_geom = crate::conv::ConvGeometry::new(1, KC + 1, 1, 1, 1, 0);
         let dw_table = PatchTable::new(1, &dw_geom);
         let mut pixels = vec![0.0; KC + 1];
@@ -1912,29 +1935,36 @@ mod tests {
             pbt.pack_transposed_with(&bt, variant).unwrap();
             ops::matmul_nt_packed_into(&a, &pbt, &mut out).unwrap();
             all_fused(&out, &format!("nt {variant:?}"));
-            ops::matmul_nt_patches_into(&fwd_pad, &fwd_table, &pbt, &mut out).unwrap();
-            assert_eq!(out.dims(), &[15, n]);
+            ops::matmul_nt_patches_into(&fwd_pad, &fwd_table, &pbt, &Tensor::zeros(&[n]), &mut out)
+                .unwrap();
+            assert_eq!(out.dims(), &[1, n, 3, 5]);
             all_fused(&out, &format!("implicit-patch forward {variant:?}"));
-            let mut pdy = PackedA::new();
-            pdy.pack_transposed_with(&dy, variant).unwrap();
-            let mut block = PackedB::new();
-            ops::matmul_tn_patches_into(&pdy, &dw_pad, &dw_table, &mut block, &mut out).unwrap();
-            assert_eq!(out.dims(), &[m, 1]);
+            let mut pdy = PackedB::new();
+            pdy.pack_with(&dy, variant).unwrap();
+            ops::matmul_tn_patches_into(&dw_pad, &dw_table, &pdy, &mut out).unwrap();
+            assert_eq!(out.dims(), &[1, m]);
             all_fused(&out, &format!("k-blocked dW {variant:?}"));
         }
     }
 
-    /// Fixed cases the property must never miss: subtiles straddling
-    /// output rows and images at every `mr`, and a product above the
-    /// threading threshold with more rows than one parallel tile, whose
-    /// tile boundaries fall mid-image.
+    /// Fixed forward cases the property must never miss: subtiles
+    /// straddling output rows, and images ending mid-subtile, at every
+    /// `mr`; `C·kh·kw` = 27 (the CIFAR CNN's first layer) at batch 1;
+    /// 14×14 images (196 pixels, the FMNIST CNN's second layer) at batch 1
+    /// and at more images than the pool has threads; and products above
+    /// the threading threshold, whose images run on several threads.
     #[test]
     fn implicit_patches_cover_straddling_subtiles_and_threaded_tiles() {
         check_patches_against_im2col((3, 2, 5, 7), (3, 1, 1), 9, false, (2, 3), 1);
         check_patches_against_im2col((2, 3, 9, 9), (5, 2, 2), 17, true, (4, 4), 2);
         let (m, k, n) = (2 * 11 * 11, 3 * 5 * 5, 40);
-        assert!(m > crate::ops::TILE_ROWS && m * k * n >= 1 << 18);
+        assert!(m > TILE_ROWS && m * k * n >= PAR_FLOPS);
         check_patches_against_im2col((2, 3, 11, 11), (5, 1, 2), 40, false, (1, 1), 3);
+        check_patches_against_im2col((1, 3, 32, 32), (3, 1, 1), 32, true, (2, 2), 4);
+        check_patches_against_im2col((1, 16, 14, 14), (5, 1, 2), 32, false, (3, 1), 5);
+        let batch = aergia_runtime::parallelism() + 3;
+        assert!(batch * 196 * 400 * 32 >= PAR_FLOPS);
+        check_patches_against_im2col((batch, 16, 14, 14), (5, 1, 2), 32, true, (1, 3), 6);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! the shared dimension. A convolution's forward runs the `A·Bᵀ` form
 //! with an implicit `A` ([`matmul_nt_patches_into`]): the patch matrix is
 //! read through a [`PatchTable`] from the zero-padded input, never
-//! written. Its backward does the same for the weight gradient's `B`
-//! (the `Aᵀ·B` form, `k`-blocked: [`matmul_tn_patches_into`]) and
-//! scatters the input gradient's `A·B` tiles back through the table
-//! ([`matmul_scatter_patches_into`]). Output row tiles are claimed by
-//! the threads of the [`aergia_runtime`] pool once a product is worth
+//! written, and each register tile lands transposed, bias added, in the
+//! NCHW output. Its weight gradient runs the `Aᵀ·B` form with the same
+//! implicit matrix as `A`, `dWᵀ = patchesᵀ · dy_rows` (`k`-blocked:
+//! [`matmul_tn_patches_into`]), and its input gradient scatters its
+//! `A·B` tiles back through the table ([`matmul_scatter_patches_into`]).
+//! Output row tiles — images, for the conv forward — are claimed by the
+//! threads of the [`aergia_runtime`] pool once a product is worth
 //! threading (`PAR_FLOPS`).
 //!
 //! The caller owns the packs, so a cached weight pack is reused across
@@ -63,23 +65,23 @@ pub(crate) const PAR_FLOPS: usize = 1 << 18;
 /// inner loop the autovectorizer reliably lifts to SIMD.
 pub(crate) const LANES: usize = 8;
 
-/// Runs `kernel` over the output rows of an `m×n` matrix, tiling and
-/// parallelising when `flops` clears [`PAR_FLOPS`] and the global pool has
-/// workers. `kernel(first_row, rows)` must write only the rows it is
-/// handed; tile boundaries are fixed by [`TILE_ROWS`], so results never
-/// depend on the pool size.
+/// Runs `kernel` over the output rows of an `m×n` matrix in tiles of
+/// `tile_rows` rows (the last one short), parallelising when `flops`
+/// clears [`PAR_FLOPS`] and the global pool has workers. `kernel(first_row,
+/// tile)` must write only the tile it is handed; tile boundaries are fixed
+/// by `tile_rows`, so results never depend on the pool size.
 pub(crate) fn run_row_tiles(
     out: &mut [f32],
     n: usize,
+    tile_rows: usize,
     flops: usize,
     kernel: impl Fn(usize, &mut [f32]) + Sync,
 ) {
+    let each = |tile: usize, rows: &mut [f32]| kernel(tile * tile_rows, rows);
     if flops >= PAR_FLOPS && aergia_runtime::parallelism() > 1 {
-        aergia_runtime::par_chunks_mut(out, TILE_ROWS * n, |tile, rows| {
-            kernel(tile * TILE_ROWS, rows);
-        });
+        aergia_runtime::par_chunks_mut(out, tile_rows * n, each);
     } else {
-        kernel(0, out);
+        out.chunks_mut(tile_rows * n).enumerate().for_each(|(tile, rows)| each(tile, rows));
     }
 }
 
@@ -279,19 +281,22 @@ pub fn matmul_nt_packed_into(
     Ok(())
 }
 
-/// [`matmul_nt_packed_into`] with the implicit patch matrix of a
-/// convolution as `A`: `patches(xpad) (m×k) · Bᵀ (n×k) → C (m×n)`, where
-/// `xpad` is the zero-padded input [`PatchTable::pad_into`] wrote and
-/// `table` says where each patch element lives in it. Bit-identical to
+/// A convolution's forward `patches(xpad) · Bᵀ + bias`, written as the
+/// NCHW output: `xpad` is the zero-padded input [`PatchTable::pad_into`]
+/// wrote, `table` says where each patch element lives in it, `pb` holds
+/// the transposed weight (`Bᵀ` is `[n, C·kh·kw]`) and `bias` is `[n]`.
+/// `out` is reset to `[N, n, OH, OW]` and overwritten. Bit-identical to
 /// [`matmul_nt_reference`] on the explicit [`crate::conv::im2col_into`]
-/// matrix, with the same `nt` GEMM count, but the matrix is never
-/// written. `out` is reset as in [`matmul_packed_into`].
+/// matrix plus one add of the bias, moved from rows `(n, oh, ow)` to
+/// NCHW, with the same `nt` GEMM count; but neither the patch matrix nor
+/// the row-major product is ever written — each register tile is stored
+/// transposed, bias added, straight into `out`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
-/// input shape of `table` or the table's `k` disagrees with the pack's;
-/// `out` is untouched on error.
+/// input shape of `table`, the table's `k` disagrees with the pack's or
+/// `bias` is not `[n]`; `out` is untouched on error.
 ///
 /// # Panics
 ///
@@ -300,42 +305,42 @@ pub fn matmul_nt_patches_into(
     xpad: &Tensor,
     table: &PatchTable,
     pb: &PackedB,
+    bias: &Tensor,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     assert!(pb.is_valid(), "matmul_nt_patches_into: stale PackedB (pack or ensure it first)");
-    gemm_patches_nt(xpad, table, pb, out)
+    gemm_patches_nt(xpad, table, pb, bias, out)
 }
 
 /// [`matmul_tn_packed_into`] with the implicit patch matrix of a
-/// convolution as `B`: `Aᵀ (k×m) · patches(xpad) (k×n) → C (m×n)` — a
-/// convolution's weight gradient `dW = dy_rowsᵀ · patches`, with `pa` the
-/// packed `dy_rows`. The shared dimension is a whole batch of patch rows,
-/// so it is walked in blocks: `block` is a scratch pack that receives the
-/// `B` panels of one block at a time, gathered from `xpad` through
-/// `table`, and each later block continues the partial sums in `out`.
-/// Bit-identical to [`matmul_tn_reference`] on the explicit
-/// [`crate::conv::im2col_into`] matrix, with the same `tn` GEMM count, but
-/// neither that matrix nor its full pack is ever written. `block` and
-/// `out` are reset and overwritten.
+/// convolution as `A`: `patches(xpad)ᵀ (C·kh·kw × m) · B (m × n) →
+/// C (C·kh·kw × n)` — a convolution's weight gradient, transposed,
+/// `dWᵀ = patchesᵀ · dy_rows`, with `pb` the packed `dy_rows`. The
+/// patches are read in place from `xpad` through `table`, the shared
+/// dimension (a whole batch of patch rows) is walked in blocks, and the
+/// output rows split across the pool. Bit-identical to
+/// [`matmul_tn_reference`] on the explicit [`crate::conv::im2col_into`]
+/// matrix, and to `dy_rowsᵀ · patches` transposed, with the same `tn`
+/// GEMM count; neither that matrix nor a pack of it is ever written.
+/// `out` is reset and overwritten.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
-/// input shape of `table` or `pa`'s `k` is not its patch-row count; `out`
+/// input shape of `table` or `pb`'s `k` is not its patch-row count; `out`
 /// is untouched on error.
 ///
 /// # Panics
 ///
-/// Panics if `pa` is stale.
+/// Panics if `pb` is stale.
 pub fn matmul_tn_patches_into(
-    pa: &PackedA,
     xpad: &Tensor,
     table: &PatchTable,
-    block: &mut PackedB,
+    pb: &PackedB,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    assert!(pa.is_valid(), "matmul_tn_patches_into: stale PackedA (pack it first)");
-    gemm_patches_tn(pa, xpad, table, block, out)
+    assert!(pb.is_valid(), "matmul_tn_patches_into: stale PackedB (pack it first)");
+    gemm_patches_tn(xpad, table, pb, out)
 }
 
 /// A convolution's input gradient `dx = col2im(dy_rows · W)` without the
