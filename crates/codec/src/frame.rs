@@ -136,24 +136,15 @@ impl Frame {
         Ok(sections)
     }
 
-    /// Decodes the section map and returns one view per populated slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on any structural violation.
-    pub fn sections(&self) -> Result<Vec<Section<'_>>, CodecError> {
-        sections_of(&self.bytes)
-    }
-
     /// Decodes every section in order into one tensor list
-    /// ([`decode_sections`]). Records no telemetry ([`Frame::parse`]
-    /// counts a received frame).
+    /// ([`decode_sections`]) — counted as one received frame, as
+    /// [`Frame::parse`] counts it.
     ///
     /// # Errors
     ///
     /// As [`decode_sections`], and any structural error.
     pub fn decode(&self, base: Option<&[Tensor]>) -> Result<Vec<Tensor>, CodecError> {
-        decode_sections(&self.sections()?, base)
+        decode_sections(&Frame::parse(&self.bytes)?, base)
     }
 }
 
@@ -339,7 +330,7 @@ mod tests {
     #[test]
     fn sections_round_trip_kind_codec_count_and_payload() {
         let frame = two_section_frame();
-        let sections = frame.sections().unwrap();
+        let sections = Frame::parse(frame.as_bytes()).unwrap();
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[0].kind, SectionKind::Features);
         assert_eq!(sections[0].codec, CodecId::DenseF32);
@@ -353,7 +344,7 @@ mod tests {
     #[test]
     fn parse_validates_structure() {
         let good = two_section_frame();
-        assert_eq!(Frame::parse(good.as_bytes()), good.sections());
+        assert_eq!(Frame::parse(good.as_bytes()).map(|s| s.len()), Ok(2));
 
         let mut bad_magic = good.as_bytes().to_vec();
         bad_magic[0] = b'X';
@@ -387,7 +378,7 @@ mod tests {
         for cfg in [CodecConfig::DenseF32, CodecConfig::QuantI8, topk] {
             for (with_base, id) in [(None, cfg.keyframe_id()), (Some(&base[..]), cfg.steady_id())] {
                 let frame = cfg.encode_frame(&current, 2, with_base, None);
-                let sections = frame.sections().unwrap();
+                let sections = Frame::parse(frame.as_bytes()).unwrap();
                 let layout: Vec<_> =
                     sections.iter().map(|s| (s.kind, s.codec, s.tensor_count)).collect();
                 let want = [(SectionKind::Features, id, 2), (SectionKind::Classifier, id, 1)];
@@ -401,7 +392,7 @@ mod tests {
         }
         // An empty classifier slice is left out: a features-only frame.
         let frame = topk.encode_frame(&current[..2], 2, Some(&base[..2]), None);
-        assert_eq!(frame.sections().unwrap().len(), 1);
+        assert_eq!(Frame::parse(frame.as_bytes()).unwrap().len(), 1);
         assert_eq!(frame.decode(Some(&base[..2])).unwrap(), current[..2]);
     }
 

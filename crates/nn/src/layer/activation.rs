@@ -1,12 +1,14 @@
 //! Activation layers.
+//!
+//! Every pass of [`Relu`] is one straight `zip` over its elements — the
+//! select `if v > 0.0 { v } else { 0.0 }` per element, nothing that
+//! varies inside the loop — so each compiles to a vector loop that runs
+//! at memory speed. The select, not `f32::max` (which leaves the sign of
+//! a zero result unspecified), pins both `-0.0` and NaN to `+0.0`.
 
 use aergia_tensor::{Tensor, Workspace};
 
 use super::Layer;
-
-/// Width of the fixed-size chunks the elementwise loops process per step
-/// — a bounded inner loop the autovectorizer reliably lifts to SIMD.
-const LANES: usize = 16;
 
 /// Rectified linear unit, `y = max(0, x)`, applied elementwise.
 ///
@@ -36,40 +38,40 @@ impl Relu {
 
 /// Writes `max(0, x)` into `out` and, when a `mask` sink is given, which
 /// elements were active (the sink is resized to the input) — the one
-/// clamp loop behind both the training forward and the cache-free
-/// inference forward.
-fn relu_into(x: &Tensor, out: &mut Tensor, mut mask: Option<&mut Vec<bool>>) {
+/// clamp behind both the training forward and the cache-free inference
+/// forward. The sink is matched once per call, so each arm is one
+/// straight loop.
+fn relu_into(x: &Tensor, out: &mut Tensor, mask: Option<&mut Vec<bool>>) {
     let xd = x.data();
-    if let Some(m) = mask.as_deref_mut() {
-        // Stale contents are fully overwritten below; resize only adjusts
-        // the length (no churn once the buffer has reached its high-water
-        // mark).
-        m.resize(xd.len(), false);
-    }
     out.reset_for_overwrite(x.dims());
     let od = out.data_mut();
-    // The clamp runs in LANES-wide chunks plus a scalar tail; elements are
-    // independent, so chunking cannot change results. Each chunk's mask
-    // goes through a register-sized array, so inference skips only its
-    // store.
-    let split = xd.len() - xd.len() % LANES;
-    let body = od[..split].chunks_exact_mut(LANES).zip(xd[..split].chunks_exact(LANES));
-    for (c, (oc, xc)) in body.enumerate() {
-        let mut active = [false; LANES];
-        for ((o, &v), a) in oc.iter_mut().zip(xc).zip(&mut active) {
-            *a = v > 0.0;
-            *o = if *a { v } else { 0.0 };
+    match mask {
+        Some(m) => {
+            // Stale contents are fully overwritten below; resize only
+            // adjusts the length (no churn once the buffer has reached its
+            // high-water mark).
+            m.resize(xd.len(), false);
+            for ((o, a), &v) in od.iter_mut().zip(m.iter_mut()).zip(xd) {
+                *a = v > 0.0;
+                *o = if v > 0.0 { v } else { 0.0 };
+            }
         }
-        if let Some(m) = mask.as_deref_mut() {
-            m[c * LANES..(c + 1) * LANES].copy_from_slice(&active);
+        None => {
+            for (o, &v) in od.iter_mut().zip(xd) {
+                *o = if v > 0.0 { v } else { 0.0 };
+            }
         }
     }
-    for (i, (o, &v)) in od[split..].iter_mut().zip(&xd[split..]).enumerate() {
-        let active = v > 0.0;
-        *o = if active { v } else { 0.0 };
-        if let Some(m) = mask.as_deref_mut() {
-            m[split + i] = active;
-        }
+}
+
+/// The element rule every ReLU pass must reproduce bit for bit: the
+/// clamp, and whether the element passes its gradient.
+#[cfg(test)]
+pub(super) fn relu_oracle(v: f32) -> (f32, bool) {
+    if v > 0.0 {
+        (v, true)
+    } else {
+        (0.0, false)
     }
 }
 
@@ -89,18 +91,7 @@ impl Layer for Relu {
         let dyd = dy.data();
         assert_eq!(mask.len(), dyd.len(), "Relu::backward: gradient size mismatch");
         out.reset_for_overwrite(dy.dims());
-        let od = out.data_mut();
-        let split = dyd.len() - dyd.len() % LANES;
-        let body = od[..split]
-            .chunks_exact_mut(LANES)
-            .zip(dyd[..split].chunks_exact(LANES))
-            .zip(mask[..split].chunks_exact(LANES));
-        for ((oc, gc), mc) in body {
-            for ((o, &g), &m) in oc.iter_mut().zip(gc).zip(mc) {
-                *o = if m { g } else { 0.0 };
-            }
-        }
-        for ((o, &g), &m) in od[split..].iter_mut().zip(&dyd[split..]).zip(&mask[split..]) {
+        for ((o, &g), &m) in out.data_mut().iter_mut().zip(dyd).zip(&mask) {
             *o = if m { g } else { 0.0 };
         }
         self.spare_mask = mask;

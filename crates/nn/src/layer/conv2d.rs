@@ -134,12 +134,7 @@ impl Conv2d {
         let mut dwt = ws.take(&[ckk, oc]);
         ops::matmul_tn_patches_into(&xpad, &self.patches, &pdy, &mut dwt).expect("conv dW");
         ws.give_packed_b(pdy);
-        let gw = self.grad_weight.data_mut();
-        for (i, row) in dwt.data().chunks_exact(oc).enumerate() {
-            for (o, &v) in row.iter().enumerate() {
-                gw[o * ckk + i] += v;
-            }
-        }
+        add_transposed(self.grad_weight.data_mut(), dwt.data(), ckk, oc);
         ws.give(dwt);
         let mut db = ws.take(self.grad_bias.dims());
         ops::sum_rows_into(&dy_rows, &mut db).expect("conv db");
@@ -166,6 +161,25 @@ impl Conv2d {
 
     fn macs(&self, batch: usize) -> u64 {
         (self.patches.rows(batch) * self.out_channels * self.patches.k()) as u64
+    }
+}
+
+/// `dst[o][i] += src[i][o]` for a row-major `rows × cols` matrix `src`
+/// and its `cols × rows` transpose `dst`, in `TILE × TILE` tiles: the
+/// tile's source lines stay hot while each `dst` row takes its contiguous
+/// run. Each element gets its one add, so any order gives the same bits.
+fn add_transposed(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
+    const TILE: usize = 32;
+    for (t, block) in src.chunks(TILE * cols).enumerate() {
+        let i = t * TILE..t * TILE + block.len() / cols;
+        for o0 in (0..cols).step_by(TILE) {
+            for o in o0..cols.min(o0 + TILE) {
+                let d = &mut dst[o * rows..][i.clone()];
+                for (v, s) in d.iter_mut().zip(block.chunks_exact(cols)) {
+                    *v += s[o];
+                }
+            }
+        }
     }
 }
 
@@ -336,6 +350,25 @@ mod tests {
         assert!((g2.max_abs() - 2.0 * g1.max_abs()).abs() < 1e-4);
         conv.zero_grads();
         assert_eq!(grads(&mut conv)[0].max_abs(), 0.0);
+    }
+
+    #[test]
+    fn add_transposed_matches_the_strided_loop() {
+        // Ragged against the tile on both sides, and more than one tile.
+        for (rows, cols) in [(1, 1), (27, 32), (33, 65), (70, 3), (400, 32)] {
+            let src: Vec<f32> = (0..rows * cols).map(|v| v as f32 * 0.25 - 7.0).collect();
+            let base: Vec<f32> = (0..rows * cols).map(|v| 1.0 / (v as f32 + 1.0)).collect();
+            let mut want = base.clone();
+            for i in 0..rows {
+                for o in 0..cols {
+                    want[o * rows + i] += src[i * cols + o];
+                }
+            }
+            let mut got = base;
+            add_transposed(&mut got, &src, rows, cols);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+        }
     }
 
     #[test]

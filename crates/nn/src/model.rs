@@ -523,7 +523,7 @@ mod tests {
         let layers: Vec<Box<dyn Layer>> = vec![
             Box::new(Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng)),
             Box::new(Relu::new()),
-            Box::new(MaxPool2d::new(2, 2, 8, 8)),
+            Box::new(MaxPool2d::new(8, 8)),
             Box::new(Flatten::new()),
             Box::new(Linear::new(4 * 4 * 4, 3, &mut rng)),
         ];

@@ -92,10 +92,10 @@ fn mnist_cnn(rng: &mut StdRng) -> Cnn {
     let layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv2d::new(1, 16, 5, 1, 2, 28, 28, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 28, 28)),
+        Box::new(MaxPool2d::new(28, 28)),
         Box::new(Conv2d::new(16, 32, 5, 1, 2, 14, 14, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 14, 14)),
+        Box::new(MaxPool2d::new(14, 14)),
         // --- classifier ---
         Box::new(Flatten::new()),
         Box::new(Linear::new(32 * 7 * 7, 10, rng)),
@@ -109,17 +109,17 @@ fn cifar_cnn(rng: &mut StdRng, classes: usize) -> Cnn {
         Box::new(Relu::new()),
         Box::new(Conv2d::new(32, 32, 3, 1, 1, 32, 32, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 32, 32)),
+        Box::new(MaxPool2d::new(32, 32)),
         Box::new(Conv2d::new(32, 64, 3, 1, 1, 16, 16, rng)),
         Box::new(Relu::new()),
         Box::new(Conv2d::new(64, 64, 3, 1, 1, 16, 16, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 16, 16)),
+        Box::new(MaxPool2d::new(16, 16)),
         Box::new(Conv2d::new(64, 128, 3, 1, 1, 8, 8, rng)),
         Box::new(Relu::new()),
         Box::new(Conv2d::new(128, 128, 3, 1, 1, 8, 8, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 8, 8)),
+        Box::new(MaxPool2d::new(8, 8)),
         // --- classifier ---
         Box::new(Flatten::new()),
         Box::new(Linear::new(128 * 4 * 4, 256, rng)),
@@ -134,11 +134,11 @@ fn cifar_resnet(rng: &mut StdRng, classes: usize) -> Cnn {
         Box::new(Conv2d::new(3, 16, 3, 1, 1, 32, 32, rng)),
         Box::new(Relu::new()),
         Box::new(ResidualBlock::new(16, 16, 32, 32, rng)),
-        Box::new(MaxPool2d::new(2, 2, 32, 32)),
+        Box::new(MaxPool2d::new(32, 32)),
         Box::new(ResidualBlock::new(16, 32, 16, 16, rng)),
-        Box::new(MaxPool2d::new(2, 2, 16, 16)),
+        Box::new(MaxPool2d::new(16, 16)),
         Box::new(ResidualBlock::new(32, 64, 8, 8, rng)),
-        Box::new(MaxPool2d::new(2, 2, 8, 8)),
+        Box::new(MaxPool2d::new(8, 8)),
         // --- classifier ---
         Box::new(Flatten::new()),
         Box::new(Linear::new(64 * 4 * 4, classes, rng)),
@@ -152,17 +152,17 @@ fn cifar_vgg(rng: &mut StdRng, classes: usize) -> Cnn {
         Box::new(Relu::new()),
         Box::new(Conv2d::new(32, 32, 3, 1, 1, 32, 32, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 32, 32)),
+        Box::new(MaxPool2d::new(32, 32)),
         Box::new(Conv2d::new(32, 64, 3, 1, 1, 16, 16, rng)),
         Box::new(Relu::new()),
         Box::new(Conv2d::new(64, 64, 3, 1, 1, 16, 16, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 16, 16)),
+        Box::new(MaxPool2d::new(16, 16)),
         Box::new(Conv2d::new(64, 128, 3, 1, 1, 8, 8, rng)),
         Box::new(Relu::new()),
         Box::new(Conv2d::new(128, 128, 3, 1, 1, 8, 8, rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 8, 8)),
+        Box::new(MaxPool2d::new(8, 8)),
         // --- classifier (VGG-style three-layer head) ---
         Box::new(Flatten::new()),
         Box::new(Linear::new(128 * 4 * 4, 512, rng)),

@@ -42,7 +42,7 @@ fn full_model(seed: u64) -> Cnn {
         Box::new(Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng)),
         Box::new(Relu::new()),
         Box::new(ResidualBlock::new(4, 6, 8, 8, &mut rng)),
-        Box::new(MaxPool2d::new(2, 2, 8, 8)),
+        Box::new(MaxPool2d::new(8, 8)),
         Box::new(Flatten::new()),
         Box::new(Linear::new(6 * 4 * 4, 3, &mut rng)),
     ];
@@ -81,7 +81,7 @@ fn steady_state_training_loop_is_allocation_free() {
     let layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv2d::new(1, 4, 3, 1, 1, 28, 28, &mut rng)),
         Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2, 2, 28, 28)),
+        Box::new(MaxPool2d::new(28, 28)),
         Box::new(Flatten::new()),
         Box::new(Linear::new(4 * 14 * 14, train.num_classes(), &mut rng)),
     ];
