@@ -12,27 +12,32 @@
 //!
 //! * the weight gradient is computed transposed,
 //!   `dWᵀ = patchesᵀ · dy_rows`: the transposed patch matrix is read in
-//!   place from the padded copy through the same table, against `dy_rows`
-//!   packed once, and `dWᵀ` is added transposed into the running gradient
-//!   ([`ops::matmul_tn_patches_into`]);
-//! * the input gradient computes `dy_rows · W` one tile of patch rows at
-//!   a time and scatter-adds each tile through the table into a zeroed
-//!   padded gradient — the padded copy's buffer, consumed by then — which
-//!   is cropped into `dx` ([`ops::matmul_scatter_patches_into`]).
+//!   place from the padded copy through the same table, against `dy`
+//!   packed once straight from NCHW ([`PackedB::pack_nchw_with`]), and
+//!   `dWᵀ` is added transposed into the running gradient
+//!   ([`ops::matmul_tn_patches_into`]); the bias gradient is that
+//!   pack's column sums ([`PackedB::add_column_sums`]);
+//! * the input gradient is a forward convolution: of `dy` zero-padded by
+//!   `k − 1 − p`, read through a second table, with the kernel flipped in
+//!   both spatial axes and its channels transposed
+//!   ([`PackedB::ensure_flipped_with`]), stored into the NCHW `dx` with no
+//!   bias by the forward's own GEMM. That identity holds for stride 1 and
+//!   `p < k`, which is every convolution this layer builds.
 //!
-//! All three give the bits of the explicit lowering (`im2col`, full
-//! packs, `dy_rowsᵀ · patches` and `dy_rows · W` as whole matrices,
-//! `col2im`), which stays in [`aergia_tensor::conv`] as the tests'
-//! oracle.
+//! The forward and the weight gradient give the bits of the explicit
+//! lowering (`im2col`, full packs, `dy_rowsᵀ · patches`), which stays in
+//! [`aergia_tensor::conv`] as the tests' oracle; the input gradient gives
+//! the bits of `im2col(pad(dy)) · W_flipᵀ`, one fused chain per element.
 
-use aergia_tensor::conv::{nchw_to_rows_into, ConvGeometry, PatchTable};
+use aergia_tensor::conv::{ConvGeometry, PatchTable};
 use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
 use aergia_tensor::{init, ops, Tensor, Workspace};
 use rand::Rng;
 
 use super::{check_snapshot, Layer};
 
-/// A 2-D convolution over NCHW inputs with square stride and padding.
+/// A 2-D convolution over NCHW inputs, stride 1, with square zero
+/// padding smaller than the kernel.
 ///
 /// Weights are stored as a `[out_channels, in_channels·kh·kw]` matrix (one
 /// row per output channel over the patch columns `(c, i, j)`), bias as
@@ -46,7 +51,7 @@ use super::{check_snapshot, Layer};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut conv = Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng);
+/// let mut conv = Conv2d::new(1, 4, 3, 1, 8, 8, &mut rng);
 /// let y = conv.forward(&Tensor::zeros(&[2, 1, 8, 8]));
 /// assert_eq!(y.dims(), &[2, 4, 8, 8]);
 /// ```
@@ -55,92 +60,93 @@ pub struct Conv2d {
     out_channels: usize,
     /// Where each patch element lives in the padded input.
     patches: PatchTable,
+    /// Where each patch element of the input gradient's convolution lives
+    /// in the padded `dy`: `out_channels` channels, padding `k − 1 − p`.
+    dy_patches: PatchTable,
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
     /// The zero-padded input of the last training forward, consumed by
-    /// the backward: the weight gradient reads it, and the input gradient
-    /// then reuses its buffer for the padded `dx`.
+    /// the weight gradient.
     cached_xpad: Option<Tensor>,
     /// `Wᵀ` packed for the forward `patches·Wᵀ`; valid until the weights
     /// change (frozen feature sections reuse it across whole rounds).
     packed_wt: PackedB,
-    /// `W` packed for the backward `dy_rows·W`; valid until the weights
-    /// change.
-    packed_w: PackedB,
+    /// The flipped, channel-transposed kernel packed for the input
+    /// gradient's convolution; valid until the weights change.
+    packed_wflip: PackedB,
 }
 
 impl Conv2d {
-    /// Creates a convolution with Kaiming-uniform weights.
+    /// Creates a stride-1 convolution with Kaiming-uniform weights.
     ///
     /// `in_h`/`in_w` fix the spatial input size (needed for the FLOP model
-    /// and backward geometry); stride and padding are uniform.
+    /// and backward geometry); the padding is the same on every side.
     ///
     /// # Panics
     ///
-    /// Panics if the kernel does not fit the padded input (see
-    /// [`ConvGeometry::new`]) or any size is zero.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if any size is zero, if `pad >= kernel` (the input gradient
+    /// is a convolution with padding `kernel − 1 − pad`), or if the kernel
+    /// does not fit the padded input (see [`ConvGeometry::new`]).
     pub fn new<R: Rng + ?Sized>(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
-        stride: usize,
         pad: usize,
         in_h: usize,
         in_w: usize,
         rng: &mut R,
     ) -> Self {
         assert!(in_channels > 0 && out_channels > 0 && kernel > 0, "Conv2d: zero size");
-        let geom = ConvGeometry::new(in_h, in_w, kernel, kernel, stride, pad);
+        assert!(pad < kernel, "Conv2d: pad {pad} must be smaller than the kernel {kernel}");
+        let geom = ConvGeometry::new(in_h, in_w, kernel, kernel, 1, pad);
         let patches = PatchTable::new(in_channels, &geom);
+        let dy_geom =
+            ConvGeometry::new(geom.out_h, geom.out_w, kernel, kernel, 1, kernel - 1 - pad);
+        let dy_patches = PatchTable::new(out_channels, &dy_geom);
         let ckk = patches.k();
         let mut weight = Tensor::zeros(&[out_channels, ckk]);
         init::kaiming_uniform(&mut weight, rng, ckk);
         Conv2d {
             out_channels,
             patches,
+            dy_patches,
             weight,
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, ckk]),
             grad_bias: Tensor::zeros(&[out_channels]),
             cached_xpad: None,
             packed_wt: PackedB::new(),
-            packed_w: PackedB::new(),
+            packed_wflip: PackedB::new(),
         }
     }
 
     /// The parameter-gradient half of the backward pass (dW/db), shared by
     /// [`Layer::backward_into`] and the dx-skipping
-    /// [`Layer::backward_into_first`]. Returns the consumed padded input
-    /// (its batch size is the dx path's) and the reshaped `dy` rows, a
-    /// scratch-stack buffer the caller gives back.
-    fn backward_grads(&mut self, dy: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+    /// [`Layer::backward_into_first`]. The consumed padded input goes back
+    /// to the workspace pool.
+    fn backward_grads(&mut self, dy: &Tensor, ws: &mut Workspace) {
         let xpad = self.cached_xpad.take().expect("Conv2d::backward before forward");
         let (rows, ckk, oc) =
             (self.patches.rows(xpad.dims()[0]), self.patches.k(), self.out_channels);
-        let mut dy_rows = ws.take_scratch();
-        nchw_to_rows_into(dy, &mut dy_rows).expect("conv dy reshape");
-        // dWᵀ[ckk, oc] = patchesᵀ · dy_rows, with `dy_rows` packed once as
-        // `B` (a per-batch pack from the workspace pool) and the patches
-        // read in place from the padded input.
-        // dWᵀ/db land in zeroed scratch first, then fold into the running
+        // dWᵀ[ckk, oc] = patchesᵀ · dy_rows, with `dy_rows` packed once,
+        // straight from NCHW, as `B` (a per-batch pack from the workspace
+        // pool) and the patches read in place from the padded input.
+        // dWᵀ/db are summed apart first, then folded into the running
         // gradients with a single add each — accumulating the matmul
         // directly into `grad_weight` would reorder the summation and
-        // break bit-identity with the allocating path.
+        // break bit-identity with the allocating path. db is the pack's
+        // column sums, in the pixel rows' order.
         let mut pdy = ws.take_packed_b();
-        pdy.pack_with(&dy_rows, tuned_variant(GemmOp::Tn, ckk, rows, oc)).expect("conv dy pack");
+        pdy.pack_nchw_with(dy, tuned_variant(GemmOp::Tn, ckk, rows, oc)).expect("conv dy pack");
         let mut dwt = ws.take(&[ckk, oc]);
         ops::matmul_tn_patches_into(&xpad, &self.patches, &pdy, &mut dwt).expect("conv dW");
+        pdy.add_column_sums(self.grad_bias.data_mut());
         ws.give_packed_b(pdy);
         add_transposed(self.grad_weight.data_mut(), dwt.data(), ckk, oc);
         ws.give(dwt);
-        let mut db = ws.take(self.grad_bias.dims());
-        ops::sum_rows_into(&dy_rows, &mut db).expect("conv db");
-        self.grad_bias.add_assign(&db);
-        ws.give(db);
-        (xpad, dy_rows)
+        ws.give(xpad);
     }
 
     /// The forward computation shared by [`Layer::forward_into`] and
@@ -155,7 +161,7 @@ impl Conv2d {
         // change.
         let v = tuned_variant(GemmOp::Nt, rows, self.patches.k(), self.out_channels);
         self.packed_wt.ensure_transposed_with(&self.weight, v).expect("conv weight pack");
-        ops::matmul_nt_patches_into(xpad, &self.patches, &self.packed_wt, &self.bias, out)
+        ops::matmul_nt_patches_into(xpad, &self.patches, &self.packed_wt, Some(&self.bias), out)
             .expect("conv matmul");
     }
 
@@ -218,35 +224,27 @@ impl Layer for Conv2d {
     }
 
     fn backward_into(&mut self, dy: &Tensor, ws: &mut Workspace, out: &mut Tensor) {
-        let (mut xpad, dy_rows) = self.backward_grads(dy, ws);
-        let vdx = tuned_variant(GemmOp::Nn, dy_rows.dims()[0], self.out_channels, self.patches.k());
-        self.packed_w.ensure_with(&self.weight, vdx).expect("conv weight pack");
-        // dx = col2im(dy_rows · W), a tile of patch rows at a time,
-        // scattered into the padded copy's buffer (the weight gradient is
-        // done with it). Both transients come off the scratch stack and
-        // go back in reverse order, leaving it as they found it: one
-        // buffer per role serves every layer shape.
-        let mut tiles = ws.take_scratch();
-        ops::matmul_scatter_patches_into(
-            &dy_rows,
-            &self.packed_w,
-            &self.patches,
-            &mut tiles,
-            &mut xpad,
-            out,
-        )
-        .expect("conv dx");
-        ws.give_scratch(tiles);
-        ws.give_scratch(dy_rows);
-        ws.give(xpad);
+        self.backward_grads(dy, ws);
+        // dx is the forward convolution of `dy`, padded by `k − 1 − p`,
+        // with the flipped kernel and no bias. The padded `dy` comes off
+        // the scratch stack and goes straight back: one buffer serves
+        // every layer shape.
+        let rows = self.patches.rows(dy.dims()[0]);
+        let k = self.dy_patches.k();
+        let taps = k / self.out_channels;
+        let v = tuned_variant(GemmOp::Nt, rows, k, self.patches.k() / taps);
+        self.packed_wflip.ensure_flipped_with(&self.weight, taps, v).expect("conv flip pack");
+        let mut dypad = ws.take_scratch();
+        self.dy_patches.pad_into(dy, &mut dypad).expect("Conv2d::backward: bad dy");
+        ops::matmul_nt_patches_into(&dypad, &self.dy_patches, &self.packed_wflip, None, out)
+            .expect("conv dx");
+        ws.give_scratch(dypad);
     }
 
     fn backward_into_first(&mut self, dy: &Tensor, ws: &mut Workspace, _out: &mut Tensor) {
         // First layer: dx would be the gradient of the input images, which
-        // the training loop throws away — skip the dx GEMM and its scatter.
-        let (xpad, dy_rows) = self.backward_grads(dy, ws);
-        ws.give_scratch(dy_rows);
-        ws.give(xpad);
+        // the training loop throws away — skip its convolution.
+        self.backward_grads(dy, ws);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -267,7 +265,7 @@ impl Layer for Conv2d {
 
     fn invalidate_param_caches(&mut self) {
         self.packed_wt.invalidate();
-        self.packed_w.invalidate();
+        self.packed_wflip.invalidate();
     }
 
     fn zero_grads(&mut self) {
@@ -306,10 +304,10 @@ mod tests {
 
     #[test]
     fn forward_shape_and_padding() {
-        let mut conv = Conv2d::new(3, 8, 3, 1, 1, 16, 16, &mut rng());
+        let mut conv = Conv2d::new(3, 8, 3, 1, 16, 16, &mut rng());
         let y = conv.forward(&Tensor::zeros(&[2, 3, 16, 16]));
         assert_eq!(y.dims(), &[2, 8, 16, 16]);
-        let mut conv = Conv2d::new(1, 2, 5, 1, 0, 28, 28, &mut rng());
+        let mut conv = Conv2d::new(1, 2, 5, 0, 28, 28, &mut rng());
         let y = conv.forward(&Tensor::zeros(&[1, 1, 28, 28]));
         assert_eq!(y.dims(), &[1, 2, 24, 24]);
     }
@@ -317,7 +315,7 @@ mod tests {
     #[test]
     fn known_convolution_value() {
         // 1 input channel, 1 output channel, 2x2 averaging-ish kernel.
-        let mut conv = Conv2d::new(1, 1, 2, 1, 0, 2, 2, &mut rng());
+        let mut conv = Conv2d::new(1, 1, 2, 0, 2, 2, &mut rng());
         conv.set_params(&[
             Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[1, 4]).unwrap(),
             Tensor::from_vec(vec![0.5], &[1]).unwrap(),
@@ -329,15 +327,19 @@ mod tests {
 
     #[test]
     fn gradient_check_against_finite_differences() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 5, 5, &mut rng());
-        let mut x = Tensor::zeros(&[1, 2, 5, 5]);
-        init::normal(&mut x, &mut rng(), 0.0, 1.0);
-        finite_diff_input_check(&mut conv, &x, 5e-2);
+        // The zoo's `pad = (k − 1)/2`, where dy's padding `k − 1 − pad`
+        // equals `pad`, and paddings where the two differ.
+        for (kernel, pad) in [(3, 1), (3, 0), (2, 1), (5, 3), (1, 0)] {
+            let mut conv = Conv2d::new(2, 3, kernel, pad, 5, 5, &mut rng());
+            let mut x = Tensor::zeros(&[1, 2, 5, 5]);
+            init::normal(&mut x, &mut rng(), 0.0, 1.0);
+            finite_diff_input_check(&mut conv, &x, 5e-2);
+        }
     }
 
     #[test]
     fn weight_gradient_accumulates_and_zeroes() {
-        let mut conv = Conv2d::new(1, 1, 2, 1, 0, 3, 3, &mut rng());
+        let mut conv = Conv2d::new(1, 1, 2, 0, 3, 3, &mut rng());
         let x = Tensor::ones(&[1, 1, 3, 3]);
         let y = conv.forward(&x);
         let dy = Tensor::ones(y.dims());
@@ -372,8 +374,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must be smaller than the kernel")]
+    fn padding_must_be_smaller_than_the_kernel() {
+        let _ = Conv2d::new(1, 1, 2, 2, 4, 4, &mut rng());
+    }
+
+    #[test]
     fn flops_scale_with_batch() {
-        let conv = Conv2d::new(3, 8, 3, 1, 1, 16, 16, &mut rng());
+        let conv = Conv2d::new(3, 8, 3, 1, 16, 16, &mut rng());
         assert_eq!(conv.forward_flops(4), 4 * conv.forward_flops(1));
         assert_eq!(conv.backward_flops(1), 2 * conv.forward_flops(1));
     }
@@ -381,7 +389,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward before forward")]
     fn backward_requires_forward() {
-        let mut conv = Conv2d::new(1, 1, 2, 1, 0, 3, 3, &mut rng());
+        let mut conv = Conv2d::new(1, 1, 2, 0, 3, 3, &mut rng());
         conv.backward(&Tensor::zeros(&[1, 1, 2, 2]));
     }
 }

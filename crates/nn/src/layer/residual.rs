@@ -48,10 +48,10 @@ impl ResidualBlock {
         in_w: usize,
         rng: &mut R,
     ) -> Self {
-        let conv1 = Conv2d::new(in_channels, out_channels, 3, 1, 1, in_h, in_w, rng);
-        let conv2 = Conv2d::new(out_channels, out_channels, 3, 1, 1, in_h, in_w, rng);
+        let conv1 = Conv2d::new(in_channels, out_channels, 3, 1, in_h, in_w, rng);
+        let conv2 = Conv2d::new(out_channels, out_channels, 3, 1, in_h, in_w, rng);
         let projection = (in_channels != out_channels)
-            .then(|| Conv2d::new(in_channels, out_channels, 1, 1, 0, in_h, in_w, rng));
+            .then(|| Conv2d::new(in_channels, out_channels, 1, 0, in_h, in_w, rng));
         ResidualBlock {
             conv1,
             relu_mid: Relu::new(),

@@ -521,7 +521,7 @@ mod tests {
     fn tiny_model(seed: u64) -> Cnn {
         let mut rng = StdRng::seed_from_u64(seed);
         let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng)),
+            Box::new(Conv2d::new(1, 4, 3, 1, 8, 8, &mut rng)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(8, 8)),
             Box::new(Flatten::new()),

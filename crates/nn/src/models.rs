@@ -90,10 +90,10 @@ impl std::fmt::Display for ModelArch {
 
 fn mnist_cnn(rng: &mut StdRng) -> Cnn {
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(1, 16, 5, 1, 2, 28, 28, rng)),
+        Box::new(Conv2d::new(1, 16, 5, 2, 28, 28, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(28, 28)),
-        Box::new(Conv2d::new(16, 32, 5, 1, 2, 14, 14, rng)),
+        Box::new(Conv2d::new(16, 32, 5, 2, 14, 14, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(14, 14)),
         // --- classifier ---
@@ -105,19 +105,19 @@ fn mnist_cnn(rng: &mut StdRng) -> Cnn {
 
 fn cifar_cnn(rng: &mut StdRng, classes: usize) -> Cnn {
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(3, 32, 3, 1, 1, 32, 32, rng)),
+        Box::new(Conv2d::new(3, 32, 3, 1, 32, 32, rng)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(32, 32, 3, 1, 1, 32, 32, rng)),
+        Box::new(Conv2d::new(32, 32, 3, 1, 32, 32, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(32, 32)),
-        Box::new(Conv2d::new(32, 64, 3, 1, 1, 16, 16, rng)),
+        Box::new(Conv2d::new(32, 64, 3, 1, 16, 16, rng)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(64, 64, 3, 1, 1, 16, 16, rng)),
+        Box::new(Conv2d::new(64, 64, 3, 1, 16, 16, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(16, 16)),
-        Box::new(Conv2d::new(64, 128, 3, 1, 1, 8, 8, rng)),
+        Box::new(Conv2d::new(64, 128, 3, 1, 8, 8, rng)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(128, 128, 3, 1, 1, 8, 8, rng)),
+        Box::new(Conv2d::new(128, 128, 3, 1, 8, 8, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(8, 8)),
         // --- classifier ---
@@ -131,7 +131,7 @@ fn cifar_cnn(rng: &mut StdRng, classes: usize) -> Cnn {
 
 fn cifar_resnet(rng: &mut StdRng, classes: usize) -> Cnn {
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(3, 16, 3, 1, 1, 32, 32, rng)),
+        Box::new(Conv2d::new(3, 16, 3, 1, 32, 32, rng)),
         Box::new(Relu::new()),
         Box::new(ResidualBlock::new(16, 16, 32, 32, rng)),
         Box::new(MaxPool2d::new(32, 32)),
@@ -148,19 +148,19 @@ fn cifar_resnet(rng: &mut StdRng, classes: usize) -> Cnn {
 
 fn cifar_vgg(rng: &mut StdRng, classes: usize) -> Cnn {
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(3, 32, 3, 1, 1, 32, 32, rng)),
+        Box::new(Conv2d::new(3, 32, 3, 1, 32, 32, rng)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(32, 32, 3, 1, 1, 32, 32, rng)),
+        Box::new(Conv2d::new(32, 32, 3, 1, 32, 32, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(32, 32)),
-        Box::new(Conv2d::new(32, 64, 3, 1, 1, 16, 16, rng)),
+        Box::new(Conv2d::new(32, 64, 3, 1, 16, 16, rng)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(64, 64, 3, 1, 1, 16, 16, rng)),
+        Box::new(Conv2d::new(64, 64, 3, 1, 16, 16, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(16, 16)),
-        Box::new(Conv2d::new(64, 128, 3, 1, 1, 8, 8, rng)),
+        Box::new(Conv2d::new(64, 128, 3, 1, 8, 8, rng)),
         Box::new(Relu::new()),
-        Box::new(Conv2d::new(128, 128, 3, 1, 1, 8, 8, rng)),
+        Box::new(Conv2d::new(128, 128, 3, 1, 8, 8, rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(8, 8)),
         // --- classifier (VGG-style three-layer head) ---

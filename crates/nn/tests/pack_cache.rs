@@ -79,7 +79,7 @@ fn linear_backward_pack_tracks_weight_updates() {
 #[test]
 fn conv_pack_caches_follow_step_and_snapshot() {
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng(7))),
+        Box::new(Conv2d::new(1, 4, 3, 1, 8, 8, &mut rng(7))),
         Box::new(Relu::new()),
         Box::new(Flatten::new()),
         Box::new(Linear::new(4 * 8 * 8, 3, &mut rng(8))),
@@ -97,7 +97,7 @@ fn conv_pack_caches_follow_step_and_snapshot() {
     // ...must land exactly where a replay that rebuilds every model (and
     // therefore every pack) from the previous step's snapshot lands.
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng(7))),
+        Box::new(Conv2d::new(1, 4, 3, 1, 8, 8, &mut rng(7))),
         Box::new(Relu::new()),
         Box::new(Flatten::new()),
         Box::new(Linear::new(4 * 8 * 8, 3, &mut rng(8))),
@@ -118,7 +118,7 @@ fn frozen_layers_may_keep_packs_but_stay_correct_after_unfreeze() {
     // unfreeze → train: results must match a model that never cached.
     let build = || -> Cnn {
         let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Conv2d::new(1, 3, 3, 1, 1, 6, 6, &mut rng(11))),
+            Box::new(Conv2d::new(1, 3, 3, 1, 6, 6, &mut rng(11))),
             Box::new(Relu::new()),
             Box::new(Flatten::new()),
             Box::new(Linear::new(3 * 6 * 6, 2, &mut rng(12))),

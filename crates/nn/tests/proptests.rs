@@ -175,14 +175,14 @@ proptest! {
     #[test]
     fn conv2d_into_is_bit_identical(
         (in_c, out_c) in (1usize..3, 1usize..4),
-        kernel in 1usize..4,
-        pad in 0usize..2,
+        // Every padding the layer accepts: `0..kernel`.
+        (kernel, pad) in (1usize..4).prop_flat_map(|k| (Just(k), 0..k)),
         (h, w, batch) in (4usize..7, 4usize..7, 1usize..3),
         seed in any::<u64>(),
     ) {
         use aergia_nn::layer::Conv2d;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut alloc = Conv2d::new(in_c, out_c, kernel, 1, pad, h, w, &mut rng);
+        let mut alloc = Conv2d::new(in_c, out_c, kernel, pad, h, w, &mut rng);
         let mut into = alloc.clone();
         let mut x = Tensor::zeros(&[batch, in_c, h, w]);
         aergia_tensor::init::normal(&mut x, &mut StdRng::seed_from_u64(seed ^ 1), 0.0, 1.0);

@@ -1,5 +1,5 @@
-//! Convolution lowering: the implicit patch matrix, its explicit oracles
-//! (`im2col`, `col2im`) and the NCHW-to-rows shuffle of `dy`.
+//! Convolution lowering: the implicit patch matrix and its explicit
+//! oracles (`im2col`, `col2im`).
 //!
 //! Convolutions are computed as matrix products over patch matrices. For
 //! a batch of `N` images of shape `C×H×W`, a `kh×kw` kernel with stride
@@ -15,23 +15,28 @@
 //! `A(r, kk) = xpad[row_base(r) + k_off[kk]]`. A `3×3` patch matrix is
 //! 9× its input and a `5×5` one 25×; the padded copy is
 //! `(1 + 2p/H)(1 + 2p/W)`× (1.13× for a 32×32 input at `p = 1`). All
-//! three GEMMs of a convolution go through the table:
+//! three GEMMs of a convolution go through a table:
 //!
 //! * the forward reads its `A` operand that way and stores each register
 //!   tile, bias added, straight into the NCHW output
 //!   ([`crate::ops::matmul_nt_patches_into`]);
 //! * the weight gradient reads the transposed patch matrix that way as
 //!   *its* `A` operand, `dWᵀ = patchesᵀ · dy_rows`, a block of patch rows
-//!   at a time ([`crate::ops::matmul_tn_patches_into`]);
-//! * the input gradient computes the patch-matrix gradient a tile of rows
-//!   at a time and scatter-adds each tile through the table into a
-//!   zero-padded gradient, which is then cropped
-//!   ([`crate::ops::matmul_scatter_patches_into`]).
+//!   at a time ([`crate::ops::matmul_tn_patches_into`]), with `dy_rows`
+//!   packed straight from the NCHW `dy`
+//!   ([`crate::gemm::PackedB::pack_nchw_with`]);
+//! * the input gradient of a stride-1 convolution with `p < k` *is* a
+//!   forward convolution: of `dy`, zero-padded by `k − 1 − p`, with the
+//!   kernel flipped in both spatial axes and its channels transposed
+//!   ([`crate::gemm::PackedB::ensure_flipped_with`]). It runs the
+//!   forward's GEMM through a second table over the padded `dy`, with no
+//!   bias, and lands in the NCHW `dx` as the forward lands in `y`.
 //!
 //! [`im2col_into`] writes the explicit matrix and [`col2im_into`]
 //! scatters an explicit patch-matrix gradient back; neither runs in
-//! training or inference. They stay as the oracles the implicit paths are
-//! tested against, bit for bit.
+//! training or inference. `im2col` stays as the oracle the implicit paths
+//! are tested against, bit for bit; `col2im` as the tolerance check of
+//! the input gradient, whose summation order differs from it.
 
 use crate::{Tensor, TensorError};
 
@@ -138,7 +143,7 @@ impl ConvGeometry {
 /// pw.pack_transposed_with(&w, tuned_variant(GemmOp::Nt, 32, 9, 2))?;
 /// let bias = Tensor::from_vec(vec![0.5, -1.0], &[2])?;
 /// let mut y = Tensor::default();
-/// ops::matmul_nt_patches_into(&xpad, &patches, &pw, &bias, &mut y)?;
+/// ops::matmul_nt_patches_into(&xpad, &patches, &pw, Some(&bias), &mut y)?;
 /// assert_eq!(y.dims(), &[2, 2, 4, 4]);
 /// // The bits of the explicit patch matrix times `Wᵀ` plus the bias,
 /// // moved from rows `(n, oy, ox)` to NCHW.
@@ -193,11 +198,6 @@ impl PatchTable {
         [batch, self.channels, self.geom.padded_h(), self.geom.padded_w()]
     }
 
-    /// Shape of a `batch`-image input, `[batch, C, H, W]`.
-    pub(crate) fn input_dims(&self, batch: usize) -> [usize; 4] {
-        [batch, self.channels, self.geom.in_h, self.geom.in_w]
-    }
-
     /// Shape of the NCHW output of a `batch`-image input with
     /// `out_channels` filters, `[batch, out_channels, OH, OW]`.
     pub(crate) fn output_dims(&self, batch: usize, out_channels: usize) -> [usize; 4] {
@@ -207,20 +207,6 @@ impl PatchTable {
     /// The column offsets `k_off` (see the type docs).
     pub(crate) fn k_off(&self) -> &[usize] {
         &self.k_off
-    }
-
-    /// Copies the interior of one zero-padded image `padded`
-    /// (`C × (H + 2p) × (W + 2p)`) into `out` (`C × H × W`): the inverse of
-    /// [`PatchTable::pad_into`] on one image.
-    pub(crate) fn crop_image(&self, padded: &[f32], out: &mut [f32]) {
-        let g = &self.geom;
-        let (hp, wp, p) = (g.padded_h(), g.padded_w(), g.pad);
-        for (src, dst) in padded.chunks_exact(hp * wp).zip(out.chunks_exact_mut(g.in_h * g.in_w)) {
-            for (y, row) in dst.chunks_exact_mut(g.in_w).enumerate() {
-                let at = (p + y) * wp + p;
-                row.copy_from_slice(&src[at..at + g.in_w]);
-            }
-        }
     }
 
     /// Copies the `[N, C, H, W]` `input` into `xpad`, zero-padded on every
@@ -462,9 +448,9 @@ pub fn im2col_into(
 
 /// Scatters an explicit patch-matrix gradient back onto the input (the
 /// adjoint of [`im2col_into`]): overlapping windows accumulate, each pixel
-/// in ascending patch-row order. The oracle that
-/// [`crate::ops::matmul_scatter_patches_into`], which never writes the
-/// patch-matrix gradient, is tested against. `out` is reset to
+/// in ascending patch-row order. The tolerance oracle of the input
+/// gradient, which sums each pixel's terms in one fused chain instead
+/// (see the [module docs](self)). `out` is reset to
 /// `[batch, channels, H, W]` as in [`im2col_into`].
 ///
 /// # Errors
@@ -561,51 +547,6 @@ pub fn col2im_into(
     Ok(())
 }
 
-/// Reorders `[N, C, H, W]` activations into the `[N·H·W, C]` row matrix
-/// used around the convolution matmul. `out` is reset as in
-/// [`im2col_into`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-rank-4 inputs; `out` is
-/// untouched on error.
-pub fn nchw_to_rows_into(input: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let dims = input.dims();
-    if dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "nchw_to_rows_into",
-            expected: 4,
-            got: dims.len(),
-        });
-    }
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    out.reset_for_overwrite(&[n * h * w, c]);
-    let src = input.data();
-    let dst = out.data_mut();
-    let hw = h * w;
-    // A `c × hw` transpose per image; tiles keep both the strided and the
-    // sequential side cache-resident (a plain double loop re-touches one
-    // side's cache lines `TILE`× each).
-    const TILE: usize = 32;
-    for img in 0..n {
-        let src_img = &src[img * c * hw..(img + 1) * c * hw];
-        let dst_img = &mut dst[img * hw * c..(img + 1) * hw * c];
-        for ch0 in (0..c).step_by(TILE) {
-            let ch1 = (ch0 + TILE).min(c);
-            for pix0 in (0..hw).step_by(TILE) {
-                let pix1 = (pix0 + TILE).min(hw);
-                for ch in ch0..ch1 {
-                    let src_chan = &src_img[ch * hw..(ch + 1) * hw];
-                    for pix in pix0..pix1 {
-                        dst_img[pix * c + ch] = src_chan[pix];
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,22 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn nchw_rows_round_trip() {
-        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
-        let rows = fresh(|o| nchw_to_rows_into(&x, o)).unwrap();
-        assert_eq!(rows.dims(), &[8, 3]);
-        // Row `(img, pixel)`, column `channel` is `x[img, channel, pixel]`.
-        for (i, &v) in rows.data().iter().enumerate() {
-            let (img, pix, ch) = (i / 12, i / 3 % 4, i % 3);
-            assert_eq!(v, x.data()[img * 12 + ch * 4 + pix]);
-        }
-    }
-
-    #[test]
     fn shape_validation_errors() {
         let x = Tensor::zeros(&[2, 2]);
         assert!(fresh(|o| im2col_into(&x, 1, &ConvGeometry::new(2, 2, 1, 1, 1, 0), o)).is_err());
-        assert!(fresh(|o| nchw_to_rows_into(&x, o)).is_err());
         let cols = Tensor::zeros(&[3, 3]);
         let g = ConvGeometry::new(3, 3, 2, 2, 1, 0);
         assert!(fresh(|o| col2im_into(&cols, 1, 1, &g, o)).is_err());

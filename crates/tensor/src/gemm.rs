@@ -13,7 +13,10 @@
 //!    columns laid out `k`-major — element `(kk, c)` of panel `jp` lives at
 //!    `panel[kk·nr + c]` — so the microkernel's inner step loads one
 //!    contiguous `nr`-vector per `k`. Ragged edge columns are zero-padded
-//!    to `nr`.
+//!    to `nr`. A pack read column-wise from its source — a transposed
+//!    weight, an NCHW `dy`, a flipped convolution kernel — is written
+//!    `PACK_KT` = 64 steps at a time, so a panel tile stays in L1 while
+//!    its `nr` source runs stream in.
 //! 2. **Pack `A` row tiles** ([`PackedA`]): used when the `A` operand is
 //!    stored transposed (the `tn` form's `k×m` layout), where direct access
 //!    would stride by `m` per `k` step. Rows are regrouped into `mr`-row
@@ -66,11 +69,13 @@
 //! the kernels as a `SubtileA` view generic over its storage — row-major
 //! rows (`nn`, `nt`), a [`PackedA`] tile (`tn`), or a convolution's
 //! implicit patch matrix, or its transpose, read through a [`PatchTable`]
-//! from the zero-padded input (the conv `nt` forward and `tn` weight
-//! gradient, see [`crate::conv`]) — so all of them run the same source,
-//! the stored layouts at constant strides. Where a finished register tile
-//! goes is the driver's too: row-major output rows, or (the conv forward)
-//! one image of an NCHW output, stored transposed with the bias added.
+//! from a zero-padded input (the conv `nt` forward, the `tn` weight
+//! gradient, and the input gradient, which is a forward convolution of
+//! the padded `dy`; see [`crate::conv`]) — so all of them run the same
+//! source, the stored layouts at constant strides. Where a finished
+//! register tile goes is the driver's too: row-major output rows, or (a
+//! convolution) one image of an NCHW output, stored transposed with the
+//! bias added when there is one.
 //!
 //! The one product whose `k` is a whole batch of patch rows — a
 //! convolution's weight gradient, computed transposed as
@@ -124,6 +129,13 @@
 //! element. (Training data is finite, so the engine-level byte-identity
 //! guarantees are unaffected.)
 //!
+//! A convolution's input gradient is under the same contract: run as the
+//! forward convolution of the padded `dy` against the flipped kernel,
+//! each `dx` element is one ascending-`k` chain over `(o, i', j')` from
+//! `+0.0`, the bits of `im2col(pad(dy)) · W_flipᵀ` on the `nt`
+//! reference. (`col2im` of `dy_rows · W` sums per-tap chains in
+//! patch-row order, so it agrees with `dx` to rounding only.)
+//!
 //! # Reuse and caching
 //!
 //! Both pack types fully overwrite their buffer on every `pack_*` call
@@ -148,7 +160,7 @@ use std::sync::OnceLock;
 use aergia_telemetry::LazyCounter;
 
 use crate::conv::PatchTable;
-use crate::ops::{require_rank2, run_row_tiles, PAR_FLOPS, TILE_ROWS};
+use crate::ops::{require_rank2, run_row_tiles, TILE_ROWS};
 use crate::{Tensor, TensorError};
 
 // ---------------------------------------------------------------------------
@@ -351,9 +363,31 @@ pub struct PackedB {
     k: usize,
     n: usize,
     variant: KernelVariant,
-    transposed: bool,
+    source: Source,
     valid: bool,
 }
+
+/// How a [`PackedB`]'s logical operand was read from its source tensor:
+/// the `ensure_*` calls reuse a pack only for the same reading, so two
+/// packs of one tensor in different orientations never match.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Source {
+    /// The row-major matrix itself ([`PackedB::pack_with`]).
+    #[default]
+    Rows,
+    /// Its transpose ([`PackedB::pack_transposed_with`]).
+    Transposed,
+    /// A convolution weight's flipped, channel-transposed kernel of this
+    /// many taps ([`PackedB::ensure_flipped_with`]).
+    Flipped(usize),
+    /// An NCHW tensor's pixel-row matrix ([`PackedB::pack_nchw_with`]).
+    Nchw,
+}
+
+/// Shared-dimension steps per tile of the column-wise packs
+/// ([`PackedB::pack_transposed_with`] and its kin): a tile of a 32-wide
+/// panel is 8 KB, and so are its 32 source runs.
+const PACK_KT: usize = 64;
 
 impl PackedB {
     /// Creates an empty (invalid) pack; the first `pack_*` call sizes it.
@@ -389,11 +423,18 @@ impl PackedB {
         self.valid = false;
     }
 
-    fn reset_layout(&mut self, k: usize, n: usize, variant: KernelVariant, transposed: bool) {
+    /// Whether the pack is valid and holds a `k×n` operand read from its
+    /// source as `source`, laid out for `variant`: the `ensure_*` reuse
+    /// rule.
+    fn holds(&self, source: Source, k: usize, n: usize, variant: KernelVariant) -> bool {
+        self.valid && self.source == source && self.k == k && self.n == n && self.variant == variant
+    }
+
+    fn reset_layout(&mut self, k: usize, n: usize, variant: KernelVariant, source: Source) {
         self.k = k;
         self.n = n;
         self.variant = variant;
-        self.transposed = transposed;
+        self.source = source;
         // Contents are fully rewritten by the caller (padding included),
         // so the resize fill value is never observed.
         self.buf.resize(n.div_ceil(variant.nr) * variant.nr * k, 0.0);
@@ -406,7 +447,7 @@ impl PackedB {
     /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
     pub fn pack_with(&mut self, b: &Tensor, variant: KernelVariant) -> Result<(), TensorError> {
         let (k, n) = require_rank2("pack_b", b)?;
-        self.reset_layout(k, n, variant, false);
+        self.reset_layout(k, n, variant, Source::Rows);
         let nr = variant.nr;
         let bd = b.data();
         // Row-outer, panel-inner: `B` is read once, sequentially, and the
@@ -433,7 +474,8 @@ impl PackedB {
     /// Packs the *transpose* of a row-major `n×k` matrix, i.e. the packed
     /// logical operand is `bᵀ` (`k×n`), into `variant`'s panel layout. This
     /// is how an `nt` `B` operand (a `[rows, k]` weight matrix)
-    /// becomes column panels.
+    /// becomes column panels: each source row is a panel column, copied
+    /// [`PACK_KT`] steps at a time.
     ///
     /// # Errors
     ///
@@ -444,27 +486,167 @@ impl PackedB {
         variant: KernelVariant,
     ) -> Result<(), TensorError> {
         let (n, k) = require_rank2("pack_bt", b)?;
-        self.reset_layout(k, n, variant, true);
-        let nr = variant.nr;
+        self.reset_layout(k, n, variant, Source::Transposed);
         let bd = b.data();
-        for (jp, panel) in self.buf.chunks_exact_mut(k * nr).enumerate() {
-            let col0 = jp * nr;
-            let ncols = (n - col0).min(nr);
-            for c in 0..nr {
-                if c < ncols {
-                    let src = &bd[(col0 + c) * k..(col0 + c + 1) * k];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * nr + c] = v;
+        let tiles = || (0..k).step_by(PACK_KT).map(move |k0| k0..k.min(k0 + PACK_KT));
+        self.fill_panels::<false, _>(tiles, |c, ks| &bd[c * k + ks.start..]);
+        Ok(())
+    }
+
+    /// Packs an NCHW tensor `[N, C, H, W]` as its `[N·H·W, C]` pixel-row
+    /// matrix — row `(img, pixel)`, column `c` is `x[img, c, pixel]` —
+    /// without writing that matrix: each panel column is a channel's
+    /// planes, one image after another, copied [`PACK_KT`] steps at a
+    /// time. The bits of [`PackedB::pack_with`] on the explicit matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `x` is rank 4.
+    pub fn pack_nchw_with(
+        &mut self,
+        x: &Tensor,
+        variant: KernelVariant,
+    ) -> Result<(), TensorError> {
+        let dims = x.dims();
+        if dims.len() != 4 {
+            return Err(TensorError::RankMismatch {
+                op: "pack_nchw",
+                expected: 4,
+                got: dims.len(),
+            });
+        }
+        let (c, pixels) = (dims[1], dims[2] * dims[3]);
+        self.reset_layout(dims[0] * pixels, c, variant, Source::Nchw);
+        let xd = x.data();
+        // Tiles never span two images, so a column's steps over one are
+        // a contiguous run of one channel plane.
+        let tiles = || {
+            (0..dims[0]).flat_map(move |img| {
+                (0..pixels)
+                    .step_by(PACK_KT)
+                    .map(move |p0| img * pixels + p0..img * pixels + pixels.min(p0 + PACK_KT))
+            })
+        };
+        self.fill_panels::<false, _>(tiles, |ch, ks| {
+            let (img, p0) = (ks.start / pixels, ks.start % pixels);
+            &xd[(img * c + ch) * pixels + p0..]
+        });
+        Ok(())
+    }
+
+    /// Packs the flipped, channel-transposed kernel of a convolution
+    /// weight `w` (`[OC, C·taps]`, `taps = kh·kw`) as the `B` operand of
+    /// the input gradient's forward convolution: the logical operand is
+    /// `[OC·taps, C]` with `B[(o, t), c] = w[o, c·taps + taps − 1 − t]`,
+    /// i.e. `W[o, c, kh − 1 − i, kw − 1 − j]` for `t = i·kw + j`. Read
+    /// straight from `w` in one pass, whole output channels at a time,
+    /// and only when the pack is stale, under the reuse rule of
+    /// [`PackedB::ensure_with`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for non-matrix inputs and
+    /// [`TensorError::ShapeMismatch`] unless `taps` divides `w`'s columns.
+    pub fn ensure_flipped_with(
+        &mut self,
+        w: &Tensor,
+        taps: usize,
+        variant: KernelVariant,
+    ) -> Result<(), TensorError> {
+        const OP: &str = "pack_flipped";
+        let (oc, ckk) = require_rank2(OP, w)?;
+        if taps == 0 || ckk % taps != 0 {
+            return Err(TensorError::ShapeMismatch { op: OP, lhs: vec![oc, ckk], rhs: vec![taps] });
+        }
+        let (k, n, source) = (oc * taps, ckk / taps, Source::Flipped(taps));
+        if self.holds(source, k, n, variant) {
+            return Ok(());
+        }
+        self.reset_layout(k, n, variant, source);
+        let wd = w.data();
+        // One tile per output channel `o`: a column's steps over it are
+        // its `taps` weights of `o` in reverse.
+        let tiles = || (0..oc).map(move |o| o * taps..(o + 1) * taps);
+        self.fill_panels::<true, _>(tiles, |c, ks| &wd[ks.start / taps * ckk + c * taps..]);
+        Ok(())
+    }
+
+    /// Adds each logical column's sum into `out` (`[n]`):
+    /// `out[c] += Σ B[kk, c]`, the sum running from `+0.0` over `kk`
+    /// ascending — the bits of [`crate::ops::sum_rows_into`] on the
+    /// packed matrix followed by one add, read from the panels a row at a
+    /// time. A convolution's bias gradient over its `dy` pack
+    /// ([`PackedB::pack_nchw_with`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pack is stale or `out` is not `n` long.
+    pub fn add_column_sums(&self, out: &mut [f32]) {
+        assert!(self.valid, "add_column_sums: stale PackedB (pack it first)");
+        assert_eq!(out.len(), self.n, "add_column_sums: one output per column");
+        let nr = self.variant.nr;
+        for (panel, out) in self.buf.chunks_exact(self.k * nr).zip(out.chunks_mut(nr)) {
+            let mut sums = [0.0f32; NR_MAX];
+            let sums = &mut sums[..nr];
+            for row in panel.chunks_exact(nr) {
+                // `nr` is a multiple of 8: fixed-width chunks vectorize.
+                for (s, r) in sums.chunks_exact_mut(8).zip(row.chunks_exact(8)) {
+                    for (s, &v) in s.iter_mut().zip(r) {
+                        *s += v;
                     }
-                } else {
-                    for kk in 0..k {
-                        panel[kk * nr + c] = 0.0;
+                }
+            }
+            for (o, &s) in out.iter_mut().zip(&*sums) {
+                *o += s;
+            }
+        }
+    }
+
+    /// Rewrites every panel of the `k×n` layout [`PackedB::reset_layout`]
+    /// set, a tile of steps at a time: `tiles()` yields ranges covering
+    /// `0..k` in order, and for each range `ks`, `run(c, ks)` starts
+    /// logical column `c`'s source over those steps — contiguous, in step
+    /// order, or in reverse with `REV`. Each group of 8 panel columns is
+    /// written a tile row at a time from its 8 runs, its padding columns
+    /// zeroed: the tile's runs and rows stay in L1, where a
+    /// column-at-a-time walk would evict each panel line between its `nr`
+    /// writes. Marks the pack valid.
+    fn fill_panels<'s, const REV: bool, T: Iterator<Item = Range<usize>>>(
+        &mut self,
+        tiles: impl Fn() -> T,
+        run: impl Fn(usize, Range<usize>) -> &'s [f32],
+    ) {
+        const GROUP: usize = 8;
+        let (k, n, nr) = (self.k, self.n, self.variant.nr);
+        for (jp, panel) in self.buf.chunks_exact_mut(k * nr).enumerate() {
+            for ks in tiles() {
+                let len = ks.len();
+                let tile = &mut panel[ks.start * nr..ks.end * nr];
+                for g in (0..nr).step_by(GROUP) {
+                    let col0 = jp * nr + g;
+                    let live = n.saturating_sub(col0).min(GROUP);
+                    let mut runs: [&[f32]; GROUP] = [&[]; GROUP];
+                    for (c, r) in runs[..live].iter_mut().enumerate() {
+                        *r = &run(col0 + c, ks.clone())[..len];
+                    }
+                    for (j, row) in tile.chunks_exact_mut(nr).enumerate() {
+                        let at = if REV { len - 1 - j } else { j };
+                        let dst: &mut [f32; GROUP] =
+                            (&mut row[g..g + GROUP]).try_into().expect("nr is a multiple of 8");
+                        if live == GROUP {
+                            for (d, r) in dst.iter_mut().zip(&runs) {
+                                *d = r[at];
+                            }
+                        } else {
+                            for (l, d) in dst.iter_mut().enumerate() {
+                                *d = if l < live { runs[l][at] } else { 0.0 };
+                            }
+                        }
                     }
                 }
             }
         }
         self.valid = true;
-        Ok(())
     }
 
     /// Repacks only when the pack is stale, shaped for a different
@@ -476,7 +658,7 @@ impl PackedB {
     /// Returns [`TensorError::RankMismatch`] for non-matrix inputs.
     pub fn ensure_with(&mut self, b: &Tensor, variant: KernelVariant) -> Result<(), TensorError> {
         let (k, n) = require_rank2("pack_b", b)?;
-        if self.valid && !self.transposed && self.k == k && self.n == n && self.variant == variant {
+        if self.holds(Source::Rows, k, n, variant) {
             return Ok(());
         }
         self.pack_with(b, variant)
@@ -494,7 +676,7 @@ impl PackedB {
         variant: KernelVariant,
     ) -> Result<(), TensorError> {
         let (n, k) = require_rank2("pack_bt", b)?;
-        if self.valid && self.transposed && self.k == k && self.n == n && self.variant == variant {
+        if self.holds(Source::Transposed, k, n, variant) {
             return Ok(());
         }
         self.pack_transposed_with(b, variant)
@@ -713,7 +895,9 @@ impl<'a> SubtileA<'a> for PackedTile<'a> {
 /// offsets (the last live one repeated past a ragged tail). The two
 /// [`PatchTable`] offsets of a patch element play either role:
 ///
-/// * the patch matrix (the conv `nt` forward): rows are patch rows, so
+/// * the patch matrix (a forward convolution, [`gemm_patches_nt`]: a
+///   layer's forward over its padded input, or its input gradient over
+///   the padded `dy`): rows are patch rows, so
 ///   `row_off` holds their row bases and `step_off` is the table's column
 ///   offsets `k_off`;
 /// * its transpose (the weight gradient's `A`, [`gemm_patches_tn`]): rows
@@ -1147,15 +1331,15 @@ impl TileOut for Rows<'_> {
 
 /// One image of a convolution's NCHW output, `[n, pixels]`: output row
 /// `p` is pixel `p`, column `c` is channel `c`, and each element is
-/// stored transposed with its channel's bias added — one rounding, as an
-/// add over the stored row-major product gives.
-struct NchwBias<'s> {
+/// stored transposed, with its channel's bias added when there is one —
+/// one rounding, as an add over the stored row-major product gives.
+struct Nchw<'s> {
     data: &'s mut [f32],
     pixels: usize,
-    bias: &'s [f32],
+    bias: Option<&'s [f32]>,
 }
 
-impl TileOut for NchwBias<'_> {
+impl TileOut for Nchw<'_> {
     fn rows(&self) -> usize {
         self.pixels
     }
@@ -1164,15 +1348,17 @@ impl TileOut for NchwBias<'_> {
     fn store(&mut self, acc: &Acc, at: Corner) {
         for c in 0..at.ncols {
             let ch = at.col0 + c;
-            let (b, o) = (self.bias[ch], ch * self.pixels + at.r0);
-            for (r, y) in self.data[o..o + at.mrows].iter_mut().enumerate() {
-                *y = acc[r * at.nr + c] + b;
+            let o = ch * self.pixels + at.r0;
+            let dst = self.data[o..o + at.mrows].iter_mut().enumerate();
+            match self.bias {
+                Some(bias) => dst.for_each(|(r, y)| *y = acc[r * at.nr + c] + bias[ch]),
+                None => dst.for_each(|(r, y)| *y = acc[r * at.nr + c]),
             }
         }
     }
 
     fn load(&self, _acc: &mut Acc, _at: Corner) {
-        unreachable!("the conv forward runs its whole shared dimension in one block");
+        unreachable!("a convolution runs its whole shared dimension in one block");
     }
 }
 
@@ -1229,15 +1415,19 @@ pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
 /// panel is then 32 KB, and the block's row bases a 2 KB stack array.
 pub(crate) const KC: usize = 256;
 
-/// Driver for the implicit-`A` kernel (the convolution `nt` forward):
+/// Driver for the implicit-`A` kernel (a forward convolution, `nt`):
 /// `A` is the patch matrix of the zero-padded input `xpad`, read through
 /// `table` (see [`PatchTable`]), and `out` is reset to the NCHW output
 /// `[N, n, OH, OW]` and overwritten: each register tile is stored
-/// transposed into it with `bias` added ([`NchwBias`]), so the row-major
-/// product is never written. Images run in parallel once the product
-/// clears the threading threshold. The `nt` counter, exactly as
+/// transposed into it, with `bias` added when given ([`Nchw`]), so the
+/// row-major product is never written. Images run in parallel once the
+/// product clears the threading threshold. The `nt` counter, exactly as
 /// [`gemm_packed`] with [`GemmOp::Nt`] on the explicit matrix, so every
 /// product and count is the same.
+///
+/// A layer's forward and its input gradient both run here: the input
+/// gradient is the forward convolution of the padded `dy` with the
+/// flipped kernel ([`PackedB::ensure_flipped_with`]), stored with no bias.
 ///
 /// The kernels read the patch matrix unchecked. Their bound —
 /// `row_base(r) + k_off[kk] < xpad.len()` for every row `r < m` — is
@@ -1247,18 +1437,18 @@ pub(crate) fn gemm_patches_nt(
     xpad: &Tensor,
     table: &PatchTable,
     pb: &PackedB,
-    bias: &Tensor,
+    bias: Option<&Tensor>,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     const OP: &str = "matmul_nt_patches";
     let m = table.check_bound(OP, xpad)?;
     let (n, k, pixels) = (pb.n, table.k(), table.rows(1));
-    if k != pb.k || bias.dims() != [n] {
+    if k != pb.k || bias.is_some_and(|b| b.dims() != [n]) {
         return Err(TensorError::ShapeMismatch { op: OP, lhs: vec![m, k], rhs: vec![n, pb.k] });
     }
     out.reset_for_overwrite(&table.output_dims(m / pixels, n));
     count_gemm_call(GemmOp::Nt, pb.variant);
-    let (xd, k_off, bias) = (xpad.data(), table.k_off(), bias.data());
+    let (xd, k_off, bias) = (xpad.data(), table.k_off(), bias.map(Tensor::data));
     run_row_tiles(out.data_mut(), n, pixels, m * n * k, |first_row, image| {
         // Subtiles are cut in row order, so one stepped walk of the row
         // bases serves the whole image.
@@ -1268,7 +1458,7 @@ pub(crate) fn gemm_patches_nt(
             pb,
             0..k,
             first_row,
-            &mut NchwBias { data: image, pixels, bias },
+            &mut Nchw { data: image, pixels, bias },
         );
     });
     Ok(())
@@ -1326,117 +1516,6 @@ pub(crate) fn gemm_patches_tn(
         }
     });
     Ok(())
-}
-
-/// Driver for a convolution's input gradient without its patch-matrix
-/// gradient: `dx = col2im(dy_rows · W)` (the `nn` form), computed per
-/// image, [`TILE_ROWS`] patch rows at a time.
-/// Each tile `dy_rows[rows] · W` is scatter-added, in ascending row
-/// order, into the image's zero-padded gradient in `dxpad` through
-/// `table`, and the image is then cropped into `out` — per pixel the
-/// addition order of [`crate::conv::col2im_into`], so its bits. Groups of
-/// images run in parallel once the product clears the threading
-/// threshold, each with its own tile slice of `tiles`. `dxpad`, `tiles`
-/// and `out` are reset and overwritten; the call counts once, as the
-/// `nn` GEMM it replaces.
-pub(crate) fn gemm_scatter_patches(
-    dy_rows: &Tensor,
-    pb: &PackedB,
-    table: &PatchTable,
-    tiles: &mut Tensor,
-    dxpad: &mut Tensor,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    const OP: &str = "matmul_scatter_patches";
-    let (m, k) = require_rank2(OP, dy_rows)?;
-    let (n, pixels) = (pb.n, table.rows(1));
-    if k != pb.k || n != table.k() || m % pixels != 0 {
-        return Err(TensorError::ShapeMismatch {
-            op: OP,
-            lhs: dy_rows.dims().to_vec(),
-            rhs: vec![pb.k, pb.n],
-        });
-    }
-    let batch = m / pixels;
-    dxpad.reset_for_overwrite(&table.padded_dims(batch));
-    table.check_bound(OP, dxpad)?;
-    out.reset_for_overwrite(&table.input_dims(batch));
-    let (img_len, out_len) = (dxpad.numel() / batch, out.numel() / batch);
-    let threads = if m * k * n >= PAR_FLOPS { aergia_runtime::parallelism() } else { 1 };
-    let per_group = batch.div_ceil(threads.min(batch));
-    let groups = batch.div_ceil(per_group);
-    tiles.reset_for_overwrite(&[groups * TILE_ROWS, n]);
-    count_gemm_call(GemmOp::Nn, pb.variant);
-
-    let ad = dy_rows.data();
-    let work = |first_img: usize, xp: &mut [f32], dx: &mut [f32], tile: &mut [f32]| {
-        for (i, (img, dx_img)) in
-            xp.chunks_exact_mut(img_len).zip(dx.chunks_exact_mut(out_len)).enumerate()
-        {
-            img.fill(0.0);
-            let row0 = (first_img + i) * pixels;
-            for p0 in (0..pixels).step_by(TILE_ROWS) {
-                let tile = &mut tile[..TILE_ROWS.min(pixels - p0) * n];
-                gemm_row_tile::<false, _>(
-                    |row, mrows| RowMajor::cut(ad, k, row, mrows),
-                    pb,
-                    0..k,
-                    row0 + p0,
-                    &mut Rows { data: tile, n },
-                );
-                scatter_patch_rows(tile, table, p0, img);
-            }
-            table.crop_image(img, dx_img);
-        }
-    };
-    let parts = dxpad
-        .data_mut()
-        .chunks_mut(per_group * img_len)
-        .zip(out.data_mut().chunks_mut(per_group * out_len))
-        .zip(tiles.data_mut().chunks_exact_mut(TILE_ROWS * n))
-        .enumerate();
-    let work = &work;
-    aergia_runtime::scope(|s| {
-        // The caller takes the last group itself, so one group never
-        // leaves the calling thread.
-        for (g, ((xp, dx), tile)) in parts {
-            if g + 1 == groups {
-                work(g * per_group, xp, dx, tile);
-            } else {
-                s.spawn(move || work(g * per_group, xp, dx, tile));
-            }
-        }
-    });
-    Ok(())
-}
-
-/// Adds the rows of `tile` — patch-matrix gradient rows `p0 ..` of one
-/// image — into that image's zero-padded gradient `img` through `table`,
-/// one row after another in ascending order. Within a row every element
-/// lands on a distinct pixel, so each pixel receives its contributions in
-/// ascending row order, as in [`crate::conv::col2im_into`].
-fn scatter_patch_rows(tile: &[f32], table: &PatchTable, p0: usize, img: &mut [f32]) {
-    let k_off = table.k_off();
-    assert!(
-        img.len() == table.padded_dims(1).iter().product::<usize>()
-            && p0 + tile.len() / k_off.len() <= table.rows(1),
-        "scatter_patch_rows: the tile or the image is out of shape"
-    );
-    for (row, base) in tile.chunks_exact(k_off.len()).zip(table.row_bases(p0)) {
-        let dst = &mut img[base..];
-        for (&v, &o) in row.iter().zip(k_off) {
-            debug_assert!(o < dst.len(), "patch scatter overruns the padded image");
-            // SAFETY: `PatchTable::check_bound` checked once per call (in
-            // `gemm_scatter_patches`) that `row_base(m − 1) + k_off[k − 1]`
-            // is inside the padded batch. Row bases repeat per image
-            // (`row_base(i·P + p) = i·img_len + row_base(p)` for `P` pixels)
-            // and both offsets increase, so for a pixel `p < P` of one image
-            // `row_base(p) + k_off[kk] < img_len`. The assertion above keeps
-            // every row of the tile below `P` and `img` one padded image
-            // long, so `base + o < img.len()`, i.e. `o < dst.len()`.
-            unsafe { *dst.get_unchecked_mut(o) += v };
-        }
-    }
 }
 
 /// One row tile of any packed GEMM: computes output rows
@@ -1521,7 +1600,7 @@ pub fn tuned_variant(_op: GemmOp, _m: usize, _k: usize, n: usize) -> KernelVaria
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
+    use crate::ops::{self, PAR_FLOPS};
 
     fn random(dims: &[usize], seed: u64) -> Tensor {
         use rand::{RngExt as _, SeedableRng};
@@ -1602,17 +1681,74 @@ mod tests {
     }
 
     /// `rows` (`[N·P, c]`, row `(img, pixel)`) moved to NCHW (`[N, c, P]`
-    /// flattened), with `bias[ch]` added to every element of channel `ch`.
-    fn nchw_plus_bias(rows: &Tensor, pixels: usize, bias: &Tensor) -> Vec<f32> {
+    /// flattened), with `bias[ch]`, when given, added to every element of
+    /// channel `ch`.
+    fn to_nchw(rows: &Tensor, pixels: usize, bias: Option<&Tensor>) -> Vec<f32> {
         let c = rows.dims()[1];
         let mut out = vec![0.0; rows.numel()];
         for (r, row) in rows.data().chunks_exact(c).enumerate() {
             let (img, pix) = (r / pixels, r % pixels);
-            for (ch, (&v, &b)) in row.iter().zip(bias.data()).enumerate() {
-                out[(img * c + ch) * pixels + pix] = v + b;
+            for (ch, &v) in row.iter().enumerate() {
+                let at = (img * c + ch) * pixels + pix;
+                out[at] = bias.map_or(v, |b| v + b.data()[ch]);
             }
         }
         out
+    }
+
+    /// The `[N·H·W, C]` pixel-row matrix of an NCHW tensor: row
+    /// `(img, pixel)`, column `c` is `x[img, c, pixel]`.
+    fn pixel_rows(x: &Tensor) -> Tensor {
+        let &[n, c, h, w] = x.dims() else { panic!("pixel_rows: rank 4") };
+        let p = h * w;
+        let data = (0..n * p * c).map(|i| x.data()[(i / (p * c) * c + i % c) * p + i / c % p]);
+        Tensor::from_vec(data.collect(), &[n * p, c]).unwrap()
+    }
+
+    /// The flipped, channel-transposed kernel of the `[oc, c·taps]`
+    /// weight `w` as an explicit `[c, oc·taps]` matrix:
+    /// `[c, (o, t)] = w[o, c·taps + taps − 1 − t]`.
+    fn flipped_transpose(w: &Tensor, taps: usize) -> Tensor {
+        let (oc, ckk) = (w.dims()[0], w.dims()[1]);
+        let c = ckk / taps;
+        let data = (0..c * oc * taps).map(|i| {
+            let (ch, o, t) = (i / (oc * taps), i / taps % oc, i % taps);
+            w.data()[o * ckk + ch * taps + taps - 1 - t]
+        });
+        Tensor::from_vec(data.collect(), &[c, oc * taps]).unwrap()
+    }
+
+    /// The old column-at-a-time [`PackedB::pack_transposed_with`] loop:
+    /// each source row written down its panel column at an `nr` stride.
+    /// The oracle the tiled packs are checked against.
+    fn pack_transposed_strided(b: &Tensor, variant: KernelVariant) -> PackedB {
+        let (n, k) = (b.dims()[0], b.dims()[1]);
+        let mut pb = PackedB::new();
+        pb.reset_layout(k, n, variant, Source::Transposed);
+        let nr = variant.nr;
+        let bd = b.data();
+        for (jp, panel) in pb.buf.chunks_exact_mut(k * nr).enumerate() {
+            let col0 = jp * nr;
+            let ncols = (n - col0).min(nr);
+            for c in 0..nr {
+                if c < ncols {
+                    let src = &bd[(col0 + c) * k..(col0 + c + 1) * k];
+                    for (kk, &v) in src.iter().enumerate() {
+                        panel[kk * nr + c] = v;
+                    }
+                } else {
+                    for kk in 0..k {
+                        panel[kk * nr + c] = 0.0;
+                    }
+                }
+            }
+        }
+        pb.valid = true;
+        pb
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// One convolution forward against the explicit oracle, on every
@@ -1636,7 +1772,7 @@ mod tests {
         crate::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
         let rows = ops::matmul_nt_reference(&cols, &weight).unwrap();
         let want = Tensor::from_vec(
-            nchw_plus_bias(&rows, geom.out_h * geom.out_w, &bias),
+            to_nchw(&rows, geom.out_h * geom.out_w, Some(&bias)),
             &[n, oc, geom.out_h, geom.out_w],
         )
         .unwrap();
@@ -1649,25 +1785,21 @@ mod tests {
         let case = format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} oc{oc}");
         for variant in all_variants() {
             pwt.pack_transposed_with(&weight, variant).unwrap();
-            ops::matmul_nt_patches_into(&xpad, &table, &pwt, &bias, &mut out).unwrap();
+            ops::matmul_nt_patches_into(&xpad, &table, &pwt, Some(&bias), &mut out).unwrap();
             assert_same_modulo_nan_bits(&out, &want, &format!("forward {case} {variant:?}"));
         }
     }
 
-    /// A convolution's backward against the explicit oracle, on every
-    /// variant, through NaN-filled buffers of other shapes (padded copy,
-    /// `dy` pack, tiles, padded gradient and both outputs), with exact
-    /// zeros (`zeros`) and NaN / ±inf (`specials`) in `x`, `dy` and `W`:
-    ///
-    /// * the transposed weight gradient must give
-    ///   `matmul_tn_reference(im2col(x), dy_rows)`, the transpose of
-    ///   `matmul_tn_reference(dy_rows, im2col(x))` (`dW` itself), and the
-    ///   one-call `matmul_tn_packed_into` over the explicit matrix;
-    /// * the chunked input gradient must give
-    ///   `col2im(matmul_packed_into(dy_rows, pack_with(W)))` and
-    ///   `col2im(matmul_reference(dy_rows, W))`;
-    ///
-    /// each as NaN positions plus the exact bits of every other element.
+    /// A convolution's weight gradient against the explicit oracle, on
+    /// every variant, through NaN-filled buffers of other shapes (padded
+    /// copy, `dy` pack and output), with exact zeros (`zeros`) and NaN /
+    /// ±inf (`specials`) in `x` and `dy`: `dy` packed straight from NCHW
+    /// must hold the bits of the packed pixel-row matrix, and the
+    /// transposed weight gradient must give
+    /// `matmul_tn_reference(im2col(x), dy_rows)`, the transpose of
+    /// `matmul_tn_reference(dy_rows, im2col(x))` (`dW` itself), and the
+    /// one-call `matmul_tn_packed_into` over the explicit matrix — NaN
+    /// positions plus the exact bits of every other element.
     fn check_backward_against_im2col(
         (n, c, h, w): (usize, usize, usize, usize),
         (kernel, stride, pad): (usize, usize, usize),
@@ -1678,28 +1810,27 @@ mod tests {
     ) {
         let geom = crate::conv::ConvGeometry::new(h, w, kernel, kernel, stride, pad);
         let table = PatchTable::new(c, &geom);
-        let (rows, ckk) = (table.rows(n), table.k());
         let x = conv_input(&[n, c, h, w], seed, specials);
-        let dy = sparse_input(&[rows, oc], seed ^ 0xd1, zeros, specials);
-        let weight = sparse_input(&[oc, ckk], seed ^ 0x5eed, zeros, specials);
+        let dy = sparse_input(&[n, oc, geom.out_h, geom.out_w], seed ^ 0xd1, zeros, specials);
+        let dy_rows = pixel_rows(&dy);
         let mut cols = Tensor::default();
         crate::conv::im2col_into(&x, c, &geom, &mut cols).unwrap();
-        let dwt_ref = ops::matmul_tn_reference(&cols, &dy).unwrap();
-        let dw_ref = ops::transpose(&ops::matmul_tn_reference(&dy, &cols).unwrap());
-        let mut dx_ref = Tensor::default();
-        let dcols_ref = ops::matmul_reference(&dy, &weight).unwrap();
-        crate::conv::col2im_into(&dcols_ref, n, c, &geom, &mut dx_ref).unwrap();
+        let dwt_ref = ops::matmul_tn_reference(&cols, &dy_rows).unwrap();
+        let dw_ref = ops::transpose(&ops::matmul_tn_reference(&dy_rows, &cols).unwrap());
 
         let nan = |dims: &[usize]| Tensor::full(dims, f32::NAN);
         let mut xpad = nan(&[gr, gc]);
         table.pad_into(&x, &mut xpad).unwrap();
         let mut pdy = PackedB::new();
         pdy.pack_with(&nan(&[gr + 3, gc + 5]), KernelVariant::PORTABLE).unwrap();
-        let (mut dwt, mut tiles, mut dxpad, mut dx) =
-            (nan(&[gc, gr]), nan(&[gr + 1, gc]), nan(&[gc + 2, gr]), nan(&[gr, gc + 3]));
+        let mut dwt = nan(&[gc, gr]);
         let case = format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} oc{oc}");
         for variant in all_variants() {
-            pdy.pack_with(&dy, variant).unwrap();
+            pdy.pack_nchw_with(&dy, variant).unwrap();
+            let mut prows = PackedB::new();
+            prows.pack_with(&dy_rows, variant).unwrap();
+            assert_eq!(bits(&pdy.buf), bits(&prows.buf), "NCHW pack {case} {variant:?}");
+            assert_eq!((pdy.k(), pdy.n()), (prows.k(), prows.n()));
             ops::matmul_tn_patches_into(&xpad, &table, &pdy, &mut dwt).unwrap();
             assert_same_modulo_nan_bits(&dwt, &dwt_ref, &format!("dWT {case} {variant:?}"));
             assert_same_modulo_nan_bits(&dwt, &dw_ref, &format!("dW {case} {variant:?}"));
@@ -1712,17 +1843,53 @@ mod tests {
                 &dwt_one,
                 &format!("dWT one call {case} {variant:?}"),
             );
+        }
+    }
 
-            let mut pw = PackedB::new();
-            pw.pack_with(&weight, variant).unwrap();
-            let mut dcols = Tensor::default();
-            ops::matmul_packed_into(&dy, &pw, &mut dcols).unwrap();
-            let mut dx_one = Tensor::default();
-            crate::conv::col2im_into(&dcols, n, c, &geom, &mut dx_one).unwrap();
-            ops::matmul_scatter_patches_into(&dy, &pw, &table, &mut tiles, &mut dxpad, &mut dx)
-                .unwrap();
-            assert_same_modulo_nan_bits(&dx, &dx_one, &format!("dx {case} {variant:?}"));
-            assert_same_modulo_nan_bits(&dx, &dx_ref, &format!("dx reference {case} {variant:?}"));
+    /// A stride-1 convolution's input gradient against its oracle, on
+    /// every variant, through NaN-filled buffers of other shapes (padded
+    /// `dy`, flipped pack and output), with exact zeros (`zeros`) and
+    /// NaN / ±inf (`specials`) in `dy` and `W`: `dy` padded by
+    /// `kernel − 1 − pad` and read through its own table against the
+    /// flipped pack must give `matmul_nt_reference(im2col(pad(dy)),
+    /// W_flipᵀ)` moved to NCHW, and the flipped pack must hold the bits
+    /// of the transposed pack of the explicit `W_flipᵀ` — NaN positions
+    /// plus the exact bits of every other element.
+    fn check_dx_against_flipped_oracle(
+        (n, c, h, w): (usize, usize, usize, usize),
+        (kernel, pad): (usize, usize),
+        oc: usize,
+        (zeros, specials): (bool, bool),
+        (gr, gc): (usize, usize),
+        seed: u64,
+    ) {
+        let geom = crate::conv::ConvGeometry::new(h, w, kernel, kernel, 1, pad);
+        let (oh, ow, taps) = (geom.out_h, geom.out_w, kernel * kernel);
+        let dy_geom = crate::conv::ConvGeometry::new(oh, ow, kernel, kernel, 1, kernel - 1 - pad);
+        assert_eq!((dy_geom.out_h, dy_geom.out_w), (h, w), "dx is input-shaped");
+        let dy = sparse_input(&[n, oc, oh, ow], seed ^ 0xd1, zeros, specials);
+        let weight = sparse_input(&[oc, c * taps], seed ^ 0x5eed, zeros, specials);
+        let wflipt = flipped_transpose(&weight, taps);
+        let mut cols = Tensor::default();
+        crate::conv::im2col_into(&dy, oc, &dy_geom, &mut cols).unwrap();
+        let rows = ops::matmul_nt_reference(&cols, &wflipt).unwrap();
+        let want = Tensor::from_vec(to_nchw(&rows, h * w, None), &[n, c, h, w]).unwrap();
+
+        let table = PatchTable::new(oc, &dy_geom);
+        let nan = |dims: &[usize]| Tensor::full(dims, f32::NAN);
+        let mut dypad = nan(&[gr, gc]);
+        table.pad_into(&dy, &mut dypad).unwrap();
+        let mut pflip = PackedB::new();
+        pflip.pack_with(&nan(&[gr + 2, gc + 7]), KernelVariant::PORTABLE).unwrap();
+        let mut dx = nan(&[gc + 1, gr]);
+        let case = format!("{n}x{c}x{h}x{w} k{kernel} p{pad} oc{oc}");
+        for variant in all_variants() {
+            pflip.ensure_flipped_with(&weight, taps, variant).unwrap();
+            let explicit = pack_transposed_strided(&wflipt, variant);
+            assert_eq!(bits(&pflip.buf), bits(&explicit.buf), "flipped pack {case} {variant:?}");
+            assert_eq!((pflip.k(), pflip.n()), (explicit.k(), explicit.n()));
+            ops::matmul_nt_patches_into(&dypad, &table, &pflip, None, &mut dx).unwrap();
+            assert_same_modulo_nan_bits(&dx, &want, &format!("dx {case} {variant:?}"));
         }
     }
 
@@ -1760,11 +1927,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
-        /// The transposed, `k`-blocked weight gradient and the chunked
-        /// input gradient equal the explicit `im2col` / `col2im` oracles:
-        /// kernels 1, 3 and 5, stride 1 and 2, padding 0–2, patch widths
-        /// and pixel counts that are no multiple of any `mr` or of the tile
-        /// height, exact zeros, non-finite values, dirty buffers.
+        /// The transposed, `k`-blocked weight gradient over `dy` packed
+        /// from NCHW equals the explicit `im2col` oracle: kernels 1, 3 and
+        /// 5, stride 1 and 2, padding 0–2, patch widths and pixel counts
+        /// that are no multiple of any `mr` or of the tile height, exact
+        /// zeros, non-finite values, dirty buffers.
         #[test]
         fn implicit_patches_backward_matches_the_explicit_oracles_bitwise(
             (n, c, oc) in (1usize..4, 1usize..4, 1usize..24),
@@ -1787,6 +1954,117 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The input gradient, a forward convolution of the padded `dy`
+        /// against the flipped pack, equals `im2col(pad(dy)) · W_flipᵀ`
+        /// bit for bit: kernels 1, 2, 3 and 5, every padding `0..kernel`,
+        /// sizes that are no multiple of any `mr`, exact zeros of either
+        /// sign, NaN and ±inf, dirty buffers.
+        #[test]
+        fn implicit_patches_dx_matches_the_flipped_oracle_bitwise(
+            (n, c, oc) in (1usize..4, 1usize..4, 1usize..24),
+            (h, w) in (1usize..13, 1usize..13),
+            (kernel, pad) in (0usize..4, 0usize..5),
+            (zeros, specials) in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            (gr, gc) in (1usize..9, 1usize..9),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let kernel: usize = [1, 2, 3, 5][kernel];
+            let pad = pad % kernel;
+            let fit = |d: usize| d.max(kernel.saturating_sub(2 * pad));
+            check_dx_against_flipped_oracle(
+                (n, c, fit(h), fit(w)),
+                (kernel, pad),
+                oc,
+                (zeros, specials),
+                (gr, gc),
+                seed,
+            );
+        }
+    }
+
+    /// Fixed input-gradient cases the property must never miss: the
+    /// FMNIST CNN's second layer (16 → 32 channels, 5×5, 196-pixel
+    /// images, `k = 800` against 16 columns) and the CIFAR CNN's second
+    /// (32 → 32, 3×3, 32×32) at batch 1; a kernel whose taps outnumber a
+    /// pack tile (9×9, 81 taps); and more images than the pool has
+    /// threads, above the threading threshold, so images run on several
+    /// threads and the last group is short.
+    #[test]
+    fn implicit_patches_dx_covers_zoo_shapes_and_threaded_images() {
+        check_dx_against_flipped_oracle((1, 16, 14, 14), (5, 2), 32, (true, true), (2, 3), 1);
+        check_dx_against_flipped_oracle((1, 32, 32, 32), (3, 1), 32, (true, false), (3, 1), 2);
+        check_dx_against_flipped_oracle((2, 3, 11, 10), (9, 4), 5, (false, true), (1, 1), 3);
+        check_dx_against_flipped_oracle((1, 5, 7, 9), (2, 0), 70, (true, true), (4, 2), 4);
+        let batch = aergia_runtime::parallelism() + 3;
+        assert!(batch * 196 * 800 * 16 >= PAR_FLOPS, "the images must take the pool path");
+        check_dx_against_flipped_oracle((batch, 16, 14, 14), (5, 2), 32, (true, true), (2, 2), 5);
+        check_dx_against_flipped_oracle((batch, 3, 9, 9), (3, 2), 17, (false, false), (5, 3), 6);
+    }
+
+    /// The input gradient sums each pixel's terms in one fused chain over
+    /// `(o, i', j')`, where the explicit `col2im(dy_rows · W)` adds per-tap
+    /// products in patch-row order, so the two differ by rounding only:
+    /// on finite data, per element, by at most `2·K·ε` times the sum of
+    /// the absolute terms (`K = OC·kh·kw`, the terms of the longer chain;
+    /// each order is within `K·ε` of the exact sum), on the zoo's conv
+    /// shapes and ragged ones.
+    #[test]
+    fn implicit_patches_dx_is_col2im_up_to_summation_order() {
+        for (case, &((n, c, h, w), (kernel, pad), oc)) in [
+            ((2, 16, 14, 14), (5, 2), 32),
+            ((2, 32, 32, 32), (3, 1), 32),
+            ((2, 64, 16, 16), (3, 1), 64),
+            ((3, 4, 9, 7), (2, 1), 9),
+            ((1, 3, 6, 6), (1, 0), 5),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let geom = crate::conv::ConvGeometry::new(h, w, kernel, kernel, 1, pad);
+            let taps = kernel * kernel;
+            let dy = sparse_input(&[n, oc, geom.out_h, geom.out_w], case as u64, true, false);
+            let weight = random(&[oc, c * taps], 50 + case as u64);
+            let (dy_rows, abs) = (pixel_rows(&dy), |t: &Tensor| t.map(f32::abs));
+            let col2im = |rows: &Tensor, w: &Tensor| {
+                let mut out = Tensor::default();
+                let dcols = ops::matmul_reference(rows, w).unwrap();
+                crate::conv::col2im_into(&dcols, n, c, &geom, &mut out).unwrap();
+                out
+            };
+            let (want, scale) = (col2im(&dy_rows, &weight), col2im(&abs(&dy_rows), &abs(&weight)));
+
+            let dy_geom = crate::conv::ConvGeometry::new(
+                geom.out_h,
+                geom.out_w,
+                kernel,
+                kernel,
+                1,
+                kernel - 1 - pad,
+            );
+            let table = PatchTable::new(oc, &dy_geom);
+            let mut dypad = Tensor::default();
+            table.pad_into(&dy, &mut dypad).unwrap();
+            let mut pflip = PackedB::new();
+            let v = tuned_variant(GemmOp::Nt, n * h * w, oc * taps, c);
+            pflip.ensure_flipped_with(&weight, taps, v).unwrap();
+            let mut dx = Tensor::default();
+            ops::matmul_nt_patches_into(&dypad, &table, &pflip, None, &mut dx).unwrap();
+
+            let bound = 2.0 * (oc * taps) as f32 * f32::EPSILON;
+            for (i, ((&got, &want), &scale)) in
+                dx.data().iter().zip(want.data()).zip(scale.data()).enumerate()
+            {
+                assert!(
+                    (got - want).abs() <= bound * scale,
+                    "case {case} element {i}: {got} vs col2im {want} (scale {scale})"
+                );
+            }
+        }
+    }
+
     /// Fixed backward cases the property cannot reach or must never miss:
     ///
     /// * a shared dimension below, at and past [`KC`] (ragged, and three
@@ -1795,9 +2073,8 @@ mod tests {
     ///   `mr`), and 72 and 75, more than one row tile of `dWᵀ`;
     /// * 14×14 images (196 patch rows, the FMNIST CNN's second layer: no
     ///   multiple of any `mr` or of the tile height), at batch 1 too;
-    /// * products above the threading threshold, so `dWᵀ` row tiles and
-    ///   dx image groups run on several threads and the last of each is
-    ///   short.
+    /// * products above the threading threshold, so `dWᵀ` row tiles run
+    ///   on several threads and the last is short.
     #[test]
     fn implicit_patches_backward_covers_blocks_tiles_and_image_groups() {
         let rows = |n: usize, hw: usize| n * hw * hw;
@@ -1815,7 +2092,7 @@ mod tests {
         check_backward_against_im2col((1, 8, 28, 28), (3, 1, 1), oc, (true, false), (1, 2), 10);
         let batch = aergia_runtime::parallelism() + 3;
         let (m, k, n) = (rows(batch, 14), 16, 3 * 5 * 5);
-        assert!(m * k * n >= PAR_FLOPS, "the image groups must take the pool path");
+        assert!(m * k * n >= PAR_FLOPS, "the dW row tiles must take the pool path");
         check_backward_against_im2col((batch, 3, 14, 14), (5, 1, 2), 16, (true, true), (3, 3), 7);
         check_backward_against_im2col((batch, 3, 27, 27), (3, 2, 1), 16, (true, false), (2, 5), 8);
     }
@@ -1867,7 +2144,8 @@ mod tests {
     /// element below is `1 · (−1) + (1 + 2⁻¹²)²`, which is `2⁻¹¹ + 2⁻²⁴`
     /// fused (one rounding) and `2⁻¹¹` unfused (the square rounds to
     /// `1 + 2⁻¹¹` first). Checked on every variant for `nn`, `nt`, `tn`,
-    /// the implicit-patch forward and the `k`-blocked dW, whose chain here
+    /// the implicit-patch forward, the flipped-kernel dx and the
+    /// `k`-blocked dW, whose chain here
     /// crosses a block boundary; and the AVX2 tier is only ever active
     /// with FMA present.
     #[test]
@@ -1900,7 +2178,9 @@ mod tests {
         all_fused(&ops::matmul_tn_reference(&at, &b).unwrap(), "tn oracle");
 
         // The conv forward: two channels, 1×1 kernel, so patch row `p` is
-        // `[x₀[p], x₁[p]]` = `[1, x]`, against weight rows `[−1, x]`.
+        // `[x₀[p], x₁[p]]` = `[1, x]`, against weight rows `[−1, x]`. Read
+        // as a two-channel `dy`, the same image is a dx case: `b` is then
+        // a `[2, n]` weight of one tap, whose flip is itself.
         let fwd = crate::conv::ConvGeometry::new(3, 5, 1, 1, 1, 0);
         let fwd_table = PatchTable::new(2, &fwd);
         let img = Tensor::from_vec([[1.0; 15], [x; 15]].concat(), &[1, 2, 3, 5]).unwrap();
@@ -1909,8 +2189,7 @@ mod tests {
         // The dWᵀ: one channel, one row of KC + 1 pixels, 1×1 kernel, so
         // `k` = KC + 1 patch rows. Only rows 0 and KC carry terms (the
         // zero rows add `fma(0, 1, s) = s`), so the chain is `−1` in the
-        // first block, continued by `x²` in the second. (The bias of the
-        // forward is `+0.0`, which leaves the fused value's bits.)
+        // first block, continued by `x²` in the second.
         let dw_geom = crate::conv::ConvGeometry::new(1, KC + 1, 1, 1, 1, 0);
         let dw_table = PatchTable::new(1, &dw_geom);
         let mut pixels = vec![0.0; KC + 1];
@@ -1935,10 +2214,13 @@ mod tests {
             pbt.pack_transposed_with(&bt, variant).unwrap();
             ops::matmul_nt_packed_into(&a, &pbt, &mut out).unwrap();
             all_fused(&out, &format!("nt {variant:?}"));
-            ops::matmul_nt_patches_into(&fwd_pad, &fwd_table, &pbt, &Tensor::zeros(&[n]), &mut out)
-                .unwrap();
+            ops::matmul_nt_patches_into(&fwd_pad, &fwd_table, &pbt, None, &mut out).unwrap();
             assert_eq!(out.dims(), &[1, n, 3, 5]);
             all_fused(&out, &format!("implicit-patch forward {variant:?}"));
+            let mut pflip = PackedB::new();
+            pflip.ensure_flipped_with(&b, 1, variant).unwrap();
+            ops::matmul_nt_patches_into(&fwd_pad, &fwd_table, &pflip, None, &mut out).unwrap();
+            all_fused(&out, &format!("flipped-kernel dx {variant:?}"));
             let mut pdy = PackedB::new();
             pdy.pack_with(&dy, variant).unwrap();
             ops::matmul_tn_patches_into(&dw_pad, &dw_table, &pdy, &mut out).unwrap();
@@ -1995,6 +2277,100 @@ mod tests {
             assert_eq!(direct.buf, via_t.buf, "{variant:?}");
             assert_eq!((direct.k(), direct.n()), (via_t.k(), via_t.n()));
         }
+    }
+
+    /// The `k`-tiled transposed pack writes the bits of the column-at-a-
+    /// time loop it replaced, on every variant, over shapes ragged against
+    /// the tile and every panel width, through a dirty buffer of another
+    /// layout.
+    #[test]
+    fn pack_transposed_tiles_match_the_strided_loop_bitwise() {
+        let mut pb = PackedB::new();
+        for (case, &(n, k)) in
+            [(1, 1), (3, 63), (8, 64), (17, 65), (33, 130), (9, 200), (40, 7)].iter().enumerate()
+        {
+            let b = sparse_input(&[n, k], case as u64, true, true);
+            for variant in all_variants() {
+                pb.pack_with(&Tensor::full(&[k + 3, n + 5], f32::NAN), variant).unwrap();
+                pb.pack_transposed_with(&b, variant).unwrap();
+                let want = pack_transposed_strided(&b, variant);
+                assert_eq!(bits(&pb.buf), bits(&want.buf), "{n}x{k} {variant:?}");
+                assert_eq!((pb.k(), pb.n()), (want.k(), want.n()));
+            }
+        }
+    }
+
+    /// The NCHW pack holds the bits of the packed pixel-row matrix, and
+    /// its column sums added to a base the bits of `sum_rows_into` plus
+    /// one add (NaN positions plus exact bits), on planes of fewer and
+    /// more pixels than a tile and channel counts ragged against every
+    /// panel width.
+    #[test]
+    fn pack_nchw_matches_packing_the_pixel_rows() {
+        let mut pb = PackedB::new();
+        for (case, &dims) in
+            [[1, 1, 1, 1], [3, 5, 2, 3], [2, 17, 7, 9], [4, 33, 8, 8], [1, 9, 14, 14]]
+                .iter()
+                .enumerate()
+        {
+            let x = sparse_input(&dims, case as u64, true, true);
+            let rows = pixel_rows(&x);
+            let mut sums = Tensor::default();
+            ops::sum_rows_into(&rows, &mut sums).unwrap();
+            let base: Vec<f32> = (0..dims[1]).map(|c| c as f32 * 0.5 - 1.0).collect();
+            let want_sums: Vec<f32> = base.iter().zip(sums.data()).map(|(b, s)| b + s).collect();
+            for variant in all_variants() {
+                pb.pack_nchw_with(&x, variant).unwrap();
+                let mut want = PackedB::new();
+                want.pack_with(&rows, variant).unwrap();
+                assert_eq!(bits(&pb.buf), bits(&want.buf), "{dims:?} {variant:?}");
+                assert_eq!((pb.k(), pb.n()), (want.k(), want.n()));
+                let mut got = base.clone();
+                pb.add_column_sums(&mut got);
+                let what = format!("column sums {dims:?} {variant:?}");
+                assert_same_modulo_nan_bits(
+                    &Tensor::from_vec(got, &[dims[1]]).unwrap(),
+                    &Tensor::from_vec(want_sums.clone(), &[dims[1]]).unwrap(),
+                    &what,
+                );
+            }
+        }
+        assert!(pb.pack_nchw_with(&Tensor::zeros(&[4, 4]), KernelVariant::PORTABLE).is_err());
+    }
+
+    /// The flipped pack holds the bits of the transposed pack of the
+    /// explicit `W_flipᵀ` for taps below and above a pack tile, is reused
+    /// while valid, and is repacked after an invalidate, for another tap
+    /// count, or after another orientation of the same weight.
+    #[test]
+    fn flipped_pack_matches_the_explicit_flip_and_follows_the_reuse_rule() {
+        let mut pb = PackedB::new();
+        for (case, &(oc, c, taps)) in
+            [(1, 1, 1), (2, 3, 4), (5, 17, 9), (32, 16, 25), (3, 2, 81)].iter().enumerate()
+        {
+            let w = sparse_input(&[oc, c * taps], case as u64, true, true);
+            for variant in all_variants() {
+                pb.ensure_flipped_with(&w, taps, variant).unwrap();
+                let want = pack_transposed_strided(&flipped_transpose(&w, taps), variant);
+                assert_eq!(bits(&pb.buf), bits(&want.buf), "{oc}x{c}x{taps} {variant:?}");
+                assert_eq!((pb.k(), pb.n()), (want.k(), want.n()));
+            }
+        }
+        let v = KernelVariant::PORTABLE;
+        let w = Tensor::ones(&[2, 12]);
+        pb.ensure_flipped_with(&w, 4, v).unwrap();
+        pb.ensure_flipped_with(&Tensor::full(&[2, 12], 2.0), 4, v).unwrap();
+        assert_eq!(pb.panel(0)[0], 1.0, "a valid pack must not be repacked");
+        pb.ensure_flipped_with(&Tensor::full(&[2, 12], 2.0), 3, v).unwrap();
+        assert_eq!((pb.k(), pb.n(), pb.panel(0)[0]), (6, 4, 2.0), "other taps must repack");
+        pb.ensure_transposed_with(&Tensor::full(&[6, 4], 3.0), v).unwrap();
+        pb.ensure_flipped_with(&Tensor::full(&[2, 12], 4.0), 3, v).unwrap();
+        assert_eq!(pb.panel(0)[0], 4.0, "another orientation must repack");
+        pb.invalidate();
+        pb.ensure_flipped_with(&Tensor::full(&[2, 12], 5.0), 3, v).unwrap();
+        assert_eq!(pb.panel(0)[0], 5.0, "an invalidated pack must repack");
+        assert!(pb.ensure_flipped_with(&w, 5, v).is_err(), "taps must divide the columns");
+        assert!(pb.ensure_flipped_with(&w, 0, v).is_err());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! written, and each register tile lands transposed, bias added, in the
 //! NCHW output. Its weight gradient runs the `Aᵀ·B` form with the same
 //! implicit matrix as `A`, `dWᵀ = patchesᵀ · dy_rows` (`k`-blocked:
-//! [`matmul_tn_patches_into`]), and its input gradient scatters its
-//! `A·B` tiles back through the table ([`matmul_scatter_patches_into`]).
+//! [`matmul_tn_patches_into`]), and its input gradient is the forward
+//! form again, over the padded `dy` against the flipped kernel, with no
+//! bias (see [`crate::conv`]).
 //! Output row tiles — images, for the conv forward — are claimed by the
 //! threads of the [`aergia_runtime`] pool once a product is worth
 //! threading (`PAR_FLOPS`).
@@ -44,8 +45,7 @@
 
 use crate::conv::PatchTable;
 use crate::gemm::{
-    gemm_packed, gemm_packed_tn, gemm_patches_nt, gemm_patches_tn, gemm_scatter_patches, GemmOp,
-    PackedA, PackedB,
+    gemm_packed, gemm_packed_tn, gemm_patches_nt, gemm_patches_tn, GemmOp, PackedA, PackedB,
 };
 use crate::{Tensor, TensorError};
 
@@ -281,16 +281,19 @@ pub fn matmul_nt_packed_into(
     Ok(())
 }
 
-/// A convolution's forward `patches(xpad) · Bᵀ + bias`, written as the
+/// A forward convolution `patches(xpad) · Bᵀ (+ bias)`, written as the
 /// NCHW output: `xpad` is the zero-padded input [`PatchTable::pad_into`]
 /// wrote, `table` says where each patch element lives in it, `pb` holds
-/// the transposed weight (`Bᵀ` is `[n, C·kh·kw]`) and `bias` is `[n]`.
-/// `out` is reset to `[N, n, OH, OW]` and overwritten. Bit-identical to
-/// [`matmul_nt_reference`] on the explicit [`crate::conv::im2col_into`]
-/// matrix plus one add of the bias, moved from rows `(n, oh, ow)` to
-/// NCHW, with the same `nt` GEMM count; but neither the patch matrix nor
-/// the row-major product is ever written — each register tile is stored
-/// transposed, bias added, straight into `out`.
+/// the transposed weight (`Bᵀ` is `[n, C·kh·kw]`) and `bias`, when given,
+/// is `[n]`. `out` is reset to `[N, n, OH, OW]` and overwritten.
+/// Bit-identical to [`matmul_nt_reference`] on the explicit
+/// [`crate::conv::im2col_into`] matrix plus one add of the bias, moved
+/// from rows `(n, oh, ow)` to NCHW, with the same `nt` GEMM count; but
+/// neither the patch matrix nor the row-major product is ever written —
+/// each register tile is stored transposed, bias added, straight into
+/// `out`. A layer's input gradient runs here too, over its padded `dy`
+/// against the flipped kernel
+/// ([`crate::gemm::PackedB::ensure_flipped_with`]), with no bias.
 ///
 /// # Errors
 ///
@@ -305,7 +308,7 @@ pub fn matmul_nt_patches_into(
     xpad: &Tensor,
     table: &PatchTable,
     pb: &PackedB,
-    bias: &Tensor,
+    bias: Option<&Tensor>,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     assert!(pb.is_valid(), "matmul_nt_patches_into: stale PackedB (pack or ensure it first)");
@@ -315,7 +318,8 @@ pub fn matmul_nt_patches_into(
 /// [`matmul_tn_packed_into`] with the implicit patch matrix of a
 /// convolution as `A`: `patches(xpad)ᵀ (C·kh·kw × m) · B (m × n) →
 /// C (C·kh·kw × n)` — a convolution's weight gradient, transposed,
-/// `dWᵀ = patchesᵀ · dy_rows`, with `pb` the packed `dy_rows`. The
+/// `dWᵀ = patchesᵀ · dy_rows`, with `pb` the packed `dy_rows`
+/// ([`crate::gemm::PackedB::pack_nchw_with`] packs them from NCHW). The
 /// patches are read in place from `xpad` through `table`, the shared
 /// dimension (a whole batch of patch rows) is walked in blocks, and the
 /// output rows split across the pool. Bit-identical to
@@ -341,38 +345,6 @@ pub fn matmul_tn_patches_into(
 ) -> Result<(), TensorError> {
     assert!(pb.is_valid(), "matmul_tn_patches_into: stale PackedB (pack it first)");
     gemm_patches_tn(xpad, table, pb, out)
-}
-
-/// A convolution's input gradient `dx = col2im(dy_rows · W)` without the
-/// `[N·OH·OW, C·kh·kw]` patch-matrix gradient: `dy_rows · W` (`W` packed
-/// in `pb`, the `nn` kernels of [`matmul_packed_into`]) is
-/// computed a few patch rows at a time into a tile of `tiles` and
-/// scatter-added through `table` into the zero-padded gradient `dxpad`,
-/// which is then cropped into `out` (`[N, C, H, W]`). Bit-identical to
-/// [`matmul_packed_into`] followed by [`crate::conv::col2im_into`], with
-/// the same `nn` GEMM count. `tiles`, `dxpad` and `out` are reset and
-/// overwritten, so their previous shapes and contents never matter.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if `dy_rows` is not rank 2 and
-/// [`TensorError::ShapeMismatch`] if its columns disagree with the pack's
-/// `k`, the pack's `n` with the table's `k`, or its rows are no whole
-/// number of images; the outputs are untouched on error.
-///
-/// # Panics
-///
-/// Panics if `pb` is stale.
-pub fn matmul_scatter_patches_into(
-    dy_rows: &Tensor,
-    pb: &PackedB,
-    table: &PatchTable,
-    tiles: &mut Tensor,
-    dxpad: &mut Tensor,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    assert!(pb.is_valid(), "matmul_scatter_patches_into: stale PackedB (pack or ensure it first)");
-    gemm_scatter_patches(dy_rows, pb, table, tiles, dxpad, out)
 }
 
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the

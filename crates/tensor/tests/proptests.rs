@@ -1,7 +1,7 @@
 //! Property-based tests for tensor algebra: the packed GEMM forms against
 //! naive references, im2col/col2im adjointness.
 
-use aergia_tensor::conv::{col2im_into, im2col_into, nchw_to_rows_into, ConvGeometry};
+use aergia_tensor::conv::{col2im_into, im2col_into, ConvGeometry};
 use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedA, PackedB};
 use aergia_tensor::{ops, Tensor};
 use proptest::prelude::*;
@@ -276,8 +276,12 @@ proptest! {
         prop_assert!(approx_eq(&x, &a, 1e-4));
     }
 
+    /// `I · B` with `B` an NCHW tensor packed as its pixel-row matrix
+    /// gives that matrix back: row `(img, pixel)`, column `channel` is
+    /// `x[img, channel, pixel]`, through a dirty pack and output of other
+    /// shapes.
     #[test]
-    fn nchw_rows_round_trip(
+    fn nchw_pack_round_trip(
         n in 1usize..3, c in 1usize..4, h in 1usize..5, w in 1usize..5,
         seed in any::<u64>(),
     ) {
@@ -287,13 +291,21 @@ proptest! {
             (0..n * c * h * w).map(|_| rng.random_range(-1.0..1.0)).collect(),
             &[n, c, h, w],
         ).unwrap();
-        let mut rows = Tensor::full(&[2, 3], f32::NAN);
-        nchw_to_rows_into(&x, &mut rows).unwrap();
-        prop_assert_eq!(rows.dims(), &[n * h * w, c]);
-        // Row `(img, pixel)`, column `channel` is `x[img, channel, pixel]`,
-        // through a dirty output of another shape.
+        let rows = n * h * w;
+        let v = tuned_variant(GemmOp::Nn, rows, rows, c);
+        let mut pb = PackedB::new();
+        pb.pack_with(&Tensor::full(&[3, 2], f32::NAN), v).unwrap();
+        pb.pack_nchw_with(&x, v).unwrap();
+        prop_assert_eq!((pb.k(), pb.n()), (rows, c));
+        let eye = Tensor::from_vec(
+            (0..rows * rows).map(|i| if i / rows == i % rows { 1.0 } else { 0.0 }).collect(),
+            &[rows, rows],
+        ).unwrap();
+        let mut out = Tensor::full(&[2, 3], f32::NAN);
+        ops::matmul_packed_into(&eye, &pb, &mut out).unwrap();
+        prop_assert_eq!(out.dims(), &[rows, c]);
         let hw = h * w;
-        for (i, &v) in rows.data().iter().enumerate() {
+        for (i, &v) in out.data().iter().enumerate() {
             let (img, pix, ch) = (i / (hw * c), i / c % hw, i % c);
             prop_assert_eq!(v.to_bits(), x.data()[(img * c + ch) * hw + pix].to_bits());
         }

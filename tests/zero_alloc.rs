@@ -39,7 +39,7 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 fn full_model(seed: u64) -> Cnn {
     let mut rng = StdRng::seed_from_u64(seed);
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(1, 4, 3, 1, 1, 8, 8, &mut rng)),
+        Box::new(Conv2d::new(1, 4, 3, 1, 8, 8, &mut rng)),
         Box::new(Relu::new()),
         Box::new(ResidualBlock::new(4, 6, 8, 8, &mut rng)),
         Box::new(MaxPool2d::new(8, 8)),
@@ -79,7 +79,7 @@ fn steady_state_training_loop_is_allocation_free() {
     // model matching the dataset for the end-to-end loop instead.
     let mut rng = StdRng::seed_from_u64(11);
     let layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(Conv2d::new(1, 4, 3, 1, 1, 28, 28, &mut rng)),
+        Box::new(Conv2d::new(1, 4, 3, 1, 28, 28, &mut rng)),
         Box::new(Relu::new()),
         Box::new(MaxPool2d::new(28, 28)),
         Box::new(Flatten::new()),
