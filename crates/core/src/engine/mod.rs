@@ -197,6 +197,8 @@ pub struct Engine {
     /// through the cache-free inference forward, so its workspace holds
     /// four scratch buffers however deep the model.
     eval_state: Vec<EvalShard>,
+    /// The plan stage's queue and tables, reused round after round.
+    pub(crate) walk: round::WalkBuffers,
     /// Test accuracy of the current `global`, when the last round already
     /// measured it; cleared wherever `global` is written.
     last_accuracy: Option<f64>,
@@ -410,6 +412,7 @@ impl Engine {
             tifl,
             churn,
             eval_state: Vec::new(),
+            walk: round::WalkBuffers::default(),
             last_accuracy: None,
         })
     }

@@ -37,6 +37,7 @@
 //! remaining participants and the silent client joins the dropped set.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use aergia_enclave::SimilarityView;
 use aergia_nn::NnError;
@@ -75,7 +76,7 @@ pub(crate) struct RoundPlan {
     /// When each straggler's trained feature section reached the
     /// federator. A receiver that crashes sends none, so a straggler's
     /// section comes from one receiver at most.
-    offload_results: HashMap<usize, SimTime>,
+    offload_results: IdMap<SimTime>,
     /// Sender → receiver pairs whose offload was activated, in order.
     pub(crate) offloads: Vec<(usize, usize)>,
     /// Participants whose update did not reach the federator by the
@@ -135,19 +136,91 @@ enum Dest {
     Federator,
 }
 
-/// The three event kinds that drive a round.
+/// The three event kinds that drive a round. A delivery names the
+/// [`InFlight`] slot its message waits in, so every queue entry is two
+/// words and an event whatever the message carries.
 #[derive(Debug)]
 enum Ev {
-    Deliver(Dest, Message),
-    BatchDone(usize),
-    OffloadBatchDone(usize),
+    Deliver(u32),
+    BatchDone(u32),
+    OffloadBatchDone(u32),
 }
+
+/// Client ids travel in events as `u32`, like [`NodeId`]s.
+fn ev_id(c: usize) -> u32 {
+    u32::try_from(c).expect("client ids fit a NodeId")
+}
+
+/// The messages on the wire: each waits in a slot until its delivery
+/// event pops, and the slot is reused after. The table grows to the most
+/// messages ever in flight at once, not to the messages of a round.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<(Dest, Message)>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    fn put(&mut self, dest: Dest, msg: Message) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = (dest, msg);
+                slot
+            }
+            None => {
+                self.slots.push((dest, msg));
+                u32::try_from(self.slots.len() - 1).expect("in-flight slots fit a u32")
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> (Dest, Message) {
+        self.free.push(slot);
+        self.slots[slot as usize].clone()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+}
+
+/// Hashes a client id with one multiply by an odd constant. The table
+/// takes its bucket from the low bits, which consecutive ids fill without
+/// a collision, and its tag from the high bits, which the multiply mixes.
+/// Ids are not chosen by an adversary, so SipHash's keyed defence buys
+/// nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.0 = (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by client id. Nothing iterates one in an order that could
+/// reach a result: the only walk is a `max` over values.
+type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
+type IdSet = HashSet<usize, BuildHasherDefault<IdHasher>>;
 
 /// Per-round, per-client state machine (virtual time only — the numeric
 /// training it implies is captured in the [`ClientPlan`]).
 struct RClient {
     active: bool,
-    profiler: Option<OnlineProfiler>,
+    /// A window of 0 (the idle value, and every strategy but Aergia's)
+    /// never reports.
+    profiler: OnlineProfiler,
     batches_done: u32,
     frozen: bool,
     /// Number of own batches completed when the freeze instruction landed.
@@ -155,7 +228,8 @@ struct RClient {
     /// The client's update has left for the federator.
     own_done: bool,
     // Receiver-side offload state.
-    notice: Option<SignedAssignment>,
+    /// The straggler a schedule notice assigned this client.
+    notice_from: Option<usize>,
     /// The straggler whose model this client received for training.
     offload_from: Option<usize>,
     /// Offloaded batches actually executed (virtual clock charged).
@@ -173,12 +247,12 @@ impl RClient {
     fn idle() -> Self {
         RClient {
             active: false,
-            profiler: None,
+            profiler: OnlineProfiler::default(),
             batches_done: 0,
             frozen: false,
             frozen_at: None,
             own_done: false,
-            notice: None,
+            notice_from: None,
             offload_from: None,
             offload_batches_run: 0,
             offload_remaining: 0,
@@ -205,13 +279,13 @@ impl RClient {
 /// Reads of untouched clients fall back to a shared idle value; writes
 /// materialise the entry on first access.
 struct RTable {
-    map: HashMap<usize, RClient>,
+    map: IdMap<RClient>,
     idle: RClient,
 }
 
-impl RTable {
-    fn new() -> Self {
-        RTable { map: HashMap::new(), idle: RClient::idle() }
+impl Default for RTable {
+    fn default() -> Self {
+        RTable { map: IdMap::default(), idle: RClient::idle() }
     }
 }
 
@@ -230,6 +304,17 @@ impl std::ops::IndexMut<usize> for RTable {
 
 fn node(id: usize) -> NodeId {
     NodeId(id as u32)
+}
+
+/// The plan stage's buffers, kept on the engine so a round reuses the
+/// last round's capacity. Each walk drains the queue and clears the other
+/// two first. The queue's sequence counter keeps growing across rounds,
+/// so events at one instant still pop in the order they were pushed.
+#[derive(Default)]
+pub(crate) struct WalkBuffers {
+    queue: EventQueue<Ev>,
+    in_flight: InFlight,
+    clients: RTable,
 }
 
 /// The plan stage's state: the event queue, every touched client's state
@@ -251,12 +336,16 @@ struct Walk<'a> {
     op_variant: OpVariant,
     /// Whether the churn policy re-assigns a crashed receiver's offload.
     reschedule: bool,
-    queue: EventQueue<Ev>,
-    clients: RTable,
-    reports: HashMap<usize, ProfileReport>,
+    queue: &'a mut EventQueue<Ev>,
+    in_flight: &'a mut InFlight,
+    clients: &'a mut RTable,
+    reports: IdMap<ProfileReport>,
+    /// Participants the scheduler still waits for: neither their report
+    /// has arrived nor have they crashed.
+    reports_owed: usize,
     schedule_sent: bool,
     updates: Vec<UpdateArrival>,
-    offload_results: HashMap<usize, SimTime>,
+    offload_results: IdMap<SimTime>,
     offloads: Vec<(usize, usize)>,
 }
 
@@ -283,6 +372,10 @@ pub(crate) fn plan(
         Strategy::DeadlineFedAvg { deadline } => Some(deadline),
         _ => None,
     };
+    let WalkBuffers { queue, in_flight, clients } = &mut engine.walk;
+    debug_assert!(queue.is_empty(), "the last walk drained its queue");
+    in_flight.clear();
+    clients.map.clear();
     let mut walk = Walk {
         round,
         participants,
@@ -301,12 +394,14 @@ pub(crate) fn plan(
             .scenario
             .churn
             .is_some_and(|c| c.offload_policy == OffloadPolicy::Reschedule),
-        queue: EventQueue::new(),
-        clients: RTable::new(),
-        reports: HashMap::new(),
+        queue,
+        in_flight,
+        clients,
+        reports: IdMap::default(),
+        reports_owed: participants.len(),
         schedule_sent: false,
         updates: Vec::new(),
-        offload_results: HashMap::new(),
+        offload_results: IdMap::default(),
         offloads: Vec::new(),
     };
     {
@@ -319,10 +414,11 @@ pub(crate) fn plan(
             walk.handle(now, ev);
         }
     }
-    let Walk { clients: rclients, updates, offload_results, offloads, .. } = walk;
+    let Walk { updates, offload_results, offloads, .. } = walk;
+    let rclients = &engine.walk.clients;
 
     // Every participant's numeric workload, from the finished trace.
-    let wanted: HashSet<usize> = participants
+    let wanted: IdSet = participants
         .iter()
         .filter_map(|&p| rclients[p].surviving_offload())
         .map(|offload| offload.weak)
@@ -366,7 +462,7 @@ pub(crate) fn plan(
     // A participant is dropped when its update missed the cutoff: it
     // crashed before uploading, the network lost the upload, or the
     // deadline passed first.
-    let arrived: HashSet<usize> =
+    let arrived: IdSet =
         plan.updates.iter().filter(|u| plan.on_time(u.arrived)).map(|u| u.client).collect();
     plan.dropped = participants.iter().copied().filter(|p| !arrived.contains(p)).collect();
     plan
@@ -382,65 +478,36 @@ impl Walk<'_> {
             Dest::Federator => NodeId::FEDERATOR,
         };
         if let Delivery::After(d) = self.network.send(from, to, msg.wire_size(&self.sizes)) {
-            self.queue.push(now + d, Ev::Deliver(dest, msg));
+            let slot = self.in_flight.put(dest, msg);
+            self.queue.push(now + d, Ev::Deliver(slot));
         }
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
-        let round = self.round;
         match ev {
-            Ev::Deliver(Dest::Client(c), Message::StartRound { round: r }) => {
+            Ev::Deliver(slot) => {
+                let (dest, msg) = self.in_flight.take(slot);
+                self.deliver(now, dest, msg);
+            }
+            Ev::BatchDone(c) => self.batch_done(now, c as usize),
+            Ev::OffloadBatchDone(c) => self.offload_batch_done(now, c as usize),
+        }
+    }
+
+    fn deliver(&mut self, now: SimTime, dest: Dest, msg: Message) {
+        let round = self.round;
+        match (dest, msg) {
+            (Dest::Client(c), Message::StartRound { round: r }) => {
                 if r != round {
                     return; // stale start (cannot happen without faults)
                 }
                 let rc = &mut self.clients[c];
                 rc.active = true;
-                if self.profile_window > 0 {
-                    rc.profiler = Some(OnlineProfiler::new(self.profile_window));
-                }
-                self.queue.push(now + self.nodes[c].full_batch(), Ev::BatchDone(c));
+                rc.profiler = OnlineProfiler::new(self.profile_window);
+                self.queue.push(now + self.nodes[c].full_batch(), Ev::BatchDone(ev_id(c)));
             }
 
-            Ev::BatchDone(c) => {
-                if self.clients[c].crashed || self.crashes(c, now) {
-                    return;
-                }
-                let client = &self.nodes[c];
-                let rc = &mut self.clients[c];
-                rc.batches_done += 1;
-                // Online profiling (§4.2): record the virtual per-phase
-                // cost; report to the federator when the window fills.
-                let remaining_updates = self.local_updates - rc.batches_done;
-                let report = rc.profiler.as_mut().and_then(|prof| {
-                    prof.record(client.phase_secs).then(|| ProfileReport {
-                        round,
-                        per_batch: prof.per_batch(),
-                        remaining_updates,
-                    })
-                });
-                let tau = rc.batches_done;
-                rc.own_done = tau >= self.local_updates;
-                let own_done = rc.own_done;
-                let next = if rc.frozen { client.frozen_batch() } else { client.full_batch() };
-                let num_samples = client.shard_len;
-                if let Some(report) = report {
-                    self.send(
-                        now,
-                        node(c),
-                        Dest::Federator,
-                        Message::Profile { client: c, report },
-                    );
-                }
-                if own_done {
-                    let update = Message::ClientUpdate { round, client: c, num_samples, tau };
-                    self.send(now, node(c), Dest::Federator, update);
-                    self.try_start_offload(c, now);
-                } else {
-                    self.queue.push(now + next, Ev::BatchDone(c));
-                }
-            }
-
-            Ev::Deliver(Dest::Federator, Message::Profile { client, report }) => {
+            (Dest::Federator, Message::Profile { client, report }) => {
                 if report.round != round {
                     return;
                 }
@@ -448,11 +515,14 @@ impl Walk<'_> {
                 // (virtual seconds, so the histograms are seed-pure).
                 telemetry::PROFILE_T123.observe(report.t123());
                 telemetry::PROFILE_T4.observe(report.t4());
-                self.reports.insert(client, report);
+                // A crashed participant stopped being owed its report.
+                if self.reports.insert(client, report).is_none() && !self.clients[client].crashed {
+                    self.reports_owed -= 1;
+                }
                 self.try_schedule(now);
             }
 
-            Ev::Deliver(Dest::Client(c), Message::Schedule(signed)) => {
+            (Dest::Client(c), Message::Schedule(signed)) => {
                 // §4.1: signatures + sequence numbers make late or forged
                 // scheduling messages harmless.
                 if !signed.verify(self.federator_secret, round) {
@@ -470,17 +540,17 @@ impl Walk<'_> {
                 self.send(now, node(c), Dest::Client(receiver), model);
             }
 
-            Ev::Deliver(Dest::Client(c), Message::ScheduleNotice(signed)) => {
+            (Dest::Client(c), Message::ScheduleNotice(signed)) => {
                 if !signed.verify(self.federator_secret, round) || self.clients[c].crashed {
                     return;
                 }
                 let rc = &mut self.clients[c];
-                rc.notice = Some(signed);
+                rc.notice_from = Some(signed.assignment.sender);
                 rc.offload_remaining = signed.assignment.offload_batches;
                 self.try_start_offload(c, now);
             }
 
-            Ev::Deliver(Dest::Client(c), Message::OffloadModel { round: r, from }) => {
+            (Dest::Client(c), Message::OffloadModel { round: r, from }) => {
                 if r != round || self.clients[c].crashed {
                     return;
                 }
@@ -488,33 +558,13 @@ impl Walk<'_> {
                 self.try_start_offload(c, now);
             }
 
-            Ev::OffloadBatchDone(c) => {
-                if self.clients[c].crashed || self.crashes(c, now) {
-                    return;
-                }
-                let rc = &mut self.clients[c];
-                rc.offload_batches_run += 1;
-                rc.offload_remaining -= 1;
-                if rc.offload_remaining > 0 {
-                    self.queue.push(now + self.nodes[c].feature_batch(), Ev::OffloadBatchDone(c));
-                } else {
-                    rc.offload_running = false;
-                    let weak = rc.offload_from.expect("offload in progress");
-                    let result = Message::OffloadedResult { round, weak };
-                    self.send(now, node(c), Dest::Federator, result);
-                }
-            }
-
-            Ev::Deliver(
-                Dest::Federator,
-                Message::ClientUpdate { round: r, client, num_samples, tau },
-            ) => {
+            (Dest::Federator, Message::ClientUpdate { round: r, client, num_samples, tau }) => {
                 if r == round {
                     self.updates.push(UpdateArrival { client, num_samples, tau, arrived: now });
                 }
             }
 
-            Ev::Deliver(Dest::Federator, Message::OffloadedResult { round: r, weak }) => {
+            (Dest::Federator, Message::OffloadedResult { round: r, weak }) => {
                 if r == round {
                     self.offload_results.insert(weak, now);
                 }
@@ -522,9 +572,61 @@ impl Walk<'_> {
 
             // Remaining combinations are protocol violations; in a
             // simulation they indicate a bug, so surface them loudly.
-            Ev::Deliver(dest, msg) => {
+            (dest, msg) => {
                 unreachable!("unexpected message {msg:?} delivered to {dest:?}")
             }
+        }
+    }
+
+    /// One of `c`'s own batches finished.
+    fn batch_done(&mut self, now: SimTime, c: usize) {
+        if self.clients[c].crashed || self.crashes(c, now) {
+            return;
+        }
+        let round = self.round;
+        let client = &self.nodes[c];
+        let rc = &mut self.clients[c];
+        rc.batches_done += 1;
+        // Online profiling (§4.2): record the virtual per-phase cost;
+        // report to the federator when the window fills.
+        let remaining_updates = self.local_updates - rc.batches_done;
+        let report = rc.profiler.record(client.phase_secs).then(|| ProfileReport {
+            round,
+            per_batch: rc.profiler.per_batch(),
+            remaining_updates,
+        });
+        let tau = rc.batches_done;
+        rc.own_done = tau >= self.local_updates;
+        let own_done = rc.own_done;
+        let next = if rc.frozen { client.frozen_batch() } else { client.full_batch() };
+        let num_samples = client.shard_len;
+        if let Some(report) = report {
+            self.send(now, node(c), Dest::Federator, Message::Profile { client: c, report });
+        }
+        if own_done {
+            let update = Message::ClientUpdate { round, client: c, num_samples, tau };
+            self.send(now, node(c), Dest::Federator, update);
+            self.try_start_offload(c, now);
+        } else {
+            self.queue.push(now + next, Ev::BatchDone(ev_id(c)));
+        }
+    }
+
+    /// One of the batches `c` trains for a straggler finished.
+    fn offload_batch_done(&mut self, now: SimTime, c: usize) {
+        if self.clients[c].crashed || self.crashes(c, now) {
+            return;
+        }
+        let rc = &mut self.clients[c];
+        rc.offload_batches_run += 1;
+        rc.offload_remaining -= 1;
+        if rc.offload_remaining > 0 {
+            self.queue.push(now + self.nodes[c].feature_batch(), Ev::OffloadBatchDone(ev_id(c)));
+        } else {
+            rc.offload_running = false;
+            let weak = rc.offload_from.expect("offload in progress");
+            let result = Message::OffloadedResult { round: self.round, weak };
+            self.send(now, node(c), Dest::Federator, result);
         }
     }
 
@@ -542,6 +644,9 @@ impl Walk<'_> {
         rc.crashed = true;
         rc.active = false;
         rc.offload_running = false;
+        if !self.reports.contains_key(&c) {
+            self.reports_owed -= 1;
+        }
         telemetry::record_crash(self.round, c, now.as_micros());
         self.handle_crash(c, now);
         true
@@ -556,8 +661,8 @@ impl Walk<'_> {
     fn handle_crash(&mut self, c: usize, now: SimTime) {
         self.try_schedule(now);
         let rc = &self.clients[c];
-        let Some(signed) = rc.notice.filter(|_| rc.offload_remaining > 0) else { return };
-        let (weak, remaining) = (signed.assignment.sender, rc.offload_remaining);
+        let Some(weak) = rc.notice_from.filter(|_| rc.offload_remaining > 0) else { return };
+        let remaining = rc.offload_remaining;
         if !self.reschedule || self.clients[weak].crashed {
             return;
         }
@@ -567,7 +672,12 @@ impl Walk<'_> {
             .copied()
             .filter(|&p| {
                 let rc = &self.clients[p];
-                p != c && p != weak && rc.active && !rc.crashed && !rc.frozen && rc.notice.is_none()
+                p != c
+                    && p != weak
+                    && rc.active
+                    && !rc.crashed
+                    && !rc.frozen
+                    && rc.notice_from.is_none()
             })
             .max_by(|&a, &b| {
                 let speed = |p: usize| self.nodes[p].cpu.speed();
@@ -593,13 +703,7 @@ impl Walk<'_> {
     /// inside its profile window delays the schedule only until the
     /// remaining reports land, instead of stalling it forever.
     fn try_schedule(&mut self, now: SimTime) {
-        if self.schedule_sent
-            || self.profile_window == 0
-            || !self
-                .participants
-                .iter()
-                .all(|p| self.reports.contains_key(p) || self.clients[*p].crashed)
-        {
+        if self.schedule_sent || self.profile_window == 0 || self.reports_owed > 0 {
             return;
         }
         self.schedule_sent = true;
@@ -642,11 +746,11 @@ impl Walk<'_> {
         if rc.own_done
             && !rc.offload_running
             && rc.offload_remaining > 0
-            && rc.notice.is_some()
+            && rc.notice_from.is_some()
             && rc.offload_from.is_some()
         {
             rc.offload_running = true;
-            self.queue.push(now + self.nodes[c].feature_batch(), Ev::OffloadBatchDone(c));
+            self.queue.push(now + self.nodes[c].feature_batch(), Ev::OffloadBatchDone(ev_id(c)));
         }
     }
 }
@@ -935,4 +1039,73 @@ pub(crate) fn fold_round(
     let parallel = engine.config.parallelism != 1;
     fold::aggregate(rule, &mut engine.global, updates, engine.cohorts.num_edges(), parallel);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ExperimentConfig, Mode};
+
+    /// Plans round 0 of six timing-mode Aergia clients, five fast ones
+    /// and a 10× straggler (client 5), each crashing at `crash_after`.
+    /// With `slow_uplink`, client 0's messages to the federator take three
+    /// of its batches to land.
+    fn plan_with_crashes(crash_after: &[Option<u32>], slow_uplink: bool) -> RoundPlan {
+        let config = ExperimentConfig {
+            dataset: aergia_data::DataConfig {
+                spec: aergia_data::DatasetSpec::MnistLike,
+                train_size: 96,
+                test_size: 16,
+                seed: 3,
+            },
+            num_clients: 6,
+            clients_per_round: 6,
+            speeds: vec![1.0, 0.9, 0.8, 0.7, 0.6, 0.1],
+            mode: Mode::Timing,
+            ..ExperimentConfig::default()
+        };
+        let mut engine = Engine::new(config, Strategy::aergia_default()).unwrap();
+        if slow_uplink {
+            let mut link = engine.network.link(node(0), NodeId::FEDERATOR);
+            link.latency = engine.clients[0].full_batch().mul_f64(3.0);
+            engine.network.set_link(node(0), NodeId::FEDERATOR, link);
+        }
+        let participants: Vec<usize> = (0..6).collect();
+        let sizes = engine.wire.round_sizes();
+        plan(&mut engine, 0, SimTime::ZERO, &participants, crash_after, sizes)
+    }
+
+    fn crash(client: usize, after: u32) -> Vec<Option<u32>> {
+        let mut crash_after = vec![None; 6];
+        crash_after[client] = Some(after);
+        crash_after
+    }
+
+    /// A participant that crashes inside its profile window never
+    /// reports; the schedule still goes out once everyone else has.
+    #[test]
+    fn schedule_goes_out_when_a_participant_crashes_before_reporting() {
+        let plan = plan_with_crashes(&crash(0, 1), false);
+        assert!(plan.offloads.iter().any(|&(sender, _)| sender == 5), "{:?}", plan.offloads);
+        assert_eq!(plan.dropped, [0]);
+    }
+
+    /// A participant that crashes after its report left stops being owed
+    /// once, whether the report lands before the crash or after it (on
+    /// the slow uplink, a crash at batch 3 or 4 beats the report): the
+    /// schedule waits for the straggler's report, as with no crash.
+    #[test]
+    fn a_crash_after_reporting_is_not_counted_twice() {
+        for slow_uplink in [false, true] {
+            let clean = plan_with_crashes(&[None; 6], slow_uplink);
+            assert!(clean.offloads.iter().any(|&(sender, _)| sender == 5));
+            // The window is 2 batches: the report leaves at the second one.
+            for after in 3..=8 {
+                let plan = plan_with_crashes(&crash(0, after), slow_uplink);
+                let case = format!("crash after {after} batches, slow uplink {slow_uplink}");
+                assert_eq!(plan.offloads, clean.offloads, "{case}");
+                assert_eq!(plan.dropped, [0], "{case}");
+            }
+        }
+    }
 }

@@ -497,3 +497,73 @@ fn fedavg_parallel_round_is_bit_identical_to_serial_and_capped() {
     let capped = run_with_parallelism(fig6_smoke(34), strategy, 2);
     assert_bit_identical(&serial, &capped, "fedavg capped");
 }
+
+/// The benchmark's `plan_4k` workload at seed 7 for 3 rounds: 4 096
+/// Aergia clients in timing mode, a shuffled [0.1, 1.0] speed ladder and
+/// 3-class non-IID shards. Its benchmark fingerprint hashes only the
+/// untrained initial weights, so this pin is what sees the plan itself:
+/// every round's duration, offload pairs, dropped set and wire bytes.
+#[test]
+fn plan_4k_round_records_are_pinned() {
+    use aergia::config::Mode;
+    use aergia_codec::CodecConfig;
+    use aergia_data::partition::Scheme;
+
+    force_pool_workers();
+    // The benchmark's sub-seed streams (splitmix64 finaliser over
+    // `seed + stream · golden`), data = 1, speeds = 2, engine = 4.
+    let sub_seed = |seed: u64, stream: u64| {
+        let mut z = seed.wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    const N: usize = 4096;
+    let (seed, speed_seed) = (7, sub_seed(7, 2));
+    let mut speeds: Vec<f64> = (0..N).map(|i| 0.1 + 0.9 * i as f64 / (N - 1) as f64).collect();
+    for i in (1..N).rev() {
+        speeds.swap(i, (sub_seed(speed_seed, i as u64) % (i as u64 + 1)) as usize);
+    }
+    let config = ExperimentConfig {
+        dataset: aergia_data::DataConfig {
+            spec: DatasetSpec::MnistLike,
+            train_size: 16 * N,
+            test_size: 64,
+            seed: sub_seed(seed, 1),
+        },
+        arch: ModelArch::MnistCnn,
+        partition: Scheme::NonIid { classes_per_client: 3 },
+        num_clients: N,
+        clients_per_round: N,
+        rounds: 3,
+        local_updates: 16,
+        batch_size: 8,
+        eval_samples: 128,
+        parallelism: 0,
+        speeds,
+        mode: Mode::Timing,
+        codec: CodecConfig::DenseF32,
+        seed: sub_seed(seed, 4),
+        ..ExperimentConfig::default()
+    };
+    let result = Engine::new(config, Strategy::aergia_default()).unwrap().run().unwrap();
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
+    let mut summary = Vec::new();
+    for r in &result.rounds {
+        eat(&r.duration.as_micros().to_le_bytes());
+        eat(&r.bytes_on_wire.to_le_bytes());
+        for &(src, dst) in &r.offloads {
+            eat(&(src as u64).to_le_bytes());
+            eat(&(dst as u64).to_le_bytes());
+        }
+        for &d in &r.dropped {
+            eat(&(d as u64).to_le_bytes());
+        }
+        summary.push((r.duration.as_micros(), r.offloads.len(), r.dropped.len(), r.bytes_on_wire));
+    }
+    // Every round plays the same: all 4 096 selected, the same reports.
+    let round = (5_032_140, 1_323, 0, 1_173_412_060);
+    assert_eq!(summary, [round; 3], "plan_4k round shape moved");
+    assert_eq!(h, 0x5149_7f99_1f12_8a67, "plan_4k offload pairs or dropped sets moved");
+}
