@@ -28,7 +28,7 @@ use aergia_runtime::alloc_count::CountingAllocator;
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Steady-state heap allocations per real-mode Aergia round.
-const ALLOCS_PER_ROUND: u64 = 441;
+const ALLOCS_PER_ROUND: u64 = 438;
 /// Simulated bytes on the wire over the 3-round run, per wire codec.
 const WIRE_BYTES: [(CodecConfig, u64); 3] = [
     (CodecConfig::DenseF32, 3_289_596),

@@ -139,7 +139,7 @@ enum Dest {
 /// The three event kinds that drive a round. A delivery names the
 /// [`InFlight`] slot its message waits in, so every queue entry is two
 /// words and an event whatever the message carries.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Deliver(u32),
     BatchDone(u32),
@@ -726,7 +726,7 @@ impl Walk<'_> {
         let similarity = self.similarity;
         let schedule = scheduler::schedule_with(
             &perfs,
-            |i, j| similarity.distance(i, j),
+            |i, js| similarity.distances(i, js),
             self.similarity_factor,
             self.op_variant,
         );

@@ -8,7 +8,6 @@
 //! an HMAC, consistent with the honest-but-curious threat model.
 
 use aergia_codec::frame;
-use aergia_codec::wire::Wire;
 
 use crate::profiler::ProfileReport;
 use crate::scheduler::Assignment;
@@ -37,9 +36,15 @@ pub struct SignedAssignment {
 }
 
 impl SignedAssignment {
-    fn payload(round: u32, a: &Assignment) -> Vec<u8> {
-        let mut p = Vec::with_capacity(8 * 4);
-        (round, (a.sender as u64, a.receiver as u64), a.offload_batches).put(&mut p);
+    /// The signed bytes, built on the stack: the
+    /// [`Wire`](aergia_codec::wire::Wire) encoding of
+    /// `(round, (sender as u64, receiver as u64), offload_batches)`.
+    fn payload(round: u32, a: &Assignment) -> [u8; 24] {
+        let mut p = [0u8; 24];
+        p[..4].copy_from_slice(&round.to_le_bytes());
+        p[4..12].copy_from_slice(&(a.sender as u64).to_le_bytes());
+        p[12..20].copy_from_slice(&(a.receiver as u64).to_le_bytes());
+        p[20..].copy_from_slice(&a.offload_batches.to_le_bytes());
         p
     }
 
@@ -190,6 +195,22 @@ mod tests {
         let mut signed = SignedAssignment::sign(42, 7, assignment());
         signed.assignment.receiver = 2;
         assert!(!signed.verify(42, 7));
+    }
+
+    #[test]
+    fn payload_is_the_wire_encoding() {
+        use aergia_codec::wire::Wire;
+        for (round, sender, receiver, offload_batches) in [
+            (7, 3, 1, 5),
+            (0, 0, 0, 0),
+            (u32::MAX, u32::MAX as usize, u32::MAX as usize, u32::MAX),
+            (1, usize::MAX, 2, u32::MAX - 1),
+        ] {
+            let a = Assignment { sender, receiver, offload_batches, estimated_ct: 2.0 };
+            let mut wire = Vec::new();
+            (round, (sender as u64, receiver as u64), offload_batches).put(&mut wire);
+            assert_eq!(SignedAssignment::payload(round, &a).as_slice(), wire.as_slice());
+        }
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //!
 //! Distances come through an accessor ([`schedule_with`]), so the engine
 //! asks the enclave's on-demand view instead of holding an n × n matrix,
-//! and the matching loop reads only the pairs that can still win: since
-//! `S ≥ 0` and `f ≥ 0`, the factor `1 + ln(S·f + 1)` is at least 1, and
-//! with `ct ≥ 0` a pair's cost is at least its `ct`. A pair with
-//! `ct ≥ best_cost` can therefore never win the strict
-//! `cost < best_cost`, and is skipped before its distance lookup and its
-//! `ln`. The schedule is the unpruned one, bit for bit. The engine
-//! rejects a negative or non-finite `f` at construction
-//! (`Strategy::validate`).
+//! and the matching loop takes the `ln` of line 24 only for the pairs
+//! that can still win. Since `S ≥ 0` and `f ≥ 0`, the factor
+//! `1 + ln(S·f + 1)` is at least 1, and with `ct ≥ 0` a pair's cost is
+//! at least its `ct`: a pair with `ct ≥ best_cost` can never win the
+//! strict `cost < best_cost`. A sharper bound rules out most of the
+//! rest: for `x = S·f + 1 ≥ 1`, `ln(x) ≥ 2(x−1)/(x+1)`, so a pair whose
+//! `ct·(1 + 2(x−1)/(x+1))` clears `best_cost` by a relative 10⁻⁹ cannot
+//! win either ([`schedule_with`] gives the rounding argument). The
+//! schedule is the unpruned one, bit for bit. The engine rejects a
+//! negative or non-finite `f` at construction (`Strategy::validate`).
 //!
 //! A second bound stops the receiver scan itself. Receivers are sorted by
 //! base load `r_b·t_b`, and each slot carries the minimum base load and
@@ -37,11 +39,13 @@
 //! recurrence has no such minimum.
 //!
 //! The scan walks only free receivers: they form a list in slot order,
-//! and a matched receiver leaves it. It takes them eight at a time and
-//! evaluates their `calc_op` in vector lanes (`calc_op_lanes`); the
-//! distance lookup and the `ln` of line 24 stay one scalar call per pair.
-//! On the benchmark's 4 096-client round (1 323 senders × 2 773
-//! receivers, seed 7), of the 3.67 M sender × receiver slots:
+//! and a matched receiver leaves it. It takes them [`LANES`] = 8 at a
+//! time: `calc_op_lanes` evaluates their `calc_op` in vector lanes, one
+//! call of the `distances` accessor returns their eight distances, and
+//! line 24's bound is computed in lanes too; only the `ln` stays one
+//! scalar call per pair. On the benchmark's 4 096-client round (1 323
+//! senders × 2 773 receivers, seed 7), of the 3.67 M sender × receiver
+//! slots:
 //!
 //! - an unbounded scan would make 2.79 M pair `calc_op` calls;
 //! - the bounded slot-by-slot scan visited 1.17 M slots, 0.72 M of them
@@ -49,9 +53,12 @@
 //!   checks;
 //! - the free-list scan visits 0.46 M free receivers in 57 k blocks of
 //!   eight, for 28.5 k bound checks, and no lane falls back to the
-//!   scalar `calc_op`.
+//!   scalar `calc_op`. It asks for 0.46 M lane distances.
 //!
-//! All three send the same 446 k pairs to a distance lookup.
+//! Of those, 446 k pairs have a `ct` below their sender's best cost. The
+//! line-24 bound rules out 437 k of them, so 8 953 take the `ln`, and
+//! 6 768 lower a best cost. (The cruder `ln(x) ≥ (x−1)/x` would rule out
+//! 425 k.)
 //!
 //! ## A note on Algorithm 2 (`calc_op`)
 //!
@@ -224,8 +231,16 @@ pub fn calc_op_printed(ta: f64, tb: f64, xb: f64, ra: u32, rb: u32) -> (f64, u32
 /// 28.5 k checks to save 2.3 M pair `calc_op` calls.
 const BOUND_STRIDE: usize = 16;
 
-/// Receivers whose `calc_op` [`calc_op_lanes`] evaluates at once.
-const LANES: usize = 8;
+/// Free receivers [`schedule_with`] takes at once: `calc_op_lanes`
+/// evaluates their `calc_op`, and the `distances` accessor answers for
+/// all of them in one call.
+pub const LANES: usize = 8;
+
+/// The relative margin of line 24's lower bound (see [`schedule_with`]):
+/// a pair is skipped without its `ln` only when the bound clears
+/// `best_cost` by this factor, far more than the bound's and the exact
+/// cost's rounding (≈ 12 units of 2^-53 together).
+const MARGIN: f64 = 1.0 + 1e-9;
 
 /// Steps of the branch-free `calc_op` window from the θ-jump start. On a
 /// 4 096-client round every one of the 0.46 M lanes sees its first rise
@@ -320,21 +335,45 @@ pub fn schedule(
     f: f64,
     variant: OpVariant,
 ) -> OffloadSchedule {
-    schedule_with(perfs, |i, j| similarity[i][j], f, variant)
+    schedule_with(perfs, |i, js| js.map(|j| similarity[i][j]), f, variant)
 }
 
 /// Algorithm 1: computes the round's freezing/offloading schedule.
 ///
-/// `distance(i, j)` must return the EMD distance between the datasets of
-/// clients `i` and `j` (0 = identical, never negative); `f` is the
-/// similarity factor of line 24 (`f = 0` ignores data similarity
-/// entirely). Per-batch costs in `perfs` are durations, never negative.
+/// `distances(i, js)` must return in lane `l` the EMD distance between
+/// the datasets of clients `i` and `js[l]` (0 = identical, never
+/// negative); `f` is the similarity factor of line 24 (`f = 0` ignores
+/// data similarity entirely). Per-batch costs in `perfs` are durations,
+/// never negative. `distances` is asked about every free receiver the
+/// scan visits, one block of up to [`LANES`] at a time, before line 24;
+/// the unused lanes of a short block name the sender itself.
 ///
-/// `distance` is called only for sender × receiver pairs whose `ct` is
-/// below the sender's best cost so far: a pair's cost
-/// `ct · (1 + ln(S·f + 1))` is at least `ct` when `S`, `f` and `ct` are
-/// non-negative, so any other pair cannot win the strict comparison. A
-/// NaN `ct` is never skipped and loses exactly as it would unpruned.
+/// Line 24 takes its `ln` only for a pair that can still beat the
+/// sender's best cost so far. With `x = S·f + 1`, a pair is skipped when
+///
+/// - `ct ≥ best_cost`: the factor `1 + ln(x)` is at least 1 when `S`,
+///   `f` and `ct` are non-negative, so the pair cannot win the strict
+///   comparison. A NaN `ct` is never skipped and loses exactly as it
+///   would unpruned;
+/// - or `ct` is normal and at most `f64::MAX / 4`, and its lower bound
+///   `L = ct·(1 + 2·((x−1)/(x+1)))` is at least `best_cost·(1 + 10⁻⁹)`.
+///   In exact arithmetic `ln(x) ≥ 2(x−1)/(x+1)` for every `x ≥ 1`. A
+///   zero, subnormal, negative or NaN `ct` takes the exact path, and so
+///   does `x = ∞` or NaN, whose bound is NaN.
+///
+/// Rounding cannot make the bound skip a pair that would have won. Let
+/// `u = 2⁻⁵³`. The computed `(x−1)/(x+1)` is within 3u of its exact
+/// value (`x − 1` is exact up to `x = 2`, and each of the three
+/// operations rounds once), the doubling is exact, and libm's `ln` is
+/// within 1 ulp (2u). So the computed `1 + 2(x−1)/(x+1)` is at most
+/// `(1 + 7.2u)` times the computed `1 + ln(x)`. `ct` is normal and the
+/// bound at most `3·ct`, so neither product leaves the normal range (a
+/// cost that overflows to ∞ loses anyway). Hence the computed cost is at
+/// least `L·(1 − 9.3u) ≥ best_cost·(1 + 10⁻⁹)·(1 − 11.3u)`, which is
+/// above `best_cost`: the pair loses, ties included. The 10⁻⁹ margin is
+/// six orders of magnitude above the ≈ 1.3·10⁻¹⁵ of rounding. Subnormal
+/// products round by absolute steps, not relative ones, hence the
+/// normal-range guard; the `f64::MAX / 4` cap keeps `L` finite.
 ///
 /// The scan visits only receivers no earlier sender took, eight at a
 /// time. Under [`OpVariant::Unimodal`] it also stops early. Every 16 free
@@ -348,15 +387,17 @@ pub fn schedule(
 /// check runs. [`OpVariant::Printed`] has no such minimum and keeps the
 /// full scan. On a 4 096-client round the scan visits 0.46 M free
 /// receivers of its 3.67 M sender × receiver slots and evaluates their
-/// `calc_op` in 57 k blocks, instead of 2.79 M pair `calc_op` calls.
+/// `calc_op` and distances in 57 k blocks, instead of 2.79 M pair
+/// `calc_op` calls. Of the 446 k pairs with `ct < best_cost`, 8 953
+/// take the `ln`.
 ///
 /// # Panics
 ///
-/// Panics if `distance` panics on a pair it is asked for or if `f` is
-/// negative.
+/// Panics if `distances` panics on a block it is asked about or if `f`
+/// is negative.
 pub fn schedule_with(
     perfs: &[ClientPerf],
-    distance: impl Fn(usize, usize) -> f64,
+    distances: impl Fn(usize, &[usize; LANES]) -> [f64; LANES],
     f: f64,
     variant: OpVariant,
 ) -> OffloadSchedule {
@@ -440,7 +481,7 @@ pub fn schedule_with(
         // The best receiver so far: its list predecessor, its slot and
         // the assignment it would make.
         let mut selected: Option<(usize, usize, Assignment)> = None;
-        let mut best_cost = f64::INFINITY;
+        let (mut best_cost, mut limit) = (f64::INFINITY, f64::INFINITY);
         let (mut cursor, mut prev, mut scanned) = (head, END, 0);
         while cursor != END {
             // No free receiver from this one on can beat `best_cost`: stop.
@@ -461,13 +502,14 @@ pub fn schedule_with(
                 }
             }
             // The next block of up to LANES free receivers, in list order;
-            // the lanes of a short block keep `rb = 0`.
+            // the lanes of a short block keep `rb = 0` and name the sender.
             let (mut slots, mut prevs) = ([END; LANES], [END; LANES]);
             let (mut xb, mut rb, mut base) = ([0.0; LANES], [0u32; LANES], [0.0; LANES]);
+            let mut ids = [sender.id; LANES];
             let mut len = 0;
             while len < LANES && cursor != END {
                 let r = &receivers[cursor];
-                (slots[len], prevs[len]) = (cursor, prev);
+                (slots[len], prevs[len], ids[len]) = (cursor, prev, r.id);
                 (xb[len], rb[len], base[len]) = (r.feature_only, r.remaining, r.base_load);
                 (prev, cursor) = (cursor, r.next);
                 len += 1;
@@ -492,25 +534,36 @@ pub fn schedule_with(
                     out
                 }
             };
+            // Line 24's argument `x = S·f + 1` and the lower bound
+            // `ct·(1 + 2(x−1)/(x+1))` on its cost, in lanes; NaN where the
+            // bound's rounding argument does not hold.
+            let s = distances(sender.id, &ids);
+            let (mut x, mut lower) = ([0.0; LANES], [f64::NAN; LANES]);
+            for l in 0..LANES {
+                x[l] = s[l] * f + 1.0;
+                if (f64::MIN_POSITIVE..=f64::MAX / 4.0).contains(&cts[l]) {
+                    lower[l] = cts[l] * (1.0 + 2.0 * ((x[l] - 1.0) / (x[l] + 1.0)));
+                }
+            }
             for l in 0..len {
                 let (ct, d) = (cts[l], ds[l]);
-                // The line-24 factor is ≥ 1, so `ct ≥ best_cost` cannot win:
-                // skip its distance lookup and `ln` (NaN `ct` falls through).
-                if d == 0 || ct >= best_cost {
+                // The line-24 factor is ≥ 1, so `ct ≥ best_cost` cannot win,
+                // and neither can a pair whose lower bound clears it (a NaN
+                // `ct` or bound falls through): skip their `ln`.
+                if d == 0 || ct >= best_cost || lower[l] >= limit {
                     continue;
                 }
-                let receiver = &receivers[slots[l]];
-                let s = distance(sender.id, receiver.id);
                 // Line 24: similarity-weighted cost.
-                let cost = ct * (1.0 + (s * f + 1.0).ln());
+                let cost = ct * (1.0 + x[l].ln());
                 if cost < best_cost {
                     best_cost = cost;
+                    limit = best_cost * MARGIN;
                     selected = Some((
                         prevs[l],
                         slots[l],
                         Assignment {
                             sender: sender.id,
-                            receiver: receiver.id,
+                            receiver: ids[l],
                             offload_batches: d,
                             estimated_ct: ct,
                         },
@@ -775,6 +828,85 @@ mod tests {
         let f1 = schedule(&perfs, &sim, 1.0, OpVariant::Unimodal);
         assert_eq!(f0.assignments[0].receiver, 2, "f=0 goes purely by speed");
         assert_eq!(f1.assignments[0].receiver, 1, "f=1 trades speed for similarity");
+    }
+
+    /// A client whose per-batch cost `full` is all phases 1–3, with its
+    /// own feature-only cost.
+    fn client(id: usize, full: f64, feature_only: f64, remaining: u32) -> ClientPerf {
+        ClientPerf { id, t123: full, t4: 0.0, feature_only, remaining }
+    }
+
+    /// The receiver line 24 picks for sender 0 among `receivers`, each
+    /// `(feature_only, distance)` with a 0.5 s batch and 20 updates, so
+    /// all tie on completion and scan in id order.
+    fn pick(receivers: &[(f64, f64)]) -> usize {
+        let mut perfs = vec![client(0, 4.0, 3.2, 20)];
+        perfs.extend(receivers.iter().enumerate().map(|(i, &(xb, _))| client(i + 1, 0.5, xb, 20)));
+        let mut sim = no_similarity(perfs.len());
+        for (i, &(_, s)) in receivers.iter().enumerate() {
+            sim[0][i + 1] = s;
+        }
+        let sched = schedule(&perfs, &sim, 1.0, OpVariant::Unimodal);
+        sched.assignments[0].receiver
+    }
+
+    /// Line 24's lower bound skips only pairs that lose the strict
+    /// `cost < best_cost`: a pair whose exact cost ties the best loses,
+    /// and a pair below it by a relative 1e-13 wins, so no margin below
+    /// 1 would keep the schedule.
+    #[test]
+    fn line_24_bound_keeps_ties_losing_and_near_ties_winning() {
+        let ct = |xb: f64| calc_op(4.0, 0.5, xb, 20, 20).0;
+        // Receiver 1 sets the best cost at distance 0.
+        let best = ct(0.4);
+        // Receiver 2 has a lower `ct` and the distance whose line-24 cost
+        // equals the best exactly.
+        let lower = ct(0.3);
+        assert!(lower < best);
+        let mut s = (best / lower - 1.0).exp() - 1.0;
+        let cost = |s: f64| lower * (1.0 + (s * 1.0 + 1.0).ln());
+        while cost(s) < best {
+            s = s.next_up();
+        }
+        while cost(s) > best {
+            s = s.next_down();
+        }
+        assert_eq!(cost(s).to_bits(), best.to_bits(), "no distance ties the best cost");
+        assert_eq!(pick(&[(0.4, 0.0), (0.3, s)]), 1, "a tie must lose");
+        // Receiver 3's `ct` is a hair below the best, at distance 0.
+        let xb = 0.4 * (1.0 - 1e-13);
+        assert!(ct(xb) < best && ct(xb) > best * (1.0 - 1e-12));
+        assert_eq!(pick(&[(0.4, 0.0), (0.3, s), (xb, 0.0)]), 3, "a near-tie below must win");
+    }
+
+    /// A pair with `ct = 0` takes the exact path: at a finite `S·f + 1`
+    /// its cost 0 wins, and at `S·f + 1 = ∞` its cost `0·∞` is NaN and
+    /// loses.
+    #[test]
+    fn line_24_zero_ct_takes_the_exact_path() {
+        // Receiver 1 (ct 1.5) scans first on id; receiver 2 pays nothing.
+        let perfs = vec![client(0, 1.0, 0.8, 4), client(1, 0.0, 0.5, 4), client(2, 0.0, 0.0, 4)];
+        assert_eq!(calc_op(1.0, 0.0, 0.0, 4, 4), (0.0, 4));
+        let mut sim = no_similarity(3);
+        sim[0][2] = 3.0;
+        let a = schedule(&perfs, &sim, 1.0, OpVariant::Unimodal).assignments[0];
+        assert_eq!((a.receiver, a.offload_batches, a.estimated_ct), (2, 4, 0.0));
+        sim[0][2] = f64::MAX;
+        let a = schedule(&perfs, &sim, 7.0, OpVariant::Unimodal).assignments[0];
+        assert_eq!(a.receiver, 1, "0·∞ is NaN and loses");
+    }
+
+    /// Outside the contract (negative per-batch costs), a negative `ct`
+    /// takes the exact path too: for it the lower bound is an upper
+    /// bound, and a pair just below a negative best cost must still win.
+    #[test]
+    fn line_24_negative_ct_takes_the_exact_path() {
+        let xb = 11.5 - 8.5e-10;
+        let perfs =
+            vec![client(0, -1.0, 0.0, 10), client(1, -20.0, 11.5, 1), client(2, -20.0, xb, 1)];
+        let sched = schedule(&perfs, &no_similarity(3), 1.0, OpVariant::Unimodal);
+        let a = sched.assignments[0];
+        assert_eq!((a.receiver, a.estimated_ct), (2, -20.0 + xb));
     }
 
     #[test]

@@ -70,9 +70,10 @@ impl Error for EnclaveError {}
 /// The plaintext histograms live only in the private `histograms` map —
 /// the untrusted host (the federator code in `aergia`) interacts purely
 /// through sealed blobs and receives only a [`SimilarityView`], whose one
-/// query is `distance(i, j)`, mirroring the SGX isolation boundary. The
-/// scheduler asks it only for the sender × receiver pairs that can still
-/// win a match, so no n × n matrix is ever resident.
+/// query is the distances from one client to a block of others,
+/// mirroring the SGX isolation boundary. The scheduler asks it only
+/// about the receivers its scan visits, so no n × n matrix is ever
+/// resident.
 #[derive(Debug)]
 pub struct SimilarityEnclave {
     measurement: Measurement,
@@ -143,7 +144,7 @@ impl SimilarityEnclave {
     /// The read-only distance oracle over every histogram submitted so
     /// far: index `i` is the `i`-th *submitting* client in ascending
     /// client-id order. It holds the normalised histograms privately and
-    /// answers only [`SimilarityView::distance`].
+    /// answers only [`SimilarityView::distances`].
     pub fn similarity_view(&self) -> SimilarityView {
         let order = self.client_order();
         let mut probs = Vec::with_capacity(order.len() * self.num_classes);
@@ -154,8 +155,8 @@ impl SimilarityEnclave {
     }
 
     /// Computes the pairwise EMD matrix over all submitted histograms:
-    /// entry `(i, j)` is [`SimilarityView::distance`]`(i, j)` of
-    /// [`SimilarityEnclave::similarity_view`]. O(n²) in time and memory;
+    /// entry `(i, j)` is the view's distance between clients `i` and `j`
+    /// (see [`SimilarityEnclave::similarity_view`]). O(n²) in time and memory;
     /// the engine asks the view instead.
     ///
     /// # Errors
@@ -184,7 +185,7 @@ impl SimilarityEnclave {
 /// Holds each client's normalised class histogram (n × classes × 8 B:
 /// 320 KiB for 4 096 ten-class clients, against 128 MiB for the full
 /// matrix) in private fields; its only query is
-/// [`SimilarityView::distance`], so the host learns distances and
+/// [`SimilarityView::distances`], so the host learns distances and
 /// nothing else.
 #[derive(Debug)]
 pub struct SimilarityView {
@@ -213,13 +214,40 @@ impl SimilarityView {
     /// # Panics
     ///
     /// Panics if `i` or `j` is not below [`SimilarityView::len`].
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn distance(&self, i: usize, j: usize) -> f64 {
         let c = self.classes;
         emd::emd(&self.probs[i * c..(i + 1) * c], &self.probs[j * c..(j + 1) * c])
     }
 
-    /// The full pairwise matrix, built on demand from
-    /// [`SimilarityView::distance`] — O(n²) time and memory.
+    /// The EMD between the datasets of client `i` and of every client of
+    /// `js` (0 = identical): lane `l` holds the bits of `distance(i,
+    /// js[l])`, entry `(i, js[l])` of
+    /// [`aergia_data::emd::similarity_matrix`]. The lanes run
+    /// `emd`'s steps (`prefix += p − q; total += |prefix|`, classes in
+    /// ascending order) side by side, so each compiles to vector
+    /// instructions and no lane's arithmetic differs from the scalar
+    /// form's. A lane naming `i` itself gets 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or an entry of `js` is not below
+    /// [`SimilarityView::len`].
+    pub fn distances<const N: usize>(&self, i: usize, js: &[usize; N]) -> [f64; N] {
+        let c = self.classes;
+        let p = &self.probs[i * c..][..c];
+        let qs: [&[f64]; N] = js.map(|j| &self.probs[j * c..][..c]);
+        let (mut prefix, mut total) = ([0.0f64; N], [0.0f64; N]);
+        for (k, &a) in p.iter().enumerate() {
+            for l in 0..N {
+                prefix[l] += a - qs[l][k];
+                total[l] += prefix[l].abs();
+            }
+        }
+        total
+    }
+
+    /// The full pairwise matrix, built on demand one pair at a time —
+    /// O(n²) time and memory.
     pub fn matrix(&self) -> Vec<Vec<f64>> {
         let n = self.len();
         let mut matrix = vec![vec![0.0; n]; n];
@@ -338,6 +366,57 @@ mod tests {
         assert_eq!(matrix, expected);
         assert_eq!(matrix[0][2], 0.0, "identical distributions");
         assert!(matrix[0][1] > 0.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Every lane of `distances` holds the bits of `distance` for its
+        /// receiver, at every lane position: random, all-zero (uniform
+        /// after normalisation) and single-class histograms, with the
+        /// sender itself in one lane of every block.
+        #[test]
+        fn distances_match_distance_in_every_lane(
+            raw in proptest::collection::vec(proptest::collection::vec(0u64..4, 12), 2..=20),
+            classes in 1usize..=12,
+            picks in proptest::collection::vec(0usize..1000, 64),
+        ) {
+            let hists: Vec<(u32, Vec<u64>)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, counts)| {
+                    let mut hist = counts[..classes].to_vec();
+                    match i % 4 {
+                        0 => hist.fill(0),
+                        1 => {
+                            hist.fill(0);
+                            hist[i % classes] = counts[0] + 1;
+                        }
+                        _ => {}
+                    }
+                    (i as u32, hist)
+                })
+                .collect();
+            let view = enclave_with(&hists).similarity_view();
+            let n = view.len();
+            for (i, block) in picks.chunks_exact(8).enumerate() {
+                let sender = block[0] % n;
+                let mut js: [usize; 8] = std::array::from_fn(|l| block[l] % n);
+                js[i % 8] = sender;
+                let lanes = view.distances(sender, &js);
+                for (l, &j) in js.iter().enumerate() {
+                    proptest::prop_assert_eq!(
+                        lanes[l].to_bits(),
+                        view.distance(sender, j).to_bits(),
+                        "lane {} ({}, {})",
+                        l,
+                        sender,
+                        j
+                    );
+                }
+                proptest::prop_assert_eq!(lanes[i % 8], 0.0);
+            }
+        }
     }
 
     #[test]

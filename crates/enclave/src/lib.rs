@@ -16,10 +16,11 @@
 //!   see the module docs);
 //! * [`SimilarityEnclave`] — the enclave itself. Plaintext histograms
 //!   exist only inside its private state. After the last submission it
-//!   hands out a [`SimilarityView`] whose one query is `distance(i, j)`,
-//!   answered on demand, mirroring the SGX isolation boundary at the type
-//!   level. The scheduler asks only for the pairs that can still win a
-//!   match; the full matrix is built only when a caller asks for it.
+//!   hands out a [`SimilarityView`] whose one query is `distances(i,
+//!   js)`, the distances from client `i` to each client of `js`, answered
+//!   on demand, mirroring the SGX isolation boundary at the type level.
+//!   The scheduler asks only about the receivers its scan visits; the
+//!   full matrix is built only when a caller asks for it.
 //!
 //! # Examples
 //!
@@ -35,9 +36,11 @@
 //!     enclave.submit(client, blob).unwrap();
 //! }
 //! let view = enclave.similarity_view();
-//! assert!(view.distance(0, 1) > 0.0); // disjoint class distributions are distant
-//! assert_eq!(view.distance(0, 1).to_bits(), view.distance(1, 0).to_bits());
-//! assert_eq!(enclave.compute_similarity_matrix().unwrap()[0][1], view.distance(0, 1));
+//! let [d01, d00] = view.distances(0, &[1, 0]);
+//! assert!(d01 > 0.0); // disjoint class distributions are distant
+//! assert_eq!(d00, 0.0);
+//! assert_eq!(d01.to_bits(), view.distances(1, &[0])[0].to_bits());
+//! assert_eq!(enclave.compute_similarity_matrix().unwrap()[0][1], d01);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,7 @@ use aergia::engine::Engine;
 use aergia::fold::{self, Mean, Rule, Update};
 use aergia::scheduler::{
     calc_op, calc_op_printed, schedule, schedule_with, Assignment, ClientPerf, OffloadSchedule,
-    OpVariant,
+    OpVariant, LANES,
 };
 use aergia::strategy::Strategy as FlStrategy;
 use aergia_data::emd::{emd, normalize, similarity_matrix};
@@ -97,15 +97,21 @@ fn perf_strategy(n: usize) -> impl Strategy<Value = Vec<ClientPerf>> {
     })
 }
 
+/// The distances the scheduler oracles draw from: exact zeros (twice, so
+/// line-24 costs tie), ordinary values, the smallest subnormal (`S·f + 1`
+/// rounds to 1), and two huge ones: 1e300, and `f64::MAX`, for which
+/// `S·f + 1` overflows to ∞ at `f > 1` and line 24's lower bound is NaN.
+const DISTANCES: [f64; 8] = [0.0, 0.0, 0.5, 1.0, 3.0, 5e-324, 1e300, f64::MAX];
+
 /// Clusters built to tie: 2–12 clients drawn from four per-batch costs
 /// (zero included), five remaining counts and three feature shares, so
 /// completion times and pair costs repeat; distances are an arbitrary
-/// (not necessarily symmetric) matrix over {0, 0, 0.5, 1, 3}.
+/// (not necessarily symmetric) matrix over [`DISTANCES`].
 fn tied_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, Vec<Vec<f64>>)> {
     (2usize..=12).prop_flat_map(|n| {
         (
             proptest::collection::vec((0usize..4, 1u32..6, 0usize..3), n..=n),
-            proptest::collection::vec(0usize..5, n * n..=n * n),
+            proptest::collection::vec(0usize..DISTANCES.len(), n * n..=n * n),
         )
             .prop_map(move |(raw, cells)| {
                 let perfs = raw
@@ -124,7 +130,7 @@ fn tied_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, Vec<Vec<f64>>)> {
                     .collect();
                 let sim = cells
                     .chunks(n)
-                    .map(|row| row.iter().map(|&c| [0.0, 0.0, 0.5, 1.0, 3.0][c]).collect())
+                    .map(|row| row.iter().map(|&c| DISTANCES[c]).collect())
                     .collect();
                 (perfs, sim)
             })
@@ -137,7 +143,7 @@ fn tied_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, Vec<Vec<f64>>)> {
 /// remaining counts. Feature shares are drawn independently of both, so
 /// the suffix minimum of `x_b` is rarely the slot's own, and one share in
 /// five is NaN, whose receiver branch `calc_op`'s `max` then ignores.
-/// Distances are a salted hash of `(i, j)` onto {0, 0, 0.5, 1, 3}, so
+/// Distances are a salted hash of `(i, j)` onto [`DISTANCES`], so
 /// line-24 costs tie.
 fn large_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, u64)> {
     let client = (0usize..5, 0usize..7, 0usize..5);
@@ -163,7 +169,15 @@ fn large_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, u64)> {
 /// The distance [`large_cluster`]'s `salt` stands for.
 fn hashed_distance(salt: u64, i: usize, j: usize) -> f64 {
     let h = (salt ^ ((i as u64) << 32 | j as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    [0.0, 0.0, 0.5, 1.0, 3.0][(h >> 32) as usize % 5]
+    DISTANCES[(h >> 32) as usize % DISTANCES.len()]
+}
+
+/// The per-block accessor [`schedule_with`] takes, over a pairwise
+/// distance.
+fn in_lanes(
+    distance: impl Fn(usize, usize) -> f64,
+) -> impl Fn(usize, &[usize; LANES]) -> [f64; LANES] {
+    move |i, js| js.map(|j| distance(i, j))
 }
 
 /// Asserts two schedules equal bit for bit, `estimated_ct` included.
@@ -294,8 +308,10 @@ proptest! {
 
     /// The pruned matching loop is Algorithm 1 exactly: on clusters built
     /// to tie (few distinct costs and remaining counts, zero-cost clients,
-    /// distances with zeros and repeats), every factor and both `calc_op`
-    /// variants give the schedule of the unpruned loop, bit for bit.
+    /// distances with zeros, repeats, subnormals and overflowing `S·f`),
+    /// every factor and both `calc_op` variants give the schedule of the
+    /// unpruned loop, bit for bit, whichever pairs line 24's lower bound
+    /// rules out.
     #[test]
     fn pruned_schedule_equals_unpruned_algorithm_1(
         (perfs, sim) in tied_cluster(),
@@ -312,8 +328,8 @@ proptest! {
 
     /// The same on clusters of 40–300 clients, where the receiver scan's
     /// suffix bound fires: feature costs out of base-load order, mixed
-    /// remaining counts, zero-cost clients and tied distances, under
-    /// every factor and both `calc_op` variants.
+    /// remaining counts, zero-cost clients and tied, subnormal and huge
+    /// distances, under every factor and both `calc_op` variants.
     #[test]
     fn bounded_scan_equals_unpruned_algorithm_1_on_large_clusters(
         (perfs, salt) in large_cluster(),
@@ -322,7 +338,7 @@ proptest! {
         for variant in [OpVariant::Unimodal, OpVariant::Printed] {
             for f in [0.0, 0.5, 1.0, 7.0] {
                 assert_same_schedule(
-                    &schedule_with(&perfs, distance, f, variant),
+                    &schedule_with(&perfs, in_lanes(distance), f, variant),
                     &unpruned_schedule(&perfs, distance, f, variant),
                 );
             }
@@ -345,9 +361,10 @@ proptest! {
     }
 
     /// The enclave's on-demand view answers every pair with the bits of
-    /// the resident matrix, both triangles and the diagonal, including an
-    /// all-zero histogram (uniform after normalisation), with clients
-    /// submitting out of id order.
+    /// the resident matrix, both triangles and the diagonal, at every lane
+    /// position of an eight-lane query, including an all-zero histogram
+    /// (uniform after normalisation), with clients submitting out of id
+    /// order.
     #[test]
     fn enclave_view_matches_the_emd_matrix(
         mut hists in (1usize..=6, 1usize..=8).prop_flat_map(|(classes, n)| {
@@ -364,9 +381,15 @@ proptest! {
         let view = enclave.similarity_view();
         let expected = similarity_matrix(&hists);
         prop_assert_eq!(view.len(), hists.len());
+        let n = hists.len();
         for (i, row) in expected.iter().enumerate() {
             for (j, value) in row.iter().enumerate() {
-                prop_assert_eq!(view.distance(i, j).to_bits(), value.to_bits(), "({}, {})", i, j);
+                for lane in 0..LANES {
+                    let mut js: [usize; LANES] = std::array::from_fn(|l| (i + l) % n);
+                    js[lane] = j;
+                    let got = view.distances(i, &js)[lane];
+                    prop_assert_eq!(got.to_bits(), value.to_bits(), "({}, {}) lane {}", i, j, lane);
+                }
             }
         }
         prop_assert_eq!(enclave.compute_similarity_matrix().unwrap(), expected);
@@ -521,7 +544,8 @@ proptest! {
 /// workload: 4 096 clients dealt a shuffled [0.1, 1.0] speed ladder, the
 /// MNIST CNN's phase ratios, 14 remaining updates each, and 3-class
 /// non-IID histograms behind the enclave's on-demand view. The bounded
-/// scan must give the unpruned loop's schedule, both reading the view.
+/// scan, reading the view's eight-lane `distances`, must give the
+/// unpruned loop's schedule, which reads `distance` one pair at a time.
 #[test]
 fn bounded_scan_equals_unpruned_algorithm_1_at_4096_clients() {
     use aergia::profiler::ProfileReport;
@@ -566,10 +590,10 @@ fn bounded_scan_equals_unpruned_algorithm_1_at_4096_clients() {
         enclave.submit(id, session.seal_histogram(&hist)).unwrap();
     }
     let view = enclave.similarity_view();
-    let distance = |i: usize, j: usize| view.distance(i, j);
+    let distance = |i: usize, j: usize| view.distances(i, &[j])[0];
 
     for f in [0.0, 1.0] {
-        let bounded = schedule_with(&perfs, distance, f, OpVariant::Unimodal);
+        let bounded = schedule_with(&perfs, |i, js| view.distances(i, js), f, OpVariant::Unimodal);
         // The ladder fixes who straggles up to the shuffle: 1 323 senders.
         assert_eq!(bounded.assignments.len() + bounded.unmatched_senders.len(), 1323);
         assert_same_schedule(
