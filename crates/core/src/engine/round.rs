@@ -723,10 +723,9 @@ impl Walk<'_> {
         if perfs.is_empty() {
             return;
         }
-        let similarity = self.similarity;
         let schedule = scheduler::schedule_with(
             &perfs,
-            |i, js| similarity.distances(i, js),
+            self.similarity,
             self.similarity_factor,
             self.op_variant,
         );

@@ -8,24 +8,24 @@
 //! weakest client — to the receiver minimising the similarity-weighted
 //! cost `ct · (1 + ln(S_{c,k} · f + 1))` (Algorithm 1, line 24).
 //!
-//! Distances come through an accessor ([`schedule_with`]), so the engine
-//! asks the enclave's on-demand view instead of holding an n × n matrix,
-//! and the matching loop takes the `ln` of line 24 only for the pairs
-//! that can still win. Since `S ≥ 0` and `f ≥ 0`, the factor
+//! Distances come through [`Similarity`] ([`schedule_with`]), so the
+//! engine asks the enclave's on-demand view instead of holding an n × n
+//! matrix, and the matching loop takes the `ln` of line 24 only for the
+//! pairs that can still win. Since `S ≥ 0` and `f ≥ 0`, the factor
 //! `1 + ln(S·f + 1)` is at least 1, and with `ct ≥ 0` a pair's cost is
-//! at least its `ct`: a pair with `ct ≥ best_cost` can never win the
-//! strict `cost < best_cost`. A sharper bound rules out most of the
-//! rest: for `x = S·f + 1 ≥ 1`, `ln(x) ≥ 2(x−1)/(x+1)`, so a pair whose
-//! `ct·(1 + 2(x−1)/(x+1))` clears `best_cost` by a relative 10⁻⁹ cannot
-//! win either ([`schedule_with`] gives the rounding argument). The
-//! schedule is the unpruned one, bit for bit. The engine rejects a
-//! negative or non-finite `f` at construction (`Strategy::validate`).
+//! at least its `ct`: a pair with `ct > best_cost` can never win. A
+//! sharper bound rules out most of the rest: for `x = S·f + 1 ≥ 1`,
+//! `ln(x) ≥ 2(x−1)/(x+1)`, so a pair whose `ct·(1 + 2(x−1)/(x+1))` clears
+//! `best_cost` by a relative 10⁻⁹ cannot win either ([`schedule_with`]
+//! gives the rounding argument). The schedule is the unpruned one, bit
+//! for bit. The engine rejects a negative or non-finite `f` at
+//! construction (`Strategy::validate`).
 //!
 //! A second bound stops the receiver scan itself. Receivers are sorted by
 //! base load `r_b·t_b`, and each slot carries the minimum base load and
 //! feature cost `x_b` and the maximum remaining count over itself and
-//! every later slot. `calc_op` on those three values is a lower bound on
-//! every later receiver's `ct`, for three reasons:
+//! every later slot of its group. `calc_op` on those three values is a
+//! lower bound on every later receiver's `ct`, for three reasons:
 //!
 //! - The unimodal `calc_op` returns the minimum over `d` of
 //!   `max(F(d), R(d))`. In IEEE arithmetic the sender branch `F` never
@@ -34,31 +34,67 @@
 //! - Each `cost(d)` is monotone in the base load and in `x_b`.
 //! - A larger `r_b` only widens the range of `d`.
 //!
-//! Once the bound reaches `best_cost`, no later pair can win, and the
+//! Once the bound passes `best_cost`, no later pair can win, and the
 //! scan stops. It applies to [`OpVariant::Unimodal`] only; the printed
 //! recurrence has no such minimum.
 //!
-//! The scan walks only free receivers: they form a list in slot order,
-//! and a matched receiver leaves it. It takes them [`LANES`] = 8 at a
-//! time: `calc_op_lanes` evaluates their `calc_op` in vector lanes, one
-//! call of the `distances` accessor returns their eight distances, and
-//! line 24's bound is computed in lanes too; only the `ln` stays one
-//! scalar call per pair. On the benchmark's 4 096-client round (1 323
-//! senders × 2 773 receivers, seed 7), of the 3.67 M sender × receiver
-//! slots:
+//! A third bound orders the scan by similarity. Between label histograms
+//! over ordered classes the EMD is the L1 distance between cumulative
+//! distributions, a metric. The enclave's view puts the clients into
+//! groups by class support, the set of classes their histogram holds,
+//! merges the supports whose boxes meet, and bounds the distance from a
+//! client to every member of a group from below by its distance to the
+//! box the members' CDFs span. The receivers are stored by `(group,
+//! slot)`, each group with its own free list and suffix bounds. A sender
+//! scans its own group first, then only the groups whose line-24 bound at
+//! that distance does not clear its best cost. Groups visit slots out of
+//! order, so pairs compare by `(cost, slot)`, and each skip is strict on
+//! a tie with a lower slot. With `f = 0`, under [`OpVariant::Printed`],
+//! over a matrix, or when every client has the same support, all
+//! receivers form one group and the scan is one pass in slot order.
+//!
+//! The scan walks only free receivers, [`LANES`] = 8 at a time:
+//! `calc_op_lanes` evaluates their `calc_op` in vector lanes, one call of
+//! [`Similarity::distances`] returns their eight distances, and line 24's
+//! bound is computed in lanes too; only the `ln` stays one scalar call
+//! per pair. The group bounds are lanes too: one pass per class updates
+//! every group's bound.
+//!
+//! The groups pay where the class supports are few and follow
+//! similarity, as under a non-IID partition in which each client holds a
+//! few classes. On a 4 096-client round shaped like the benchmark's
+//! `plan_4k` (`population` in `tests/proptests.rs`: 1 323 senders × 2 773
+//! receivers, 3 classes per client, 120 groups, seed 7, `f = 1`), of the
+//! 3.67 M sender × receiver slots:
 //!
 //! - an unbounded scan would make 2.79 M pair `calc_op` calls;
-//! - the bounded slot-by-slot scan visited 1.17 M slots, 0.72 M of them
-//!   already matched, for 0.45 M pair `calc_op` calls and 70 k bound
-//!   checks;
-//! - the free-list scan visits 0.46 M free receivers in 57 k blocks of
-//!   eight, for 28.5 k bound checks, and no lane falls back to the
-//!   scalar `calc_op`. It asks for 0.46 M lane distances.
+//! - the slot-order free-list scan, one group, visits 0.41 M free
+//!   receivers, 310 per sender;
+//! - the scan by group visits 11.7 k, 8.8 per sender, in 1.10 groups per
+//!   sender, and 1.4 pairs per sender take the `ln`.
 //!
-//! Of those, 446 k pairs have a `ct` below their sender's best cost. The
-//! line-24 bound rules out 437 k of them, so 8 953 take the `ln`, and
-//! 6 768 lower a best cost. (The cruder `ln(x) ≥ (x−1)/x` would rule out
-//! 425 k.)
+//! A scan with an exact bound must still visit 1.02 pairs per sender:
+//! the winner, and every other free pair whose line-24 lower bound is
+//! below the sender's final best cost. The same generator at larger `N`,
+//! and at 4 096 clients under other partitions, on a 2-vCPU host
+//! (`schedule_with` medians of alternating runs; the host's timings
+//! spread by up to ±30 %):
+//!
+//! | clients, partition | groups | visited per sender, slot order → by group | exact-bound pairs per sender | groups visited per sender | `schedule_with`, slot order → by group |
+//! |--------:|----:|------------------:|-----:|------:|------------------:|
+//! |  4 096, 3 classes  | 120 |    310 → 8.8      | 1.02 | 1.10 |   13–21 → 2.3–3.5 ms |
+//! | 16 384, 3 classes  | 120 |    722 → 8.9      | 1.01 | 1.03 |  195–219 → 10–16 ms  |
+//! | 65 536, 3 classes  | 120 |  1 159 → 9.5      | 1.02 | 1.00 | 1 035–1 592 → 41–50 ms |
+//! |  4 096, 5 classes  | 252 |    423 → 14.7     |    – | 2.06 |   18–24 → 4.8–6.1 ms |
+//! |  4 096, IID        |  35 |    942 → 733      |    – | 5.01 |   38–40 → 34–35 ms   |
+//! | 16 384, IID        |  27 |  3 056 → 2 220    |    – | 5.18 |  506 → 384 ms        |
+//!
+//! Under the 3-class partition, time per sender stays about 2 µs from
+//! 4 096 to 65 536 clients; the slot-order scan's grows with the receiver
+//! count. IID clients of 16 samples over 10 classes miss classes by
+//! chance, so their supports do not follow similarity: 4 096 of them hold
+//! 299 supports, whose boxes merge into 35 groups, and the scan by group
+//! visits most receivers the slot-order scan does, at about its cost.
 //!
 //! ## A note on Algorithm 2 (`calc_op`)
 //!
@@ -79,6 +115,8 @@
 //! and a rising line) and is what [`schedule`] uses; [`calc_op_printed`]
 //! implements the formula exactly as printed for the ablation bench
 //! (`ablation_calc_op`).
+
+use aergia_enclave::SimilarityView;
 
 /// Per-client inputs to Algorithm 1, derived from a
 /// [`crate::profiler::ProfileReport`].
@@ -226,11 +264,6 @@ pub fn calc_op_printed(ta: f64, tb: f64, xb: f64, ra: u32, rb: u32) -> (f64, u32
     (ct, best_d)
 }
 
-/// Free receivers between two checks of [`schedule_with`]'s suffix bound.
-/// Each check costs one `calc_op`; at 16, a 4 096-client round makes
-/// 28.5 k checks to save 2.3 M pair `calc_op` calls.
-const BOUND_STRIDE: usize = 16;
-
 /// Free receivers [`schedule_with`] takes at once: `calc_op_lanes`
 /// evaluates their `calc_op`, and the `distances` accessor answers for
 /// all of them in one call.
@@ -243,8 +276,9 @@ pub const LANES: usize = 8;
 const MARGIN: f64 = 1.0 + 1e-9;
 
 /// Steps of the branch-free `calc_op` window from the θ-jump start. On a
-/// 4 096-client round every one of the 0.46 M lanes sees its first rise
-/// (or its last `d`) inside it.
+/// 4 096-client round every lane sees its first rise (or its last `d`)
+/// inside it: none of the 11.6 k lanes at `f = 1` falls back to the
+/// scalar form.
 const WINDOW: u32 = 6;
 
 /// [`calc_op_from_base`] for [`LANES`] receivers of one sender (`ta`,
@@ -322,8 +356,64 @@ pub enum OpVariant {
     Printed,
 }
 
+/// What [`schedule_with`] asks about the clients' datasets: the distances
+/// from one client to a block of others, and a grouping of the clients
+/// with a lower bound on the distance from a client to every member of a
+/// group, so the scan can skip the groups far from the sender.
+///
+/// A closure `Fn(usize, &[usize; LANES]) -> [f64; LANES]` answers the
+/// distances and puts every client in one group whose bound is 0; the
+/// enclave's [`SimilarityView`] groups clients by class support, merging
+/// the supports whose CDF boxes meet.
+pub trait Similarity {
+    /// Lane `l` holds the EMD distance between the datasets of clients `i`
+    /// and `js[l]` (0 = identical, never negative).
+    fn distances(&self, i: usize, js: &[usize; LANES]) -> [f64; LANES];
+
+    /// Number of groups; client groups are `0..groups()`.
+    fn groups(&self) -> usize {
+        1
+    }
+
+    /// Client `i`'s group.
+    fn group(&self, _i: usize) -> usize {
+        0
+    }
+
+    /// Fills `bounds[g]`, for every group `g`, with a value at most lane
+    /// `m` of `distances(i, js)` for every member `js[m]` of `g`, never
+    /// negative.
+    fn group_bounds(&self, _i: usize, bounds: &mut [f64]) {
+        bounds.fill(0.0);
+    }
+}
+
+impl<F: Fn(usize, &[usize; LANES]) -> [f64; LANES]> Similarity for F {
+    fn distances(&self, i: usize, js: &[usize; LANES]) -> [f64; LANES] {
+        self(i, js)
+    }
+}
+
+impl Similarity for &SimilarityView {
+    fn distances(&self, i: usize, js: &[usize; LANES]) -> [f64; LANES] {
+        SimilarityView::distances(self, i, js)
+    }
+
+    fn groups(&self) -> usize {
+        SimilarityView::groups(self)
+    }
+
+    fn group(&self, i: usize) -> usize {
+        SimilarityView::group(self, i)
+    }
+
+    fn group_bounds(&self, i: usize, bounds: &mut [f64]) {
+        SimilarityView::group_bounds(self, i, bounds);
+    }
+}
+
 /// Algorithm 1 over a resident matrix: [`schedule_with`] reading
-/// `similarity[sender][receiver]`.
+/// `similarity[sender][receiver]`, all clients in one group.
 ///
 /// # Panics
 ///
@@ -335,26 +425,44 @@ pub fn schedule(
     f: f64,
     variant: OpVariant,
 ) -> OffloadSchedule {
-    schedule_with(perfs, |i, js| js.map(|j| similarity[i][j]), f, variant)
+    let distances = |i: usize, js: &[usize; LANES]| js.map(|j| similarity[i][j]);
+    schedule_with(perfs, distances, f, variant)
+}
+
+/// Line 24's lower bound `ct·(1 + 2(x−1)/(x+1))` on `ct·(1 + ln x)`, or
+/// NaN where its rounding argument does not hold (see [`schedule_with`]).
+fn line_24_lower(ct: f64, x: f64) -> f64 {
+    if (f64::MIN_POSITIVE..=f64::MAX / 4.0).contains(&ct) {
+        ct * (1.0 + 2.0 * ((x - 1.0) / (x + 1.0)))
+    } else {
+        f64::NAN
+    }
 }
 
 /// Algorithm 1: computes the round's freezing/offloading schedule.
 ///
-/// `distances(i, js)` must return in lane `l` the EMD distance between
-/// the datasets of clients `i` and `js[l]` (0 = identical, never
-/// negative); `f` is the similarity factor of line 24 (`f = 0` ignores
-/// data similarity entirely). Per-batch costs in `perfs` are durations,
-/// never negative. `distances` is asked about every free receiver the
-/// scan visits, one block of up to [`LANES`] at a time, before line 24;
-/// the unused lanes of a short block name the sender itself.
+/// `similarity` answers the EMD distances between clients' datasets (see
+/// [`Similarity`]); `f` is the similarity factor of line 24 (`f = 0`
+/// ignores data similarity entirely). Per-batch costs in `perfs` are
+/// durations, never negative. `similarity` is asked for the distances of
+/// every free receiver the scan visits, one block of up to [`LANES`] at a
+/// time, before line 24; the unused lanes of a short block name the
+/// sender itself.
 ///
-/// Line 24 takes its `ln` only for a pair that can still beat the
-/// sender's best cost so far. With `x = S·f + 1`, a pair is skipped when
+/// Each sender takes the free receiver of least line-24 cost, and of
+/// least slot in base-load order among equal costs, exactly as the
+/// unpruned loop's strict `cost < best_cost` over slots in order does.
+/// The scan visits receivers group by group (see below), so it compares
+/// `(cost, slot)` pairs, and every skip below is strict on a tie with a
+/// lower slot.
 ///
-/// - `ct ≥ best_cost`: the factor `1 + ln(x)` is at least 1 when `S`,
-///   `f` and `ct` are non-negative, so the pair cannot win the strict
-///   comparison. A NaN `ct` is never skipped and loses exactly as it
-///   would unpruned;
+/// Line 24 takes its `ln` only for a pair that can still win. With
+/// `x = S·f + 1`, a pair is skipped when
+///
+/// - `ct > best_cost`, or `ct = best_cost` and its slot is above the
+///   best's: the factor `1 + ln(x)` is at least 1 when `S`, `f` and `ct`
+///   are non-negative, so the pair cannot win. A NaN `ct` is never
+///   skipped and loses exactly as it would unpruned;
 /// - or `ct` is normal and at most `f64::MAX / 4`, and its lower bound
 ///   `L = ct·(1 + 2·((x−1)/(x+1)))` is at least `best_cost·(1 + 10⁻⁹)`.
 ///   In exact arithmetic `ln(x) ≥ 2(x−1)/(x+1)` for every `x ≥ 1`. A
@@ -375,29 +483,47 @@ pub fn schedule(
 /// products round by absolute steps, not relative ones, hence the
 /// normal-range guard; the `f64::MAX / 4` cap keeps `L` finite.
 ///
-/// The scan visits only receivers no earlier sender took, eight at a
-/// time. Under [`OpVariant::Unimodal`] it also stops early. Every 16 free
-/// receivers it evaluates `calc_op` on the suffix's minimum base load and
-/// feature cost and maximum remaining count, and stops once that is
-/// `≥ best_cost`. The value is a lower bound on every later receiver's
-/// `ct`: `calc_op` is the minimum over `d` of `max(F(d), R(d))`, each
-/// `cost(d)` is monotone in the base load and the feature cost, and a
-/// larger remaining count only widens the range of `d`. So no later pair
-/// can win, ties included, and the schedule is unchanged wherever the
-/// check runs. [`OpVariant::Printed`] has no such minimum and keeps the
-/// full scan. On a 4 096-client round the scan visits 0.46 M free
-/// receivers of its 3.67 M sender × receiver slots and evaluates their
-/// `calc_op` and distances in 57 k blocks, instead of 2.79 M pair
-/// `calc_op` calls. Of the 446 k pairs with `ct < best_cost`, 8 953
-/// take the `ln`.
+/// Under [`OpVariant::Unimodal`] with `f > 0`, the receivers are stored
+/// by `(group, slot)`, in the groups of [`Similarity::group`], and each
+/// group keeps its own list of free receivers in slot order. A sender
+/// scans its own group first. Then it asks for its bound `S_g` on the
+/// distance to every group, and visits, in group order, each other group
+/// with a free receiver whose line-24 bound `ct_floor·(1 +
+/// 2(x_g−1)/(x_g+1))`, with `x_g = S_g·f + 1` and `ct_floor` the
+/// `calc_op` floor below, does not clear `best_cost·(1 + 10⁻⁹)` when its
+/// turn comes. Since `S_g` is at most the computed distance to every
+/// member, and rounding is monotone, `x_g` is at most each member's
+/// computed `x`, and the chain above holds with `ct_floor ≤ ct` and
+/// `x_g ≤ x`: a skipped group holds no pair that could win, ties
+/// included. [`Similarity::group_bounds`] must itself absorb the rounding
+/// of the distances it bounds; the enclave's view subtracts
+/// `(C+1)²·2⁻⁵⁰` for `C` classes, twice the `4(C+1)²u` by which its box
+/// bound and a computed EMD can differ. With `f = 0`, under
+/// [`OpVariant::Printed`], or when the clients form one group, as under
+/// [`schedule`], all receivers form one group whose bound is 0, and the
+/// scan is one pass over the free receivers in slot order.
+///
+/// Under [`OpVariant::Unimodal`] the scan of a group also stops early.
+/// Before each block of [`LANES`] free receivers it evaluates `calc_op` on the
+/// group suffix's minimum base load and feature cost and maximum
+/// remaining count. That value is a lower bound on every later
+/// receiver's `ct`: `calc_op` is the minimum over `d` of
+/// `max(F(d), R(d))`, each `cost(d)` is monotone in the base load and the
+/// feature cost, and a larger remaining count only widens the range of
+/// `d`. The scan stops once it is above `best_cost`, or equal to it with
+/// the next slot above the best's, or once its line-24 bound at `x_g`
+/// clears `best_cost·(1 + 10⁻⁹)`. No later pair of the group can win,
+/// ties included, so the schedule is unchanged wherever the check runs.
+/// The same floor over every group's free suffix is `ct_floor`.
+/// [`OpVariant::Printed`] has no such minimum and keeps the full scan.
 ///
 /// # Panics
 ///
-/// Panics if `distances` panics on a block it is asked about or if `f`
+/// Panics if `similarity` panics on a block it is asked about or if `f`
 /// is negative.
 pub fn schedule_with(
     perfs: &[ClientPerf],
-    distances: impl Fn(usize, &[usize; LANES]) -> [f64; LANES],
+    similarity: impl Similarity,
     f: f64,
     variant: OpVariant,
 ) -> OffloadSchedule {
@@ -409,120 +535,274 @@ pub fn schedule_with(
     // Line 12: mean completion time over the active clients.
     let mct = perfs.iter().map(ClientPerf::estimated_completion).sum::<f64>() / perfs.len() as f64;
 
-    // Lines 13–14: senders are the clients that would overshoot mct.
-    let mut sending: Vec<&ClientPerf> =
-        perfs.iter().filter(|p| p.estimated_completion() > mct).collect();
-    let mut receiving: Vec<&ClientPerf> =
-        perfs.iter().filter(|p| p.estimated_completion() <= mct).collect();
-
-    // Lines 15–16: weakest senders first (the round ends with the weakest
-    // client), strongest receivers first.
-    sending.sort_by(|a, b| {
-        b.estimated_completion().total_cmp(&a.estimated_completion()).then(a.id.cmp(&b.id))
-    });
-    receiving.sort_by(|a, b| {
-        a.estimated_completion().total_cmp(&b.estimated_completion()).then(a.id.cmp(&b.id))
-    });
-
-    // Every per-receiver quantity the matching loop needs — including the
+    // Every per-client quantity the matching loop needs — including the
     // running base load `r_b·t_b` that `calc_op` compares against — is
-    // derived once here instead of once per (sender, receiver) pair. The
-    // free receivers form a list in slot order through `next`: a matched
+    // derived once here instead of once per (sender, receiver) pair.
+    // Lines 13–16: senders are the clients that would overshoot mct,
+    // weakest first (the round ends with the weakest client); the others
+    // receive, strongest first. One table holds both, receivers first. A
+    // client's base load is its estimated completion.
+    let sends = |c: &Client| c.base_load > mct;
+    let mut clients: Vec<Client> = perfs.iter().map(Client::new).collect();
+    clients.sort_by(|a, b| match (sends(a), sends(b)) {
+        (false, false) => a.base_load.total_cmp(&b.base_load).then(a.id.cmp(&b.id)),
+        (true, true) => b.base_load.total_cmp(&a.base_load).then(a.id.cmp(&b.id)),
+        (a, b) => a.cmp(&b),
+    });
+    let split = clients.partition_point(|c| !sends(c));
+    let (receivers, senders) = clients.split_at_mut(split);
+
+    // Groups apply only where a group bound can skip anything. The
+    // receivers are stored by (group, slot), and each group's free
+    // receivers form a list in slot order through `next`: a matched
     // receiver is unlinked, so no scan visits it again.
-    struct Receiver {
-        id: usize,
-        full_batch: f64,
-        feature_only: f64,
-        remaining: u32,
-        base_load: f64,
-        /// The next free slot after this one, `END` at the tail.
-        next: usize,
-        // Suffix bounds over this slot and every later one (free or not):
-        // the inputs of the `calc_op` lower bound on any later receiver.
-        min_base_load: f64,
-        min_feature_only: f64,
-        max_remaining: u32,
+    let grouped = variant == OpVariant::Unimodal && f > 0.0 && similarity.groups() > 1;
+    let groups = if grouped { similarity.groups() } else { 1 };
+    let group_of = |id: usize| if grouped { similarity.group(id) } else { 0 };
+    for (slot, r) in receivers.iter_mut().enumerate() {
+        (r.slot, r.group) = (slot, group_of(r.id));
     }
-    const END: usize = usize::MAX;
-    let mut receivers: Vec<Receiver> = receiving
-        .iter()
-        .enumerate()
-        .map(|(slot, r)| Receiver {
-            id: r.id,
-            full_batch: r.full_batch(),
-            feature_only: r.feature_only,
-            remaining: r.remaining,
-            base_load: f64::from(r.remaining) * r.full_batch(),
-            next: if slot + 1 < receiving.len() { slot + 1 } else { END },
-            min_base_load: f64::INFINITY,
-            min_feature_only: f64::INFINITY,
-            max_remaining: 0,
-        })
-        .collect();
-    // A NaN must survive the minimum: `max(F, NaN) = F` is the smallest
-    // cost a receiver can have, so a NaN input must lower the bound too.
-    let nan_min = |acc: f64, x: f64| if x.is_nan() || x < acc { x } else { acc };
-    let mut suffix = (f64::INFINITY, f64::INFINITY, 0u32);
-    for r in receivers.iter_mut().rev() {
-        suffix = (
-            nan_min(suffix.0, r.base_load),
-            nan_min(suffix.1, r.feature_only),
-            suffix.2.max(r.remaining),
-        );
-        (r.min_base_load, r.min_feature_only, r.max_remaining) = suffix;
+    if grouped {
+        receivers.sort_unstable_by_key(|r| (r.group, r.slot));
     }
-    let mut head = if receivers.is_empty() { END } else { 0 };
+    // Suffix bounds within each group, from its last receiver back. A NaN
+    // must survive the minimum: `max(F, NaN) = F` is the smallest cost a
+    // receiver can have, so a NaN input must lower the bound too.
+    let mut heads = vec![Head::EMPTY; groups];
+    let mut suffix = Head::EMPTY;
+    for index in (0..receivers.len()).rev() {
+        let next = index + 1;
+        let same = receivers.get(next).is_some_and(|n| n.group == receivers[index].group);
+        let r = &mut receivers[index];
+        let here = Head::at(index, r.base_load, r.feature_only, r.remaining);
+        suffix = if same { suffix.min(&here) } else { here };
+        (r.min_base_load, r.min_feature_only, r.max_remaining) =
+            (suffix.base_load, suffix.feature_only, suffix.remaining);
+        r.next = if same { next } else { END };
+        heads[r.group] = suffix;
+    }
 
     let mut assignments = Vec::new();
     let mut unmatched = Vec::new();
+    // Per group, the sender's distance bound.
+    let mut bounds = if grouped { vec![0.0; groups] } else { Vec::new() };
 
-    for sender in &sending {
-        let sender_full = sender.full_batch();
-        // The best receiver so far: its list predecessor, its slot and
-        // the assignment it would make.
-        let mut selected: Option<(usize, usize, Assignment)> = None;
-        let (mut best_cost, mut limit) = (f64::INFINITY, f64::INFINITY);
-        let (mut cursor, mut prev, mut scanned) = (head, END, 0);
+    for sender in senders.iter() {
+        let mut best = Best { cost: f64::INFINITY, limit: f64::INFINITY, slot: 0, pick: None };
+        let own = group_of(sender.id);
+        let scan = Scan { receivers, f, variant };
+        scan.group(sender, &similarity, heads[own].index, 0.0, &mut best);
+        if grouped {
+            // `ct_floor`: the `calc_op` floor over every group's free
+            // suffix; a group whose line-24 bound at that floor clears the
+            // best cost holds no pair that can win.
+            let all = heads.iter().fold(Head::EMPTY, |acc, h| acc.min(h));
+            let (ct_floor, _) = calc_op_from_base(
+                sender.full_batch,
+                all.feature_only,
+                sender.remaining,
+                all.remaining,
+                all.base_load,
+            );
+            if !best.rules_out(line_24_lower(ct_floor, 1.0)) {
+                similarity.group_bounds(sender.id, &mut bounds);
+                for g in 0..groups {
+                    let x_g = bounds[g] * f + 1.0;
+                    if g != own
+                        && heads[g].index != END
+                        && !best.rules_out(line_24_lower(ct_floor, x_g))
+                    {
+                        scan.group(sender, &similarity, heads[g].index, bounds[g], &mut best);
+                    }
+                }
+            }
+        }
+        match best.pick {
+            Some((prev, index, assignment)) => {
+                // Line 29: a strong client serves at most one straggler.
+                let (next, group) = (receivers[index].next, receivers[index].group);
+                match (prev, next) {
+                    (END, END) => heads[group] = Head::EMPTY,
+                    (END, next) => {
+                        let r = &receivers[next];
+                        heads[group] =
+                            Head::at(next, r.min_base_load, r.min_feature_only, r.max_remaining);
+                    }
+                    (prev, next) => receivers[prev].next = next,
+                }
+                assignments.push(assignment);
+            }
+            None => unmatched.push(sender.id),
+        }
+    }
+
+    OffloadSchedule { mct, assignments, unmatched_senders: unmatched }
+}
+
+/// The end of a free list.
+const END: usize = usize::MAX;
+
+/// The minimum of `acc` and `x`, where a NaN `x` wins.
+fn nan_min(acc: f64, x: f64) -> f64 {
+    if x.is_nan() || x < acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// One client of [`schedule_with`]'s matching loop. A sender uses its id
+/// and costs; a receiver also its place in the scan.
+#[derive(Default)]
+struct Client {
+    id: usize,
+    full_batch: f64,
+    feature_only: f64,
+    remaining: u32,
+    /// `r·(t_{1,2,3} + t_4)`: the estimated completion, and a receiver's
+    /// base load.
+    base_load: f64,
+    /// Rank among receivers in base-load order: of two equal costs, the
+    /// lower slot wins.
+    slot: usize,
+    group: usize,
+    /// The next free receiver of this group, `END` at the tail.
+    next: usize,
+    // Suffix bounds over this receiver and every later one of its group
+    // (free or not): the inputs of the `calc_op` lower bound on any later
+    // receiver.
+    min_base_load: f64,
+    min_feature_only: f64,
+    max_remaining: u32,
+}
+
+impl Client {
+    fn new(p: &ClientPerf) -> Self {
+        Client {
+            id: p.id,
+            full_batch: p.full_batch(),
+            feature_only: p.feature_only,
+            remaining: p.remaining,
+            base_load: p.estimated_completion(),
+            ..Client::default()
+        }
+    }
+}
+
+/// A group's first free receiver and its suffix bounds.
+#[derive(Clone, Copy)]
+struct Head {
+    /// `END` for a group with no free receiver.
+    index: usize,
+    base_load: f64,
+    feature_only: f64,
+    remaining: u32,
+}
+
+impl Head {
+    const EMPTY: Head =
+        Head { index: END, base_load: f64::INFINITY, feature_only: f64::INFINITY, remaining: 0 };
+
+    fn at(index: usize, base_load: f64, feature_only: f64, remaining: u32) -> Head {
+        Head { index, base_load, feature_only, remaining }
+    }
+
+    /// `other`'s index with the bounds over both; a NaN wins either
+    /// minimum.
+    fn min(&self, other: &Head) -> Head {
+        Head {
+            index: other.index,
+            base_load: nan_min(self.base_load, other.base_load),
+            feature_only: nan_min(self.feature_only, other.feature_only),
+            remaining: self.remaining.max(other.remaining),
+        }
+    }
+}
+
+/// A sender's best pair so far, by `(cost, slot)`.
+struct Best {
+    cost: f64,
+    /// `cost·MARGIN`: a lower bound at or above it cannot win.
+    limit: f64,
+    /// The winner's slot; 0 until a pair wins, so no tie beats nothing.
+    slot: usize,
+    /// The winner's list predecessor, its index and its assignment.
+    pick: Option<(usize, usize, Assignment)>,
+}
+
+impl Best {
+    /// Whether a line-24 lower bound clears the best cost by [`MARGIN`],
+    /// so no pair it bounds can win; never for a NaN bound.
+    fn rules_out(&self, bound: f64) -> bool {
+        bound >= self.limit
+    }
+}
+
+/// The receiver table [`schedule_with`] scans.
+struct Scan<'a> {
+    receivers: &'a [Client],
+    f: f64,
+    variant: OpVariant,
+}
+
+impl Scan<'_> {
+    /// Scans the free list from `head` (one group's), whose members are
+    /// all at least `s_group` from `sender`, lowering `best`.
+    fn group(
+        &self,
+        sender: &Client,
+        similarity: &impl Similarity,
+        head: usize,
+        s_group: f64,
+        best: &mut Best,
+    ) {
+        let (receivers, f) = (self.receivers, self.f);
+        let sender_full = sender.full_batch;
+        let x_group = s_group * f + 1.0;
+        let (mut cursor, mut prev) = (head, END);
         while cursor != END {
-            // No free receiver from this one on can beat `best_cost`: stop.
-            if variant == OpVariant::Unimodal
-                && scanned % BOUND_STRIDE == 0
-                && best_cost.is_finite()
-            {
+            // No free receiver from this one on can beat `best`: stop. One
+            // check, one scalar `calc_op`, per block. On the 4 096-client
+            // round of the module docs, the check after a sender's first
+            // block ends most scans of its own group; a check every 16
+            // receivers left 15.8 visits per sender.
+            if self.variant == OpVariant::Unimodal && best.cost.is_finite() {
                 let bound = &receivers[cursor];
-                let floor = calc_op_from_base(
+                let (floor, _) = calc_op_from_base(
                     sender_full,
                     bound.min_feature_only,
                     sender.remaining,
                     bound.max_remaining,
                     bound.min_base_load,
                 );
-                if floor.0 >= best_cost {
+                if floor > best.cost
+                    || (floor == best.cost && bound.slot > best.slot)
+                    || best.rules_out(line_24_lower(floor, x_group))
+                {
                     break;
                 }
             }
             // The next block of up to LANES free receivers, in list order;
             // the lanes of a short block keep `rb = 0` and name the sender.
-            let (mut slots, mut prevs) = ([END; LANES], [END; LANES]);
+            let (mut indices, mut prevs) = ([END; LANES], [END; LANES]);
             let (mut xb, mut rb, mut base) = ([0.0; LANES], [0u32; LANES], [0.0; LANES]);
             let mut ids = [sender.id; LANES];
             let mut len = 0;
             while len < LANES && cursor != END {
                 let r = &receivers[cursor];
-                (slots[len], prevs[len], ids[len]) = (cursor, prev, r.id);
+                (indices[len], prevs[len], ids[len]) = (cursor, prev, r.id);
                 (xb[len], rb[len], base[len]) = (r.feature_only, r.remaining, r.base_load);
                 (prev, cursor) = (cursor, r.next);
                 len += 1;
             }
-            scanned += len;
-            let (cts, ds) = match variant {
+            let (cts, ds) = match self.variant {
                 OpVariant::Unimodal => {
                     calc_op_lanes(sender_full, sender.remaining, &xb, &rb, &base)
                 }
                 OpVariant::Printed => {
                     let mut out = ([f64::INFINITY; LANES], [0u32; LANES]);
                     for l in 0..len {
-                        let r = &receivers[slots[l]];
+                        let r = &receivers[indices[l]];
                         (out.0[l], out.1[l]) = calc_op_printed(
                             sender_full,
                             r.full_batch,
@@ -537,55 +817,47 @@ pub fn schedule_with(
             // Line 24's argument `x = S·f + 1` and the lower bound
             // `ct·(1 + 2(x−1)/(x+1))` on its cost, in lanes; NaN where the
             // bound's rounding argument does not hold.
-            let s = distances(sender.id, &ids);
+            let s = similarity.distances(sender.id, &ids);
             let (mut x, mut lower) = ([0.0; LANES], [f64::NAN; LANES]);
             for l in 0..LANES {
                 x[l] = s[l] * f + 1.0;
-                if (f64::MIN_POSITIVE..=f64::MAX / 4.0).contains(&cts[l]) {
-                    lower[l] = cts[l] * (1.0 + 2.0 * ((x[l] - 1.0) / (x[l] + 1.0)));
-                }
+                lower[l] = line_24_lower(cts[l], x[l]);
             }
             for l in 0..len {
-                let (ct, d) = (cts[l], ds[l]);
-                // The line-24 factor is ≥ 1, so `ct ≥ best_cost` cannot win,
-                // and neither can a pair whose lower bound clears it (a NaN
-                // `ct` or bound falls through): skip their `ln`.
-                if d == 0 || ct >= best_cost || lower[l] >= limit {
+                let (ct, d, slot) = (cts[l], ds[l], receivers[indices[l]].slot);
+                // The line-24 factor is ≥ 1, so `ct` above the best cost
+                // cannot win, nor `ct` equal to it at a higher slot, nor a
+                // pair whose lower bound clears it (a NaN `ct` or bound
+                // falls through): skip their `ln`.
+                if d == 0
+                    || ct > best.cost
+                    || (ct == best.cost && slot > best.slot)
+                    || best.rules_out(lower[l])
+                {
                     continue;
                 }
                 // Line 24: similarity-weighted cost.
                 let cost = ct * (1.0 + x[l].ln());
-                if cost < best_cost {
-                    best_cost = cost;
-                    limit = best_cost * MARGIN;
-                    selected = Some((
-                        prevs[l],
-                        slots[l],
-                        Assignment {
-                            sender: sender.id,
-                            receiver: ids[l],
-                            offload_batches: d,
-                            estimated_ct: ct,
-                        },
-                    ));
+                if cost < best.cost || (cost == best.cost && slot < best.slot) {
+                    *best = Best {
+                        cost,
+                        limit: cost * MARGIN,
+                        slot,
+                        pick: Some((
+                            prevs[l],
+                            indices[l],
+                            Assignment {
+                                sender: sender.id,
+                                receiver: ids[l],
+                                offload_batches: d,
+                                estimated_ct: ct,
+                            },
+                        )),
+                    };
                 }
             }
-        }
-        match selected {
-            Some((prev, slot, assignment)) => {
-                // Line 29: a strong client serves at most one straggler.
-                let next = receivers[slot].next;
-                match prev {
-                    END => head = next,
-                    prev => receivers[prev].next = next,
-                }
-                assignments.push(assignment);
-            }
-            None => unmatched.push(sender.id),
         }
     }
-
-    OffloadSchedule { mct, assignments, unmatched_senders: unmatched }
 }
 
 #[cfg(test)]
@@ -907,6 +1179,47 @@ mod tests {
         let sched = schedule(&perfs, &no_similarity(3), 1.0, OpVariant::Unimodal);
         let a = sched.assignments[0];
         assert_eq!((a.receiver, a.estimated_ct), (2, -20.0 + xb));
+    }
+
+    /// Clients in the groups of `group`, every pair `s` apart, every group
+    /// bound `s` too.
+    struct Grouped {
+        group: Vec<usize>,
+        s: f64,
+    }
+
+    impl Similarity for Grouped {
+        fn distances(&self, _: usize, _: &[usize; LANES]) -> [f64; LANES] {
+            [self.s; LANES]
+        }
+
+        fn groups(&self) -> usize {
+            self.group.iter().max().map_or(0, |g| g + 1)
+        }
+
+        fn group(&self, i: usize) -> usize {
+            self.group[i]
+        }
+
+        fn group_bounds(&self, _: usize, bounds: &mut [f64]) {
+            bounds.fill(self.s);
+        }
+    }
+
+    /// Two receivers tie exactly on line-24 cost. Receiver 2 shares the
+    /// sender's group, so the scan visits it first; receiver 1, in another
+    /// group, holds the lower slot and must win, as it does in the
+    /// unpruned loop's slot order.
+    #[test]
+    fn exact_tie_across_groups_goes_to_the_lower_slot() {
+        let perfs = vec![perf(0, 4.0, 20), perf(1, 0.5, 20), perf(2, 0.5, 20)];
+        for s in [0.0, 0.5] {
+            let similarity = Grouped { group: vec![0, 1, 0], s };
+            let a = schedule_with(&perfs, similarity, 1.0, OpVariant::Unimodal).assignments[0];
+            assert_eq!(a.receiver, 1, "distance {s}");
+            let matrix = vec![vec![s; 3]; 3];
+            assert_eq!(schedule(&perfs, &matrix, 1.0, OpVariant::Unimodal).assignments[0], a);
+        }
     }
 
     #[test]

@@ -69,11 +69,11 @@ impl Error for EnclaveError {}
 ///
 /// The plaintext histograms live only in the private `histograms` map —
 /// the untrusted host (the federator code in `aergia`) interacts purely
-/// through sealed blobs and receives only a [`SimilarityView`], whose one
-/// query is the distances from one client to a block of others,
-/// mirroring the SGX isolation boundary. The scheduler asks it only
-/// about the receivers its scan visits, so no n × n matrix is ever
-/// resident.
+/// through sealed blobs and receives only a [`SimilarityView`], which
+/// answers distances from one client to a block of others and bounds on
+/// the distance to groups of clients, mirroring the SGX isolation
+/// boundary. The scheduler asks it only about the receivers its scan
+/// visits, so no n × n matrix is ever resident.
 #[derive(Debug)]
 pub struct SimilarityEnclave {
     measurement: Measurement,
@@ -144,14 +144,14 @@ impl SimilarityEnclave {
     /// The read-only distance oracle over every histogram submitted so
     /// far: index `i` is the `i`-th *submitting* client in ascending
     /// client-id order. It holds the normalised histograms privately and
-    /// answers only [`SimilarityView::distances`].
+    /// answers [`SimilarityView::distances`] and the group queries.
     pub fn similarity_view(&self) -> SimilarityView {
         let order = self.client_order();
         let mut probs = Vec::with_capacity(order.len() * self.num_classes);
         for id in &order {
             probs.extend(emd::normalize(&self.histograms[id]));
         }
-        SimilarityView { probs, classes: self.num_classes }
+        SimilarityView::new(probs, self.num_classes)
     }
 
     /// Computes the pairwise EMD matrix over all submitted histograms:
@@ -184,17 +184,126 @@ impl SimilarityEnclave {
 ///
 /// Holds each client's normalised class histogram (n × classes × 8 B:
 /// 320 KiB for 4 096 ten-class clients, against 128 MiB for the full
-/// matrix) in private fields; its only query is
-/// [`SimilarityView::distances`], so the host learns distances and
-/// nothing else.
+/// matrix) in private fields. It answers [`SimilarityView::distances`],
+/// and, so that a scan can visit near clients first, it puts the clients
+/// into groups when it is built. Clients whose histograms have the same
+/// class support, the set of classes with a non-zero count, share a
+/// group. Each group spans a box, class by class, over its members'
+/// cumulative distributions, and two groups whose boxes meet are merged,
+/// since no bound could tell them apart. Supports follow similarity under
+/// a non-IID partition, where each client holds a few classes: at 4 096
+/// clients with 3 classes each, 120 supports give 120 groups. Sparse IID
+/// histograms miss classes by chance, and their supports do not follow
+/// similarity: 4 096 clients with 16 samples over 10 classes hold 299
+/// supports, which merge into 35 groups. [`SimilarityView::group_bounds`]
+/// answers a lower bound on the distance from a client to every member of
+/// a group.
+///
+/// So the host learns more than distances. It learns a partition of the
+/// clients that no client's support splits (not which classes a support
+/// holds), and, per group, how far a client lies from the group's box.
+/// Distances alone reveal neither: two clients with the same support can
+/// be further apart than two clients whose supports differ by a class
+/// holding 1 % of the samples, and a box distance is not a distance to
+/// any one member unless the group has one member. The groups are fixed
+/// at the view's build; like a distance, a group bound is one number
+/// computed from histograms the host never sees.
 #[derive(Debug)]
 pub struct SimilarityView {
     /// Row-major normalised histograms, `classes` values per client.
     probs: Vec<f64>,
     classes: usize,
+    /// Each client's group (clients with the same class support share
+    /// one), numbered in order of their first client.
+    group: Vec<u32>,
+    groups: usize,
+    /// Class-major, `groups` values per class: the minimum and maximum
+    /// over each group's members of their cumulative distributions.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
 }
 
 impl SimilarityView {
+    /// Groups the clients of `probs` (row-major, `classes` values each) by
+    /// class support, merges the supports whose boxes meet, and spans each
+    /// group's box: O(n·C) for the supports, O(s²·C) for the merge of `s`
+    /// supports.
+    fn new(probs: Vec<f64>, classes: usize) -> Self {
+        let words = classes.div_ceil(64).max(1);
+        let n = probs.len().checked_div(classes).unwrap_or(0);
+        let mut support = vec![0u64; n * words];
+        for (k, &p) in probs.iter().enumerate() {
+            let (client, class) = (k / classes, k % classes);
+            support[client * words + class / 64] |= u64::from(p > 0.0) << (class % 64);
+        }
+        let mut ids: HashMap<&[u64], u32> = HashMap::new();
+        let by_support: Vec<u32> = support
+            .chunks_exact(words)
+            .map(|key| {
+                let next = ids.len() as u32;
+                *ids.entry(key).or_insert(next)
+            })
+            .collect();
+        let boxes = |of: &[u32], count: usize| {
+            let (mut lo, mut hi) =
+                (vec![f64::INFINITY; classes * count], vec![0.0; classes * count]);
+            for (row, &g) in probs.chunks_exact(classes.max(1)).zip(of) {
+                let mut cdf = 0.0;
+                for (k, &p) in row.iter().enumerate() {
+                    cdf += p;
+                    let at = k * count + g as usize;
+                    lo[at] = f64::min(lo[at], cdf);
+                    hi[at] = f64::max(hi[at], cdf);
+                }
+            }
+            (lo, hi)
+        };
+        // Two supports whose boxes meet hold a point at bound 0 from both,
+        // so no bound tells them apart: they become one group. Each merged
+        // box is checked against the kept ones again, so the kept boxes
+        // never meet.
+        let supports = ids.len();
+        let (lo, hi) = boxes(&by_support, supports);
+        let span = |s: usize| -> Vec<[f64; 2]> {
+            (0..classes).map(|k| [lo[k * supports + s], hi[k * supports + s]]).collect()
+        };
+        let mut kept: Vec<(Vec<[f64; 2]>, Vec<usize>)> = Vec::new();
+        for s in 0..supports {
+            let (mut cdf_box, mut members) = (span(s), vec![s]);
+            while let Some(at) = kept.iter().position(|(other, _)| {
+                other.iter().zip(&cdf_box).all(|(a, b)| a[0] <= b[1] && b[0] <= a[1])
+            }) {
+                let (other, more) = kept.swap_remove(at);
+                for (a, b) in cdf_box.iter_mut().zip(other) {
+                    *a = [a[0].min(b[0]), a[1].max(b[1])];
+                }
+                members.extend(more);
+            }
+            kept.push((cdf_box, members));
+        }
+        // Groups numbered in order of their first client.
+        let mut merged = vec![0; supports];
+        for (at, (_, members)) in kept.iter().enumerate() {
+            for &s in members {
+                merged[s] = at;
+            }
+        }
+        let mut number = vec![u32::MAX; kept.len()];
+        let mut groups = 0;
+        let group: Vec<u32> = by_support
+            .iter()
+            .map(|&s| {
+                let at = &mut number[merged[s as usize]];
+                if *at == u32::MAX {
+                    (*at, groups) = (groups as u32, groups + 1);
+                }
+                *at
+            })
+            .collect();
+        let (lo, hi) = boxes(&group, groups);
+        SimilarityView { probs, classes, group, groups, lo, hi }
+    }
+
     /// Number of clients the view answers for.
     pub fn len(&self) -> usize {
         self.probs.len().checked_div(self.classes).unwrap_or(0)
@@ -244,6 +353,73 @@ impl SimilarityView {
             }
         }
         total
+    }
+
+    /// Client `i`'s group: it holds every client whose histogram has the
+    /// same class support as `i`'s, and the clients of every support whose
+    /// box meets theirs (see [`SimilarityView`]). Groups are numbered
+    /// `0..groups()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`SimilarityView::len`].
+    pub fn group(&self, i: usize) -> usize {
+        self.group[i] as usize
+    }
+
+    /// Number of groups (see [`SimilarityView::group`]); 1 when every
+    /// client has the same class support, as under IID data dense enough
+    /// that every client holds every class.
+    pub fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// Lower bounds on the distance from client `i` to the members of
+    /// every group: `bounds[g]` is at most the bits of
+    /// [`SimilarityView::distances`]`(i, js)[m]` for every member `js[m]`
+    /// of group `g`, `i` itself included. The groups are the lanes: each
+    /// class updates every group's bound in one pass over a contiguous
+    /// row.
+    ///
+    /// The EMD is the L1 distance between cumulative distributions, so
+    /// the distance from `i`'s CDF to the box spanned, class by class, by
+    /// the members' CDFs bounds each member's distance from below, in
+    /// exact arithmetic. The computed values differ from the exact ones
+    /// by rounding, which the bound absorbs by subtracting
+    /// `(C+1)²·2⁻⁵⁰` for `C` classes and clamping at 0. Let `u = 2⁻⁵³`.
+    /// Every probability and CDF lies in `[0, 1 + u]`. The computed
+    /// distance runs `C` steps of `prefix += p − q; total += |prefix|`:
+    /// after `k` steps the prefix is within `2ku` of its exact value, and
+    /// the `C` additions to `total` round by at most `C(C+1)u/2`
+    /// together, so it is within `1.5·C(C+1)u` of the exact EMD. The
+    /// computed CDFs are within `ku` at class `k`, so each computed gap to
+    /// the box is within `(2k+1)u` of the exact one, and the bound's sum
+    /// within `(1.5·C(C+1) + C)u` of its exact value. Together that is
+    /// below `4(C+1)²u`; the margin is twice that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`SimilarityView::len`] or `bounds` is
+    /// shorter than [`SimilarityView::groups`].
+    pub fn group_bounds(&self, i: usize, bounds: &mut [f64]) {
+        let (c, groups) = (self.classes, self.groups);
+        let bounds = &mut bounds[..groups];
+        bounds.fill(0.0);
+        let mut cdf = 0.0f64;
+        for (k, &a) in self.probs[i * c..][..c].iter().enumerate() {
+            cdf += a;
+            let (lo, hi) = (&self.lo[k * groups..][..groups], &self.hi[k * groups..][..groups]);
+            for ((bound, &lo), &hi) in bounds.iter_mut().zip(lo).zip(hi) {
+                // `lo ≤ hi`, so at most one of the two gaps is positive.
+                let (below, above) = (lo - cdf, cdf - hi);
+                *bound +=
+                    if below > 0.0 { below } else { 0.0 } + if above > 0.0 { above } else { 0.0 };
+            }
+        }
+        let margin = ((c + 1) * (c + 1)) as f64 * (4.0 * f64::EPSILON);
+        for bound in bounds {
+            *bound = if *bound > margin { *bound - margin } else { 0.0 };
+        }
     }
 
     /// The full pairwise matrix, built on demand one pair at a time —
@@ -417,6 +593,111 @@ mod tests {
                 proptest::prop_assert_eq!(lanes[i % 8], 0.0);
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Each group's bound is at most the distance from every client to
+        /// every member of the group, the client's own group included:
+        /// random histograms over four class supports (so groups are
+        /// shared), all-zero and single-class histograms, with the bounds
+        /// buffer longer than the group count. Clients with the same
+        /// support share a group, and no two groups' boxes meet.
+        #[test]
+        fn group_bounds_are_at_most_every_member_distance(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(1u64..5, 12), 0usize..6),
+                2..=24,
+            ),
+            classes in 1usize..=12,
+        ) {
+            let hists: Vec<(u32, Vec<u64>)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, (counts, support))| {
+                    let hist = (0..classes)
+                        .map(|k| match support {
+                            0 => 0,
+                            1 => u64::from(k == i % classes) * counts[k],
+                            m => u64::from((k + m) % (m + 1) != 0) * counts[k],
+                        })
+                        .collect();
+                    (i as u32, hist)
+                })
+                .collect();
+            let view = enclave_with(&hists).similarity_view();
+            let (n, groups) = (view.len(), view.groups());
+            // An all-zero histogram normalises to uniform: full support.
+            let support = |i: usize| {
+                let zero = hists[i].1.iter().all(|&c| c == 0);
+                hists[i].1.iter().map(|&c| zero || c > 0).collect::<Vec<_>>()
+            };
+            let meet = |a: usize, b: usize| {
+                (0..classes).all(|k| {
+                    let (lo, hi) = (&view.lo[k * groups..], &view.hi[k * groups..]);
+                    lo[a] <= hi[b] && lo[b] <= hi[a]
+                })
+            };
+            for a in 0..groups {
+                for b in a + 1..groups {
+                    proptest::prop_assert!(!meet(a, b), "groups {} and {} meet", a, b);
+                }
+            }
+            let mut bounds = vec![f64::NAN; groups + 3];
+            for i in 0..n {
+                for j in 0..n {
+                    if support(i) == support(j) {
+                        proptest::prop_assert_eq!(view.group(i), view.group(j));
+                    }
+                }
+                view.group_bounds(i, &mut bounds);
+                proptest::prop_assert!(bounds[groups..].iter().all(|b| b.is_nan()));
+                for j in 0..n {
+                    let bound = bounds[view.group(j)];
+                    proptest::prop_assert!(bound >= 0.0);
+                    proptest::prop_assert!(
+                        bound <= view.distance(i, j),
+                        "bound {} > distance {} ({}, {})",
+                        bound,
+                        view.distance(i, j),
+                        i,
+                        j
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_bounds_separate_disjoint_supports() {
+        let hists = [(0u32, vec![4u64, 0, 0]), (1, vec![3, 1, 0]), (2, vec![0, 0, 5])];
+        let view = enclave_with(&hists).similarity_view();
+        assert_eq!(view.groups(), 3);
+        let mut bounds = [0.0; 3];
+        view.group_bounds(0, &mut bounds);
+        assert_eq!(bounds[view.group(0)], 0.0);
+        // Class 0 alone against class 2 alone is two classes apart.
+        assert!(bounds[view.group(2)] > 2.0 - 1e-12 && bounds[view.group(2)] <= 2.0);
+        assert!(bounds[view.group(1)] <= view.distance(0, 1));
+    }
+
+    #[test]
+    fn supports_whose_boxes_meet_share_a_group() {
+        // Supports {0, 1, 2} and {0, 2} span CDF boxes [0.2, 0.6] × [0.6,
+        // 0.8] × 1 and [0.3, 0.7] × [0.3, 0.7] × 1, which meet; {2} alone
+        // sits at CDF 0 on class 0, outside both.
+        let hists = [
+            (0u32, vec![1u64, 2, 2]),
+            (1, vec![3, 1, 1]),
+            (2, vec![3, 0, 7]),
+            (3, vec![7, 0, 3]),
+            (4, vec![0, 0, 4]),
+        ];
+        let view = enclave_with(&hists).similarity_view();
+        assert_eq!(view.groups(), 2);
+        assert!((1..4).all(|i| view.group(i) == view.group(0)));
+        assert_ne!(view.group(4), view.group(0));
     }
 
     #[test]

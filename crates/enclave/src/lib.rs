@@ -16,11 +16,14 @@
 //!   see the module docs);
 //! * [`SimilarityEnclave`] — the enclave itself. Plaintext histograms
 //!   exist only inside its private state. After the last submission it
-//!   hands out a [`SimilarityView`] whose one query is `distances(i,
-//!   js)`, the distances from client `i` to each client of `js`, answered
-//!   on demand, mirroring the SGX isolation boundary at the type level.
-//!   The scheduler asks only about the receivers its scan visits; the
-//!   full matrix is built only when a caller asks for it.
+//!   hands out a [`SimilarityView`], mirroring the SGX isolation boundary
+//!   at the type level. Its queries are `distances(i, js)`, the distances
+//!   from client `i` to each client of `js`, answered on demand, and a
+//!   grouping of the clients by class support (merged where the
+//!   supports' CDF boxes meet) with a lower bound on the distance from a
+//!   client to every member of each group. The scheduler asks only about
+//!   the receivers its scan visits; the full matrix is built only when a
+//!   caller asks for it.
 //!
 //! # Examples
 //!

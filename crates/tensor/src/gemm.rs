@@ -475,7 +475,7 @@ impl PackedB {
     /// logical operand is `bᵀ` (`k×n`), into `variant`'s panel layout. This
     /// is how an `nt` `B` operand (a `[rows, k]` weight matrix)
     /// becomes column panels: each source row is a panel column, copied
-    /// [`PACK_KT`] steps at a time.
+    /// `PACK_KT` steps at a time.
     ///
     /// # Errors
     ///
@@ -496,7 +496,7 @@ impl PackedB {
     /// Packs an NCHW tensor `[N, C, H, W]` as its `[N·H·W, C]` pixel-row
     /// matrix — row `(img, pixel)`, column `c` is `x[img, c, pixel]` —
     /// without writing that matrix: each panel column is a channel's
-    /// planes, one image after another, copied [`PACK_KT`] steps at a
+    /// planes, one image after another, copied `PACK_KT` steps at a
     /// time. The bits of [`PackedB::pack_with`] on the explicit matrix.
     ///
     /// # Errors

@@ -12,7 +12,7 @@ use aergia::scheduler::{
 use aergia::strategy::Strategy as FlStrategy;
 use aergia_data::emd::{emd, normalize, similarity_matrix};
 use aergia_data::{partition::Scheme, DataConfig, DatasetSpec};
-use aergia_enclave::{establish_session, SimilarityEnclave};
+use aergia_enclave::{establish_session, SimilarityEnclave, SimilarityView};
 use aergia_nn::models::ModelArch;
 use aergia_simnet::SimTime;
 use aergia_tensor::Tensor;
@@ -163,6 +163,42 @@ fn large_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, u64)> {
             })
             .collect();
         (perfs, salt)
+    })
+}
+
+/// Clusters whose distances come from a real [`SimilarityView`], so the
+/// scan runs by similarity group: 40–300 clients over 2–12 classes, with
+/// [`large_cluster`]'s per-batch costs, remaining counts and feature
+/// shares. One client in six has an all-zero histogram (uniform after
+/// normalisation), one in six a single class, and the rest one of four
+/// class supports with two count levels, so many clients share a group,
+/// many histograms repeat, and line-24 costs tie exactly, across groups
+/// too (a pair with `ct = 0` costs 0 at any distance).
+fn real_histogram_cluster() -> impl Strategy<Value = (Vec<ClientPerf>, SimilarityView)> {
+    let client = (0usize..5, 0usize..7, 0usize..5, 0usize..6, 1u64..3);
+    (2usize..=12, proptest::collection::vec(client, 40..=300)).prop_map(|(classes, raw)| {
+        let mut enclave = SimilarityEnclave::new(classes, 3);
+        let mut perfs = Vec::with_capacity(raw.len());
+        for (id, &(cost, remaining, share, support, level)) in raw.iter().enumerate() {
+            let full = [0.0, 0.25, 0.5, 1.0, 2.0][cost];
+            perfs.push(ClientPerf {
+                id,
+                t123: 0.4 * full,
+                t4: 0.6 * full,
+                feature_only: [0.05, 0.5, 0.8, 1.0, f64::NAN][share] * full,
+                remaining: [1, 2, 3, 5, 8, 14, 40][remaining],
+            });
+            let hist: Vec<u64> = (0..classes)
+                .map(|k| match support {
+                    0 => 0,
+                    1 => u64::from(k == id % classes) * level,
+                    m => u64::from((k + m) % (m + 1) != 0 || k == 0) * (level + (k % 2) as u64),
+                })
+                .collect();
+            let mut session = establish_session(&mut enclave, id as u32, 1).unwrap();
+            enclave.submit(id as u32, session.seal_histogram(&hist)).unwrap();
+        }
+        (perfs, enclave.similarity_view())
     })
 }
 
@@ -339,6 +375,26 @@ proptest! {
             for f in [0.0, 0.5, 1.0, 7.0] {
                 assert_same_schedule(
                     &schedule_with(&perfs, in_lanes(distance), f, variant),
+                    &unpruned_schedule(&perfs, distance, f, variant),
+                );
+            }
+        }
+    }
+
+    /// The scan by similarity group is Algorithm 1 exactly: on clusters
+    /// whose distances are real EMDs between drawn histograms, grouped by
+    /// class support, every factor and both `calc_op` variants give the
+    /// unpruned loop's schedule, bit for bit, whichever groups the scan
+    /// skips and in whatever order it visits them.
+    #[test]
+    fn grouped_scan_equals_unpruned_algorithm_1_on_real_histograms(
+        (perfs, view) in real_histogram_cluster(),
+    ) {
+        let distance = |i: usize, j: usize| view.distances(i, &[j])[0];
+        for variant in [OpVariant::Unimodal, OpVariant::Printed] {
+            for f in [0.0, 0.5, 1.0, 7.0] {
+                assert_same_schedule(
+                    &schedule_with(&perfs, &view, f, variant),
                     &unpruned_schedule(&perfs, distance, f, variant),
                 );
             }
@@ -540,22 +596,19 @@ proptest! {
     }
 }
 
-/// Algorithm 1 at population scale, shaped like the `plan_4k` benchmark
-/// workload: 4 096 clients dealt a shuffled [0.1, 1.0] speed ladder, the
-/// MNIST CNN's phase ratios, 14 remaining updates each, and 3-class
-/// non-IID histograms behind the enclave's on-demand view. The bounded
-/// scan, reading the view's eight-lane `distances`, must give the
-/// unpruned loop's schedule, which reads `distance` one pair at a time.
-#[test]
-fn bounded_scan_equals_unpruned_algorithm_1_at_4096_clients() {
+/// A population shaped like the `plan_4k` benchmark workload, at `n`
+/// clients: a shuffled [0.1, 1.0] speed ladder, the MNIST CNN's phase
+/// ratios, 14 remaining updates each, and histograms of 16 samples per
+/// client, split by `scheme` (`plan_4k` takes 3 classes per client),
+/// behind the enclave's on-demand view.
+fn population(n: usize, scheme: Scheme, seed: u64) -> (Vec<ClientPerf>, SimilarityView) {
     use aergia::profiler::ProfileReport;
     use aergia_data::partition::Partition;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
-    const N: usize = 4096;
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut speeds: Vec<f64> = (0..N).map(|i| 0.1 + 0.9 * i as f64 / (N - 1) as f64).collect();
-    for i in (1..N).rev() {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut speeds: Vec<f64> = (0..n).map(|i| 0.1 + 0.9 * i as f64 / (n - 1) as f64).collect();
+    for i in (1..n).rev() {
         speeds.swap(i, rng.random_range(0..=i));
     }
     let flops = ModelArch::MnistCnn.build(0).phase_flops(8);
@@ -578,27 +631,64 @@ fn bounded_scan_equals_unpruned_algorithm_1_at_4096_clients() {
         })
         .collect();
 
-    let data =
-        DataConfig { spec: DatasetSpec::MnistLike, train_size: 16 * N, test_size: 64, seed: 7 };
+    let data = DataConfig { spec: DatasetSpec::MnistLike, train_size: 16 * n, test_size: 64, seed };
     let (train, _) = data.generate_pair();
-    let partition = Partition::split(&train, N, Scheme::NonIid { classes_per_client: 3 }, 7);
-    let mut enclave = SimilarityEnclave::new(train.num_classes(), 7);
-    for client in 0..N {
+    let partition = Partition::split(&train, n, scheme, seed);
+    let mut enclave = SimilarityEnclave::new(train.num_classes(), seed);
+    for client in 0..n {
         let id = client as u32;
         let mut session = establish_session(&mut enclave, id, client as u64).unwrap();
         let hist = partition.class_histogram(&train, client);
         enclave.submit(id, session.seal_histogram(&hist)).unwrap();
     }
-    let view = enclave.similarity_view();
-    let distance = |i: usize, j: usize| view.distances(i, &[j])[0];
+    (perfs, enclave.similarity_view())
+}
 
-    for f in [0.0, 1.0] {
-        let bounded = schedule_with(&perfs, |i, js| view.distances(i, js), f, OpVariant::Unimodal);
-        // The ladder fixes who straggles up to the shuffle: 1 323 senders.
-        assert_eq!(bounded.assignments.len() + bounded.unmatched_senders.len(), 1323);
-        assert_same_schedule(
-            &bounded,
-            &unpruned_schedule(&perfs, distance, f, OpVariant::Unimodal),
-        );
+/// Algorithm 1 at population scale: on [`population`]'s 4 096 clients,
+/// seeds 7 and 23, the bounded scan must give the unpruned loop's
+/// schedule, which reads `distance` one pair at a time, at `f` = 0, 1
+/// and 7, both as one group in slot order (a closure over the view's
+/// eight-lane `distances`) and by similarity group (the view itself).
+#[test]
+fn bounded_scan_equals_unpruned_algorithm_1_at_4096_clients() {
+    for seed in [7, 23] {
+        let (perfs, view) = population(4096, Scheme::NonIid { classes_per_client: 3 }, seed);
+        assert!(view.groups() > 1, "3-class supports form groups");
+        let distance = |i: usize, j: usize| view.distances(i, &[j])[0];
+        for f in [0.0, 1.0, 7.0] {
+            let unpruned = unpruned_schedule(&perfs, distance, f, OpVariant::Unimodal);
+            let one_group = schedule_with(
+                &perfs,
+                |i, js: &[usize; LANES]| view.distances(i, js),
+                f,
+                OpVariant::Unimodal,
+            );
+            let grouped = schedule_with(&perfs, &view, f, OpVariant::Unimodal);
+            // The ladder fixes who straggles up to the shuffle: 1 323
+            // senders.
+            assert_eq!(one_group.assignments.len() + one_group.unmatched_senders.len(), 1323);
+            assert_same_schedule(&one_group, &unpruned);
+            assert_same_schedule(&grouped, &unpruned);
+        }
+    }
+}
+
+/// The scan by similarity group on populations whose supports follow
+/// similarity less: 4 096 clients of 5 classes each (252 supports, 252
+/// groups) and IID clients (16 samples over 10 classes miss classes by
+/// chance: 299 supports, merged into fewer groups). Both must give the
+/// unpruned loop's schedule at `f` = 1 and 7.
+#[test]
+fn grouped_scan_equals_unpruned_algorithm_1_on_iid_and_5_class_populations() {
+    for scheme in [Scheme::Iid, Scheme::NonIid { classes_per_client: 5 }] {
+        let (perfs, view) = population(4096, scheme, 7);
+        assert!(view.groups() > 1, "{scheme:?} forms groups");
+        let distance = |i: usize, j: usize| view.distances(i, &[j])[0];
+        for f in [1.0, 7.0] {
+            assert_same_schedule(
+                &schedule_with(&perfs, &view, f, OpVariant::Unimodal),
+                &unpruned_schedule(&perfs, distance, f, OpVariant::Unimodal),
+            );
+        }
     }
 }
