@@ -86,8 +86,8 @@ impl Layer for Linear {
         // gradient — same summation order as the allocating path.
         // dW[out, in] = dyᵀ · x; both operands are per-batch, so their
         // packs are rebuilt each call into workspace-pooled buffers. The
-        // two packs share one variant (`gemm_packed_tn` insists its
-        // operands agree on layout).
+        // two packs share one variant (`ops::matmul_tn_packed_into`
+        // insists its operands agree on layout).
         let batch = dy.dims().first().copied().unwrap_or(0);
         let vdw = tuned_variant(GemmOp::Tn, self.out_features, batch, self.in_features);
         let mut pa = ws.take_packed_a();

@@ -5,10 +5,6 @@ use aergia_tensor::Tensor;
 
 use crate::model::Cnn;
 
-/// Width of the fixed-size chunks the fused update loops process per step
-/// — a bounded inner loop the autovectorizer reliably lifts to SIMD.
-const LANES: usize = 8;
-
 /// Per-parameter update coefficients, captured once per tensor so the
 /// element loops stay branch-uniform.
 #[derive(Clone, Copy)]
@@ -22,8 +18,8 @@ struct StepCoeffs {
 
 /// The effective gradient of one element, evaluated in the historical
 /// order: `g = ((grad + wd·w) + μ·w) + (−μ)·anchor`. Identical arithmetic
-/// whatever the surrounding loop structure, so chunking cannot change
-/// results.
+/// whatever the surrounding loop structure, so the walk's shape cannot
+/// change results.
 #[inline(always)]
 fn effective(pv: f32, gv: f32, av: f32, c: StepCoeffs) -> f32 {
     let mut g = gv;
@@ -37,43 +33,19 @@ fn effective(pv: f32, gv: f32, av: f32, c: StepCoeffs) -> f32 {
     g
 }
 
-/// Fused plain-SGD walk in [`LANES`]-wide chunks plus a scalar tail; each
-/// element sees exactly the historical update sequence. `ad` is only read
-/// when a proximal term is active (callers without one pass any
-/// same-length slice).
+/// Fused plain-SGD walk: one straight pass in which each element sees
+/// exactly the historical update sequence. `ad` is only read when a
+/// proximal term is active (callers without one pass any same-length
+/// slice).
 fn step_plain(pd: &mut [f32], gd: &[f32], ad: &[f32], c: StepCoeffs) {
-    let split = pd.len() - pd.len() % LANES;
-    let chunks = pd[..split]
-        .chunks_exact_mut(LANES)
-        .zip(gd[..split].chunks_exact(LANES))
-        .zip(ad[..split].chunks_exact(LANES));
-    for ((pc, gc), ac) in chunks {
-        for ((pv, &gv), &av) in pc.iter_mut().zip(gc).zip(ac) {
-            *pv += -c.lr * effective(*pv, gv, av, c);
-        }
-    }
-    for ((pv, &gv), &av) in pd[split..].iter_mut().zip(&gd[split..]).zip(&ad[split..]) {
+    for ((pv, &gv), &av) in pd.iter_mut().zip(gd).zip(ad) {
         *pv += -c.lr * effective(*pv, gv, av, c);
     }
 }
 
-/// Fused momentum-SGD walk, chunked like [`step_plain`].
+/// Fused momentum-SGD walk, one straight pass like [`step_plain`].
 fn step_momentum(pd: &mut [f32], gd: &[f32], vd: &mut [f32], ad: &[f32], c: StepCoeffs) {
-    let split = pd.len() - pd.len() % LANES;
-    let chunks = pd[..split]
-        .chunks_exact_mut(LANES)
-        .zip(gd[..split].chunks_exact(LANES))
-        .zip(vd[..split].chunks_exact_mut(LANES))
-        .zip(ad[..split].chunks_exact(LANES));
-    for (((pc, gc), vc), ac) in chunks {
-        for (((pv, &gv), vv), &av) in pc.iter_mut().zip(gc).zip(vc.iter_mut()).zip(ac) {
-            *vv = *vv * c.momentum + effective(*pv, gv, av, c);
-            *pv += -c.lr * *vv;
-        }
-    }
-    let tail =
-        pd[split..].iter_mut().zip(&gd[split..]).zip(vd[split..].iter_mut()).zip(&ad[split..]);
-    for (((pv, &gv), vv), &av) in tail {
+    for (((pv, &gv), vv), &av) in pd.iter_mut().zip(gd).zip(vd.iter_mut()).zip(ad) {
         *vv = *vv * c.momentum + effective(*pv, gv, av, c);
         *pv += -c.lr * *vv;
     }

@@ -1,5 +1,6 @@
-//! Packed, register-blocked GEMM: the microkernel architecture behind the
-//! [`crate::ops`] `*_packed_into` GEMM forms.
+//! Packed, register-blocked GEMM: the five GEMM entries [`crate::ops`]
+//! re-exports (`matmul_*_into`), the packs they read and the microkernels
+//! they run.
 //!
 //! # Architecture
 //!
@@ -45,8 +46,8 @@
 //! * **Scalar** (`4×8`): the portable baseline — a scalar-ordered loop the
 //!   autovectorizer lifts to SIMD where it can. Always available, and
 //!   forced process-wide by setting `AERGIA_FORCE_SCALAR=1` (see
-//!   [`active_isa`]). A generic scalar kernel additionally executes *any*
-//!   variant's layout, so a SIMD-tagged pack still computes correct (and
+//!   [`active_isa`]). The same portable kernel is instantiated for every
+//!   SIMD tile too, so a SIMD-tagged pack still computes correct (and
 //!   bit-identical) results on a scalar-only process.
 //! * **AVX2** (`4×16`): explicit `std::arch` intrinsics, two 256-bit
 //!   accumulator vectors per row; needs `fma` as well as `avx2`.
@@ -65,7 +66,7 @@
 //! of one seed. No measurement, no cache, no lock: every process of a
 //! build lays out the same packs and runs the same kernels.
 //!
-//! Every microkernel and driver is written once: the `A` operand reaches
+//! Every microkernel and entry is written once: the `A` operand reaches
 //! the kernels as a `SubtileA` view generic over its storage — row-major
 //! rows (`nn`, `nt`), a [`PackedA`] tile (`tn`), or a convolution's
 //! implicit patch matrix, or its transpose, read through a [`PatchTable`]
@@ -73,14 +74,14 @@
 //! gradient, and the input gradient, which is a forward convolution of
 //! the padded `dy`; see [`crate::conv`]) — so all of them run the same
 //! source, the stored layouts at constant strides. Where a finished
-//! register tile goes is the driver's too: row-major output rows, or (a
+//! register tile goes is the entry's choice too: row-major output rows, or (a
 //! convolution) one image of an NCHW output, stored transposed with the
 //! bias added when there is one.
 //!
 //! The one product whose `k` is a whole batch of patch rows — a
 //! convolution's weight gradient, computed transposed as
 //! `dWᵀ = patchesᵀ · dy_rows`, `k = N·OH·OW` — is `k`-blocked
-//! ([`crate::ops::matmul_tn_patches_into`]): `dy_rows` is packed once,
+//! ([`matmul_tn_patches_into`]): `dy_rows` is packed once,
 //! and each row tile of `dWᵀ` walks it `KC` = 256 steps at a time, every
 //! block after the first entering the microkernel with the output's
 //! running sums loaded into the register tile. The patch matrix is
@@ -151,7 +152,7 @@
 // SIMD intrinsics below are dispatched strictly behind
 // `is_x86_feature_detected!` (see [`active_isa`] and the dispatch
 // functions), and every kernel's slice-length preconditions are
-// established by the drivers in this file.
+// established by the GEMM entries in this file.
 #![allow(unsafe_code)]
 
 use std::ops::Range;
@@ -168,20 +169,20 @@ use crate::{Tensor, TensorError};
 // ---------------------------------------------------------------------------
 //
 // GEMM runs on pool worker threads, so only commutative counters are
-// touched here (one relaxed atomic add per driver call or row tile —
+// touched here (one relaxed atomic add per entry call or row tile —
 // nothing per multiply). Span events would race the federator thread's
 // deterministic stream and are deliberately absent. Every count is a
 // function of the operands and the variant rule alone, so same-seed runs
 // agree on them across processes, not just within one.
 
-/// Driver entries by GEMM form (`nn` / `nt` / `tn`).
+/// Entry calls by GEMM form (`nn` / `nt` / `tn`).
 static GEMM_CALLS: [LazyCounter; 3] = [
     LazyCounter::new("aergia_gemm_calls_total{op=\"nn\"}"),
     LazyCounter::new("aergia_gemm_calls_total{op=\"nt\"}"),
     LazyCounter::new("aergia_gemm_calls_total{op=\"tn\"}"),
 ];
 
-/// Driver entries by dispatched ISA tier (which microkernel family ran).
+/// Entry calls by dispatched ISA tier (which microkernel family ran).
 static GEMM_DISPATCH: [LazyCounter; 3] = [
     LazyCounter::new("aergia_gemm_dispatch_total{isa=\"scalar\"}"),
     LazyCounter::new("aergia_gemm_dispatch_total{isa=\"avx2\"}"),
@@ -297,7 +298,7 @@ pub struct KernelVariant {
     /// size ([`MR_MAX`] bounds it), i.e. 4 or 8.
     pub mr: usize,
     /// Output columns per `B` panel (8, 16 or 32); this is baked into the
-    /// pack layout.
+    /// pack layout. A tile [`KernelVariant::candidates`] does not name panics.
     pub nr: usize,
     /// ISA tier of the microkernel that consumes the layout.
     pub isa: Isa,
@@ -895,17 +896,17 @@ impl<'a> SubtileA<'a> for PackedTile<'a> {
 /// offsets (the last live one repeated past a ragged tail). The two
 /// [`PatchTable`] offsets of a patch element play either role:
 ///
-/// * the patch matrix (a forward convolution, [`gemm_patches_nt`]: a
+/// * the patch matrix (a forward convolution, [`matmul_nt_patches_into`]: a
 ///   layer's forward over its padded input, or its input gradient over
 ///   the padded `dy`): rows are patch rows, so
 ///   `row_off` holds their row bases and `step_off` is the table's column
 ///   offsets `k_off`;
-/// * its transpose (the weight gradient's `A`, [`gemm_patches_tn`]): rows
+/// * its transpose (the weight gradient's `A`, [`matmul_tn_patches_into`]): rows
 ///   are patch columns, so `row_off` holds their `k_off` entries and
 ///   `step_off` the row bases of the `k`-block's patch rows.
 ///
-/// The driver checks once per call that every such index is in bounds
-/// ([`PatchTable::check_bound`]).
+/// The entry checks once per call that every such index is in bounds
+/// (`PatchTable::check_bound`).
 #[derive(Clone, Copy)]
 struct Patches<'a> {
     xpad: &'a [f32],
@@ -954,86 +955,67 @@ impl<'a> SubtileA<'a> for Patches<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar microkernels
+// The portable microkernel
 // ---------------------------------------------------------------------------
 
-/// One accumulator row of the portable register tile: `acc = fma(av, b,
-/// acc)` per lane. A fixed-size `b` and straight-line updates keep the row
-/// SROA-promoted to registers; under the build's `target-cpu=native` each
-/// `mul_add` is one `vfmadd` (a host without FMA gets the same bits from
-/// libm, slowly).
+/// The portable `MRK × NRK` register-tile microkernel: the scalar tier's
+/// `4×8`, and for every other tile the fallback that runs a SIMD layout
+/// where its tier is not active. The rows advance through `k` together,
+/// so one row's FMA latency hides behind the others' while each element
+/// keeps its ascending-`k` chain; the accumulators are local arrays under
+/// constant-bounded loops, which keeps them in registers. Under the
+/// build's `target-cpu=native` each `mul_add` is one `vfmadd` (a host
+/// without FMA gets the same bits from libm, slowly). It overwrites its
+/// `MRK × NRK` region of `acc`, starting from `+0.0`, or with `ACC` from
+/// the partial sums there.
 #[inline(always)]
-fn fma_row(acc: &mut [f32; NR], av: f32, b: &[f32; NR]) {
-    for (o, &bv) in acc.iter_mut().zip(b) {
-        *o = av.mul_add(bv, *o);
-    }
-}
-
-/// The portable `4×8` register-tile microkernel.
-///
-/// The four rows advance through `k` together: their accumulator chains
-/// are independent, so one row's FMA latency hides behind the others',
-/// while each individual output element still accumulates strictly
-/// ascending-`k`. The accumulators live in plain local arrays so scalar
-/// replacement keeps them in registers for the whole `k` walk; the kernel
-/// fully overwrites its `4×8` region of `acc`. They start from `+0.0`, or
-/// with `ACC` from the partial sums in that region (see the module docs'
-/// determinism contract).
-#[inline(always)]
-fn scalar_4x8<'a, const ACC: bool, A: SubtileA<'a>>(a: A, panel: &[f32], acc: &mut Acc) {
-    let start = |r: usize| -> [f32; NR] {
-        if ACC {
-            acc[r * NR..(r + 1) * NR].try_into().expect("an NR-wide accumulator row")
-        } else {
-            [0.0; NR]
-        }
-    };
-    let (mut x0, mut x1, mut x2, mut x3) = (start(0), start(1), start(2), start(3));
-    assert!(a.fits(MR), "scalar_4x8: A subtile does not fit a 4-row kernel");
-    let (a0, a1, a2, a3) = (a.row(0), a.row(1), a.row(2), a.row(3));
-    for (kk, b) in panel.chunks_exact(NR).take(a.k()).enumerate() {
-        let b: &[f32; NR] = b.try_into().expect("chunks_exact yields NR-sized chunks");
-        // SAFETY: `take(a.k())` keeps `kk < a.k()` and the subtile was
-        // just asserted to fit MR rows — the `SubtileA` invariant's
-        // conditions for these reads. (Checked indexing measured ~40 %
-        // slower on this tier: four compares against a 13-instruction
-        // step.)
-        let i = a.at(kk, MR);
-        let at = |row: &[f32]| unsafe { *row.get_unchecked(i) };
-        fma_row(&mut x0, at(a0), b);
-        fma_row(&mut x1, at(a1), b);
-        fma_row(&mut x2, at(a2), b);
-        fma_row(&mut x3, at(a3), b);
-    }
-    acc[..NR].copy_from_slice(&x0);
-    acc[NR..2 * NR].copy_from_slice(&x1);
-    acc[2 * NR..3 * NR].copy_from_slice(&x2);
-    acc[3 * NR..4 * NR].copy_from_slice(&x3);
-}
-
-/// Scalar microkernel for *any* tile geometry: the correctness fallback
-/// that lets a scalar-only process (or a `AERGIA_FORCE_SCALAR` run)
-/// execute packs laid out for SIMD variants. Same ascending-`k` fused
-/// chain per element, from the same start (`ACC`), so same bits.
-fn scalar_any<'a, const ACC: bool, A: SubtileA<'a>>(
-    mr: usize,
-    nr: usize,
+fn portable<'a, const ACC: bool, const MRK: usize, const NRK: usize, A: SubtileA<'a>>(
     a: A,
     panel: &[f32],
     acc: &mut Acc,
 ) {
-    assert!(a.fits(mr), "scalar_any: A subtile does not fit the variant's mr");
-    for (r, out) in acc[..mr * nr].chunks_exact_mut(nr).enumerate() {
-        let row = a.row(r);
-        if !ACC {
-            out.fill(0.0);
+    assert!(a.fits(MRK), "gemm: A subtile does not fit the portable kernel's mr");
+    let rows: [&[f32]; MRK] = std::array::from_fn(|r| a.row(r));
+    let mut x: [[f32; NRK]; MRK] = std::array::from_fn(|r| {
+        if ACC {
+            acc[r * NRK..(r + 1) * NRK].try_into().expect("an NRK-wide accumulator row")
+        } else {
+            [0.0; NRK]
         }
-        for (kk, b) in panel.chunks_exact(nr).take(a.k()).enumerate() {
-            let av = row[a.at(kk, mr)];
-            for (o, &bv) in out.iter_mut().zip(b) {
+    });
+    for (kk, b) in panel.chunks_exact(NRK).take(a.k()).enumerate() {
+        let b: &[f32; NRK] = b.try_into().expect("chunks_exact yields NRK-sized chunks");
+        let i = a.at(kk, MRK);
+        for (xr, row) in x.iter_mut().zip(&rows) {
+            // SAFETY: `kk < a.k()` and the subtile fits MRK rows (asserted
+            // above), the `SubtileA` invariant's conditions for this read.
+            // Checked indexing measured ~40 % slower on the 4×8 tile.
+            let av = unsafe { *row.get_unchecked(i) };
+            for (o, &bv) in xr.iter_mut().zip(b) {
                 *o = av.mul_add(bv, *o);
             }
         }
+    }
+    for (dst, xr) in acc.chunks_exact_mut(NRK).zip(&x) {
+        dst.copy_from_slice(xr);
+    }
+}
+
+/// Runs [`portable`] for `variant`'s tile, whatever its ISA tier; panics
+/// on a tile [`KernelVariant::candidates`] does not name.
+#[inline(always)]
+fn run_portable<'a, const ACC: bool, A: SubtileA<'a>>(
+    variant: KernelVariant,
+    a: A,
+    panel: &[f32],
+    acc: &mut Acc,
+) {
+    match (variant.mr, variant.nr) {
+        (4, 8) => portable::<ACC, 4, 8, A>(a, panel, acc),
+        (4, 16) => portable::<ACC, 4, 16, A>(a, panel, acc),
+        (8, 16) => portable::<ACC, 8, 16, A>(a, panel, acc),
+        (8, 32) => portable::<ACC, 8, 32, A>(a, panel, acc),
+        (mr, nr) => panic!("gemm: no kernel for a {mr}×{nr} register tile"),
     }
 }
 
@@ -1243,8 +1225,8 @@ simd_kernel!(avx512_8x32, "avx512f", v512, 8, 2);
 // ---------------------------------------------------------------------------
 
 /// Runs the microkernel for `variant` on one subtile/panel pair, falling
-/// back to the generic scalar kernel when the variant's ISA is not active
-/// in this process (wrong CPU or `AERGIA_FORCE_SCALAR`) — the fallback
+/// back to the portable kernel when the variant's ISA is not active in
+/// this process (wrong CPU or `AERGIA_FORCE_SCALAR`) — the fallback
 /// computes identical bits, just slower.
 #[inline(always)]
 fn run_kernel<'a, const ACC: bool, A: SubtileA<'a>>(
@@ -1268,11 +1250,7 @@ fn run_kernel<'a, const ACC: bool, A: SubtileA<'a>>(
             }
         }
     }
-    if (variant.mr, variant.nr) == (MR, NR) {
-        scalar_4x8::<ACC, A>(a, panel, acc);
-    } else {
-        scalar_any::<ACC, A>(variant.mr, variant.nr, a, panel, acc);
-    }
+    run_portable::<ACC, A>(variant, a, panel, acc);
 }
 
 /// The live corner of a register tile: its rows are output rows
@@ -1362,15 +1340,83 @@ impl TileOut for Nchw<'_> {
     }
 }
 
-/// Driver for the row-major-`A` packed kernels (`op` is [`GemmOp::Nn`] or
-/// [`GemmOp::Nt`], which differ only in how `B` was packed and in the
-/// counter they bump): parallel [`run_row_tiles`] over the output, one
-/// [`gemm_row_tile`] per tile.
-pub(crate) fn gemm_packed(op: GemmOp, ad: &[f32], k: usize, pb: &PackedB, od: &mut [f32]) {
-    let n = pb.n;
-    let m = od.len() / n.max(1);
+// ---------------------------------------------------------------------------
+// The GEMM entries
+// ---------------------------------------------------------------------------
+
+/// Dense matrix product `A (m×k) · B (k×n) → C (m×n)` with `B` already
+/// packed, bit-identical to [`crate::ops::matmul_reference`]. `out` is
+/// [`Tensor::reset_for_overwrite`] to `[m, n]` (reusing its allocation
+/// when the capacity suffices) and then every element is overwritten with
+/// the product, so its previous shape and contents never matter.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] if `a` is not rank 2 and
+/// [`TensorError::ShapeMismatch`] if `a`'s columns disagree with the
+/// pack's `k`; `out` is untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pb` is stale (never packed, or invalidated) — pack or
+/// `ensure` it first.
+///
+/// The example sits on the [`crate::ops::matmul_packed_into`] re-export,
+/// the path callers use.
+pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<(), TensorError> {
+    rows_times_packed(GemmOp::Nn, a, pb, out)
+}
+
+/// `A (m×k) · Bᵀ (n×k) → C (m×n)` with `Bᵀ` already packed (via
+/// [`PackedB::pack_transposed_with`]), so the transpose is never
+/// materialised; bit-identical to [`crate::ops::matmul_nt_reference`].
+/// Used for the linear forward (`x · Wᵀ`). `out` is reset as in
+/// [`matmul_packed_into`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] if `a` is not rank 2 and
+/// [`TensorError::ShapeMismatch`] if `a`'s columns disagree with the
+/// pack's `k`; `out` is untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pb` is stale.
+pub fn matmul_nt_packed_into(
+    a: &Tensor,
+    pb: &PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    rows_times_packed(GemmOp::Nt, a, pb, out)
+}
+
+/// The row-major-`A` entries (`op` is [`GemmOp::Nn`] or [`GemmOp::Nt`],
+/// which differ only in how `B` was packed, in the error's op name and
+/// operand order, and in the counter they bump): parallel
+/// [`run_row_tiles`] over the output, one [`gemm_row_tile`] per tile.
+fn rows_times_packed(
+    op: GemmOp,
+    a: &Tensor,
+    pb: &PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    let (name, rhs) = match op {
+        GemmOp::Nn => ("matmul", [pb.k, pb.n]),
+        _ => ("matmul_nt", [pb.n, pb.k]),
+    };
+    let (m, k) = require_rank2(name, a)?;
+    assert!(pb.is_valid(), "{name}_packed_into: stale PackedB (pack or ensure it first)");
+    if k != pb.k {
+        return Err(TensorError::ShapeMismatch {
+            op: name,
+            lhs: a.dims().to_vec(),
+            rhs: rhs.to_vec(),
+        });
+    }
+    let (ad, n) = (a.data(), pb.n);
+    out.reset_for_overwrite(&[m, n]);
     count_gemm_call(op, pb.variant);
-    run_row_tiles(od, n, TILE_ROWS, m * n * k, |first_row, rows| {
+    run_row_tiles(out.data_mut(), n, TILE_ROWS, m * n * k, |first_row, rows| {
         gemm_row_tile::<false, _>(
             |row0, mrows| RowMajor::cut(ad, k, row0, mrows),
             pb,
@@ -1379,26 +1425,51 @@ pub(crate) fn gemm_packed(op: GemmOp, ad: &[f32], k: usize, pb: &PackedB, od: &m
             &mut Rows { data: rows, n },
         );
     });
+    Ok(())
 }
 
-/// Driver for the packed-`A` kernel (`tn`). Row-tile boundaries are
-/// multiples of every variant's `mr` (the parallel tile size is a
-/// multiple of [`MR_MAX`]), so output sub-tiles map 1:1 onto [`PackedA`]
-/// tiles.
+/// `Aᵀ (k×m) · B (k×n) → C (m×n)` with both operands already packed
+/// ([`PackedA`] row tiles of `aᵀ`, [`PackedB`] column panels of `b`), so
+/// the transpose is never materialised; bit-identical to
+/// [`crate::ops::matmul_tn_reference`]. Used for weight gradients
+/// (`xᵀ · dy`). `out` is reset as in [`matmul_packed_into`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the packs' shared dimensions
+/// disagree; `out` is untouched on error.
 ///
 /// # Panics
 ///
-/// Panics if the packs were laid out for different kernel variants — the
-/// tile height comes from `pa` and the panel width from `pb`, so a mixed
-/// pair has no kernel to run on.
-pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
+/// Panics if either pack is stale or if the packs were laid out for
+/// different kernel variants — the tile height comes from `pa` and the
+/// panel width from `pb`, so a mixed pair has no kernel to run on.
+pub fn matmul_tn_packed_into(
+    pa: &PackedA,
+    pb: &PackedB,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    assert!(pa.is_valid(), "matmul_tn_packed_into: stale PackedA (pack it first)");
+    assert!(pb.is_valid(), "matmul_tn_packed_into: stale PackedB (pack or ensure it first)");
+    let (m, k, n) = (pa.m, pa.k, pb.n);
+    if k != pb.k {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_tn",
+            lhs: vec![k, m],
+            rhs: vec![pb.k, n],
+        });
+    }
     assert_eq!(
         pa.variant, pb.variant,
-        "gemm_packed_tn: operand packs were laid out for different kernel variants"
+        "matmul_tn_packed_into: operand packs were laid out for different kernel variants"
     );
+    out.reset_for_overwrite(&[m, n]);
     count_gemm_call(GemmOp::Tn, pa.variant);
-    let (a, k, mr, n) = (&pa.buf[..], pa.k, pa.variant.mr, pb.n);
-    run_row_tiles(od, n, TILE_ROWS, pa.m * n * k, |first_row, rows| {
+    // Row-tile boundaries are multiples of every variant's `mr` (the
+    // parallel tile size is a multiple of `MR_MAX`), so output subtiles
+    // map 1:1 onto the pack's tiles.
+    let (a, mr) = (&pa.buf[..], pa.variant.mr);
+    run_row_tiles(out.data_mut(), n, TILE_ROWS, m * n * k, |first_row, rows| {
         gemm_row_tile::<false, _>(
             |row0, _| PackedTile::cut(a, k, row0, mr, 0..k),
             pb,
@@ -1407,33 +1478,34 @@ pub(crate) fn gemm_packed_tn(pa: &PackedA, pb: &PackedB, od: &mut [f32]) {
             &mut Rows { data: rows, n },
         );
     });
+    Ok(())
 }
 
-/// Shared-dimension steps per block of the `k`-blocked weight gradient
-/// ([`gemm_patches_tn`]). Every value gives the same bits (see the module
-/// docs), so it is chosen by timing alone: a block of a 32-column `B`
-/// panel is then 32 KB, and the block's row bases a 2 KB stack array.
-pub(crate) const KC: usize = 256;
-
-/// Driver for the implicit-`A` kernel (a forward convolution, `nt`):
-/// `A` is the patch matrix of the zero-padded input `xpad`, read through
-/// `table` (see [`PatchTable`]), and `out` is reset to the NCHW output
-/// `[N, n, OH, OW]` and overwritten: each register tile is stored
-/// transposed into it, with `bias` added when given ([`Nchw`]), so the
-/// row-major product is never written. Images run in parallel once the
-/// product clears the threading threshold. The `nt` counter, exactly as
-/// [`gemm_packed`] with [`GemmOp::Nt`] on the explicit matrix, so every
-/// product and count is the same.
+/// A forward convolution `patches(xpad) · Bᵀ (+ bias)`, written as the
+/// NCHW output: `xpad` is the zero-padded input [`PatchTable::pad_into`]
+/// wrote, `table` says where each patch element lives in it, `pb` holds
+/// the transposed weight (`Bᵀ` is `[n, C·kh·kw]`) and `bias`, when given,
+/// is `[n]`. `out` is reset to `[N, n, OH, OW]` and overwritten.
+/// Bit-identical to [`crate::ops::matmul_nt_reference`] on the explicit
+/// [`crate::conv::im2col_into`] matrix plus one add of the bias, moved
+/// from rows `(n, oh, ow)` to NCHW, with the same `nt` GEMM count; but
+/// neither the patch matrix nor the row-major product is ever written —
+/// each register tile is stored transposed, bias added, straight into
+/// `out`, and images run in parallel once the product clears the
+/// threading threshold. A layer's input gradient runs here too, over its
+/// padded `dy` against the flipped kernel
+/// ([`PackedB::ensure_flipped_with`]), with no bias.
 ///
-/// A layer's forward and its input gradient both run here: the input
-/// gradient is the forward convolution of the padded `dy` with the
-/// flipped kernel ([`PackedB::ensure_flipped_with`]), stored with no bias.
+/// # Errors
 ///
-/// The kernels read the patch matrix unchecked. Their bound —
-/// `row_base(r) + k_off[kk] < xpad.len()` for every row `r < m` — is
-/// checked here once, by [`PatchTable::check_bound`], and `out` holds
-/// exactly the images of `xpad`, so no tile walks past row `m − 1`.
-pub(crate) fn gemm_patches_nt(
+/// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
+/// input shape of `table`, the table's `k` disagrees with the pack's or
+/// `bias` is not `[n]`; `out` is untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pb` is stale.
+pub fn matmul_nt_patches_into(
     xpad: &Tensor,
     table: &PatchTable,
     pb: &PackedB,
@@ -1441,6 +1513,11 @@ pub(crate) fn gemm_patches_nt(
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     const OP: &str = "matmul_nt_patches";
+    assert!(pb.is_valid(), "matmul_nt_patches_into: stale PackedB (pack or ensure it first)");
+    // The kernels read the patch matrix unchecked. Their bound —
+    // `row_base(r) + k_off[kk] < xpad.len()` for every row `r < m` — is
+    // checked here once, and `out` holds exactly the images of `xpad`, so
+    // no tile walks past row `m − 1`.
     let m = table.check_bound(OP, xpad)?;
     let (n, k, pixels) = (pb.n, table.k(), table.rows(1));
     if k != pb.k || bias.is_some_and(|b| b.dims() != [n]) {
@@ -1464,29 +1541,46 @@ pub(crate) fn gemm_patches_nt(
     Ok(())
 }
 
-/// Driver for a convolution's weight gradient, transposed:
-/// `dWᵀ = patches(xpad)ᵀ · B` (the `tn` form), with `pb` the packed
-/// `dy_rows` (`[N·OH·OW, n]`). `A` is the patch matrix's transpose read
-/// in place ([`Patches`]), one row per patch column, so its rows are the
-/// output's `C·kh·kw` rows: one fan-out splits them into [`TILE_ROWS`]
-/// tiles, and each tile walks the whole batch of patch rows in blocks of
-/// [`KC`] steps — the block's row bases in a stack array, its `B` steps a
-/// slice of each panel — every block after the first continuing the
-/// partial sums it stored (see the module docs). `out` is reset to
-/// `[C·kh·kw, n]` and overwritten, and the call counts once, as
-/// [`gemm_packed_tn`] over the explicit patch matrix does, whose bits it
-/// gives; since `fma(a, b, s)` is `fma(b, a, s)`, they are also the bits
-/// of `dW = dy_rowsᵀ · patches` transposed.
+/// Shared-dimension steps per block of the `k`-blocked weight gradient
+/// ([`matmul_tn_patches_into`]). Every value gives the same bits (see the
+/// module docs), so it is chosen by timing alone: a block of a 32-column
+/// `B` panel is then 32 KB, and the block's row bases a 2 KB stack array.
+pub(crate) const KC: usize = 256;
+
+/// [`matmul_tn_packed_into`] with the implicit patch matrix of a
+/// convolution as `A`: `patches(xpad)ᵀ (C·kh·kw × m) · B (m × n) →
+/// C (C·kh·kw × n)` — a convolution's weight gradient, transposed,
+/// `dWᵀ = patchesᵀ · dy_rows`, with `pb` the packed `dy_rows`
+/// ([`PackedB::pack_nchw_with`] packs them from NCHW). The patches are
+/// read in place from `xpad` through `table`, one row per patch column,
+/// so the output's `C·kh·kw` rows split across the pool in 64-row tiles,
+/// and each tile walks the whole batch of patch rows in blocks of 256
+/// steps, every block after the first continuing the partial sums it
+/// stored. Bit-identical to [`crate::ops::matmul_tn_reference`] on the
+/// explicit [`crate::conv::im2col_into`] matrix, with the same `tn` GEMM
+/// count; since `fma(a, b, s)` is `fma(b, a, s)`, also to
+/// `dy_rowsᵀ · patches` transposed. Neither that matrix nor a pack of it
+/// is ever written. `out` is reset and overwritten.
 ///
-/// The kernels read `xpad[k_off[i] + row_base(r)]` unchecked, under the
-/// bound [`gemm_patches_nt`] states, checked here once.
-pub(crate) fn gemm_patches_tn(
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
+/// input shape of `table` or `pb`'s `k` is not its patch-row count; `out`
+/// is untouched on error.
+///
+/// # Panics
+///
+/// Panics if `pb` is stale.
+pub fn matmul_tn_patches_into(
     xpad: &Tensor,
     table: &PatchTable,
     pb: &PackedB,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     const OP: &str = "matmul_tn_patches";
+    assert!(pb.is_valid(), "matmul_tn_patches_into: stale PackedB (pack it first)");
+    // The kernels read `xpad[k_off[i] + row_base(r)]` unchecked, under the
+    // bound `matmul_nt_patches_into` states, checked here once.
     let steps = table.check_bound(OP, xpad)?;
     let (m, n) = (table.k(), pb.n);
     if pb.k != steps {
@@ -1525,8 +1619,8 @@ pub(crate) fn gemm_patches_tn(
 /// returns the subtile of the whole `A` operand holding rows
 /// `row0 .. row0 + mrows` over those steps in its storage; it is called
 /// once per subtile, in ascending row order.
-/// Called only by the drivers above, which count the call and fan the
-/// tiles out; the subtile counter therefore counts per call of this
+/// Called only by the GEMM entries above, which count the call and fan
+/// the tiles out; the subtile counter therefore counts per call of this
 /// function: per row tile, per `k`-block.
 ///
 /// `ACC` says whether `out` holds partial sums to continue (a later
@@ -2098,7 +2192,7 @@ mod tests {
     }
 
     /// Splitting the shared dimension across a first block and an
-    /// accumulating one — the walk [`gemm_patches_tn`] makes every [`KC`]
+    /// accumulating one — the walk [`matmul_tn_patches_into`] makes every [`KC`]
     /// steps, over slices of one `B` pack — continues each element's
     /// chain exactly: on every variant, for split points at the edges,
     /// mid-tile and past a subtile, with zeros and non-finite values in
@@ -2135,6 +2229,126 @@ mod tests {
                     let what = format!("split {split} case {case} {variant:?}");
                     assert_same_modulo_nan_bits(&got, &one, &what);
                 }
+            }
+        }
+    }
+
+    /// Runs the portable kernel for `variant` on every subtile and panel of
+    /// an `m×k` `A`, which `cut(row0, mrows, ks)` yields in its storage
+    /// over the steps `ks`, against the packed `k×n` `b`: once from `+0.0`
+    /// over all `k` steps, and once split in two blocks, the second
+    /// continuing the first's partial sums (`ACC`), each from a NaN-filled
+    /// tile. Both products must give `want`'s bits (NaN positions plus
+    /// the exact bits of every other element).
+    fn check_portable<'a, A: SubtileA<'a>>(
+        what: &str,
+        variant: KernelVariant,
+        (m, split): (usize, usize),
+        b: &Tensor,
+        want: &Tensor,
+        cut: impl Fn(usize, usize, Range<usize>) -> A,
+    ) {
+        let (k, n, mr, nr) = (b.dims()[0], b.dims()[1], variant.mr, variant.nr);
+        let mut pb = PackedB::new();
+        pb.pack_with(b, variant).unwrap();
+        for (first, rest) in [(0..k, None), (0..split, Some(split..k))] {
+            let mut got = vec![f32::NAN; m * n];
+            let mut out = Rows { data: &mut got, n };
+            for r0 in (0..m).step_by(mr) {
+                let mrows = (m - r0).min(mr);
+                for jp in 0..n.div_ceil(nr) {
+                    let steps = |ks: &Range<usize>| &pb.panel(jp)[ks.start * nr..ks.end * nr];
+                    let mut acc = [f32::NAN; MR_MAX * NR_MAX];
+                    let sub = cut(r0, mrows, first.clone());
+                    run_portable::<false, _>(variant, sub, steps(&first), &mut acc);
+                    if let Some(ks) = &rest {
+                        let sub = cut(r0, mrows, ks.clone());
+                        run_portable::<true, _>(variant, sub, steps(ks), &mut acc);
+                    }
+                    let ncols = (n - jp * nr).min(nr);
+                    out.store(&acc, Corner { nr, r0, mrows, col0: jp * nr, ncols });
+                }
+            }
+            let got = Tensor::from_vec(got, &[m, n]).unwrap();
+            let what = format!("{what} {variant:?} steps {first:?} then {rest:?}");
+            assert_same_modulo_nan_bits(&got, want, &what);
+        }
+    }
+
+    /// The portable kernel, called directly on every tier's tiles, gives
+    /// the reference oracles' bits over each `A` storage: row-major rows
+    /// (`nn`), `PackedA` tiles (`tn`), the patch matrix (the conv forward)
+    /// and its transpose (the weight gradient); from `+0.0` and, with
+    /// `ACC`, continuing a first block; with exact zeros of either sign,
+    /// and with NaN and ±inf, in both operands; rows and columns ragged
+    /// against every tile. On a SIMD host only this test runs the SIMD
+    /// tiles' portable fallback.
+    #[test]
+    fn portable_kernel_matches_the_references_on_every_tile_and_storage() {
+        let (m, k, n) = (13, 23, 37);
+        let geom = crate::conv::ConvGeometry::new(4, 5, 3, 3, 1, 1);
+        let table = PatchTable::new(2, &geom);
+        let (rows, taps) = (table.rows(1), table.k());
+        let bases: Vec<usize> = table.row_bases(0).take(rows).collect();
+        for specials in [false, true] {
+            let input = |dims: &[usize], seed: u64| sparse_input(dims, seed, true, specials);
+            let (a, at, b) = (input(&[m, k], 1), input(&[k, m], 2), input(&[k, n], 3));
+            let (b_taps, b_rows) = (input(&[taps, n], 4), input(&[rows, n], 5));
+            let x = input(&[1, 2, 4, 5], 6);
+            let (mut xpad, mut cols) = (Tensor::default(), Tensor::default());
+            table.pad_into(&x, &mut xpad).unwrap();
+            crate::conv::im2col_into(&x, 2, &geom, &mut cols).unwrap();
+            let (xd, k_off) = (xpad.data(), table.k_off());
+            let nn = ops::matmul_reference(&a, &b).unwrap();
+            let tn = ops::matmul_tn_reference(&at, &b).unwrap();
+            let fwd = ops::matmul_reference(&cols, &b_taps).unwrap();
+            let dwt = ops::matmul_tn_reference(&cols, &b_rows).unwrap();
+            // Row-major `A` has no `k` offset: each block is its own
+            // matrix of the block's columns.
+            let split = k / 3;
+            let col_blocks: Vec<(Range<usize>, Vec<f32>)> = [0..k, 0..split, split..k]
+                .into_iter()
+                .map(|ks| {
+                    let data = a.data().chunks_exact(k).flat_map(|row| &row[ks.clone()]);
+                    (ks.clone(), data.copied().collect())
+                })
+                .collect();
+            for variant in all_variants() {
+                let what = format!("specials {specials}");
+                check_portable(
+                    &format!("nn {what}"),
+                    variant,
+                    (m, split),
+                    &b,
+                    &nn,
+                    |r0, mr, ks| {
+                        let (_, data) = col_blocks.iter().find(|(r, _)| *r == ks).unwrap();
+                        RowMajor::cut(data, ks.len(), r0, mr)
+                    },
+                );
+                let mut pa = PackedA::new();
+                pa.pack_transposed_with(&at, variant).unwrap();
+                check_portable(&format!("tn {what}"), variant, (m, split), &b, &tn, |r0, _, ks| {
+                    PackedTile::cut(&pa.buf, k, r0, variant.mr, ks)
+                });
+                let rows_at = |r0: usize| bases[r0..].iter().copied();
+                check_portable(
+                    &format!("patches {what}"),
+                    variant,
+                    (rows, taps / 3),
+                    &b_taps,
+                    &fwd,
+                    |r0, mr, ks| Patches::cut(xd, rows_at(r0), mr, &k_off[ks]),
+                );
+                let taps_at = |r0: usize| k_off[r0..].iter().copied();
+                check_portable(
+                    &format!("transposed patches {what}"),
+                    variant,
+                    (taps, rows / 3),
+                    &b_rows,
+                    &dwt,
+                    |r0, mr, ks| Patches::cut(xd, taps_at(r0), mr, &bases[ks]),
+                );
             }
         }
     }

@@ -1,25 +1,17 @@
 //! Matrix operations: multiplication and bias broadcast.
 //!
-//! These free functions implement the handful of dense linear-algebra
-//! primitives the network stack needs. The three GEMM forms — `A·B`
-//! ([`matmul_packed_into`]), `A·Bᵀ` ([`matmul_nt_packed_into`]) and `Aᵀ·B`
-//! ([`matmul_tn_packed_into`]) — run the packed, register-blocked
-//! microkernel architecture of [`crate::gemm`]: `B` is packed into
-//! `NR`-wide column panels ([`crate::gemm::PackedB`]), transposed `A`
-//! operands into `MR`-row tiles ([`crate::gemm::PackedA`]), and an
-//! `MR × NR` register tile accumulates each output block in one pass over
-//! the shared dimension. A convolution's forward runs the `A·Bᵀ` form
-//! with an implicit `A` ([`matmul_nt_patches_into`]): the patch matrix is
-//! read through a [`PatchTable`] from the zero-padded input, never
-//! written, and each register tile lands transposed, bias added, in the
-//! NCHW output. Its weight gradient runs the `Aᵀ·B` form with the same
-//! implicit matrix as `A`, `dWᵀ = patchesᵀ · dy_rows` (`k`-blocked:
-//! [`matmul_tn_patches_into`]), and its input gradient is the forward
-//! form again, over the padded `dy` against the flipped kernel, with no
-//! bias (see [`crate::conv`]).
-//! Output row tiles — images, for the conv forward — are claimed by the
-//! threads of the [`aergia_runtime`] pool once a product is worth
-//! threading (`PAR_FLOPS`).
+//! These free functions are the handful of dense linear-algebra
+//! primitives the network stack needs. The five GEMM entries are defined
+//! beside the microkernels they drive in [`crate::gemm`] and re-exported
+//! here: `A·B` ([`matmul_packed_into`]), `A·Bᵀ` ([`matmul_nt_packed_into`])
+//! and `Aᵀ·B` ([`matmul_tn_packed_into`]) over packed operands, and a
+//! convolution's forward and input gradient ([`matmul_nt_patches_into`])
+//! and weight gradient ([`matmul_tn_patches_into`]) over its implicit
+//! patch matrix, read through a [`crate::conv::PatchTable`] from the
+//! zero-padded input and never written. Output row tiles — images, for
+//! the conv forward — are claimed by the threads of the
+//! [`aergia_runtime`] pool once a product is worth threading
+//! (`PAR_FLOPS`).
 //!
 //! The caller owns the packs, so a cached weight pack is reused across
 //! calls and transient packs recycle through [`crate::Workspace`] pools
@@ -43,9 +35,29 @@
 //! here and the property suite in `tests/proptests.rs`; see
 //! [`crate::gemm`] for why the register tile preserves the contract).
 
-use crate::conv::PatchTable;
-use crate::gemm::{
-    gemm_packed, gemm_packed_tn, gemm_patches_nt, gemm_patches_tn, GemmOp, PackedA, PackedB,
+/// `A·B` with `B` packed; defined in [`crate::gemm`].
+///
+/// # Examples
+///
+/// ```
+/// use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
+/// use aergia_tensor::{ops, Tensor};
+/// # fn main() -> Result<(), aergia_tensor::TensorError> {
+/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
+/// let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2])?;
+/// let mut pb = PackedB::new();
+/// pb.pack_with(&b, tuned_variant(GemmOp::Nn, 2, 3, 2))?;
+/// // A garbage output of another shape is reset, then overwritten.
+/// let mut out = Tensor::full(&[5], f32::NAN);
+/// ops::matmul_packed_into(&a, &pb, &mut out)?;
+/// assert_eq!(out.data(), &[58.0, 64.0, 139.0, 154.0]);
+/// assert_eq!(out, ops::matmul_reference(&a, &b)?);
+/// # Ok(())
+/// # }
+/// ```
+pub use crate::gemm::matmul_packed_into;
+pub use crate::gemm::{
+    matmul_nt_packed_into, matmul_nt_patches_into, matmul_tn_packed_into, matmul_tn_patches_into,
 };
 use crate::{Tensor, TensorError};
 
@@ -59,11 +71,6 @@ pub(crate) const TILE_ROWS: usize = 64;
 /// thread: at ~1 ns/flop the threshold (~260k) is a few hundred
 /// microseconds, comfortably above the pool's per-tile overhead.
 pub(crate) const PAR_FLOPS: usize = 1 << 18;
-
-/// Width of the fixed-size chunks the elementwise kernels
-/// ([`add_bias_rows`], [`sum_rows_into`]) process per step — a bounded
-/// inner loop the autovectorizer reliably lifts to SIMD.
-pub(crate) const LANES: usize = 8;
 
 /// Runs `kernel` over the output rows of an `m×n` matrix in tiles of
 /// `tile_rows` rows (the last one short), parallelising when `flops`
@@ -91,56 +98,6 @@ pub(crate) fn require_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usiz
         return Err(TensorError::RankMismatch { op, expected: 2, got: dims.len() });
     }
     Ok((dims[0], dims[1]))
-}
-
-/// Dense matrix product `A (m×k) · B (k×n) → C (m×n)` with `B` already
-/// packed, bit-identical to [`matmul_reference`]. `out` is
-/// [`Tensor::reset_for_overwrite`] to `[m, n]` (reusing its allocation
-/// when the capacity suffices) and then every element is overwritten with
-/// the product, so its previous shape and contents never matter.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if `a` is not rank 2 and
-/// [`TensorError::ShapeMismatch`] if `a`'s columns disagree with the
-/// pack's `k`; `out` is untouched on error.
-///
-/// # Panics
-///
-/// Panics if `pb` is stale (never packed, or invalidated) — pack or
-/// `ensure` it first.
-///
-/// # Examples
-///
-/// ```
-/// use aergia_tensor::gemm::{tuned_variant, GemmOp, PackedB};
-/// use aergia_tensor::{ops, Tensor};
-/// # fn main() -> Result<(), aergia_tensor::TensorError> {
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
-/// let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2])?;
-/// let mut pb = PackedB::new();
-/// pb.pack_with(&b, tuned_variant(GemmOp::Nn, 2, 3, 2))?;
-/// // A garbage output of another shape is reset, then overwritten.
-/// let mut out = Tensor::full(&[5], f32::NAN);
-/// ops::matmul_packed_into(&a, &pb, &mut out)?;
-/// assert_eq!(out.data(), &[58.0, 64.0, 139.0, 154.0]);
-/// assert_eq!(out, ops::matmul_reference(&a, &b)?);
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul_packed_into(a: &Tensor, pb: &PackedB, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, ka) = require_rank2("matmul", a)?;
-    assert!(pb.is_valid(), "matmul_packed_into: stale PackedB (pack or ensure it first)");
-    if ka != pb.k() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.dims().to_vec(),
-            rhs: vec![pb.k(), pb.n()],
-        });
-    }
-    out.reset_for_overwrite(&[m, pb.n()]);
-    gemm_packed(GemmOp::Nn, a.data(), ka, pb, out.data_mut());
-    Ok(())
 }
 
 /// The naive `i-k-j` matmul kept as the oracle for the packed kernels
@@ -179,40 +136,6 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
-/// `Aᵀ (k×m) · B (k×n) → C (m×n)` with both operands already packed
-/// ([`PackedA`] row tiles of `aᵀ`, [`PackedB`] column panels of `b`), so
-/// the transpose is never materialised; bit-identical to
-/// [`matmul_tn_reference`]. Used for weight gradients (`xᵀ · dy`). `out`
-/// is reset as in [`matmul_packed_into`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the packs' shared dimensions
-/// disagree; `out` is untouched on error.
-///
-/// # Panics
-///
-/// Panics if either pack is stale or if the packs were laid out for
-/// different kernel variants.
-pub fn matmul_tn_packed_into(
-    pa: &PackedA,
-    pb: &PackedB,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    assert!(pa.is_valid(), "matmul_tn_packed_into: stale PackedA (pack it first)");
-    assert!(pb.is_valid(), "matmul_tn_packed_into: stale PackedB (pack or ensure it first)");
-    if pa.k() != pb.k() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_tn",
-            lhs: vec![pa.k(), pa.m()],
-            rhs: vec![pb.k(), pb.n()],
-        });
-    }
-    out.reset_for_overwrite(&[pa.m(), pb.n()]);
-    gemm_packed_tn(pa, pb, out.data_mut());
-    Ok(())
-}
-
 /// The naive `k-i-j` transposed-A matmul kept as the oracle for the packed
 /// kernel: the fused ascending-`k` chain of [`matmul_reference`].
 ///
@@ -245,106 +168,6 @@ pub fn matmul_tn_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
         }
     }
     Ok(out)
-}
-
-/// `A (m×k) · Bᵀ (n×k) → C (m×n)` with `Bᵀ` already packed (via
-/// [`PackedB::pack_transposed_with`]), so the transpose is never
-/// materialised; bit-identical to [`matmul_nt_reference`]. Used for
-/// linear/conv forwards (`x · Wᵀ`) and input gradients. `out` is reset as
-/// in [`matmul_packed_into`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if `a` is not rank 2 and
-/// [`TensorError::ShapeMismatch`] if `a`'s columns disagree with the
-/// pack's `k`; `out` is untouched on error.
-///
-/// # Panics
-///
-/// Panics if `pb` is stale.
-pub fn matmul_nt_packed_into(
-    a: &Tensor,
-    pb: &PackedB,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    let (m, ka) = require_rank2("matmul_nt", a)?;
-    assert!(pb.is_valid(), "matmul_nt_packed_into: stale PackedB (pack or ensure it first)");
-    if ka != pb.k() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_nt",
-            lhs: a.dims().to_vec(),
-            rhs: vec![pb.n(), pb.k()],
-        });
-    }
-    out.reset_for_overwrite(&[m, pb.n()]);
-    gemm_packed(GemmOp::Nt, a.data(), ka, pb, out.data_mut());
-    Ok(())
-}
-
-/// A forward convolution `patches(xpad) · Bᵀ (+ bias)`, written as the
-/// NCHW output: `xpad` is the zero-padded input [`PatchTable::pad_into`]
-/// wrote, `table` says where each patch element lives in it, `pb` holds
-/// the transposed weight (`Bᵀ` is `[n, C·kh·kw]`) and `bias`, when given,
-/// is `[n]`. `out` is reset to `[N, n, OH, OW]` and overwritten.
-/// Bit-identical to [`matmul_nt_reference`] on the explicit
-/// [`crate::conv::im2col_into`] matrix plus one add of the bias, moved
-/// from rows `(n, oh, ow)` to NCHW, with the same `nt` GEMM count; but
-/// neither the patch matrix nor the row-major product is ever written —
-/// each register tile is stored transposed, bias added, straight into
-/// `out`. A layer's input gradient runs here too, over its padded `dy`
-/// against the flipped kernel
-/// ([`crate::gemm::PackedB::ensure_flipped_with`]), with no bias.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
-/// input shape of `table`, the table's `k` disagrees with the pack's or
-/// `bias` is not `[n]`; `out` is untouched on error.
-///
-/// # Panics
-///
-/// Panics if `pb` is stale.
-pub fn matmul_nt_patches_into(
-    xpad: &Tensor,
-    table: &PatchTable,
-    pb: &PackedB,
-    bias: Option<&Tensor>,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    assert!(pb.is_valid(), "matmul_nt_patches_into: stale PackedB (pack or ensure it first)");
-    gemm_patches_nt(xpad, table, pb, bias, out)
-}
-
-/// [`matmul_tn_packed_into`] with the implicit patch matrix of a
-/// convolution as `A`: `patches(xpad)ᵀ (C·kh·kw × m) · B (m × n) →
-/// C (C·kh·kw × n)` — a convolution's weight gradient, transposed,
-/// `dWᵀ = patchesᵀ · dy_rows`, with `pb` the packed `dy_rows`
-/// ([`crate::gemm::PackedB::pack_nchw_with`] packs them from NCHW). The
-/// patches are read in place from `xpad` through `table`, the shared
-/// dimension (a whole batch of patch rows) is walked in blocks, and the
-/// output rows split across the pool. Bit-identical to
-/// [`matmul_tn_reference`] on the explicit [`crate::conv::im2col_into`]
-/// matrix, and to `dy_rowsᵀ · patches` transposed, with the same `tn`
-/// GEMM count; neither that matrix nor a pack of it is ever written.
-/// `out` is reset and overwritten.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `xpad` is not the padded
-/// input shape of `table` or `pb`'s `k` is not its patch-row count; `out`
-/// is untouched on error.
-///
-/// # Panics
-///
-/// Panics if `pb` is stale.
-pub fn matmul_tn_patches_into(
-    xpad: &Tensor,
-    table: &PatchTable,
-    pb: &PackedB,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    assert!(pb.is_valid(), "matmul_tn_patches_into: stale PackedB (pack it first)");
-    gemm_patches_tn(xpad, table, pb, out)
 }
 
 /// The naive row-dot-row transposed-B matmul kept as the oracle for the
@@ -384,11 +207,8 @@ pub fn matmul_nt_reference(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError
     Ok(out)
 }
 
-/// Adds a length-`n` bias row to every row of an `m×n` matrix, in place.
-///
-/// The row loop runs in `LANES`-wide chunks plus a scalar tail; each
-/// element still sees exactly one `x += b`, so results are bit-identical
-/// to the scalar formulation whatever the chunking.
+/// Adds a length-`n` bias row to every row of an `m×n` matrix, in place:
+/// one `x += b` per element.
 ///
 /// # Errors
 ///
@@ -403,16 +223,8 @@ pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) -> Result<(), TensorError> {
         });
     }
     let bd = bias.data();
-    let split = n - n % LANES;
-    let (bc, bt) = bd.split_at(split);
     for row in a.data_mut().chunks_exact_mut(n) {
-        let (rc, rt) = row.split_at_mut(split);
-        for (rch, bch) in rc.chunks_exact_mut(LANES).zip(bc.chunks_exact(LANES)) {
-            for (x, &b) in rch.iter_mut().zip(bch) {
-                *x += b;
-            }
-        }
-        for (x, &b) in rt.iter_mut().zip(bt) {
+        for (x, &b) in row.iter_mut().zip(bd) {
             *x += b;
         }
     }
@@ -421,7 +233,8 @@ pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) -> Result<(), TensorError> {
 
 /// Sums an `m×n` matrix over its rows into a length-`n` vector: the bias
 /// gradient for a batched linear layer. `out` is [`Tensor::reset`] to
-/// `[n]` (zero-filled, since the rows accumulate into it).
+/// `[n]` (zero-filled, since the rows accumulate into it), and each row
+/// adds into it with one `o += x` per element.
 ///
 /// # Errors
 ///
@@ -431,16 +244,8 @@ pub fn sum_rows_into(a: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let (_, n) = require_rank2("sum_rows", a)?;
     out.reset(&[n]);
     let od = out.data_mut();
-    let split = n - n % LANES;
     for row in a.data().chunks_exact(n) {
-        let (oc, ot) = od.split_at_mut(split);
-        let (rc, rt) = row.split_at(split);
-        for (och, rch) in oc.chunks_exact_mut(LANES).zip(rc.chunks_exact(LANES)) {
-            for (o, &x) in och.iter_mut().zip(rch) {
-                *o += x;
-            }
-        }
-        for (o, &x) in ot.iter_mut().zip(rt) {
+        for (o, &x) in od.iter_mut().zip(row) {
             *o += x;
         }
     }
@@ -465,7 +270,7 @@ pub(crate) fn transpose(a: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{tuned_variant, GemmOp, KernelVariant};
+    use crate::gemm::{tuned_variant, GemmOp, KernelVariant, PackedA, PackedB};
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d).unwrap()
@@ -558,8 +363,8 @@ mod tests {
 
     #[test]
     fn bias_and_sum_rows_cover_chunk_and_tail_widths() {
-        // n = 2*LANES + 3 exercises both the chunked body and the tail.
-        let n = 2 * LANES + 3;
+        // n = 19: two 8-wide vectors and a ragged remainder.
+        let n = 19;
         let mut a = Tensor::ones(&[3, n]);
         let bias = Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n]).unwrap();
         add_bias_rows(&mut a, &bias).unwrap();

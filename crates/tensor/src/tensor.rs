@@ -14,22 +14,17 @@ use crate::shape::{Shape, TensorError};
 ///
 /// Construction validates shapes; arithmetic methods **panic** on shape
 /// mismatch (they are used in inner training loops where a `Result` would be
-/// unwieldy) while the fallible entry points ([`Tensor::from_vec`],
-/// [`Tensor::reshape`]) return [`TensorError`].
+/// unwieldy) while the fallible entry point [`Tensor::from_vec`] returns
+/// [`TensorError`].
 ///
 /// # Examples
 ///
 /// ```
 /// use aergia_tensor::Tensor;
 ///
-/// # fn main() -> Result<(), aergia_tensor::TensorError> {
 /// let mut t = Tensor::zeros(&[2, 3]);
 /// t.fill(1.5);
 /// assert_eq!(t.sum(), 9.0);
-/// let u = t.reshape(&[3, 2])?;
-/// assert_eq!(u.shape().dims(), &[3, 2]);
-/// # Ok(())
-/// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -182,22 +177,6 @@ impl Tensor {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape(&self, dims: &[usize]) -> Result<Tensor, TensorError> {
-        let shape = Shape::new(dims)?;
-        if shape.numel() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                len: self.data.len(),
-                expected: shape.numel(),
-            });
-        }
-        Ok(Tensor { data: self.data.clone(), shape })
-    }
-
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
@@ -316,14 +295,6 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let u = t.reshape(&[4]).unwrap();
-        assert_eq!(u.data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert!(t.reshape(&[3]).is_err());
     }
 
     #[test]
