@@ -16,12 +16,15 @@
 //! 3. **The GEMM counter is whole.** `aergia_gemm_calls_total` grows
 //!    linearly in the number of participants, so no training path drives
 //!    a GEMM past it.
+//! 4. **Every metric family is documented.** Each family a run registers
+//!    has a row in `docs/observability.md`.
 //!
 //! The registry and event log are process-global, so the tests serialize
 //! on one lock and `reset()` between runs (which zeroes values but keeps
 //! registered cells alive — exactly the warm-process case the byte
 //! identity must survive).
 
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
 use aergia::config::ExperimentConfig;
@@ -160,5 +163,38 @@ fn gemm_call_counter_is_linear_in_participants() {
         two - one,
         three - two,
         "GEMM calls must grow linearly in participants ({one}, {two}, {three})"
+    );
+}
+
+/// Every metric family in the registry after an instrumented run, its
+/// name with the labels stripped, has a row in the metric table of
+/// `docs/observability.md`. The registry is process-global and keeps
+/// names across `reset()`, so it may also hold families that the other
+/// tests here registered; those come from the same production code (the
+/// tests only read names it registers) and must be documented too.
+#[test]
+fn every_registered_metric_family_is_documented() {
+    force_pool_workers();
+    let _g = telemetry_lock();
+    instrumented_run(37);
+    let snapshot = tel::snapshot();
+    let families: BTreeSet<&str> = snapshot
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|line| line.split(' ').next())
+        .collect();
+    for family in [
+        "aergia_engine_rounds_total",
+        "aergia_gemm_calls_total",
+        "aergia_codec_encoded_bytes_total",
+    ] {
+        assert!(families.contains(family), "an instrumented run registers {family}:\n{snapshot}");
+    }
+    let doc = include_str!("../docs/observability.md");
+    let undocumented: Vec<&str> =
+        families.into_iter().filter(|f| !doc.contains(&format!("| `{f}` |"))).collect();
+    assert!(
+        undocumented.is_empty(),
+        "metric families missing from docs/observability.md: {undocumented:?}"
     );
 }
