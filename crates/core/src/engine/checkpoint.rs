@@ -3,8 +3,8 @@
 //!
 //! A checkpoint captures *everything mutable* about a run between two
 //! rounds — the global weights (as a dense wire frame), every RNG stream
-//! (selection, the resident clients' batchers, TiFL, network faults),
-//! the client-state pool's membership and eviction memory, the wire
+//! (selection, the resident clients' batchers, TiFL, churn), the
+//! client-state pool's membership and eviction memory, the wire
 //! codec's delta bases and error-feedback residuals, the bytes odometer
 //! and the per-round records so far — inside the
 //! [`aergia_codec::checkpoint`] chunk container. Everything *immutable*
@@ -20,8 +20,8 @@
 //! weights match an uninterrupted run **bit for bit**, under every codec.
 //!
 //! Each chunk body is one [`Wire`] value, decoded strictly (trailing
-//! bytes are corruption): `META` and `NETW` are field lists declared
-//! below, `SRNG`, `BTCH`, `POOL`, `COHT`, `CHRN`, `RNDS` and `ENGV` are
+//! bytes are corruption): `META` is a field list declared below;
+//! `SRNG`, `BTCH`, `POOL`, `COHT`, `CHRN`, `RNDS` and `ENGV` are
 //! tuples and lists of types that bring their own layout — the `BTCH`
 //! batcher snapshot is the very value `aergia-net` ships in its orders
 //! and replies — and `TIFL` keeps a hand impl for its shared count. The
@@ -34,8 +34,8 @@
 //! mid-write never leaves a torn file; [`Engine::restore_checkpoint_from`]
 //! reads one back.
 //!
-//! Topology overrides (link models, speed overrides, fault injection)
-//! are not part of engine state proper: rebuild the engine through
+//! Topology overrides (federator links, edge cohorts) are not part of
+//! engine state proper: rebuild the engine through
 //! [`Engine::with_topology`] with the same
 //! [`TopologyBuilder`](crate::topology::TopologyBuilder) before
 //! restoring, exactly as the original run was constructed. The same goes
@@ -127,7 +127,6 @@ impl From<std::io::Error> for CheckpointError {
 const META: [u8; 4] = *b"META";
 const GLOB: [u8; 4] = *b"GLOB";
 const SRNG: [u8; 4] = *b"SRNG";
-const NETW: [u8; 4] = *b"NETW";
 const BTCH: [u8; 4] = *b"BTCH";
 const TIFL: [u8; 4] = *b"TIFL";
 const WDLB: [u8; 4] = *b"WDLB"; // wire: downlink base
@@ -143,8 +142,12 @@ const ENGV: [u8; 4] = *b"ENGV";
 /// `CHRN` chunk for scenario churn state. v3 moved `BTCH` chunks to the
 /// client-state pool (one per *resident* client, prefixed with its id
 /// and LRU stamp), added the `POOL` and `COHT` chunks, and extended the
-/// round records with pool statistics.
-const ENGINE_LAYOUT_VERSION: u16 = 3;
+/// round records with pool statistics. v4 dropped the `NETW` chunk with
+/// the simulated network's fault-injection state (drop probability,
+/// jitter bound, RNG): the network is reliable and holds no random
+/// state, so its one mutable value, the bytes odometer, became the last
+/// field of `META`.
+const ENGINE_LAYOUT_VERSION: u16 = 4;
 
 /// FNV-1a over the debug rendering of the config/strategy pair — enough
 /// to catch restoring into the wrong experiment, which would otherwise
@@ -178,19 +181,11 @@ struct Meta {
     num_clients: usize,
     fingerprint: u64,
     broadcasts: u64,
-}
-
-wire_struct!(Meta { next_round, now, pretraining, num_clients, fingerprint, broadcasts });
-
-/// The `NETW` chunk: the simulated network's fault state and odometer.
-struct NetState {
-    drop_prob: f64,
-    jitter: SimDuration,
-    rng: [u64; 4],
+    /// The simulated network's bytes odometer.
     odometer: u64,
 }
 
-wire_struct!(NetState { drop_prob, jitter, rng, odometer });
+wire_struct!(Meta { next_round, now, pretraining, num_clients, fingerprint, broadcasts, odometer });
 
 // Credits and accuracies share one count, and the last-selected tier is a
 // fixed-width `u32` option.
@@ -244,14 +239,11 @@ impl Engine {
             num_clients: self.config.num_clients,
             fingerprint: config_fingerprint(self),
             broadcasts: self.wire.broadcasts,
+            odometer: self.network.bytes_delivered(),
         };
         w.chunk(META, meta.encode());
         w.chunk(GLOB, dense_frame(&self.global).as_bytes().to_vec());
         w.chunk(SRNG, self.select_rng.state().encode());
-
-        let (drop_prob, jitter, rng) = self.network.fault_state();
-        let odometer = self.network.bytes_delivered();
-        w.chunk(NETW, NetState { drop_prob, jitter, rng, odometer }.encode());
 
         // One BTCH chunk per *resident* pool entry, in client-id order:
         // under cohort sampling only the ≤ `max_resident` clients with a
@@ -330,14 +322,7 @@ impl Engine {
         self.last_accuracy = None;
 
         self.select_rng = rand::rngs::StdRng::from_state(required(&chunks, SRNG, "no rng")?);
-
-        let net: NetState = required(&chunks, NETW, "no network state")?;
-        // Validate before handing off: the setters assert, and a corrupt
-        // checkpoint must surface as an error, not a panic.
-        if !(0.0..1.0).contains(&net.drop_prob) {
-            return Err(CheckpointError::Mismatch("drop probability out of range"));
-        }
-        self.network.restore_fault_state(net.drop_prob, net.jitter, net.rng, net.odometer);
+        self.network.restore_odometer(meta.odometer);
 
         let (clock, evicted): (u64, Vec<usize>) = required(&chunks, POOL, "no pool state")?;
 
@@ -489,13 +474,13 @@ mod tests {
         chunk.as_ptr() as usize - bytes.as_ptr() as usize
     }
 
-    /// Layout v3 of the chunks whose bodies share impls with other types
+    /// Layout v4 of the chunks whose bodies share impls with other types
     /// (`BTCH` → the `BatcherState` the protocol ships, `TIFL`/`CHRN` →
     /// the flag and option rules), re-assembled here field by field from
     /// the live engine state. The
     /// `RNDS` record layout is pinned by `metrics::record_bytes_are_pinned`.
     #[test]
-    fn shared_codec_chunks_follow_layout_v3() {
+    fn shared_codec_chunks_follow_layout_v4() {
         let u32le = |v: usize| (v as u32).to_le_bytes();
         let rng_le = |rng: [u64; 4]| rng.into_iter().flat_map(u64::to_le_bytes);
 
@@ -538,11 +523,11 @@ mod tests {
         assert_eq!(chunks.get(CHRN).expect("CHRN chunk"), want);
     }
 
-    /// Layout v3 of the engine's own chunk bodies, re-assembled field by
+    /// Layout v4 of the engine's own chunk bodies, re-assembled field by
     /// field. The config and cohort-layout fingerprints are literals: a
     /// change to either hash strands every checkpoint already written.
     #[test]
-    fn engine_chunks_follow_layout_v3() {
+    fn engine_chunks_follow_layout_v4() {
         let u32le = |v: usize| (v as u32).to_le_bytes();
         let rng_le = |rng: [u64; 4]| rng.into_iter().flat_map(u64::to_le_bytes);
         let indices_le = |v: &[usize]| {
@@ -561,18 +546,11 @@ mod tests {
         want.extend(u32le(timing().num_clients));
         want.extend(0x5e8b_99e3_01be_434du64.to_le_bytes());
         want.extend(engine.wire.broadcasts.to_le_bytes());
+        want.extend(engine.network.bytes_delivered().to_le_bytes());
         assert_eq!(chunks.get(META).expect("META chunk"), want);
 
         let want: Vec<u8> = rng_le(engine.select_rng.state()).collect();
         assert_eq!(chunks.get(SRNG).expect("SRNG chunk"), want);
-
-        let (drop_prob, jitter, net_rng) = engine.network.fault_state();
-        let mut want = Vec::new();
-        want.extend(drop_prob.to_bits().to_le_bytes());
-        want.extend(jitter.as_micros().to_le_bytes());
-        want.extend(rng_le(net_rng));
-        want.extend(engine.network.bytes_delivered().to_le_bytes());
-        assert_eq!(chunks.get(NETW).expect("NETW chunk"), want);
 
         let (clock, evicted) = engine.pool.snapshot_meta();
         let mut want = clock.to_le_bytes().to_vec();
@@ -603,7 +581,7 @@ mod tests {
         }
         assert_eq!(chunks.get(RNDS).expect("RNDS chunk"), want);
 
-        assert_eq!(chunks.get(ENGV).expect("ENGV chunk"), [3, 0]);
+        assert_eq!(chunks.get(ENGV).expect("ENGV chunk"), [4, 0]);
 
         // WUPR: the client id, then the residual as a dense frame.
         let config = ExperimentConfig {
@@ -637,8 +615,6 @@ mod tests {
         let chunks = ChunkReader::parse(&bytes).unwrap();
         let meta: Meta = required(&chunks, META, "meta").unwrap();
         assert_wire_laws(&meta);
-        let (drop_prob, jitter, rng) = engine.network.fault_state();
-        assert_wire_laws(&NetState { drop_prob, jitter, rng, odometer: 7 });
         assert_wire_laws(&engine.select_rng.state());
         for (client, stamp, batcher) in engine.pool.snapshot_entries() {
             assert_wire_laws(&(client, stamp, batcher.state()));
@@ -651,6 +627,21 @@ mod tests {
 
         let (engine, _, _) = one_round_in(churning(), Strategy::FedAvg);
         assert_wire_laws(&engine.churn.as_ref().expect("churn state").snapshot());
+    }
+
+    /// A checkpoint of an older engine layout is refused by its version,
+    /// before any chunk body is read.
+    #[test]
+    fn older_engine_layouts_are_rejected() {
+        let (_, _, mut bytes) = one_round_in(timing(), Strategy::FedAvg);
+        let chunks = ChunkReader::parse(&bytes).unwrap();
+        let engv = offset_in(&bytes, chunks.get(ENGV).unwrap());
+        bytes[engv..engv + 2].copy_from_slice(&3u16.to_le_bytes());
+        let mut fresh = Engine::new(timing(), Strategy::FedAvg).expect("valid config");
+        assert!(matches!(
+            fresh.restore_checkpoint(&bytes),
+            Err(CheckpointError::Codec(CodecError::UnsupportedVersion(3)))
+        ));
     }
 
     /// A flag byte that is neither 0 nor 1 is corruption, not `false`.

@@ -261,9 +261,9 @@ impl Engine {
         Self::with_topology(config, strategy, crate::topology::TopologyBuilder::new())
     }
 
-    /// [`Engine::new`] with validated cluster-topology overrides (link
-    /// models, per-client speeds, fault injection) applied before the
-    /// first round. See [`crate::topology::TopologyBuilder`].
+    /// [`Engine::new`] with validated cluster-topology overrides
+    /// (federator links, edge cohorts) applied before the first round.
+    /// See [`crate::topology::TopologyBuilder`].
     ///
     /// # Errors
     ///
@@ -463,9 +463,9 @@ impl Engine {
 
     /// Changes `client`'s speed mid-run — the paper's transient-load
     /// scenario (§3.1). Takes effect from the next round. The *initial*
-    /// topology belongs on a
-    /// [`TopologyBuilder`](crate::topology::TopologyBuilder); this is the
-    /// one way to change it between rounds.
+    /// speeds are
+    /// [`ExperimentConfig::speeds`](crate::config::ExperimentConfig::speeds);
+    /// this is the one way to change them between rounds.
     ///
     /// ```
     /// use aergia::prelude::*;

@@ -41,7 +41,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use aergia_enclave::SimilarityView;
 use aergia_nn::NnError;
-use aergia_simnet::network::Delivery;
 use aergia_simnet::{EventQueue, Network, NodeId, SimDuration, SimTime};
 use aergia_tensor::{init, Tensor};
 use rand::rngs::StdRng;
@@ -460,8 +459,7 @@ pub(crate) fn plan(
         dropped: Vec::new(),
     };
     // A participant is dropped when its update missed the cutoff: it
-    // crashed before uploading, the network lost the upload, or the
-    // deadline passed first.
+    // crashed before uploading, or the deadline passed first.
     let arrived: IdSet =
         plan.updates.iter().filter(|u| plan.on_time(u.arrived)).map(|u| u.client).collect();
     plan.dropped = participants.iter().copied().filter(|p| !arrived.contains(p)).collect();
@@ -470,17 +468,16 @@ pub(crate) fn plan(
 
 impl Walk<'_> {
     /// Sends `msg` to `dest` through the network, charged its exact frame
-    /// size; a message the network drops vanishes. The tensors a
-    /// weight-carrying message stands for exist only in the execute stage.
+    /// size. The tensors a weight-carrying message stands for exist only
+    /// in the execute stage.
     fn send(&mut self, now: SimTime, from: NodeId, dest: Dest, msg: Message) {
         let to = match dest {
             Dest::Client(c) => node(c),
             Dest::Federator => NodeId::FEDERATOR,
         };
-        if let Delivery::After(d) = self.network.send(from, to, msg.wire_size(&self.sizes)) {
-            let slot = self.in_flight.put(dest, msg);
-            self.queue.push(now + d, Ev::Deliver(slot));
-        }
+        let delay = self.network.send(from, to, msg.wire_size(&self.sizes));
+        let slot = self.in_flight.put(dest, msg);
+        self.queue.push(now + delay, Ev::Deliver(slot));
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
@@ -499,7 +496,7 @@ impl Walk<'_> {
         match (dest, msg) {
             (Dest::Client(c), Message::StartRound { round: r }) => {
                 if r != round {
-                    return; // stale start (cannot happen without faults)
+                    return; // stale start (cannot happen: each walk drains its queue)
                 }
                 let rc = &mut self.clients[c];
                 rc.active = true;
@@ -889,8 +886,8 @@ pub(crate) fn execute(
     for reply in replies.offloads {
         // An offload whose receiver or straggler the transport lost
         // lapses (a lost receiver leaves the straggler's frozen update
-        // standing alone); a section whose message the network lost never
-        // crossed the wire.
+        // standing alone); a section whose receiver crashed before sending
+        // it never crossed the wire.
         let lapsed = !(trained.contains_key(&reply.receiver) && trained.contains_key(&reply.weak));
         if lapsed || !plan.offload_results.contains_key(&reply.weak) {
             continue;

@@ -30,9 +30,6 @@ pub struct RoundRecord {
     /// - the client crashed (churn) before its update left — a client
     ///   that crashes later, while serving an offload, is not dropped;
     /// - the transport lost the client's reply (real mode).
-    ///
-    /// An upload the simulated network loses (fault injection) never
-    /// arrives, and is dropped the same way as a late one.
     pub dropped: Vec<usize>,
     /// Payload bytes delivered over the simulated network this round —
     /// actual encoded frame sizes under the experiment's wire codec, plus

@@ -1,15 +1,16 @@
 //! Declarative cluster-topology overrides, applied at engine build time.
 //!
 //! [`ExperimentConfig`](crate::config::ExperimentConfig) describes the
-//! *uniform* cluster (one link model for every edge, per-client speed
-//! fractions). Experiments that need a non-uniform topology — a slow
-//! federator control path, a slowed client, injected faults —
-//! declare it on a [`TopologyBuilder`] handed to
+//! cluster: one link model for every edge and each client's speed
+//! fraction ([`ExperimentConfig::speeds`](crate::config::ExperimentConfig::speeds)).
+//! Experiments that need more — a slow federator control path, or the
+//! clients split across edge aggregators — declare it on a
+//! [`TopologyBuilder`] handed to
 //! [`Engine::with_topology`](crate::engine::Engine::with_topology),
 //! which validates every override against the configuration before the
-//! engine exists. (The one thing a builder cannot express, a speed
-//! change *between* rounds, is
-//! [`Engine::set_client_speed`](crate::engine::Engine::set_client_speed).)
+//! engine exists. Links are reliable, as the paper assumes (§3.1). A
+//! speed change *between* rounds is
+//! [`Engine::set_client_speed`](crate::engine::Engine::set_client_speed).
 //!
 //! ```
 //! use aergia::config::{ExperimentConfig, Mode};
@@ -20,14 +21,13 @@
 //!
 //! let config = ExperimentConfig { mode: Mode::Timing, ..ExperimentConfig::default() };
 //! let topology = TopologyBuilder::new()
-//!     .client_speed(2, 0.1)
 //!     .federator_link(0, LinkModel { latency: SimDuration::from_secs_f64(0.2), bandwidth_bps: 1e6 })
-//!     .network_faults(0.0, SimDuration::from_secs_f64(0.05), 9);
+//!     .edge_cohorts(2, 9);
 //! let engine = Engine::with_topology(config, Strategy::aergia_default(), topology).unwrap();
 //! # let _ = engine;
 //! ```
 
-use aergia_simnet::{LinkModel, NodeId, SimDuration};
+use aergia_simnet::{LinkModel, NodeId};
 
 use crate::config::ConfigError;
 use crate::engine::Engine;
@@ -43,8 +43,6 @@ use crate::fold::CohortLayout;
 #[must_use = "a TopologyBuilder does nothing until passed to Engine::with_topology"]
 pub struct TopologyBuilder {
     federator_links: Vec<(usize, LinkModel)>,
-    client_speeds: Vec<(usize, f64)>,
-    faults: Option<(f64, SimDuration, u64)>,
     edge_cohorts: Option<(usize, u64)>,
 }
 
@@ -58,24 +56,6 @@ impl TopologyBuilder {
     /// slow control path in robustness experiments).
     pub fn federator_link(mut self, to: usize, link: LinkModel) -> Self {
         self.federator_links.push((to, link));
-        self
-    }
-
-    /// Overrides one client's CPU speed fraction (must be in `(0, 1]`),
-    /// taking precedence over
-    /// [`ExperimentConfig::speeds`](crate::config::ExperimentConfig::speeds).
-    pub fn client_speed(mut self, client: usize, speed: f64) -> Self {
-        self.client_speeds.push((client, speed));
-        self
-    }
-
-    /// Enables network fault injection: every transfer is dropped with
-    /// probability `drop_prob` (in `[0, 1)`; drops break the synchronous
-    /// protocol's liveness, so only jitter is recommended for full runs)
-    /// and delayed by a uniform jitter in `[0, jitter]`, deterministically
-    /// from `seed`.
-    pub fn network_faults(mut self, drop_prob: f64, jitter: SimDuration, seed: u64) -> Self {
-        self.faults = Some((drop_prob, jitter, seed));
         self
     }
 
@@ -98,10 +78,7 @@ impl TopologyBuilder {
 
     /// Whether the builder carries no overrides at all.
     pub fn is_empty(&self) -> bool {
-        self.federator_links.is_empty()
-            && self.client_speeds.is_empty()
-            && self.faults.is_none()
-            && self.edge_cohorts.is_none()
+        self.federator_links.is_empty() && self.edge_cohorts.is_none()
     }
 
     /// Validates every override against a cluster of `num_clients`.
@@ -109,19 +86,6 @@ impl TopologyBuilder {
         for &(to, _) in &self.federator_links {
             if to >= num_clients {
                 return Err(ConfigError::BadTopology("federator_link client out of range"));
-            }
-        }
-        for &(client, speed) in &self.client_speeds {
-            if client >= num_clients {
-                return Err(ConfigError::BadTopology("client_speed client out of range"));
-            }
-            if !(speed > 0.0 && speed <= 1.0) {
-                return Err(ConfigError::BadTopology("client_speed outside (0, 1]"));
-            }
-        }
-        if let Some((drop_prob, _, _)) = self.faults {
-            if !(0.0..1.0).contains(&drop_prob) {
-                return Err(ConfigError::BadTopology("network_faults drop_prob outside [0, 1)"));
             }
         }
         if let Some((num_edges, _)) = self.edge_cohorts {
@@ -140,12 +104,6 @@ impl TopologyBuilder {
         for (to, link) in self.federator_links {
             engine.network.set_link(NodeId::FEDERATOR, NodeId(to as u32), link);
         }
-        for (client, speed) in self.client_speeds {
-            engine.set_client_speed(client, speed);
-        }
-        if let Some((drop_prob, jitter, seed)) = self.faults {
-            engine.network.enable_faults(drop_prob, jitter, seed);
-        }
         if let Some((num_edges, seed)) = self.edge_cohorts {
             engine.cohorts = CohortLayout::seeded(engine.config().num_clients, num_edges, seed);
         }
@@ -160,10 +118,6 @@ mod tests {
     fn out_of_range_overrides_are_rejected() {
         let cases = [
             TopologyBuilder::new().federator_link(4, LinkModel::datacenter()),
-            TopologyBuilder::new().client_speed(9, 0.5),
-            TopologyBuilder::new().client_speed(0, 0.0),
-            TopologyBuilder::new().client_speed(0, 1.5),
-            TopologyBuilder::new().network_faults(1.0, SimDuration::ZERO, 1),
             TopologyBuilder::new().edge_cohorts(0, 7),
             TopologyBuilder::new().edge_cohorts(5, 7),
         ];
@@ -178,11 +132,8 @@ mod tests {
     #[test]
     fn valid_overrides_pass_and_empty_builder_is_empty() {
         assert!(TopologyBuilder::new().is_empty());
-        let builder = TopologyBuilder::new()
-            .federator_link(3, LinkModel::datacenter())
-            .client_speed(2, 0.25)
-            .network_faults(0.1, SimDuration::from_secs_f64(0.5), 7)
-            .edge_cohorts(2, 11);
+        let builder =
+            TopologyBuilder::new().federator_link(3, LinkModel::datacenter()).edge_cohorts(2, 11);
         assert!(!builder.is_empty());
         builder.validate(4).unwrap();
     }

@@ -3,9 +3,7 @@
 //! The paper (§2.3, §4.4) measures dataset heterogeneity with the EMD
 //! between clients' label histograms, computed inside the SGX enclave.
 //! For 1-D histograms over a line of equally spaced classes, the EMD has
-//! the classic closed form `Σ |prefix(p) − prefix(q)|`; we provide that
-//! plus the total-variation distance (EMD under a 0/1 ground metric) for
-//! comparison.
+//! the classic closed form `Σ |prefix(p) − prefix(q)|`.
 
 /// Normalizes a histogram of counts into a probability vector.
 ///
@@ -51,22 +49,6 @@ pub fn emd(p: &[f64], q: &[f64]) -> f64 {
     total
 }
 
-/// Total-variation distance `½ Σ |p_i − q_i|` — the EMD under a 0/1 ground
-/// metric, in `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if the vectors differ in length.
-pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "total_variation: length mismatch");
-    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
-}
-
-/// EMD between two raw count histograms (normalized first).
-pub fn emd_counts(p: &[u64], q: &[u64]) -> f64 {
-    emd(&normalize(p), &normalize(q))
-}
-
 /// Pairwise EMD matrix over a set of client histograms: entry `(i, j)` is
 /// the distance between clients `i` and `j` (0 on the diagonal).
 ///
@@ -100,7 +82,6 @@ mod tests {
     fn identical_distributions_have_zero_distance() {
         let p = normalize(&[3, 3, 3]);
         assert_eq!(emd(&p, &p), 0.0);
-        assert_eq!(total_variation(&p, &p), 0.0);
     }
 
     #[test]
@@ -110,8 +91,7 @@ mod tests {
         a[0] = 5;
         let mut b = vec![0u64; 10];
         b[9] = 5;
-        assert_eq!(emd_counts(&a, &b), 9.0);
-        assert_eq!(total_variation(&normalize(&a), &normalize(&b)), 1.0);
+        assert_eq!(emd(&normalize(&a), &normalize(&b)), 9.0);
     }
 
     #[test]
@@ -137,8 +117,6 @@ mod tests {
         let near = normalize(&[0, 5, 0, 0]);
         let far = normalize(&[0, 0, 0, 5]);
         assert!(emd(&base, &near) < emd(&base, &far));
-        // Total variation cannot see the difference.
-        assert_eq!(total_variation(&base, &near), total_variation(&base, &far));
     }
 
     #[test]

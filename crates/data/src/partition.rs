@@ -204,11 +204,6 @@ impl Partition {
         }
         hist
     }
-
-    /// Number of distinct classes present in `client`'s shard.
-    pub fn classes_present(&self, dataset: &Dataset, client: usize) -> usize {
-        self.class_histogram(dataset, client).iter().filter(|&&c| c > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -222,6 +217,11 @@ mod tests {
         DataConfig { spec: DatasetSpec::MnistLike, train_size: 400, test_size: 1, seed: 3 }
             .generate_pair()
             .0
+    }
+
+    /// Number of distinct classes present in `client`'s shard.
+    fn classes_present(p: &Partition, ds: &Dataset, client: usize) -> usize {
+        p.class_histogram(ds, client).iter().filter(|&&n| n > 0).count()
     }
 
     fn assert_disjoint(p: &Partition) {
@@ -250,7 +250,7 @@ mod tests {
         let ds = dataset();
         let p = Partition::split(&ds, 4, Scheme::Iid, 2);
         for c in 0..4 {
-            assert!(p.classes_present(&ds, c) >= 8, "IID shard missing many classes");
+            assert!(classes_present(&p, &ds, c) >= 8, "IID shard missing many classes");
         }
     }
 
@@ -260,7 +260,7 @@ mod tests {
         let p = Partition::split(&ds, 8, Scheme::NonIid { classes_per_client: 3 }, 7);
         assert_disjoint(&p);
         for c in 0..8 {
-            let present = p.classes_present(&ds, c);
+            let present = classes_present(&p, &ds, c);
             assert!(present <= 3, "client {c} has {present} classes, expected <= 3");
             assert!(present >= 1, "client {c} has no data");
         }
@@ -285,7 +285,7 @@ mod tests {
         let p = Partition::split(&ds, 4, Scheme::NonIid { classes_per_client: 10 }, 5);
         assert_disjoint(&p);
         for c in 0..4 {
-            assert_eq!(p.classes_present(&ds, c), 10);
+            assert_eq!(classes_present(&p, &ds, c), 10);
         }
     }
 

@@ -64,7 +64,7 @@ impl DatasetSpec {
     }
 
     /// Maximum absolute spatial jitter (pixels) applied to each sample.
-    pub fn jitter(self) -> usize {
+    pub(crate) fn jitter(self) -> usize {
         match self {
             DatasetSpec::MnistLike | DatasetSpec::FmnistLike => 2,
             _ => 3,

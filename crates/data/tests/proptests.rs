@@ -1,6 +1,6 @@
 //! Property-based tests for partitions and the EMD metric.
 
-use aergia_data::emd::{emd, emd_counts, normalize, similarity_matrix, total_variation};
+use aergia_data::emd::{emd, normalize, similarity_matrix};
 use aergia_data::partition::{Partition, Scheme};
 use aergia_data::{DataConfig, DatasetSpec};
 use proptest::prelude::*;
@@ -8,6 +8,30 @@ use std::collections::HashSet;
 
 fn histogram() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..50, 3..12)
+}
+
+/// Total-variation distance `½ Σ |p_i − q_i|` — the EMD under a 0/1 ground
+/// metric, in `[0, 1]`: the yardstick the EMD is compared against.
+fn total_variation(p: &[f64], q: &[f64]) -> f64 {
+    assert_eq!(p.len(), q.len(), "total_variation: length mismatch");
+    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
+}
+
+/// Total variation is zero on identity and one on disjoint supports, and
+/// cannot see how far mass moves — the ground metric only the EMD has.
+#[test]
+fn total_variation_ignores_the_ground_metric() {
+    let p = normalize(&[3, 3, 3]);
+    assert_eq!(total_variation(&p, &p), 0.0);
+    let mut a = vec![0u64; 10];
+    a[0] = 5;
+    let mut b = vec![0u64; 10];
+    b[9] = 5;
+    assert_eq!(total_variation(&normalize(&a), &normalize(&b)), 1.0);
+    let base = normalize(&[5, 0, 0, 0]);
+    let near = normalize(&[0, 5, 0, 0]);
+    let far = normalize(&[0, 0, 0, 5]);
+    assert_eq!(total_variation(&base, &near), total_variation(&base, &far));
 }
 
 proptest! {
@@ -45,7 +69,7 @@ proptest! {
     }
 
     /// The similarity matrix is symmetric, zero-diagonal and consistent
-    /// with pairwise emd_counts.
+    /// with the pairwise EMD of the normalised histograms.
     #[test]
     fn similarity_matrix_is_consistent(hists in proptest::collection::vec(
         proptest::collection::vec(0u64..30, 5..=5), 2..6)) {
@@ -54,7 +78,8 @@ proptest! {
             prop_assert_eq!(m[i][i], 0.0);
             for j in 0..hists.len() {
                 prop_assert_eq!(m[i][j], m[j][i]);
-                prop_assert!((m[i][j] - emd_counts(&hists[i], &hists[j])).abs() < 1e-12);
+                let d = emd(&normalize(&hists[i]), &normalize(&hists[j]));
+                prop_assert!((m[i][j] - d).abs() < 1e-12);
             }
         }
     }
@@ -105,7 +130,9 @@ proptest! {
                 // partition.rs step 2).
                 if clients * classes_per_client >= train.num_classes() {
                     for c in 0..clients {
-                        prop_assert!(p.classes_present(&train, c) <= classes_per_client);
+                        let hist = p.class_histogram(&train, c);
+                        let present = hist.iter().filter(|&&n| n > 0).count();
+                        prop_assert!(present <= classes_per_client);
                     }
                 }
                 // Global coverage always holds.

@@ -4,8 +4,9 @@
 //! macro: one call emits a structured `aergia-telemetry` point event
 //! (when the layer is enabled) *and* the human-readable stderr line,
 //! so the two views can never drift apart. [`stderr_line`] is the
-//! crate's single sanctioned raw-stderr site — `scripts/check_eprintln.sh`
-//! fails CI on any other `eprintln!` in a library crate. User-facing
+//! crate's single sanctioned raw-stderr site — the `eprintln!` row of
+//! `scripts/gone.tsv`, which `scripts/ci.sh lint-logging` runs, fails CI
+//! on any other `eprintln!` in a library crate. User-facing
 //! output from the binaries (usage text, results) belongs on stdout.
 //!
 //! The metric handles below are the runtime's registry surface:

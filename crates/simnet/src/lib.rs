@@ -6,8 +6,8 @@
 //! the deterministic stand-in, so that a run is a pure function of its
 //! configuration ("The determinism contract" in `docs/architecture.md`):
 //! a virtual clock and event queue ([`event`]), per-node CPU speed models
-//! ([`node`]), latency/bandwidth link models with optional fault
-//! injection ([`network`]) and helpers for building heterogeneous speed
+//! ([`node`]), reliable latency/bandwidth links as the paper assumes
+//! (§3.1; [`network`]) and helpers for building heterogeneous speed
 //! assignments ([`cluster`]).
 //!
 //! Nothing here knows about federated learning; the `aergia` core crate

@@ -205,8 +205,8 @@ fn mid_run_slowdown_turns_a_client_into_a_straggler() {
     let before = &progress.rounds[0];
     assert!(before.offloads.is_empty(), "balanced cluster should not offload");
 
-    // Mid-run transient load has no declarative (TopologyBuilder)
-    // equivalent: the builder fixes the cluster before round 0.
+    // Mid-run transient load has no declarative equivalent:
+    // `ExperimentConfig::speeds` fixes the cluster before round 0.
     engine.set_client_speed(2, 0.1);
     engine.step_round(&mut progress).unwrap();
     let (before, after) = (&progress.rounds[0], &progress.rounds[1]);
